@@ -22,7 +22,6 @@ from .functors import (
     FLTransport,
     RoundTripReport,
     SectionResult,
-    breuil_to_fl,
     fl_to_breuil,
     flag_adapt,
     roundtrip_breuil,
@@ -49,7 +48,7 @@ from .pd import (
     phi_S,
 )
 from .series import SigmaSeries, weierstrass_divide
-from .witt import WittRing, WittScalar, witt_frobenius, witt_invert
+from .witt import WittRing, WittScalar
 
 __all__ = [
     "AmbientParams",
@@ -66,7 +65,6 @@ __all__ = [
     "WittScalar",
     "breuil_bhat",
     "breuil_classify",
-    "breuil_to_fl",
     "breuil_validate",
     "converges_to_zero",
     "default_N_gamma",
@@ -100,6 +98,4 @@ __all__ = [
     "section_compute",
     "twisted_chain",
     "weierstrass_divide",
-    "witt_frobenius",
-    "witt_invert",
 ]

@@ -152,7 +152,7 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
     gens = fil_generators(B)
     try:
         images = [phi_r_apply(B, g) for g in gens]
-        cols = RingMatrix(B.Phi.ops, [[images[j][i] for j in range(B.d)] for i in range(B.d)])
+        cols = RingMatrix([[images[j][i] for j in range(B.d)] for i in range(B.d)])
         strongly = cols.residue_invertible()
     except (NotDivisible, NotInFil):
         strongly = False
@@ -178,7 +178,7 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
             diagram = False
             continue
         rhs = tuple(amb.c * c for c in n_apply(B, images[j]))
-        if not all(a.eq_at(b, at, skip_dirty_top=True) for a, b in zip(lhs, rhs)):
+        if not all(a.eq_at(b, at) for a, b in zip(lhs, rhs)):
             diagram = False
     cris = all(
         eval_f0(B.Nmat.entries[i][j]).is_zero_at(at)
@@ -244,14 +244,14 @@ def breuil_classify(B: BreuilModule, max_steps: int | None = None) -> BreuilClas
     return BreuilClassification(
         etale=all(j == amb.r for j in B.jumps),
         multiplicative=all(j == 0 for j in B.jumps),
-        unipotent=converges_to_zero(bhat, "phi", amb.N_p, max_steps),
+        unipotent=converges_to_zero(bhat, phi_S, amb.N_p, max_steps),
     )
 
 
 def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     """The same module presented in the basis f h (h in GL_d(S))."""
     h_inv = h.invert()
-    phi_h = h.map_entries(lambda x: phi_S(x, 0))
+    phi_h = h.map_entries(phi_S)
     Phi_new = h_inv @ B.Phi @ phi_h
     C_new = h_inv @ B.C
     Nmat_new = None

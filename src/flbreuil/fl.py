@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedJumps, NotStrong
-from .matrix import ConvergenceVerdict, RingMatrix, WittOps, converges_to_zero
+from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
+from .witt import WittScalar
 
 
 def check_jumps(amb, d: int, jumps) -> tuple[int, ...]:
@@ -65,11 +66,9 @@ def fl_validate(M: FLModule) -> bool:
 
 def fl_frobenius_matrix(M: FLModule) -> RingMatrix:
     """Matrix of phi = phi_0: column j of Ftil scaled by p^{r_j}."""
-    ops = M.Ftil.ops
     cols = M.jumps
     return RingMatrix(
-        ops,
-        [[ops.mul_p_pow(M.Ftil.entries[i][j], cols[j]) for j in range(M.d)] for i in range(M.d)],
+        [[M.Ftil.entries[i][j].mul_p_pow(cols[j]) for j in range(M.d)] for i in range(M.d)],
     )
 
 
@@ -80,10 +79,8 @@ def fl_v_matrix(M: FLModule) -> tuple[RingMatrix, RingMatrix]:
     amb = M.amb
     F = fl_frobenius_matrix(M)
     inv = M.Ftil.invert()
-    ops = inv.ops
     V = RingMatrix(
-        ops,
-        [[ops.mul_p_pow(inv.entries[i][j], amb.r - M.jumps[i]) for j in range(M.d)] for i in range(M.d)],
+        [[inv.entries[i][j].mul_p_pow(amb.r - M.jumps[i]) for j in range(M.d)] for i in range(M.d)],
     )
     return F, V
 
@@ -94,8 +91,8 @@ def fl_classify(M: FLModule) -> FLClassification:
     return FLClassification(
         etale=all(j == amb.r for j in M.jumps),
         multiplicative=all(j == 0 for j in M.jumps),
-        nilpotent=converges_to_zero(F, "sigma", amb.N_p),
-        unipotent=converges_to_zero(V, "sigma", amb.N_p),
+        nilpotent=converges_to_zero(F, WittScalar.frobenius, amb.N_p),
+        unipotent=converges_to_zero(V, WittScalar.frobenius, amb.N_p),
     )
 
 
@@ -104,9 +101,8 @@ def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
     if jumps is None:
         jumps = tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
     jumps = check_jumps(amb, d, jumps)
-    ops = WittOps(amb)
     while True:
-        Ftil = RingMatrix(ops, [[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+        Ftil = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
         if Ftil.residue_invertible():
             return FLModule(amb, d, jumps, Ftil)
 
@@ -127,11 +123,10 @@ def random_flag_preserving(amb, rng, jumps) -> RingMatrix:
     """Random g in GL_d(W) with g_{ij} = 0 unless r_i >= r_j, so the change
     of basis e -> e g preserves every filtration step."""
     d = len(jumps)
-    ops = WittOps(amb)
     while True:
         ent = [[amb.ring.random(rng) if jumps[i] >= jumps[j] else amb.ring.zero()
                 for j in range(d)] for i in range(d)]
-        g = RingMatrix(ops, ent)
+        g = RingMatrix(ent)
         if g.residue_invertible():
             return g
 
@@ -143,15 +138,13 @@ def fl_transport(M: FLModule, g: RingMatrix) -> FLModule:
     matrix follows by the exact p-power shifts; integrality of the shifts
     is the flag condition."""
     amb = M.amb
-    sg = g.map_entries(lambda x: x.frobenius())
-    ops = g.ops
+    sg = g.map_entries(WittScalar.frobenius)
     mid = RingMatrix(
-        ops,
         [
             [
-                ops.mul_p_pow(sg.entries[i][j], M.jumps[i] - M.jumps[j])
+                sg.entries[i][j].mul_p_pow(M.jumps[i] - M.jumps[j])
                 if M.jumps[i] >= M.jumps[j]
-                else ops.div_p_exact(sg.entries[i][j], M.jumps[j] - M.jumps[i])
+                else sg.entries[i][j].div_p_exact(M.jumps[j] - M.jumps[i])
                 for j in range(M.d)
             ]
             for i in range(M.d)

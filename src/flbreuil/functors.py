@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrix,
 )
 from .fl import FLModule, fl_classify, fl_validate
-from .matrix import PDOps, RingMatrix, WittOps, scaled_inverse
+from .matrix import RingMatrix, scaled_inverse
 from .pd import (
     eval_f0,
     eval_fpi,
@@ -47,28 +47,29 @@ from .pd import (
     in_u_power_ideal,
     n_S,
     pd_from_scalar,
+    pd_one,
+    pd_zero,
     phi_S,
 )
+from .witt import WittScalar
 
 
 def f0_matrix(M: RingMatrix) -> RingMatrix:
     """Entrywise evaluation at u = 0, landing over W(k)."""
-    wops = WittOps(M.ops.amb)
-    return RingMatrix(wops, [[eval_f0(x) for x in row] for row in M.entries], M.denom_exp)
+    return M.map_entries(eval_f0)
 
 
 def embed_w_matrix(amb, M: RingMatrix) -> RingMatrix:
     """Constants of W(k) viewed inside S."""
-    pops = PDOps(amb)
-    return RingMatrix(pops, [[pd_from_scalar(amb, x) for x in row] for row in M.entries], M.denom_exp)
+    return M.map_entries(lambda x: pd_from_scalar(amb, x))
 
 
 def phi_matrix(M: RingMatrix) -> RingMatrix:
-    return M.map_entries(lambda x: phi_S(x, 0))
+    return M.map_entries(phi_S)
 
 
 def sigma_matrix(M: RingMatrix) -> RingMatrix:
-    return M.map_entries(lambda x: x.frobenius())
+    return M.map_entries(WittScalar.frobenius)
 
 
 def fpi_vector(vec) -> tuple:
@@ -81,18 +82,17 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
     """Base change to S: Phi = Ftil diag(p^{r_i}) as constants, N the bare
     derivation, identity adapted basis, unchanged jumps."""
     amb = M.amb
-    pops = PDOps(amb)
-    wops_mat = M.Ftil
     ent = [
-        [pd_from_scalar(amb, wops_mat.entries[i][j].mul_p_pow(M.jumps[j])) for j in range(M.d)]
+        [pd_from_scalar(amb, M.Ftil.entries[i][j].mul_p_pow(M.jumps[j])) for j in range(M.d)]
         for i in range(M.d)
     ]
+    zero = pd_zero(amb)
     return BreuilModule(
         amb=amb,
         d=M.d,
-        Phi=RingMatrix(pops, ent),
-        Nmat=RingMatrix.zeros(pops, M.d, M.d),
-        C=RingMatrix.identity(pops, M.d),
+        Phi=RingMatrix(ent),
+        Nmat=RingMatrix.zeros(M.d, M.d, zero),
+        C=RingMatrix.identity(M.d, zero, pd_one(amb)),
         jumps=M.jumps,
     )
 
@@ -138,16 +138,15 @@ def section_compute(B: BreuilModule, basis_hint: RingMatrix | None = None,
     at = amb.N_p
     d = B.d
     A = B.Phi
-    pops = A.ops
     A0_w = f0_matrix(A)
     try:
         scaled = scaled_inverse(A0_w, amb.r)
     except (NotDivisible, SingularMatrix) as exc:
         raise A0NotScaledIntegral(f"p^r A_0^(-1) is not integral: {exc}") from exc
-    A0inv = embed_w_matrix(amb, RingMatrix(A0_w.ops, scaled.entries, denom_exp=amb.r))
+    A0inv = embed_w_matrix(amb, RingMatrix(scaled.entries, denom_exp=amb.r))
     A0_pd = embed_w_matrix(amb, A0_w)
-    ident_w = RingMatrix.identity(A0_w.ops, d)
-    ident_pd = RingMatrix.identity(pops, d)
+    ident_w = RingMatrix.identity(d, amb.ring.zero(), amb.ring.one())
+    ident_pd = RingMatrix.identity(d, pd_zero(amb), pd_one(amb))
 
     # The iteration runs with the p^r denominators tracked, not cleared:
     # away from the normal-form basis a finite iterate may leave the
@@ -236,9 +235,8 @@ def flag_adapt(amb, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
     if d is None or len(chosen) != d:
         raise NotDirectSummand(0, "generators do not span the full module")
     order = sorted(range(d), key=lambda t: chosen[t][2])
-    wops = WittOps(amb)
     cols = [chosen[t][0] for t in order]
-    g = RingMatrix(wops, [[cols[j][i] for j in range(d)] for i in range(d)])
+    g = RingMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
     jumps = tuple(chosen[t][2] for t in order)
     return g, jumps
 
@@ -253,12 +251,6 @@ class FLTransport:
     section: SectionResult
     g_w: RingMatrix            # adapted basis change over W
     sec_basis_inv: RingMatrix  # (Bmat * embed(g_w))^(-1), over S
-
-
-def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
-                 adjoin_zero_n: bool = False) -> FLModule:
-    M, _ = breuil_to_fl_with_transport(B, section, adjoin_zero_n)
-    return M
 
 
 def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None = None,
@@ -303,15 +295,14 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
     g, jumps = flag_adapt(amb, gens_by_level)
 
     F_new = g.invert() @ FM @ sigma_matrix(g)
-    wops = F_new.ops
     try:
         ftil_ent = [
-            [wops.div_p_exact(F_new.entries[i][j], jumps[j]) for j in range(B.d)]
+            [F_new.entries[i][j].div_p_exact(jumps[j]) for j in range(B.d)]
             for i in range(B.d)
         ]
     except NotDivisible as exc:
         raise NotStrong(f"divided Frobenius is not integral: {exc}") from exc
-    M = FLModule(amb, B.d, jumps, RingMatrix(wops, ftil_ent))
+    M = FLModule(amb, B.d, jumps, RingMatrix(ftil_ent))
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
     sec_basis_inv = (Bm @ embed_w_matrix(amb, g)).invert()
@@ -354,7 +345,7 @@ def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripRep
                             "(pass allow_non_unipotent=True to explore)")
     B = fl_to_breuil(M)
     sec = section_compute(B)
-    M2 = breuil_to_fl(B, section=sec)
+    M2 = breuil_to_fl_with_transport(B, section=sec)[0]
     jumps_equal = M2.jumps == M.jumps
     exact = jumps_equal and M2.Ftil.eq_at(M.Ftil, amb.N_p)
     sec_prec = min(x.prec for row in sec.Bmat.entries for x in row)
@@ -365,7 +356,7 @@ def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripRep
         details={
             "iterations": sec.iterations,
             "section_is_identity": sec.Bmat.eq_at(
-                RingMatrix.identity(sec.Bmat.ops, M.d), sec_prec
+                RingMatrix.identity(M.d, pd_zero(amb), pd_one(amb)), sec_prec
             ),
             "jumps": list(M2.jumps),
         },
@@ -399,7 +390,7 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, n_fil_samples: int = 8,
         resid = Bt.Nmat @ Bm + Bm.map_entries(n_S)
         # the top gamma coefficient of N on a truncated element is the one
         # coordinate the dropped tail can reach; eq_at skips it when dirty
-        n_ok = resid.eq_at(RingMatrix.zeros(resid.ops, resid.rows, resid.cols), at)
+        n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, pd_zero(amb)), at)
 
     fil_ok = True
     checked = 0

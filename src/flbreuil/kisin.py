@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 from . import breuil as breuil_mod
 from .errors import MissingGLSForm, NotInvertible, SingularMatrix
-from .matrix import (
-    ConvergenceVerdict,
-    PDOps,
-    RingMatrix,
-    SeriesOps,
-    converges_to_zero,
-)
-from .pd import embed_sigma, fil_valuation
-from .series import SigmaSeries, series_from_ints, series_inverse, weierstrass_divide
+from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
+from .pd import embed_sigma, fil_valuation, pd_one, pd_zero, phi_S
+from .series import SigmaSeries, series_from_ints, weierstrass_divide
 
 
 @dataclass
@@ -49,6 +43,14 @@ def _E_pow(amb, n: int) -> SigmaSeries:
     for _ in range(n):
         out = out * amb.E_series
     return out
+
+
+def _E_diag(amb, jumps) -> RingMatrix:
+    """Lambda = diag(E^{r_1}, ..., E^{r_d}) over the series ring."""
+    d = len(jumps)
+    zero = SigmaSeries(amb, [])
+    return RingMatrix([[_E_pow(amb, jumps[i]) if i == j else zero for j in range(d)]
+                       for i in range(d)])
 
 
 def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
@@ -76,7 +78,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
                          "division": s, "remainder": rem},
             )
         q, s = q2, s + 1
-    unit_inv = series_inverse(q)
+    unit_inv = q.invert()
     adj = A.adjugate()
     Er = _E_pow(amb, amb.r)
     rows = []
@@ -94,7 +96,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
                     )
             row.append(y * unit_inv)
         rows.append(row)
-    return HeightResult(True, B=RingMatrix(A.ops, rows), e_power=s)
+    return HeightResult(True, B=RingMatrix(rows), e_power=s)
 
 
 def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule:
@@ -105,12 +107,7 @@ def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule
     jumps = check_jumps(amb, d, jumps)
     if not X.residue_invertible() or not Y.residue_invertible():
         raise NotInvertible("X and Y must lie in GL_d of the series ring")
-    ops = X.ops
-    lam = RingMatrix(
-        ops,
-        [[_E_pow(amb, jumps[i]) if i == j else ops.zero() for j in range(d)] for i in range(d)],
-    )
-    A = X @ lam @ Y
+    A = X @ _E_diag(amb, jumps) @ Y
     K = KisinModule(amb, d, A, gls=(X, jumps, Y))
     res = kisin_height_check(amb, A)
     if not res.ok:
@@ -135,14 +132,12 @@ def kisin_classify(K: KisinModule, max_steps: int | None = None) -> KisinClassif
     return KisinClassification(
         etale=res.B.residue_invertible(),
         multiplicative=K.A.residue_invertible(),
-        unipotent=converges_to_zero(res.B, "phi", amb.N_p, max_steps),
+        unipotent=converges_to_zero(res.B, SigmaSeries.phi, amb.N_p, max_steps),
     )
 
 
 def _embed_matrix(A: RingMatrix) -> RingMatrix:
-    amb = A.ops.amb
-    pops = PDOps(amb)
-    return RingMatrix(pops, [[embed_sigma(x) for x in row] for row in A.entries])
+    return RingMatrix([[embed_sigma(x) for x in row] for row in A.entries])
 
 
 def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
@@ -158,24 +153,14 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
         raise MissingGLSForm("transfer needs a diagonal normal form presentation")
     amb = K.amb
     X, jumps, Y = K.gls
-    ops = X.ops
-    d = K.d
-    lam = RingMatrix(
-        ops,
-        [[_E_pow(amb, jumps[i]) if i == j else ops.zero() for j in range(d)] for i in range(d)],
-    )
-    XL = _embed_matrix(X @ lam)
-    from .pd import phi_S
-
-    phi_XL = XL.map_entries(lambda x: phi_S(x, 0))
+    phi_XL = _embed_matrix(X @ _E_diag(amb, jumps)).map_entries(phi_S)
     Phi = _embed_matrix(Y) @ phi_XL
-    pops = Phi.ops
     return breuil_mod.BreuilModule(
         amb=amb,
-        d=d,
+        d=K.d,
         Phi=Phi,
         Nmat=None,
-        C=RingMatrix.identity(pops, d),
+        C=RingMatrix.identity(K.d, pd_zero(amb), pd_one(amb)),
         jumps=jumps,
     )
 
@@ -193,13 +178,7 @@ def kisin_raw_fil_checker(K: KisinModule):
         raise MissingGLSForm("raw membership needs the normal form data")
     amb = K.amb
     X, jumps, Y = K.gls
-    ops = X.ops
-    d = K.d
-    lam = RingMatrix(
-        ops,
-        [[_E_pow(amb, jumps[i]) if i == j else ops.zero() for j in range(d)] for i in range(d)],
-    )
-    A_pd = _embed_matrix(X @ lam @ Y)
+    A_pd = _embed_matrix(X @ _E_diag(amb, jumps) @ Y)
     Yinv_pd = _embed_matrix(Y).invert()
     full = A_pd @ Yinv_pd
 
@@ -222,7 +201,6 @@ def random_gls(amb, rng, d: int, deg: int = 4, max_jump: int | None = None, jump
     the identity modulo (u^p/p) and the iteration converge at the stated
     rate; a plain degree-one term in Y already breaks both.
     """
-    sops = SeriesOps(amb)
     if jumps is None:
         top = amb.r if max_jump is None else max_jump
         jumps = tuple(sorted(rng.randrange(top + 1) for _ in range(d)))
@@ -238,9 +216,8 @@ def random_gls(amb, rng, d: int, deg: int = 4, max_jump: int | None = None, jump
 
     def rand_gl(crystalline_shape: bool) -> RingMatrix:
         while True:
-            ident = RingMatrix.identity(sops, d)
+            ident = RingMatrix.identity(d, SigmaSeries(amb, []), amb.useries([1]))
             pert = RingMatrix(
-                sops,
                 [[rand_entry(crystalline_shape) for _ in range(d)] for _ in range(d)],
             )
             cand = ident + pert

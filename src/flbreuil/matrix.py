@@ -1,7 +1,8 @@
 """Matrix algebra over the three scalar rings, with twisted products.
 
-A RingMatrix owns an adapter (one of WittOps / SeriesOps / PDOps) that
-supplies ring constants, residue-field reduction and the semilinear twists.
+A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
+(W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
+entry type has the same arithmetic, precision and residue-field interface.
 ``denom_exp = t`` means the matrix stands for p^(-t) times its stored
 entries; it is used for the scaled inverses that appear in the section
 iteration (p^r times an inverse that is only integral after scaling).
@@ -9,178 +10,23 @@ iteration (p^r times an inverse that is only integral after scaling).
 Inversion is Newton iteration Z <- Z(2I - AZ) from the residue-field
 inverse; in the truncated rings the error is nilpotent, so the loop
 terminates in logarithmically many steps and the result is certified by an
-exact product check.
+exact product check.  The semilinear twists (sigma on W(k), phi on the
+series ring and on S) are passed as the entry map itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import pd as pdmod
 from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
-from .series import SigmaSeries, series_inverse
-
-
-class WittOps:
-    """Adapter for matrices over W(k)."""
-
-    kind = "witt"
-
-    def __init__(self, amb):
-        self.amb = amb
-        self.ring = amb.ring
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.ring.one()
-
-    def residue(self, x):
-        return x.residue()
-
-    def lift_residue(self, t):
-        return self.ring.make(list(t))
-
-    def eq_at(self, x, y, k):
-        return x.eq_at(y, k)
-
-    def is_zero_at(self, x, k):
-        return x.is_zero_at(k)
-
-    def mul_p_pow(self, x, k):
-        return x.mul_p_pow(k)
-
-    def div_p_exact(self, x, k):
-        return x.divide_exact_p(k)
-
-    def is_unit(self, x):
-        return x.is_unit()
-
-    def invert_unit(self, x):
-        return x.invert()
-
-    def truncate(self, x, k):
-        return x.truncate(k)
-
-    def prec(self, x):
-        return x.prec
-
-    def twist(self, name):
-        if name != "sigma":
-            raise ValueError(f"unknown twist {name!r} for W(k) entries")
-        return lambda x: x.frobenius()
-
-
-class SeriesOps:
-    """Adapter for matrices over the truncated power series ring."""
-
-    kind = "series"
-
-    def __init__(self, amb):
-        self.amb = amb
-        self.ring = amb.ring
-
-    def zero(self):
-        return SigmaSeries(self.amb, [])
-
-    def one(self):
-        return SigmaSeries(self.amb, [self.ring.one()])
-
-    def residue(self, x):
-        return x.constant().residue()
-
-    def lift_residue(self, t):
-        return SigmaSeries(self.amb, [self.ring.make(list(t))])
-
-    def eq_at(self, x, y, k):
-        return x.eq_at(y, k)
-
-    def is_zero_at(self, x, k):
-        return x.is_zero_at(k)
-
-    def mul_p_pow(self, x, k):
-        return x.mul_p_pow(k)
-
-    def div_p_exact(self, x, k):
-        return x.div_p_exact(k)
-
-    def is_unit(self, x):
-        return x.is_unit()
-
-    def invert_unit(self, x):
-        return series_inverse(x)
-
-    def truncate(self, x, k):
-        return x.truncate(k)
-
-    def prec(self, x):
-        return x.prec
-
-    def twist(self, name):
-        if name != "phi":
-            raise ValueError(f"unknown twist {name!r} for series entries")
-        return lambda x: x.phi()
-
-
-class PDOps:
-    """Adapter for matrices over the divided-power ring S."""
-
-    kind = "pd"
-
-    def __init__(self, amb):
-        self.amb = amb
-        self.ring = amb.ring
-
-    def zero(self):
-        return pdmod.pd_zero(self.amb)
-
-    def one(self):
-        return pdmod.pd_one(self.amb)
-
-    def residue(self, x):
-        return x.coeffs[0].residue()
-
-    def lift_residue(self, t):
-        return pdmod.pd_from_scalar(self.amb, self.ring.make(list(t)))
-
-    def eq_at(self, x, y, k):
-        return x.eq_at(y, k, skip_dirty_top=True)
-
-    def is_zero_at(self, x, k):
-        return x.is_zero_at(k)
-
-    def mul_p_pow(self, x, k):
-        return x.mul_p_pow(k)
-
-    def div_p_exact(self, x, k):
-        return x.div_p_exact(k)
-
-    def is_unit(self, x):
-        return x.is_unit()
-
-    def invert_unit(self, x):
-        return pdmod.pd_inverse(x)
-
-    def truncate(self, x, k):
-        return x.truncate(k)
-
-    def prec(self, x):
-        return x.prec
-
-    def twist(self, name):
-        if name != "phi":
-            raise ValueError(f"unknown twist {name!r} for S entries")
-        return lambda x: pdmod.phi_S(x, 0)
 
 
 class RingMatrix:
     """Rectangular matrix over one scalar ring, with a p-power denominator."""
 
-    __slots__ = ("ops", "rows", "cols", "entries", "denom_exp")
+    __slots__ = ("rows", "cols", "entries", "denom_exp")
 
-    def __init__(self, ops, entries, denom_exp: int = 0):
-        self.ops = ops
+    def __init__(self, entries, denom_exp: int = 0):
         entries = tuple(tuple(row) for row in entries)
         self.entries = entries
         self.rows = len(entries)
@@ -192,25 +38,22 @@ class RingMatrix:
         self.denom_exp = denom_exp
 
     @staticmethod
-    def identity(ops, d: int) -> "RingMatrix":
-        one, zero = ops.one(), ops.zero()
-        return RingMatrix(ops, [[one if i == j else zero for j in range(d)] for i in range(d)])
+    def identity(d: int, zero, one) -> "RingMatrix":
+        return RingMatrix([[one if i == j else zero for j in range(d)] for i in range(d)])
 
     @staticmethod
-    def zeros(ops, rows: int, cols: int) -> "RingMatrix":
-        zero = ops.zero()
-        return RingMatrix(ops, [[zero] * cols for _ in range(rows)])
+    def zeros(rows: int, cols: int, zero) -> "RingMatrix":
+        return RingMatrix([[zero] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def map_entries(self, fn) -> "RingMatrix":
-        return RingMatrix(self.ops, [[fn(x) for x in row] for row in self.entries], self.denom_exp)
+        return RingMatrix([[fn(x) for x in row] for row in self.entries], self.denom_exp)
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(
-            self.ops,
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
             self.denom_exp,
         )
@@ -221,7 +64,6 @@ class RingMatrix:
     def __add__(self, other):
         a, b = _align(self, other)
         return RingMatrix(
-            self.ops,
             [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
             a.denom_exp,
         )
@@ -229,7 +71,6 @@ class RingMatrix:
     def __sub__(self, other):
         a, b = _align(self, other)
         return RingMatrix(
-            self.ops,
             [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
             a.denom_exp,
         )
@@ -241,17 +82,10 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = other.transpose().entries
-        out = []
-        for row in self.entries:
-            out_row = []
-            for colv in bt:
-                acc = None
-                for x, y in zip(row, colv):
-                    t = x * y
-                    acc = t if acc is None else acc + t
-                out_row.append(acc if acc is not None else self.ops.zero())
-            out.append(out_row)
-        return RingMatrix(self.ops, out, self.denom_exp + other.denom_exp)
+        return RingMatrix(
+            [[_dot(row, colv) for colv in bt] for row in self.entries],
+            self.denom_exp + other.denom_exp,
+        )
 
     def scale(self, scalar) -> "RingMatrix":
         return self.map_entries(lambda x: x * scalar)
@@ -259,47 +93,35 @@ class RingMatrix:
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            acc = None
-            for x, y in zip(row, vec):
-                t = x * y
-                acc = t if acc is None else acc + t
-            out.append(acc if acc is not None else self.ops.zero())
-        return tuple(out)
+        return tuple(_dot(row, vec) for row in self.entries)
 
     # --- precision and denominator management ---
 
     def mul_p_pow(self, k: int) -> "RingMatrix":
-        ops = self.ops
-        return RingMatrix(ops, [[ops.mul_p_pow(x, k) for x in row] for row in self.entries], self.denom_exp)
+        return self.map_entries(lambda x: x.mul_p_pow(k))
 
     def normalize(self) -> "RingMatrix":
         """Clear the denominator by exact division; NotDivisible if impossible."""
         if self.denom_exp == 0:
             return self
-        ops = self.ops
         t = self.denom_exp
-        return RingMatrix(ops, [[ops.div_p_exact(x, t) for x in row] for row in self.entries], 0)
+        return RingMatrix([[x.div_p_exact(t) for x in row] for row in self.entries])
 
     def truncate(self, k: int) -> "RingMatrix":
-        ops = self.ops
-        return RingMatrix(ops, [[ops.truncate(x, k) for x in row] for row in self.entries], self.denom_exp)
+        return self.map_entries(lambda x: x.truncate(k))
 
     def eq_at(self, other: "RingMatrix", k: int) -> bool:
         a, b = _align(self, other)
-        ops = self.ops
         kk = k + a.denom_exp
         for ra, rb in zip(a.entries, b.entries):
             for x, y in zip(ra, rb):
-                if not ops.eq_at(x, y, kk):
+                if not x.eq_at(y, kk):
                     return False
         return True
 
     def is_zero_at(self, k: int) -> bool:
-        ops = self.ops
         kk = k + self.denom_exp
-        return all(ops.is_zero_at(x, kk) for row in self.entries for x in row)
+        return all(x.is_zero_at(kk) for row in self.entries for x in row)
 
     # --- determinant, adjugate, inversion ---
 
@@ -308,14 +130,14 @@ class RingMatrix:
             raise ValueError("determinant of a non-square matrix")
         if self.denom_exp:
             raise ValueError("clear the denominator before taking det")
-        return _det(self.ops, self.entries)
+        return _det(self.entries)
 
     def adjugate(self) -> "RingMatrix":
         d = self.rows
         if d != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         if d == 1:
-            return RingMatrix(self.ops, [[self.ops.one()]])
+            return RingMatrix([[_zero_one(self.entries[0][0])[1]]])
         out = [[None] * d for _ in range(d)]
         for i in range(d):
             for j in range(d):
@@ -323,11 +145,11 @@ class RingMatrix:
                     [self.entries[a][b] for b in range(d) if b != j]
                     for a in range(d) if a != i
                 ]
-                cof = _det(self.ops, minor)
+                cof = _det(minor)
                 if (i + j) % 2:
                     cof = -cof
                 out[j][i] = cof
-        return RingMatrix(self.ops, out)
+        return RingMatrix(out)
 
     def residue_invertible(self) -> bool:
         try:
@@ -337,18 +159,20 @@ class RingMatrix:
             return False
 
     def invert(self) -> "RingMatrix":
-        """Two-sided inverse at working precision (Newton from the residue)."""
+        """Two-sided inverse at working precision (Newton from the residue).
+
+        The residue inverse leaves an error in the maximal ideal, and each
+        step squares it, so the entries' own Newton step counts bound the
+        loop."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
         if self.denom_exp:
             raise ValueError("clear the denominator before inverting")
-        ops = self.ops
-        d = self.rows
+        prec = min(x.prec for row in self.entries for x in row)
         Z = _residue_inverse(self)
-        ident = RingMatrix.identity(ops, d)
-        prec = min(ops.prec(x) for row in self.entries for x in row)
+        ident = RingMatrix.identity(self.rows, *_zero_one(self.entries[0][0]))
         two_i = ident + ident
-        steps = max(prec, getattr(ops.amb, "N_u", 1), getattr(ops.amb, "N_gamma", 1)).bit_length() + 2
+        steps = max(x.newton_steps() for row in self.entries for x in row)
         for _ in range(steps):
             AZ = self @ Z
             Z = Z @ (two_i - AZ)
@@ -365,12 +189,28 @@ def _align(a: RingMatrix, b: RingMatrix):
         return a, b
     if a.denom_exp < b.denom_exp:
         k = b.denom_exp - a.denom_exp
-        return RingMatrix(a.ops, a.mul_p_pow(k).entries, b.denom_exp), b
+        return RingMatrix(a.mul_p_pow(k).entries, b.denom_exp), b
     k = a.denom_exp - b.denom_exp
-    return a, RingMatrix(b.ops, b.mul_p_pow(k).entries, a.denom_exp)
+    return a, RingMatrix(b.mul_p_pow(k).entries, a.denom_exp)
 
 
-def _det(ops, rows):
+def _dot(xs, ys):
+    """Sum of the products x*y over two equally long rows of ring elements."""
+    if not xs:
+        raise ValueError("empty inner dimension: no entry gives the ring")
+    acc = xs[0] * ys[0]
+    for i in range(1, len(xs)):
+        acc = acc + xs[i] * ys[i]
+    return acc
+
+
+def _zero_one(x):
+    """The zero and the one of the ring that holds x."""
+    f = x.ring.f
+    return x.lift_residue((0,) * f), x.lift_residue((1,) + (0,) * (f - 1))
+
+
+def _det(rows):
     d = len(rows)
     if d == 1:
         return rows[0][0]
@@ -379,7 +219,7 @@ def _det(ops, rows):
     acc = None
     for i in range(d):
         minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = rows[i][0] * _det(ops, minor)
+        term = rows[i][0] * _det(minor)
         if i % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -388,10 +228,12 @@ def _det(ops, rows):
 
 def _residue_inverse(A: RingMatrix) -> RingMatrix:
     """Lift of the inverse of A over the residue field F_{p^f}."""
-    ops = A.ops
-    ring = ops.ring
     d = A.rows
-    m = [[ops.residue(A.entries[i][j]) for j in range(d)] for i in range(d)]
+    if not d:
+        return A
+    x = A.entries[0][0]
+    ring = x.ring
+    m = [[y.residue() for y in row] for row in A.entries]
     one = tuple([1] + [0] * (ring.f - 1))
     zero = tuple([0] * ring.f)
     inv = [[one if i == j else zero for j in range(d)] for i in range(d)]
@@ -406,14 +248,14 @@ def _residue_inverse(A: RingMatrix) -> RingMatrix:
         m[col], m[piv] = m[piv], m[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         pinv = ring.gf_inv(m[col][col])
-        m[col] = [ring.gf_mul(x, pinv) for x in m[col]]
-        inv[col] = [ring.gf_mul(x, pinv) for x in inv[col]]
+        m[col] = [ring.gf_mul(y, pinv) for y in m[col]]
+        inv[col] = [ring.gf_mul(y, pinv) for y in inv[col]]
         for row in range(d):
             if row != col and not ring.gf_is_zero(m[row][col]):
                 c = m[row][col]
-                m[row] = [ring.gf_sub(x, ring.gf_mul(c, y)) for x, y in zip(m[row], m[col])]
-                inv[row] = [ring.gf_sub(x, ring.gf_mul(c, y)) for x, y in zip(inv[row], inv[col])]
-    return RingMatrix(ops, [[ops.lift_residue(x) for x in row] for row in inv])
+                m[row] = [ring.gf_sub(y, ring.gf_mul(c, z)) for y, z in zip(m[row], m[col])]
+                inv[row] = [ring.gf_sub(y, ring.gf_mul(c, z)) for y, z in zip(inv[row], inv[col])]
+    return RingMatrix([[x.lift_residue(t) for t in row] for row in inv])
 
 
 def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
@@ -422,31 +264,28 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     Raises SingularMatrix when det vanishes at precision, NotDivisible when
     p^scale_pow * A^(-1) fails to be integral.
     """
-    ops = A.ops
     det = A.det()
     t = 0
-    while not ops.is_unit(det):
+    while not det.is_unit():
         try:
-            det = ops.div_p_exact(det, 1)
+            det = det.div_p_exact(1)
         except NotDivisible:
             raise SingularMatrix("determinant is not p-power times a unit") from None
         except PrecisionExhausted:
             raise SingularMatrix("determinant vanishes at working precision") from None
         t += 1
-    unit_inv = ops.invert_unit(det)
-    num = A.adjugate().scale(unit_inv)
+    num = A.adjugate().scale(det.invert())
     if scale_pow >= t:
         return num.mul_p_pow(scale_pow - t)
-    return RingMatrix(ops, [[ops.div_p_exact(x, t - scale_pow) for x in row] for row in num.entries])
+    return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))
 
 
-def twisted_chain(A: RingMatrix, n: int, twist_name: str) -> RingMatrix:
-    """A * twist(A) * twist^2(A) * ... * twist^n(A)."""
-    tw = A.ops.twist(twist_name)
+def twisted_chain(A: RingMatrix, n: int, twist) -> RingMatrix:
+    """A * twist(A) * twist^2(A) * ... * twist^n(A), twisting entrywise."""
     prod = A
     term = A
     for _ in range(n):
-        term = term.map_entries(tw)
+        term = term.map_entries(twist)
         prod = prod @ term
     return prod
 
@@ -465,17 +304,17 @@ class ConvergenceVerdict:
         return "NotZero(...)"
 
 
-def converges_to_zero(A: RingMatrix, twist_name: str, at: int, max_steps: int | None = None) -> ConvergenceVerdict:
+def converges_to_zero(A: RingMatrix, twist, at: int, max_steps: int | None = None) -> ConvergenceVerdict:
     """Semidecision for 'the product A * twist(A) * ... tends to zero'.
 
-    Returns ZeroAtPrecision at the first partial product that vanishes
-    modulo p^at (and modulo the u / gamma truncations), otherwise NotZero
-    with the final partial product.  A NotZero verdict certifies only the
-    inspected window.
+    ``twist`` is the entry map: WittScalar.frobenius, SigmaSeries.phi or
+    phi_S.  Returns ZeroAtPrecision at the first partial product that
+    vanishes modulo p^at (and modulo the u / gamma truncations), otherwise
+    NotZero with the final partial product.  A NotZero verdict certifies
+    only the inspected window.
     """
     if max_steps is None:
         max_steps = A.rows * at
-    tw = A.ops.twist(twist_name)
     prod = A
     term = A
     for n in range(max_steps + 1):
@@ -483,6 +322,6 @@ def converges_to_zero(A: RingMatrix, twist_name: str, at: int, max_steps: int | 
             return ConvergenceVerdict(True, steps=n)
         if n == max_steps:
             break
-        term = term.map_entries(tw)
+        term = term.map_entries(twist)
         prod = prod @ term
     return ConvergenceVerdict(False, witness=prod.truncate(at))

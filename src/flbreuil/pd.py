@@ -113,22 +113,57 @@ class PDElement:
         return PDElement(self.amb, [c.mul_p_pow(k) for c in self.coeffs], self.tail_dirty)
 
     def div_p_exact(self, k: int) -> "PDElement":
-        return PDElement(self.amb, [c.divide_exact_p(k) for c in self.coeffs], self.tail_dirty)
+        return PDElement(self.amb, [c.div_p_exact(k) for c in self.coeffs], self.tail_dirty)
 
     def is_zero_at(self, k: int) -> bool:
         if self.prec < k:
             raise PrecisionExhausted(f"zero test at p^{k} with {self.prec} digits")
         return all(c.is_zero_at(k) for c in self.coeffs)
 
-    def eq_at(self, other: "PDElement", k: int, skip_dirty_top: bool = False) -> bool:
+    def eq_at(self, other: "PDElement", k: int) -> bool:
+        """Equality mod p^k; on a tail_dirty difference the top coefficient,
+        which the dropped tail can reach, is not compared."""
         diff = self - other
         if diff.prec < k:
             raise PrecisionExhausted(f"comparison at p^{k} with {diff.prec} digits")
-        top = self.amb.N_gamma - (1 if (skip_dirty_top and diff.tail_dirty) else 0)
+        top = self.amb.N_gamma - (1 if diff.tail_dirty else 0)
         return all(diff.coeffs[i].is_zero_at(k) for i in range(top))
 
     def is_unit(self) -> bool:
         return self.coeffs[0].is_unit()
+
+    @property
+    def ring(self):
+        return self.amb.ring
+
+    def residue(self) -> tuple[int, ...]:
+        return self.coeffs[0].residue()
+
+    def lift_residue(self, t) -> "PDElement":
+        """The constant of S whose residue is the tuple t."""
+        return PDElement(self.amb, [self.amb.ring.make(t)])
+
+    def newton_steps(self) -> int:
+        """Newton steps from a residue-field inverse to this precision and
+        gamma truncation, plus slack."""
+        return max(self.amb.N_gamma, self.prec).bit_length() + 2
+
+    def invert(self) -> "PDElement":
+        """Inverse of a unit of S by Newton iteration."""
+        if not self.is_unit():
+            raise NotAUnit("inverse in S needs a unit gamma_0 coefficient")
+        amb = self.amb
+        z = pd_from_scalar(amb, self.coeffs[0].invert())
+        one = pd_one(amb, self.prec)
+        two = one + one
+        for _ in range(self.newton_steps()):
+            xz = self * z
+            z = z * (two - xz)
+            if xz.eq_at(one, self.prec):
+                break
+        if not (self * z).eq_at(one, self.prec):
+            raise NotDivisible("inverse in S did not converge at precision")
+        return z
 
     def truncate(self, k: int) -> "PDElement":
         if k >= self.prec:
@@ -353,25 +388,6 @@ def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
         if need > 0 and not coords[m].is_zero_at(need):
             return False
     return True
-
-
-def pd_inverse(x: PDElement) -> PDElement:
-    """Inverse of a unit of S by Newton iteration."""
-    if not x.is_unit():
-        raise NotAUnit("inverse in S needs a unit gamma_0 coefficient")
-    amb = x.amb
-    z = pd_from_scalar(amb, x.coeffs[0].invert())
-    one = pd_one(amb, x.prec)
-    two = one + one
-    steps = max(amb.N_gamma, x.prec).bit_length() + 2
-    for _ in range(steps):
-        xz = x * z
-        z = z * (two - xz)
-        if xz.eq_at(one, x.prec, skip_dirty_top=True):
-            break
-    if not (x * z).eq_at(one, x.prec, skip_dirty_top=True):
-        raise NotDivisible("inverse in S did not converge at precision")
-    return z
 
 
 def pd_random(amb, rng, max_index: int | None = None, prec: int | None = None) -> PDElement:

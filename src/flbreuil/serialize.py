@@ -20,7 +20,7 @@ from .breuil import BreuilModule
 from .errors import PrecisionMismatch, SchemaMismatch
 from .fl import FLModule
 from .kisin import KisinModule
-from .matrix import PDOps, RingMatrix, SeriesOps, WittOps
+from .matrix import RingMatrix
 from .pd import PDElement
 from .series import SigmaSeries
 from .witt import WittScalar
@@ -80,28 +80,31 @@ def pd_from_json(amb: AmbientParams, d: dict) -> PDElement:
     return PDElement(amb, coeffs, bool(d["tail_dirty"]))
 
 
-_ENTRY_IO = {
-    "witt": (scalar_to_json, scalar_from_json, WittOps),
-    "series": (series_to_json, series_from_json, SeriesOps),
-    "pd": (pd_to_json, pd_from_json, PDOps),
-}
+def _entry_to_json(x) -> dict:
+    if isinstance(x, SigmaSeries):
+        return series_to_json(x)
+    if isinstance(x, PDElement):
+        return pd_to_json(x)
+    return scalar_to_json(x)
+
+
+_ENTRY_FROM_JSON = {"witt": scalar_from_json, "series": series_from_json, "pd": pd_from_json}
 
 
 def matrix_to_json(M: RingMatrix) -> dict:
-    enc = _ENTRY_IO[M.ops.kind][0]
     return {
         "rows": M.rows,
         "cols": M.cols,
         "denom_exp": M.denom_exp,
-        "entries": [[enc(x) for x in row] for row in M.entries],
+        "entries": [[_entry_to_json(x) for x in row] for row in M.entries],
     }
 
 
 def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
     _expect(d, ("rows", "cols", "denom_exp", "entries"))
-    dec, ops_cls = _ENTRY_IO[kind][1], _ENTRY_IO[kind][2]
+    dec = _ENTRY_FROM_JSON[kind]
     entries = [[dec(amb, x) for x in row] for row in d["entries"]]
-    M = RingMatrix(ops_cls(amb), entries, int(d["denom_exp"]))
+    M = RingMatrix(entries, int(d["denom_exp"]))
     if M.rows != int(d["rows"]) or M.cols != int(d["cols"]):
         raise SchemaMismatch("declared matrix shape does not match entries")
     return M

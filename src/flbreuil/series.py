@@ -137,6 +137,39 @@ class SigmaSeries:
     def is_unit(self) -> bool:
         return self.coeff(0).is_unit()
 
+    @property
+    def ring(self):
+        return self.amb.ring
+
+    def residue(self) -> tuple[int, ...]:
+        return self.constant().residue()
+
+    def lift_residue(self, t) -> "SigmaSeries":
+        """The constant series whose residue is the tuple t."""
+        return SigmaSeries(self.amb, [self.amb.ring.make(t)])
+
+    def newton_steps(self) -> int:
+        """Newton steps from a residue-field inverse to this precision and
+        u-adic truncation, plus slack."""
+        return max(self.amb.N_u, self.prec).bit_length() + 2
+
+    def invert(self) -> "SigmaSeries":
+        """Inverse of a unit series by Newton iteration z <- z(2 - fz)."""
+        if not self.is_unit():
+            raise NotAUnit("series inverse needs a unit constant term")
+        amb = self.amb
+        z = SigmaSeries(amb, [self.constant().invert()], self.prec)
+        one = series_from_ints(amb, [1], self.prec)
+        two = series_from_ints(amb, [2], self.prec)
+        for _ in range(self.newton_steps()):
+            fz = self * z
+            z = z * (two - fz)
+            if fz.eq_at(one, self.prec):
+                break
+        if not (self * z).eq_at(one, self.prec):
+            raise NotDivisible("series inverse did not converge at precision")
+        return z
+
     def truncate(self, k: int) -> "SigmaSeries":
         if k >= self.prec:
             return self
@@ -147,7 +180,7 @@ class SigmaSeries:
         return SigmaSeries(self.amb, out, min(self.prec + k, self.amb.cap))
 
     def div_p_exact(self, k: int) -> "SigmaSeries":
-        return SigmaSeries(self.amb, [c.divide_exact_p(k) for c in self.coeffs], self.prec - k)
+        return SigmaSeries(self.amb, [c.div_p_exact(k) for c in self.coeffs], self.prec - k)
 
     def __repr__(self):
         if not self.coeffs:
@@ -184,20 +217,3 @@ def weierstrass_divide(fnum: SigmaSeries) -> tuple[SigmaSeries, WittScalar]:
         carry = fnum.coeff(i - 1) - pa * carry
     return SigmaSeries(amb, q, fnum.prec), carry
 
-
-def series_inverse(f: SigmaSeries) -> SigmaSeries:
-    """Inverse of a unit series by Newton iteration z <- z(2 - fz)."""
-    if not f.is_unit():
-        raise NotAUnit("series inverse needs a unit constant term")
-    amb = f.amb
-    z = SigmaSeries(amb, [f.constant().invert()], f.prec)
-    two = series_from_ints(amb, [2], f.prec)
-    steps = max(amb.N_u, f.prec).bit_length() + 2
-    for _ in range(steps):
-        fz = f * z
-        z = z * (two - fz)
-        if fz.eq_at(series_from_ints(amb, [1], f.prec), f.prec):
-            break
-    if not (f * z).eq_at(series_from_ints(amb, [1], f.prec), f.prec):
-        raise NotDivisible("series inverse did not converge at precision")
-    return z

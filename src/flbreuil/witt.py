@@ -446,7 +446,7 @@ class WittScalar:
             raise NotAUnit("cannot invert: zero modulo p")
         return WittScalar(self.ring, self.ring._inv_tuple(self.coeffs, self.prec), self.prec)
 
-    def divide_exact_p(self, k: int = 1) -> "WittScalar":
+    def div_p_exact(self, k: int = 1) -> "WittScalar":
         """Exact division by p^k; lowers precision by k."""
         if k == 0:
             return self
@@ -465,7 +465,7 @@ class WittScalar:
         r = self.ring
         new_prec = min(self.prec + k, r.cap)
         mod = r.pk[new_prec]
-        q = r.pk[k]
+        q = r.pk[min(k, r.cap)]  # p^k is 0 mod p^cap once k >= cap
         return WittScalar(r, tuple((c * q) % mod for c in self.coeffs), new_prec)
 
     def valuation(self) -> int:
@@ -502,18 +502,17 @@ class WittScalar:
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
 
+    def lift_residue(self, t) -> "WittScalar":
+        """The constant of this ring whose residue is the tuple t."""
+        return self.ring.make(t)
+
+    def newton_steps(self) -> int:
+        """Newton steps from a residue-field inverse to this precision, plus slack."""
+        return self.prec.bit_length() + 2
+
     def lift_int(self) -> int:
         """Canonical integer representative (only for f = 1)."""
         if self.ring.f != 1:
             raise ValueError("lift_int needs f = 1")
         return self.coeffs[0]
 
-
-def witt_invert(x: WittScalar) -> WittScalar:
-    """Multiplicative inverse at the declared precision (Newton lifting)."""
-    return x.invert()
-
-
-def witt_frobenius(x: WittScalar) -> WittScalar:
-    """The arithmetic Frobenius; identity when f = 1."""
-    return x.frobenius()

@@ -11,7 +11,6 @@ from flbreuil.errors import (
 )
 from flbreuil.fl import FLModule, fl_classify, random_fl
 from flbreuil.functors import (
-    breuil_to_fl,
     breuil_to_fl_with_transport,
     embed_w_matrix,
     f0_matrix,
@@ -23,7 +22,7 @@ from flbreuil.functors import (
     tensor_membership_via_section,
 )
 from flbreuil.kisin import kisin_gls_construct, kisin_to_breuil, random_gls
-from flbreuil.matrix import PDOps, RingMatrix, SeriesOps, WittOps
+from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
     eval_f0,
     pd_from_scalar,
@@ -36,7 +35,7 @@ from flbreuil.pd import (
 
 
 def wmat(amb, rows):
-    return RingMatrix(WittOps(amb), [[amb.w(v) for v in row] for row in rows])
+    return RingMatrix([[amb.w(v) for v in row] for row in rows])
 
 
 # --- forward functor ---
@@ -69,14 +68,13 @@ def test_section_telescopes(amb3, amb5):
             sec = section_compute(fl_to_breuil(M))
             assert sec.iterations == 0
             prec = min(x.prec for row in sec.Bmat.entries for x in row)
-            assert sec.Bmat.eq_at(RingMatrix.identity(sec.Bmat.ops, M.d), prec)
+            assert sec.Bmat.eq_at(RingMatrix.identity(M.d, pd_zero(amb), pd_one(amb)), prec)
             assert sec.exact and sec.f0_identity and sec.B0_claim_ok
 
 
 def test_section_rank_one_unit_module(amb3):
     # s = 0: the unit module, section is (1) with zero iterations
-    sops = SeriesOps(amb3)
-    I1 = RingMatrix.identity(sops, 1)
+    I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     B = kisin_to_breuil(kisin_gls_construct(amb3, I1, (0,), I1))
     sec = section_compute(B)
     assert sec.iterations == 0
@@ -86,19 +84,18 @@ def test_section_rank_one_unit_module(amb3):
 def test_section_rank_one_fixed_point_oracle(amb3):
     # independent scalar iteration for A = (E^s): x <- A_B phi(x) / A_0,
     # where A_0 = p^s * unit; run it standalone and compare with the solver
-    sops = SeriesOps(amb3)
-    I1 = RingMatrix.identity(sops, 1)
+    I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in (1, 2):
         K = kisin_gls_construct(amb3, I1, (s,), I1)
         B = kisin_to_breuil(K)
         a_b = B.Phi.entries[0][0]
         a0 = eval_f0(a_b)
-        unit_inv = a0.divide_exact_p(s).invert()
+        unit_inv = a0.div_p_exact(s).invert()
         x = a_b.scalar_mul(unit_inv).div_p_exact(s)
         for _ in range(6):
             x = (a_b * phi_S(x)).scalar_mul(unit_inv).div_p_exact(s)
         sec = section_compute(B)
-        assert sec.Bmat.entries[0][0].eq_at(x, amb3.N_p, skip_dirty_top=True)
+        assert sec.Bmat.entries[0][0].eq_at(x, amb3.N_p)
         assert eval_f0(sec.Bmat.entries[0][0]).eq_at(amb3.w(1), amb3.N_p)
 
 
@@ -116,11 +113,10 @@ def test_section_on_normal_form_instances(amb3, amb5):
 def test_section_rejects_bad_constant_matrix(amb3):
     from flbreuil.breuil import BreuilModule
 
-    pops = PDOps(amb3)
     B = BreuilModule(
         amb3, 1,
-        RingMatrix(pops, [[pd_from_scalar(amb3, amb3.w(3 ** (amb3.r + 1)))]]),
-        None, RingMatrix.identity(pops, 1), (0,),
+        RingMatrix([[pd_from_scalar(amb3, amb3.w(3 ** (amb3.r + 1)))]]),
+        None, RingMatrix.identity(1, pd_zero(amb3), pd_one(amb3)), (0,),
     )
     with pytest.raises(A0NotScaledIntegral):
         section_compute(B)
@@ -131,7 +127,6 @@ def test_section_step_budget(amb3):
     M = random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     g = None
-    pops = PDOps(amb3)
     while g is None or not g.residue_invertible():
         ent = [
             [
@@ -141,7 +136,7 @@ def test_section_step_budget(amb3):
             ]
             for i in range(2)
         ]
-        g = RingMatrix(pops, ent)
+        g = RingMatrix(ent)
     with pytest.raises(NonConvergent):
         section_compute(rebase(B, g), max_steps=0)
 
@@ -150,7 +145,6 @@ def test_section_basis_hint_closed_form(amb3):
     rng = random.Random(4)
     M = random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
-    pops = PDOps(amb3)
     h = None
     while h is None or not h.residue_invertible():
         ent = [
@@ -161,7 +155,7 @@ def test_section_basis_hint_closed_form(amb3):
             ]
             for i in range(2)
         ]
-        h = RingMatrix(pops, ent)
+        h = RingMatrix(ent)
     sec0 = section_compute(B)
     sec_h = section_compute(B, basis_hint=h)
     expect = h.invert() @ sec0.Bmat @ embed_w_matrix(amb3, f0_matrix(h))
@@ -231,11 +225,10 @@ def test_roundtrip_fl_enforces_unipotence_at_top(amb3):
 
 
 def test_kisin_derived_backward(amb3):
-    sops = SeriesOps(amb3)
-    I1 = RingMatrix.identity(sops, 1)
+    I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in range(amb3.r + 1):
         B = kisin_to_breuil(kisin_gls_construct(amb3, I1, (s,), I1))
-        M = breuil_to_fl(B, adjoin_zero_n=True)
+        M = breuil_to_fl_with_transport(B, adjoin_zero_n=True)[0]
         assert M.jumps == (s,)
         assert M.Ftil.entries[0][0].is_unit()
 
@@ -244,8 +237,7 @@ def test_roundtrip_breuil_identity_twist(amb3):
     rng = random.Random(7)
     M = random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
-    pops = PDOps(amb3)
-    g = RingMatrix.identity(pops, 2)
+    g = RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3))
     rep = roundtrip_breuil(B, g, rng=rng)
     assert rep.success and rep.details["iterations"] == 0
 
@@ -255,23 +247,21 @@ def test_roundtrip_breuil_constant_corner(amb3):
     rng = random.Random(8)
     M = random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
-    pops = PDOps(amb3)
-    g = RingMatrix(pops, [
+    g = RingMatrix([
         [pd_one(amb3), pd_from_scalar(amb3, amb3.w(3))],
         [pd_zero(amb3), pd_one(amb3)],
     ])
     rep = roundtrip_breuil(B, g, rng=rng)
     assert rep.success
     sec = section_compute(rebase(B, g))
-    assert sec.Bmat.eq_at(RingMatrix.identity(pops, 2), amb3.N_p)
+    assert sec.Bmat.eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
 
 
 def test_roundtrip_breuil_gamma_corner(amb3):
     rng = random.Random(9)
     M = random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
-    pops = PDOps(amb3)
-    g = RingMatrix(pops, [
+    g = RingMatrix([
         [pd_one(amb3), pd_gamma(amb3, 1, amb3.w(3))],
         [pd_zero(amb3), pd_one(amb3)],
     ])
@@ -332,11 +322,10 @@ def test_degenerate_hodge_range(amb3):
 
 def test_unipotence_preserved(amb3):
     rng = random.Random(11)
-    wops = WittOps(amb3)
     mods = [random_fl(amb3, rng, rng.randrange(1, 3)) for _ in range(10)]
     mods.append(FLModule(amb3, 2, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]])))
     for s in range(amb3.r + 1):
-        mods.append(FLModule(amb3, 1, (s,), RingMatrix(wops, [[amb3.ring.one()]])))
+        mods.append(FLModule(amb3, 1, (s,), RingMatrix([[amb3.ring.one()]])))
     for M in mods:
         flv = fl_classify(M).unipotent.zero
         brv = breuil_classify(fl_to_breuil(M)).unipotent.zero

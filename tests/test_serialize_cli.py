@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from flbreuil import campaign as CAM
 from flbreuil import serialize as SER
 from flbreuil.cli import main
-from flbreuil.errors import PrecisionMismatch, SchemaMismatch
+from flbreuil.errors import NotStrong, PrecisionMismatch, SchemaMismatch
 from flbreuil.fl import random_fl
 from flbreuil.functors import fl_to_breuil
 from flbreuil.kisin import random_gls
@@ -140,6 +141,38 @@ def test_cli_verify_report_reproducible(tmp_path):
     assert main(args + ["--out", str(r1)]) == 0
     assert main(args + ["--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_verify_isolates_kernel_errors(tmp_path, monkeypatch):
+    def broken(amb, rng, cfg):
+        raise NotStrong("injected")
+
+    monkeypatch.setitem(CAM.SUITES, "unipotence", broken)
+    rep = tmp_path / "rep.jsonl"
+    code = main(["verify", "--suite", "unipotence", "--suite", "ring-laws",
+                 "--seeds", "1..2", "--samples", "5", "--r", "2", "--out", str(rep)])
+    assert code == 1
+    lines = [json.loads(l) for l in rep.read_text().splitlines()]
+    failed = [l for l in lines if not l["ok"]]
+    assert failed == [
+        {"check": "kernel-error", "ok": False, "error": "NotStrong: injected",
+         "suite": "unipotence", "seed": seed}
+        for seed in (1, 2)
+    ]
+    ring = [l for l in lines if l["suite"] == "ring-laws"]
+    assert ring and all(l["ok"] for l in ring)
+    assert {l["seed"] for l in ring} == {1, 2}
+
+
+def test_run_suite_seed_lets_kernel_errors_through(monkeypatch):
+    # The acceptance tests call run_suite_seed directly: a kernel error in any
+    # suite must still fail them, not turn into a record they might filter out.
+    def broken(amb, rng, cfg):
+        raise NotStrong("injected")
+
+    monkeypatch.setitem(CAM.SUITES, "unipotence", broken)
+    with pytest.raises(NotStrong):
+        CAM.run_suite_seed({"p": 3, "r": 2}, "unipotence", 1, {})
 
 
 def test_cli_usage_errors(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, find_irreducible, witt_frobenius, witt_invert
+from flbreuil.witt import WittRing, find_irreducible
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def test_find_irreducible_deterministic():
 
 def test_invert_one(zp):
     one = zp.one()
-    assert witt_invert(one) == one
+    assert one.invert() == one
 
 
 def test_invert_two_matches_euclid_oracle(zp):
@@ -35,12 +35,12 @@ def test_invert_two_matches_euclid_oracle(zp):
     expected = pow(2, -1, 3**4)
     assert expected == 41
     x = zp.from_int(2, prec=4)
-    assert witt_invert(x).coeffs[0] == expected
+    assert x.invert().coeffs[0] == expected
 
 
 def test_invert_p_fails(zp):
     with pytest.raises(NotAUnit):
-        witt_invert(zp.from_int(3))
+        zp.from_int(3).invert()
 
 
 def test_invert_random_units(zp, w9):
@@ -48,20 +48,20 @@ def test_invert_random_units(zp, w9):
     for ring in (zp, w9):
         for _ in range(100):
             x = ring.random_unit(rng)
-            assert (witt_invert(x) * x).eq_at(ring.one(), x.prec)
+            assert (x.invert() * x).eq_at(ring.one(), x.prec)
 
 
 def test_frobenius_trivial_for_prime_field(zp):
     rng = random.Random(1)
     for _ in range(20):
         x = zp.random(rng)
-        assert witt_frobenius(x) == x
+        assert x.frobenius() == x
 
 
 def test_frobenius_of_generator_is_minus(w9):
     # T^3 = -T in Z[T]/(T^2+1), exactly; the Hensel lift must find it
     t = w9.make([0, 1])
-    img = witt_frobenius(t)
+    img = t.frobenius()
     assert img == -t
 
 
@@ -109,19 +109,28 @@ def test_precision_min_combines(zp):
 
 def test_divide_exact_p(zp):
     x = zp.from_int(18, prec=5)
-    q = x.divide_exact_p()
+    q = x.div_p_exact()
     assert q.coeffs[0] == 6 and q.prec == 4
     with pytest.raises(NotDivisible):
-        zp.from_int(5).divide_exact_p()
+        zp.from_int(5).div_p_exact()
     with pytest.raises(PrecisionExhausted):
-        zp.from_int(9, prec=2).divide_exact_p(2)
+        zp.from_int(9, prec=2).div_p_exact(2)
 
 
 def test_mul_p_pow_raises_precision(zp):
     x = zp.from_int(2, prec=3)
     y = x.mul_p_pow(2)
     assert y.prec == 5 and y.coeffs[0] == 18
-    assert y.divide_exact_p(2) == x
+    assert y.div_p_exact(2) == x
+
+
+def test_mul_p_pow_beyond_cap_is_zero(zp):
+    # p^k x vanishes mod p^cap once k >= cap; k past the cap must not index
+    # outside the power table
+    x = zp.from_int(2, prec=3)
+    for k in (zp.cap, zp.cap + 1, 2 * zp.cap):
+        y = x.mul_p_pow(k)
+        assert y.prec == zp.cap and y.is_zero_at(zp.cap)
 
 
 def test_valuation_and_zero_tests(zp):
