@@ -128,6 +128,7 @@ class AmbientParams:
             self.vfact[i] = v
         self._fact_unit_inv: dict[int, WittScalar] = {}
         self._pa_div_fact: dict[int, WittScalar] = {}
+        self._pa_div_fact_planes = self.ring.to_planes([], self.cap)
         self.comb = tuple(
             tuple(math.comb(i + j, i) % self.ring.pk[self.cap] for j in range(N_gamma - i))
             for i in range(N_gamma)
@@ -165,6 +166,14 @@ class AmbientParams:
             out = ((self.a ** i) * self.fact_unit_inv(i)).mul_p_pow(i - self.vfact[i])
             self._pa_div_fact[i] = out
         return out
+
+    def pa_div_fact_planes(self, n: int) -> tuple:
+        """(p*a)^i / i! for at least the indices i < n, in the flat layout of S."""
+        tab = self._pa_div_fact_planes
+        if len(tab[0]) < n:
+            cols = [self.pa_div_fact(i).coeffs for i in range(n)]
+            tab = self._pa_div_fact_planes = self.ring.to_planes(cols, self.cap)
+        return tab
 
     def u_pow_raw(self, n: int) -> list[WittScalar]:
         """Coefficients of u^n in the gamma basis: u = E - p*a expanded."""

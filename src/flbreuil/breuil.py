@@ -83,19 +83,6 @@ def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
     return all(fil_valuation(y[j], at) >= B.fil_threshold(i, j) for j in range(B.d))
 
 
-def fil_lower_colon(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
-    """Colon-module form of the same test: gamma_{r-i} * x must lie in Fil^r.
-
-    Agrees with fil_lower on adapted presentations (the gamma shift is by a
-    binomial prime to p in the range i <= r <= p-1); kept as a cross-check.
-    """
-    amb = B.amb
-    if i >= amb.r:
-        return fil_lower(B, i, x, at)
-    g = pd_gamma(amb, amb.r - i)
-    return fil_membership(B, tuple(g * c for c in x), at)
-
-
 def phi_module(B: BreuilModule, x):
     """The Frobenius of the module on coordinates: Phi applied to phi_S(x)."""
     return B.Phi.matvec(tuple(phi_S(c, 0) for c in x))

@@ -203,7 +203,7 @@ def suite_section(amb, rng, cfg):
         recs.append(_rec("section-first-iterate-claim", sec.B0_claim_ok,
                          instance=SER.to_json(K) if not sec.B0_claim_ok else None))
     except KernelError as exc:
-        recs.append(_rec("section-rate-bound", False, error=str(exc),
+        recs.append(_rec("section-rate-bound", False, error=f"{type(exc).__name__}: {exc}",
                          instance=SER.to_json(K)))
     return recs
 

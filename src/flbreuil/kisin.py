@@ -99,11 +99,17 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
     return HeightResult(True, B=RingMatrix(rows), e_power=s)
 
 
+def _check_rank(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"a Kisin module needs rank d >= 1, got {d}")
+
+
 def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule:
     """A = X * diag(E^{r_1}, ..., E^{r_d}) * Y with X, Y invertible."""
     from .fl import check_jumps
 
     d = X.rows
+    _check_rank(d)
     jumps = check_jumps(amb, d, jumps)
     if not X.residue_invertible() or not Y.residue_invertible():
         raise NotInvertible("X and Y must lie in GL_d of the series ring")
@@ -201,6 +207,7 @@ def random_gls(amb, rng, d: int, deg: int = 4, max_jump: int | None = None, jump
     the identity modulo (u^p/p) and the iteration converge at the stated
     rate; a plain degree-one term in Y already breaks both.
     """
+    _check_rank(d)
     if jumps is None:
         top = amb.r if max_jump is None else max_jump
         jumps = tuple(sorted(rng.randrange(top + 1) for _ in range(d)))

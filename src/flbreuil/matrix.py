@@ -130,6 +130,8 @@ class RingMatrix:
             raise ValueError("determinant of a non-square matrix")
         if self.denom_exp:
             raise ValueError("clear the denominator before taking det")
+        if not self.rows:
+            raise ValueError("determinant of a 0x0 matrix: no entry gives the ring")
         return _det(self.entries)
 
     def adjugate(self) -> "RingMatrix":

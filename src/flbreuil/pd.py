@@ -21,6 +21,20 @@ termwise in this basis:
   * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!; f_pi (u -> pi = -p*a) kills
     every gamma_i with i >= 1 and reads off the gamma_0 coefficient.
 
+Storage.  An element holds one precision ``prec`` and its coefficients as
+plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
+t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
+reduced mod p^prec.  The lists stop at the support (one past the last
+nonzero coefficient); the indices above it are zero.  A product is f^2
+weighted integer convolutions with the binomials C(i+j, i) as weights, one
+fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
+(``WittRing.mul_planes``); the same kernel, unweighted, gives the products
+by a W(k)-constant in ``scalar_mul``, ``n_S``, ``phi_S`` and
+``embed_sigma``.  ``WittScalar`` objects are built only at the scalar
+boundary: ``coeff``, ``coeffs``, ``eval_f0``, ``eval_fpi``,
+``to_u_divided``, ``invert``'s starting value, ``repr`` and the
+constructor from a list of scalars.
+
 A second exact coordinate system is used for ideal-membership tests: the
 divided powers of u itself.  Since u = E - p*a,
 
@@ -34,91 +48,92 @@ m >= n.  Both transforms are exact, so the test costs no precision.
 
 from __future__ import annotations
 
-from .errors import DegreeOverflow, NotAUnit, NotDivisible, NotInFil, PrecisionExhausted
+from operator import mul
+
+from .errors import DegreeOverflow, NotInFil, PrecisionExhausted
 from .series import SigmaSeries
-from .witt import WittScalar
+from .witt import FlatVector, WittScalar, trimmed
 
 
-class PDElement:
-    """Element of S: coefficients for gamma_0 .. gamma_{N_gamma - 1}."""
+class PDElement(FlatVector):
+    """Element of S: coefficients for gamma_0 .. gamma_{N_gamma - 1}.
 
-    __slots__ = ("amb", "coeffs", "prec", "tail_dirty", "_support")
+    ``PDElement(amb, coeffs)`` takes a list of scalars and keeps the lowest
+    of their precisions (and ``prec``, when given); the kernel passes
+    ``planes`` and ``prec`` instead."""
 
-    def __init__(self, amb, coeffs, tail_dirty: bool = False, prec: int | None = None):
+    __slots__ = ("tail_dirty",)
+    _invert_errors = ("inverse in S needs a unit gamma_0 coefficient",
+                      "inverse in S did not converge at precision")
+
+    def __init__(self, amb, coeffs=(), tail_dirty: bool = False, prec: int | None = None,
+                 planes=None):
         self.amb = amb
-        coeffs = list(coeffs)
-        if len(coeffs) > amb.N_gamma:
-            raise DegreeOverflow("gamma index beyond truncation")
-        k = min((c.prec for c in coeffs), default=amb.cap)
-        if prec is not None:
-            k = min(k, prec)
-        zero = amb.ring.zero(k)
-        full = [c.truncate(k) for c in coeffs]
-        full.extend([zero] * (amb.N_gamma - len(full)))
-        self.coeffs = tuple(full)
-        self.prec = k
+        if planes is None:
+            coeffs = list(coeffs)
+            if len(coeffs) > amb.N_gamma:
+                raise DegreeOverflow("gamma index beyond truncation")
+            k = min((c.prec for c in coeffs), default=amb.cap)
+            if prec is not None:
+                k = min(k, prec)
+            if k < 1:
+                raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
+            planes = amb.ring.to_planes([c.coeffs for c in coeffs], k)
+            prec = k
+        self.planes = trimmed(planes)
+        self.prec = prec
         self.tail_dirty = tail_dirty
-        sup = 0
-        for i in range(amb.N_gamma - 1, -1, -1):
-            if any(full[i].coeffs):
-                sup = i + 1
-                break
-        self._support = sup
+
+    def _make(self, planes, prec: int, tail_dirty: bool | None = None) -> "PDElement":
+        dirty = self.tail_dirty if tail_dirty is None else tail_dirty
+        return PDElement(self.amb, (), dirty, prec, planes)
 
     def coeff(self, i: int) -> WittScalar:
-        return self.coeffs[i]
+        i = range(self.amb.N_gamma)[i]
+        col = tuple(pl[i] if i < len(pl) else 0 for pl in self.planes)
+        return WittScalar(self.amb.ring, col, self.prec)
+
+    @property
+    def coeffs(self) -> tuple[WittScalar, ...]:
+        return tuple(self.coeff(i) for i in range(self.amb.N_gamma))
 
     def __add__(self, other):
         if not isinstance(other, PDElement):
             return NotImplemented
-        if self._support == 0 and self.prec >= other.prec and (
+        if not self.planes[0] and self.prec >= other.prec and (
             not self.tail_dirty or other.tail_dirty
         ):
             return other
-        if other._support == 0 and other.prec >= self.prec and (
+        if not other.planes[0] and other.prec >= self.prec and (
             not other.tail_dirty or self.tail_dirty
         ):
             return self
-        return PDElement(
-            self.amb,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            self.tail_dirty or other.tail_dirty,
-        )
+        return self._make(*self._sum(other), self.tail_dirty or other.tail_dirty)
 
     def __sub__(self, other):
         if not isinstance(other, PDElement):
             return NotImplemented
-        if other._support == 0 and other.prec >= self.prec and (
+        if not other.planes[0] and other.prec >= self.prec and (
             not other.tail_dirty or self.tail_dirty
         ):
             return self
-        return PDElement(
-            self.amb,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-            self.tail_dirty or other.tail_dirty,
-        )
-
-    def __neg__(self):
-        return PDElement(self.amb, [-a for a in self.coeffs], self.tail_dirty)
+        return self._make(*self._sum(other, sub=True), self.tail_dirty or other.tail_dirty)
 
     def __mul__(self, other):
         if not isinstance(other, PDElement):
             return NotImplemented
         return gamma_multiply(self, other)
 
-    def scalar_mul(self, w: WittScalar) -> "PDElement":
-        return PDElement(self.amb, [c * w for c in self.coeffs], self.tail_dirty)
-
-    def mul_p_pow(self, k: int) -> "PDElement":
-        return PDElement(self.amb, [c.mul_p_pow(k) for c in self.coeffs], self.tail_dirty)
-
     def div_p_exact(self, k: int) -> "PDElement":
-        return PDElement(self.amb, [c.div_p_exact(k) for c in self.coeffs], self.tail_dirty)
+        planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
+        return self._make(planes, self.prec - k)
 
-    def is_zero_at(self, k: int) -> bool:
-        if self.prec < k:
-            raise PrecisionExhausted(f"zero test at p^{k} with {self.prec} digits")
-        return all(c.is_zero_at(k) for c in self.coeffs)
+    def truncate(self, k: int) -> "PDElement":
+        if k >= self.prec:
+            return self
+        if k < 1:
+            raise PrecisionExhausted("cannot truncate below one digit")
+        return self._make(self.amb.ring.truncate_planes(self.planes, k), k)
 
     def eq_at(self, other: "PDElement", k: int) -> bool:
         """Equality mod p^k; on a tail_dirty difference the top coefficient,
@@ -127,58 +142,23 @@ class PDElement:
         if diff.prec < k:
             raise PrecisionExhausted(f"comparison at p^{k} with {diff.prec} digits")
         top = self.amb.N_gamma - (1 if diff.tail_dirty else 0)
-        return all(diff.coeffs[i].is_zero_at(k) for i in range(top))
-
-    def is_unit(self) -> bool:
-        return self.coeffs[0].is_unit()
-
-    @property
-    def ring(self):
-        return self.amb.ring
-
-    def residue(self) -> tuple[int, ...]:
-        return self.coeffs[0].residue()
-
-    def lift_residue(self, t) -> "PDElement":
-        """The constant of S whose residue is the tuple t."""
-        return PDElement(self.amb, [self.amb.ring.make(t)])
+        q = self.amb.ring.pk[k]
+        return not any(c % q for pl in diff.planes for c in pl[:top])
 
     def newton_steps(self) -> int:
         """Newton steps from a residue-field inverse to this precision and
         gamma truncation, plus slack."""
         return max(self.amb.N_gamma, self.prec).bit_length() + 2
 
-    def invert(self) -> "PDElement":
-        """Inverse of a unit of S by Newton iteration."""
-        if not self.is_unit():
-            raise NotAUnit("inverse in S needs a unit gamma_0 coefficient")
-        amb = self.amb
-        z = pd_from_scalar(amb, self.coeffs[0].invert())
-        one = pd_one(amb, self.prec)
-        two = one + one
-        for _ in range(self.newton_steps()):
-            xz = self * z
-            z = z * (two - xz)
-            if xz.eq_at(one, self.prec):
-                break
-        if not (self * z).eq_at(one, self.prec):
-            raise NotDivisible("inverse in S did not converge at precision")
-        return z
-
-    def truncate(self, k: int) -> "PDElement":
-        if k >= self.prec:
-            return self
-        return PDElement(self.amb, [c.truncate(k) for c in self.coeffs], self.tail_dirty)
-
     def support(self) -> int:
         """Index one past the last integer-nonzero coefficient."""
-        return self._support
+        return len(self.planes[0])
 
     def __repr__(self):
         terms = []
-        for i in range(self.amb.N_gamma):
-            c = self.coeffs[i]
-            if any(c.coeffs):
+        for i, col in enumerate(zip(*self.planes)):
+            if any(col):
+                c = self.coeff(i)
                 terms.append(f"{c!r}*g{i}" if i else f"{c!r}")
         body = " + ".join(terms) if terms else "0"
         dirt = ", dirty" if self.tail_dirty else ""
@@ -210,47 +190,16 @@ def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
     amb = x.amb
     N = amb.N_gamma
     k = min(x.prec, y.prec)
-    ring = amb.ring
-    mod = ring.pk[k]
-    comb = amb.comb
-    dirty = x.tail_dirty or y.tail_dirty
-    xs = x.coeffs
-    ys = y.coeffs
-    xsup, ysup = x._support, y._support
-    if xsup == 0 or ysup == 0:
-        return PDElement(amb, [], dirty, prec=k)
-    top = min(xsup + ysup - 1, N)
-    if ring.f == 1:
-        acc = [0] * top
-        for i in range(xsup):
-            a = xs[i].coeffs[0]
-            if a == 0:
-                continue
-            row = comb[i]
-            for j in range(min(ysup, N - i)):
-                b = ys[j].coeffs[0]
-                if b:
-                    acc[i + j] = (acc[i + j] + a * b * row[j]) % mod
-            if ysup > N - i:
-                dirty = True  # a product index crossed the truncation
-        out = [WittScalar(ring, (c,), k) for c in acc]
-    else:
-        zero = ring.zero(k)
-        out = [zero] * top
-        for i in range(xsup):
-            a = xs[i]
-            if not any(a.coeffs):
-                continue
-            row = comb[i]
-            for j in range(min(ysup, N - i)):
-                b = ys[j]
-                if any(b.coeffs):
-                    term = a * b
-                    term = WittScalar(ring, ring._smul_tuple(term.coeffs, row[j], k), k)
-                    out[i + j] = out[i + j] + term
-            if ysup > N - i:
-                dirty = True
-    return PDElement(amb, out, dirty, prec=k)
+    reach = len(x.planes[0]) + len(y.planes[0]) - 1
+    # a product index crossing the truncation marks the result dirty
+    dirty = x.tail_dirty or y.tail_dirty or reach > N
+    planes = amb.ring.mul_planes(x.planes, y.planes, max(min(reach, N), 0), k, amb.comb)
+    return PDElement(amb, (), dirty, k, planes)
+
+
+def _scalar_planes(col) -> tuple:
+    """A scalar's coefficient tuple as a plane vector of length one."""
+    return tuple([c] for c in col)
 
 
 def embed_sigma(s: SigmaSeries) -> PDElement:
@@ -260,18 +209,20 @@ def embed_sigma(s: SigmaSeries) -> PDElement:
         raise DegreeOverflow(
             f"series degree {s.degree} does not embed below gamma_{amb.N_gamma}"
         )
-    acc = pd_zero(amb, s.prec)
-    for n, c in enumerate(s.coeffs):
-        if any(c.coeffs):
-            acc = acc + amb.u_pow(n).scalar_mul(c)
-    return acc
+    ring = amb.ring
+    acc = ring.new_acc(amb.N_gamma)
+    for n, col in enumerate(zip(*s.planes)):
+        if any(col):
+            ring.conv_into(acc, amb.u_pow(n).planes, _scalar_planes(col))
+    return PDElement(amb, (), False, s.prec, ring.fold(acc, s.prec))
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:
     """Largest j with all coefficients below index j zero at precision."""
     k = x.prec if at is None else min(at, x.prec)
-    for i in range(x.amb.N_gamma):
-        if not x.coeffs[i].is_zero_at(k):
+    q = x.amb.ring.pk[k]
+    for i, col in enumerate(zip(*x.planes)):
+        if any(c % q for c in col):
             return i
     return x.amb.N_gamma
 
@@ -290,11 +241,12 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     if j > 0 and fil_valuation(x) < j:
         raise NotInFil(f"element has filtration valuation {fil_valuation(x)} < {j}")
     k = x.prec
-    acc = pd_zero(amb, k)
+    ring = amb.ring
+    acc = ring.new_acc(amb.N_gamma)
     dirty = x.tail_dirty
-    for i in range(j, x._support):
-        b = x.coeffs[i]
-        if not any(b.coeffs):
+    frob = ring.frobenius_planes(x.planes, k)
+    for i in range(j, len(x.planes[0])):
+        if not any(pl[i] for pl in x.planes):
             continue
         e = i - amb.vfact[i] - j
         if e < 0:
@@ -302,10 +254,10 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
         if e >= k:
             continue  # contributes 0 at this precision
         cp = amb.c_pow(i)
-        scal = (b.frobenius() * amb.fact_unit_inv(i)).mul_p_pow(e)
-        acc = acc + cp.scalar_mul(scal)
+        scal = ring._mul_tuple(tuple(pl[i] for pl in frob), amb.fact_unit_inv(i).coeffs, k)
+        ring.conv_into(acc, cp.planes, _scalar_planes(c * ring.pk[e] for c in scal))
         dirty = dirty or cp.tail_dirty
-    return PDElement(amb, acc.coeffs, dirty, prec=k)
+    return PDElement(amb, (), dirty, k, ring.fold(acc, k))
 
 
 def n_S(x: PDElement) -> PDElement:
@@ -315,59 +267,43 @@ def n_S(x: PDElement) -> PDElement:
     contribution of the dropped gamma_{N_gamma} term.
     """
     amb = x.amb
-    N = amb.N_gamma
     ring = amb.ring
-    k = x.prec
-    sup = x._support
-    if ring.f == 1:
-        mod = ring.pk[k]
-        pa0 = amb.pa.coeffs[0] % mod
-        cs = [c.coeffs[0] for c in x.coeffs]
-        out = [
-            WittScalar(ring, (((pa0 * cs[m + 1] if m + 1 < N else 0) - m * cs[m]) % mod,), k)
-            for m in range(sup)
-        ]
-    else:
-        pa = amb.pa
-        out = []
-        for m in range(sup):
-            t = x.coeffs[m] * ring.from_int(-m, k)
-            if m + 1 < N:
-                t = t + pa * x.coeffs[m + 1]
-            out.append(t)
-    return PDElement(amb, out, x.tail_dirty, prec=k)
+    # coefficient m of N(x) is p*a * x_{m+1} - m * x_m
+    acc = ring.new_acc(len(x.planes[0]))
+    ring.conv_into(acc, tuple(pl[1:] for pl in x.planes), _scalar_planes(amb.pa.coeffs))
+    for t, pl in enumerate(x.planes):
+        acc[t] = [c - m * b for m, (c, b) in enumerate(zip(acc[t], pl))]
+    return PDElement(amb, (), x.tail_dirty, x.prec, ring.fold(acc, x.prec))
+
+
+def _u_divided(x: PDElement, n: int) -> tuple:
+    """Planes of the first n coordinates in the basis u^m / m!:
+    coordinate j is the sum over i >= j of x_i (p*a)^(i-j) / (i-j)!."""
+    ring = x.amb.ring
+    table = x.amb.pa_div_fact_planes(len(x.planes[0]))
+    acc = ring.new_acc(n)
+    for s, xp in enumerate(x.planes):
+        for t, tp in enumerate(table):
+            row = acc[s + t]
+            for j in range(min(n, len(xp))):
+                row[j] += sum(map(mul, xp[j:], tp))
+    return ring.fold(acc, x.prec)
 
 
 def eval_f0(x: PDElement) -> WittScalar:
     """Evaluation at u = 0: gamma_i -> (p*a)^i / i!."""
-    amb = x.amb
-    acc = amb.ring.zero(x.prec)
-    for i in range(x._support):
-        b = x.coeffs[i]
-        if any(b.coeffs):
-            acc = acc + b * amb.pa_div_fact(i)
-    return acc
+    return WittScalar(x.amb.ring, tuple(pl[0] for pl in _u_divided(x, 1)), x.prec)
 
 
 def eval_fpi(x: PDElement) -> WittScalar:
     """Evaluation at u = pi = -p*a, where E vanishes: reads gamma_0."""
-    return x.coeffs[0]
+    return x.coeff(0)
 
 
 def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
     """Exact coordinates with respect to the divided powers u^m / m!."""
-    amb = x.amb
-    N = amb.N_gamma
-    zero = amb.ring.zero(x.prec)
-    out = []
-    for j in range(N):
-        acc = zero
-        for k in range(j, x._support):
-            b = x.coeffs[k]
-            if any(b.coeffs):
-                acc = acc + b * amb.pa_div_fact(k - j)
-        out.append(acc)
-    return tuple(out)
+    ring = x.amb.ring
+    return tuple(WittScalar(ring, col, x.prec) for col in zip(*_u_divided(x, x.amb.N_gamma)))
 
 
 def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
@@ -400,11 +336,15 @@ def pd_random_calibrated(amb, rng, max_index: int, max_val: int, zero_chance: fl
     """Random element whose coefficients are exact zeros or have small,
     controlled p-valuation.  Keeps filtration verdicts away from the
     precision boundary so that at-precision membership tests are decisive."""
-    coeffs = []
+    ring = amb.ring
+    cap = amb.cap
+    zero = (0,) * ring.f
+    cols = []
     for _ in range(min(max_index, amb.N_gamma)):
         if rng.random() < zero_chance:
-            coeffs.append(amb.ring.zero())
+            cols.append(zero)
         else:
             v = rng.randrange(max_val + 1)
-            coeffs.append(amb.ring.random_unit(rng).mul_p_pow(v))
-    return PDElement(amb, coeffs)
+            q = ring.pk[min(v, cap)]
+            cols.append(tuple(c * q for c in ring._random_unit_tuple(rng, cap)))
+    return PDElement(amb, (), False, cap, ring.to_planes(cols, cap))

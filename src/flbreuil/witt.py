@@ -19,6 +19,8 @@ residue field and has order f.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 
@@ -166,6 +168,37 @@ def find_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {f} over F_{p}")
 
 
+def trimmed(planes) -> tuple:
+    """The planes cut after their last index that is nonzero in some plane."""
+    n = 0
+    for pl in planes:
+        m = len(pl)
+        while m > n and not pl[m - 1]:
+            m -= 1
+        n = max(n, m)
+    if n < len(planes[0]):
+        planes = tuple(pl[:n] for pl in planes)
+    return planes
+
+
+def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
+    """out[i + j] += w[i][j] * x[i] * y[j] (w = 1 when None), for i + j < len(out).
+
+    The loop runs over the shorter vector, so a constant costs one pass over
+    the other; w must be symmetric."""
+    if len(x) > len(y):
+        x, y = y, x
+    n = len(out)
+    ly = len(y)
+    for i, a in enumerate(x[:n]):
+        if a:
+            e = i + ly if i + ly < n else n
+            if w is None:
+                out[i:e] = [c + a * b for c, b in zip(out[i:e], y)]
+            else:
+                out[i:e] = [c + a * b * r for c, b, r in zip(out[i:e], y, w[i])]
+
+
 class WittRing:
     """Context for W(F_{p^f}) mod p^cap: modulus tables and the Frobenius."""
 
@@ -275,6 +308,16 @@ class WittRing:
         mod = self.pk[k]
         return tuple((x * n) % mod for x in a)
 
+    def _random_tuple(self, rng, k):
+        mod = self.pk[k]
+        return tuple([rng.randrange(mod) for _ in range(self.f)])
+
+    def _random_unit_tuple(self, rng, k):
+        while True:
+            t = self._random_tuple(rng, k)
+            if any(c % self.p for c in t):
+                return t
+
     def _eval_int_poly(self, coeffs, z, k):
         # Horner evaluation of a polynomial with integer coefficients at z
         acc = self._zero_tuple()
@@ -297,6 +340,74 @@ class WittRing:
         if any(self._eval_int_poly(self.m, z, cap)):
             raise ArithmeticError("Frobenius lift failed to satisfy m")
         return z
+
+    # --- flat vectors of scalars: the storage of series and S elements ---
+    #
+    # A vector of n scalars at one precision k is stored as f int lists of
+    # length n, the planes: plane t holds the T^t coefficients.  A product
+    # of two vectors is f^2 integer convolutions, accumulated unreduced by
+    # T-degree into 2f - 1 lists (new_acc, conv_into), then one fold of the
+    # degrees f .. 2f-2 through m(T) and one reduction mod p^k (fold).
+
+    def to_planes(self, cols, k) -> tuple:
+        """Planes of a list of coefficient tuples, reduced mod p^k."""
+        mod = self.pk[k] if cols else 1
+        return tuple([c[t] % mod for c in cols] for t in range(self.f))
+
+    def new_acc(self, n: int) -> list:
+        """A zero accumulator for products of length n, by T-degree."""
+        return [[0] * n for _ in range(2 * self.f - 1)]
+
+    def conv_into(self, acc, xs, ys, weights=None):
+        """Add the product of the plane vectors xs and ys into acc, unreduced.
+
+        Entry m gets the sum over i + j = m < len(acc[0]) of x_i * y_j,
+        times weights[i][j] when a symmetric weight table is given."""
+        for s, x in enumerate(xs):
+            for t, y in enumerate(ys):
+                _conv_into(acc[s + t], x, y, weights)
+        return acc
+
+    def fold(self, acc, k) -> tuple:
+        """Fold T-degrees f .. 2f-2 of an accumulator through m(T) and
+        reduce mod p^k: the planes of the product."""
+        f = self.f
+        out = acc[:f]
+        for d in range(f, len(acc)):
+            src = acc[d]
+            for t, r in enumerate(self._redrows[d - f]):
+                if r:
+                    out[t] = [a + b * r for a, b in zip(out[t], src)]
+        return self.truncate_planes(out, k)
+
+    def mul_planes(self, xs, ys, n: int, k: int, weights=None) -> tuple:
+        """The first n entries of the product of two plane vectors, mod p^k."""
+        return self.fold(self.conv_into(self.new_acc(n), xs, ys, weights), k)
+
+    def truncate_planes(self, xs, k: int) -> tuple:
+        mod = self.pk[k]
+        return tuple([c % mod for c in x] for x in xs)
+
+    def div_p_planes(self, xs, prec: int, k: int) -> tuple:
+        """Exact division of every entry by p^k (k > 0), as on scalars."""
+        if prec - k < 1:
+            raise PrecisionExhausted(f"division by p^{k} from precision {prec}")
+        q = self.pk[k]
+        if any(c % q for x in xs for c in x):
+            raise NotDivisible(f"not divisible by p^{k}")
+        return tuple([c // q for c in x] for x in xs)
+
+    def frobenius_planes(self, xs, k: int) -> tuple:
+        """The arithmetic Frobenius applied to every entry, mod p^k."""
+        if self.f == 1:
+            return xs
+        out = [list(xs[0])] + [[0] * len(xs[0]) for _ in range(self.f - 1)]
+        for t in range(1, self.f):
+            src = xs[t]
+            for s, r in enumerate(self._spow[t - 1]):
+                if r:
+                    out[s] = [a + b * r for a, b in zip(out[s], src)]
+        return self.truncate_planes(out, k)
 
     # --- residue field F_{p^f} (used by matrix elimination) ---
 
@@ -323,17 +434,10 @@ class WittRing:
         if prec < 1 or prec > self.cap:
             raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
         coeffs = [int(c) for c in coeffs]
-        while len(coeffs) < self.f:
-            coeffs.append(0)
-        out = list(coeffs[: self.f])
-        mod = self.pk[prec]
-        for i in range(self.f, len(coeffs)):
-            c = coeffs[i]
-            if c:
-                row = self._redrows[i - self.f]
-                for j in range(self.f):
-                    out[j] += c * row[j]
-        return WittScalar(self, tuple(x % mod for x in out), prec)
+        while len(coeffs) > self.f and not coeffs[-1]:
+            coeffs.pop()
+        acc = [[c] for c in coeffs] + [[0]] * (2 * self.f - 1 - len(coeffs))
+        return WittScalar(self, tuple(pl[0] for pl in self.fold(acc, prec)), prec)
 
     def from_int(self, n: int, prec: int | None = None) -> "WittScalar":
         return self.make([n], prec)
@@ -346,25 +450,17 @@ class WittRing:
 
     def random(self, rng, prec: int | None = None) -> "WittScalar":
         prec = self.cap if prec is None else prec
-        mod = self.pk[prec]
-        return WittScalar(self, tuple(rng.randrange(mod) for _ in range(self.f)), prec)
+        return WittScalar(self, self._random_tuple(rng, prec), prec)
 
     def random_unit(self, rng, prec: int | None = None) -> "WittScalar":
-        while True:
-            x = self.random(rng, prec)
-            if x.is_unit():
-                return x
+        prec = self.cap if prec is None else prec
+        return WittScalar(self, self._random_unit_tuple(rng, prec), prec)
 
     def frobenius(self, x: "WittScalar") -> "WittScalar":
         if self.f == 1:
             return x
-        k = x.prec
-        acc = self._smul_tuple(self._one_tuple(), x.coeffs[0], k)
-        for i in range(1, self.f):
-            c = x.coeffs[i]
-            if c:
-                acc = self._add_tuple(acc, self._smul_tuple(self._spow[i - 1], c, k), k)
-        return WittScalar(self, acc, k)
+        planes = self.frobenius_planes(tuple([c] for c in x.coeffs), x.prec)
+        return WittScalar(self, tuple(pl[0] for pl in planes), x.prec)
 
 
 class WittScalar:
@@ -516,3 +612,81 @@ class WittScalar:
             raise ValueError("lift_int needs f = 1")
         return self.coeffs[0]
 
+
+class FlatVector:
+    """Arithmetic shared by the elements of W(k)[[u]] and of S.
+
+    An element is a vector of scalars (its u^i or gamma_i coefficients) at
+    one precision ``prec``, stored as planes (see ``WittRing.to_planes``)
+    cut after the last nonzero entry.  Subclasses build their results
+    through ``_make(planes, prec)`` and name the two failures of ``invert``
+    in ``_invert_errors``.
+    """
+
+    __slots__ = ("amb", "planes", "prec")
+
+    @property
+    def ring(self) -> WittRing:
+        return self.amb.ring
+
+    def _sum(self, other, sub: bool = False) -> tuple:
+        """The planes of self + other (or self - other), and their precision."""
+        k = min(self.prec, other.prec)
+        mod = self.ring.pk[k]
+        pairs = [zip_longest(x, y, fillvalue=0) for x, y in zip(self.planes, other.planes)]
+        if sub:
+            return tuple([(a - b) % mod for a, b in pr] for pr in pairs), k
+        return tuple([(a + b) % mod for a, b in pr] for pr in pairs), k
+
+    def __neg__(self):
+        mod = self.ring.pk[self.prec]
+        return self._make(tuple([(-c) % mod for c in pl] for pl in self.planes), self.prec)
+
+    def scalar_mul(self, w: WittScalar):
+        k = min(self.prec, w.prec)
+        n = len(self.planes[0])
+        return self._make(self.ring.mul_planes(self.planes, tuple([c] for c in w.coeffs), n, k), k)
+
+    def mul_p_pow(self, k: int):
+        """Exact multiplication by p^k; raises precision up to the ring cap."""
+        ring = self.ring
+        prec = min(self.prec + k, ring.cap)
+        q, mod = ring.pk[min(k, ring.cap)], ring.pk[prec]
+        return self._make(tuple([(c * q) % mod for c in pl] for pl in self.planes), prec)
+
+    def is_zero_at(self, k: int) -> bool:
+        if self.prec < k:
+            raise PrecisionExhausted(f"zero test at p^{k} with {self.prec} digits")
+        q = self.ring.pk[k]
+        return not any(c % q for pl in self.planes for c in pl)
+
+    def is_unit(self) -> bool:
+        p = self.ring.p
+        return any(pl[0] % p for pl in self.planes if pl)
+
+    def residue(self) -> tuple[int, ...]:
+        p = self.ring.p
+        return tuple(pl[0] % p if pl else 0 for pl in self.planes)
+
+    def lift_residue(self, t):
+        """The constant of the same ring whose residue is the tuple t."""
+        return type(self)(self.amb, [self.ring.make(t)])
+
+    def invert(self):
+        """Inverse of a unit by Newton iteration z <- z(2 - xz), started at
+        the inverse of the constant coefficient."""
+        not_unit, diverged = self._invert_errors
+        if not self.is_unit():
+            raise NotAUnit(not_unit)
+        amb, prec, cls = self.amb, self.prec, type(self)
+        z = cls(amb, [self.coeff(0).invert()])
+        one = cls(amb, [amb.ring.one(prec)])
+        two = cls(amb, [amb.ring.from_int(2, prec)])
+        for _ in range(self.newton_steps()):
+            xz = self * z
+            z = z * (two - xz)
+            if xz.eq_at(one, prec):
+                break
+        if not (self * z).eq_at(one, prec):
+            raise NotDivisible(diverged)
+        return z

@@ -8,7 +8,6 @@ from flbreuil.breuil import (
     breuil_classify,
     breuil_validate,
     fil_lower,
-    fil_lower_colon,
     fil_membership,
     hat_fil_membership,
     phi_r_apply,
@@ -56,6 +55,19 @@ def test_fil_lower_examples(amb3):
     assert not fil_lower(B, 2, x)
     assert fil_lower(B, 2, (pd_gamma(amb3, 1),))
     assert fil_lower(B, amb3.r, (pd_gamma(amb3, 1),)) == fil_membership(B, (pd_gamma(amb3, 1),))
+
+
+def fil_lower_colon(B, i, x, at=None):
+    """Colon-module form of fil_lower: gamma_{r-i} * x must lie in Fil^r.
+
+    Agrees with fil_lower on adapted presentations (the gamma shift is by a
+    binomial prime to p in the range i <= r <= p-1); kept as a cross-check.
+    """
+    amb = B.amb
+    if i >= amb.r:
+        return fil_lower(B, i, x, at)
+    g = pd_gamma(amb, amb.r - i)
+    return fil_membership(B, tuple(g * c for c in x), at)
 
 
 def test_fil_lower_matches_colon_form(amb3):

@@ -1,0 +1,236 @@
+"""The flat product kernels of S and W(k)[[u]] against schoolbook references.
+
+The references multiply coefficient by coefficient with ``WittScalar``
+arithmetic, reading elements only through their scalar coefficients:
+the gamma product with the binomial table, the series product, the
+derivation n_S, the divided Frobenius phi_S (with its own powers of c), the
+u-divided coordinates and the embedding of the series ring.  Inputs
+are drawn by hypothesis at f = 1 (p = 3 and p = 5) and f = 2, with
+independent precisions and supports, so that products cross the gamma
+truncation (and mark the result tail_dirty) and mix precisions.
+"""
+
+import functools
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from flbreuil.pd import (
+    PDElement,
+    embed_sigma,
+    eval_f0,
+    gamma_multiply,
+    n_S,
+    phi_S,
+    to_u_divided,
+)
+from flbreuil.series import SigmaSeries
+from flbreuil.witt import WittScalar
+
+SETTINGS = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@pytest.fixture(scope="session", params=["amb3", "amb5", "amb9"])
+def amb(request):
+    return request.getfixturevalue(request.param)
+
+
+def draw_scalars(draw, amb, n, prec):
+    mod = amb.ring.pk[prec]
+    coeff = st.one_of(st.just(0), st.integers(0, mod - 1))
+    return [amb.ring.make(draw(st.lists(coeff, min_size=amb.f, max_size=amb.f)), prec)
+            for _ in range(n)]
+
+
+def draw_pd(draw, amb, min_index=0):
+    prec = draw(st.integers(1, amb.cap))
+    n = draw(st.integers(0, amb.N_gamma))
+    coeffs = draw_scalars(draw, amb, n, prec)
+    coeffs[:min_index] = [amb.ring.zero(prec)] * min(min_index, n)
+    return PDElement(amb, coeffs, draw(st.booleans()))
+
+
+def draw_series(draw, amb):
+    prec = draw(st.integers(1, amb.cap))
+    n = draw(st.integers(0, amb.N_u // 2 + 8))
+    return SigmaSeries(amb, draw_scalars(draw, amb, n, prec))
+
+
+def assert_pd(got, coeffs, prec, dirty):
+    amb = got.amb
+    zero = amb.ring.zero(prec)
+    full = list(coeffs) + [zero] * (amb.N_gamma - len(coeffs))
+    support = max((i + 1 for i, c in enumerate(full) if any(c.coeffs)), default=0)
+    assert got.coeffs == tuple(full)
+    assert (got.prec, got.tail_dirty, got.support()) == (prec, dirty, support)
+
+
+# --- the schoolbook references ---
+
+def ref_gamma_multiply(x, y):
+    amb = x.amb
+    ring = amb.ring
+    N = amb.N_gamma
+    k = min(x.prec, y.prec)
+    dirty = x.tail_dirty or y.tail_dirty
+    xs, ys = x.coeffs, y.coeffs
+    xsup, ysup = x.support(), y.support()
+    out = [ring.zero(k)] * N
+    for i in range(xsup):
+        a = xs[i]
+        if not any(a.coeffs):
+            continue
+        for j in range(min(ysup, N - i)):
+            b = ys[j]
+            if any(b.coeffs):
+                term = a * b
+                term = WittScalar(ring, ring._smul_tuple(term.coeffs, amb.comb[i][j], k), k)
+                out[i + j] = out[i + j] + term
+        if ysup > N - i:
+            dirty = True
+    return out, k, dirty
+
+
+def ref_series_mul(x, y):
+    amb = x.amb
+    k = min(x.prec, y.prec)
+    xs, ys = x.coeffs, y.coeffs
+    if not xs or not ys:
+        return [], k
+    n = min(len(xs) + len(ys) - 1, amb.N_u)
+    out = [amb.ring.zero(k)] * n
+    for i, a in enumerate(xs):
+        if not any(a.coeffs):
+            continue
+        for j in range(min(len(ys), n - i)):
+            b = ys[j]
+            if any(b.coeffs):
+                out[i + j] = out[i + j] + a * b
+    while out and not any(out[-1].coeffs):
+        out.pop()
+    return out, k
+
+
+def ref_n_S(x):
+    amb = x.amb
+    k = x.prec
+    xs = x.coeffs
+    out = []
+    for m in range(x.support()):
+        t = xs[m] * amb.ring.from_int(-m, k)
+        if m + 1 < amb.N_gamma:
+            t = t + amb.pa * xs[m + 1]
+        out.append(t)
+    return out, k, x.tail_dirty
+
+
+@functools.cache
+def ref_c_pow(amb, i):
+    if i == 0:
+        return PDElement(amb, [amb.ring.one()])
+    out, k, dirty = ref_gamma_multiply(ref_c_pow(amb, i - 1), amb.c)
+    return PDElement(amb, out, dirty, k)
+
+
+def ref_phi_S(x, j):
+    amb = x.amb
+    k = x.prec
+    out = [amb.ring.zero(k)] * amb.N_gamma
+    dirty = x.tail_dirty
+    xs = x.coeffs
+    for i in range(j, x.support()):
+        b = xs[i]
+        if not any(b.coeffs):
+            continue
+        e = i - amb.vfact[i] - j
+        if e >= k:
+            continue
+        cp = ref_c_pow(amb, i)
+        scal = (b.frobenius() * amb.fact_unit_inv(i)).mul_p_pow(e)
+        out = [acc + c * scal for acc, c in zip(out, cp.coeffs)]
+        dirty = dirty or cp.tail_dirty
+    return out, k, dirty
+
+
+def ref_to_u_divided(x):
+    amb = x.amb
+    xs = x.coeffs
+    out = []
+    for j in range(amb.N_gamma):
+        acc = amb.ring.zero(x.prec)
+        for i in range(j, amb.N_gamma):
+            acc = acc + xs[i] * amb.pa_div_fact(i - j)
+        out.append(acc)
+    return tuple(out)
+
+
+# --- the kernels against them ---
+
+@SETTINGS
+@given(data=st.data())
+def test_gamma_multiply_matches_schoolbook(amb, data):
+    x, y = draw_pd(data.draw, amb), draw_pd(data.draw, amb)
+    out, k, dirty = ref_gamma_multiply(x, y)
+    assert_pd(gamma_multiply(x, y), out, k, dirty)
+    assert_pd(gamma_multiply(y, x), out, k, dirty)
+
+
+def test_gamma_multiply_crossing_the_truncation(amb):
+    N = amb.N_gamma
+    top = PDElement(amb, [amb.ring.zero()] * (N - 2) + [amb.ring.one(), amb.ring.one()])
+    lin = PDElement(amb, [amb.ring.one(7), amb.ring.one(7)])
+    out, k, dirty = ref_gamma_multiply(top, lin)
+    assert dirty and k == 7
+    assert_pd(top * lin, out, k, dirty)
+    # a crossing product whose surviving terms vanish is still dirty
+    g = PDElement(amb, [amb.ring.zero()] * (N - 1) + [amb.ring.one()])
+    assert_pd(g * g, [], amb.cap, True)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_series_product_matches_schoolbook(amb, data):
+    x, y = draw_series(data.draw, amb), draw_series(data.draw, amb)
+    out, k = ref_series_mul(x, y)
+    got = x * y
+    assert got.coeffs == tuple(out) and got.prec == k
+    w = draw_scalars(data.draw, amb, 1, data.draw(st.integers(1, amb.cap)))[0]
+    scaled = x.scalar_mul(w)
+    expected = [c * w for c in x.coeffs]
+    while expected and not any(expected[-1].coeffs):
+        expected.pop()
+    assert scaled.coeffs == tuple(expected) and scaled.prec == min(x.prec, w.prec)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_n_S_matches_schoolbook(amb, data):
+    x = draw_pd(data.draw, amb)
+    assert_pd(n_S(x), *ref_n_S(x))
+    w = draw_scalars(data.draw, amb, 1, data.draw(st.integers(1, amb.cap)))[0]
+    k = min(x.prec, w.prec)
+    assert_pd(x.scalar_mul(w), [c * w for c in x.coeffs], k, x.tail_dirty)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_phi_S_matches_schoolbook(amb, data):
+    j = data.draw(st.integers(0, amb.r))
+    x = draw_pd(data.draw, amb, min_index=j)
+    assert_pd(phi_S(x, j), *ref_phi_S(x, j))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_u_divided_and_embedding_match_schoolbook(amb, data):
+    x = draw_pd(data.draw, amb)
+    coords = ref_to_u_divided(x)
+    assert to_u_divided(x) == coords
+    assert eval_f0(x) == coords[0]
+    prec = data.draw(st.integers(1, amb.cap))
+    s = SigmaSeries(amb, draw_scalars(data.draw, amb, data.draw(st.integers(0, amb.N_gamma)), prec))
+    raw = [amb.ring.zero(s.prec)] * amb.N_gamma
+    for n, c in enumerate(s.coeffs):
+        raw = [acc + b * c for acc, b in zip(raw, amb.u_pow(n).coeffs)]
+    assert_pd(embed_sigma(s), raw, s.prec, False)

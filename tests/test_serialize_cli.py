@@ -124,6 +124,34 @@ def test_cli_gen_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_cli_gen_rank_zero_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert main(["gen", "kisin-gls", "--d", "0", "--out", str(out)]) == 2
+    assert main(["gen", "breuil-from-kisin", "--d", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a Kisin module needs rank d >= 1, got 0"] * 2
+
+
+def test_zero_rank_det_and_gls_raise(amb3):
+    from flbreuil.matrix import RingMatrix
+
+    with pytest.raises(ValueError):
+        RingMatrix([]).det()
+    with pytest.raises(ValueError):
+        random_gls(amb3, random.Random(0), 0)
+
+
+def test_cli_section_suite_error_names_the_class(tmp_path):
+    rep = tmp_path / "rep.jsonl"
+    code = main(["verify", "--suite", "section", "--p", "5", "--r", "4", "--headroom", "12",
+                 "--seeds", "1..2", "--out", str(rep)])
+    assert code == 1
+    lines = [json.loads(l) for l in rep.read_text().splitlines()]
+    errors = [l["error"] for l in lines if "error" in l]
+    assert errors and all(e.startswith("PrecisionExhausted: ") for e in errors)
+
+
 def test_cli_verify_and_report(tmp_path):
     rep = tmp_path / "rep.jsonl"
     code = main(["verify", "--suite", "ring-laws", "--suite", "unipotence",
