@@ -34,13 +34,13 @@ from .errors import (
 )
 from .matrix import RingMatrix, converges_to_zero, scaled_inverse
 from .pd import (
-    PDElement,
     eval_f0,
     eval_fpi,
     fil_valuation,
     n_S,
     pd_gamma,
     pd_random_calibrated,
+    pd_shift,
     phi_S,
 )
 
@@ -256,8 +256,7 @@ def random_fil_member(B: BreuilModule, rng, n: int, max_val: int = 2):
     for j in range(B.d):
         t = B.fil_threshold(n, j)
         body = pd_random_calibrated(amb, rng, amb.N_gamma - t - 1, max_val)
-        shifted = [amb.ring.zero()] * t + list(body.coeffs[: amb.N_gamma - t])
-        y.append(PDElement(amb, shifted[: amb.N_gamma]))
+        y.append(pd_shift(body, t))
     return B.C.matvec(tuple(y))
 
 

@@ -114,9 +114,7 @@ def suite_easylemma(amb, rng, cfg):
         for _ in range(n):
             # exact member of Fil^(i+1): hypothesis holds, conclusion must too
             body = P.pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
-            s = P.PDElement(
-                amb, [amb.ring.zero()] * (i + 1) + list(body.coeffs[: amb.N_gamma - i - 1])
-            )
+            s = P.pd_shift(body, i + 1)
             ok_pos &= easylemma_holds(amb, s, i)
         recs.append(_rec(f"easylemma-positive-i{i}", ok_pos, n=n))
 
@@ -124,9 +122,7 @@ def suite_easylemma(amb, rng, cfg):
         for _ in range(n):
             # unit coefficient at gamma_i: N(s) must visibly leave Fil^i
             tail = P.pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
-            s = P.pd_gamma(amb, i, amb.ring.random_unit(rng)) + P.PDElement(
-                amb, [amb.ring.zero()] * (i + 1) + list(tail.coeffs[: amb.N_gamma - i - 1])
-            )
+            s = P.pd_gamma(amb, i, amb.ring.random_unit(rng)) + P.pd_shift(tail, i + 1)
             ok_neg &= P.fil_valuation(P.n_S(s), amb.N_p) < i
             ok_neg &= P.fil_valuation(s, amb.N_p) < i + 1
         g = P.pd_gamma(amb, i)

@@ -115,10 +115,9 @@ def _matrix_zero_valuation(M: RingMatrix, cap: int) -> int:
     best = cap
     for row in M.entries:
         for x in row:
-            for c in x.coeffs:
-                best = min(best, c.valuation())
-                if best == 0:
-                    return 0
+            best = min(best, x.valuation())
+            if best == 0:
+                return 0
     return best
 
 

@@ -62,7 +62,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
     """
     d = A.rows
     at = amb.N_p
-    det = A.det()
+    det, adj = A.det_adjugate()
     if det.is_zero_at(min(at, det.prec)):
         raise SingularMatrix("det(A) vanishes at working precision")
     q = det
@@ -79,7 +79,6 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
             )
         q, s = q2, s + 1
     unit_inv = q.invert()
-    adj = A.adjugate()
     Er = _E_pow(amb, amb.r)
     rows = []
     for i in range(d):
@@ -178,7 +177,8 @@ def kisin_raw_fil_checker(K: KisinModule):
     the linearised Frobenius of the element must land in Fil^r S tensor the
     module, i.e. every component of embed(X Lambda Y) * embed(Y)^{-1} * w
     must have filtration valuation at least r.  Independent of the adapted
-    shortcut: it inverts embed(Y) by Newton iteration and multiplies out.
+    shortcut: it inverts embed(Y) over S as adj * det^(-1) and multiplies
+    out.
     """
     if K.gls is None:
         raise MissingGLSForm("raw membership needs the normal form data")

@@ -7,11 +7,15 @@ entry type has the same arithmetic, precision and residue-field interface.
 entries; it is used for the scaled inverses that appear in the section
 iteration (p^r times an inverse that is only integral after scaling).
 
-Inversion is Newton iteration Z <- Z(2I - AZ) from the residue-field
-inverse; in the truncated rings the error is nilpotent, so the loop
-terminates in logarithmically many steps and the result is certified by an
-exact product check.  The semilinear twists (sigma on W(k), phi on the
-series ring and on S) are passed as the entry map itself.
+Determinant, adjugate and inverse all come from the characteristic
+polynomial, computed by Berkowitz's division-free recursion (S. J.
+Berkowitz, Inf. Process. Lett. 18, 1984) in O(d^4) ring operations.  The
+adjugate follows by Cayley-Hamilton in Horner form, and the inverse is
+adj(A) * det(A)^(-1) when det(A) is a unit.  Truncated W(k)[[u]] and
+truncated S are quotient rings, so A adj(A) = det(A) I holds exactly there
+and the inverse is unique at working precision.  The semilinear twists
+(sigma on W(k), phi on the series ring and on S) are passed as the entry
+map itself.
 """
 
 from __future__ import annotations
@@ -123,66 +127,81 @@ class RingMatrix:
         kk = k + self.denom_exp
         return all(x.is_zero_at(kk) for row in self.entries for x in row)
 
-    # --- determinant, adjugate, inversion ---
+    # --- characteristic polynomial, determinant, adjugate, inversion ---
+
+    def _charpoly(self, what: str) -> list:
+        """[c_1, ..., c_d] with det(tI - A) = t^d + c_1 t^(d-1) + ... + c_d.
+
+        Berkowitz's recursion: with A split as [[a, R], [C, M]], the
+        coefficient vector of A is the lower triangular Toeplitz matrix with
+        first column (1, -a, -RC, -RMC, ..., -RM^(n-1)C) times that of M
+        (n = size of M).  It runs from the trailing 1x1 corner outwards, with
+        ring operations only, so it is exact in every truncated ring.
+        """
+        if self.rows != self.cols:
+            raise ValueError(f"{what} of a non-square matrix")
+        if self.denom_exp:
+            raise ValueError(f"clear the denominator before taking the {what}")
+        if not self.rows:
+            raise ValueError(f"{what} of a 0x0 matrix: no entry gives the ring")
+        a = self.entries
+        d = self.rows
+        cs = []
+        for k in range(d - 1, -1, -1):
+            n = d - 1 - k
+            row = a[k][k + 1:]
+            M = [a[i][k + 1:] for i in range(k + 1, d)]
+            v = [a[i][k] for i in range(k + 1, d)]
+            w = [a[k][k]]                      # w_1 = a, w_(j+2) = R M^j C
+            for j in range(n):
+                w.append(_dot(row, v))
+                if j + 1 < n:
+                    v = [_dot(mrow, v) for mrow in M]
+            # c'_i = c_i - (w_i + sum over 0 < j < i of w_j c_(i-j)), c_(n+1) = 0
+            new = []
+            for i in range(1, n + 2):
+                acc = w[i - 1]
+                for j in range(1, i):
+                    acc = acc + w[j - 1] * cs[i - j - 1]
+                new.append(cs[i - 1] - acc if i <= n else -acc)
+            cs = new
+        return cs
 
     def det(self):
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if self.denom_exp:
-            raise ValueError("clear the denominator before taking det")
-        if not self.rows:
-            raise ValueError("determinant of a 0x0 matrix: no entry gives the ring")
-        return _det(self.entries)
+        return _det_from(self._charpoly("determinant"))
 
     def adjugate(self) -> "RingMatrix":
-        d = self.rows
-        if d != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        if d == 1:
-            return RingMatrix([[_zero_one(self.entries[0][0])[1]]])
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                minor = [
-                    [self.entries[a][b] for b in range(d) if b != j]
-                    for a in range(d) if a != i
-                ]
-                cof = _det(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                out[j][i] = cof
-        return RingMatrix(out)
+        return self.det_adjugate()[1]
+
+    def det_adjugate(self):
+        """det(A) and adj(A), both from one characteristic polynomial."""
+        cs = self._charpoly("adjugate")
+        return _det_from(cs), _adjugate_from(self, cs)
 
     def residue_invertible(self) -> bool:
-        try:
-            _residue_inverse(self)
-            return True
-        except NotInvertible:
+        """Invertibility: the determinant of the residues is nonzero.
+
+        The determinant is taken over W(k) at one digit, on the lifts of
+        the entries' residues, so it costs scalar arithmetic only."""
+        if self.rows != self.cols:
             return False
+        if not self.rows:
+            return True
+        lifts = RingMatrix([[x.ring.make(x.residue(), 1) for x in row] for row in self.entries])
+        return lifts.det().is_unit()
 
     def invert(self) -> "RingMatrix":
-        """Two-sided inverse at working precision (Newton from the residue).
-
-        The residue inverse leaves an error in the maximal ideal, and each
-        step squares it, so the entries' own Newton step counts bound the
-        loop."""
+        """Two-sided inverse adj(A) * det(A)^(-1), exact at working precision."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
         if self.denom_exp:
             raise ValueError("clear the denominator before inverting")
-        prec = min(x.prec for row in self.entries for x in row)
-        Z = _residue_inverse(self)
-        ident = RingMatrix.identity(self.rows, *_zero_one(self.entries[0][0]))
-        two_i = ident + ident
-        steps = max(x.newton_steps() for row in self.entries for x in row)
-        for _ in range(steps):
-            AZ = self @ Z
-            Z = Z @ (two_i - AZ)
-            if AZ.eq_at(ident, prec):
-                break
-        if not (self @ Z).eq_at(ident, prec):
-            raise NotInvertible("Newton inversion failed to certify at precision")
-        return Z
+        if not self.rows:
+            return self
+        det, adj = self.det_adjugate()
+        if not det.is_unit():
+            raise NotInvertible("determinant is not a unit")
+        return adj.scale(det.invert())
 
 
 def _align(a: RingMatrix, b: RingMatrix):
@@ -206,58 +225,28 @@ def _dot(xs, ys):
     return acc
 
 
-def _zero_one(x):
-    """The zero and the one of the ring that holds x."""
-    f = x.ring.f
-    return x.lift_residue((0,) * f), x.lift_residue((1,) + (0,) * (f - 1))
+def _det_from(cs):
+    """det(A) = (-1)^d c_d."""
+    return -cs[-1] if len(cs) % 2 else cs[-1]
 
 
-def _det(rows):
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    for i in range(d):
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = rows[i][0] * _det(minor)
-        if i % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _residue_inverse(A: RingMatrix) -> RingMatrix:
-    """Lift of the inverse of A over the residue field F_{p^f}."""
+def _adjugate_from(A: RingMatrix, cs) -> RingMatrix:
+    """Cayley-Hamilton in Horner form:
+    adj(A) = (-1)^(d-1) (A^(d-1) + c_1 A^(d-2) + ... + c_(d-1) I)."""
     d = A.rows
-    if not d:
-        return A
-    x = A.entries[0][0]
-    ring = x.ring
-    m = [[y.residue() for y in row] for row in A.entries]
-    one = tuple([1] + [0] * (ring.f - 1))
-    zero = tuple([0] * ring.f)
-    inv = [[one if i == j else zero for j in range(d)] for i in range(d)]
-    for col in range(d):
-        piv = None
-        for row in range(col, d):
-            if not ring.gf_is_zero(m[row][col]):
-                piv = row
-                break
-        if piv is None:
-            raise NotInvertible("matrix is singular over the residue field")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pinv = ring.gf_inv(m[col][col])
-        m[col] = [ring.gf_mul(y, pinv) for y in m[col]]
-        inv[col] = [ring.gf_mul(y, pinv) for y in inv[col]]
-        for row in range(d):
-            if row != col and not ring.gf_is_zero(m[row][col]):
-                c = m[row][col]
-                m[row] = [ring.gf_sub(y, ring.gf_mul(c, z)) for y, z in zip(m[row], m[col])]
-                inv[row] = [ring.gf_sub(y, ring.gf_mul(c, z)) for y, z in zip(inv[row], inv[col])]
-    return RingMatrix([[x.lift_residue(t) for t in row] for row in inv])
+    if d == 1:
+        x = A.entries[0][0]
+        return RingMatrix([[x.lift_residue((1,) + (0,) * (x.ring.f - 1))]])
+    B = _plus_diag(A, cs[0])
+    for c in cs[1:-1]:
+        B = _plus_diag(A @ B, c)
+    return -B if d % 2 == 0 else B
+
+
+def _plus_diag(B: RingMatrix, c) -> RingMatrix:
+    """B + c I, adding c on the diagonal."""
+    return RingMatrix([[x + c if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(B.entries)])
 
 
 def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
@@ -266,7 +255,7 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     Raises SingularMatrix when det vanishes at precision, NotDivisible when
     p^scale_pow * A^(-1) fails to be integral.
     """
-    det = A.det()
+    det, adj = A.det_adjugate()
     t = 0
     while not det.is_unit():
         try:
@@ -276,7 +265,7 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
         except PrecisionExhausted:
             raise SingularMatrix("determinant vanishes at working precision") from None
         t += 1
-    num = A.adjugate().scale(det.invert())
+    num = adj.scale(det.invert())
     if scale_pow >= t:
         return num.mul_p_pow(scale_pow - t)
     return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))

@@ -89,7 +89,10 @@ class PDElement(FlatVector):
         return PDElement(self.amb, (), dirty, prec, planes)
 
     def coeff(self, i: int) -> WittScalar:
-        i = range(self.amb.N_gamma)[i]
+        N = self.amb.N_gamma
+        if not -N <= i < N:
+            raise DegreeOverflow(f"gamma_{i} outside truncation")
+        i %= N
         col = tuple(pl[i] if i < len(pl) else 0 for pl in self.planes)
         return WittScalar(self.amb.ring, col, self.prec)
 
@@ -183,6 +186,13 @@ def pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
     coeff = amb.ring.one() if coeff is None else coeff
     zero = amb.ring.zero(coeff.prec)
     return PDElement(amb, [zero] * i + [coeff])
+
+
+def pd_shift(x: PDElement, t: int) -> PDElement:
+    """The element whose gamma_(i+t) coefficient is the gamma_i coefficient
+    of x; indices pushed to N_gamma or beyond are dropped."""
+    N = x.amb.N_gamma
+    return PDElement(x.amb, (), False, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
 def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:

@@ -117,14 +117,12 @@ class SigmaSeries(FlatVector):
     def truncate(self, k: int) -> "SigmaSeries":
         if k >= self.prec:
             return self
-        if k < 1 and self.planes[0]:
+        if k < 1:
             raise PrecisionExhausted("cannot truncate below one digit")
         return self._make(self.amb.ring.truncate_planes(self.planes, k), k)
 
     def div_p_exact(self, k: int) -> "SigmaSeries":
-        planes = self.planes
-        if k and planes[0]:
-            planes = self.amb.ring.div_p_planes(planes, self.prec, k)
+        planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
         return self._make(planes, self.prec - k)
 
     def __repr__(self):

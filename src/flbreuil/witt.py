@@ -20,6 +20,7 @@ residue field and has order f.
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import gcd
 
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
@@ -409,23 +410,6 @@ class WittRing:
                     out[s] = [a + b * r for a, b in zip(out[s], src)]
         return self.truncate_planes(out, k)
 
-    # --- residue field F_{p^f} (used by matrix elimination) ---
-
-    def gf_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def gf_sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def gf_mul(self, a, b):
-        return tuple(c % self.p for c in self._mul_tuple(a, b, 1))
-
-    def gf_inv(self, a):
-        return tuple(c % self.p for c in self._inv_tuple(a, 1))
-
-    def gf_is_zero(self, a):
-        return not any(a)
-
     # --- scalar factory ---
 
     def make(self, coeffs, prec: int | None = None) -> "WittScalar":
@@ -602,10 +586,6 @@ class WittScalar:
         """The constant of this ring whose residue is the tuple t."""
         return self.ring.make(t)
 
-    def newton_steps(self) -> int:
-        """Newton steps from a residue-field inverse to this precision, plus slack."""
-        return self.prec.bit_length() + 2
-
     def lift_int(self) -> int:
         """Canonical integer representative (only for f = 1)."""
         if self.ring.f != 1:
@@ -653,6 +633,18 @@ class FlatVector:
         prec = min(self.prec + k, ring.cap)
         q, mod = ring.pk[min(k, ring.cap)], ring.pk[prec]
         return self._make(tuple([(c * q) % mod for c in pl] for pl in self.planes), prec)
+
+    def valuation(self) -> int:
+        """min v_p over coefficients; prec for a value that is zero at its
+        own precision, as for a scalar."""
+        g = gcd(*(c for pl in self.planes for c in pl))
+        if not g:
+            return self.prec
+        v, p = 0, self.ring.p
+        while g % p == 0:
+            g //= p
+            v += 1
+        return v
 
     def is_zero_at(self, k: int) -> bool:
         if self.prec < k:

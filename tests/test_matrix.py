@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotDivisible, NotInvertible
+from flbreuil.kisin import kisin_height_check, random_gls
 from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse, twisted_chain
 from flbreuil.pd import pd_gamma, pd_one, pd_random, pd_zero
 from flbreuil.series import SigmaSeries
@@ -141,3 +143,135 @@ def test_det_adjugate_identity(amb3):
         prod = A @ A.adjugate()
         expect = wident(amb3, d).scale(det)
         assert prod.eq_at(expect, amb3.cap)
+
+
+# --- the characteristic polynomial against cofactor expansion ---
+
+def cofactor_det(rows):
+    """Laplace expansion along the first column: the reference for det."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for i in range(len(rows)):
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = rows[i][0] * cofactor_det(minor)
+        if i % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def cofactor_adjugate(A):
+    """The transposed matrix of signed (d-1)-minors: the reference for adj."""
+    d = A.rows
+    if d == 1:
+        x = A.entries[0][0]
+        return RingMatrix([[x.lift_residue((1,) + (0,) * (x.ring.f - 1))]])
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            minor = [[A.entries[a][b] for b in range(d) if b != j] for a in range(d) if a != i]
+            cof = cofactor_det(minor)
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return RingMatrix(out)
+
+
+def same(x, y) -> bool:
+    """Equal at the common precision, every stored coefficient compared."""
+    diff = x - y
+    return diff.is_zero_at(diff.prec)
+
+
+def assert_matches_cofactor(A):
+    det, adj = A.det_adjugate()
+    assert same(det, cofactor_det(A.entries))
+    assert same(A.det(), det)
+    ref = cofactor_adjugate(A)
+    for row, ref_row in zip(adj.entries, ref.entries):
+        for x, y in zip(row, ref_row):
+            assert same(x, y)
+
+
+def random_entry_makers(amb3, amb9, rng):
+    return {
+        "W": lambda: amb3.ring.random(rng),
+        "W f=2": lambda: amb9.ring.random(rng),
+        "series": lambda: SigmaSeries(amb3, [amb3.ring.random(rng) for _ in range(3)]),
+        "S": lambda: pd_random(amb3, rng, 3),
+    }
+
+
+def test_det_adjugate_match_cofactor(amb3, amb9):
+    rng = random.Random(4)
+    for make in random_entry_makers(amb3, amb9, rng).values():
+        for d in range(1, 6):
+            assert_matches_cofactor(RingMatrix([[make() for _ in range(d)] for _ in range(d)]))
+
+
+def test_det_p_power_times_unit_matches_cofactor(amb3, amb9):
+    rng = random.Random(5)
+    for amb in (amb3, amb9):
+        for d in range(1, 6):
+            X = Y = None
+            while X is None or not X.residue_invertible():
+                X = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+            while Y is None or not Y.residue_invertible():
+                Y = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+            ts = [rng.randrange(3) for _ in range(d)]
+            D = RingMatrix([[amb.w(amb.p ** ts[i] if i == j else 0) for j in range(d)]
+                            for i in range(d)])
+            A = X @ D @ Y
+            assert_matches_cofactor(A)
+            det = A.det()
+            assert det.valuation() == sum(ts)
+            assert det.div_p_exact(sum(ts)).is_unit()
+            assert A.residue_invertible() == (sum(ts) == 0)
+
+
+def test_det_kisin_shape_matches_cofactor(amb3):
+    # A = X * diag(E^{r_i}) * Y: det is a unit times E^(sum r_i)
+    rng = random.Random(6)
+    for d in range(1, 5):
+        K = random_gls(amb3, rng, d)
+        assert_matches_cofactor(K.A)
+        assert kisin_height_check(amb3, K.A).e_power == sum(K.gls[1])
+
+
+def test_invert_series_rank_4_to_6(amb3):
+    rng = random.Random(7)
+    for d in (4, 5, 6):
+        ident = RingMatrix.identity(d, amb3.useries([]), amb3.useries([1]))
+        A = None
+        while A is None or not A.residue_invertible():
+            A = RingMatrix(
+                [[SigmaSeries(amb3, [amb3.ring.random(rng) for _ in range(3)]) for _ in range(d)]
+                 for _ in range(d)])
+        inv = A.invert()
+        assert (A @ inv).eq_at(ident, amb3.cap)
+        assert (inv @ A).eq_at(ident, amb3.cap)
+
+
+def test_random_gls_rank_7_passes_height_check():
+    amb = AmbientParams(3, 1)
+    K = random_gls(amb, random.Random(8), 7)
+    res = kisin_height_check(amb, K.A)
+    assert res.ok and res.e_power == sum(K.gls[1])
+
+
+def test_rank_zero(amb3):
+    empty = RingMatrix([])
+    inv = empty.invert()
+    assert (inv.rows, inv.cols) == (0, 0)
+    assert empty.residue_invertible()
+    with pytest.raises(ValueError):
+        empty.det()
+
+
+def test_det_rejects_non_square_and_denominators(amb3):
+    with pytest.raises(ValueError):
+        wmat(amb3, [[1, 2]]).det()
+    with pytest.raises(ValueError):
+        RingMatrix([[amb3.w(9)]], denom_exp=1).det()
+    with pytest.raises(NotInvertible):
+        wmat(amb3, [[1, 2]]).invert()
+    assert not wmat(amb3, [[1, 2]]).residue_invertible()

@@ -16,6 +16,7 @@ from flbreuil.pd import (
     pd_one,
     pd_random,
     pd_random_calibrated,
+    pd_shift,
     phi_S,
     to_u_divided,
 )
@@ -253,3 +254,29 @@ def test_pd_inverse(amb3):
         if not x.is_unit():
             continue
         assert (x * x.invert()).eq_at(one, x.prec)
+
+
+def test_coeff_out_of_range_is_degree_overflow(amb3):
+    x = pd_gamma(amb3, 1)
+    N = amb3.N_gamma
+    assert x.coeff(-N) == x.coeff(0)
+    assert x.coeff(-1).coeffs == (0,)
+    for i in (N, N + 5, -N - 1):
+        with pytest.raises(DegreeOverflow):
+            x.coeff(i)
+
+
+def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
+    rng = random.Random(13)
+    for amb in (amb3, amb9):
+        N = amb.N_gamma
+        for _ in range(20):
+            x = pd_random_calibrated(amb, rng, rng.randrange(N + 1), 3)
+            # a zero coefficient counts as the element's precision
+            assert x.valuation() == min(c.valuation() for c in x.coeffs)
+            t = rng.randrange(N + 1)
+            ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
+            y = pd_shift(x, t)
+            assert y.prec == ref.prec and y.planes == ref.planes and not y.tail_dirty
+        low = PDElement(amb, [amb.ring.zero(5)])
+        assert low.valuation() == 5

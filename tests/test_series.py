@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flbreuil.errors import NotAUnit
+from flbreuil.errors import NotAUnit, PrecisionExhausted
 from flbreuil.series import (
     SigmaSeries,
     series_from_ints,
@@ -88,3 +88,15 @@ def test_mul_matches_naive_convolution(amb3):
             for j, b in enumerate(ys):
                 conv[i + j] += a * b
         assert (f * g).eq_at(amb3.useries(conv), f.prec)
+
+
+def test_zero_series_precision_cannot_fall_below_one(amb3):
+    zero = SigmaSeries(amb3, [], 5)
+    with pytest.raises(PrecisionExhausted):
+        zero.div_p_exact(7)
+    with pytest.raises(PrecisionExhausted):
+        zero.div_p_exact(5)
+    with pytest.raises(PrecisionExhausted):
+        zero.truncate(0)
+    assert zero.div_p_exact(4).prec == 1
+    assert zero.truncate(2).prec == 2
