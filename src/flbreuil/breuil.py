@@ -76,11 +76,20 @@ def fil_membership(B: BreuilModule, x, at: int | None = None) -> bool:
     return fil_lower(B, B.amb.r, x, at)
 
 
-def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
-    """Membership in the reconstructed lower step Fil^i."""
+def fil_level(B: BreuilModule, x, at: int | None = None) -> int:
+    """The largest i with x in the reconstructed step Fil^i (unbounded by r):
+    the minimum over j of v_j + r_j, where v_j is the filtration valuation
+    of the adapted coordinate y_j of y = C^(-1) x.  The zero vector of a
+    rank-0 module gets N_gamma + r."""
     at = B.amb.N_p if at is None else at
     y = B.C_inv.matvec(x)
-    return all(fil_valuation(y[j], at) >= B.fil_threshold(i, j) for j in range(B.d))
+    return min((fil_valuation(y[j], at) + B.jumps[j] for j in range(B.d)),
+               default=B.amb.N_gamma + B.amb.r)
+
+
+def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
+    """Membership in the reconstructed lower step Fil^i."""
+    return i <= fil_level(B, x, at)
 
 
 def phi_module(B: BreuilModule, x):
@@ -174,43 +183,50 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
     return ValidationReport(strongly, griffiths, diagram, cris)
 
 
-def hat_fil_membership(B: BreuilModule, m_jumps, x, n: int,
-                       at: int | None = None, m_basis_inv: RingMatrix | None = None) -> bool:
-    """The recursively defined filtration through N and evaluation at pi.
+def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
+                  m_basis_inv: RingMatrix | None = None, top: int | None = None) -> int:
+    """The top level, at most ``top`` (default r), of x in the filtration
+    defined recursively through N and evaluation at pi.
 
     Level 0 is everything; x lies in level n when N(x) lies in level n-1
     and the image of x under u -> pi lies in step n of the given filtration
     on the reduction (jumps m_jumps, optionally after a W-basis change).
-    Memoised per call; levels beyond r are refused.
+    So x lies in level n when, for every t < n, the reduction of N^t(x) lies
+    in step n - t, and the levels are nested.  One descent of the chain
+    x, N(x), N^2(x), ... finds the top level: at step t a nonzero reduced
+    coordinate j with m_jumps[j] < level - t lowers the level to
+    m_jumps[j] + t, and the descent ends when t reaches the level, after at
+    most ``top - 1`` calls to N.  Levels beyond r are refused, and levels
+    from 1 on need the monodromy (NotCris without it).
     """
     amb = B.amb
-    if n < 0:
+    level = amb.r if top is None else top
+    if level < 0:
         raise RecursionBudget("negative filtration level")
-    if n > amb.r:
-        raise RecursionBudget(f"level {n} beyond the Hodge bound {amb.r}")
+    if level > amb.r:
+        raise RecursionBudget(f"level {level} beyond the Hodge bound {amb.r}")
+    if level > 0 and B.Nmat is None:
+        raise NotCris("module carries no monodromy matrix")
     at = amb.N_p if at is None else at
-    cache: dict[tuple[int, int], bool] = {}
-
-    def reduce_vec(vec):
+    vec = tuple(x)
+    t = 0
+    while t < level:
         w = tuple(eval_fpi(c) for c in vec)
         if m_basis_inv is not None:
             w = m_basis_inv.matvec(w)
-        return w
+        for j in range(B.d):
+            if m_jumps[j] < level - t and not w[j].is_zero_at(at):
+                level = m_jumps[j] + t
+        t += 1
+        if t < level:
+            vec = n_apply(B, vec)
+    return level
 
-    def member(vec, level, key) -> bool:
-        if level == 0:
-            return True
-        hit = cache.get((key, level))
-        if hit is not None:
-            return hit
-        w = reduce_vec(vec)
-        ok = all(w[j].is_zero_at(at) for j in range(B.d) if m_jumps[j] < level)
-        if ok:
-            ok = member(tuple(n_apply(B, vec)), level - 1, key + 1)
-        cache[(key, level)] = ok
-        return ok
 
-    return member(tuple(x), n, 0)
+def hat_fil_membership(B: BreuilModule, m_jumps, x, n: int,
+                       at: int | None = None, m_basis_inv: RingMatrix | None = None) -> bool:
+    """Membership of x in level n of the filtration of ``hat_fil_level``."""
+    return hat_fil_level(B, m_jumps, x, at, m_basis_inv, top=n) == n
 
 
 @dataclass

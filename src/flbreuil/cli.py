@@ -210,11 +210,18 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     counts: dict[str, dict] = {}
     with open(args.infile, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{args.infile}:{lineno}: not JSON ({exc})") from None
+            if not (isinstance(rec, dict) and isinstance(rec.get("suite"), str)
+                    and isinstance(rec.get("ok"), bool) and type(rec.get("seed")) is int):
+                raise ValueError(f"{args.infile}:{lineno}: not a report record (an object "
+                                 "with a string 'suite', a boolean 'ok' and an integer 'seed')")
             s = counts.setdefault(rec["suite"], {"pass": 0, "fail": 0, "failing": set()})
             if rec["ok"]:
                 s["pass"] += 1

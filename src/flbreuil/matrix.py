@@ -3,6 +3,10 @@
 A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
 entry type has the same arithmetic, precision and residue-field interface.
+Each entry of a product (``@``, ``matvec`` and the steps of Berkowitz's
+recursion) is the entry type's fused ``dot`` of a row and a column: one
+unreduced accumulator for all the pair products, one fold through m(T) and
+one reduction at the lowest precision of both rows.
 ``denom_exp = t`` means the matrix stands for p^(-t) times its stored
 entries; it is used for the scaled inverses that appear in the section
 iteration (p^r times an inverse that is only integral after scaling).
@@ -160,9 +164,7 @@ class RingMatrix:
             # c'_i = c_i - (w_i + sum over 0 < j < i of w_j c_(i-j)), c_(n+1) = 0
             new = []
             for i in range(1, n + 2):
-                acc = w[i - 1]
-                for j in range(1, i):
-                    acc = acc + w[j - 1] * cs[i - j - 1]
+                acc = w[i - 1] + _dot(w[:i - 1], cs[i - 2::-1]) if i > 1 else w[0]
                 new.append(cs[i - 1] - acc if i <= n else -acc)
             cs = new
         return cs
@@ -216,13 +218,11 @@ def _align(a: RingMatrix, b: RingMatrix):
 
 
 def _dot(xs, ys):
-    """Sum of the products x*y over two equally long rows of ring elements."""
+    """Sum of the products x*y over two equally long rows of ring elements,
+    by the entry type's fused kernel."""
     if not xs:
         raise ValueError("empty inner dimension: no entry gives the ring")
-    acc = xs[0] * ys[0]
-    for i in range(1, len(xs)):
-        acc = acc + xs[i] * ys[i]
-    return acc
+    return xs[0].dot(xs, ys)
 
 
 def _det_from(cs):

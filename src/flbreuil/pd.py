@@ -27,13 +27,15 @@ t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
 nonzero coefficient); the indices above it are zero.  A product is f^2
 weighted integer convolutions with the binomials C(i+j, i) as weights, one
-fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
-(``WittRing.mul_planes``); the same kernel, unweighted, gives the products
-by a W(k)-constant in ``scalar_mul``, ``n_S``, ``phi_S`` and
-``embed_sigma``.  ``WittScalar`` objects are built only at the scalar
-boundary: ``coeff``, ``coeffs``, ``eval_f0``, ``eval_fpi``,
-``to_u_divided``, ``invert``'s starting value, ``repr`` and the
-constructor from a list of scalars.
+fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec;
+a sum of products (a matrix entry, ``PDElement.dot``) adds all its
+convolutions into one accumulator before that one fold and reduction
+(``FlatVector._dot_planes``), and a single product is its row of length
+one.  The same convolutions, unweighted, give the products by a
+W(k)-constant in ``n_S``, ``phi_S`` and ``embed_sigma``.
+``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
+``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, ``invert``'s
+starting value, ``repr`` and the constructor from a list of scalars.
 
 A second exact coordinate system is used for ideal-membership tests: the
 divided powers of u itself.  Since u = E - p*a,
@@ -127,6 +129,17 @@ class PDElement(FlatVector):
             return NotImplemented
         return gamma_multiply(self, other)
 
+    @staticmethod
+    def dot(xs, ys) -> "PDElement":
+        """The sum of the products x*y over two equally long rows, by the
+        fused kernel with the binomial weights of the gamma-basis.  It is
+        tail_dirty when a factor is, or when a product index crosses
+        N_gamma."""
+        amb = xs[0].amb
+        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb)
+        dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
+        return PDElement(amb, (), dirty, k, planes)
+
     def div_p_exact(self, k: int) -> "PDElement":
         planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
         return self._make(planes, self.prec - k)
@@ -196,15 +209,9 @@ def pd_shift(x: PDElement, t: int) -> PDElement:
 
 
 def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
-    """Product under gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}."""
-    amb = x.amb
-    N = amb.N_gamma
-    k = min(x.prec, y.prec)
-    reach = len(x.planes[0]) + len(y.planes[0]) - 1
-    # a product index crossing the truncation marks the result dirty
-    dirty = x.tail_dirty or y.tail_dirty or reach > N
-    planes = amb.ring.mul_planes(x.planes, y.planes, max(min(reach, N), 0), k, amb.comb)
-    return PDElement(amb, (), dirty, k, planes)
+    """Product under gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}: the
+    length-one case of ``PDElement.dot``."""
+    return PDElement.dot((x,), (y,))
 
 
 def _scalar_planes(col) -> tuple:

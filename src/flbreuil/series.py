@@ -10,12 +10,13 @@ plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.  A
-product is f^2 integer convolutions, one fold of the T-degrees f .. 2f-2
-through m(T) and one reduction mod p^prec (``WittRing.mul_planes``), the
-kernel that S uses too.  ``WittScalar`` objects are built only at the
-scalar boundary: ``coeff``, ``coeffs``, ``constant``, the remainder of
-``weierstrass_divide``, ``invert``'s starting value, ``repr`` and the
-constructor from a list of scalars.
+product, or a whole sum of products (``SigmaSeries.dot``), is f^2 integer
+convolutions per pair into one accumulator, one fold of the T-degrees
+f .. 2f-2 through m(T) and one reduction mod p^prec
+(``FlatVector._dot_planes``), the kernel that S uses too.  ``WittScalar``
+objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
+``constant``, the remainder of ``weierstrass_divide``, ``invert``'s
+starting value, ``repr`` and the constructor from a list of scalars.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ class SigmaSeries(FlatVector):
 
     ``SigmaSeries(amb, coeffs, prec)`` takes a list of scalars: exact-zero
     trailing scalars are dropped, then all are truncated to the lowest
-    precision (and to ``prec``, when given).  The kernel passes ``planes``
-    and ``prec`` instead."""
+    precision (and to ``prec``, when given; the zero series takes the ring
+    cap when ``prec`` is above it).  The kernel passes ``planes`` and
+    ``prec`` instead."""
 
     __slots__ = ()
     _invert_errors = ("series inverse needs a unit constant term",
@@ -43,14 +45,11 @@ class SigmaSeries(FlatVector):
             while coeffs and not any(coeffs[-1].coeffs):
                 coeffs.pop()
             del coeffs[amb.N_u:]
-            if not coeffs:
-                k = amb.cap if prec is None else prec
-            else:
-                k = min(c.prec for c in coeffs)
-                if prec is not None and prec < k:
-                    k = prec
-                    if k < 1:
-                        raise PrecisionExhausted("cannot truncate below one digit")
+            k = min((c.prec for c in coeffs), default=amb.cap)
+            if prec is not None:
+                k = min(k, prec)
+            if k < 1:
+                raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
             planes = amb.ring.to_planes([c.coeffs for c in coeffs], k)
             prec = k
         else:
@@ -87,9 +86,15 @@ class SigmaSeries(FlatVector):
     def __mul__(self, other):
         if not isinstance(other, SigmaSeries):
             return NotImplemented
-        k = min(self.prec, other.prec)
-        n = min(len(self.planes[0]) + len(other.planes[0]) - 1, self.amb.N_u)
-        return self._make(self.amb.ring.mul_planes(self.planes, other.planes, max(n, 0), k), k)
+        return SigmaSeries.dot((self,), (other,))
+
+    @staticmethod
+    def dot(xs, ys) -> "SigmaSeries":
+        """The sum of the products x*y over two equally long rows, by the
+        fused kernel, cut at degree N_u."""
+        amb = xs[0].amb
+        planes, k, _ = FlatVector._dot_planes(xs, ys, amb.N_u)
+        return SigmaSeries(amb, (), k, planes)
 
     def phi(self) -> "SigmaSeries":
         """Frobenius: u -> u^p, arithmetic Frobenius on coefficients."""

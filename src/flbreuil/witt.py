@@ -270,15 +270,25 @@ class WittRing:
         return tuple((x - y) % mod for x, y in zip(a, b))
 
     def _mul_tuple(self, a, b, k):
+        return self._dot_tuple(((a, b),), k)
+
+    def _dot_tuple(self, pairs, k):
+        """The sum of the products a*b over pairs of coefficient tuples,
+        mod p^k: one unreduced accumulator, one fold through m(T) and one
+        reduction."""
         mod = self.pk[k]
         f = self.f
         if f == 1:
-            return ((a[0] * b[0]) % mod,)
+            s = 0
+            for a, b in pairs:
+                s += a[0] * b[0]
+            return (s % mod,)
         full = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    full[i + j] += ai * bj
+        for a, b in pairs:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        full[i + j] += ai * bj
         out = list(full[:f])
         for i in range(f, 2 * f - 1):
             c = full[i]
@@ -380,10 +390,6 @@ class WittRing:
                 if r:
                     out[t] = [a + b * r for a, b in zip(out[t], src)]
         return self.truncate_planes(out, k)
-
-    def mul_planes(self, xs, ys, n: int, k: int, weights=None) -> tuple:
-        """The first n entries of the product of two plane vectors, mod p^k."""
-        return self.fold(self.conv_into(self.new_acc(n), xs, ys, weights), k)
 
     def truncate_planes(self, xs, k: int) -> tuple:
         mod = self.pk[k]
@@ -538,6 +544,14 @@ class WittScalar:
             raise NotDivisible(f"not divisible by p^{k}")
         return WittScalar(self.ring, tuple(c // q for c in self.coeffs), new_prec)
 
+    @staticmethod
+    def dot(xs, ys) -> "WittScalar":
+        """The sum of the products x*y over two equally long rows, reduced
+        once at the lowest precision of both rows."""
+        r = xs[0].ring
+        k = min(min(x.prec for x in xs), min(y.prec for y in ys))
+        return WittScalar(r, r._dot_tuple([(x.coeffs, y.coeffs) for x, y in zip(xs, ys)], k), k)
+
     def mul_p_pow(self, k: int) -> "WittScalar":
         """Exact multiplication by p^k; raises precision up to the ring cap."""
         if k == 0:
@@ -622,10 +636,28 @@ class FlatVector:
         mod = self.ring.pk[self.prec]
         return self._make(tuple([(-c) % mod for c in pl] for pl in self.planes), self.prec)
 
+    @staticmethod
+    def _dot_planes(xs, ys, bound: int, weights=None):
+        """The fused kernel behind ``dot`` and every product of two elements.
+
+        Returns the planes of the sum of the products x*y over two equally
+        long rows, cut at index ``bound``, their precision (the lowest of
+        both rows) and the largest index one product reaches.  Every pair's
+        convolution goes into one unreduced accumulator (weighted, for S);
+        one fold through m(T) and one reduction mod p^k then serve the whole
+        sum.  A pair with a zero entry adds nothing."""
+        ring = xs[0].ring
+        k = min(min(x.prec for x in xs), min(y.prec for y in ys))
+        pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
+        reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
+        acc = ring.new_acc(min(reach, bound))
+        for a, b in pairs:
+            ring.conv_into(acc, a, b, weights)
+        return ring.fold(acc, k), k, reach
+
     def scalar_mul(self, w: WittScalar):
-        k = min(self.prec, w.prec)
-        n = len(self.planes[0])
-        return self._make(self.ring.mul_planes(self.planes, tuple([c] for c in w.coeffs), n, k), k)
+        """The product by the constant w of the same ring."""
+        return self * type(self)(self.amb, [w], prec=w.prec)
 
     def mul_p_pow(self, k: int):
         """Exact multiplication by p^k; raises precision up to the ring cap."""

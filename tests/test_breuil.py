@@ -2,24 +2,30 @@ import random
 
 import pytest
 
+from flbreuil import breuil as BR
 from flbreuil.breuil import (
     BreuilModule,
     breuil_bhat,
     breuil_classify,
     breuil_validate,
+    fil_level,
     fil_lower,
     fil_membership,
+    hat_fil_level,
     hat_fil_membership,
+    n_apply,
     phi_r_apply,
     random_fil_member,
     random_vector,
     rebase,
 )
-from flbreuil.errors import NotDivisible, NotInFil, RecursionBudget
+from flbreuil.errors import NotCris, NotDivisible, NotInFil, RecursionBudget
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
+    eval_fpi,
+    fil_valuation,
     pd_from_scalar,
     pd_gamma,
     pd_one,
@@ -180,6 +186,18 @@ def test_hat_budget(amb3):
         hat_fil_membership(B, M.jumps, (pd_one(amb3),), amb3.r + 1)
 
 
+def test_hat_needs_monodromy(amb3):
+    B = rank1(amb3, 0, amb3.w(1))
+    x = (pd_one(amb3),)
+    assert hat_fil_membership(B, (0,), x, 0)
+    # level 1 is defined through N, even where the reduction alone refuses x
+    for n in range(1, amb3.r + 1):
+        with pytest.raises(NotCris):
+            hat_fil_membership(B, (0,), x, n)
+    with pytest.raises(NotCris):
+        hat_fil_level(B, (0,), x)
+
+
 def test_hat_equals_tensor_small(amb3):
     rng = random.Random(5)
     for _ in range(5):
@@ -192,6 +210,90 @@ def test_hat_equals_tensor_small(amb3):
                 x = random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
                 assert fil_lower(B, n, x) == hat_fil_membership(B, M.jumps, x, n)
+
+
+def fil_lower_per_coordinate(B, i, x, at=None):
+    """Fil^i membership tested coordinate by coordinate at the one level i;
+    kept as the reference for fil_level."""
+    at = B.amb.N_p if at is None else at
+    y = B.C_inv.matvec(x)
+    return all(fil_valuation(y[j], at) >= B.fil_threshold(i, j) for j in range(B.d))
+
+
+def hat_fil_membership_recursive(B, m_jumps, x, n, at=None, m_basis_inv=None):
+    """The hat filtration at the one level n by its defining recursion,
+    memoised per call; kept as the reference for hat_fil_level."""
+    amb = B.amb
+    if n < 0:
+        raise RecursionBudget("negative filtration level")
+    if n > amb.r:
+        raise RecursionBudget(f"level {n} beyond the Hodge bound {amb.r}")
+    at = amb.N_p if at is None else at
+    cache = {}
+
+    def reduce_vec(vec):
+        w = tuple(eval_fpi(c) for c in vec)
+        if m_basis_inv is not None:
+            w = m_basis_inv.matvec(w)
+        return w
+
+    def member(vec, level, key):
+        if level == 0:
+            return True
+        hit = cache.get((key, level))
+        if hit is not None:
+            return hit
+        w = reduce_vec(vec)
+        ok = all(w[j].is_zero_at(at) for j in range(B.d) if m_jumps[j] < level)
+        if ok:
+            ok = member(tuple(n_apply(B, vec)), level - 1, key + 1)
+        cache[(key, level)] = ok
+        return ok
+
+    return member(tuple(x), n, 0)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb5"])
+def test_levels_match_per_level_membership(request, monkeypatch, name):
+    amb = request.getfixturevalue(name)
+    r = amb.r
+    calls = [0]
+
+    def counted(B, x):
+        calls[0] += 1
+        return n_apply(B, x)
+
+    monkeypatch.setattr(BR, "n_apply", counted)  # the reference keeps the original
+    rng = random.Random(8)
+    seen = set()
+    for d in (1, 2, 3):
+        M = random_fl(amb, rng, d)
+        B = fl_to_breuil(M)
+        g = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+        for k in range(12):
+            x = (random_fil_member(B, rng, rng.randrange(r + 1)) if k % 2 == 0
+                 else random_vector(B, rng, 6))
+            L = fil_level(B, x)
+            for basis in (None, g):
+                calls[0] = 0
+                H = hat_fil_level(B, M.jumps, x, m_basis_inv=basis)
+                # the descent reduces N^t(x) for t below the level it ends at,
+                # plus N^H(x) when that reduction is what stops it there
+                assert 0 <= H <= r and max(H - 1, 0) <= calls[0] <= min(H, r - 1)
+                for n in range(r + 1):
+                    calls[0] = 0
+                    member = hat_fil_membership(B, M.jumps, x, n, m_basis_inv=basis)
+                    if n <= H:
+                        assert calls[0] == max(n - 1, 0)
+                    else:
+                        assert max(H - 1, 0) <= calls[0] <= H
+                    ref = hat_fil_membership_recursive(B, M.jumps, x, n, m_basis_inv=basis)
+                    assert member == ref == (n <= H)
+                seen.add((min(L, r), H))
+            for i in range(r + 1):
+                assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x) == (i <= L)
+    # both levels range over several values
+    assert len({L for L, _ in seen}) > 1 and len({H for _, H in seen}) > 1
 
 
 def test_classify_examples(amb3):

@@ -8,6 +8,11 @@ u-divided coordinates and the embedding of the series ring.  Inputs
 are drawn by hypothesis at f = 1 (p = 3 and p = 5) and f = 2, with
 independent precisions and supports, so that products cross the gamma
 truncation (and mark the result tail_dirty) and mix precisions.
+
+The fused dot products (one accumulator, one fold and one reduction for a
+whole row) are checked against the left fold of those schoolbook products
+under the elements' own addition, and the scalar dot against the fold of
+scalar products and sums.
 """
 
 import functools
@@ -24,6 +29,7 @@ from flbreuil.pd import (
     phi_S,
     to_u_divided,
 )
+from flbreuil.matrix import RingMatrix
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import WittScalar
 
@@ -234,3 +240,97 @@ def test_u_divided_and_embedding_match_schoolbook(amb, data):
     for n, c in enumerate(s.coeffs):
         raw = [acc + b * c for acc, b in zip(raw, amb.u_pow(n).coeffs)]
     assert_pd(embed_sigma(s), raw, s.prec, False)
+
+
+# --- fused dot products against the left fold of products and sums ---
+
+def draw_row(draw, amb, n, elem, zero):
+    """n entries, about a quarter of them zero(prec, dirty) at a drawn
+    precision."""
+    return [zero(draw(st.integers(1, amb.cap)), draw(st.booleans()))
+            if draw(st.integers(0, 3)) == 0 else elem(draw, amb)
+            for _ in range(n)]
+
+
+def ref_pd_dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        out, k, dirty = ref_gamma_multiply(x, y)
+        term = PDElement(x.amb, out, dirty, k)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def ref_series_dot(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        out, k = ref_series_mul(x, y)
+        term = SigmaSeries(x.amb, out, k)
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def pd_state(x):
+    return x.planes, x.prec, x.tail_dirty
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pd_dot_matches_fold_of_products(amb, data):
+    def zero(prec, dirty):
+        return PDElement(amb, [], dirty, prec)
+
+    n = data.draw(st.integers(1, 4))
+    xs, ys = (draw_row(data.draw, amb, n, draw_pd, zero) for _ in range(2))
+    ref = ref_pd_dot(xs, ys)
+    assert pd_state(PDElement.dot(xs, ys)) == pd_state(ref)
+    assert pd_state(RingMatrix([xs]).matvec(ys)[0]) == pd_state(ref)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_series_dot_matches_fold_of_products(amb, data):
+    def zero(prec, _dirty):
+        return SigmaSeries(amb, [], prec)
+
+    n = data.draw(st.integers(1, 4))
+    xs, ys = (draw_row(data.draw, amb, n, draw_series, zero) for _ in range(2))
+    ref = ref_series_dot(xs, ys)
+    got = SigmaSeries.dot(xs, ys)
+    assert (got.planes, got.prec) == (ref.planes, ref.prec)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_scalar_dot_matches_fold_of_products(amb, data):
+    n = data.draw(st.integers(1, 4))
+    xs, ys = [], []
+    for _ in range(n):
+        xs += draw_scalars(data.draw, amb, 1, data.draw(st.integers(1, amb.cap)))
+        ys += draw_scalars(data.draw, amb, 1, data.draw(st.integers(1, amb.cap)))
+    ref = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        ref = ref + x * y
+    assert WittScalar.dot(xs, ys) == ref
+
+
+def test_dot_flags_and_precision_of_edge_rows(amb):
+    ring, N = amb.ring, amb.N_gamma
+    one = ring.one()
+    top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
+    lin = PDElement(amb, [one, one])
+    low = PDElement(amb, [ring.one(3)])
+    # only the second pair crosses N_gamma: the sum is dirty
+    row = PDElement.dot((low, top), (low, lin))
+    assert pd_state(row) == pd_state(ref_pd_dot((low, top), (low, lin)))
+    assert row.tail_dirty and row.prec == 3
+    # a row of zeros keeps the lowest precision and any dirty flag
+    zeros = [PDElement(amb, [], False, 5), PDElement(amb, [], True, 2)]
+    got = PDElement.dot(zeros, [lin, top])
+    assert (got.planes[0], got.prec, got.tail_dirty) == ([], 2, True)
+    # series whose products pass N_u are cut there, without a flag
+    big = SigmaSeries(amb, [one] * (amb.N_u // 2 + 3))
+    got = SigmaSeries.dot((big, big), (big, SigmaSeries(amb, [], 4)))
+    ref = ref_series_dot((big, big), (big, SigmaSeries(amb, [], 4)))
+    assert (got.planes, got.prec) == (ref.planes, ref.prec) and got.prec == 4
+    assert got.degree == amb.N_u - 1

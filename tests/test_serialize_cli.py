@@ -163,6 +163,18 @@ def test_cli_verify_and_report(tmp_path):
     assert main(["report", "--in", str(rep)]) == 0
 
 
+@pytest.mark.parametrize("bad", ['{"ok": true}', "[1]", '"text"', "{not json",
+                                 '{"suite": "x", "ok": "yes", "seed": 1}',
+                                 '{"suite": "x", "ok": true, "seed": [1]}'])
+def test_cli_report_rejects_malformed_lines(tmp_path, capsys, bad):
+    rep = tmp_path / "rep.jsonl"
+    good = '{"check": "c", "ok": true, "seed": 1, "suite": "ring-laws"}'
+    rep.write_text(good + "\n\n" + bad + "\n")
+    assert main(["report", "--in", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{rep}:3:" in err
+
+
 def test_cli_verify_report_reproducible(tmp_path):
     r1, r2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     args = ["verify", "--suite", "easylemma", "--seeds", "1..3", "--r", "2"]

@@ -100,3 +100,16 @@ def test_zero_series_precision_cannot_fall_below_one(amb3):
         zero.truncate(0)
     assert zero.div_p_exact(4).prec == 1
     assert zero.truncate(2).prec == 2
+
+
+def test_zero_series_precision_is_checked_at_construction(amb3):
+    assert SigmaSeries(amb3, [], 999).prec == amb3.cap
+    assert (-SigmaSeries(amb3, [], 999)).prec == amb3.cap
+    assert SigmaSeries(amb3, [], 1).prec == 1
+    for bad in (0, -3):
+        with pytest.raises(PrecisionExhausted):
+            SigmaSeries(amb3, [], bad)
+    one = amb3.ring.one(4)
+    assert SigmaSeries(amb3, [one], 999).prec == 4
+    with pytest.raises(PrecisionExhausted):
+        SigmaSeries(amb3, [one], 0)
