@@ -133,6 +133,7 @@ class AmbientParams:
             tuple(math.comb(i + j, i) % self.ring.pk[self.cap] for j in range(N_gamma - i))
             for i in range(N_gamma)
         )
+        self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
         self._u_pow: dict[int, pdmod.PDElement] = {}
         self._c_pow: dict[int, pdmod.PDElement] = {}
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])

@@ -67,6 +67,13 @@ def _parse_seeds(text: str) -> list[int]:
     return out
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _parse_jumps(text: str | None, d: int, rng, r: int):
     if text is None:
         return tuple(sorted(rng.randrange(r + 1) for _ in range(d)))
@@ -200,7 +207,7 @@ def cmd_verify(args) -> int:
         config={s: ({"samples": args.samples} if s in ("ring-laws", "easylemma") else
                     {"elements": args.samples} if s in ("lemfil1", "kisin-breuil-consistency")
                     else {})
-                for s in suites} if args.samples else {},
+                for s in suites} if args.samples is not None else {},
     )
     t0 = time.time()
     report = CAM.run_campaign(camp, jobs=args.jobs)
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--direction", choices=["fl", "breuil"], required=True)
     rt.add_argument("--seeds", type=str, default="1..10")
     rt.add_argument("--out", type=str, default=None)
-    rt.add_argument("--jobs", type=int, default=1)
+    rt.add_argument("--jobs", type=_positive_int, default=1)
     _add_params(rt)
     rt.set_defaults(fn=cmd_roundtrip)
 
@@ -276,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(CAM.SUITES) + ["all"],
                    help="repeatable; default all")
     v.add_argument("--seeds", type=str, default="1..10")
-    v.add_argument("--samples", type=int, default=None,
+    v.add_argument("--samples", type=_positive_int, default=None,
                    help="per-seed sample count override")
     v.add_argument("--out", type=str, default=None)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_positive_int, default=1)
     _add_params(v)
     v.set_defaults(fn=cmd_verify)
 

@@ -293,7 +293,8 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
         )
     g, jumps = flag_adapt(amb, gens_by_level)
 
-    F_new = g.invert() @ FM @ sigma_matrix(g)
+    g_inv = g.invert()
+    F_new = g_inv @ FM @ sigma_matrix(g)
     try:
         ftil_ent = [
             [F_new.entries[i][j].div_p_exact(jumps[j]) for j in range(B.d)]
@@ -304,7 +305,7 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
     M = FLModule(amb, B.d, jumps, RingMatrix(ftil_ent))
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
-    sec_basis_inv = (Bm @ embed_w_matrix(amb, g)).invert()
+    sec_basis_inv = embed_w_matrix(amb, g_inv) @ Bm_inv
     return M, FLTransport(M=M, section=sec, g_w=g, sec_basis_inv=sec_basis_inv)
 
 

@@ -25,14 +25,18 @@ Storage.  An element holds one precision ``prec`` and its coefficients as
 plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
-nonzero coefficient); the indices above it are zero.  A product is f^2
-weighted integer convolutions with the binomials C(i+j, i) as weights, one
-fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec;
-a sum of products (a matrix entry, ``PDElement.dot``) adds all its
-convolutions into one accumulator before that one fold and reduction
+nonzero coefficient); the indices above it are zero.  A product is one
+integer convolution with the binomials C(i+j, i) as weights, one fold of
+the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec; a sum
+of products (a matrix entry, ``PDElement.dot``) adds all its convolutions
+into one accumulator before that one fold and reduction
 (``FlatVector._dot_planes``), and a single product is its row of length
-one.  The same convolutions, unweighted, give the products by a
-W(k)-constant in ``n_S``, ``phi_S`` and ``embed_sigma``.
+one.  For f > 1 each operand's f lists are packed into one int per
+coefficient, list t at bits t*W and up; the slot width W covers the
+largest binomial weight (``comb_max``), so the unpacked slots are exactly
+the f^2 per-list convolutions (``WittRing.dot_acc``).  Per-list
+convolutions, unweighted, give the products by a W(k)-constant in
+``n_S``, ``phi_S`` and ``embed_sigma``.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, ``invert``'s
 starting value, ``repr`` and the constructor from a list of scalars.
@@ -136,7 +140,7 @@ class PDElement(FlatVector):
         tail_dirty when a factor is, or when a product index crosses
         N_gamma."""
         amb = xs[0].amb
-        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb)
+        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb, amb.comb_max)
         dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
         return PDElement(amb, (), dirty, k, planes)
 

@@ -216,12 +216,6 @@ def loads(text: str):
     return from_json(json.loads(text))
 
 
-def save(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
-
-
 def load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())

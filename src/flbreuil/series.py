@@ -10,10 +10,13 @@ plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.  A
-product, or a whole sum of products (``SigmaSeries.dot``), is f^2 integer
-convolutions per pair into one accumulator, one fold of the T-degrees
+product, or a whole sum of products (``SigmaSeries.dot``), is one integer
+convolution per pair into one accumulator, one fold of the T-degrees
 f .. 2f-2 through m(T) and one reduction mod p^prec
-(``FlatVector._dot_planes``), the kernel that S uses too.  ``WittScalar``
+(``FlatVector._dot_planes``), the kernel that S uses too.  For f > 1 the
+convolution runs on the f lists packed into one int per coefficient, list
+t at bits t*W and up, with a slot width W that no sum can overflow
+(``WittRing.dot_acc``).  ``WittScalar``
 objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
 ``constant``, the remainder of ``weierstrass_divide``, ``invert``'s
 starting value, ``repr`` and the constructor from a list of scalars.

@@ -214,6 +214,8 @@ class WittRing:
         self.f = f
         self.cap = cap
         self.pk = [p**i for i in range(cap + 1)]
+        # bits of a product of two entries below p^cap: see dot_acc
+        self._slot_bits = 2 * self.pk[cap].bit_length()
         if m_coeffs is None:
             m_coeffs = find_irreducible(p, f)
         m_coeffs = tuple(int(c) % self.pk[cap] for c in m_coeffs)
@@ -355,10 +357,18 @@ class WittRing:
     # --- flat vectors of scalars: the storage of series and S elements ---
     #
     # A vector of n scalars at one precision k is stored as f int lists of
-    # length n, the planes: plane t holds the T^t coefficients.  A product
-    # of two vectors is f^2 integer convolutions, accumulated unreduced by
-    # T-degree into 2f - 1 lists (new_acc, conv_into), then one fold of the
-    # degrees f .. 2f-2 through m(T) and one reduction mod p^k (fold).
+    # length n, the planes: plane t holds the T^t coefficients, every entry
+    # in [0, p^k).  A product is accumulated unreduced by T-degree into
+    # 2f - 1 lists, then the degrees f .. 2f-2 are folded through m(T) and
+    # the result is reduced mod p^k once (fold).  A sum of products runs one
+    # integer convolution per pair (dot_acc): each operand's f planes are
+    # packed into one int per coefficient, plane t at bits t*W and up, which
+    # is the T-polynomial evaluated at T = 2^W (Kronecker substitution), and
+    # bits d*W and up of the convolution hold T-degree d.  The slot width W
+    # is a proven bound, so the unpacked slots are exactly the f^2 plane
+    # convolutions summed by T-degree.  The products by a W(k)-constant in
+    # S (n_S, phi_S, embed_sigma) add per-plane convolutions into an
+    # accumulator (new_acc, conv_into).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -368,6 +378,38 @@ class WittRing:
     def new_acc(self, n: int) -> list:
         """A zero accumulator for products of length n, by T-degree."""
         return [[0] * n for _ in range(2 * self.f - 1)]
+
+    def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> list:
+        """The accumulator by T-degree of the sum of the products of the
+        plane-vector pairs (xs, ys), cut at length n and unreduced: the
+        lists that conv_into would build for every pair, from one integer
+        convolution per pair (times weights[i][j] <= w_max, when given).
+
+        Plane t of an operand is packed at bits t*W and up, with
+        W = bit_length(len(pairs) * n * f * w_max) + 2 * bit_length(p^cap).
+        Slot d of entry m sums, over the pairs, the terms w * x_s[i] * y_t[j]
+        with s + t = d and i + j = m: at most len(pairs) * n * f terms, each
+        nonnegative and below w_max * p^(2 cap), so it stays below 2^W and
+        no carry crosses into slot d + 1.  At f = 1 the pack is the plane
+        itself and nothing is unpacked."""
+        acc = [0] * n
+        if self.f == 1:
+            for xs, ys in pairs:
+                _conv_into(acc, xs[0], ys[0], weights)
+            return [acc]
+        width = (len(pairs) * n * self.f * w_max).bit_length() + self._slot_bits
+        for xs, ys in pairs:
+            _conv_into(acc, self._pack(xs, width), self._pack(ys, width), weights)
+        mask = (1 << width) - 1
+        return [[(v >> (d * width)) & mask for v in acc] for d in range(2 * self.f - 1)]
+
+    def _pack(self, xs, width: int) -> list:
+        """One int per coefficient: plane t at bits t*width and up."""
+        out = xs[0]
+        for t in range(1, self.f):
+            shift = t * width
+            out = [a + (b << shift) for a, b in zip(out, xs[t])]
+        return out
 
     def conv_into(self, acc, xs, ys, weights=None):
         """Add the product of the plane vectors xs and ys into acc, unreduced.
@@ -637,22 +679,22 @@ class FlatVector:
         return self._make(tuple([(-c) % mod for c in pl] for pl in self.planes), self.prec)
 
     @staticmethod
-    def _dot_planes(xs, ys, bound: int, weights=None):
+    def _dot_planes(xs, ys, bound: int, weights=None, w_max: int = 1):
         """The fused kernel behind ``dot`` and every product of two elements.
 
         Returns the planes of the sum of the products x*y over two equally
         long rows, cut at index ``bound``, their precision (the lowest of
-        both rows) and the largest index one product reaches.  Every pair's
-        convolution goes into one unreduced accumulator (weighted, for S);
-        one fold through m(T) and one reduction mod p^k then serve the whole
-        sum.  A pair with a zero entry adds nothing."""
+        both rows) and the largest index one product reaches.  Each pair is
+        one integer convolution of its packed planes (weighted, for S, by
+        weights of at most ``w_max``) into one unreduced accumulator
+        (``WittRing.dot_acc``); one unpack, one fold through m(T) and one
+        reduction mod p^k then serve the whole sum.  A pair with a zero
+        entry adds nothing."""
         ring = xs[0].ring
         k = min(min(x.prec for x in xs), min(y.prec for y in ys))
         pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
-        acc = ring.new_acc(min(reach, bound))
-        for a, b in pairs:
-            ring.conv_into(acc, a, b, weights)
+        acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
         return ring.fold(acc, k), k, reach
 
     def scalar_mul(self, w: WittScalar):

@@ -17,3 +17,9 @@ def amb5():
 def amb9():
     # residue degree two keeps the semilinear code paths honest
     return AmbientParams(3, 2, f=2)
+
+
+@pytest.fixture(scope="session")
+def amb27():
+    # residue degree three: the packed products use three T-planes
+    return AmbientParams(3, 2, f=3)

@@ -233,6 +233,21 @@ def test_kisin_derived_backward(amb3):
         assert M.Ftil.entries[0][0].is_unit()
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_transport_inverse_is_the_product_of_inverses(p):
+    # sec_basis_inv is built as embed(g^-1) Bmat^-1 from the two inverses the
+    # functor already has; it equals the inverse of Bmat embed(g) over S
+    from flbreuil.ambient import AmbientParams
+
+    amb = AmbientParams(p, p - 2)
+    rng = random.Random(f"transport:{p}")
+    for d in range(1, 5):
+        B = kisin_to_breuil(random_gls(amb, rng, d))
+        _, transport = breuil_to_fl_with_transport(B, adjoin_zero_n=True)
+        product = transport.section.Bmat @ embed_w_matrix(amb, transport.g_w)
+        assert transport.sec_basis_inv.eq_at(product.invert(), amb.N_p)
+
+
 def test_roundtrip_breuil_identity_twist(amb3):
     rng = random.Random(7)
     M = random_fl(amb3, rng, 2)

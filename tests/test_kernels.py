@@ -5,14 +5,16 @@ arithmetic, reading elements only through their scalar coefficients:
 the gamma product with the binomial table, the series product, the
 derivation n_S, the divided Frobenius phi_S (with its own powers of c), the
 u-divided coordinates and the embedding of the series ring.  Inputs
-are drawn by hypothesis at f = 1 (p = 3 and p = 5) and f = 2, with
+are drawn by hypothesis at f = 1 (p = 3 and p = 5), f = 2 and f = 3, with
 independent precisions and supports, so that products cross the gamma
 truncation (and mark the result tail_dirty) and mix precisions.
 
 The fused dot products (one accumulator, one fold and one reduction for a
 whole row) are checked against the left fold of those schoolbook products
 under the elements' own addition, and the scalar dot against the fold of
-scalar products and sums.
+scalar products and sums.  A deterministic worst case (every entry
+p^cap - 1 at full length) runs the packed convolution of the fused kernel
+at its slot-width bound.
 """
 
 import functools
@@ -20,6 +22,7 @@ import functools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from flbreuil.ambient import AmbientParams
 from flbreuil.pd import (
     PDElement,
     embed_sigma,
@@ -37,7 +40,7 @@ SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 
-@pytest.fixture(scope="session", params=["amb3", "amb5", "amb9"])
+@pytest.fixture(scope="session", params=["amb3", "amb5", "amb9", "amb27"])
 def amb(request):
     return request.getfixturevalue(request.param)
 
@@ -334,3 +337,46 @@ def test_dot_flags_and_precision_of_edge_rows(amb):
     ref = ref_series_dot((big, big), (big, SigmaSeries(amb, [], 4)))
     assert (got.planes, got.prec) == (ref.planes, ref.prec) and got.prec == 4
     assert got.degree == amb.N_u - 1
+
+
+# --- the packed convolution at its slot-width bound ---
+
+@functools.cache
+def tight_ambient(f):
+    # p^cap = 3^41 lies just below 2^65 and N_u = 31: with every entry
+    # p^cap - 1, the middle T-degree of a full-length series product fills
+    # its slot to more than half of 2^W, so a width of W - 1 would carry
+    return AmbientParams(3, 2, f=f, headroom=35, N_u=31)
+
+
+def full_row(amb, cls, length, n):
+    top = amb.ring.make([amb.ring.pk[amb.cap] - 1] * amb.f)
+    return [cls(amb, [top] * length) for _ in range(n)]
+
+
+def slot_width(amb, n_pairs, n, w_max):
+    """The slot width W that ``WittRing.dot_acc`` documents."""
+    return (n_pairs * n * amb.f * w_max).bit_length() + 2 * amb.ring.pk[amb.cap].bit_length()
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("n_pairs", [1, 3, 8])
+def test_dot_at_the_slot_width_bound(f, n_pairs):
+    amb = tight_ambient(f)
+    ring = amb.ring
+    # S at full length, so the row meets the largest binomial weights
+    xs = full_row(amb, PDElement, amb.N_gamma, n_pairs)
+    assert pd_state(PDElement.dot(xs, xs)) == pd_state(ref_pd_dot(xs, xs))
+    ss = full_row(amb, SigmaSeries, amb.N_u, n_pairs)
+    got, ref = SigmaSeries.dot(ss, ss), ref_series_dot(ss, ss)
+    assert (got.planes, got.prec) == (ref.planes, ref.prec)
+    # before the fold, the unpacked slots are the per-plane convolutions
+    for row, n, weights, w_max in ((xs, amb.N_gamma, amb.comb, amb.comb_max),
+                                   (ss, amb.N_u, None, 1)):
+        pairs = [(x.planes, x.planes) for x in row]
+        acc = ring.new_acc(n)
+        for a, b in pairs:
+            ring.conv_into(acc, a, b, weights)
+        assert ring.dot_acc(pairs, n, weights, w_max) == acc
+    # the series case is tight: its largest slot needs the top bit of W
+    assert max(map(max, acc)).bit_length() == slot_width(amb, n_pairs, amb.N_u, 1)

@@ -221,6 +221,27 @@ def test_cli_usage_errors(tmp_path):
     assert main(["verify", "--suite", "ring-laws", "--seeds", "1", "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "lemfil1", "--samples", "0"],
+    ["verify", "--suite", "lemfil1", "--samples", "-3"],
+    ["verify", "--suite", "ring-laws", "--jobs", "0"],
+    ["roundtrip", "--direction", "fl", "--jobs", "-1"],
+])
+def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    rep = tmp_path / "rep.jsonl"
+    assert main(argv + ["--seeds", "1", "--r", "2", "--out", str(rep)]) == 2
+    assert not rep.exists()
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_verify_samples_reach_the_records(tmp_path):
+    rep = tmp_path / "rep.jsonl"
+    assert main(["verify", "--suite", "lemfil1", "--seeds", "1", "--r", "2",
+                 "--samples", "1", "--out", str(rep)]) == 0
+    lines = [json.loads(l) for l in rep.read_text().splitlines()]
+    assert [l["elements"] for l in lines if l["check"] == "tensor-vs-hat"] == [1]
+
+
 def test_cli_roundtrip_verb(tmp_path):
     out = tmp_path / "rt.jsonl"
     assert main(["roundtrip", "--direction", "fl", "--seeds", "1..3",
