@@ -6,6 +6,14 @@ public precision N_p, the gamma truncation N_gamma, the series truncation
 N_u and the internal precision headroom.  All scalars, series and
 divided-power elements of one computation share a single context.
 
+A context is read-only once constructed; only its tables (u^n, c^i, the
+unit parts of i!, (p*a)^i/i! and the table of c^i that phi_S reads) fill
+lazily, on first use, with values that depend on the parameters alone.  So
+one context can serve every computation with the same parameters:
+``shared_params`` returns one per parameter set per process, and the
+campaign, the CLI and the loader of serialized modules take theirs from
+it.  ``AmbientParams(...)`` still builds a private context.
+
 Two sizing rules matter:
 
   * the stated invariant N_gamma*(p-2)/(p-1) >= N_p + r makes the Frobenius
@@ -55,8 +63,24 @@ def default_headroom(p: int, r: int, N_p: int, d: int = 3) -> int:
     return r * (d * N_p + 2) + p
 
 
+_SHARED: dict[tuple, AmbientParams] = {}
+
+
+def shared_params(**kwargs) -> AmbientParams:
+    """The context of this process for these keyword arguments of
+    ``AmbientParams``: built on the first call, the same object on every
+    later call with equal arguments (lists compare as tuples)."""
+    key = tuple(sorted((k, tuple(v) if isinstance(v, list) else v)
+                       for k, v in kwargs.items()))
+    amb = _SHARED.get(key)
+    if amb is None:
+        amb = _SHARED[key] = AmbientParams(**kwargs)
+    return amb
+
+
 class AmbientParams:
-    """One fixed working context; immutable after construction."""
+    """One fixed working context; read-only after construction, with
+    tables that only fill lazily."""
 
     def __init__(
         self,
@@ -114,6 +138,7 @@ class AmbientParams:
             raise NotAUnit("a must be a unit of W(k)")
         self.pa = self.a.mul_p_pow(1)          # p*a = E(0)
         self.neg_pa = -self.pa                 # pi, the root of E
+        self._neg_pa_pow = [self.ring.one()]   # pi^0, pi^1, ..., for u_pow_raw
         self.sigma_a = self.a.frobenius()
 
         # tables: v_p(i!), unit parts of i!, binomials for the gamma product
@@ -136,6 +161,11 @@ class AmbientParams:
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
         self._u_pow: dict[int, pdmod.PDElement] = {}
         self._c_pow: dict[int, pdmod.PDElement] = {}
+        # phi_S's table of c^i: see phi_table for the slot width
+        self.phi_width = (N_gamma * f).bit_length() + self.ring._slot_bits
+        self._phi_rows = [[] for _ in range(N_gamma)]
+        self._phi_reach: list[int] = []
+        self._phi_dirty: list[bool] = []
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])
 
         # c = phi(E)/p = (u^p + p*sigma(a))/p: the division is exact at the
@@ -178,10 +208,13 @@ class AmbientParams:
 
     def u_pow_raw(self, n: int) -> list[WittScalar]:
         """Coefficients of u^n in the gamma basis: u = E - p*a expanded."""
+        pows = self._neg_pa_pow
+        while len(pows) <= n:
+            pows.append(pows[-1] * self.neg_pa)
         out = []
         for k in range(min(n, self.N_gamma - 1) + 1):
             scal = self.ring.from_int(math.comb(n, k) * math.factorial(k))
-            out.append(scal * ((-self.pa) ** (n - k)))
+            out.append(scal * pows[n - k])
         return out
 
     def u_pow(self, n: int) -> pdmod.PDElement:
@@ -202,6 +235,27 @@ class AmbientParams:
                 out = self.c_pow(i - 1) * self.c
             self._c_pow[i] = out
         return out
+
+    def phi_table(self, n: int) -> tuple:
+        """c^0 .. c^(n-1), at least, by output index, for phi_S.
+
+        Returns (rows, reach, dirty): rows[m][i] is the gamma_m coefficient
+        of c^i with its f T-planes packed into one int at width
+        ``phi_width`` (``WittRing._pack``), reach[i] the largest support
+        among c^0 .. c^i and dirty[i] the tail_dirty flag of c^i.  The
+        width W = bit_length(N_gamma*f) + 2*bit_length(p^cap) bounds the
+        slots of a sum over i < N_gamma of packed products s_i * c^i_m with
+        every s_i below p^cap: slot d adds at most N_gamma*f nonnegative
+        terms below p^(2 cap), so it stays below 2^W."""
+        rows, reach, dirty = self._phi_rows, self._phi_reach, self._phi_dirty
+        for i in range(len(dirty), n):
+            cp = self.c_pow(i)
+            packed = self.ring._pack(cp.planes, self.phi_width)
+            for m, row in enumerate(rows):
+                row.append(packed[m] if m < len(packed) else 0)
+            reach.append(max(len(packed), reach[-1] if reach else 0))
+            dirty.append(cp.tail_dirty)
+        return rows, reach, dirty
 
     # --- convenience constructors (used heavily by tests) ---
 

@@ -26,7 +26,7 @@ from . import campaign as CAM
 from . import functors as FU
 from . import kisin as KI
 from . import serialize as SER
-from .ambient import AmbientParams
+from .ambient import shared_params
 from .breuil import BreuilModule
 from .errors import KernelError
 from .fl import FLModule, random_fl
@@ -104,7 +104,7 @@ def _write(doc: dict, path: str | None) -> None:
 def cmd_gen(args) -> int:
     import random
 
-    amb = AmbientParams(**_amb_kwargs(args))
+    amb = shared_params(**_amb_kwargs(args))
     rng = random.Random(f"gen:{args.kind}:{args.seed}")
     jumps = _parse_jumps(args.jumps, args.d, rng, amb.r)
     if args.kind == "fl":

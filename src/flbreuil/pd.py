@@ -36,7 +36,13 @@ coefficient, list t at bits t*W and up; the slot width W covers the
 largest binomial weight (``comb_max``), so the unpacked slots are exactly
 the f^2 per-list convolutions (``WittRing.dot_acc``).  Per-list
 convolutions, unweighted, give the products by a W(k)-constant in
-``n_S``, ``phi_S`` and ``embed_sigma``.
+``n_S`` and ``embed_sigma``.  ``phi_S`` reads a table kept on the context
+(``AmbientParams.phi_table``): for each output index m the row
+(c^0_m, c^1_m, ...), each entry's f lists packed into one int at the width
+W = bit_length(N_gamma*f) + 2*bit_length(p^cap).  Its scalars, reduced mod
+p^prec, are packed the same way, so output m is one sum of packed
+products over the row; a slot adds at most N_gamma*f nonnegative terms
+below p^(2 cap), so it stays below 2^W and unpacks exactly.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, ``invert``'s
 starting value, ``repr`` and the constructor from a list of scalars.
@@ -255,6 +261,12 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     nonnegative shift for every i >= j with j <= r, so nothing is divided.
     Coefficients below index j are required to vanish at the value's own
     precision and are treated as exactly zero.
+
+    The scalars s_i = sigma(x_i) * unit(i!)^-1 * p^(i - v_p(i!) - j),
+    reduced mod p^k, are packed like the context's table of c^i
+    (``AmbientParams.phi_table``), so output index m is one sum of packed
+    products over the row (c^0_m, c^1_m, ...), then one unpack, one fold
+    and one reduction.
     """
     amb = x.amb
     if j < 0 or j > amb.r:
@@ -263,10 +275,14 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
         raise NotInFil(f"element has filtration valuation {fil_valuation(x)} < {j}")
     k = x.prec
     ring = amb.ring
-    acc = ring.new_acc(amb.N_gamma)
-    dirty = x.tail_dirty
+    mod = ring.pk[k]
+    n = len(x.planes[0])
     frob = ring.frobenius_planes(x.planes, k)
-    for i in range(j, len(x.planes[0])):
+    rows, reach, c_dirty = amb.phi_table(n)
+    s = [[0] * n for _ in frob]
+    dirty = x.tail_dirty
+    top = -1
+    for i in range(j, n):
         if not any(pl[i] for pl in x.planes):
             continue
         e = i - amb.vfact[i] - j
@@ -274,11 +290,14 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
             raise NotInFil(f"phi_{j} undefined on gamma_{i}")
         if e >= k:
             continue  # contributes 0 at this precision
-        cp = amb.c_pow(i)
         scal = ring._mul_tuple(tuple(pl[i] for pl in frob), amb.fact_unit_inv(i).coeffs, k)
-        ring.conv_into(acc, cp.planes, _scalar_planes(c * ring.pk[e] for c in scal))
-        dirty = dirty or cp.tail_dirty
-    return PDElement(amb, (), dirty, k, ring.fold(acc, k))
+        for sp, c in zip(s, scal):
+            sp[i] = c * ring.pk[e] % mod
+        dirty = dirty or c_dirty[i]
+        top = i
+    s = ring._pack([sp[:top + 1] for sp in s], amb.phi_width)
+    acc = [sum(map(mul, s, row)) for row in rows[:reach[top] if top >= 0 else 0]]
+    return PDElement(amb, (), dirty, k, ring.fold(ring._unpack(acc, amb.phi_width), k))
 
 
 def n_S(x: PDElement) -> PDElement:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .ambient import AmbientParams
+from .ambient import AmbientParams, shared_params
 from .breuil import BreuilModule
 from .errors import PrecisionMismatch, SchemaMismatch
 from .fl import FLModule
@@ -127,9 +127,9 @@ def params_from_json(d: dict) -> AmbientParams:
     a_doc = d["a"]
     _expect(a_doc, ("coeffs", "prec"))
     try:
-        return AmbientParams(
-            p,
-            int(d["r"]),
+        return shared_params(
+            p=p,
+            r=int(d["r"]),
             f=int(d["f"]),
             N_p=int(d["N_p"]),
             N_gamma=int(d["N_gamma"]),

@@ -367,8 +367,10 @@ class WittRing:
     # bits d*W and up of the convolution hold T-degree d.  The slot width W
     # is a proven bound, so the unpacked slots are exactly the f^2 plane
     # convolutions summed by T-degree.  The products by a W(k)-constant in
-    # S (n_S, phi_S, embed_sigma) add per-plane convolutions into an
-    # accumulator (new_acc, conv_into).
+    # S (n_S, embed_sigma) add per-plane convolutions into an accumulator
+    # (new_acc, conv_into); phi_S sums packed products against a table of
+    # the powers of c kept on the context, and unpacks them as dot_acc does
+    # (_unpack).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -400,8 +402,7 @@ class WittRing:
         width = (len(pairs) * n * self.f * w_max).bit_length() + self._slot_bits
         for xs, ys in pairs:
             _conv_into(acc, self._pack(xs, width), self._pack(ys, width), weights)
-        mask = (1 << width) - 1
-        return [[(v >> (d * width)) & mask for v in acc] for d in range(2 * self.f - 1)]
+        return self._unpack(acc, width)
 
     def _pack(self, xs, width: int) -> list:
         """One int per coefficient: plane t at bits t*width and up."""
@@ -410,6 +411,14 @@ class WittRing:
             shift = t * width
             out = [a + (b << shift) for a, b in zip(out, xs[t])]
         return out
+
+    def _unpack(self, acc: list, width: int) -> list:
+        """The accumulator by T-degree of a list of packed products: slot d
+        of each entry is bits d*width and up.  At f = 1 it is the list."""
+        if self.f == 1:
+            return [acc]
+        mask = (1 << width) - 1
+        return [[(v >> (d * width)) & mask for v in acc] for d in range(2 * self.f - 1)]
 
     def conv_into(self, acc, xs, ys, weights=None):
         """Add the product of the plane vectors xs and ys into acc, unreduced.

@@ -14,7 +14,8 @@ whole row) are checked against the left fold of those schoolbook products
 under the elements' own addition, and the scalar dot against the fold of
 scalar products and sums.  A deterministic worst case (every entry
 p^cap - 1 at full length) runs the packed convolution of the fused kernel
-at its slot-width bound.
+at its slot-width bound, and phi_S on the same element against the width
+of the context's packed table of c^i.
 """
 
 import functools
@@ -380,3 +381,16 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
         assert ring.dot_acc(pairs, n, weights, w_max) == acc
     # the series case is tight: its largest slot needs the top bit of W
     assert max(map(max, acc)).bit_length() == slot_width(amb, n_pairs, amb.N_u, 1)
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_phi_S_at_the_slot_width_bound(f):
+    amb = tight_ambient(f)
+    ring = amb.ring
+    # the context packs phi_S's table of c^i at the width phi_table documents
+    assert amb.phi_width == slot_width(amb, 1, amb.N_gamma, 1)
+    top = ring.make([ring.pk[amb.cap] - 1] * f)
+    for j in (0, amb.r):
+        x = PDElement(amb, [ring.zero()] * j + [top] * (amb.N_gamma - j))
+        out, k, dirty = ref_phi_S(x, j)
+        assert pd_state(phi_S(x, j)) == pd_state(PDElement(amb, out, dirty, k))
