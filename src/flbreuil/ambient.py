@@ -7,12 +7,20 @@ N_u and the internal precision headroom.  All scalars, series and
 divided-power elements of one computation share a single context.
 
 A context is read-only once constructed; only its tables (u^n, c^i, the
-unit parts of i!, (p*a)^i/i! and the table of c^i that phi_S reads) fill
-lazily, on first use, with values that depend on the parameters alone.  So
-one context can serve every computation with the same parameters:
-``shared_params`` returns one per parameter set per process, and the
+unit parts of i!, (p*a)^i/i! and three packed tables) fill lazily, on
+first use, with values that depend on the parameters alone.  So one
+context can serve every computation with the same parameters:
+``shared_params`` returns one per parameter set per process, keyed by the
+parameters ``resolve_params`` makes of its keyword arguments, and the
 campaign, the CLI and the loader of serialized modules take theirs from
 it.  ``AmbientParams(...)`` still builds a private context.
+
+The three fixed W(k)-linear maps of S on gamma-coefficients, the
+Frobenius ``phi_S`` (columns c^i), the embedding ``embed_sigma`` of
+W(k)[[u]] (columns u^n) and the change to the u-divided coordinates
+(columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one ``PackedTable``
+each: columns packed by output index at one slot width, and one
+``apply``.
 
 Two sizing rules matter:
 
@@ -30,6 +38,7 @@ the section iteration (one p^r per step) with a wide margin.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from . import pd as pdmod
 from .errors import DegreeOverflow, NotAUnit
@@ -63,63 +72,132 @@ def default_headroom(p: int, r: int, N_p: int, d: int = 3) -> int:
     return r * (d * N_p + 2) + p
 
 
+def resolve_params(
+    p: int,
+    r: int,
+    *,
+    f: int = 1,
+    N_p: int = 6,
+    N_gamma: int | None = None,
+    headroom: int | None = None,
+    N_u: int | None = None,
+    a: int | list[int] = -1,
+    m_coeffs=None,
+    d_hint: int = 3,
+) -> tuple:
+    """The parameters of a context, validated and with defaults applied:
+    (p, r, f, N_p, N_gamma, headroom, N_u, a, m_coeffs), with ``a`` and
+    ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries).
+    Keyword arguments that name one context resolve to the same tuple."""
+    if not is_prime(p) or p < 3:
+        raise ValueError("p must be an odd prime; p = 2 is not supported "
+                         "(the diagonal normal form behind the Kisin-side "
+                         "constructions needs p > 2)")
+    if not 0 <= r <= p - 1:
+        raise ValueError(f"Hodge bound r must lie in [0, {p - 1}]")
+    if f < 1:
+        raise ValueError("residue degree f must be at least 1")
+    if N_p < 1:
+        raise ValueError("N_p must be positive")
+    if headroom is None:
+        headroom = default_headroom(p, r, N_p, d_hint)
+    if headroom < 0:
+        raise ValueError("headroom must be nonnegative")
+    if N_gamma is None:
+        N_gamma = default_N_gamma(p, r, N_p)
+    if N_gamma < min_N_gamma(p, r, N_p):
+        raise ValueError(
+            f"N_gamma = {N_gamma} violates N_gamma*(p-2)/(p-1) >= N_p + r "
+            f"(minimum {min_N_gamma(p, r, N_p)})"
+        )
+    if N_u is None:
+        N_u = p * N_gamma
+    if N_u < N_gamma:
+        raise ValueError("N_u must be at least N_gamma")
+    mod = p ** (N_p + headroom)
+    if m_coeffs is None:
+        m_coeffs = find_irreducible(p, f)
+    a = [a] if isinstance(a, int) else [int(c) for c in a]
+    a += [0] * (f - len(a))
+    while len(a) > f and not a[-1] % mod:
+        a.pop()
+    return (p, r, f, N_p, N_gamma, headroom, N_u,
+            tuple(c % mod for c in a), tuple(int(c) % mod for c in m_coeffs))
+
+
 _SHARED: dict[tuple, AmbientParams] = {}
 
 
 def shared_params(**kwargs) -> AmbientParams:
-    """The context of this process for these keyword arguments of
-    ``AmbientParams``: built on the first call, the same object on every
-    later call with equal arguments (lists compare as tuples)."""
-    key = tuple(sorted((k, tuple(v) if isinstance(v, list) else v)
-                       for k, v in kwargs.items()))
+    """The context of this process for the parameters these keyword
+    arguments of ``AmbientParams`` resolve to (``resolve_params``): built
+    on the first call, the same object on every later call that names the
+    same parameters, however it spells them."""
+    key = resolve_params(**kwargs)
     amb = _SHARED.get(key)
     if amb is None:
         amb = _SHARED[key] = AmbientParams(**kwargs)
     return amb
 
 
+class PackedTable:
+    """A W(k)-linear map on coefficient vectors, stored by output index.
+
+    Column i, the image of the i-th basis vector, comes from ``column(i)``
+    as (planes, tail_dirty) with entries below p^cap, and is asked for only
+    when an input first reaches index i; at most n columns are used.
+    rows[m][i] is entry m of column i with its f T-planes packed into one
+    int at the width W = bit_length(n*f) + 2*bit_length(p^cap)
+    (``WittRing._pack``), reach[i] is the largest support among columns
+    0 .. i and dirty[i] is the tail_dirty flag of column i.
+
+    ``apply`` packs an input with entries below p^cap the same way, so
+    output m is one sum of packed products over row m.  Slot d of that sum
+    adds at most n*f nonnegative terms below p^(2 cap), so it stays below
+    2^W and one unpack recovers every T-degree exactly."""
+
+    __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
+
+    def __init__(self, ring: WittRing, n: int, column):
+        self.ring = ring
+        self.width = (n * ring.f).bit_length() + ring._slot_bits
+        self.rows = [[] for _ in range(n)]
+        self.reach: list[int] = []
+        self.dirty: list[bool] = []
+        self._column = column
+
+    def _grow(self, n: int) -> None:
+        for i in range(len(self.reach), n):
+            planes, dirty = self._column(i)
+            packed = self.ring._pack(planes, self.width)
+            for m, row in enumerate(self.rows):
+                row.append(packed[m] if m < len(packed) else 0)
+            self.reach.append(max(len(packed), self.reach[-1] if self.reach else 0))
+            self.dirty.append(dirty)
+
+    def apply(self, planes, k: int, n_out: int | None = None) -> tuple:
+        """The planes of the image of the vector with these planes, reduced
+        mod p^k: the outputs up to the reach of the columns the input
+        meets, and below n_out when it is given."""
+        ring, width = self.ring, self.width
+        s = ring._pack(planes, width)
+        n = len(s)
+        if n > len(self.reach):
+            self._grow(n)
+        top = self.reach[n - 1] if n else 0
+        if n_out is not None:
+            top = min(top, n_out)
+        acc = [sum(map(mul, s, row)) for row in self.rows[:top]]
+        return ring.fold(ring._unpack(acc, width), k)
+
+
 class AmbientParams:
     """One fixed working context; read-only after construction, with
-    tables that only fill lazily."""
+    tables that only fill lazily.  Takes the arguments of
+    ``resolve_params``."""
 
-    def __init__(
-        self,
-        p: int,
-        r: int,
-        *,
-        f: int = 1,
-        N_p: int = 6,
-        N_gamma: int | None = None,
-        headroom: int | None = None,
-        N_u: int | None = None,
-        a: int | list[int] = -1,
-        m_coeffs=None,
-        d_hint: int = 3,
-    ):
-        if not is_prime(p) or p < 3:
-            raise ValueError("p must be an odd prime; p = 2 is not supported "
-                             "(the diagonal normal form behind the Kisin-side "
-                             "constructions needs p > 2)")
-        if not 0 <= r <= p - 1:
-            raise ValueError(f"Hodge bound r must lie in [0, {p - 1}]")
-        if N_p < 1:
-            raise ValueError("N_p must be positive")
-        if headroom is None:
-            headroom = default_headroom(p, r, N_p, d_hint)
-        if headroom < 0:
-            raise ValueError("headroom must be nonnegative")
-        if N_gamma is None:
-            N_gamma = default_N_gamma(p, r, N_p)
-        if N_gamma < min_N_gamma(p, r, N_p):
-            raise ValueError(
-                f"N_gamma = {N_gamma} violates N_gamma*(p-2)/(p-1) >= N_p + r "
-                f"(minimum {min_N_gamma(p, r, N_p)})"
-            )
-        if N_u is None:
-            N_u = p * N_gamma
-        if N_u < N_gamma:
-            raise ValueError("N_u must be at least N_gamma")
-
+    def __init__(self, *args, **kwargs):
+        p, r, f, N_p, N_gamma, headroom, N_u, a, m_coeffs = resolve_params(*args, **kwargs)
         self.p = p
         self.f = f
         self.r = r
@@ -128,12 +206,9 @@ class AmbientParams:
         self.N_u = N_u
         self.headroom = headroom
         self.cap = N_p + headroom
-        if m_coeffs is None:
-            m_coeffs = find_irreducible(p, f)
         self.ring = WittRing(p, f, m_coeffs, self.cap)
 
-        a_coeffs = [a] if isinstance(a, int) else list(a)
-        self.a = self.ring.make(a_coeffs)
+        self.a = self.ring.make(a)
         if not self.a.is_unit():
             raise NotAUnit("a must be a unit of W(k)")
         self.pa = self.a.mul_p_pow(1)          # p*a = E(0)
@@ -153,7 +228,6 @@ class AmbientParams:
             self.vfact[i] = v
         self._fact_unit_inv: dict[int, WittScalar] = {}
         self._pa_div_fact: dict[int, WittScalar] = {}
-        self._pa_div_fact_planes = self.ring.to_planes([], self.cap)
         self.comb = tuple(
             tuple(math.comb(i + j, i) % self.ring.pk[self.cap] for j in range(N_gamma - i))
             for i in range(N_gamma)
@@ -161,11 +235,11 @@ class AmbientParams:
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
         self._u_pow: dict[int, pdmod.PDElement] = {}
         self._c_pow: dict[int, pdmod.PDElement] = {}
-        # phi_S's table of c^i: see phi_table for the slot width
-        self.phi_width = (N_gamma * f).bit_length() + self.ring._slot_bits
-        self._phi_rows = [[] for _ in range(N_gamma)]
-        self._phi_reach: list[int] = []
-        self._phi_dirty: list[bool] = []
+        # the linear maps of S on gamma-coefficients: columns c^i (phi_S),
+        # u^n (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
+        self.c_table = PackedTable(self.ring, N_gamma, self._c_column)
+        self.u_table = PackedTable(self.ring, N_gamma, self._u_column)
+        self.u_div_table = PackedTable(self.ring, N_gamma, self._u_div_column)
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])
 
         # c = phi(E)/p = (u^p + p*sigma(a))/p: the division is exact at the
@@ -198,14 +272,6 @@ class AmbientParams:
             self._pa_div_fact[i] = out
         return out
 
-    def pa_div_fact_planes(self, n: int) -> tuple:
-        """(p*a)^i / i! for at least the indices i < n, in the flat layout of S."""
-        tab = self._pa_div_fact_planes
-        if len(tab[0]) < n:
-            cols = [self.pa_div_fact(i).coeffs for i in range(n)]
-            tab = self._pa_div_fact_planes = self.ring.to_planes(cols, self.cap)
-        return tab
-
     def u_pow_raw(self, n: int) -> list[WittScalar]:
         """Coefficients of u^n in the gamma basis: u = E - p*a expanded."""
         pows = self._neg_pa_pow
@@ -236,26 +302,18 @@ class AmbientParams:
             self._c_pow[i] = out
         return out
 
-    def phi_table(self, n: int) -> tuple:
-        """c^0 .. c^(n-1), at least, by output index, for phi_S.
+    # --- the columns of the packed tables ---
 
-        Returns (rows, reach, dirty): rows[m][i] is the gamma_m coefficient
-        of c^i with its f T-planes packed into one int at width
-        ``phi_width`` (``WittRing._pack``), reach[i] the largest support
-        among c^0 .. c^i and dirty[i] the tail_dirty flag of c^i.  The
-        width W = bit_length(N_gamma*f) + 2*bit_length(p^cap) bounds the
-        slots of a sum over i < N_gamma of packed products s_i * c^i_m with
-        every s_i below p^cap: slot d adds at most N_gamma*f nonnegative
-        terms below p^(2 cap), so it stays below 2^W."""
-        rows, reach, dirty = self._phi_rows, self._phi_reach, self._phi_dirty
-        for i in range(len(dirty), n):
-            cp = self.c_pow(i)
-            packed = self.ring._pack(cp.planes, self.phi_width)
-            for m, row in enumerate(rows):
-                row.append(packed[m] if m < len(packed) else 0)
-            reach.append(max(len(packed), reach[-1] if reach else 0))
-            dirty.append(cp.tail_dirty)
-        return rows, reach, dirty
+    def _c_column(self, i: int) -> tuple:
+        cp = self.c_pow(i)
+        return cp.planes, cp.tail_dirty
+
+    def _u_column(self, n: int) -> tuple:
+        return self.u_pow(n).planes, False
+
+    def _u_div_column(self, i: int) -> tuple:
+        cols = [self.pa_div_fact(i - j).coeffs for j in range(i + 1)]
+        return self.ring.to_planes(cols, self.cap), False
 
     # --- convenience constructors (used heavily by tests) ---
 

@@ -184,6 +184,15 @@ def _emit_report(report: CAM.Report, out_path: str | None, elapsed: float) -> in
     return 0 if report.ok else 1
 
 
+def _run(camp: CAM.Campaign, args) -> int:
+    # the context is built before any task, so a bad one is a usage error
+    # rather than one kernel-error record per task
+    shared_params(**camp.params)
+    t0 = time.time()
+    report = CAM.run_campaign(camp, jobs=args.jobs)
+    return _emit_report(report, args.out, time.time() - t0)
+
+
 def cmd_roundtrip(args) -> int:
     suite = "roundtrip-fl" if args.direction == "fl" else "roundtrip-breuil"
     camp = CAM.Campaign(
@@ -191,9 +200,7 @@ def cmd_roundtrip(args) -> int:
         suites=[suite],
         seeds=_parse_seeds(args.seeds),
     )
-    t0 = time.time()
-    report = CAM.run_campaign(camp, jobs=args.jobs)
-    return _emit_report(report, args.out, time.time() - t0)
+    return _run(camp, args)
 
 
 def cmd_verify(args) -> int:
@@ -209,9 +216,7 @@ def cmd_verify(args) -> int:
                     else {})
                 for s in suites} if args.samples is not None else {},
     )
-    t0 = time.time()
-    report = CAM.run_campaign(camp, jobs=args.jobs)
-    return _emit_report(report, args.out, time.time() - t0)
+    return _run(camp, args)
 
 
 def cmd_report(args) -> int:

@@ -35,14 +35,16 @@ one.  For f > 1 each operand's f lists are packed into one int per
 coefficient, list t at bits t*W and up; the slot width W covers the
 largest binomial weight (``comb_max``), so the unpacked slots are exactly
 the f^2 per-list convolutions (``WittRing.dot_acc``).  Per-list
-convolutions, unweighted, give the products by a W(k)-constant in
-``n_S`` and ``embed_sigma``.  ``phi_S`` reads a table kept on the context
-(``AmbientParams.phi_table``): for each output index m the row
-(c^0_m, c^1_m, ...), each entry's f lists packed into one int at the width
-W = bit_length(N_gamma*f) + 2*bit_length(p^cap).  Its scalars, reduced mod
-p^prec, are packed the same way, so output m is one sum of packed
-products over the row; a slot adds at most N_gamma*f nonnegative terms
-below p^(2 cap), so it stays below 2^W and unpacks exactly.
+convolutions, unweighted, give the product by the W(k)-constant p*a in
+``n_S``.  The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``
+and the change to u-divided coordinates (``eval_f0``, ``to_u_divided``),
+each read one table kept on the context (``ambient.PackedTable``): for
+each output index m the row of entry m of every column, each entry's f
+lists packed into one int at the one width
+W = bit_length(N_gamma*f) + 2*bit_length(p^cap).  The input, reduced mod
+p^prec, is packed the same way, so output m is one sum of packed products
+over its row; a slot adds at most N_gamma*f nonnegative terms below
+p^(2 cap), so it stays below 2^W and unpacks exactly.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, ``invert``'s
 starting value, ``repr`` and the constructor from a list of scalars.
@@ -59,8 +61,6 @@ m >= n.  Both transforms are exact, so the test costs no precision.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .errors import DegreeOverflow, NotInFil, PrecisionExhausted
 from .series import SigmaSeries
@@ -230,18 +230,14 @@ def _scalar_planes(col) -> tuple:
 
 
 def embed_sigma(s: SigmaSeries) -> PDElement:
-    """The inclusion of W(k)[[u]] into S: substitute u = gamma_1 - p*a."""
+    """The inclusion of W(k)[[u]] into S: substitute u = gamma_1 - p*a, by
+    the context's table of the gamma-coefficients of u^n."""
     amb = s.amb
     if s.degree >= amb.N_gamma:
         raise DegreeOverflow(
             f"series degree {s.degree} does not embed below gamma_{amb.N_gamma}"
         )
-    ring = amb.ring
-    acc = ring.new_acc(amb.N_gamma)
-    for n, col in enumerate(zip(*s.planes)):
-        if any(col):
-            ring.conv_into(acc, amb.u_pow(n).planes, _scalar_planes(col))
-    return PDElement(amb, (), False, s.prec, ring.fold(acc, s.prec))
+    return PDElement(amb, (), False, s.prec, amb.u_table.apply(s.planes, s.prec))
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:
@@ -263,10 +259,11 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     precision and are treated as exactly zero.
 
     The scalars s_i = sigma(x_i) * unit(i!)^-1 * p^(i - v_p(i!) - j),
-    reduced mod p^k, are packed like the context's table of c^i
-    (``AmbientParams.phi_table``), so output index m is one sum of packed
-    products over the row (c^0_m, c^1_m, ...), then one unpack, one fold
-    and one reduction.
+    reduced mod p^k, are the input of the context's table of c^i
+    (``AmbientParams.c_table``).  The result is tail_dirty when x is or
+    when the power of c of the last contributing index is: c^i = c^(i-1)*c
+    keeps the flag of its factor, so that power's flag is the flag of
+    every contributing one.
     """
     amb = x.amb
     if j < 0 or j > amb.r:
@@ -278,9 +275,7 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     mod = ring.pk[k]
     n = len(x.planes[0])
     frob = ring.frobenius_planes(x.planes, k)
-    rows, reach, c_dirty = amb.phi_table(n)
     s = [[0] * n for _ in frob]
-    dirty = x.tail_dirty
     top = -1
     for i in range(j, n):
         if not any(pl[i] for pl in x.planes):
@@ -293,11 +288,11 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
         scal = ring._mul_tuple(tuple(pl[i] for pl in frob), amb.fact_unit_inv(i).coeffs, k)
         for sp, c in zip(s, scal):
             sp[i] = c * ring.pk[e] % mod
-        dirty = dirty or c_dirty[i]
         top = i
-    s = ring._pack([sp[:top + 1] for sp in s], amb.phi_width)
-    acc = [sum(map(mul, s, row)) for row in rows[:reach[top] if top >= 0 else 0]]
-    return PDElement(amb, (), dirty, k, ring.fold(ring._unpack(acc, amb.phi_width), k))
+    table = amb.c_table
+    planes = table.apply([sp[:top + 1] for sp in s], k)
+    dirty = x.tail_dirty or (top >= 0 and table.dirty[top])
+    return PDElement(amb, (), dirty, k, planes)
 
 
 def n_S(x: PDElement) -> PDElement:
@@ -316,23 +311,11 @@ def n_S(x: PDElement) -> PDElement:
     return PDElement(amb, (), x.tail_dirty, x.prec, ring.fold(acc, x.prec))
 
 
-def _u_divided(x: PDElement, n: int) -> tuple:
-    """Planes of the first n coordinates in the basis u^m / m!:
-    coordinate j is the sum over i >= j of x_i (p*a)^(i-j) / (i-j)!."""
-    ring = x.amb.ring
-    table = x.amb.pa_div_fact_planes(len(x.planes[0]))
-    acc = ring.new_acc(n)
-    for s, xp in enumerate(x.planes):
-        for t, tp in enumerate(table):
-            row = acc[s + t]
-            for j in range(min(n, len(xp))):
-                row[j] += sum(map(mul, xp[j:], tp))
-    return ring.fold(acc, x.prec)
-
-
 def eval_f0(x: PDElement) -> WittScalar:
-    """Evaluation at u = 0: gamma_i -> (p*a)^i / i!."""
-    return WittScalar(x.amb.ring, tuple(pl[0] for pl in _u_divided(x, 1)), x.prec)
+    """Evaluation at u = 0: gamma_i -> (p*a)^i / i!, the first u-divided
+    coordinate."""
+    planes = x.amb.u_div_table.apply(x.planes, x.prec, 1)
+    return WittScalar(x.amb.ring, tuple(pl[0] if pl else 0 for pl in planes), x.prec)
 
 
 def eval_fpi(x: PDElement) -> WittScalar:
@@ -341,9 +324,14 @@ def eval_fpi(x: PDElement) -> WittScalar:
 
 
 def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
-    """Exact coordinates with respect to the divided powers u^m / m!."""
-    ring = x.amb.ring
-    return tuple(WittScalar(ring, col, x.prec) for col in zip(*_u_divided(x, x.amb.N_gamma)))
+    """Exact coordinates with respect to the divided powers u^m / m!:
+    coordinate j is the sum over i >= j of x_i (p*a)^(i-j) / (i-j)!, so the
+    coordinates past the support of x are zero."""
+    amb = x.amb
+    ring = amb.ring
+    cols = list(zip(*amb.u_div_table.apply(x.planes, x.prec)))
+    cols += [ring._zero_tuple()] * (amb.N_gamma - len(cols))
+    return tuple(WittScalar(ring, col, x.prec) for col in cols)
 
 
 def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:

@@ -11,6 +11,12 @@ minimum of the two input precisions, and exact division by p^k lowers the
 precision by k.  Multiplication by p^k raises it by k, capped at the ring
 cap.
 
+The residue field F_{p^f} is computed with the ring's own product at one
+digit: m is irreducible when no monic polynomial of degree 1 .. f/2
+divides it (trial division), the inverse of a unit starts from
+a^(p^f - 2) and is Newton-lifted to the working precision, and T^p is the
+residue of the Frobenius image of T.
+
 The arithmetic Frobenius sends T to the unique root of m that is congruent
 to T^p mod p; the image is Hensel-lifted once per ring and then applying the
 Frobenius is a polynomial substitution.  It restricts to x -> x^p on the
@@ -38,37 +44,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # --- polynomials over F_p, coefficient lists in ascending degree ---
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
 
 
 def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
@@ -86,66 +67,16 @@ def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_mod(list(a), m, p)
-    while e > 0:
-        if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _fp_xgcd(a: list[int], b: list[int], p: int):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while _fp_trim(r1):
-        q, r = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, p), p)
-    return r0, s0, t0
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    while len(_fp_trim(a)) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _fp_trim(a)
-    return _fp_trim(q), a
-
-
 def _fp_is_irreducible(m: list[int], p: int) -> bool:
+    """Trial division: no monic polynomial of degree 1 .. f/2 divides m."""
     f = len(m) - 1
     if f < 1:
         return False
-    x = [0, 1]
-    # x^(p^f) == x mod m, and gcd(x^(p^(f/q)) - x, m) = 1 for prime q | f
-    if _fp_trim(_fp_sub(_fp_powmod(x, p**f, m, p), _fp_mod(list(x), m, p), p)):
-        return False
-    for q in _prime_factors(f):
-        g, _, _ = _fp_xgcd(_fp_sub(_fp_powmod(x, p ** (f // q), m, p), x, p), m, p)
-        if len(_fp_trim(list(g))) != 1:
-            return False
+    for d in range(1, f // 2 + 1):
+        for n in range(p**d):
+            g = [n // p**t % p for t in range(d)] + [1]
+            if not _fp_mod(m, g, p):
+                return False
     return True
 
 
@@ -300,15 +231,23 @@ class WittRing:
                     out[j] += c * row[j]
         return tuple(x % mod for x in out)
 
+    def _pow_tuple(self, a, e, k):
+        """a^e mod p^k by square-and-multiply (e >= 0)."""
+        acc = self._one_tuple()
+        while e:
+            if e & 1:
+                acc = self._mul_tuple(acc, a, k)
+            e >>= 1
+            if e:
+                a = self._mul_tuple(a, a, k)
+        return acc
+
     def _inv_tuple(self, a, k):
-        # residue inverse via extended Euclid over F_p[T], then Newton lifting
-        res = [c % self.p for c in a]
-        g, s, _ = _fp_xgcd(_fp_trim(res), list(self.m_res), self.p)
-        if len(g) != 1:
+        # the residue inverse a^(p^f - 2) in the field F_{p^f}, then Newton
+        # lifting z <- z(2 - az)
+        z = self._pow_tuple(a, self.p**self.f - 2, 1)
+        if not any(z):
             raise NotAUnit("element is zero modulo p")
-        c_inv = pow(g[0], -1, self.p)
-        z = [(x * c_inv) % self.p for x in s]
-        z = tuple((z + [0] * self.f)[: self.f])
         cur = 1
         while cur < k:
             cur = min(2 * cur, k)
@@ -341,8 +280,7 @@ class WittRing:
 
     def _lift_frobenius_image(self):
         p, cap = self.p, self.cap
-        z_res = _fp_powmod([0, 1], p, list(self.m_res), p)
-        z = tuple((z_res + [0] * self.f)[: self.f])
+        z = self._pow_tuple((0, 1) + (0,) * (self.f - 2), p, 1)
         dm = tuple(i * c for i, c in enumerate(self.m) if i >= 1)
         cur = 1
         while cur < cap:
@@ -366,11 +304,13 @@ class WittRing:
     # is the T-polynomial evaluated at T = 2^W (Kronecker substitution), and
     # bits d*W and up of the convolution hold T-degree d.  The slot width W
     # is a proven bound, so the unpacked slots are exactly the f^2 plane
-    # convolutions summed by T-degree.  The products by a W(k)-constant in
-    # S (n_S, embed_sigma) add per-plane convolutions into an accumulator
-    # (new_acc, conv_into); phi_S sums packed products against a table of
-    # the powers of c kept on the context, and unpacks them as dot_acc does
-    # (_unpack).
+    # convolutions summed by T-degree.  The product by p*a in n_S adds
+    # per-plane convolutions into an accumulator (new_acc, conv_into).  The
+    # fixed linear maps of S (phi_S, embed_sigma, the u-divided
+    # coordinates) sum packed products against the rows of a packed table
+    # on the context (ambient.PackedTable), at the one width
+    # bit_length(N_gamma*f) + 2*bit_length(p^cap), and unpack them as
+    # dot_acc does (_unpack).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -545,15 +485,7 @@ class WittScalar:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers: use invert() first")
-        r = self.ring
-        acc = r.one(self.prec)
-        base = self
-        while n > 0:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return WittScalar(self.ring, self.ring._pow_tuple(self.coeffs, n, self.prec), self.prec)
 
     def __eq__(self, other):
         # exact representation equality; use eq_at() for at-precision tests

@@ -14,8 +14,9 @@ whole row) are checked against the left fold of those schoolbook products
 under the elements' own addition, and the scalar dot against the fold of
 scalar products and sums.  A deterministic worst case (every entry
 p^cap - 1 at full length) runs the packed convolution of the fused kernel
-at its slot-width bound, and phi_S on the same element against the width
-of the context's packed table of c^i.
+at its slot-width bound, and phi_S, embed_sigma and the u-divided
+coordinates on the same elements against the one width of the context's
+packed tables.
 """
 
 import functools
@@ -175,6 +176,14 @@ def ref_to_u_divided(x):
     return tuple(out)
 
 
+def ref_embed_sigma(s):
+    amb = s.amb
+    out = [amb.ring.zero(s.prec)] * amb.N_gamma
+    for n, c in enumerate(s.coeffs):
+        out = [acc + b * c for acc, b in zip(out, amb.u_pow(n).coeffs)]
+    return out
+
+
 # --- the kernels against them ---
 
 @SETTINGS
@@ -240,10 +249,7 @@ def test_u_divided_and_embedding_match_schoolbook(amb, data):
     assert eval_f0(x) == coords[0]
     prec = data.draw(st.integers(1, amb.cap))
     s = SigmaSeries(amb, draw_scalars(data.draw, amb, data.draw(st.integers(0, amb.N_gamma)), prec))
-    raw = [amb.ring.zero(s.prec)] * amb.N_gamma
-    for n, c in enumerate(s.coeffs):
-        raw = [acc + b * c for acc, b in zip(raw, amb.u_pow(n).coeffs)]
-    assert_pd(embed_sigma(s), raw, s.prec, False)
+    assert_pd(embed_sigma(s), ref_embed_sigma(s), s.prec, False)
 
 
 # --- fused dot products against the left fold of products and sums ---
@@ -387,10 +393,27 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
 def test_phi_S_at_the_slot_width_bound(f):
     amb = tight_ambient(f)
     ring = amb.ring
-    # the context packs phi_S's table of c^i at the width phi_table documents
-    assert amb.phi_width == slot_width(amb, 1, amb.N_gamma, 1)
+    # the context's three tables pack at the width PackedTable documents
+    for table in (amb.c_table, amb.u_table, amb.u_div_table):
+        assert table.width == slot_width(amb, 1, amb.N_gamma, 1)
     top = ring.make([ring.pk[amb.cap] - 1] * f)
     for j in (0, amb.r):
         x = PDElement(amb, [ring.zero()] * j + [top] * (amb.N_gamma - j))
         out, k, dirty = ref_phi_S(x, j)
         assert pd_state(phi_S(x, j)) == pd_state(PDElement(amb, out, dirty, k))
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_embed_sigma_at_the_slot_width_bound(f):
+    amb = tight_ambient(f)
+    s = full_row(amb, SigmaSeries, amb.N_gamma, 1)[0]
+    assert pd_state(embed_sigma(s)) == pd_state(PDElement(amb, ref_embed_sigma(s), False, s.prec))
+
+
+@pytest.mark.parametrize("f", [2, 3])
+def test_u_divided_at_the_slot_width_bound(f):
+    amb = tight_ambient(f)
+    x = full_row(amb, PDElement, amb.N_gamma, 1)[0]
+    coords = ref_to_u_divided(x)
+    assert to_u_divided(x) == coords
+    assert eval_f0(x) == coords[0]

@@ -221,6 +221,22 @@ def test_cli_usage_errors(tmp_path):
     assert main(["verify", "--suite", "ring-laws", "--seeds", "1", "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "easylemma", "--seeds", "1..2", "--a", "3"],
+     "a must be a unit of W(k)"),
+    (["roundtrip", "--direction", "fl", "--seeds", "1..2", "--a", "3"],
+     "a must be a unit of W(k)"),
+    (["gen", "kisin-gls", "--a", "3"], "a must be a unit of W(k)"),
+    (["verify", "--suite", "easylemma", "--seeds", "1", "--f", "0"],
+     "residue degree f must be at least 1"),
+], ids=["verify-a", "roundtrip-a", "gen-a", "verify-f"])
+def test_cli_bad_context_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.jsonl"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "lemfil1", "--samples", "0"],
     ["verify", "--suite", "lemfil1", "--samples", "-3"],

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from flbreuil import ambient
 from flbreuil import campaign as CAM
 from flbreuil.ambient import AmbientParams, shared_params
 from flbreuil.cli import main
@@ -35,6 +36,28 @@ def test_one_differing_keyword_gives_another_context(change):
     assert all(getattr(amb, k) != getattr(shared_params(**base), k) for k in change)
 
 
+def test_one_context_per_parameters_however_they_are_spelled():
+    amb = shared_params(p=3, r=2, f=2, a=-1)
+    # the defaults, a padded to f coefficients and reduced mod p^cap, and
+    # the modulus and N_u that the defaults pick
+    assert shared_params(p=3, r=2, f=2, a=[amb.ring.pk[amb.cap] - 1, 0], N_p=6,
+                         N_gamma=amb.N_gamma, headroom=amb.headroom, N_u=amb.N_u,
+                         m_coeffs=list(amb.ring.m)) is amb
+    # the fields of a serialized module
+    doc = amb.describe()
+    assert shared_params(**{**doc, "a": [int(c) for c in doc["a"]["coeffs"]]}) is amb
+
+
+def test_cli_and_campaign_share_one_context(tmp_path, monkeypatch):
+    monkeypatch.setattr(ambient, "_SHARED", {})
+    kisin, breuil = tmp_path / "k.json", tmp_path / "b.json"
+    assert main(["gen", "kisin-gls", "--p", "3", "--d", "2", "--out", str(kisin)]) == 0
+    assert main(["section", "--in", str(kisin), "--out", str(tmp_path / "s.json")]) == 0
+    assert main(["apply", "mfl", "--adjoin-zero-n", "--in", str(kisin), "--out", str(breuil)]) == 0
+    assert CAM.run_suite_seed({"p": 3, "r": 1}, "ring-laws", 1, {"samples": 2})
+    assert len(ambient._SHARED) == 1
+
+
 def _report(params, runs) -> list[str]:
     """The records of each (suite, seed, config) run as ``flbreuil verify``
     writes them."""
@@ -47,11 +70,11 @@ def test_records_do_not_depend_on_the_tables_filled_before(monkeypatch):
     params = {"p": 3, "r": 1, "headroom": 24}   # used by no other test
     runs = [("ring-laws", 2, {"samples": 30})]
     amb = shared_params(**params)
-    assert amb.phi_table(0)[2] == []            # no c^i built yet: cold
+    assert amb.c_table.dirty == []              # no c^i built yet: cold
     cold = _report(params, runs)
-    filled = len(amb.phi_table(0)[2])
+    filled = len(amb.c_table.dirty)
     _report(params, [("section", 3, {}), ("lemfil1", 1, {"elements": 10})])
-    assert len(amb.phi_table(0)[2]) > filled    # other suites grew the tables
+    assert len(amb.c_table.dirty) > filled      # other suites grew the tables
     warm = _report(params, runs)
     monkeypatch.setattr(CAM, "shared_params", AmbientParams)
     fresh = _report(params, runs)

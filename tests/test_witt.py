@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, find_irreducible
+from flbreuil.witt import WittRing, _fp_is_irreducible, find_irreducible
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,29 @@ def test_find_irreducible_deterministic():
     assert len(m5) == 3 and m5[2] == 1
 
 
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2),
+                                  (7, 3), (11, 2)])
+def test_irreducible_count_matches_gauss(p, f):
+    # Gauss: (1/f) * sum over d | f of mu(d) * p^(f/d) monic irreducibles
+    expected = sum(_mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
+    count = 0
+    for n in range(p**f):
+        count += _fp_is_irreducible([n // p**t % p for t in range(f)] + [1], p)
+    assert count == expected
+
+
 def test_invert_one(zp):
     one = zp.one()
     assert one.invert() == one
@@ -38,17 +61,19 @@ def test_invert_two_matches_euclid_oracle(zp):
     assert x.invert().coeffs[0] == expected
 
 
-def test_invert_p_fails(zp):
+def test_invert_p_fails(zp, w9):
     with pytest.raises(NotAUnit):
         zp.from_int(3).invert()
+    with pytest.raises(NotAUnit):
+        w9._inv_tuple((3, 6), 4)
 
 
 def test_invert_random_units(zp, w9):
     rng = random.Random(0)
-    for ring in (zp, w9):
+    for ring in (zp, w9, WittRing(3, 3, cap=8), WittRing(5, 3, cap=20)):
         for _ in range(100):
             x = ring.random_unit(rng)
-            assert (x.invert() * x).eq_at(ring.one(), x.prec)
+            assert x.invert() * x == ring.one()
 
 
 def test_frobenius_trivial_for_prime_field(zp):
