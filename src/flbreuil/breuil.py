@@ -76,20 +76,29 @@ def fil_membership(B: BreuilModule, x, at: int | None = None) -> bool:
     return fil_lower(B, B.amb.r, x, at)
 
 
-def fil_level(B: BreuilModule, x, at: int | None = None) -> int:
-    """The largest i with x in the reconstructed step Fil^i (unbounded by r):
-    the minimum over j of v_j + r_j, where v_j is the filtration valuation
-    of the adapted coordinate y_j of y = C^(-1) x.  The zero vector of a
-    rank-0 module gets N_gamma + r."""
-    at = B.amb.N_p if at is None else at
-    y = B.C_inv.matvec(x)
-    return min((fil_valuation(y[j], at) + B.jumps[j] for j in range(B.d)),
-               default=B.amb.N_gamma + B.amb.r)
+def fil_level(B: BreuilModule, x, at: int | None = None, top: int | None = None) -> int:
+    """The largest i with x in the reconstructed step Fil^i, capped at
+    ``top`` when it is given (otherwise unbounded, also beyond r): the
+    minimum over j of v_j + r_j, where v_j is the filtration valuation of
+    the adapted coordinate y_j of y = C^(-1) x.  The zero vector of a
+    rank-0 module gets N_gamma + r.
+
+    With ``top``, y is computed only below index top - min(r_j): a
+    coordinate that vanishes there has v_j + r_j >= top whatever its
+    higher coefficients are, and below that index the bounded product
+    agrees with the full one."""
+    amb = B.amb
+    at = amb.N_p if at is None else at
+    bound = None if top is None else top - min(B.jumps, default=0)
+    y = B.C_inv.matvec(x, bound)
+    level = min((fil_valuation(y[j], at) + B.jumps[j] for j in range(B.d)),
+                default=amb.N_gamma + amb.r)
+    return level if top is None else min(level, top)
 
 
 def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
     """Membership in the reconstructed lower step Fil^i."""
-    return i <= fil_level(B, x, at)
+    return i <= fil_level(B, x, at, top=i)
 
 
 def phi_module(B: BreuilModule, x):
@@ -198,6 +207,13 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     m_jumps[j] + t, and the descent ends when t reaches the level, after at
     most ``top - 1`` calls to N.  Levels beyond r are refused, and levels
     from 1 on need the monodromy (NotCris without it).
+
+    Each coordinate of x is cut to its first ``top`` coefficients once.
+    The descent reads only coefficient 0 of N^t(x) for t < top, and
+    coefficient m of N(x) = Nmat x + N_S(x) reads only the coefficients
+    <= m + 1 of x (those <= m through the product, m + 1 through
+    N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m), so coefficient 0
+    of N^t(x) reads only those <= t and the cut changes nothing it reads.
     """
     amb = B.amb
     level = amb.r if top is None else top
@@ -205,10 +221,14 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
         raise RecursionBudget("negative filtration level")
     if level > amb.r:
         raise RecursionBudget(f"level {level} beyond the Hodge bound {amb.r}")
+    if len(x) != B.d or len(m_jumps) != B.d or (
+        m_basis_inv is not None and m_basis_inv.rows != B.d
+    ):
+        raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
     at = amb.N_p if at is None else at
-    vec = tuple(x)
+    vec = tuple(c._head(level) for c in x)
     t = 0
     while t < level:
         w = tuple(eval_fpi(c) for c in vec)

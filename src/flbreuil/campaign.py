@@ -159,7 +159,7 @@ def suite_lemfil1(amb, rng, cfg):
             x = BR.random_vector(B, rng, max_index=6)
         # both filtrations are nested, so the levels 0..r on which they
         # disagree lie between their two top levels
-        mism += abs(min(BR.fil_level(B, x), amb.r) - BR.hat_fil_level(B, M.jumps, x))
+        mism += abs(BR.fil_level(B, x, top=amb.r) - BR.hat_fil_level(B, M.jumps, x))
     recs.append(_rec("tensor-vs-hat", mism == 0, elements=n_elems, mismatches=mism,
                      instance=SER.to_json(M) if mism else None))
     return recs

@@ -26,6 +26,8 @@ from .witt import WittScalar
 
 def check_jumps(amb, d: int, jumps) -> tuple[int, ...]:
     jumps = tuple(int(j) for j in jumps)
+    if d < 0:
+        raise MalformedJumps(f"rank must be at least 0, got {d}")
     if len(jumps) != d:
         raise MalformedJumps(f"expected {d} jumps, got {len(jumps)}")
     if any(not 0 <= j <= amb.r for j in jumps):

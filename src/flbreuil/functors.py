@@ -311,10 +311,12 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
 
 def tensor_membership_via_section(transport: FLTransport, x, n: int,
                                   at: int | None = None) -> bool:
-    """Membership in the tensor-product filtration read in the section basis."""
+    """Membership in the tensor-product filtration read in the section basis:
+    coordinate j needs filtration valuation at least n - r_j, so each
+    coordinate is computed only below index n - min(r_j)."""
     M = transport.M
     at = M.amb.N_p if at is None else at
-    z = transport.sec_basis_inv.matvec(x)
+    z = transport.sec_basis_inv.matvec(x, n - min(M.jumps, default=0))
     return all(
         fil_valuation(z[j], at) >= max(0, n - M.jumps[j]) for j in range(M.d)
     )

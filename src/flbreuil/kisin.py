@@ -178,7 +178,8 @@ def kisin_raw_fil_checker(K: KisinModule):
     module, i.e. every component of embed(X Lambda Y) * embed(Y)^{-1} * w
     must have filtration valuation at least r.  Independent of the adapted
     shortcut: it inverts embed(Y) over S as adj * det^(-1) and multiplies
-    out.
+    out, each component only below index r, the coefficients the test
+    reads.
     """
     if K.gls is None:
         raise MissingGLSForm("raw membership needs the normal form data")
@@ -190,7 +191,7 @@ def kisin_raw_fil_checker(K: KisinModule):
 
     def check(w, at: int | None = None) -> bool:
         at = amb.N_p if at is None else at
-        img = full.matvec(w)
+        img = full.matvec(w, amb.r)
         return all(fil_valuation(x, at) >= amb.r for x in img)
 
     return check

@@ -98,10 +98,12 @@ class RingMatrix:
     def scale(self, scalar) -> "RingMatrix":
         return self.map_entries(lambda x: x * scalar)
 
-    def matvec(self, vec):
+    def matvec(self, vec, bound: int | None = None):
+        """The product with a column vector.  Over S, ``bound`` computes
+        each entry only below that index (``PDElement.dot``)."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(_dot(row, vec) for row in self.entries)
+        return tuple(_dot(row, vec, bound) for row in self.entries)
 
     # --- precision and denominator management ---
 
@@ -217,12 +219,14 @@ def _align(a: RingMatrix, b: RingMatrix):
     return a, RingMatrix(b.mul_p_pow(k).entries, a.denom_exp)
 
 
-def _dot(xs, ys):
+def _dot(xs, ys, bound: int | None = None):
     """Sum of the products x*y over two equally long rows of ring elements,
-    by the entry type's fused kernel."""
+    by the entry type's fused kernel (cut below ``bound``, over S)."""
     if not xs:
         raise ValueError("empty inner dimension: no entry gives the ring")
-    return xs[0].dot(xs, ys)
+    if bound is None:
+        return xs[0].dot(xs, ys)
+    return xs[0].dot(xs, ys, bound)
 
 
 def _det_from(cs):

@@ -31,7 +31,11 @@ the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec; a sum
 of products (a matrix entry, ``PDElement.dot``) adds all its convolutions
 into one accumulator before that one fold and reduction
 (``FlatVector._dot_planes``), and a single product is its row of length
-one.  For f > 1 each operand's f lists are packed into one int per
+one.  Coefficient m of a product reads only the coefficients <= m of its
+factors, so a ``bound`` on ``dot`` (and on ``RingMatrix.matvec`` over S)
+computes just the coefficients below it, exactly as in the full product:
+the filtration tests read only the coefficients below the level they
+test.  For f > 1 each operand's f lists are packed into one int per
 coefficient, list t at bits t*W and up; the slot width W covers the
 largest binomial weight (``comb_max``), so the unpacked slots are exactly
 the f^2 per-list convolutions (``WittRing.dot_acc``).  Per-list
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 from .errors import DegreeOverflow, NotInFil, PrecisionExhausted
 from .series import SigmaSeries
-from .witt import FlatVector, WittScalar, trimmed
+from .witt import FlatVector, WittScalar, draw_below, trimmed
 
 
 class PDElement(FlatVector):
@@ -140,15 +144,29 @@ class PDElement(FlatVector):
         return gamma_multiply(self, other)
 
     @staticmethod
-    def dot(xs, ys) -> "PDElement":
+    def dot(xs, ys, bound: int | None = None) -> "PDElement":
         """The sum of the products x*y over two equally long rows, by the
         fused kernel with the binomial weights of the gamma-basis.  It is
         tail_dirty when a factor is, or when a product index crosses
-        N_gamma."""
+        N_gamma.
+
+        With ``bound``, only the coefficients below that index are
+        computed; the others are left zero.  Coefficient m of a product
+        reads only the coefficients <= m of its factors, so the ones kept
+        are those of the full sum, and the precision and the tail_dirty
+        flag are the full sum's too."""
         amb = xs[0].amb
-        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb, amb.comb_max)
+        N = amb.N_gamma if bound is None else max(0, min(bound, amb.N_gamma))
+        planes, k, reach = FlatVector._dot_planes(xs, ys, N, amb.comb, amb.comb_max)
         dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
         return PDElement(amb, (), dirty, k, planes)
+
+    def _head(self, n: int) -> "PDElement":
+        """This element with the coefficients at index n and beyond dropped;
+        the precision and the tail_dirty flag are kept."""
+        if len(self.planes[0]) <= n:
+            return self
+        return self._make(tuple(pl[:n] for pl in self.planes), self.prec)
 
     def div_p_exact(self, k: int) -> "PDElement":
         planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
@@ -366,13 +384,14 @@ def pd_random_calibrated(amb, rng, max_index: int, max_val: int, zero_chance: fl
     precision boundary so that at-precision membership tests are decisive."""
     ring = amb.ring
     cap = amb.cap
-    zero = (0,) * ring.f
-    cols = []
+    mod = ring.pk[cap]
+    planes = tuple([] for _ in range(ring.f))
     for _ in range(min(max_index, amb.N_gamma)):
         if rng.random() < zero_chance:
-            cols.append(zero)
+            for pl in planes:
+                pl.append(0)
         else:
-            v = rng.randrange(max_val + 1)
-            q = ring.pk[min(v, cap)]
-            cols.append(tuple(c * q for c in ring._random_unit_tuple(rng, cap)))
-    return PDElement(amb, (), False, cap, ring.to_planes(cols, cap))
+            q = ring.pk[min(draw_below(rng, max_val + 1), cap)]
+            for pl, c in zip(planes, ring._random_unit_tuple(rng, cap)):
+                pl.append(c * q % mod)
+    return PDElement(amb, (), False, cap, planes)

@@ -113,6 +113,21 @@ def trimmed(planes) -> tuple:
     return planes
 
 
+def draw_below(rng, n: int) -> int:
+    """A uniform draw from range(n) (n >= 1) that equals ``rng.randrange(n)``
+    and consumes the same bits: the getrandbits rejection loop of CPython's
+    ``Random._randbelow``, at k = n.bit_length() bits (not that of n - 1,
+    so that n = 1 draws one bit as randrange does)."""
+    if n < 1:
+        raise ValueError("empty range for draw_below")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
     """out[i + j] += w[i][j] * x[i] * y[j] (w = 1 when None), for i + j < len(out).
 
@@ -262,7 +277,7 @@ class WittRing:
 
     def _random_tuple(self, rng, k):
         mod = self.pk[k]
-        return tuple([rng.randrange(mod) for _ in range(self.f)])
+        return tuple([draw_below(rng, mod) for _ in range(self.f)])
 
     def _random_unit_tuple(self, rng, k):
         while True:
@@ -333,7 +348,8 @@ class WittRing:
         with s + t = d and i + j = m: at most len(pairs) * n * f terms, each
         nonnegative and below w_max * p^(2 cap), so it stays below 2^W and
         no carry crosses into slot d + 1.  At f = 1 the pack is the plane
-        itself and nothing is unpacked."""
+        itself and nothing is unpacked; at f > 1 an operand is packed only
+        below n, the indices an entry below n reads."""
         acc = [0] * n
         if self.f == 1:
             for xs, ys in pairs:
@@ -341,12 +357,13 @@ class WittRing:
             return [acc]
         width = (len(pairs) * n * self.f * w_max).bit_length() + self._slot_bits
         for xs, ys in pairs:
-            _conv_into(acc, self._pack(xs, width), self._pack(ys, width), weights)
+            _conv_into(acc, self._pack(xs, width, n), self._pack(ys, width, n), weights)
         return self._unpack(acc, width)
 
-    def _pack(self, xs, width: int) -> list:
-        """One int per coefficient: plane t at bits t*width and up."""
-        out = xs[0]
+    def _pack(self, xs, width: int, n: int | None = None) -> list:
+        """One int per coefficient: plane t at bits t*width and up; only the
+        first n coefficients when n is given."""
+        out = xs[0] if n is None else xs[0][:n]
         for t in range(1, self.f):
             shift = t * width
             out = [a + (b << shift) for a, b in zip(out, xs[t])]

@@ -198,6 +198,22 @@ def test_hat_needs_monodromy(amb3):
         hat_fil_level(B, (0,), x)
 
 
+def test_hat_level_rejects_wrong_lengths(amb3):
+    rng = random.Random(6)
+    M = random_fl(amb3, rng, 3)
+    B = fl_to_breuil(M)
+    x = random_vector(B, rng, 6)
+    assert 0 <= hat_fil_level(B, M.jumps, x) <= amb3.r
+    for jumps, vec in (((0,), x), (M.jumps, x[:2]), (M.jumps + (0,), x), (M.jumps, x + x[:1])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hat_fil_level(B, jumps, vec)
+    # a reduction basis change with too few or too many rows
+    for rows in (2, 4):
+        g = RingMatrix([[amb3.ring.one()] * 3 for _ in range(rows)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hat_fil_level(B, M.jumps, x, m_basis_inv=g)
+
+
 def test_hat_equals_tensor_small(amb3):
     rng = random.Random(5)
     for _ in range(5):
@@ -292,6 +308,7 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
                 seen.add((min(L, r), H))
             for i in range(r + 1):
                 assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x) == (i <= L)
+                assert fil_level(B, x, top=i) == min(L, i)
     # both levels range over several values
     assert len({L for L, _ in seen}) > 1 and len({H for _, H in seen}) > 1
 

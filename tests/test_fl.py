@@ -33,6 +33,14 @@ def test_malformed_jumps(amb3):
         FLModule(amb3, 1, (3,), wmat(amb3, [[1]]))
 
 
+def test_negative_rank_is_malformed(amb3):
+    from flbreuil.fl import check_jumps
+
+    with pytest.raises(MalformedJumps, match="rank must be at least 0, got -1"):
+        check_jumps(amb3, -1, ())
+    assert check_jumps(amb3, 0, ()) == ()
+
+
 def test_v_matrix_examples(amb3):
     # rank 1, jump 1, r = 2: F = V = (p)
     F, V = fl_v_matrix(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))

@@ -4,7 +4,9 @@ reproduce the sha256 digests committed in ``perfbench/golden.json``.
 The benchmark harness is imported as it stands and run in-process on the
 p = 3, seed 1 verification tasks at f = 1 and f = 2, on the p = 5, seed 1
 lemfil1 and kisin-breuil-consistency tasks at f = 1 (where r + 1 = 5
-filtration levels share one element), and on the CLI chain
+filtration levels share one element), on the p = 5, seed 1 section and
+roundtrip-breuil tasks (the bounded filtration tests fil_lower and
+tensor_membership_via_section at p = 5), and on the CLI chain
 (gen kisin-gls, section, apply mfl) at p = 3, d = 4, seed 1.  A digest
 covers every record byte (or the exit code and every byte of the written
 file), so any change of a verdict, a witness or a repr shows here.
@@ -35,7 +37,8 @@ VERIFY_TASKS = [
     for t in H.WORKLOADS[name].pool_tasks() if t.p == 3 and t.seed == 1
 ] + [
     t for t in H.WORKLOADS["verify-desk"].pool_tasks()
-    if t.p == 5 and t.seed == 1 and t.suite in ("lemfil1", "kisin-breuil-consistency")
+    if t.p == 5 and t.seed == 1
+    and t.suite in ("lemfil1", "kisin-breuil-consistency", "section", "roundtrip-breuil")
 ]
 CLI_TASKS = [t for t in H.WORKLOADS["cli-rank"].pool_tasks()
              if (t.p, t.d, t.seed) == (3, 4, 1)]
@@ -47,7 +50,7 @@ def runner(tmp_path_factory):
 
 
 def test_slice_is_covered_by_golden():
-    assert len(VERIFY_TASKS) == 20 and len(CLI_TASKS) == 3
+    assert len(VERIFY_TASKS) == 22 and len(CLI_TASKS) == 3
     assert all(t.key in GOLDEN for t in VERIFY_TASKS + CLI_TASKS)
 
 

@@ -12,7 +12,9 @@ truncation (and mark the result tail_dirty) and mix precisions.
 The fused dot products (one accumulator, one fold and one reduction for a
 whole row) are checked against the left fold of those schoolbook products
 under the elements' own addition, and the scalar dot against the fold of
-scalar products and sums.  A deterministic worst case (every entry
+scalar products and sums.  A dot or a matrix-vector product over S cut
+below a bound must be the full one cut there, with the same precision
+and tail_dirty flag.  A deterministic worst case (every entry
 p^cap - 1 at full length) runs the packed convolution of the fused kernel
 at its slot-width bound, and phi_S, embed_sigma and the u-divided
 coordinates on the same elements against the one width of the context's
@@ -322,6 +324,44 @@ def test_scalar_dot_matches_fold_of_products(amb, data):
     for x, y in zip(xs[1:], ys[1:]):
         ref = ref + x * y
     assert WittScalar.dot(xs, ys) == ref
+
+
+def pd_head_state(x, bound):
+    """The state of x with its coefficients at index bound and beyond
+    dropped, and its precision and flag kept."""
+    return pd_state(PDElement(x.amb, (), x.tail_dirty, x.prec,
+                              tuple(pl[:bound] for pl in x.planes)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_bounded_dot_and_matvec_are_the_full_ones_cut(amb, data):
+    def zero(prec, dirty):
+        return PDElement(amb, [], dirty, prec)
+
+    N = amb.N_gamma
+    n = data.draw(st.integers(1, 3))
+    rows = [draw_row(data.draw, amb, n, draw_pd, zero)
+            for _ in range(data.draw(st.integers(1, 3)))]
+    vec = draw_row(data.draw, amb, n, draw_pd, zero)
+    bound = data.draw(st.sampled_from([0, 1, N - 1, N, N + 1, N + 5]) | st.integers(0, N))
+    full = RingMatrix(rows).matvec(vec)
+    cut = RingMatrix(rows).matvec(vec, bound)
+    for row, x, y in zip(rows, full, cut):
+        assert pd_state(PDElement.dot(row, vec)) == pd_state(x)
+        assert pd_state(PDElement.dot(row, vec, bound)) == pd_state(y) == pd_head_state(x, bound)
+
+
+def test_bounded_dot_keeps_the_flag_of_a_crossing(amb):
+    ring, N = amb.ring, amb.N_gamma
+    one = ring.one()
+    top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
+    lin = PDElement(amb, [one, one], prec=4)
+    # top * lin crosses N_gamma; below index 3 it is zero
+    for bound in (0, 3):
+        got = PDElement.dot((top,), (lin,), bound)
+        assert (got.planes[0], got.prec, got.tail_dirty) == ([], 4, True)
+    assert pd_state(PDElement.dot((top,), (lin,), N)) == pd_state(gamma_multiply(top, lin))
 
 
 def test_dot_flags_and_precision_of_edge_rows(amb):

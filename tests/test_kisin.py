@@ -14,6 +14,7 @@ from flbreuil.kisin import (
     random_gls,
 )
 from flbreuil.matrix import RingMatrix
+from flbreuil.pd import embed_sigma, fil_valuation
 
 
 def smat(amb, rows):
@@ -109,15 +110,29 @@ def test_to_breuil_needs_normal_form(amb3):
         kisin_raw_fil_checker(K)
 
 
+def raw_fil_checker_unbounded(K):
+    """The raw top-filtration test with every product computed in full:
+    embed(A) * embed(Y)^(-1) * w, then filtration valuation >= r in each
+    component.  Kept as the reference for the two bounded tests."""
+    amb = K.amb
+    full = K.A.map_entries(embed_sigma) @ K.gls[2].map_entries(embed_sigma).invert()
+
+    def check(w):
+        return all(fil_valuation(x, amb.N_p) >= amb.r for x in full.matvec(w))
+
+    return check
+
+
 def test_raw_vs_adapted_membership(amb3):
     rng = random.Random(1)
     for _ in range(5):
         K = random_gls(amb3, rng, rng.randrange(1, 3))
         B = kisin_to_breuil(K)
         raw = kisin_raw_fil_checker(K)
+        ref = raw_fil_checker_unbounded(K)
         for k in range(30):
             if k % 2 == 0:
                 x = random_fil_member(B, rng, amb3.r)
             else:
                 x = random_vector(B, rng, 5)
-            assert fil_membership(B, x) == raw(x)
+            assert fil_membership(B, x) == raw(x) == ref(x)

@@ -133,6 +133,13 @@ def test_cli_gen_rank_zero_is_a_usage_error(tmp_path, capsys):
     assert err == ["error: a Kisin module needs rank d >= 1, got 0"] * 2
 
 
+def test_cli_gen_negative_rank_names_the_rank(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["gen", "fl", "--d", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: rank must be at least 0, got -1"]
+
+
 def test_zero_rank_det_and_gls_raise(amb3):
     from flbreuil.matrix import RingMatrix
 

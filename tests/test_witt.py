@@ -1,10 +1,16 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, _fp_is_irreducible, find_irreducible
+from flbreuil.witt import WittRing, _fp_is_irreducible, draw_below, find_irreducible
+
+HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +177,27 @@ def test_truncate(zp):
     x = zp.from_int(40, prec=5)
     t = x.truncate(2)
     assert t.prec == 2 and t.coeffs[0] == 40 % 9
+
+
+def benchmark_moduli():
+    """p^cap of every context that the benchmark's workloads build."""
+    harness = sys.modules.get("perfbench_harness")
+    if harness is None:
+        spec = importlib.util.spec_from_file_location("perfbench_harness", HARNESS)
+        harness = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = harness  # its dataclasses look their module up
+        spec.loader.exec_module(harness)
+    ambs = [AmbientParams(**kw) for w in harness.WORKLOADS.values() for kw in w.ambients]
+    return {amb.ring.pk[amb.cap] for amb in ambs}
+
+
+def test_draw_below_is_randrange():
+    moduli = benchmark_moduli()
+    assert len(moduli) >= 3
+    sizes = {1, 2, 3} | moduli | {2 ** k + e for k in range(1, 70) for e in (-1, 0, 1)}
+    for n in sorted(sizes):
+        a, b = random.Random(n), random.Random(n)
+        assert [draw_below(a, n) for _ in range(12)] == [b.randrange(n) for _ in range(12)]
+        assert a.getstate() == b.getstate()
+    with pytest.raises(ValueError):
+        draw_below(random.Random(0), 0)
