@@ -31,7 +31,7 @@ Two sizing rules matter:
     iteration divides by p^r once per step and truncation-tail effects must
     stay invisible modulo p^N_p through the whole stabilisation window.
 
-The headroom default r*(d*N_p + 2) + p covers the transient denominators of
+The headroom default r*(3*N_p + 2) + p covers the transient denominators of
 the section iteration (one p^r per step) with a wide margin.
 """
 
@@ -68,8 +68,8 @@ def default_N_gamma(p: int, r: int, N_p: int) -> int:
     return max(min_N_gamma(p, r, N_p), math.ceil(target * (p - 1) / (p - 2)))
 
 
-def default_headroom(p: int, r: int, N_p: int, d: int = 3) -> int:
-    return r * (d * N_p + 2) + p
+def default_headroom(p: int, r: int, N_p: int) -> int:
+    return r * (3 * N_p + 2) + p
 
 
 def resolve_params(
@@ -83,11 +83,11 @@ def resolve_params(
     N_u: int | None = None,
     a: int | list[int] = -1,
     m_coeffs=None,
-    d_hint: int = 3,
 ) -> tuple:
     """The parameters of a context, validated and with defaults applied:
     (p, r, f, N_p, N_gamma, headroom, N_u, a, m_coeffs), with ``a`` and
-    ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries).
+    ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries;
+    more than f once its trailing zeros are dropped is a ValueError).
     Keyword arguments that name one context resolve to the same tuple."""
     if not is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime; p = 2 is not supported "
@@ -100,7 +100,7 @@ def resolve_params(
     if N_p < 1:
         raise ValueError("N_p must be positive")
     if headroom is None:
-        headroom = default_headroom(p, r, N_p, d_hint)
+        headroom = default_headroom(p, r, N_p)
     if headroom < 0:
         raise ValueError("headroom must be nonnegative")
     if N_gamma is None:
@@ -121,6 +121,8 @@ def resolve_params(
     a += [0] * (f - len(a))
     while len(a) > f and not a[-1] % mod:
         a.pop()
+    if len(a) > f:
+        raise ValueError(f"a has {len(a)} coefficients, but f = {f} allows at most {f}")
     return (p, r, f, N_p, N_gamma, headroom, N_u,
             tuple(c % mod for c in a), tuple(int(c) % mod for c in m_coeffs))
 

@@ -71,29 +71,30 @@ class BreuilModule:
         return max(0, i - self.jumps[j])
 
 
-def fil_membership(B: BreuilModule, x, at: int | None = None) -> bool:
-    """x (coordinate vector over S) lies in Fil^r."""
-    return fil_lower(B, B.amb.r, x, at)
-
-
-def fil_level(B: BreuilModule, x, at: int | None = None, top: int | None = None) -> int:
-    """The largest i with x in the reconstructed step Fil^i, capped at
-    ``top`` when it is given (otherwise unbounded, also beyond r): the
-    minimum over j of v_j + r_j, where v_j is the filtration valuation of
-    the adapted coordinate y_j of y = C^(-1) x.  The zero vector of a
-    rank-0 module gets N_gamma + r.
+def adapted_level(amb, M: RingMatrix, jumps, x, at: int | None = None,
+                  top: int | None = None) -> int:
+    """The level of x in the filtration adapted to the coordinates of
+    y = M x with jumps r_j, capped at ``top`` when it is given (otherwise
+    unbounded, also beyond r): the minimum over j of v_j + r_j, where v_j
+    is the filtration valuation of y_j.  x lies in step i exactly when
+    i <= the level.  A rank-0 vector gets N_gamma + r.
 
     With ``top``, y is computed only below index top - min(r_j): a
     coordinate that vanishes there has v_j + r_j >= top whatever its
     higher coefficients are, and below that index the bounded product
     agrees with the full one."""
-    amb = B.amb
     at = amb.N_p if at is None else at
-    bound = None if top is None else top - min(B.jumps, default=0)
-    y = B.C_inv.matvec(x, bound)
-    level = min((fil_valuation(y[j], at) + B.jumps[j] for j in range(B.d)),
+    y = M.matvec(x, None if top is None else top - min(jumps, default=0))
+    level = min((fil_valuation(c, at) + r for c, r in zip(y, jumps)),
                 default=amb.N_gamma + amb.r)
     return level if top is None else min(level, top)
+
+
+def fil_level(B: BreuilModule, x, at: int | None = None, top: int | None = None) -> int:
+    """The largest i with x in the reconstructed step Fil^i, capped at
+    ``top`` when it is given: ``adapted_level`` of the adapted coordinates
+    C^(-1) x with the module's jumps."""
+    return adapted_level(B.amb, B.C_inv, B.jumps, x, at, top)
 
 
 def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
@@ -109,7 +110,7 @@ def phi_module(B: BreuilModule, x):
 def phi_r_apply(B: BreuilModule, x):
     """Divided Frobenius phi_r = phi / p^r on Fil^r; division must be exact."""
     amb = B.amb
-    if not fil_membership(B, x):
+    if not fil_lower(B, amb.r, x):
         raise NotInFil("phi_r needs an element of Fil^r")
     img = phi_module(B, x)
     try:
@@ -170,7 +171,7 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
     E = pd_gamma(amb, 1)
     for j, g in enumerate(gens):
         ENg = tuple(E * c for c in n_apply(B, g))
-        if not fil_membership(B, ENg, at):
+        if not fil_lower(B, amb.r, ENg, at):
             griffiths = False
             diagram = False
             continue
@@ -243,12 +244,6 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     return level
 
 
-def hat_fil_membership(B: BreuilModule, m_jumps, x, n: int,
-                       at: int | None = None, m_basis_inv: RingMatrix | None = None) -> bool:
-    """Membership of x in level n of the filtration of ``hat_fil_level``."""
-    return hat_fil_level(B, m_jumps, x, at, m_basis_inv, top=n) == n
-
-
 @dataclass
 class BreuilClassification:
     etale: bool
@@ -261,13 +256,13 @@ def breuil_bhat(B: BreuilModule) -> RingMatrix:
     return scaled_inverse(B.Phi, B.amb.r)
 
 
-def breuil_classify(B: BreuilModule, max_steps: int | None = None) -> BreuilClassification:
+def breuil_classify(B: BreuilModule) -> BreuilClassification:
     amb = B.amb
     bhat = breuil_bhat(B)
     return BreuilClassification(
         etale=all(j == amb.r for j in B.jumps),
         multiplicative=all(j == 0 for j in B.jumps),
-        unipotent=converges_to_zero(bhat, phi_S, amb.N_p, max_steps),
+        unipotent=converges_to_zero(bhat, phi_S, amb.N_p),
     )
 
 
@@ -284,20 +279,21 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     return BreuilModule(B.amb, B.d, Phi_new, Nmat_new, C_new, B.jumps)
 
 
-def random_fil_member(B: BreuilModule, rng, n: int, max_val: int = 2):
+def random_fil_member(B: BreuilModule, rng, n: int):
     """Random element of Fil^n with coefficients kept away from the
-    precision boundary (exact zeros or valuation <= max_val)."""
+    precision boundary (exact zeros or valuation <= 2)."""
     amb = B.amb
     y = []
     for j in range(B.d):
         t = B.fil_threshold(n, j)
-        body = pd_random_calibrated(amb, rng, amb.N_gamma - t - 1, max_val)
+        body = pd_random_calibrated(amb, rng, amb.N_gamma - t - 1, 2)
         y.append(pd_shift(body, t))
     return B.C.matvec(tuple(y))
 
 
-def random_vector(B: BreuilModule, rng, max_index: int | None = None, max_val: int = 2):
-    """Random coordinate vector with calibrated coefficient valuations."""
+def random_vector(B: BreuilModule, rng, max_index: int | None = None):
+    """Random coordinate vector with calibrated coefficient valuations
+    (exact zeros or valuation <= 2)."""
     amb = B.amb
     top = amb.N_gamma - 1 if max_index is None else max_index
-    return tuple(pd_random_calibrated(amb, rng, top, max_val) for _ in range(B.d))
+    return tuple(pd_random_calibrated(amb, rng, top, 2) for _ in range(B.d))

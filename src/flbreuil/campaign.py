@@ -260,20 +260,19 @@ def suite_unipotence(amb, rng, cfg):
     agree, flv, brv = _unipotence_agrees(M)
     recs.append(_rec("unipotence-random", agree, fl=flv, breuil=brv,
                      instance=SER.to_json(M) if not agree else None))
-    if cfg.get("crafted", True):
-        ok = True
-        for s in range(amb.r + 1):
-            M1 = FL.FLModule(amb, 1, (s,), RingMatrix([[amb.ring.one()]]))
-            agree, flv, brv = _unipotence_agrees(M1)
-            ok &= agree
-            ok &= flv == (s < amb.r)  # rank one: unipotent iff the jump is below r
-        swap = FL.FLModule(
-            amb, 2, (0, amb.r),
-            RingMatrix([[amb.w(0), amb.w(1)], [amb.w(1), amb.w(0)]]),
-        )
-        agree, flv, brv = _unipotence_agrees(swap)
-        ok &= agree and flv
-        recs.append(_rec("unipotence-crafted-family", ok))
+    ok = True
+    for s in range(amb.r + 1):
+        M1 = FL.FLModule(amb, 1, (s,), RingMatrix([[amb.ring.one()]]))
+        agree, flv, brv = _unipotence_agrees(M1)
+        ok &= agree
+        ok &= flv == (s < amb.r)  # rank one: unipotent iff the jump is below r
+    swap = FL.FLModule(
+        amb, 2, (0, amb.r),
+        RingMatrix([[amb.w(0), amb.w(1)], [amb.w(1), amb.w(0)]]),
+    )
+    agree, flv, brv = _unipotence_agrees(swap)
+    ok &= agree and flv
+    recs.append(_rec("unipotence-crafted-family", ok))
     return recs
 
 
@@ -291,7 +290,7 @@ def suite_kisin_breuil(amb, rng, cfg):
             x = BR.random_fil_member(B, rng, amb.r)
         else:
             x = BR.random_vector(B, rng, max_index=6)
-        if BR.fil_membership(B, x) != raw(x):
+        if BR.fil_lower(B, amb.r, x) != raw(x):
             mism += 1
     strongly = BR.breuil_validate(B).strongly_divisible
     return [

@@ -45,7 +45,7 @@ class FLModule:
     Ftil: RingMatrix
 
     def __post_init__(self):
-        check_jumps(self.amb, self.d, self.jumps)
+        object.__setattr__(self, "jumps", check_jumps(self.amb, self.d, self.jumps))
         if self.Ftil.rows != self.d or self.Ftil.cols != self.d:
             raise MalformedJumps("Ftil dimension does not match the rank")
         if self.Ftil.denom_exp:
@@ -119,18 +119,6 @@ def random_unipotent_fl(amb, rng, d: int, allow_top_jump: bool = True) -> FLModu
         M = random_fl(amb, rng, d, jumps)
         if fl_classify(M).unipotent.zero:
             return M
-
-
-def random_flag_preserving(amb, rng, jumps) -> RingMatrix:
-    """Random g in GL_d(W) with g_{ij} = 0 unless r_i >= r_j, so the change
-    of basis e -> e g preserves every filtration step."""
-    d = len(jumps)
-    while True:
-        ent = [[amb.ring.random(rng) if jumps[i] >= jumps[j] else amb.ring.zero()
-                for j in range(d)] for i in range(d)]
-        g = RingMatrix(ent)
-        if g.residue_invertible():
-            return g
 
 
 def fl_transport(M: FLModule, g: RingMatrix) -> FLModule:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .breuil import BreuilModule, breuil_validate, fil_lower, rebase
+from .breuil import BreuilModule, adapted_level, breuil_validate, fil_lower, rebase
 from .errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -43,7 +43,6 @@ from .matrix import RingMatrix, scaled_inverse
 from .pd import (
     eval_f0,
     eval_fpi,
-    fil_valuation,
     in_u_power_ideal,
     n_S,
     pd_from_scalar,
@@ -121,18 +120,14 @@ def _matrix_zero_valuation(M: RingMatrix, cap: int) -> int:
     return best
 
 
-def section_compute(B: BreuilModule, basis_hint: RingMatrix | None = None,
-                    max_steps: int | None = None) -> SectionResult:
+def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionResult:
     """Compute the unique phi-equivariant splitting of the reduction mod u.
 
-    Runs the fixed-point iteration in the module's own basis (rebased first
-    when ``basis_hint`` is given).  On presentations coming from the normal
-    form the iteration count never exceeds the rate bound; elsewhere it is
-    best effort and NonConvergent is raised after twice the bound plus a
-    fixed cushion.
+    Runs the fixed-point iteration in the module's own basis.  On
+    presentations coming from the normal form the iteration count never
+    exceeds the rate bound; elsewhere it is best effort and NonConvergent
+    is raised after twice the bound plus a fixed cushion.
     """
-    if basis_hint is not None:
-        B = rebase(B, basis_hint)
     amb = B.amb
     at = amb.N_p
     d = B.d
@@ -311,15 +306,11 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
 
 def tensor_membership_via_section(transport: FLTransport, x, n: int,
                                   at: int | None = None) -> bool:
-    """Membership in the tensor-product filtration read in the section basis:
-    coordinate j needs filtration valuation at least n - r_j, so each
-    coordinate is computed only below index n - min(r_j)."""
+    """Membership in step n of the tensor-product filtration read in the
+    section basis: ``adapted_level`` of the coordinates sec_basis_inv x with
+    the jumps of the reduction, capped at n, reaches n."""
     M = transport.M
-    at = M.amb.N_p if at is None else at
-    z = transport.sec_basis_inv.matvec(x, n - min(M.jumps, default=0))
-    return all(
-        fil_valuation(z[j], at) >= max(0, n - M.jumps[j]) for j in range(M.d)
-    )
+    return adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x, at, top=n) == n
 
 
 # --- round trips ---
@@ -365,8 +356,7 @@ def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripRep
     )
 
 
-def roundtrip_breuil(B: BreuilModule, g: RingMatrix, n_fil_samples: int = 8,
-                     rng=None) -> RoundTripReport:
+def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng=None) -> RoundTripReport:
     """S -> FL -> S on a basis twist of a base-changed module.
 
     ``B`` must come from the forward functor; ``g`` (congruent to the
@@ -374,7 +364,7 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, n_fil_samples: int = 8,
     closed form g^(-1) f_0(g), the monodromy must be carried along
     (Nmat Bmat + N_S(Bmat) = 0), and top-filtration membership must agree
     between the twisted presentation and the tensor filtration read through
-    the section.
+    the section, on 8 random elements when ``rng`` is given.
     """
     amb = B.amb
     at = amb.N_p
@@ -402,7 +392,7 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, n_fil_samples: int = 8,
         if rng is not None:
             from .breuil import random_fil_member, random_vector
 
-            for _ in range(n_fil_samples):
+            for _ in range(8):
                 if rng.random() < 0.5:
                     x = random_fil_member(Bt, rng, amb.r)
                 else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import breuil as breuil_mod
 from .errors import MissingGLSForm, NotInvertible, SingularMatrix
 from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
-from .pd import embed_sigma, fil_valuation, pd_one, pd_zero, phi_S
+from .pd import embed_sigma, pd_one, pd_zero, phi_S
 from .series import SigmaSeries, series_from_ints, weierstrass_divide
 
 
@@ -176,10 +176,10 @@ def kisin_raw_fil_checker(K: KisinModule):
     Returns a callable on coordinate vectors (in the transferred basis f):
     the linearised Frobenius of the element must land in Fil^r S tensor the
     module, i.e. every component of embed(X Lambda Y) * embed(Y)^{-1} * w
-    must have filtration valuation at least r.  Independent of the adapted
-    shortcut: it inverts embed(Y) over S as adj * det^(-1) and multiplies
-    out, each component only below index r, the coefficients the test
-    reads.
+    must have filtration valuation at least r: ``adapted_level`` of those
+    components with jumps 0, capped at r, reaches r.  Independent of the
+    adapted shortcut: it inverts embed(Y) over S as adj * det^(-1) and
+    multiplies out.
     """
     if K.gls is None:
         raise MissingGLSForm("raw membership needs the normal form data")
@@ -188,17 +188,16 @@ def kisin_raw_fil_checker(K: KisinModule):
     A_pd = _embed_matrix(X @ _E_diag(amb, jumps) @ Y)
     Yinv_pd = _embed_matrix(Y).invert()
     full = A_pd @ Yinv_pd
+    zeros = (0,) * K.d
 
     def check(w, at: int | None = None) -> bool:
-        at = amb.N_p if at is None else at
-        img = full.matvec(w, amb.r)
-        return all(fil_valuation(x, at) >= amb.r for x in img)
+        return breuil_mod.adapted_level(amb, full, zeros, w, at, top=amb.r) == amb.r
 
     return check
 
 
-def random_gls(amb, rng, d: int, deg: int = 4, max_jump: int | None = None, jumps=None) -> KisinModule:
-    """Random normal-form module: X, Y are degree <= deg perturbations of
+def random_gls(amb, rng, d: int, jumps=None) -> KisinModule:
+    """Random normal-form module: X, Y are degree <= 4 perturbations of
     the identity, resampled until invertible.
 
     X is unconstrained.  Y's perturbation carries no u-terms of degree
@@ -210,12 +209,11 @@ def random_gls(amb, rng, d: int, deg: int = 4, max_jump: int | None = None, jump
     """
     _check_rank(d)
     if jumps is None:
-        top = amb.r if max_jump is None else max_jump
-        jumps = tuple(sorted(rng.randrange(top + 1) for _ in range(d)))
+        jumps = tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
 
     def rand_entry(crystalline_shape: bool) -> SigmaSeries:
         coeffs = []
-        for k in range(deg + 1):
+        for k in range(5):
             if crystalline_shape and 1 <= k < amb.p:
                 coeffs.append(amb.ring.zero())
             else:

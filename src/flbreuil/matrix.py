@@ -275,16 +275,6 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))
 
 
-def twisted_chain(A: RingMatrix, n: int, twist) -> RingMatrix:
-    """A * twist(A) * twist^2(A) * ... * twist^n(A), twisting entrywise."""
-    prod = A
-    term = A
-    for _ in range(n):
-        term = term.map_entries(twist)
-        prod = prod @ term
-    return prod
-
-
 @dataclass
 class ConvergenceVerdict:
     """Outcome of the at-precision test of an infinite twisted product."""

@@ -372,22 +372,17 @@ def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
     return True
 
 
-def pd_random(amb, rng, max_index: int | None = None, prec: int | None = None) -> PDElement:
-    """Uniform random coefficients up to max_index (exclusive)."""
-    top = amb.N_gamma if max_index is None else min(max_index, amb.N_gamma)
-    return PDElement(amb, [amb.ring.random(rng, prec) for _ in range(top)])
-
-
-def pd_random_calibrated(amb, rng, max_index: int, max_val: int, zero_chance: float = 0.3) -> PDElement:
-    """Random element whose coefficients are exact zeros or have small,
-    controlled p-valuation.  Keeps filtration verdicts away from the
-    precision boundary so that at-precision membership tests are decisive."""
+def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
+    """Random element whose coefficients are exact zeros (with chance 0.3)
+    or have p-valuation at most max_val.  Keeps filtration verdicts away
+    from the precision boundary so that at-precision membership tests are
+    decisive."""
     ring = amb.ring
     cap = amb.cap
     mod = ring.pk[cap]
     planes = tuple([] for _ in range(ring.f))
     for _ in range(min(max_index, amb.N_gamma)):
-        if rng.random() < zero_chance:
+        if rng.random() < 0.3:
             for pl in planes:
                 pl.append(0)
         else:

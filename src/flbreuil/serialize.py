@@ -40,6 +40,26 @@ def _expect(d: dict, required: tuple, optional: tuple = ()) -> None:
         raise SchemaMismatch(f"unknown fields rejected: {sorted(unknown)}")
 
 
+def _int(v, name: str) -> int:
+    """An integer field: a JSON integer, or a string of one (coefficients
+    are written as strings).  Booleans, floats, arrays, objects and null
+    are rejected."""
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise SchemaMismatch(f"{name} must be an integer, got {type(v).__name__}")
+
+
+def _array(v, name: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaMismatch(f"{name} must be an array, got {type(v).__name__}")
+    return v
+
+
 # --- scalars and elements ---
 
 def scalar_to_json(x: WittScalar) -> dict:
@@ -48,12 +68,12 @@ def scalar_to_json(x: WittScalar) -> dict:
 
 def scalar_from_json(amb: AmbientParams, d: dict) -> WittScalar:
     _expect(d, ("coeffs", "prec"))
-    prec = int(d["prec"])
+    prec = _int(d["prec"], "prec")
     if prec > amb.cap:
         raise PrecisionMismatch(f"scalar precision {prec} exceeds cap {amb.cap}")
     if prec < 1:
         raise SchemaMismatch("scalar precision must be positive")
-    coeffs = [int(c) for c in d["coeffs"]]
+    coeffs = [_int(c, "coefficient") for c in _array(d["coeffs"], "coeffs")]
     if len(coeffs) != amb.f:
         raise SchemaMismatch(f"scalar needs {amb.f} coefficients")
     return amb.ring.make(coeffs, prec)
@@ -65,7 +85,7 @@ def series_to_json(x: SigmaSeries) -> dict:
 
 def series_from_json(amb: AmbientParams, d: dict) -> SigmaSeries:
     _expect(d, ("ucoeffs",))
-    return SigmaSeries(amb, [scalar_from_json(amb, c) for c in d["ucoeffs"]])
+    return SigmaSeries(amb, [scalar_from_json(amb, c) for c in _array(d["ucoeffs"], "ucoeffs")])
 
 
 def pd_to_json(x: PDElement) -> dict:
@@ -74,7 +94,7 @@ def pd_to_json(x: PDElement) -> dict:
 
 def pd_from_json(amb: AmbientParams, d: dict) -> PDElement:
     _expect(d, ("gcoeffs", "tail_dirty"))
-    coeffs = [scalar_from_json(amb, c) for c in d["gcoeffs"]]
+    coeffs = [scalar_from_json(amb, c) for c in _array(d["gcoeffs"], "gcoeffs")]
     if len(coeffs) > amb.N_gamma:
         raise SchemaMismatch("too many gamma coefficients for this truncation")
     return PDElement(amb, coeffs, bool(d["tail_dirty"]))
@@ -103,9 +123,10 @@ def matrix_to_json(M: RingMatrix) -> dict:
 def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
     _expect(d, ("rows", "cols", "denom_exp", "entries"))
     dec = _ENTRY_FROM_JSON[kind]
-    entries = [[dec(amb, x) for x in row] for row in d["entries"]]
-    M = RingMatrix(entries, int(d["denom_exp"]))
-    if M.rows != int(d["rows"]) or M.cols != int(d["cols"]):
+    entries = [[dec(amb, x) for x in _array(row, "matrix row")]
+               for row in _array(d["entries"], "entries")]
+    M = RingMatrix(entries, _int(d["denom_exp"], "denom_exp"))
+    if M.rows != _int(d["rows"], "rows") or M.cols != _int(d["cols"], "cols"):
         raise SchemaMismatch("declared matrix shape does not match entries")
     return M
 
@@ -118,7 +139,7 @@ def params_to_json(amb: AmbientParams) -> dict:
 
 def params_from_json(d: dict) -> AmbientParams:
     _expect(d, ("p", "f", "m_coeffs", "N_p", "N_gamma", "r", "a", "headroom"))
-    p = int(d["p"])
+    p = _int(d["p"], "p")
     if p == 2:
         raise SchemaMismatch(
             "p = 2 is rejected: the diagonal normal form used for the "
@@ -126,16 +147,13 @@ def params_from_json(d: dict) -> AmbientParams:
         )
     a_doc = d["a"]
     _expect(a_doc, ("coeffs", "prec"))
+    _int(a_doc["prec"], "a.prec")
     try:
         return shared_params(
             p=p,
-            r=int(d["r"]),
-            f=int(d["f"]),
-            N_p=int(d["N_p"]),
-            N_gamma=int(d["N_gamma"]),
-            headroom=int(d["headroom"]),
-            a=[int(c) for c in a_doc["coeffs"]],
-            m_coeffs=[int(c) for c in d["m_coeffs"]],
+            **{k: _int(d[k], k) for k in ("r", "f", "N_p", "N_gamma", "headroom")},
+            a=[_int(c, "a coefficient") for c in _array(a_doc["coeffs"], "a.coeffs")],
+            m_coeffs=[_int(c, "m coefficient") for c in _array(d["m_coeffs"], "m_coeffs")],
         )
     except ValueError as exc:
         raise SchemaMismatch(str(exc)) from exc
@@ -172,6 +190,10 @@ def to_json(obj) -> dict:
     return {"schema": SCHEMA, "kind": kind, "params": params_to_json(amb), "data": data}
 
 
+def _jumps(d: dict) -> tuple:
+    return tuple(_int(j, "jump") for j in _array(d["jumps"], "jumps"))
+
+
 def from_json(doc: dict):
     _expect(doc, ("schema", "kind", "params", "data"))
     if doc["schema"] != SCHEMA:
@@ -181,7 +203,7 @@ def from_json(doc: dict):
     data = doc["data"]
     if kind == "FLModule":
         _expect(data, ("d", "jumps", "Ftil"))
-        return FLModule(amb, int(data["d"]), tuple(data["jumps"]),
+        return FLModule(amb, _int(data["d"], "d"), _jumps(data),
                         matrix_from_json(amb, "witt", data["Ftil"]))
     if kind == "KisinModule":
         _expect(data, ("d", "A", "gls"))
@@ -190,20 +212,21 @@ def from_json(doc: dict):
             _expect(data["gls"], ("X", "jumps", "Y"))
             gls = (
                 matrix_from_json(amb, "series", data["gls"]["X"]),
-                tuple(data["gls"]["jumps"]),
+                _jumps(data["gls"]),
                 matrix_from_json(amb, "series", data["gls"]["Y"]),
             )
-        return KisinModule(amb, int(data["d"]), matrix_from_json(amb, "series", data["A"]), gls)
+        return KisinModule(amb, _int(data["d"], "d"),
+                           matrix_from_json(amb, "series", data["A"]), gls)
     if kind == "BreuilModule":
         _expect(data, ("d", "Phi", "Nmat", "C", "jumps"))
         nmat = None if data["Nmat"] is None else matrix_from_json(amb, "pd", data["Nmat"])
         return BreuilModule(
             amb,
-            int(data["d"]),
+            _int(data["d"], "d"),
             matrix_from_json(amb, "pd", data["Phi"]),
             nmat,
             matrix_from_json(amb, "pd", data["C"]),
-            tuple(data["jumps"]),
+            _jumps(data),
         )
     raise SchemaMismatch(f"unknown kind {kind!r}")
 

@@ -149,12 +149,6 @@ def series_from_ints(amb, ints, prec: int | None = None) -> SigmaSeries:
     return SigmaSeries(amb, [amb.ring.from_int(n, prec) for n in ints], prec)
 
 
-def series_monomial(amb, n: int, coeff: WittScalar | None = None) -> SigmaSeries:
-    coeff = amb.ring.one() if coeff is None else coeff
-    zero = amb.ring.zero(coeff.prec)
-    return SigmaSeries(amb, [zero] * n + [coeff], coeff.prec)
-
-
 def weierstrass_divide(fnum: SigmaSeries) -> tuple[SigmaSeries, WittScalar]:
     """Synthetic division by E(u) = u + p*a: fnum = q*E + rem with rem in W(k)."""
     amb = fnum.amb

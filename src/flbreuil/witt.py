@@ -86,8 +86,6 @@ def find_irreducible(p: int, f: int) -> tuple[int, ...]:
     Returns ascending coefficients (c_0, ..., c_{f-1}, 1).  For f = 1 the
     polynomial is T itself, so the ring degenerates to Z/p^N.
     """
-    if f == 1:
-        return (0, 1)
     for n in range(p**f):
         low = []
         k = n
@@ -193,8 +191,6 @@ class WittRing:
         return (1,) + (0,) * (self.f - 1)
 
     def _build_redrows(self):
-        if self.f == 1:
-            return ()
         cap = self.cap
         mod = self.pk[cap]
         rows = []
@@ -600,12 +596,6 @@ class WittScalar:
         """The constant of this ring whose residue is the tuple t."""
         return self.ring.make(t)
 
-    def lift_int(self) -> int:
-        """Canonical integer representative (only for f = 1)."""
-        if self.ring.f != 1:
-            raise ValueError("lift_int needs f = 1")
-        return self.coeffs[0]
-
 
 class FlatVector:
     """Arithmetic shared by the elements of W(k)[[u]] and of S.
@@ -654,10 +644,6 @@ class FlatVector:
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
         acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
         return ring.fold(acc, k), k, reach
-
-    def scalar_mul(self, w: WittScalar):
-        """The product by the constant w of the same ring."""
-        return self * type(self)(self.amb, [w], prec=w.prec)
 
     def mul_p_pow(self, k: int):
         """Exact multiplication by p^k; raises precision up to the ring cap."""

@@ -10,9 +10,7 @@ from flbreuil.breuil import (
     breuil_validate,
     fil_level,
     fil_lower,
-    fil_membership,
     hat_fil_level,
-    hat_fil_membership,
     n_apply,
     phi_r_apply,
     random_fil_member,
@@ -47,9 +45,9 @@ def rank1(amb, jump, phi_scalar, nmat=None):
 
 def test_fil_membership_examples(amb3):
     B = rank1(amb3, 1, amb3.w(3))
-    assert fil_membership(B, (pd_gamma(amb3, 1),))
-    assert not fil_membership(B, (pd_one(amb3),))
-    assert fil_membership(B, (pd_gamma(amb3, 2),))
+    assert fil_lower(B, amb3.r, (pd_gamma(amb3, 1),))
+    assert not fil_lower(B, amb3.r, (pd_one(amb3),))
+    assert fil_lower(B, amb3.r, (pd_gamma(amb3, 2),))
 
 
 def test_fil_lower_examples(amb3):
@@ -60,7 +58,8 @@ def test_fil_lower_examples(amb3):
     assert fil_lower(B, 1, x)
     assert not fil_lower(B, 2, x)
     assert fil_lower(B, 2, (pd_gamma(amb3, 1),))
-    assert fil_lower(B, amb3.r, (pd_gamma(amb3, 1),)) == fil_membership(B, (pd_gamma(amb3, 1),))
+    g1 = (pd_gamma(amb3, 1),)
+    assert fil_lower(B, amb3.r, g1) == (fil_level(B, g1) >= amb3.r)
 
 
 def fil_lower_colon(B, i, x, at=None):
@@ -73,7 +72,7 @@ def fil_lower_colon(B, i, x, at=None):
     if i >= amb.r:
         return fil_lower(B, i, x, at)
     g = pd_gamma(amb, amb.r - i)
-    return fil_membership(B, tuple(g * c for c in x), at)
+    return fil_lower(B, amb.r, tuple(g * c for c in x), at)
 
 
 def test_fil_lower_matches_colon_form(amb3):
@@ -170,30 +169,30 @@ def test_hat_filtration_rank_one(amb3):
         B = fl_to_breuil(M)
         x = (pd_one(amb3),)
         for n in range(amb3.r + 1):
-            assert hat_fil_membership(B, M.jumps, x, n) == (n <= s)
+            assert (hat_fil_level(B, M.jumps, x, top=n) == n) == (n <= s)
 
 
 def test_hat_filtration_gamma_example(amb3):
     M = random_fl(amb3, random.Random(3), 1, (0,))
     B = fl_to_breuil(M)
-    assert hat_fil_membership(B, M.jumps, (pd_gamma(amb3, 1),), 1)
+    assert hat_fil_level(B, M.jumps, (pd_gamma(amb3, 1),), top=1) == 1
 
 
 def test_hat_budget(amb3):
     M = random_fl(amb3, random.Random(4), 1, (0,))
     B = fl_to_breuil(M)
     with pytest.raises(RecursionBudget):
-        hat_fil_membership(B, M.jumps, (pd_one(amb3),), amb3.r + 1)
+        hat_fil_level(B, M.jumps, (pd_one(amb3),), top=amb3.r + 1)
 
 
 def test_hat_needs_monodromy(amb3):
     B = rank1(amb3, 0, amb3.w(1))
     x = (pd_one(amb3),)
-    assert hat_fil_membership(B, (0,), x, 0)
+    assert hat_fil_level(B, (0,), x, top=0) == 0
     # level 1 is defined through N, even where the reduction alone refuses x
     for n in range(1, amb3.r + 1):
         with pytest.raises(NotCris):
-            hat_fil_membership(B, (0,), x, n)
+            hat_fil_level(B, (0,), x, top=n)
     with pytest.raises(NotCris):
         hat_fil_level(B, (0,), x)
 
@@ -225,7 +224,7 @@ def test_hat_equals_tensor_small(amb3):
             else:
                 x = random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
-                assert fil_lower(B, n, x) == hat_fil_membership(B, M.jumps, x, n)
+                assert fil_lower(B, n, x) == (hat_fil_level(B, M.jumps, x, top=n) == n)
 
 
 def fil_lower_per_coordinate(B, i, x, at=None):
@@ -298,7 +297,7 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
                 assert 0 <= H <= r and max(H - 1, 0) <= calls[0] <= min(H, r - 1)
                 for n in range(r + 1):
                     calls[0] = 0
-                    member = hat_fil_membership(B, M.jumps, x, n, m_basis_inv=basis)
+                    member = hat_fil_level(B, M.jumps, x, m_basis_inv=basis, top=n) == n
                     if n <= H:
                         assert calls[0] == max(n - 1, 0)
                     else:
@@ -364,4 +363,4 @@ def test_rebase_round_trip(amb3):
     for _ in range(20):
         x = random_vector(B, rng, 5)
         xt = h.invert().matvec(x)
-        assert fil_membership(B, x) == fil_membership(Bt, xt)
+        assert fil_lower(B, amb3.r, x) == fil_lower(Bt, amb3.r, xt)

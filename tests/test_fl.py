@@ -10,7 +10,6 @@ from flbreuil.fl import (
     fl_v_matrix,
     fl_validate,
     random_fl,
-    random_flag_preserving,
     random_unipotent_fl,
 )
 from flbreuil.matrix import RingMatrix
@@ -99,6 +98,18 @@ def test_random_unipotent_screen(amb3):
     for _ in range(10):
         M = random_unipotent_fl(amb3, rng, 2)
         assert fl_classify(M).unipotent.zero
+
+
+def random_flag_preserving(amb, rng, jumps) -> RingMatrix:
+    """Random g in GL_d(W) with g_{ij} = 0 unless r_i >= r_j, so the change
+    of basis e -> e g preserves every filtration step."""
+    d = len(jumps)
+    while True:
+        ent = [[amb.ring.random(rng) if jumps[i] >= jumps[j] else amb.ring.zero()
+                for j in range(d)] for i in range(d)]
+        g = RingMatrix(ent)
+        if g.residue_invertible():
+            return g
 
 
 def test_classification_invariant_under_flag_base_change(amb3):

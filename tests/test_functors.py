@@ -25,6 +25,7 @@ from flbreuil.kisin import kisin_gls_construct, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
     eval_f0,
+    fil_valuation,
     pd_from_scalar,
     pd_gamma,
     pd_one,
@@ -90,10 +91,10 @@ def test_section_rank_one_fixed_point_oracle(amb3):
         B = kisin_to_breuil(K)
         a_b = B.Phi.entries[0][0]
         a0 = eval_f0(a_b)
-        unit_inv = a0.div_p_exact(s).invert()
-        x = a_b.scalar_mul(unit_inv).div_p_exact(s)
+        unit_inv = pd_from_scalar(amb3, a0.div_p_exact(s).invert())
+        x = (a_b * unit_inv).div_p_exact(s)
         for _ in range(6):
-            x = (a_b * phi_S(x)).scalar_mul(unit_inv).div_p_exact(s)
+            x = (a_b * phi_S(x) * unit_inv).div_p_exact(s)
         sec = section_compute(B)
         assert sec.Bmat.entries[0][0].eq_at(x, amb3.N_p)
         assert eval_f0(sec.Bmat.entries[0][0]).eq_at(amb3.w(1), amb3.N_p)
@@ -157,7 +158,7 @@ def test_section_basis_hint_closed_form(amb3):
         ]
         h = RingMatrix(ent)
     sec0 = section_compute(B)
-    sec_h = section_compute(B, basis_hint=h)
+    sec_h = section_compute(rebase(B, h))
     expect = h.invert() @ sec0.Bmat @ embed_w_matrix(amb3, f0_matrix(h))
     assert sec_h.Bmat.eq_at(expect, amb3.N_p)
 
@@ -287,21 +288,42 @@ def test_roundtrip_breuil_gamma_corner(amb3):
     assert sec.Bmat.eq_at(expect, amb3.N_p)
 
 
-def test_tensor_membership_through_section(amb3):
-    rng = random.Random(10)
-    M = random_fl(amb3, rng, 2)
-    B = fl_to_breuil(M)
-    _, transport = breuil_to_fl_with_transport(B)
-    from flbreuil.breuil import random_fil_member, random_vector
+def tensor_membership_unbounded(transport, x, n):
+    """Step n of the tensor filtration with the product computed in full:
+    sec_basis_inv x, then filtration valuation >= max(0, n - r_j) in each
+    coordinate.  Kept as the reference for the bounded test."""
+    M = transport.M
+    z = transport.sec_basis_inv.matvec(x)
+    return all(fil_valuation(z[j], M.amb.N_p) >= max(0, n - M.jumps[j]) for j in range(M.d))
 
-    for _ in range(30):
-        if rng.random() < 0.5:
-            x = random_fil_member(B, rng, amb3.r)
-        else:
-            x = random_vector(B, rng, 6)
-        assert fil_lower(B, amb3.r, x) == tensor_membership_via_section(
-            transport, x, amb3.r
-        )
+
+def test_tensor_membership_through_section(amb3):
+    # the bounded product is cut at n - min(r_j) for every n, so every level
+    # is compared with the full product, also on twisted presentations whose
+    # section is not the identity
+    from flbreuil.breuil import random_fil_member, random_vector
+    from flbreuil.campaign import random_congruent_identity
+
+    rng = random.Random(10)
+    B = fl_to_breuil(random_fl(amb3, rng, 2))
+    seen = set()
+    for d in (None, 1, 2, 3):
+        if d is not None:
+            M = random_fl(amb3, rng, d)
+            B = rebase(fl_to_breuil(M), random_congruent_identity(amb3, rng, d))
+        _, transport = breuil_to_fl_with_transport(B)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                x = random_fil_member(B, rng, amb3.r)
+            else:
+                x = random_vector(B, rng, 6)
+            for n in range(amb3.r + 1):
+                member = tensor_membership_via_section(transport, x, n)
+                assert member == tensor_membership_unbounded(transport, x, n)
+                assert member == fil_lower(B, n, x)
+                seen.add((n, member))
+    # every level above 0 is met both inside and outside its step
+    assert {(n, v) for n in range(1, amb3.r + 1) for v in (True, False)} <= seen
 
 
 def test_full_pipeline_with_nontrivial_residue_degree(amb9):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flbreuil.breuil import breuil_validate, fil_membership, random_fil_member, random_vector
+from flbreuil.breuil import breuil_validate, fil_lower, random_fil_member, random_vector
 from flbreuil.errors import MissingGLSForm, NotInvertible, SingularMatrix
 from flbreuil.kisin import (
     KisinModule,
@@ -135,4 +135,4 @@ def test_raw_vs_adapted_membership(amb3):
                 x = random_fil_member(B, rng, amb3.r)
             else:
                 x = random_vector(B, rng, 5)
-            assert fil_membership(B, x) == raw(x) == ref(x)
+            assert fil_lower(B, amb3.r, x) == raw(x) == ref(x)

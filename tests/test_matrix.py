@@ -5,8 +5,8 @@ import pytest
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotDivisible, NotInvertible
 from flbreuil.kisin import kisin_height_check, random_gls
-from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse, twisted_chain
-from flbreuil.pd import pd_gamma, pd_one, pd_random, pd_zero
+from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse
+from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import WittScalar
 
@@ -64,11 +64,22 @@ def test_invert_random_all_rings(amb3, amb9):
         done += 1
     done = 0
     while done < 100:
-        A = RingMatrix([[pd_random(amb3, rng, 4) for _ in range(2)] for _ in range(2)])
+        A = RingMatrix([[PDElement(amb3, [amb3.ring.random(rng) for _ in range(4)])
+                         for _ in range(2)] for _ in range(2)])
         if not A.residue_invertible():
             continue
         assert (A.invert() @ A).eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
         done += 1
+
+
+def twisted_chain(A: RingMatrix, n: int, twist) -> RingMatrix:
+    """A * twist(A) * twist^2(A) * ... * twist^n(A), twisting entrywise."""
+    prod = A
+    term = A
+    for _ in range(n):
+        term = term.map_entries(twist)
+        prod = prod @ term
+    return prod
 
 
 def test_twisted_chain_basics(amb3):
@@ -197,7 +208,7 @@ def random_entry_makers(amb3, amb9, rng):
         "W": lambda: amb3.ring.random(rng),
         "W f=2": lambda: amb9.ring.random(rng),
         "series": lambda: SigmaSeries(amb3, [amb3.ring.random(rng) for _ in range(3)]),
-        "S": lambda: pd_random(amb3, rng, 3),
+        "S": lambda: PDElement(amb3, [amb3.ring.random(rng) for _ in range(3)]),
     }
 
 

@@ -14,7 +14,6 @@ from flbreuil.pd import (
     pd_from_scalar,
     pd_gamma,
     pd_one,
-    pd_random,
     pd_random_calibrated,
     pd_shift,
     phi_S,
@@ -42,7 +41,8 @@ def test_gamma_product_binomials(amb3):
     g1, g2, g3 = (pd_gamma(amb3, i) for i in (1, 2, 3))
     assert ints(g1 * g1) == [0, 0, 2, 0, 0, 0]
     assert ints(g2 * g3)[5] == 10
-    x = pd_random(amb3, random.Random(0), 6)
+    rng = random.Random(0)
+    x = PDElement(amb3, [amb3.ring.random(rng) for _ in range(6)])
     assert (pd_one(amb3) * x).eq_at(x, x.prec)
 
 
@@ -75,10 +75,8 @@ def test_embed_is_ring_map(amb3):
 
 
 def test_embed_degree_overflow(amb3):
-    from flbreuil.series import series_monomial
-
     with pytest.raises(DegreeOverflow):
-        embed_sigma(series_monomial(amb3, amb3.N_gamma))
+        embed_sigma(amb3.useries([0] * amb3.N_gamma + [1]))
 
 
 # --- Frobenius ---
@@ -177,7 +175,7 @@ def test_f0_intertwines_phi(amb3, amb9):
     for amb in (amb3, amb9):
         rng = random.Random(7)
         for _ in range(40):
-            x = pd_random(amb, rng, 7)
+            x = PDElement(amb, [amb.ring.random(rng) for _ in range(7)])
             assert eval_f0(phi_S(x)).eq_at(eval_f0(x).frobenius(), amb.N_p)
 
 

@@ -7,7 +7,7 @@ from flbreuil import campaign as CAM
 from flbreuil import serialize as SER
 from flbreuil.cli import main
 from flbreuil.errors import NotStrong, PrecisionMismatch, SchemaMismatch
-from flbreuil.fl import random_fl
+from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
 from flbreuil.kisin import random_gls
 
@@ -271,3 +271,64 @@ def test_cli_roundtrip_verb(tmp_path):
                  "--r", "1", "--out", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 3 and all(l["ok"] for l in lines)
+
+
+def _set(*path):
+    """A document edit: the value at ``path[:-1]`` becomes ``path[-1]``."""
+    def edit(doc):
+        *keys, last, value = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("data", "d", [2]),
+    _set("data", "d", True),
+    _set("params", "p", {}),
+    _set("params", "N_p", 6.0),
+    _set("data", "Ftil", "entries", 5),
+    _set("data", "Ftil", "entries", 0, 0, "prec", None),
+    _set("data", "Ftil", "entries", 0, 0, "coeffs", ["x"]),
+    _set("data", "jumps", [0.7, 1.2]),
+    _set("params", "a", "coeffs", 5),
+], ids=["d-list", "d-bool", "p-object", "Np-float", "entries-int", "prec-null",
+        "coeff-text", "jumps-float", "a-int"])
+def test_cli_malformed_instance_is_a_usage_error(tmp_path, capsys, edit):
+    m = tmp_path / "m.json"
+    out = tmp_path / "b.json"
+    assert main(["gen", "fl", "--d", "2", "--jumps", "0,1", "--out", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    edit(doc)
+    m.write_text(json.dumps(doc))
+    assert main(["apply", "mls", "--in", str(m), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_fl_module_stores_checked_jumps(amb3):
+    M = random_fl(amb3, random.Random(11), 2, (0, 1))
+    assert FLModule(amb3, 2, [0, 1], M.Ftil).jumps == (0, 1)
+
+
+def test_a_longer_than_f_is_rejected(tmp_path, capsys):
+    from flbreuil.ambient import AmbientParams, resolve_params
+
+    with pytest.raises(ValueError, match="f = 2"):
+        AmbientParams(3, 1, f=2, a=[1, 0, 0, 1])
+    # trailing zeros beyond f are still dropped
+    assert resolve_params(3, 1, a=[-1, 0]) == resolve_params(3, 1)
+    m = tmp_path / "m.json"
+    out = tmp_path / "b.json"
+    assert main(["gen", "fl", "--d", "1", "--out", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    doc["params"]["a"]["coeffs"] += ["1"]
+    m.write_text(json.dumps(doc))
+    with pytest.raises(SchemaMismatch, match="f = 1"):
+        SER.from_json(doc)
+    assert main(["apply", "mls", "--in", str(m), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a has 2 coefficients, but f = 1 allows at most 1"]
