@@ -215,7 +215,6 @@ class AmbientParams:
             raise NotAUnit("a must be a unit of W(k)")
         self.pa = self.a.mul_p_pow(1)          # p*a = E(0)
         self.neg_pa = -self.pa                 # pi, the root of E
-        self._neg_pa_pow = [self.ring.one()]   # pi^0, pi^1, ..., for u_pow_raw
         self.sigma_a = self.a.frobenius()
 
         # tables: v_p(i!), unit parts of i!, binomials for the gamma product
@@ -235,8 +234,6 @@ class AmbientParams:
             for i in range(N_gamma)
         )
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
-        self._u_pow: dict[int, pdmod.PDElement] = {}
-        self._c_pow: dict[int, pdmod.PDElement] = {}
         # the linear maps of S on gamma-coefficients: columns c^i (phi_S),
         # u^n (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
         self.c_table = PackedTable(self.ring, N_gamma, self._c_column)
@@ -254,6 +251,10 @@ class AmbientParams:
         c_coeffs.append(self.ring.from_int(math.factorial(p) // p))
         c_coeffs[0] = c_coeffs[0] + self.sigma_a
         self.c = pdmod.PDElement(self, c_coeffs)
+        # the powers of u = gamma_1 - p*a and of c, from x^0 and x^1 on
+        one = pdmod.pd_one(self)
+        self._u_pow = [one, pdmod.PDElement(self, [self.neg_pa, self.ring.one()])]
+        self._c_pow = [one, self.c]
 
     # --- lazy tables ---
 
@@ -274,35 +275,25 @@ class AmbientParams:
             self._pa_div_fact[i] = out
         return out
 
-    def u_pow_raw(self, n: int) -> list[WittScalar]:
-        """Coefficients of u^n in the gamma basis: u = E - p*a expanded."""
-        pows = self._neg_pa_pow
-        while len(pows) <= n:
-            pows.append(pows[-1] * self.neg_pa)
-        out = []
-        for k in range(min(n, self.N_gamma - 1) + 1):
-            scal = self.ring.from_int(math.comb(n, k) * math.factorial(k))
-            out.append(scal * pows[n - k])
-        return out
+    @staticmethod
+    def _power(cache: list, n: int):
+        """x^n from the running products x^k = x^(k-1) * x, where ``cache``
+        holds x^0, x^1, ... and grows up to x^n."""
+        if n < 0:
+            raise DegreeOverflow(f"negative power {n}")
+        while len(cache) <= n:
+            cache.append(cache[-1] * cache[1])
+        return cache[n]
 
     def u_pow(self, n: int) -> pdmod.PDElement:
-        out = self._u_pow.get(n)
-        if out is None:
-            if n >= self.N_gamma:
-                raise DegreeOverflow(f"u^{n} exceeds the gamma truncation")
-            out = pdmod.PDElement(self, self.u_pow_raw(n))
-            self._u_pow[n] = out
-        return out
+        """u^n in the gamma basis.  Below N_gamma no product is truncated,
+        so each power is the exact binomial expansion mod p^cap."""
+        if n >= self.N_gamma:
+            raise DegreeOverflow(f"u^{n} exceeds the gamma truncation")
+        return self._power(self._u_pow, n)
 
     def c_pow(self, i: int) -> pdmod.PDElement:
-        out = self._c_pow.get(i)
-        if out is None:
-            if i == 0:
-                out = pdmod.pd_one(self)
-            else:
-                out = self.c_pow(i - 1) * self.c
-            self._c_pow[i] = out
-        return out
+        return self._power(self._c_pow, i)
 
     # --- the columns of the packed tables ---
 

@@ -216,13 +216,13 @@ def suite_roundtrip_fl(amb, rng, cfg):
                  instance=SER.to_json(M) if not rep.success else None)]
 
 
-def random_congruent_identity(amb, rng, d: int, support: int = 4) -> RingMatrix:
-    """Random g = I + p*(small support) in GL_d(S)."""
+def random_congruent_identity(amb, rng, d: int) -> RingMatrix:
+    """Random g = I + p*(support 4) in GL_d(S)."""
     while True:
         ent = [
             [
                 (P.pd_one(amb) if i == j else P.pd_zero(amb))
-                + P.pd_random_calibrated(amb, rng, support, 0).mul_p_pow(1)
+                + P.pd_random_calibrated(amb, rng, 4, 0).mul_p_pow(1)
                 for j in range(d)
             ]
             for i in range(d)

@@ -29,7 +29,7 @@ from . import serialize as SER
 from .ambient import shared_params
 from .breuil import BreuilModule
 from .errors import KernelError
-from .fl import FLModule, random_fl
+from .fl import FLModule, random_fl, random_jumps
 from .kisin import KisinModule, random_gls
 
 
@@ -74,9 +74,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _parse_jumps(text: str | None, d: int, rng, r: int):
+def _parse_jumps(text: str | None, d: int, rng, amb):
     if text is None:
-        return tuple(sorted(rng.randrange(r + 1) for _ in range(d)))
+        return random_jumps(amb, rng, d)
     return tuple(int(x) for x in text.split(","))
 
 
@@ -106,7 +106,7 @@ def cmd_gen(args) -> int:
 
     amb = shared_params(**_amb_kwargs(args))
     rng = random.Random(f"gen:{args.kind}:{args.seed}")
-    jumps = _parse_jumps(args.jumps, args.d, rng, amb.r)
+    jumps = _parse_jumps(args.jumps, args.d, rng, amb)
     if args.kind == "fl":
         obj = random_fl(amb, rng, args.d, jumps)
     elif args.kind == "kisin-gls":

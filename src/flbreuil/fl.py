@@ -25,7 +25,9 @@ from .witt import WittScalar
 
 
 def check_jumps(amb, d: int, jumps) -> tuple[int, ...]:
-    jumps = tuple(int(j) for j in jumps)
+    jumps = tuple(jumps)
+    if any(not isinstance(j, int) or isinstance(j, bool) for j in jumps):
+        raise MalformedJumps(f"jumps {jumps} must be integers")
     if d < 0:
         raise MalformedJumps(f"rank must be at least 0, got {d}")
     if len(jumps) != d:
@@ -35,6 +37,11 @@ def check_jumps(amb, d: int, jumps) -> tuple[int, ...]:
     if any(jumps[i] > jumps[i + 1] for i in range(d - 1)):
         raise MalformedJumps(f"jumps {jumps} not sorted ascending")
     return jumps
+
+
+def random_jumps(amb, rng, d: int) -> tuple[int, ...]:
+    """d jumps drawn uniformly from [0, r], sorted ascending."""
+    return tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,6 @@ class FLModule:
         object.__setattr__(self, "jumps", check_jumps(self.amb, self.d, self.jumps))
         if self.Ftil.rows != self.d or self.Ftil.cols != self.d:
             raise MalformedJumps("Ftil dimension does not match the rank")
-        if self.Ftil.denom_exp:
-            raise MalformedJumps("Ftil must be integral")
 
 
 @dataclass
@@ -101,7 +106,7 @@ def fl_classify(M: FLModule) -> FLClassification:
 def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
     """Random strong module: Ftil sampled in GL_d(W)."""
     if jumps is None:
-        jumps = tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
+        jumps = random_jumps(amb, rng, d)
     jumps = check_jumps(amb, d, jumps)
     while True:
         Ftil = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
@@ -109,14 +114,10 @@ def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
             return FLModule(amb, d, jumps, Ftil)
 
 
-def random_unipotent_fl(amb, rng, d: int, allow_top_jump: bool = True) -> FLModule:
+def random_unipotent_fl(amb, rng, d: int) -> FLModule:
     """Random strong module screened to be unipotent via the V-product."""
     while True:
-        if allow_top_jump:
-            jumps = tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
-        else:
-            jumps = tuple(sorted(rng.randrange(amb.r) for _ in range(d)))
-        M = random_fl(amb, rng, d, jumps)
+        M = random_fl(amb, rng, d, random_jumps(amb, rng, d))
         if fl_classify(M).unipotent.zero:
             return M
 

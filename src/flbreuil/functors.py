@@ -137,22 +137,25 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
         scaled = scaled_inverse(A0_w, amb.r)
     except (NotDivisible, SingularMatrix) as exc:
         raise A0NotScaledIntegral(f"p^r A_0^(-1) is not integral: {exc}") from exc
-    A0inv = embed_w_matrix(amb, RingMatrix(scaled.entries, denom_exp=amb.r))
+    A0inv = embed_w_matrix(amb, scaled)      # p^r A_0^(-1), integral
     A0_pd = embed_w_matrix(amb, A0_w)
     ident_w = RingMatrix.identity(d, amb.ring.zero(), amb.ring.one())
     ident_pd = RingMatrix.identity(d, pd_zero(amb), pd_one(amb))
 
-    # The iteration runs with the p^r denominators tracked, not cleared:
-    # away from the normal-form basis a finite iterate may leave the
-    # integral lattice even though the limit never does.  Once the sequence
-    # stabilises mod p^N_p the accumulated denominator divides the
-    # numerator exactly (limit integral, discrepancy p-deep), so a single
-    # final normalisation is always the right move.
+    # Iterate n is kept as its numerator over p^t, t = (n + 1) r, and each
+    # comparison first scales the side with the lower exponent: away from
+    # the normal-form basis a finite iterate may leave the integral lattice
+    # even though the limit never does.  Once the sequence stabilises mod
+    # p^N_p the numerator is divisible by p^t (limit integral, discrepancy
+    # p-deep), so a single final division is always the right move.
+    r = amb.r
+    t = r
     B0 = A @ A0inv
     try:
         claim = all(
             in_u_power_ideal(x.mul_p_pow(1), amb.p, at)
-            for row in (B0.normalize() - ident_pd).entries for x in row
+            for row in (B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd).entries
+            for x in row
         )
     except NotDivisible:
         claim = False  # a non-integral first iterate certainly fails it
@@ -160,24 +163,25 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     if max_steps is None:
         max_steps = 2 * rate + 4
 
-    f0_ok = f0_matrix(B0).eq_at(ident_w, at)
+    f0_ok = f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
     cur = B0
     iterations = None
     for n in range(max_steps + 1):
         nxt = A @ phi_matrix(cur) @ A0inv
-        f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w, at)
-        if nxt.eq_at(cur, at):
-            iterations = n
-            cur = nxt
-            break
+        t += r
+        f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
+        stable = nxt.eq_at(cur.mul_p_pow(r), at + t)
         cur = nxt
+        if stable:
+            iterations = n
+            break
     if iterations is None:
         raise NonConvergent(
             f"no stabilisation mod p^{at} within {max_steps + 1} steps "
             f"(rate bound {rate}); expected only away from normal-form bases"
         )
     try:
-        cur = cur.normalize()
+        cur = cur.map_entries(lambda x: x.div_p_exact(t))
     except NotDivisible as exc:
         raise NonConvergent(
             f"stabilised iterate failed to normalise: {exc}"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from . import breuil as breuil_mod
 from .errors import MissingGLSForm, NotInvertible, SingularMatrix
+from .fl import random_jumps
 from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
 from .series import SigmaSeries, series_from_ints, weierstrass_divide
@@ -209,7 +210,7 @@ def random_gls(amb, rng, d: int, jumps=None) -> KisinModule:
     """
     _check_rank(d)
     if jumps is None:
-        jumps = tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
+        jumps = random_jumps(amb, rng, d)
 
     def rand_entry(crystalline_shape: bool) -> SigmaSeries:
         coeffs = []

@@ -7,9 +7,6 @@ Each entry of a product (``@``, ``matvec`` and the steps of Berkowitz's
 recursion) is the entry type's fused ``dot`` of a row and a column: one
 unreduced accumulator for all the pair products, one fold through m(T) and
 one reduction at the lowest precision of both rows.
-``denom_exp = t`` means the matrix stands for p^(-t) times its stored
-entries; it is used for the scaled inverses that appear in the section
-iteration (p^r times an inverse that is only integral after scaling).
 
 Determinant, adjugate and inverse all come from the characteristic
 polynomial, computed by Berkowitz's division-free recursion (S. J.
@@ -30,20 +27,17 @@ from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMat
 
 
 class RingMatrix:
-    """Rectangular matrix over one scalar ring, with a p-power denominator."""
+    """Rectangular matrix over one scalar ring."""
 
-    __slots__ = ("rows", "cols", "entries", "denom_exp")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, denom_exp: int = 0):
+    def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
         if any(len(row) != self.cols for row in entries):
             raise ValueError("ragged matrix")
-        if denom_exp < 0:
-            raise ValueError("denominator exponent must be >= 0")
-        self.denom_exp = denom_exp
 
     @staticmethod
     def identity(d: int, zero, one) -> "RingMatrix":
@@ -58,30 +52,22 @@ class RingMatrix:
         return self.entries[i][j]
 
     def map_entries(self, fn) -> "RingMatrix":
-        return RingMatrix([[fn(x) for x in row] for row in self.entries], self.denom_exp)
+        return RingMatrix([[fn(x) for x in row] for row in self.entries])
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.denom_exp,
-        )
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def col(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def __add__(self, other):
-        a, b = _align(self, other)
         return RingMatrix(
-            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
-            a.denom_exp,
-        )
+            [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        a, b = _align(self, other)
         return RingMatrix(
-            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
-            a.denom_exp,
-        )
+            [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
         return self.map_entries(lambda x: -x)
@@ -90,10 +76,7 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = other.transpose().entries
-        return RingMatrix(
-            [[_dot(row, colv) for colv in bt] for row in self.entries],
-            self.denom_exp + other.denom_exp,
-        )
+        return RingMatrix([[_dot(row, colv) for colv in bt] for row in self.entries])
 
     def scale(self, scalar) -> "RingMatrix":
         return self.map_entries(lambda x: x * scalar)
@@ -105,33 +88,23 @@ class RingMatrix:
             raise ValueError("dimension mismatch")
         return tuple(_dot(row, vec, bound) for row in self.entries)
 
-    # --- precision and denominator management ---
+    # --- precision ---
 
     def mul_p_pow(self, k: int) -> "RingMatrix":
         return self.map_entries(lambda x: x.mul_p_pow(k))
-
-    def normalize(self) -> "RingMatrix":
-        """Clear the denominator by exact division; NotDivisible if impossible."""
-        if self.denom_exp == 0:
-            return self
-        t = self.denom_exp
-        return RingMatrix([[x.div_p_exact(t) for x in row] for row in self.entries])
 
     def truncate(self, k: int) -> "RingMatrix":
         return self.map_entries(lambda x: x.truncate(k))
 
     def eq_at(self, other: "RingMatrix", k: int) -> bool:
-        a, b = _align(self, other)
-        kk = k + a.denom_exp
-        for ra, rb in zip(a.entries, b.entries):
+        for ra, rb in zip(self.entries, other.entries):
             for x, y in zip(ra, rb):
-                if not x.eq_at(y, kk):
+                if not x.eq_at(y, k):
                     return False
         return True
 
     def is_zero_at(self, k: int) -> bool:
-        kk = k + self.denom_exp
-        return all(x.is_zero_at(kk) for row in self.entries for x in row)
+        return all(x.is_zero_at(k) for row in self.entries for x in row)
 
     # --- characteristic polynomial, determinant, adjugate, inversion ---
 
@@ -146,8 +119,6 @@ class RingMatrix:
         """
         if self.rows != self.cols:
             raise ValueError(f"{what} of a non-square matrix")
-        if self.denom_exp:
-            raise ValueError(f"clear the denominator before taking the {what}")
         if not self.rows:
             raise ValueError(f"{what} of a 0x0 matrix: no entry gives the ring")
         a = self.entries
@@ -198,25 +169,12 @@ class RingMatrix:
         """Two-sided inverse adj(A) * det(A)^(-1), exact at working precision."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
-        if self.denom_exp:
-            raise ValueError("clear the denominator before inverting")
         if not self.rows:
             return self
         det, adj = self.det_adjugate()
         if not det.is_unit():
             raise NotInvertible("determinant is not a unit")
         return adj.scale(det.invert())
-
-
-def _align(a: RingMatrix, b: RingMatrix):
-    """Bring two matrices to a common denominator by exact scaling."""
-    if a.denom_exp == b.denom_exp:
-        return a, b
-    if a.denom_exp < b.denom_exp:
-        k = b.denom_exp - a.denom_exp
-        return RingMatrix(a.mul_p_pow(k).entries, b.denom_exp), b
-    k = a.denom_exp - b.denom_exp
-    return a, RingMatrix(b.mul_p_pow(k).entries, a.denom_exp)
 
 
 def _dot(xs, ys, bound: int | None = None):

@@ -97,7 +97,10 @@ def pd_from_json(amb: AmbientParams, d: dict) -> PDElement:
     coeffs = [scalar_from_json(amb, c) for c in _array(d["gcoeffs"], "gcoeffs")]
     if len(coeffs) > amb.N_gamma:
         raise SchemaMismatch("too many gamma coefficients for this truncation")
-    return PDElement(amb, coeffs, bool(d["tail_dirty"]))
+    dirty = d["tail_dirty"]
+    if not isinstance(dirty, bool):
+        raise SchemaMismatch(f"tail_dirty must be a boolean, got {type(dirty).__name__}")
+    return PDElement(amb, coeffs, dirty)
 
 
 def _entry_to_json(x) -> dict:
@@ -115,7 +118,7 @@ def matrix_to_json(M: RingMatrix) -> dict:
     return {
         "rows": M.rows,
         "cols": M.cols,
-        "denom_exp": M.denom_exp,
+        "denom_exp": 0,
         "entries": [[_entry_to_json(x) for x in row] for row in M.entries],
     }
 
@@ -125,7 +128,9 @@ def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
     dec = _ENTRY_FROM_JSON[kind]
     entries = [[dec(amb, x) for x in _array(row, "matrix row")]
                for row in _array(d["entries"], "entries")]
-    M = RingMatrix(entries, _int(d["denom_exp"], "denom_exp"))
+    if _int(d["denom_exp"], "denom_exp"):
+        raise SchemaMismatch("a matrix has no denominator: denom_exp must be 0")
+    M = RingMatrix(entries)
     if M.rows != _int(d["rows"], "rows") or M.cols != _int(d["cols"], "cols"):
         raise SchemaMismatch("declared matrix shape does not match entries")
     return M

@@ -32,6 +32,15 @@ def test_malformed_jumps(amb3):
         FLModule(amb3, 1, (3,), wmat(amb3, [[1]]))
 
 
+def test_non_integer_jumps_are_malformed(amb3):
+    # a jump is an integer: no float is truncated, and no bool passes as 0 or 1
+    Ftil = wmat(amb3, [[1, 0], [0, 1]])
+    for jumps in ((0.7, 1.9), (0, 1.0), (False, True), ("0", "1")):
+        with pytest.raises(MalformedJumps, match="must be integers"):
+            FLModule(amb3, 2, jumps, Ftil)
+    assert FLModule(amb3, 2, [0, 1], Ftil).jumps == (0, 1)
+
+
 def test_negative_rank_is_malformed(amb3):
     from flbreuil.fl import check_jumps
 

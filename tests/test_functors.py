@@ -142,6 +142,33 @@ def test_section_step_budget(amb3):
         section_compute(rebase(B, g), max_steps=0)
 
 
+@pytest.mark.parametrize("seed", [10, 15])
+def test_section_keeps_the_exponent_of_a_non_integral_first_iterate(seed):
+    # The instances suite_roundtrip_breuil draws at p = 5, r = 3 for these
+    # seeds: B_0 = A A_0^(-1) is not integral, yet the iterates' numerators
+    # over p^t converge and the limit is the exact section.  Dividing each
+    # iterate by p^r as it is made would fail on B_0 already.
+    from flbreuil.ambient import shared_params
+    from flbreuil.campaign import random_congruent_identity
+    from flbreuil.errors import NotDivisible
+    from flbreuil.matrix import scaled_inverse
+
+    amb = shared_params(p=5, r=3)
+    rng = random.Random(f"roundtrip-breuil:{seed}")
+    d = rng.randrange(1, 4)
+    B = fl_to_breuil(random_fl(amb, rng, d))
+    g = random_congruent_identity(amb, rng, d)
+    Bt = rebase(B, g)
+    assert d == 3
+    B0_num = Bt.Phi @ embed_w_matrix(amb, scaled_inverse(f0_matrix(Bt.Phi), amb.r))
+    with pytest.raises(NotDivisible):
+        B0_num.map_entries(lambda x: x.div_p_exact(amb.r))
+    sec = section_compute(Bt)
+    assert not sec.B0_claim_ok
+    assert sec.iterations == 2 and sec.exact and sec.f0_identity
+    assert roundtrip_breuil(B, g, rng=rng).success
+
+
 def test_section_basis_hint_closed_form(amb3):
     rng = random.Random(4)
     M = random_fl(amb3, rng, 2)

@@ -79,6 +79,25 @@ def test_embed_degree_overflow(amb3):
         embed_sigma(amb3.useries([0] * amb3.N_gamma + [1]))
 
 
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_u_powers_are_the_binomial_expansion(name, request):
+    # u = gamma_1 - p*a, so u^n = sum_k C(n, k) k! (-p*a)^(n-k) gamma_k
+    import math
+
+    amb = request.getfixturevalue(name)
+    for n in range(amb.N_gamma):
+        expect = [amb.ring.from_int(math.comb(n, k) * math.factorial(k)) * amb.neg_pa ** (n - k)
+                  for k in range(n + 1)]
+        got = amb.u_pow(n)
+        assert got.prec == amb.cap and not got.tail_dirty
+        assert all(got.coeff(k) == e for k, e in enumerate(expect))
+    for power in (amb.u_pow, amb.c_pow):
+        with pytest.raises(DegreeOverflow):
+            power(-1)
+    with pytest.raises(DegreeOverflow):
+        amb.u_pow(amb.N_gamma)
+
+
 # --- Frobenius ---
 
 def test_phi_examples(amb3):

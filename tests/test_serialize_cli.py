@@ -308,6 +308,29 @@ def test_cli_malformed_instance_is_a_usage_error(tmp_path, capsys, edit):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("verb", [["apply", "mfl"], ["section"]])
+@pytest.mark.parametrize("edit", [
+    _set("data", "Nmat", "denom_exp", 1),
+    _set("data", "Phi", "denom_exp", 1),
+    _set("data", "Phi", "entries", 0, 0, "tail_dirty", "no"),
+    _set("data", "Phi", "entries", 0, 0, "tail_dirty", 1),
+    _set("data", "Phi", "entries", 0, 0, "tail_dirty", None),
+], ids=["Nmat-denom", "Phi-denom", "dirty-text", "dirty-int", "dirty-null"])
+def test_cli_malformed_breuil_file_is_a_usage_error(tmp_path, capsys, edit, verb):
+    # a matrix carries no denominator and tail_dirty is a JSON boolean,
+    # whichever verb reads the file
+    b = tmp_path / "b.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "breuil-from-fl", "--d", "2", "--jumps", "0,1", "--out", str(b)]) == 0
+    doc = json.loads(b.read_text())
+    edit(doc)
+    b.write_text(json.dumps(doc))
+    assert main(verb + ["--in", str(b), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_fl_module_stores_checked_jumps(amb3):
     M = random_fl(amb3, random.Random(11), 2, (0, 1))
     assert FLModule(amb3, 2, [0, 1], M.Ftil).jumps == (0, 1)
