@@ -16,11 +16,11 @@ campaign, the CLI and the loader of serialized modules take theirs from
 it.  ``AmbientParams(...)`` still builds a private context.
 
 The three fixed W(k)-linear maps of S on gamma-coefficients, the
-Frobenius ``phi_S`` (columns c^i), the embedding ``embed_sigma`` of
-W(k)[[u]] (columns u^n) and the change to the u-divided coordinates
-(columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one ``PackedTable``
-each: columns packed by output index at one slot width, and one
-``apply``.
+Frobenius ``phi_S`` (columns unit(i!)^-1 * c^i), the embedding
+``embed_sigma`` of W(k)[[u]] (columns u^n) and the change to the
+u-divided coordinates (columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one
+``PackedTable`` each: columns packed by output index at one slot width,
+and one ``apply``.
 
 Two sizing rules matter:
 
@@ -234,8 +234,9 @@ class AmbientParams:
             for i in range(N_gamma)
         )
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
-        # the linear maps of S on gamma-coefficients: columns c^i (phi_S),
-        # u^n (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
+        # the linear maps of S on gamma-coefficients: columns unit(i!)^-1 * c^i
+        # (phi_S), u^n (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i
+        # (u-divided)
         self.c_table = PackedTable(self.ring, N_gamma, self._c_column)
         self.u_table = PackedTable(self.ring, N_gamma, self._u_column)
         self.u_div_table = PackedTable(self.ring, N_gamma, self._u_div_column)
@@ -298,8 +299,9 @@ class AmbientParams:
     # --- the columns of the packed tables ---
 
     def _c_column(self, i: int) -> tuple:
-        cp = self.c_pow(i)
-        return cp.planes, cp.tail_dirty
+        unit_inv = pdmod.PDElement(self, [self.fact_unit_inv(i)])
+        col = pdmod.PDElement.dot((self.c_pow(i),), (unit_inv,))
+        return col.planes, col.tail_dirty
 
     def _u_column(self, n: int) -> tuple:
         return self.u_pow(n).planes, False

@@ -215,6 +215,14 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     <= m + 1 of x (those <= m through the product, m + 1 through
     N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m), so coefficient 0
     of N^t(x) reads only those <= t and the cut changes nothing it reads.
+
+    The reduced coordinates are tested for zero mod p^at (default N_p).
+    Coefficient 0 of N(y) is p*a*y_1 plus the Nmat terms, so coefficient 0
+    of N^t(x) carries x_t times (p*a)^t, and step t sees x_t to only about
+    ``at - t`` digits.  So at a finite ``at`` the result is the recursive
+    level with each zero test taken mod p^at, and unlike ``fil_level`` at
+    ``at`` it is not a function of x mod p^at; a comparison of the two
+    reads both at the precision of x itself (``suite_lemfil1``).
     """
     amb = B.amb
     level = amb.r if top is None else top

@@ -2,17 +2,17 @@
 
 Each suite function takes (amb, rng, cfg) and returns a list of check
 records {"check": str, "ok": bool, ...}; a failing record carries enough
-data (seed, instance JSON) to replay in isolation.  The campaign runner
-fans seeds out (optionally over a process pool), merges results in seed
-order and aggregates per-suite counts.  Randomness is derived from
-"suite:seed" strings, so runs are reproducible across processes.
+data (seed, instance JSON) to replay in isolation.  ``run_campaign`` runs
+every (suite, seed) pair, optionally over a process pool, and returns the
+records in suite and seed order; ``summarise`` counts them per suite.
+Randomness is derived from "suite:seed" strings, so runs are reproducible
+across processes.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from . import breuil as BR
 from . import fl as FL
@@ -158,8 +158,10 @@ def suite_lemfil1(amb, rng, cfg):
         else:
             x = BR.random_vector(B, rng, max_index=6)
         # both filtrations are nested, so the levels 0..r on which they
-        # disagree lie between their two top levels
-        mism += abs(BR.fil_level(B, x, top=amb.r) - BR.hat_fil_level(B, M.jumps, x))
+        # disagree lie between their two top levels; both are read at the
+        # sample's own precision, as the recursive test loses a digit per N
+        at = min(c.prec for c in x)
+        mism += abs(BR.fil_level(B, x, at, top=amb.r) - BR.hat_fil_level(B, M.jumps, x, at))
     recs.append(_rec("tensor-vs-hat", mism == 0, elements=n_elems, mismatches=mism,
                      instance=SER.to_json(M) if mism else None))
     return recs
@@ -313,29 +315,6 @@ SUITES = {
 }
 
 
-@dataclass
-class Campaign:
-    params: dict                      # keyword arguments for AmbientParams
-    suites: list
-    seeds: list
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        unknown = [s for s in self.suites if s not in SUITES]
-        if unknown:
-            raise ValueError(f"unknown suites: {unknown}")
-
-
-@dataclass
-class Report:
-    lines: list                       # one dict per (suite, seed, check)
-    summary: dict                     # suite -> {pass, fail, failing_seeds}
-
-    @property
-    def ok(self) -> bool:
-        return all(v["fail"] == 0 for v in self.summary.values())
-
-
 def run_suite_seed(params: dict, suite: str, seed: int, cfg: dict) -> list[dict]:
     amb = shared_params(**params)
     rng = random.Random(f"{suite}:{seed}")
@@ -359,26 +338,37 @@ def _worker(args):
     return suite, seed, records
 
 
-def run_campaign(campaign: Campaign, jobs: int = 1) -> Report:
-    tasks = [
-        (campaign.params, suite, seed, campaign.config.get(suite, {}))
-        for suite in campaign.suites
-        for seed in campaign.seeds
-    ]
+def run_campaign(params: dict, suites: list, seeds: list, config: dict,
+                 jobs: int) -> list[dict]:
+    """The records of every (suite, seed) pair, sorted stably by the suite's
+    place in ``suites`` and then by seed.  ``params`` are the keyword
+    arguments of ``AmbientParams`` and ``config`` maps a suite to its
+    configuration; with ``jobs`` > 1 the pairs run in a process pool."""
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites: {unknown}")
+    tasks = [(params, suite, seed, config.get(suite, {})) for suite in suites for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks))
     else:
         results = [_worker(t) for t in tasks]
-    results.sort(key=lambda t: (campaign.suites.index(t[0]), t[1]))
-    lines = [rec for _, _, recs in results for rec in recs]
+    results.sort(key=lambda t: (suites.index(t[0]), t[1]))
+    return [rec for _, _, recs in results for rec in recs]
+
+
+def summarise(records) -> dict:
+    """suite -> {"pass", "fail", "failing_seeds"}, the counts of passing and
+    failing records and the sorted seeds of the failing ones, with the
+    suites in the order of their first record."""
     summary = {}
-    for suite in campaign.suites:
-        srecs = [r for r in lines if r["suite"] == suite]
-        fails = [r for r in srecs if not r["ok"]]
-        summary[suite] = {
-            "pass": len(srecs) - len(fails),
-            "fail": len(fails),
-            "failing_seeds": sorted({r["seed"] for r in fails}),
-        }
-    return Report(lines=lines, summary=summary)
+    for rec in records:
+        s = summary.setdefault(rec["suite"], {"pass": 0, "fail": 0, "failing_seeds": set()})
+        if rec["ok"]:
+            s["pass"] += 1
+        else:
+            s["fail"] += 1
+            s["failing_seeds"].add(rec["seed"])
+    for s in summary.values():
+        s["failing_seeds"] = sorted(s["failing_seeds"])
+    return summary

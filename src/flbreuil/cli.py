@@ -6,9 +6,9 @@ Verbs:
   apply      apply a functor to a stored instance (mls: FL -> S-module,
              mfl: S-module -> FL)
   section    compute the phi-equivariant section of a stored S-module
-  roundtrip  run seeded round-trip checks in one direction
-  verify     run verification suites over a seed range
-  report     summarise a JSON-lines report file
+  verify     run verification suites over a seed range; the round trips
+             are the suites roundtrip-fl and roundtrip-breuil
+  report     summarise a JSON-lines report file as verify does
 
 Exit codes: 0 all checks pass, 1 check failures, 2 usage errors.
 Reports are JSON lines (sorted keys, no timing inside the records), so a
@@ -91,14 +91,26 @@ def _resolve_out(path: str | None) -> str | None:
     return os.path.join(base, path)
 
 
-def _write(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _write(docs: list, path: str | None) -> None:
+    """Each document as one line of compact sorted-key JSON, to
+    ``_resolve_out(path)``, or to stdout without a path."""
+    text = "".join(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str) + "\n"
+                   for doc in docs)
     path = _resolve_out(path)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _print_summary(summary: dict, prefix: str, file) -> int:
+    """One line per suite of ``campaign.summarise``; 1 when a record failed."""
+    for suite, s in summary.items():
+        status = "ok" if s["fail"] == 0 else f"FAIL seeds={s['failing_seeds']}"
+        print(f"{prefix}{suite:28s} pass={s['pass']:4d} fail={s['fail']:3d}  {status}",
+              file=file)
+    return 0 if all(s["fail"] == 0 for s in summary.values()) else 1
 
 
 def cmd_gen(args) -> int:
@@ -117,7 +129,7 @@ def cmd_gen(args) -> int:
         obj = KI.kisin_to_breuil(random_gls(amb, rng, args.d, jumps=jumps))
     else:
         raise ValueError(f"unknown kind {args.kind}")
-    _write(SER.to_json(obj), args.out)
+    _write([SER.to_json(obj)], args.out)
     return 0
 
 
@@ -135,7 +147,7 @@ def cmd_apply(args) -> int:
         out = FU.breuil_to_fl_with_transport(obj, adjoin_zero_n=args.adjoin_zero_n)[0]
     else:
         raise ValueError(args.functor)
-    _write(SER.to_json(out), args.out)
+    _write([SER.to_json(out)], args.out)
     return 0
 
 
@@ -161,66 +173,36 @@ def cmd_section(args) -> int:
             "f0_identity": sec.f0_identity,
         },
     }
-    _write(doc, args.out)
+    _write([doc], args.out)
     return 0
 
 
-def _emit_report(report: CAM.Report, out_path: str | None, elapsed: float) -> int:
-    lines = []
-    for rec in report.lines:
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":"), default=str))
-    text = "\n".join(lines) + "\n"
-    out_path = _resolve_out(out_path)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    for suite, s in report.summary.items():
-        status = "ok" if s["fail"] == 0 else f"FAIL seeds={s['failing_seeds']}"
-        print(f"# {suite:28s} pass={s['pass']:4d} fail={s['fail']:3d}  {status}",
-              file=sys.stderr)
-    print(f"# elapsed {elapsed:.1f}s", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
-def _run(camp: CAM.Campaign, args) -> int:
-    # the context is built before any task, so a bad one is a usage error
-    # rather than one kernel-error record per task
-    shared_params(**camp.params)
-    t0 = time.time()
-    report = CAM.run_campaign(camp, jobs=args.jobs)
-    return _emit_report(report, args.out, time.time() - t0)
-
-
-def cmd_roundtrip(args) -> int:
-    suite = "roundtrip-fl" if args.direction == "fl" else "roundtrip-breuil"
-    camp = CAM.Campaign(
-        params=_amb_kwargs(args),
-        suites=[suite],
-        seeds=_parse_seeds(args.seeds),
-    )
-    return _run(camp, args)
+_SAMPLE_KEYS = {"ring-laws": "samples", "easylemma": "samples",
+                "lemfil1": "elements", "kisin-breuil-consistency": "elements"}
 
 
 def cmd_verify(args) -> int:
+    params = _amb_kwargs(args)
     suites = args.suite or ["all"]
     if "all" in suites:
         suites = list(CAM.SUITES)
-    camp = CAM.Campaign(
-        params=_amb_kwargs(args),
-        suites=suites,
-        seeds=_parse_seeds(args.seeds),
-        config={s: ({"samples": args.samples} if s in ("ring-laws", "easylemma") else
-                    {"elements": args.samples} if s in ("lemfil1", "kisin-breuil-consistency")
-                    else {})
-                for s in suites} if args.samples is not None else {},
-    )
-    return _run(camp, args)
+    seeds = _parse_seeds(args.seeds)
+    config = {} if args.samples is None else {
+        s: {_SAMPLE_KEYS[s]: args.samples} for s in suites if s in _SAMPLE_KEYS}
+    # the context is built before any task, so a bad one is a usage error
+    # rather than one kernel-error record per task
+    shared_params(**params)
+    t0 = time.time()
+    records = CAM.run_campaign(params, suites, seeds, config, args.jobs)
+    elapsed = time.time() - t0
+    _write(records, args.out)
+    code = _print_summary(CAM.summarise(records), "# ", sys.stderr)
+    print(f"# elapsed {elapsed:.1f}s", file=sys.stderr)
+    return code
 
 
 def cmd_report(args) -> int:
-    counts: dict[str, dict] = {}
+    records = []
     with open(args.infile, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -234,18 +216,8 @@ def cmd_report(args) -> int:
                     and isinstance(rec.get("ok"), bool) and type(rec.get("seed")) is int):
                 raise ValueError(f"{args.infile}:{lineno}: not a report record (an object "
                                  "with a string 'suite', a boolean 'ok' and an integer 'seed')")
-            s = counts.setdefault(rec["suite"], {"pass": 0, "fail": 0, "failing": set()})
-            if rec["ok"]:
-                s["pass"] += 1
-            else:
-                s["fail"] += 1
-                s["failing"].add(rec["seed"])
-    bad = 0
-    for suite, s in sorted(counts.items()):
-        status = "ok" if s["fail"] == 0 else f"FAIL seeds={sorted(s['failing'])}"
-        print(f"{suite:28s} pass={s['pass']:4d} fail={s['fail']:3d}  {status}")
-        bad += s["fail"]
-    return 0 if bad == 0 else 1
+            records.append(rec)
+    return _print_summary(dict(sorted(CAM.summarise(records).items())), "", sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", type=str, default=None)
     s.set_defaults(fn=cmd_section)
-
-    rt = sub.add_parser("roundtrip", help="seeded round-trip checks")
-    rt.add_argument("--direction", choices=["fl", "breuil"], required=True)
-    rt.add_argument("--seeds", type=str, default="1..10")
-    rt.add_argument("--out", type=str, default=None)
-    rt.add_argument("--jobs", type=_positive_int, default=1)
-    _add_params(rt)
-    rt.set_defaults(fn=cmd_roundtrip)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", action="append",

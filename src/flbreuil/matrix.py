@@ -61,11 +61,17 @@ class RingMatrix:
     def col(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
+    def _same_shape(self, other) -> None:
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("dimension mismatch")
+
     def __add__(self, other):
+        self._same_shape(other)
         return RingMatrix(
             [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
+        self._same_shape(other)
         return RingMatrix(
             [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
 
@@ -97,6 +103,7 @@ class RingMatrix:
         return self.map_entries(lambda x: x.truncate(k))
 
     def eq_at(self, other: "RingMatrix", k: int) -> bool:
+        self._same_shape(other)
         for ra, rb in zip(self.entries, other.entries):
             for x, y in zip(ra, rb):
                 if not x.eq_at(y, k):

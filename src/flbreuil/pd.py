@@ -276,12 +276,12 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     Coefficients below index j are required to vanish at the value's own
     precision and are treated as exactly zero.
 
-    The scalars s_i = sigma(x_i) * unit(i!)^-1 * p^(i - v_p(i!) - j),
-    reduced mod p^k, are the input of the context's table of c^i
+    The scalars s_i = sigma(x_i) * p^(i - v_p(i!) - j), reduced mod p^k,
+    are the input of the context's table of unit(i!)^-1 * c^i
     (``AmbientParams.c_table``).  The result is tail_dirty when x is or
-    when the power of c of the last contributing index is: c^i = c^(i-1)*c
-    keeps the flag of its factor, so that power's flag is the flag of
-    every contributing one.
+    when the column of the last contributing index is: c^i = c^(i-1)*c
+    keeps the flag of its factor, and so does the unit factor, so that
+    column's flag is the flag of every contributing one.
     """
     amb = x.amb
     if j < 0 or j > amb.r:
@@ -303,9 +303,8 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
             raise NotInFil(f"phi_{j} undefined on gamma_{i}")
         if e >= k:
             continue  # contributes 0 at this precision
-        scal = ring._mul_tuple(tuple(pl[i] for pl in frob), amb.fact_unit_inv(i).coeffs, k)
-        for sp, c in zip(s, scal):
-            sp[i] = c * ring.pk[e] % mod
+        for sp, pl in zip(s, frob):
+            sp[i] = pl[i] * ring.pk[e] % mod
         top = i
     table = amb.c_table
     planes = table.apply([sp[:top + 1] for sp in s], k)

@@ -31,11 +31,12 @@ from .witt import FlatVector, WittScalar, trimmed
 class SigmaSeries(FlatVector):
     """Polynomial-truncated element of W(k)[[u]].
 
-    ``SigmaSeries(amb, coeffs, prec)`` takes a list of scalars: exact-zero
-    trailing scalars are dropped, then all are truncated to the lowest
-    precision (and to ``prec``, when given; the zero series takes the ring
-    cap when ``prec`` is above it).  The kernel passes ``planes`` and
-    ``prec`` instead."""
+    ``SigmaSeries(amb, coeffs, prec)`` takes a list of scalars, cut at
+    degree N_u: all are truncated to the lowest precision (and to ``prec``,
+    when given; the empty list takes the ring cap when ``prec`` is above
+    it).  The kernel passes ``planes`` and ``prec`` instead.  Either way
+    the coefficients that are zero at that precision are dropped from the
+    top, as in ``PDElement``."""
 
     __slots__ = ()
     _invert_errors = ("series inverse needs a unit constant term",
@@ -44,10 +45,7 @@ class SigmaSeries(FlatVector):
     def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
         if planes is None:
-            coeffs = list(coeffs)
-            while coeffs and not any(coeffs[-1].coeffs):
-                coeffs.pop()
-            del coeffs[amb.N_u:]
+            coeffs = list(coeffs)[:amb.N_u]
             k = min((c.prec for c in coeffs), default=amb.cap)
             if prec is not None:
                 k = min(k, prec)
@@ -55,9 +53,7 @@ class SigmaSeries(FlatVector):
                 raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
             planes = amb.ring.to_planes([c.coeffs for c in coeffs], k)
             prec = k
-        else:
-            planes = trimmed(planes)
-        self.planes = planes
+        self.planes = trimmed(planes)
         self.prec = prec
 
     def _make(self, planes, prec: int) -> "SigmaSeries":

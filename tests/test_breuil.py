@@ -17,6 +17,7 @@ from flbreuil.breuil import (
     random_vector,
     rebase,
 )
+from flbreuil.campaign import run_suite_seed
 from flbreuil.errors import NotCris, NotDivisible, NotInFil, RecursionBudget
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
@@ -364,3 +365,11 @@ def test_rebase_round_trip(amb3):
         x = random_vector(B, rng, 5)
         xt = h.invert().matvec(x)
         assert fil_lower(B, amb3.r, x) == fil_lower(Bt, amb3.r, xt)
+
+
+@pytest.mark.parametrize("p, r, seed", [(7, 5, 5), (11, 9, 3)])
+def test_lemfil1_compares_the_levels_at_the_sample_precision(p, r, seed):
+    # At N_p = 6 the recursive level loses a digit per application of N, so
+    # tested at N_p it disagrees with the tensor level on these seeds.
+    recs = run_suite_seed({"p": p, "r": r, "N_p": 6}, "lemfil1", seed, {})
+    assert [rec["check"] for rec in recs if not rec["ok"]] == []

@@ -274,3 +274,16 @@ def test_det_rejects_non_square_and_denominators(amb3):
     with pytest.raises(NotInvertible):
         wmat(amb3, [[1, 2]]).invert()
     assert not wmat(amb3, [[1, 2]]).residue_invertible()
+
+
+def test_sum_difference_and_comparison_check_shapes(amb3):
+    wide, narrow = wmat(amb3, [[1, 5]]), wmat(amb3, [[1]])
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a.eq_at(b, amb3.N_p)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(wide, narrow)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(narrow, wide)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(wide, wide.transpose())
+    assert wide.eq_at(wide + wmat(amb3, [[0, 0]]), amb3.N_p)

@@ -231,12 +231,10 @@ def test_cli_usage_errors(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--suite", "easylemma", "--seeds", "1..2", "--a", "3"],
      "a must be a unit of W(k)"),
-    (["roundtrip", "--direction", "fl", "--seeds", "1..2", "--a", "3"],
-     "a must be a unit of W(k)"),
     (["gen", "kisin-gls", "--a", "3"], "a must be a unit of W(k)"),
     (["verify", "--suite", "easylemma", "--seeds", "1", "--f", "0"],
      "residue degree f must be at least 1"),
-], ids=["verify-a", "roundtrip-a", "gen-a", "verify-f"])
+], ids=["verify-a", "gen-a", "verify-f"])
 def test_cli_bad_context_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out.jsonl"
     assert main(argv + ["--out", str(out)]) == 2
@@ -248,7 +246,7 @@ def test_cli_bad_context_is_a_usage_error(tmp_path, capsys, argv, message):
     ["verify", "--suite", "lemfil1", "--samples", "0"],
     ["verify", "--suite", "lemfil1", "--samples", "-3"],
     ["verify", "--suite", "ring-laws", "--jobs", "0"],
-    ["roundtrip", "--direction", "fl", "--jobs", "-1"],
+    ["verify", "--suite", "roundtrip-fl", "--jobs", "-1"],
 ])
 def test_cli_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
     rep = tmp_path / "rep.jsonl"
@@ -265,12 +263,34 @@ def test_cli_verify_samples_reach_the_records(tmp_path):
     assert [l["elements"] for l in lines if l["check"] == "tensor-vs-hat"] == [1]
 
 
-def test_cli_roundtrip_verb(tmp_path):
+def test_cli_verify_roundtrip_suite(tmp_path):
     out = tmp_path / "rt.jsonl"
-    assert main(["roundtrip", "--direction", "fl", "--seeds", "1..3",
+    assert main(["verify", "--suite", "roundtrip-fl", "--seeds", "1..3",
                  "--r", "1", "--out", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 3 and all(l["ok"] for l in lines)
+    assert main(["roundtrip", "--direction", "fl"]) == 2
+
+
+def test_cli_report_prints_the_verify_summary(tmp_path, capsys):
+    rep = tmp_path / "rep.jsonl"
+    assert main(["verify", "--suite", "unipotence", "--suite", "easylemma",
+                 "--seeds", "1..2", "--r", "2", "--samples", "3", "--out", str(rep)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("# elapsed ")
+    summary = sorted(line[2:] for line in err[:-1])
+    assert [line.split()[0] for line in summary] == ["easylemma", "unipotence"]
+    assert main(["report", "--in", str(rep)]) == 0
+    assert capsys.readouterr().out.splitlines() == summary
+
+
+def test_cli_verify_sorts_the_seeds(tmp_path):
+    r1, r2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
+    args = ["verify", "--suite", "unipotence", "--suite", "easylemma", "--r", "2",
+            "--samples", "3"]
+    assert main(args + ["--seeds", "3,1,2", "--out", str(r1)]) == 0
+    assert main(args + ["--seeds", "1..3", "--out", str(r2)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
 
 
 def _set(*path):

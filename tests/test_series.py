@@ -112,3 +112,12 @@ def test_zero_series_precision_is_checked_at_construction(amb3):
     assert SigmaSeries(amb3, [one], 999).prec == 4
     with pytest.raises(PrecisionExhausted):
         SigmaSeries(amb3, [one], 0)
+
+
+def test_scalar_list_is_trimmed_after_the_precision_cut(amb3):
+    s = SigmaSeries(amb3, [amb3.w(1), amb3.w(27)], prec=3)
+    assert s.degree == 0 and s.prec == 3
+    assert s.planes == SigmaSeries(amb3, [amb3.w(1)], prec=3).planes
+    assert len(s.coeffs) == 1
+    low_zero = SigmaSeries(amb3, [amb3.w(1), amb3.ring.zero(2)])
+    assert low_zero.degree == 0 and low_zero.prec == 2
