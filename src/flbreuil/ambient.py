@@ -318,9 +318,6 @@ class AmbientParams:
     def useries(self, ints, prec: int | None = None) -> SigmaSeries:
         return series_from_ints(self, ints, prec)
 
-    def pd(self, ints, prec: int | None = None) -> pdmod.PDElement:
-        return pdmod.PDElement(self, [self.w(n, prec) for n in ints])
-
     def rate_bound(self) -> int:
         return section_rate_bound(self.p, self.r, self.N_p)
 

@@ -56,7 +56,8 @@ class BreuilModule:
         self.Nmat = Nmat
         self.C = C
         self.jumps = check_jumps(amb, d, jumps)
-        if Phi.rows != d or Phi.cols != d or C.rows != d or C.cols != d:
+        mats = (Phi, C) if Nmat is None else (Phi, Nmat, C)
+        if any(M.rows != d or M.cols != d for M in mats):
             raise MalformedJumps("matrix dimensions do not match the rank")
         self._C_inv = None
 

@@ -202,8 +202,8 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
 
 # --- flag adaptation over W ---
 
-def flag_adapt(amb, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
-    """Build a basis adapted to a nested flag of W-spans.
+def flag_adapt(amb, d: int, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
+    """Build a basis adapted to a nested flag of W-spans in W^d.
 
     ``gens_by_level[i]`` generates step i (i = 0 .. r, decreasing spans).
     Processes levels from the top down, reducing each generator against the
@@ -214,12 +214,9 @@ def flag_adapt(amb, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
     """
     at = amb.N_p
     chosen: list[tuple[list, int, int]] = []   # (vector, pivot row, level)
-    d = None
     for level in range(len(gens_by_level) - 1, -1, -1):
         for v in gens_by_level[level]:
             w = list(v)
-            if d is None:
-                d = len(w)
             for bvec, prow, _ in chosen:
                 c = w[prow] * bvec[prow].invert()
                 if any(c.coeffs):
@@ -230,7 +227,7 @@ def flag_adapt(amb, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
                     continue
                 raise NotDirectSummand(level)
             chosen.append((w, pivot, level))
-    if d is None or len(chosen) != d:
+    if len(chosen) != d:
         raise NotDirectSummand(0, "generators do not span the full module")
     order = sorted(range(d), key=lambda t: chosen[t][2])
     cols = [chosen[t][0] for t in order]
@@ -290,7 +287,7 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
         gens_by_level.append(
             [fpi_vector(T.col(j)) for j in range(B.d) if B.jumps[j] >= i]
         )
-    g, jumps = flag_adapt(amb, gens_by_level)
+    g, jumps = flag_adapt(amb, B.d, gens_by_level)
 
     g_inv = g.invert()
     F_new = g_inv @ FM @ sigma_matrix(g)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import breuil as breuil_mod
-from .errors import MissingGLSForm, NotInvertible, SingularMatrix
-from .fl import random_jumps
+from .errors import MalformedJumps, MissingGLSForm, NotInvertible, SingularMatrix
+from .fl import check_jumps, random_jumps
 from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
 from .series import SigmaSeries, series_from_ints, weierstrass_divide
@@ -29,6 +29,15 @@ class KisinModule:
     d: int
     A: RingMatrix
     gls: tuple | None = None  # (X, jumps, Y) when built in normal form
+
+    def __post_init__(self):
+        mats = [self.A]
+        if self.gls is not None:
+            X, jumps, Y = self.gls
+            self.gls = (X, check_jumps(self.amb, self.d, jumps), Y)
+            mats += [X, Y]
+        if any(M.rows != self.d or M.cols != self.d for M in mats):
+            raise MalformedJumps("matrix dimensions do not match the rank")
 
 
 @dataclass
@@ -106,8 +115,6 @@ def _check_rank(d: int) -> None:
 
 def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule:
     """A = X * diag(E^{r_1}, ..., E^{r_d}) * Y with X, Y invertible."""
-    from .fl import check_jumps
-
     d = X.rows
     _check_rank(d)
     jumps = check_jumps(amb, d, jumps)

@@ -222,8 +222,11 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     """Integral matrix equal to p^scale_pow * A^(-1), via det = p^t * unit.
 
     Raises SingularMatrix when det vanishes at precision, NotDivisible when
-    p^scale_pow * A^(-1) fails to be integral.
+    p^scale_pow * A^(-1) fails to be integral.  A 0x0 matrix is its own
+    inverse, as in ``RingMatrix.invert``.
     """
+    if not A.rows:
+        return A
     det, adj = A.det_adjugate()
     t = 0
     while not det.is_unit():

@@ -38,9 +38,9 @@ the filtration tests read only the coefficients below the level they
 test.  For f > 1 each operand's f lists are packed into one int per
 coefficient, list t at bits t*W and up; the slot width W covers the
 largest binomial weight (``comb_max``), so the unpacked slots are exactly
-the f^2 per-list convolutions (``WittRing.dot_acc``).  Per-list
-convolutions, unweighted, give the product by the W(k)-constant p*a in
-``n_S``.  The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``
+the f^2 per-list convolutions (``WittRing.dot_acc``).  The product by
+the W(k)-constant p*a in ``n_S`` is the same kernel, unweighted, on one
+pair.  The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``
 and the change to u-divided coordinates (``eval_f0``, ``to_u_divided``),
 each read one table kept on the context (``ambient.PackedTable``): for
 each output index m the row of entry m of every column, each entry's f
@@ -89,13 +89,7 @@ class PDElement(FlatVector):
             coeffs = list(coeffs)
             if len(coeffs) > amb.N_gamma:
                 raise DegreeOverflow("gamma index beyond truncation")
-            k = min((c.prec for c in coeffs), default=amb.cap)
-            if prec is not None:
-                k = min(k, prec)
-            if k < 1:
-                raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
-            planes = amb.ring.to_planes([c.coeffs for c in coeffs], k)
-            prec = k
+            planes, prec = self._from_scalars(amb, coeffs, prec)
         self.planes = trimmed(planes)
         self.prec = prec
         self.tail_dirty = tail_dirty
@@ -168,17 +162,6 @@ class PDElement(FlatVector):
             return self
         return self._make(tuple(pl[:n] for pl in self.planes), self.prec)
 
-    def div_p_exact(self, k: int) -> "PDElement":
-        planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
-        return self._make(planes, self.prec - k)
-
-    def truncate(self, k: int) -> "PDElement":
-        if k >= self.prec:
-            return self
-        if k < 1:
-            raise PrecisionExhausted("cannot truncate below one digit")
-        return self._make(self.amb.ring.truncate_planes(self.planes, k), k)
-
     def eq_at(self, other: "PDElement", k: int) -> bool:
         """Equality mod p^k; on a tail_dirty difference the top coefficient,
         which the dropped tail can reach, is not compared."""
@@ -240,11 +223,6 @@ def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
     """Product under gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}: the
     length-one case of ``PDElement.dot``."""
     return PDElement.dot((x,), (y,))
-
-
-def _scalar_planes(col) -> tuple:
-    """A scalar's coefficient tuple as a plane vector of length one."""
-    return tuple([c] for c in col)
 
 
 def embed_sigma(s: SigmaSeries) -> PDElement:
@@ -321,8 +299,8 @@ def n_S(x: PDElement) -> PDElement:
     amb = x.amb
     ring = amb.ring
     # coefficient m of N(x) is p*a * x_{m+1} - m * x_m
-    acc = ring.new_acc(len(x.planes[0]))
-    ring.conv_into(acc, tuple(pl[1:] for pl in x.planes), _scalar_planes(amb.pa.coeffs))
+    shifted = tuple(pl[1:] for pl in x.planes)
+    acc = ring.dot_acc(((shifted, ring.to_planes([amb.pa.coeffs], amb.cap)),), len(x.planes[0]))
     for t, pl in enumerate(x.planes):
         acc[t] = [c - m * b for m, (c, b) in enumerate(zip(acc[t], pl))]
     return PDElement(amb, (), x.tail_dirty, x.prec, ring.fold(acc, x.prec))
@@ -347,7 +325,7 @@ def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
     amb = x.amb
     ring = amb.ring
     cols = list(zip(*amb.u_div_table.apply(x.planes, x.prec)))
-    cols += [ring._zero_tuple()] * (amb.N_gamma - len(cols))
+    cols += [(0,) * ring.f] * (amb.N_gamma - len(cols))
     return tuple(WittScalar(ring, col, x.prec) for col in cols)
 
 

@@ -24,7 +24,6 @@ starting value, ``repr`` and the constructor from a list of scalars.
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted
 from .witt import FlatVector, WittScalar, trimmed
 
 
@@ -45,14 +44,7 @@ class SigmaSeries(FlatVector):
     def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
         if planes is None:
-            coeffs = list(coeffs)[:amb.N_u]
-            k = min((c.prec for c in coeffs), default=amb.cap)
-            if prec is not None:
-                k = min(k, prec)
-            if k < 1:
-                raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
-            planes = amb.ring.to_planes([c.coeffs for c in coeffs], k)
-            prec = k
+            planes, prec = self._from_scalars(amb, list(coeffs)[:amb.N_u], prec)
         self.planes = trimmed(planes)
         self.prec = prec
 
@@ -118,17 +110,6 @@ class SigmaSeries(FlatVector):
         u-adic truncation, plus slack."""
         return max(self.amb.N_u, self.prec).bit_length() + 2
 
-    def truncate(self, k: int) -> "SigmaSeries":
-        if k >= self.prec:
-            return self
-        if k < 1:
-            raise PrecisionExhausted("cannot truncate below one digit")
-        return self._make(self.amb.ring.truncate_planes(self.planes, k), k)
-
-    def div_p_exact(self, k: int) -> "SigmaSeries":
-        planes = self.amb.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
-        return self._make(planes, self.prec - k)
-
     def __repr__(self):
         if not self.planes[0]:
             return "Series(0)"
@@ -153,10 +134,11 @@ def weierstrass_divide(fnum: SigmaSeries) -> tuple[SigmaSeries, WittScalar]:
     if not fnum.planes[0]:
         return SigmaSeries(amb, [], k), ring.zero(k)
     cols = list(zip(*fnum.planes))
-    pa = amb.pa.coeffs
+    one, neg_pa = ring.one().coeffs, amb.neg_pa.coeffs
     q = [None] * (len(cols) - 1)
     carry = cols[-1]
     for i in range(len(cols) - 1, 0, -1):
         q[i - 1] = carry
-        carry = ring._sub_tuple(cols[i - 1], ring._mul_tuple(pa, carry, k), k)
+        # carry = c_(i-1) - p*a * carry, as one product kernel call
+        carry = ring._dot_tuple(((one, cols[i - 1]), (neg_pa, carry)), k)
     return SigmaSeries(amb, (), k, ring.to_planes(q, k)), WittScalar(ring, carry, k)

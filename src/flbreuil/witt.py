@@ -171,24 +171,17 @@ class WittRing:
             raise ValueError("m must be irreducible modulo p")
         # reduction rows: T^(f+i) expressed in degrees < f, mod p^cap
         self._redrows = self._build_redrows()
-        # Frobenius: image of T, plus its powers, lifted once at full cap
+        # Frobenius: the coefficients of the image s of T and of its powers
+        # s^1 .. s^(f-1), lifted once at full cap
         if f == 1:
             self._spow = None
         else:
-            s = self._lift_frobenius_image()
-            pows = [self._one_tuple()]
-            for _ in range(f - 1):
-                pows.append(self._mul_tuple(pows[-1], s, cap))
-            self._spow = tuple(pows[1:])  # powers s^1 .. s^(f-1)
-            self._sigma_t = s
+            pows = [self._lift_frobenius_image()]
+            for _ in range(f - 2):
+                pows.append(pows[-1] * pows[0])
+            self._spow = tuple(s.coeffs for s in pows)
 
-    # --- raw coefficient-tuple helpers (length f, mod p^k) ---
-
-    def _zero_tuple(self):
-        return (0,) * self.f
-
-    def _one_tuple(self):
-        return (1,) + (0,) * (self.f - 1)
+    # --- raw coefficient tuples (length f, mod p^k) ---
 
     def _build_redrows(self):
         cap = self.cap
@@ -204,17 +197,6 @@ class WittRing:
             nxt = tuple((shifted[i] + top * rows[0][i]) % mod for i in range(self.f))
             rows.append(nxt)
         return tuple(rows)
-
-    def _add_tuple(self, a, b, k):
-        mod = self.pk[k]
-        return tuple((x + y) % mod for x, y in zip(a, b))
-
-    def _sub_tuple(self, a, b, k):
-        mod = self.pk[k]
-        return tuple((x - y) % mod for x, y in zip(a, b))
-
-    def _mul_tuple(self, a, b, k):
-        return self._dot_tuple(((a, b),), k)
 
     def _dot_tuple(self, pairs, k):
         """The sum of the products a*b over pairs of coefficient tuples,
@@ -242,35 +224,6 @@ class WittRing:
                     out[j] += c * row[j]
         return tuple(x % mod for x in out)
 
-    def _pow_tuple(self, a, e, k):
-        """a^e mod p^k by square-and-multiply (e >= 0)."""
-        acc = self._one_tuple()
-        while e:
-            if e & 1:
-                acc = self._mul_tuple(acc, a, k)
-            e >>= 1
-            if e:
-                a = self._mul_tuple(a, a, k)
-        return acc
-
-    def _inv_tuple(self, a, k):
-        # the residue inverse a^(p^f - 2) in the field F_{p^f}, then Newton
-        # lifting z <- z(2 - az)
-        z = self._pow_tuple(a, self.p**self.f - 2, 1)
-        if not any(z):
-            raise NotAUnit("element is zero modulo p")
-        cur = 1
-        while cur < k:
-            cur = min(2 * cur, k)
-            az = self._mul_tuple(a, z, cur)
-            two_minus = self._sub_tuple(self._smul_tuple(self._one_tuple(), 2, cur), az, cur)
-            z = self._mul_tuple(z, two_minus, cur)
-        return z
-
-    def _smul_tuple(self, a, n, k):
-        mod = self.pk[k]
-        return tuple((x * n) % mod for x in a)
-
     def _random_tuple(self, rng, k):
         mod = self.pk[k]
         return tuple([draw_below(rng, mod) for _ in range(self.f)])
@@ -281,25 +234,25 @@ class WittRing:
             if any(c % self.p for c in t):
                 return t
 
-    def _eval_int_poly(self, coeffs, z, k):
-        # Horner evaluation of a polynomial with integer coefficients at z
-        acc = self._zero_tuple()
-        for c in reversed(coeffs):
-            acc = self._mul_tuple(acc, z, k)
-            acc = self._add_tuple(acc, self._smul_tuple(self._one_tuple(), c, k), k)
-        return acc
+    def _lift_frobenius_image(self) -> "WittScalar":
+        """The root of m congruent to T^p mod p, Hensel-lifted to full cap."""
+        cap = self.cap
+        z = WittScalar(self, (0, 1) + (0,) * (self.f - 2), 1) ** self.p
+        dm = [i * c for i, c in enumerate(self.m)][1:]
 
-    def _lift_frobenius_image(self):
-        p, cap = self.p, self.cap
-        z = self._pow_tuple((0, 1) + (0,) * (self.f - 2), p, 1)
-        dm = tuple(i * c for i, c in enumerate(self.m) if i >= 1)
+        def value(coeffs, z):
+            # Horner evaluation at z of a polynomial with integer coefficients
+            acc = self.zero(z.prec)
+            for c in reversed(coeffs):
+                acc = acc * z + self.from_int(c, z.prec)
+            return acc
+
         cur = 1
         while cur < cap:
             cur = min(2 * cur, cap)
-            fz = self._eval_int_poly(self.m, z, cur)
-            dz = self._eval_int_poly(dm, z, cur)
-            z = self._sub_tuple(z, self._mul_tuple(fz, self._inv_tuple(dz, cur), cur), cur)
-        if any(self._eval_int_poly(self.m, z, cap)):
+            z = WittScalar(self, z.coeffs, cur)  # read at cur, as in invert
+            z = z - value(self.m, z) * value(dm, z).invert()
+        if any(value(self.m, z).coeffs):
             raise ArithmeticError("Frobenius lift failed to satisfy m")
         return z
 
@@ -315,28 +268,24 @@ class WittRing:
     # is the T-polynomial evaluated at T = 2^W (Kronecker substitution), and
     # bits d*W and up of the convolution hold T-degree d.  The slot width W
     # is a proven bound, so the unpacked slots are exactly the f^2 plane
-    # convolutions summed by T-degree.  The product by p*a in n_S adds
-    # per-plane convolutions into an accumulator (new_acc, conv_into).  The
-    # fixed linear maps of S (phi_S, embed_sigma, the u-divided
-    # coordinates) sum packed products against the rows of a packed table
-    # on the context (ambient.PackedTable), at the one width
-    # bit_length(N_gamma*f) + 2*bit_length(p^cap), and unpack them as
-    # dot_acc does (_unpack).
+    # convolutions summed by T-degree.  The product by the constant p*a in
+    # n_S is one such sum, of one pair.  The fixed linear maps of S (phi_S,
+    # embed_sigma, the u-divided coordinates) sum packed products against
+    # the rows of a packed table on the context (ambient.PackedTable), at
+    # the one width bit_length(N_gamma*f) + 2*bit_length(p^cap), and unpack
+    # them as dot_acc does (_unpack).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
         mod = self.pk[k] if cols else 1
         return tuple([c[t] % mod for c in cols] for t in range(self.f))
 
-    def new_acc(self, n: int) -> list:
-        """A zero accumulator for products of length n, by T-degree."""
-        return [[0] * n for _ in range(2 * self.f - 1)]
-
     def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> list:
         """The accumulator by T-degree of the sum of the products of the
-        plane-vector pairs (xs, ys), cut at length n and unreduced: the
-        lists that conv_into would build for every pair, from one integer
-        convolution per pair (times weights[i][j] <= w_max, when given).
+        plane-vector pairs (xs, ys), cut at length n and unreduced: list d
+        sums the convolutions of planes s and t with s + t = d, over every
+        pair, from one integer convolution per pair (times
+        weights[i][j] <= w_max, when given).
 
         Plane t of an operand is packed at bits t*W and up, with
         W = bit_length(len(pairs) * n * f * w_max) + 2 * bit_length(p^cap).
@@ -372,16 +321,6 @@ class WittRing:
             return [acc]
         mask = (1 << width) - 1
         return [[(v >> (d * width)) & mask for v in acc] for d in range(2 * self.f - 1)]
-
-    def conv_into(self, acc, xs, ys, weights=None):
-        """Add the product of the plane vectors xs and ys into acc, unreduced.
-
-        Entry m gets the sum over i + j = m < len(acc[0]) of x_i * y_j,
-        times weights[i][j] when a symmetric weight table is given."""
-        for s, x in enumerate(xs):
-            for t, y in enumerate(ys):
-                _conv_into(acc[s + t], x, y, weights)
-        return acc
 
     def fold(self, acc, k) -> tuple:
         """Fold T-degrees f .. 2f-2 of an accumulator through m(T) and
@@ -474,14 +413,16 @@ class WittScalar:
             return NotImplemented
         r = self.ring
         k = min(self.prec, other.prec)
-        return WittScalar(r, r._add_tuple(self.coeffs, other.coeffs, k), k)
+        mod = r.pk[k]
+        return WittScalar(r, tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)), k)
 
     def __sub__(self, other):
         if not isinstance(other, WittScalar):
             return NotImplemented
         r = self.ring
         k = min(self.prec, other.prec)
-        return WittScalar(r, r._sub_tuple(self.coeffs, other.coeffs, k), k)
+        mod = r.pk[k]
+        return WittScalar(r, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)), k)
 
     def __neg__(self):
         r = self.ring
@@ -493,12 +434,20 @@ class WittScalar:
             return NotImplemented
         r = self.ring
         k = min(self.prec, other.prec)
-        return WittScalar(r, r._mul_tuple(self.coeffs, other.coeffs, k), k)
+        return WittScalar(r, r._dot_tuple(((self.coeffs, other.coeffs),), k), k)
 
     def __pow__(self, n: int):
+        """self^n by square-and-multiply (n >= 0)."""
         if n < 0:
             raise ValueError("negative powers: use invert() first")
-        return WittScalar(self.ring, self.ring._pow_tuple(self.coeffs, n, self.prec), self.prec)
+        acc, a = WittScalar(self.ring, (1,) + (0,) * (self.ring.f - 1), self.prec), self
+        while n:
+            if n & 1:
+                acc = acc * a
+            n >>= 1
+            if n:
+                a = a * a
+        return acc
 
     def __eq__(self, other):
         # exact representation equality; use eq_at() for at-precision tests
@@ -524,9 +473,21 @@ class WittScalar:
         return any(c % self.ring.p for c in self.coeffs)
 
     def invert(self) -> "WittScalar":
+        """The residue inverse a^(p^f - 2) in the field F_{p^f}, Newton-lifted
+        by z <- z(2 - az) to this precision, doubling it per step."""
         if not self.is_unit():
             raise NotAUnit("cannot invert: zero modulo p")
-        return WittScalar(self.ring, self.ring._inv_tuple(self.coeffs, self.prec), self.prec)
+        r, k = self.ring, self.prec
+        z = self.truncate(1) ** (r.p**r.f - 2)
+        two = WittScalar(r, (2,) + (0,) * (r.f - 1), k)
+        cur = 1
+        while cur < k:
+            cur = min(2 * cur, k)
+            # z is right to half of cur digits; one step makes its
+            # representative right to cur digits, so read it at cur
+            z = WittScalar(r, z.coeffs, cur)
+            z = z * (two - self * z)
+        return z
 
     def div_p_exact(self, k: int = 1) -> "WittScalar":
         """Exact division by p^k; lowers precision by k."""
@@ -613,6 +574,18 @@ class FlatVector:
     def ring(self) -> WittRing:
         return self.amb.ring
 
+    @staticmethod
+    def _from_scalars(amb, coeffs, prec: int | None) -> tuple:
+        """The planes of a list of scalars and their precision: the lowest of
+        the scalars' and ``prec`` (when given); the ring cap for the empty
+        list without ``prec``."""
+        k = min((c.prec for c in coeffs), default=amb.cap)
+        if prec is not None:
+            k = min(k, prec)
+        if k < 1:
+            raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
+        return amb.ring.to_planes([c.coeffs for c in coeffs], k), k
+
     def _sum(self, other, sub: bool = False) -> tuple:
         """The planes of self + other (or self - other), and their precision."""
         k = min(self.prec, other.prec)
@@ -644,6 +617,18 @@ class FlatVector:
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
         acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
         return ring.fold(acc, k), k, reach
+
+    def truncate(self, k: int):
+        if k >= self.prec:
+            return self
+        if k < 1:
+            raise PrecisionExhausted("cannot truncate below one digit")
+        return self._make(self.ring.truncate_planes(self.planes, k), k)
+
+    def div_p_exact(self, k: int):
+        """Exact division by p^k; lowers precision by k."""
+        planes = self.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
+        return self._make(planes, self.prec - k)
 
     def mul_p_pow(self, k: int):
         """Exact multiplication by p^k; raises precision up to the ring cap."""

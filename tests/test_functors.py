@@ -195,7 +195,7 @@ def test_section_basis_hint_closed_form(amb3):
 def test_flag_adapt_standard_flag(amb3):
     e1 = (amb3.w(1), amb3.w(0))
     e2 = (amb3.w(0), amb3.w(1))
-    g, jumps = flag_adapt(amb3, [[e1, e2], [e1]])
+    g, jumps = flag_adapt(amb3, 2, [[e1, e2], [e1]])
     assert jumps == (0, 1)
     # the column with jump 1 must span the middle step
     assert g.entries[0][1].is_unit() and g.entries[1][1].is_zero_at(amb3.N_p)
@@ -205,7 +205,7 @@ def test_flag_adapt_diagonal_embedding(amb3):
     v = (amb3.w(1), amb3.w(1))
     e1 = (amb3.w(1), amb3.w(0))
     e2 = (amb3.w(0), amb3.w(1))
-    g, jumps = flag_adapt(amb3, [[e1, e2], [v]])
+    g, jumps = flag_adapt(amb3, 2, [[e1, e2], [v]])
     assert jumps == (0, 1)
     col = (g.entries[0][1], g.entries[1][1])
     assert col[0].eq_at(col[1], amb3.N_p)  # proportional to e1 + e2
@@ -213,7 +213,7 @@ def test_flag_adapt_diagonal_embedding(amb3):
 
 def test_flag_adapt_rejects_non_summand(amb3):
     with pytest.raises(NotDirectSummand):
-        flag_adapt(amb3, [[(amb3.w(1),)], [(amb3.w(3),)]])
+        flag_adapt(amb3, 1, [[(amb3.w(1),)], [(amb3.w(3),)]])
 
 
 # --- backward functor and round trips ---

@@ -38,7 +38,7 @@ from flbreuil.pd import (
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import WittScalar
+from flbreuil.witt import WittScalar, _conv_into
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -103,7 +103,8 @@ def ref_gamma_multiply(x, y):
             b = ys[j]
             if any(b.coeffs):
                 term = a * b
-                term = WittScalar(ring, ring._smul_tuple(term.coeffs, amb.comb[i][j], k), k)
+                w, mod = amb.comb[i][j], ring.pk[k]
+                term = WittScalar(ring, tuple(c * w % mod for c in term.coeffs), k)
                 out[i + j] = out[i + j] + term
         if ysup > N - i:
             dirty = True
@@ -426,9 +427,11 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
     for row, n, weights, w_max in ((xs, amb.N_gamma, amb.comb, amb.comb_max),
                                    (ss, amb.N_u, None, 1)):
         pairs = [(x.planes, x.planes) for x in row]
-        acc = ring.new_acc(n)
+        acc = [[0] * n for _ in range(2 * f - 1)]
         for a, b in pairs:
-            ring.conv_into(acc, a, b, weights)
+            for s, xa in enumerate(a):
+                for t, yb in enumerate(b):
+                    _conv_into(acc[s + t], xa, yb, weights)
         assert ring.dot_acc(pairs, n, weights, w_max) == acc
     # the series case is tight: its largest slot needs the top bit of W
     assert max(map(max, acc)).bit_length() == slot_width(amb, n_pairs, amb.N_u, 1)

@@ -6,10 +6,11 @@ import pytest
 from flbreuil import campaign as CAM
 from flbreuil import serialize as SER
 from flbreuil.cli import main
-from flbreuil.errors import NotStrong, PrecisionMismatch, SchemaMismatch
+from flbreuil.errors import MalformedJumps, NotStrong, PrecisionMismatch, SchemaMismatch
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
-from flbreuil.kisin import random_gls
+from flbreuil.kisin import KisinModule, random_gls
+from flbreuil.matrix import RingMatrix
 
 
 def test_fl_round_trip(amb3):
@@ -351,9 +352,69 @@ def test_cli_malformed_breuil_file_is_a_usage_error(tmp_path, capsys, edit, verb
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _resize(name, rows, cols):
+    """A document edit: matrix ``name`` of the data becomes rows x cols,
+    its entries repeated from the top left."""
+    def edit(doc):
+        data = doc["data"]
+        *keys, last = name.split(".")
+        for k in keys:
+            data = data[k]
+        m = data[last]
+        m["entries"] = [(row * cols)[:cols] for row in (m["entries"] * rows)[:rows]]
+        m["rows"], m["cols"] = rows, cols
+    return edit
+
+
+@pytest.mark.parametrize("kind, verb, edit", [
+    ("breuil-from-fl", ["apply", "mfl"], _resize("Nmat", 3, 2)),
+    ("breuil-from-fl", ["section"], _resize("Nmat", 3, 2)),
+    ("breuil-from-fl", ["apply", "mfl"], _resize("Nmat", 1, 1)),
+    ("breuil-from-fl", ["section"], _resize("Nmat", 1, 1)),
+    ("kisin-gls", ["section"], _resize("A", 1, 1)),
+    ("kisin-gls", ["apply", "mfl", "--adjoin-zero-n"], _resize("A", 1, 1)),
+    ("kisin-gls", ["section"], _resize("gls.X", 3, 3)),
+], ids=["Nmat-3x2-mfl", "Nmat-3x2-section", "Nmat-1x1-mfl", "Nmat-1x1-section",
+        "A-1x1-section", "A-1x1-mfl", "X-3x3-section"])
+def test_cli_matrix_not_of_the_rank_is_a_usage_error(tmp_path, capsys, kind, verb, edit):
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", kind, "--d", "2", "--r", "2", "--jumps", "0,1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    edit(doc)
+    src.write_text(json.dumps(doc))
+    assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matrix dimensions do not match the rank"]
+
+
+def test_cli_rank_zero_breuil_module_passes_section_and_mfl(tmp_path):
+    b = tmp_path / "b.json"
+    s = tmp_path / "s.json"
+    m = tmp_path / "m.json"
+    assert main(["gen", "breuil-from-fl", "--d", "0", "--out", str(b)]) == 0
+    assert main(["section", "--in", str(b), "--out", str(s)]) == 0
+    sec = json.loads(s.read_text())["data"]
+    assert sec["iterations"] == 0 and sec["exact"]
+    assert main(["apply", "mfl", "--in", str(b), "--out", str(m)]) == 0
+    M = SER.load(str(m))
+    assert isinstance(M, FLModule) and M.d == 0 and M.jumps == ()
+
+
 def test_fl_module_stores_checked_jumps(amb3):
     M = random_fl(amb3, random.Random(11), 2, (0, 1))
     assert FLModule(amb3, 2, [0, 1], M.Ftil).jumps == (0, 1)
+
+
+def test_kisin_module_checks_its_normal_form(amb3):
+    K = random_gls(amb3, random.Random(11), 2, (0, 1))
+    X, _, Y = K.gls
+    assert KisinModule(amb3, 2, K.A, (X, [0, 1], Y)).gls[1] == (0, 1)
+    with pytest.raises(MalformedJumps, match="not sorted"):
+        KisinModule(amb3, 2, K.A, (X, (1, 0), Y))
+    with pytest.raises(MalformedJumps, match="do not match the rank"):
+        KisinModule(amb3, 2, K.A, (X, (0, 1), RingMatrix([[Y.entries[0][0]]])))
 
 
 def test_a_longer_than_f_is_rejected(tmp_path, capsys):

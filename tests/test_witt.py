@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, _fp_is_irreducible, draw_below, find_irreducible
+from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, draw_below, find_irreducible
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
 
@@ -71,7 +71,7 @@ def test_invert_p_fails(zp, w9):
     with pytest.raises(NotAUnit):
         zp.from_int(3).invert()
     with pytest.raises(NotAUnit):
-        w9._inv_tuple((3, 6), 4)
+        WittScalar(w9, (3, 6), 4).invert()
 
 
 def test_invert_random_units(zp, w9):
@@ -96,15 +96,20 @@ def test_frobenius_of_generator_is_minus(w9):
     assert img == -t
 
 
-def test_frobenius_order_and_homomorphism(w9):
+@pytest.mark.parametrize("p, f", [(3, 2), (3, 3), (5, 3)], ids=["F9", "F27", "F125"])
+def test_frobenius_order_and_homomorphism(p, f):
+    ring = WittRing(p, f, cap=8)
     rng = random.Random(2)
     for _ in range(200):
-        x, y = w9.random(rng), w9.random(rng)
+        x, y = ring.random(rng), ring.random(rng)
         sx, sy = x.frobenius(), y.frobenius()
         assert (x + y).frobenius() == sx + sy
         assert (x * y).frobenius() == sx * sy
-        assert sx.frobenius() == x  # sigma^f = id with f = 2
-        assert (sx - x ** 3).is_zero_at(1)  # reduces to cubing mod p
+        sfx = x
+        for _ in range(f):
+            sfx = sfx.frobenius()
+        assert sfx == x  # sigma^f = id
+        assert (sx - x ** p).is_zero_at(1)  # reduces to x -> x^p mod p
 
 
 small = st.integers(min_value=-3**8, max_value=3**8)
