@@ -66,7 +66,7 @@ m >= n.  Both transforms are exact, so the test costs no precision.
 
 from __future__ import annotations
 
-from .errors import DegreeOverflow, NotInFil, PrecisionExhausted
+from .errors import DegreeOverflow, NotInFil
 from .series import SigmaSeries
 from .witt import FlatVector, WittScalar, draw_below, trimmed
 
@@ -113,23 +113,11 @@ class PDElement(FlatVector):
     def __add__(self, other):
         if not isinstance(other, PDElement):
             return NotImplemented
-        if not self.planes[0] and self.prec >= other.prec and (
-            not self.tail_dirty or other.tail_dirty
-        ):
-            return other
-        if not other.planes[0] and other.prec >= self.prec and (
-            not other.tail_dirty or self.tail_dirty
-        ):
-            return self
         return self._make(*self._sum(other), self.tail_dirty or other.tail_dirty)
 
     def __sub__(self, other):
         if not isinstance(other, PDElement):
             return NotImplemented
-        if not other.planes[0] and other.prec >= self.prec and (
-            not other.tail_dirty or self.tail_dirty
-        ):
-            return self
         return self._make(*self._sum(other, sub=True), self.tail_dirty or other.tail_dirty)
 
     def __mul__(self, other):
@@ -166,11 +154,7 @@ class PDElement(FlatVector):
         """Equality mod p^k; on a tail_dirty difference the top coefficient,
         which the dropped tail can reach, is not compared."""
         diff = self - other
-        if diff.prec < k:
-            raise PrecisionExhausted(f"comparison at p^{k} with {diff.prec} digits")
-        top = self.amb.N_gamma - (1 if diff.tail_dirty else 0)
-        q = self.amb.ring.pk[k]
-        return not any(c % q for pl in diff.planes for c in pl[:top])
+        return diff._head(self.amb.N_gamma - diff.tail_dirty).is_zero_at(k)
 
     def newton_steps(self) -> int:
         """Newton steps from a residue-field inverse to this precision and

@@ -85,7 +85,10 @@ def series_to_json(x: SigmaSeries) -> dict:
 
 def series_from_json(amb: AmbientParams, d: dict) -> SigmaSeries:
     _expect(d, ("ucoeffs",))
-    return SigmaSeries(amb, [scalar_from_json(amb, c) for c in _array(d["ucoeffs"], "ucoeffs")])
+    coeffs = [scalar_from_json(amb, c) for c in _array(d["ucoeffs"], "ucoeffs")]
+    if len(coeffs) > amb.N_u:
+        raise SchemaMismatch("too many u coefficients for this truncation")
+    return SigmaSeries(amb, coeffs)
 
 
 def pd_to_json(x: PDElement) -> dict:
@@ -152,11 +155,13 @@ def params_from_json(d: dict) -> AmbientParams:
         )
     a_doc = d["a"]
     _expect(a_doc, ("coeffs", "prec"))
-    _int(a_doc["prec"], "a.prec")
+    ints = {k: _int(d[k], k) for k in ("r", "f", "N_p", "N_gamma", "headroom")}
+    if _int(a_doc["prec"], "a.prec") != ints["N_p"] + ints["headroom"]:
+        raise SchemaMismatch("a.prec must be the cap N_p + headroom")
     try:
         return shared_params(
             p=p,
-            **{k: _int(d[k], k) for k in ("r", "f", "N_p", "N_gamma", "headroom")},
+            **ints,
             a=[_int(c, "a coefficient") for c in _array(a_doc["coeffs"], "a.coeffs")],
             m_coeffs=[_int(c, "m coefficient") for c in _array(d["m_coeffs"], "m_coeffs")],
         )

@@ -102,9 +102,6 @@ class SigmaSeries(FlatVector):
     def constant(self) -> WittScalar:
         return self.coeff(0)
 
-    def eq_at(self, other: "SigmaSeries", k: int) -> bool:
-        return (self - other).is_zero_at(k)
-
     def newton_steps(self) -> int:
         """Newton steps from a residue-field inverse to this precision and
         u-adic truncation, plus slack."""

@@ -9,7 +9,11 @@ Precision follows a flat model: every scalar carries one absolute precision
 ``prec`` (the value is known modulo p^prec), binary operations keep the
 minimum of the two input precisions, and exact division by p^k lowers the
 precision by k.  Multiplication by p^k raises it by k, capped at the ring
-cap.
+cap.  A series or an element of S carries one such precision for all its
+coefficients.  ``FlatValue``, the base of ``WittScalar`` and of
+``FlatVector`` (series and S), is the one home of these rules: truncation,
+exact division and multiplication by p^k, negation, the valuation and the
+zero test are written there once.
 
 The residue field F_{p^f} is computed with the ring's own product at one
 digit: m is irreducible when no monic polynomial of degree 1 .. f/2
@@ -25,7 +29,7 @@ residue field and has order f.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd
 
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
@@ -338,15 +342,6 @@ class WittRing:
         mod = self.pk[k]
         return tuple([c % mod for c in x] for x in xs)
 
-    def div_p_planes(self, xs, prec: int, k: int) -> tuple:
-        """Exact division of every entry by p^k (k > 0), as on scalars."""
-        if prec - k < 1:
-            raise PrecisionExhausted(f"division by p^{k} from precision {prec}")
-        q = self.pk[k]
-        if any(c % q for x in xs for c in x):
-            raise NotDivisible(f"not divisible by p^{k}")
-        return tuple([c // q for c in x] for x in xs)
-
     def frobenius_planes(self, xs, k: int) -> tuple:
         """The arithmetic Frobenius applied to every entry, mod p^k."""
         if self.f == 1:
@@ -389,14 +384,78 @@ class WittRing:
         prec = self.cap if prec is None else prec
         return WittScalar(self, self._random_unit_tuple(rng, prec), prec)
 
-    def frobenius(self, x: "WittScalar") -> "WittScalar":
-        if self.f == 1:
-            return x
-        planes = self.frobenius_planes(tuple([c] for c in x.coeffs), x.prec)
-        return WittScalar(self, tuple(pl[0] for pl in planes), x.prec)
+
+class FlatValue:
+    """The flat precision model, shared by scalars and by the elements of
+    W(k)[[u]] and S: the one home of its rules.
+
+    A value is known modulo p^prec, every stored int is reduced mod p^prec,
+    and the ring cap bounds prec.  Truncation, exact division and
+    multiplication by p^k, negation, the valuation and the zero test read
+    and rewrite the stored ints through two hooks: ``_ints()`` yields every
+    one of them, and ``_map(fn, prec)`` builds a value of the same kind with
+    ``fn`` applied to each int list.  Sums, products and inverses stay with
+    each kind, whose storage they walk.
+    """
+
+    __slots__ = ()
+
+    def __neg__(self):
+        mod = self.ring.pk[self.prec]
+        return self._map(lambda xs: [(-c) % mod for c in xs], self.prec)
+
+    def truncate(self, k: int):
+        if k >= self.prec:
+            return self
+        if k < 1:
+            raise PrecisionExhausted("cannot truncate below one digit")
+        mod = self.ring.pk[k]
+        return self._map(lambda xs: [c % mod for c in xs], k)
+
+    def div_p_exact(self, k: int = 1):
+        """Exact division by p^k; lowers precision by k."""
+        if k == 0:
+            return self
+        if self.prec - k < 1:
+            raise PrecisionExhausted(f"division by p^{k} from precision {self.prec}")
+        q = self.ring.pk[k]
+        if any(c % q for c in self._ints()):
+            raise NotDivisible(f"not divisible by p^{k}")
+        return self._map(lambda xs: [c // q for c in xs], self.prec - k)
+
+    def mul_p_pow(self, k: int):
+        """Exact multiplication by p^k; raises precision up to the ring cap."""
+        if k == 0:
+            return self
+        ring = self.ring
+        prec = min(self.prec + k, ring.cap)
+        # p^k is 0 mod p^cap once k >= cap
+        q, mod = ring.pk[min(k, ring.cap)], ring.pk[prec]
+        return self._map(lambda xs: [c * q % mod for c in xs], prec)
+
+    def valuation(self) -> int:
+        """min v_p over the stored ints; prec for a value that is zero at its
+        own precision (nothing deeper can be certified)."""
+        g = gcd(*self._ints())
+        if not g:
+            return self.prec
+        v, p = 0, self.ring.p
+        while g % p == 0:
+            g //= p
+            v += 1
+        return v
+
+    def is_zero_at(self, k: int) -> bool:
+        if self.prec < k:
+            raise PrecisionExhausted(f"zero test at p^{k} but only {self.prec} digits known")
+        q = self.ring.pk[k]
+        return not any(c % q for c in self._ints())
+
+    def eq_at(self, other, k: int) -> bool:
+        return (self - other).is_zero_at(k)
 
 
-class WittScalar:
+class WittScalar(FlatValue):
     """Element of W(F_{p^f}) known modulo p^prec."""
 
     __slots__ = ("ring", "coeffs", "prec")
@@ -423,11 +482,6 @@ class WittScalar:
         k = min(self.prec, other.prec)
         mod = r.pk[k]
         return WittScalar(r, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)), k)
-
-    def __neg__(self):
-        r = self.ring
-        mod = r.pk[self.prec]
-        return WittScalar(r, tuple((-c) % mod for c in self.coeffs), self.prec)
 
     def __mul__(self, other):
         if not isinstance(other, WittScalar):
@@ -461,13 +515,23 @@ class WittScalar:
     def __hash__(self):
         return hash((id(self.ring), self.coeffs, self.prec))
 
+    def _ints(self):
+        return self.coeffs
+
+    def _map(self, fn, prec: int) -> "WittScalar":
+        return WittScalar(self.ring, tuple(fn(self.coeffs)), prec)
+
     def __repr__(self):
         if self.ring.f == 1:
             return f"W({self.coeffs[0]} ~p^{self.prec})"
         return f"W({list(self.coeffs)} ~p^{self.prec})"
 
     def frobenius(self) -> "WittScalar":
-        return self.ring.frobenius(self)
+        r = self.ring
+        if r.f == 1:
+            return self
+        planes = r.frobenius_planes(tuple([c] for c in self.coeffs), self.prec)
+        return WittScalar(r, tuple(pl[0] for pl in planes), self.prec)
 
     def is_unit(self) -> bool:
         return any(c % self.ring.p for c in self.coeffs)
@@ -489,18 +553,6 @@ class WittScalar:
             z = z * (two - self * z)
         return z
 
-    def div_p_exact(self, k: int = 1) -> "WittScalar":
-        """Exact division by p^k; lowers precision by k."""
-        if k == 0:
-            return self
-        new_prec = self.prec - k
-        if new_prec < 1:
-            raise PrecisionExhausted(f"division by p^{k} from precision {self.prec}")
-        q = self.ring.pk[k]
-        if any(c % q for c in self.coeffs):
-            raise NotDivisible(f"not divisible by p^{k}")
-        return WittScalar(self.ring, tuple(c // q for c in self.coeffs), new_prec)
-
     @staticmethod
     def dot(xs, ys) -> "WittScalar":
         """The sum of the products x*y over two equally long rows, reduced
@@ -508,47 +560,6 @@ class WittScalar:
         r = xs[0].ring
         k = min(min(x.prec for x in xs), min(y.prec for y in ys))
         return WittScalar(r, r._dot_tuple([(x.coeffs, y.coeffs) for x, y in zip(xs, ys)], k), k)
-
-    def mul_p_pow(self, k: int) -> "WittScalar":
-        """Exact multiplication by p^k; raises precision up to the ring cap."""
-        if k == 0:
-            return self
-        r = self.ring
-        new_prec = min(self.prec + k, r.cap)
-        mod = r.pk[new_prec]
-        q = r.pk[min(k, r.cap)]  # p^k is 0 mod p^cap once k >= cap
-        return WittScalar(r, tuple((c * q) % mod for c in self.coeffs), new_prec)
-
-    def valuation(self) -> int:
-        """min v_p over coefficients; returns prec for a value that is zero
-        at its own precision (nothing deeper can be certified)."""
-        best = self.prec
-        p = self.ring.p
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                best = min(best, v)
-        return best
-
-    def is_zero_at(self, k: int) -> bool:
-        if self.prec < k:
-            raise PrecisionExhausted(f"zero test at p^{k} but only {self.prec} digits known")
-        q = self.ring.pk[k]
-        return all(c % q == 0 for c in self.coeffs)
-
-    def eq_at(self, other: "WittScalar", k: int) -> bool:
-        return (self - other).is_zero_at(k)
-
-    def truncate(self, k: int) -> "WittScalar":
-        if k >= self.prec:
-            return self
-        if k < 1:
-            raise PrecisionExhausted("cannot truncate below one digit")
-        mod = self.ring.pk[k]
-        return WittScalar(self.ring, tuple(c % mod for c in self.coeffs), k)
 
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
@@ -558,7 +569,7 @@ class WittScalar:
         return self.ring.make(t)
 
 
-class FlatVector:
+class FlatVector(FlatValue):
     """Arithmetic shared by the elements of W(k)[[u]] and of S.
 
     An element is a vector of scalars (its u^i or gamma_i coefficients) at
@@ -586,6 +597,12 @@ class FlatVector:
             raise PrecisionExhausted(f"precision {k} outside [1, {amb.cap}]")
         return amb.ring.to_planes([c.coeffs for c in coeffs], k), k
 
+    def _ints(self):
+        return chain.from_iterable(self.planes)
+
+    def _map(self, fn, prec: int):
+        return self._make(tuple(fn(pl) for pl in self.planes), prec)
+
     def _sum(self, other, sub: bool = False) -> tuple:
         """The planes of self + other (or self - other), and their precision."""
         k = min(self.prec, other.prec)
@@ -594,10 +611,6 @@ class FlatVector:
         if sub:
             return tuple([(a - b) % mod for a, b in pr] for pr in pairs), k
         return tuple([(a + b) % mod for a, b in pr] for pr in pairs), k
-
-    def __neg__(self):
-        mod = self.ring.pk[self.prec]
-        return self._make(tuple([(-c) % mod for c in pl] for pl in self.planes), self.prec)
 
     @staticmethod
     def _dot_planes(xs, ys, bound: int, weights=None, w_max: int = 1):
@@ -617,43 +630,6 @@ class FlatVector:
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
         acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
         return ring.fold(acc, k), k, reach
-
-    def truncate(self, k: int):
-        if k >= self.prec:
-            return self
-        if k < 1:
-            raise PrecisionExhausted("cannot truncate below one digit")
-        return self._make(self.ring.truncate_planes(self.planes, k), k)
-
-    def div_p_exact(self, k: int):
-        """Exact division by p^k; lowers precision by k."""
-        planes = self.ring.div_p_planes(self.planes, self.prec, k) if k else self.planes
-        return self._make(planes, self.prec - k)
-
-    def mul_p_pow(self, k: int):
-        """Exact multiplication by p^k; raises precision up to the ring cap."""
-        ring = self.ring
-        prec = min(self.prec + k, ring.cap)
-        q, mod = ring.pk[min(k, ring.cap)], ring.pk[prec]
-        return self._make(tuple([(c * q) % mod for c in pl] for pl in self.planes), prec)
-
-    def valuation(self) -> int:
-        """min v_p over coefficients; prec for a value that is zero at its
-        own precision, as for a scalar."""
-        g = gcd(*(c for pl in self.planes for c in pl))
-        if not g:
-            return self.prec
-        v, p = 0, self.ring.p
-        while g % p == 0:
-            g //= p
-            v += 1
-        return v
-
-    def is_zero_at(self, k: int) -> bool:
-        if self.prec < k:
-            raise PrecisionExhausted(f"zero test at p^{k} with {self.prec} digits")
-        q = self.ring.pk[k]
-        return not any(c % q for pl in self.planes for c in pl)
 
     def is_unit(self) -> bool:
         p = self.ring.p

@@ -314,8 +314,9 @@ def _set(*path):
     _set("data", "Ftil", "entries", 0, 0, "coeffs", ["x"]),
     _set("data", "jumps", [0.7, 1.2]),
     _set("params", "a", "coeffs", 5),
+    _set("params", "a", "prec", 3),
 ], ids=["d-list", "d-bool", "p-object", "Np-float", "entries-int", "prec-null",
-        "coeff-text", "jumps-float", "a-int"])
+        "coeff-text", "jumps-float", "a-int", "a-prec"])
 def test_cli_malformed_instance_is_a_usage_error(tmp_path, capsys, edit):
     m = tmp_path / "m.json"
     out = tmp_path / "b.json"
@@ -387,6 +388,23 @@ def test_cli_matrix_not_of_the_rank_is_a_usage_error(tmp_path, capsys, kind, ver
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: matrix dimensions do not match the rank"]
+
+
+@pytest.mark.parametrize("verb", [["section"], ["apply", "mfl", "--adjoin-zero-n"]])
+def test_cli_series_longer_than_the_truncation_is_a_usage_error(tmp_path, capsys, verb):
+    # the constructor cuts a series at N_u; a file may not rely on that cut
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "kisin-gls", "--d", "2", "--r", "2", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    amb = SER.params_from_json(doc["params"])
+    ucoeffs = doc["data"]["A"]["entries"][0][0]["ucoeffs"]
+    ucoeffs += [SER.scalar_to_json(amb.ring.one())] * (amb.N_u + 3 - len(ucoeffs))
+    src.write_text(json.dumps(doc))
+    assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: too many u coefficients for this truncation"]
 
 
 def test_cli_rank_zero_breuil_module_passes_section_and_mfl(tmp_path):
