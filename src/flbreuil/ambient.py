@@ -6,8 +6,8 @@ public precision N_p, the gamma truncation N_gamma, the series truncation
 N_u and the internal precision headroom.  All scalars, series and
 divided-power elements of one computation share a single context.
 
-A context is read-only once constructed; only its tables (u^n, c^i, the
-unit parts of i!, (p*a)^i/i! and three packed tables) fill lazily, on
+A context is read-only once constructed; only its tables (u^n, c^i, E^n,
+the unit parts of i!, (p*a)^i/i! and three packed tables) fill lazily, on
 first use, with values that depend on the parameters alone.  So one
 context can serve every computation with the same parameters:
 ``shared_params`` returns one per parameter set per process, keyed by the
@@ -241,6 +241,7 @@ class AmbientParams:
         self.u_table = PackedTable(self.ring, N_gamma, self._u_column)
         self.u_div_table = PackedTable(self.ring, N_gamma, self._u_div_column)
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])
+        self._E_pow = [series_from_ints(self, [1]), self.E_series]
 
         # c = phi(E)/p = (u^p + p*sigma(a))/p: the division is exact at the
         # integer level (the gamma_k term of u^p carries p^(p-k) from
@@ -295,6 +296,10 @@ class AmbientParams:
 
     def c_pow(self, i: int) -> pdmod.PDElement:
         return self._power(self._c_pow, i)
+
+    def E_pow(self, n: int) -> SigmaSeries:
+        """E(u)^n in the series ring."""
+        return self._power(self._E_pow, n)
 
     # --- the columns of the packed tables ---
 

@@ -144,7 +144,7 @@ def cmd_apply(args) -> int:
             obj = KI.kisin_to_breuil(obj)
         if not isinstance(obj, BreuilModule):
             raise KernelError("apply mfl expects a BreuilModule (or KisinModule) file")
-        out = FU.breuil_to_fl_with_transport(obj, adjoin_zero_n=args.adjoin_zero_n)[0]
+        out = FU.breuil_to_fl(obj, adjoin_zero_n=args.adjoin_zero_n).M
     else:
         raise ValueError(args.functor)
     _write([SER.to_json(out)], args.out)

@@ -13,13 +13,18 @@ module is strong precisely when Ftil is invertible.  Classification is by
 matrix products: V = diag(p^{r - r_i}) * Ftil^{-1} satisfies F V = p^r I,
 the module is unipotent exactly when the twisted product of V tends to
 zero, and nilpotent exactly when the twisted product of F does.
+
+F and its inverse live here alone: ``fl_frobenius_matrix`` scales column j
+by p^{r_j}, ``fl_from_frobenius`` divides it back and raises NotStrong when
+it cannot.  ``fl_transport`` needs a flag-preserving g (p^{r_j - r_i}
+divides g_{ij} whenever r_i < r_j) and raises NotStrong for any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedJumps, NotStrong
+from .errors import MalformedJumps, NotDivisible, NotStrong
 from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
 from .witt import WittScalar
 
@@ -79,6 +84,21 @@ def fl_frobenius_matrix(M: FLModule) -> RingMatrix:
     )
 
 
+def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
+    """The module with jumps r_j whose Frobenius matrix is F: column j of F
+    divided by p^{r_j}, the inverse of ``fl_frobenius_matrix``.  Raises
+    NotStrong when a column is not divisible by its power of p."""
+    d = len(jumps)
+    if F.rows != d or F.cols != d:
+        raise MalformedJumps("Frobenius dimension does not match the jumps")
+    try:
+        Ftil = RingMatrix([[F.entries[i][j].div_p_exact(jumps[j]) for j in range(d)]
+                           for i in range(d)])
+    except NotDivisible as exc:
+        raise NotStrong(f"divided Frobenius is not integral: {exc}") from exc
+    return FLModule(amb, d, jumps, Ftil)
+
+
 def fl_v_matrix(M: FLModule) -> tuple[RingMatrix, RingMatrix]:
     """Returns (F, V) with F V = V F = p^r I; V = diag(p^{r-r_i}) Ftil^{-1}."""
     if not fl_validate(M):
@@ -125,21 +145,10 @@ def random_unipotent_fl(amb, rng, d: int) -> FLModule:
 def fl_transport(M: FLModule, g: RingMatrix) -> FLModule:
     """The same module in the basis e g, for flag-preserving g.
 
-    F transforms semilinearly, F' = g^{-1} F sigma(g), and the divided
-    matrix follows by the exact p-power shifts; integrality of the shifts
-    is the flag condition."""
-    amb = M.amb
+    F transforms semilinearly, F' = g^{-1} F sigma(g), and
+    ``fl_from_frobenius`` divides it back.  Since Ftil is invertible,
+    column j of F sigma(g) is divisible by p^{r_j} exactly when p^{r_j - r_i}
+    divides sigma(g)_{ij} for every r_i < r_j: that is the flag condition,
+    and a g that breaks it raises NotStrong."""
     sg = g.map_entries(WittScalar.frobenius)
-    mid = RingMatrix(
-        [
-            [
-                sg.entries[i][j].mul_p_pow(M.jumps[i] - M.jumps[j])
-                if M.jumps[i] >= M.jumps[j]
-                else sg.entries[i][j].div_p_exact(M.jumps[j] - M.jumps[i])
-                for j in range(M.d)
-            ]
-            for i in range(M.d)
-        ],
-    )
-    Ftil_new = g.invert() @ M.Ftil @ mid
-    return FLModule(amb, M.d, M.jumps, Ftil_new)
+    return fl_from_frobenius(M.amb, g.invert() @ fl_frobenius_matrix(M) @ sg, M.jumps)

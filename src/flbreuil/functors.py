@@ -38,7 +38,7 @@ from .errors import (
     NotStrong,
     SingularMatrix,
 )
-from .fl import FLModule, fl_classify, fl_validate
+from .fl import FLModule, fl_classify, fl_from_frobenius, fl_frobenius_matrix, fl_validate
 from .matrix import RingMatrix, scaled_inverse
 from .pd import (
     eval_f0,
@@ -81,15 +81,11 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
     """Base change to S: Phi = Ftil diag(p^{r_i}) as constants, N the bare
     derivation, identity adapted basis, unchanged jumps."""
     amb = M.amb
-    ent = [
-        [pd_from_scalar(amb, M.Ftil.entries[i][j].mul_p_pow(M.jumps[j])) for j in range(M.d)]
-        for i in range(M.d)
-    ]
     zero = pd_zero(amb)
     return BreuilModule(
         amb=amb,
         d=M.d,
-        Phi=RingMatrix(ent),
+        Phi=embed_w_matrix(amb, fl_frobenius_matrix(M)),
         Nmat=RingMatrix.zeros(M.d, M.d, zero),
         C=RingMatrix.identity(M.d, zero, pd_one(amb)),
         jumps=M.jumps,
@@ -107,17 +103,6 @@ class SectionResult:
     B0_claim_ok: bool           # p (B_0 - I) lies in u^p Mat(S)
     f0_identity: bool           # f_0(B_n) = I held at every step
     rate_bound: int             # stabilisation bound from the p-power gain
-
-
-def _matrix_zero_valuation(M: RingMatrix, cap: int) -> int:
-    """Largest k <= cap with M = 0 mod p^k."""
-    best = cap
-    for row in M.entries:
-        for x in row:
-            best = min(best, x.valuation())
-            if best == 0:
-                return 0
-    return best
 
 
 def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionResult:
@@ -188,7 +173,7 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
         ) from exc
 
     residual = cur @ A0_pd - A @ phi_matrix(cur)
-    res_val = _matrix_zero_valuation(residual, at)
+    res_val = min([at] + [x.valuation() for row in residual.entries for x in row])
     return SectionResult(
         Bmat=cur,
         iterations=iterations,
@@ -248,25 +233,26 @@ class FLTransport:
     sec_basis_inv: RingMatrix  # (Bmat * embed(g_w))^(-1), over S
 
 
-def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None = None,
-                                adjoin_zero_n: bool = False) -> tuple[FLModule, FLTransport]:
-    """Reduction mod u with the filtration pushed through the section.
+def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
+                 adjoin_zero_n: bool = False) -> FLTransport:
+    """Reduction mod u with the filtration pushed through the section; the
+    reduction is the transport's ``M``.
 
     Requires the crystalline condition (monodromy inside u times the
-    module) and strong divisibility.  A module without monodromy data is
-    accepted only with ``adjoin_zero_n``, the crystalline-with-trivial-N
-    reading of a Frobenius-only input.
+    module) and strong divisibility, both read from ``breuil_validate``.
+    A module without monodromy data is accepted only with
+    ``adjoin_zero_n``, the crystalline-with-trivial-N reading of a
+    Frobenius-only input.
     """
     amb = B.amb
     at = amb.N_p
-    if B.Nmat is None:
-        if not adjoin_zero_n:
-            raise NotCris("no monodromy matrix; pass adjoin_zero_n=True to "
-                          "read the module as crystalline with trivial N")
-    else:
-        if not all(eval_f0(x).is_zero_at(at) for row in B.Nmat.entries for x in row):
-            raise NotCris("monodromy does not land in u times the module")
-    if not breuil_validate(B).strongly_divisible:
+    if B.Nmat is None and not adjoin_zero_n:
+        raise NotCris("no monodromy matrix; pass adjoin_zero_n=True to "
+                      "read the module as crystalline with trivial N")
+    report = breuil_validate(B)
+    if report.cris is False:
+        raise NotCris("monodromy does not land in u times the module")
+    if not report.strongly_divisible:
         raise NotStrong("input is not strongly divisible")
 
     sec = section if section is not None else section_compute(B)
@@ -290,19 +276,11 @@ def breuil_to_fl_with_transport(B: BreuilModule, section: SectionResult | None =
     g, jumps = flag_adapt(amb, B.d, gens_by_level)
 
     g_inv = g.invert()
-    F_new = g_inv @ FM @ sigma_matrix(g)
-    try:
-        ftil_ent = [
-            [F_new.entries[i][j].div_p_exact(jumps[j]) for j in range(B.d)]
-            for i in range(B.d)
-        ]
-    except NotDivisible as exc:
-        raise NotStrong(f"divided Frobenius is not integral: {exc}") from exc
-    M = FLModule(amb, B.d, jumps, RingMatrix(ftil_ent))
+    M = fl_from_frobenius(amb, g_inv @ FM @ sigma_matrix(g), jumps)
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
     sec_basis_inv = embed_w_matrix(amb, g_inv) @ Bm_inv
-    return M, FLTransport(M=M, section=sec, g_w=g, sec_basis_inv=sec_basis_inv)
+    return FLTransport(M=M, section=sec, g_w=g, sec_basis_inv=sec_basis_inv)
 
 
 def tensor_membership_via_section(transport: FLTransport, x, n: int,
@@ -339,7 +317,7 @@ def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripRep
                             "(pass allow_non_unipotent=True to explore)")
     B = fl_to_breuil(M)
     sec = section_compute(B)
-    M2 = breuil_to_fl_with_transport(B, section=sec)[0]
+    M2 = breuil_to_fl(B, section=sec).M
     jumps_equal = M2.jumps == M.jumps
     exact = jumps_equal and M2.Ftil.eq_at(M.Ftil, amb.N_p)
     sec_prec = min(x.prec for row in sec.Bmat.entries for x in row)
@@ -388,7 +366,7 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng=None) -> RoundTripRepor
     fil_ok = True
     checked = 0
     try:
-        _, transport = breuil_to_fl_with_transport(Bt, section=sec)
+        transport = breuil_to_fl(Bt, section=sec)
         jumps_equal = transport.M.jumps == B.jumps
         if rng is not None:
             from .breuil import random_fil_member, random_vector

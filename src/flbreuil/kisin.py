@@ -20,7 +20,7 @@ from .errors import MalformedJumps, MissingGLSForm, NotInvertible, SingularMatri
 from .fl import check_jumps, random_jumps
 from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
-from .series import SigmaSeries, series_from_ints, weierstrass_divide
+from .series import SigmaSeries, weierstrass_divide
 
 
 @dataclass
@@ -48,19 +48,17 @@ class HeightResult:
     witness: dict | None = None
 
 
-def _E_pow(amb, n: int) -> SigmaSeries:
-    out = series_from_ints(amb, [1])
-    for _ in range(n):
-        out = out * amb.E_series
-    return out
-
-
 def _E_diag(amb, jumps) -> RingMatrix:
     """Lambda = diag(E^{r_1}, ..., E^{r_d}) over the series ring."""
     d = len(jumps)
     zero = SigmaSeries(amb, [])
-    return RingMatrix([[_E_pow(amb, jumps[i]) if i == j else zero for j in range(d)]
+    return RingMatrix([[amb.E_pow(jumps[i]) if i == j else zero for j in range(d)]
                        for i in range(d)])
+
+
+def normal_form_matrix(amb, X: RingMatrix, jumps, Y: RingMatrix) -> RingMatrix:
+    """A = X * diag(E^{r_1}, ..., E^{r_d}) * Y."""
+    return X @ _E_diag(amb, jumps) @ Y
 
 
 def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
@@ -89,7 +87,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
             )
         q, s = q2, s + 1
     unit_inv = q.invert()
-    Er = _E_pow(amb, amb.r)
+    Er = amb.E_pow(amb.r)
     rows = []
     for i in range(d):
         row = []
@@ -120,7 +118,7 @@ def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule
     jumps = check_jumps(amb, d, jumps)
     if not X.residue_invertible() or not Y.residue_invertible():
         raise NotInvertible("X and Y must lie in GL_d of the series ring")
-    A = X @ _E_diag(amb, jumps) @ Y
+    A = normal_form_matrix(amb, X, jumps, Y)
     K = KisinModule(amb, d, A, gls=(X, jumps, Y))
     res = kisin_height_check(amb, A)
     if not res.ok:
@@ -183,19 +181,16 @@ def kisin_raw_fil_checker(K: KisinModule):
 
     Returns a callable on coordinate vectors (in the transferred basis f):
     the linearised Frobenius of the element must land in Fil^r S tensor the
-    module, i.e. every component of embed(X Lambda Y) * embed(Y)^{-1} * w
-    must have filtration valuation at least r: ``adapted_level`` of those
-    components with jumps 0, capped at r, reaches r.  Independent of the
-    adapted shortcut: it inverts embed(Y) over S as adj * det^(-1) and
-    multiplies out.
+    module, i.e. every component of embed(A) * embed(Y)^{-1} * w, with
+    A = X Lambda Y the module's own matrix, must have filtration valuation
+    at least r: ``adapted_level`` of those components with jumps 0, capped
+    at r, reaches r.  Independent of the adapted shortcut: it inverts
+    embed(Y) over S as adj * det^(-1) and multiplies out.
     """
     if K.gls is None:
         raise MissingGLSForm("raw membership needs the normal form data")
     amb = K.amb
-    X, jumps, Y = K.gls
-    A_pd = _embed_matrix(X @ _E_diag(amb, jumps) @ Y)
-    Yinv_pd = _embed_matrix(Y).invert()
-    full = A_pd @ Yinv_pd
+    full = _embed_matrix(K.A) @ _embed_matrix(K.gls[2]).invert()
     zeros = (0,) * K.d
 
     def check(w, at: int | None = None) -> bool:

@@ -19,7 +19,7 @@ from .ambient import AmbientParams, shared_params
 from .breuil import BreuilModule
 from .errors import PrecisionMismatch, SchemaMismatch
 from .fl import FLModule
-from .kisin import KisinModule
+from .kisin import KisinModule, normal_form_matrix
 from .matrix import RingMatrix
 from .pd import PDElement
 from .series import SigmaSeries
@@ -225,8 +225,15 @@ def from_json(doc: dict):
                 _jumps(data["gls"]),
                 matrix_from_json(amb, "series", data["gls"]["Y"]),
             )
-        return KisinModule(amb, _int(data["d"], "d"),
-                           matrix_from_json(amb, "series", data["A"]), gls)
+        K = KisinModule(amb, _int(data["d"], "d"),
+                        matrix_from_json(amb, "series", data["A"]), gls)
+        if K.gls is not None:
+            nf = normal_form_matrix(amb, *K.gls)
+            k = min((x.prec for M in (K.A, nf) for row in M.entries for x in row),
+                    default=amb.cap)
+            if not K.A.eq_at(nf, k):
+                raise SchemaMismatch("A is not X diag(E^r_i) Y")
+        return K
     if kind == "BreuilModule":
         _expect(data, ("d", "Phi", "Nmat", "C", "jumps"))
         nmat = None if data["Nmat"] is None else matrix_from_json(amb, "pd", data["Nmat"])

@@ -357,15 +357,19 @@ class WittRing:
     # --- scalar factory ---
 
     def make(self, coeffs, prec: int | None = None) -> "WittScalar":
-        """Build a scalar from integer coefficients (any length, folded mod m)."""
+        """Build a scalar from integer coefficients (any length, reduced mod
+        m from the top degree down: T^d = -T^(d-f) (m_0 + ... + m_{f-1} T^(f-1)))."""
         prec = self.cap if prec is None else prec
         if prec < 1 or prec > self.cap:
             raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
+        f = self.f
         coeffs = [int(c) for c in coeffs]
-        while len(coeffs) > self.f and not coeffs[-1]:
-            coeffs.pop()
-        acc = [[c] for c in coeffs] + [[0]] * (2 * self.f - 1 - len(coeffs))
-        return WittScalar(self, tuple(pl[0] for pl in self.fold(acc, prec)), prec)
+        while len(coeffs) > f:
+            top = coeffs.pop()
+            for i in range(f):
+                coeffs[len(coeffs) - f + i] -= top * self.m[i]
+        mod = self.pk[prec]
+        return WittScalar(self, tuple(c % mod for c in coeffs + [0] * (f - len(coeffs))), prec)
 
     def from_int(self, n: int, prec: int | None = None) -> "WittScalar":
         return self.make([n], prec)

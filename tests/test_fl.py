@@ -6,6 +6,8 @@ from flbreuil.errors import MalformedJumps, NotStrong
 from flbreuil.fl import (
     FLModule,
     fl_classify,
+    fl_from_frobenius,
+    fl_frobenius_matrix,
     fl_transport,
     fl_v_matrix,
     fl_validate,
@@ -134,3 +136,30 @@ def test_classification_invariant_under_flag_base_change(amb3):
         assert c1.multiplicative == c2.multiplicative
         assert c1.unipotent.zero == c2.unipotent.zero
         assert c1.nilpotent.zero == c2.nilpotent.zero
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_fl_from_frobenius_inverts_the_scaling(name, request):
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"from-frobenius:{name}")
+    for d in (1, 2, 3):
+        M = random_fl(amb, rng, d)
+        M2 = fl_from_frobenius(amb, fl_frobenius_matrix(M), M.jumps)
+        assert M2.jumps == M.jumps
+        assert M2.Ftil.eq_at(M.Ftil, amb.N_p)
+
+
+def test_fl_from_frobenius_rejects_a_column_short_of_its_power(amb3):
+    # an invertible Ftil has a unit in every column, so read as F with
+    # jumps (0, r) its second column is not divisible by p^r
+    M = random_fl(amb3, random.Random(5), 2, (0, amb3.r))
+    with pytest.raises(NotStrong, match="not integral"):
+        fl_from_frobenius(amb3, M.Ftil, (0, amb3.r))
+
+
+def test_fl_transport_rejects_a_flag_breaking_basis(amb3):
+    # g_01 = 1 with r_0 = 0 < r_1 = r moves e_1 out of Fil^r
+    M = random_fl(amb3, random.Random(6), 2, (0, amb3.r))
+    g = wmat(amb3, [[1, 1], [0, 1]])
+    with pytest.raises(NotStrong, match="not integral"):
+        fl_transport(M, g)

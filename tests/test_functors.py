@@ -11,7 +11,7 @@ from flbreuil.errors import (
 )
 from flbreuil.fl import FLModule, fl_classify, random_fl
 from flbreuil.functors import (
-    breuil_to_fl_with_transport,
+    breuil_to_fl,
     embed_w_matrix,
     f0_matrix,
     fl_to_breuil,
@@ -256,7 +256,7 @@ def test_kisin_derived_backward(amb3):
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in range(amb3.r + 1):
         B = kisin_to_breuil(kisin_gls_construct(amb3, I1, (s,), I1))
-        M = breuil_to_fl_with_transport(B, adjoin_zero_n=True)[0]
+        M = breuil_to_fl(B, adjoin_zero_n=True).M
         assert M.jumps == (s,)
         assert M.Ftil.entries[0][0].is_unit()
 
@@ -271,7 +271,7 @@ def test_transport_inverse_is_the_product_of_inverses(p):
     rng = random.Random(f"transport:{p}")
     for d in range(1, 5):
         B = kisin_to_breuil(random_gls(amb, rng, d))
-        _, transport = breuil_to_fl_with_transport(B, adjoin_zero_n=True)
+        transport = breuil_to_fl(B, adjoin_zero_n=True)
         product = transport.section.Bmat @ embed_w_matrix(amb, transport.g_w)
         assert transport.sec_basis_inv.eq_at(product.invert(), amb.N_p)
 
@@ -338,7 +338,7 @@ def test_tensor_membership_through_section(amb3):
         if d is not None:
             M = random_fl(amb3, rng, d)
             B = rebase(fl_to_breuil(M), random_congruent_identity(amb3, rng, d))
-        _, transport = breuil_to_fl_with_transport(B)
+        transport = breuil_to_fl(B)
         for _ in range(30):
             if rng.random() < 0.5:
                 x = random_fil_member(B, rng, amb3.r)

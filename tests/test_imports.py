@@ -1,16 +1,22 @@
-"""Every name a kernel module imports is used in it.
+"""Every name a kernel module imports is used in it, and every top-level
+definition of the kernel is referenced somewhere.
 
 A stdlib stand-in for a linter's unused-import rule: ``ast`` walks each
 ``src/flbreuil/*.py`` except ``__init__.py`` (which re-exports) and skips
 ``from __future__`` imports.  A name counts as used when it appears as an
-identifier, or inside a quoted annotation."""
+identifier, or inside a quoted annotation.
+
+The dead-code check collects every identifier, attribute name and imported
+name of the kernel, the tests and the benchmark harness, and fails on a
+module-level ``def`` or ``class`` of the kernel whose name is none of them."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "flbreuil"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "flbreuil"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -48,3 +54,30 @@ def test_no_unused_import(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _referenced(paths) -> set:
+    """Every Name id, Attribute attr and import alias in these files."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.update(n for n in (node.name, node.asname) if n)
+    return out
+
+
+def test_no_unreferenced_top_level_definition():
+    referenced = _referenced([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                              *(ROOT / "perfbench").glob("*.py")])
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in referenced
+    ]
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

@@ -136,3 +136,14 @@ def test_raw_vs_adapted_membership(amb3):
             else:
                 x = random_vector(B, rng, 5)
             assert fil_lower(B, amb3.r, x) == raw(x) == ref(x)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_E_powers_are_the_running_products(name, request):
+    amb = request.getfixturevalue(name)
+    expect = amb.useries([1])
+    for n in range(2 * amb.r + 1):
+        got = amb.E_pow(n)
+        assert got.planes == expect.planes and got.prec == expect.prec
+        assert amb.E_pow(n) is got
+        expect = expect * amb.E_series

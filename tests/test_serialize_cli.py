@@ -454,3 +454,19 @@ def test_a_longer_than_f_is_rejected(tmp_path, capsys):
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [
         "error: a has 2 coefficients, but f = 1 allows at most 1"]
+
+
+@pytest.mark.parametrize("verb", [["section"], ["apply", "mfl", "--adjoin-zero-n"]])
+def test_cli_kisin_a_off_its_normal_form_is_a_usage_error(tmp_path, capsys, verb):
+    # both verbs read only the normal form, so the loader checks that the
+    # stored A is X diag(E^r_i) Y
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "kisin-gls", "--d", "2", "--r", "2", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    coeffs = doc["data"]["A"]["entries"][0][0]["ucoeffs"][0]["coeffs"]
+    coeffs[0] = str(int(coeffs[0]) + 3)
+    src.write_text(json.dumps(doc))
+    assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: A is not X diag(E^r_i) Y"]

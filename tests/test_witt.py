@@ -206,3 +206,19 @@ def test_draw_below_is_randrange():
         assert a.getstate() == b.getstate()
     with pytest.raises(ValueError):
         draw_below(random.Random(0), 0)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_make_reduces_any_length_mod_m(f):
+    # a list longer than a product's 2f - 1 coefficients gives the value of
+    # the polynomial at T, by Horner's rule in the ring
+    R = WittRing(3, f, cap=4)
+    T = R.make([-R.m[0]]) if f == 1 else R.make([0, 1])
+    rng = random.Random(f"make:{f}")
+    for n in (2 * f, 2 * f + 1, 3 * f + 4):
+        coeffs = [rng.randrange(-10**6, 10**6) for _ in range(n)]
+        horner = R.zero()
+        for c in reversed(coeffs):
+            horner = horner * T + R.from_int(c)
+        got = R.make(coeffs)
+        assert got.coeffs == horner.coeffs and got.prec == R.cap
