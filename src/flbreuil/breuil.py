@@ -276,7 +276,9 @@ def breuil_classify(B: BreuilModule) -> BreuilClassification:
 
 
 def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
-    """The same module presented in the basis f h (h in GL_d(S))."""
+    """The same module presented in the basis f h (h in GL_d(S)).  Its
+    C^(-1) = (h^(-1) C)^(-1) is seeded as C^(-1) h, a product instead of a
+    second inversion."""
     h_inv = h.invert()
     phi_h = h.map_entries(phi_S)
     Phi_new = h_inv @ B.Phi @ phi_h
@@ -285,7 +287,9 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     if B.Nmat is not None:
         nh = h.map_entries(n_S)
         Nmat_new = h_inv @ (B.Nmat @ h + nh)
-    return BreuilModule(B.amb, B.d, Phi_new, Nmat_new, C_new, B.jumps)
+    out = BreuilModule(B.amb, B.d, Phi_new, Nmat_new, C_new, B.jumps)
+    out._C_inv = B.C_inv @ h
+    return out
 
 
 def random_fil_member(B: BreuilModule, rng, n: int):

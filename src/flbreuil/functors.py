@@ -103,6 +103,8 @@ class SectionResult:
     B0_claim_ok: bool           # p (B_0 - I) lies in u^p Mat(S)
     f0_identity: bool           # f_0(B_n) = I held at every step
     rate_bound: int             # stabilisation bound from the p-power gain
+    residual: RingMatrix        # B f0(A) - A phi(B), at internal precision
+    Phi: RingMatrix             # the Frobenius matrix A solved for
 
 
 def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionResult:
@@ -182,6 +184,8 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
         B0_claim_ok=claim,
         f0_identity=f0_ok,
         rate_bound=rate,
+        residual=residual,
+        Phi=A,
     )
 
 
@@ -240,12 +244,17 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
 
     Requires the crystalline condition (monodromy inside u times the
     module) and strong divisibility, both read from ``breuil_validate``.
+    A ``section`` passed in must have been computed for this module's
+    ``Phi`` (the same object), else ValueError: its residual stands in for
+    the Frobenius in the conjugation check.
     A module without monodromy data is accepted only with
     ``adjoin_zero_n``, the crystalline-with-trivial-N reading of a
     Frobenius-only input.
     """
     amb = B.amb
     at = amb.N_p
+    if section is not None and section.Phi is not B.Phi:
+        raise ValueError("the section was computed for another module's Frobenius")
     if B.Nmat is None and not adjoin_zero_n:
         raise NotCris("no monodromy matrix; pass adjoin_zero_n=True to "
                       "read the module as crystalline with trivial N")
@@ -260,7 +269,10 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     Bm_inv = Bm.invert()
 
     # Frobenius of the reduction: the section basis makes Phi constant.
-    conj = Bm_inv @ B.Phi @ phi_matrix(Bm)
+    # Bm^(-1) Phi phi(Bm) = f0(Phi) - Bm^(-1) R with R = Bm f0(Phi) - Phi phi(Bm)
+    # the section's residual, since Bm^(-1) Bm = I holds exactly in the
+    # truncated ring: one product instead of two.
+    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm_inv @ sec.residual
     FM = f0_matrix(conj)
     if not conj.eq_at(embed_w_matrix(amb, FM), at):
         raise NonConvergent("conjugated Frobenius is not constant at precision")

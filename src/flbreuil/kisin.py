@@ -14,6 +14,7 @@ adapted (coordinate-wise) condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import breuil as breuil_mod
 from .errors import MalformedJumps, MissingGLSForm, NotInvertible, SingularMatrix
@@ -42,10 +43,22 @@ class KisinModule:
 
 @dataclass
 class HeightResult:
+    """Verdict of the height check.  On success it holds the quotient
+    E^r adj(A) / E^s and the unit det(A) / E^s; the solution B of
+    A B = E^r I is their ratio, built on first read (a failing result reads
+    None)."""
+
     ok: bool
-    B: RingMatrix | None = None
+    quotient: RingMatrix | None = None
+    unit: SigmaSeries | None = None
     e_power: int | None = None
     witness: dict | None = None
+
+    @cached_property
+    def B(self) -> RingMatrix | None:
+        if not self.ok:
+            return None
+        return self.quotient.scale(self.unit.invert())
 
 
 def _E_diag(amb, jumps) -> RingMatrix:
@@ -67,6 +80,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
     det(A) must be a unit times E^s with s <= r*d, and every entry of
     E^r * adj(A) must be divisible by det(A).  Remainder tests run at the
     public precision N_p, so the verdict is an at-precision semidecision.
+    The verdict needs no inverse of the unit: B is built only when read.
     """
     d = A.rows
     at = amb.N_p
@@ -86,7 +100,6 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
                          "division": s, "remainder": rem},
             )
         q, s = q2, s + 1
-    unit_inv = q.invert()
     Er = amb.E_pow(amb.r)
     rows = []
     for i in range(d):
@@ -101,9 +114,9 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
                         witness={"reason": "entry of E^r * adj(A) not divisible by det",
                                  "entry": (i, j), "division": k, "remainder": rem},
                     )
-            row.append(y * unit_inv)
+            row.append(y)
         rows.append(row)
-    return HeightResult(True, B=RingMatrix(rows), e_power=s)
+    return HeightResult(True, quotient=RingMatrix(rows), unit=q, e_power=s)
 
 
 def _check_rank(d: int) -> None:

@@ -8,15 +8,18 @@ recursion) is the entry type's fused ``dot`` of a row and a column: one
 unreduced accumulator for all the pair products, one fold through m(T) and
 one reduction at the lowest precision of both rows.
 
-Determinant, adjugate and inverse all come from the characteristic
-polynomial, computed by Berkowitz's division-free recursion (S. J.
-Berkowitz, Inf. Process. Lett. 18, 1984) in O(d^4) ring operations.  The
-adjugate follows by Cayley-Hamilton in Horner form, and the inverse is
-adj(A) * det(A)^(-1) when det(A) is a unit.  Truncated W(k)[[u]] and
-truncated S are quotient rings, so A adj(A) = det(A) I holds exactly there
-and the inverse is unique at working precision.  The semilinear twists
-(sigma on W(k), phi on the series ring and on S) are passed as the entry
-map itself.
+The inverse is by Gauss-Jordan elimination on unit pivots, in O(d^3) ring
+operations.  W(k), truncated W(k)[[u]] and truncated S are local, so a unit
+pivot exists at every step exactly when A is residue-invertible; and they
+are quotient rings, so the inverse is unique at working precision.
+Determinant and adjugate come from the characteristic polynomial, computed
+by Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process.
+Lett. 18, 1984) in O(d^4) ring operations, with the adjugate by
+Cayley-Hamilton in Horner form.  They need no division because their
+callers' determinants are not units: the height check factors det(A) as a
+unit times a power of E, and ``scaled_inverse`` as p^t times a unit, so
+A adj(A) = det(A) I holds exactly there.  The semilinear twists (sigma on
+W(k), phi on the series ring and on S) are passed as the entry map itself.
 """
 
 from __future__ import annotations
@@ -173,15 +176,46 @@ class RingMatrix:
         return lifts.det().is_unit()
 
     def invert(self) -> "RingMatrix":
-        """Two-sided inverse adj(A) * det(A)^(-1), exact at working precision."""
+        """Two-sided inverse by Gauss-Jordan elimination on unit pivots.
+
+        Column c takes the first row at or below c whose entry there is a
+        unit, scales it by that entry's inverse and clears column c in every
+        other row of [A | I].  Over a local ring a unit pivot exists at every
+        step exactly when A is residue-invertible.  The result is at the
+        lowest precision among A's entries, where it is the unique inverse."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
-        if not self.rows:
+        d = self.rows
+        if not d:
             return self
-        det, adj = self.det_adjugate()
-        if not det.is_unit():
-            raise NotInvertible("determinant is not a unit")
-        return adj.scale(det.invert())
+        # the inverse mod p^k reads A only mod p^k, so all of [A | I] is cut
+        # to k first: the ints stay short and so do the pivots' inverses
+        k = min(x.prec for row in self.entries for x in row)
+        x0 = self.entries[0][0]
+        f = x0.ring.f
+        one = x0.lift_residue((1,) + (0,) * (f - 1)).truncate(k)
+        zero = x0.lift_residue((0,) * f).truncate(k)
+        aug = [[x.truncate(k) for x in row] + [one if j == i else zero for j in range(d)]
+               for i, row in enumerate(self.entries)]
+        for c in range(d):
+            piv = next((i for i in range(c, d) if aug[i][c].is_unit()), None)
+            if piv is None:
+                raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal")
+            aug[c], aug[piv] = aug[piv], aug[c]
+            prow = aug[c]
+            inv = prow[c].invert()
+            # columns below c are cleared in every row, and column c is only
+            # read as a multiplier, so only the nonzero columns past c move
+            live = [j for j in range(c + 1, 2 * d) if not _is_zero(prow[j])]
+            for j in live:
+                prow[j] = prow[j] * inv
+            for i, row in enumerate(aug):
+                m = row[c]
+                if i == c or _is_zero(m):
+                    continue
+                for j in live:
+                    row[j] = row[j] - m * prow[j]
+        return RingMatrix([row[d:] for row in aug])
 
 
 def _dot(xs, ys, bound: int | None = None):
@@ -192,6 +226,11 @@ def _dot(xs, ys, bound: int | None = None):
     if bound is None:
         return xs[0].dot(xs, ys)
     return xs[0].dot(xs, ys, bound)
+
+
+def _is_zero(x) -> bool:
+    """Whether every stored int of x is zero: a product with x adds nothing."""
+    return x.is_zero_at(x.prec)
 
 
 def _det_from(cs):

@@ -16,6 +16,7 @@ from flbreuil.functors import (
     f0_matrix,
     fl_to_breuil,
     flag_adapt,
+    phi_matrix,
     roundtrip_breuil,
     roundtrip_fl,
     section_compute,
@@ -274,6 +275,37 @@ def test_transport_inverse_is_the_product_of_inverses(p):
         transport = breuil_to_fl(B, adjoin_zero_n=True)
         product = transport.section.Bmat @ embed_w_matrix(amb, transport.g_w)
         assert transport.sec_basis_inv.eq_at(product.invert(), amb.N_p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_conjugated_frobenius_from_the_residual(p):
+    # breuil_to_fl reads Bm^-1 Phi phi(Bm) as embed(f0(Phi)) - Bm^-1 R, with R
+    # the section's residual: both forms agree entry by entry
+    from flbreuil.ambient import AmbientParams
+
+    amb = AmbientParams(p, p - 2)
+    rng = random.Random(f"conj:{p}")
+    for _ in range(2):
+        B = kisin_to_breuil(random_gls(amb, rng, 4))
+        sec = section_compute(B)
+        assert sec.Phi is B.Phi
+        Bm_inv = sec.Bmat.invert()
+        short = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm_inv @ sec.residual
+        full = Bm_inv @ B.Phi @ phi_matrix(sec.Bmat)
+        for ra, rb in zip(short.entries, full.entries):
+            for x, y in zip(ra, rb):
+                assert (x.planes, x.prec) == (y.planes, y.prec)
+
+
+def test_breuil_to_fl_rejects_a_section_of_another_module(amb3):
+    # the residual certifies only the Frobenius it was computed for
+    rng = random.Random(11)
+    B1 = kisin_to_breuil(random_gls(amb3, rng, 2))
+    B2 = kisin_to_breuil(random_gls(amb3, rng, 2))
+    with pytest.raises(ValueError, match="another module"):
+        breuil_to_fl(B2, section=section_compute(B1), adjoin_zero_n=True)
+    sec2 = section_compute(B2)
+    assert breuil_to_fl(B2, section=sec2, adjoin_zero_n=True).section is sec2
 
 
 def test_roundtrip_breuil_identity_twist(amb3):

@@ -40,6 +40,27 @@ def test_height_check_examples(amb3):
     assert "unit times a power of E" in res.witness["reason"]
 
 
+def test_height_check_builds_B_only_when_read(amb3, amb5):
+    for amb in (amb3, amb5):
+        rng = random.Random(f"lazy-B:{amb.p}")
+        for d in (1, 3):
+            K = random_gls(amb, rng, d)
+            res = kisin_height_check(amb, K.A)
+            assert res.ok and "B" not in res.__dict__
+            B = res.B
+            assert res.B is B
+            # the value the check used to build eagerly, and A B = E^r I
+            unit_inv = res.unit.invert()
+            assert [[(x.planes, x.prec) for x in row] for row in B.entries] == \
+                [[((y * unit_inv).planes, (y * unit_inv).prec) for y in row]
+                 for row in res.quotient.entries]
+            Er = amb.E_pow(amb.r)
+            zero = amb.useries([])
+            assert (K.A @ B).eq_at(RingMatrix.identity(d, zero, Er), amb.N_p)
+    res = kisin_height_check(amb3, smat(amb3, [[[0, 1]]]))
+    assert not res.ok and res.B is None
+
+
 def test_height_check_singular(amb3):
     with pytest.raises(SingularMatrix):
         kisin_height_check(amb3, smat(amb3, [[[0]]]))

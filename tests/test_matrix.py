@@ -252,6 +252,70 @@ def test_invert_series_rank_4_to_6(amb3):
         assert (inv @ A).eq_at(ident, amb3.cap)
 
 
+def _same_entries(X: RingMatrix, Y: RingMatrix) -> bool:
+    """Entrywise equality of the stored ints, the precision and, over S,
+    the tail_dirty flag."""
+    def key(x):
+        ints = x.coeffs if isinstance(x, WittScalar) else x.planes
+        return ints, x.prec, getattr(x, "tail_dirty", None)
+    return [[key(x) for x in row] for row in X.entries] == \
+        [[key(y) for y in row] for row in Y.entries]
+
+
+def _berkowitz_inverse(A: RingMatrix) -> RingMatrix:
+    det, adj = A.det_adjugate()
+    return adj.scale(det.invert())
+
+
+@pytest.mark.parametrize("kind", ["w", "w-f2", "series", "pd-near-identity", "pd-full"])
+def test_invert_matches_berkowitz(kind, amb3, amb9):
+    # Gauss-Jordan against adj(A) * det(A)^(-1): the same planes, precision
+    # and tail_dirty flag, d = 1 .. 6
+    amb = amb9 if kind == "w-f2" else amb3
+    ring = amb.ring
+    rng = random.Random(f"gj:{kind}")
+
+    def entry(diag: bool):
+        if kind in ("w", "w-f2"):
+            return ring.random(rng)
+        if kind == "series":
+            return SigmaSeries(amb, [ring.random(rng) for _ in range(4)])
+        if kind == "pd-full":
+            return PDElement(amb, [ring.random(rng) for _ in range(amb.N_gamma)])
+        # the identity plus p times a short perturbation
+        coeffs = [ring.random(rng).mul_p_pow(1) for _ in range(4)]
+        if diag:
+            coeffs[0] = coeffs[0] + ring.one()
+        return PDElement(amb, coeffs)
+
+    for d in range(1, 7):
+        A = None
+        while A is None or not A.residue_invertible():
+            A = RingMatrix([[entry(i == j) for j in range(d)] for i in range(d)])
+        assert _same_entries(A.invert(), _berkowitz_inverse(A))
+
+
+def test_invert_swaps_rows_and_cuts_to_the_lowest_precision(amb3):
+    # a non-unit (0, 0) entry sends the first pivot search below the diagonal
+    A = wmat(amb3, [[3, 1, 2], [1, 0, 5], [2, 7, 1]])
+    assert not A[0, 0].is_unit() and A.residue_invertible()
+    inv = A.invert()
+    assert _same_entries(inv, _berkowitz_inverse(A))
+    assert (inv @ A).eq_at(wident(amb3, 3), amb3.cap)
+    # mixed precisions: the inverse comes back at the lowest one
+    rng = random.Random(9)
+    for d in (2, 3, 4):
+        A = None
+        while A is None or not A.residue_invertible():
+            A = RingMatrix([[PDElement(amb3, [amb3.ring.random(rng, rng.randrange(2, amb3.cap + 1))
+                                              for _ in range(3)])
+                             for _ in range(d)] for _ in range(d)])
+        low = min(x.prec for row in A.entries for x in row)
+        inv = A.invert()
+        assert {x.prec for row in inv.entries for x in row} == {low}
+        assert _same_entries(inv, _berkowitz_inverse(A))
+
+
 def test_random_gls_rank_7_passes_height_check():
     amb = AmbientParams(3, 1)
     K = random_gls(amb, random.Random(8), 7)
