@@ -7,8 +7,10 @@ N_u and the internal precision headroom.  All scalars, series and
 divided-power elements of one computation share a single context.
 
 A context is read-only once constructed; only its tables (u^n, c^i, E^n,
-the unit parts of i!, (p*a)^i/i! and three packed tables) fill lazily, on
-first use, with values that depend on the parameters alone.  So one
+the unit parts of i!, (p*a)^i/i!, the scale factors that remove the
+binomial weights from a packed matrix product over S (``gamma_scale``)
+and three packed tables) fill lazily, on first use, with values that
+depend on the parameters alone.  So one
 context can serve every computation with the same parameters:
 ``shared_params`` returns one per parameter set per process, keyed by the
 parameters ``resolve_params`` makes of its keyword arguments, and the
@@ -229,6 +231,7 @@ class AmbientParams:
             self.vfact[i] = v
         self._fact_unit_inv: dict[int, WittScalar] = {}
         self._pa_div_fact: dict[int, WittScalar] = {}
+        self._gamma_scale: tuple | None = None
         self.comb = tuple(
             tuple(math.comb(i + j, i) % self.ring.pk[self.cap] for j in range(N_gamma - i))
             for i in range(N_gamma)
@@ -276,6 +279,26 @@ class AmbientParams:
             out = ((self.a ** i) * self.fact_unit_inv(i)).mul_p_pow(i - self.vfact[i])
             self._pa_div_fact[i] = out
         return out
+
+    def gamma_scale(self) -> tuple:
+        """(V, pre, post) that turn the gamma product into a plain
+        convolution (``FlatVector._matmul_planes``): V = v_p((N_gamma-1)!),
+        pre[i] = unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V) and
+        post[m] = unit(m!) * p^(v_p(m!)), which is m! itself.  Scaling
+        coefficient i of both factors by pre[i] and coefficient m of their
+        convolution by post[m] gives a multiple of p^(2V) that is p^(2V)
+        times sum_i C(m, i) x_i y_(m-i) modulo p^(cap + 2V): each term
+        x_i y_j carries p^(2V - v_p(i!) - v_p(j!)) after the scaling, and
+        unit(m!) / (unit(i!) unit(j!)) * p^(v_p(m!) - v_p(i!) - v_p(j!)) is
+        C(m, i)."""
+        if self._gamma_scale is None:
+            p, N, vfact = self.p, self.N_gamma, self.vfact
+            V = vfact[N - 1]
+            mod = p ** (self.cap + V)
+            units = (math.factorial(i) // p ** vfact[i] for i in range(N))
+            pre = tuple(pow(u, -1, mod) * p ** (V - v) % mod for u, v in zip(units, vfact))
+            self._gamma_scale = (V, pre, tuple(math.factorial(m) for m in range(N)))
+        return self._gamma_scale
 
     @staticmethod
     def _power(cache: list, n: int):

@@ -3,10 +3,19 @@
 A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
 entry type has the same arithmetic, precision and residue-field interface.
-Each entry of a product (``@``, ``matvec`` and the steps of Berkowitz's
-recursion) is the entry type's fused ``dot`` of a row and a column: one
-unreduced accumulator for all the pair products, one fold through m(T) and
-one reduction at the lowest precision of both rows.
+Products take one of two paths, picked by the operands.  A product of
+rows with one vector (``matvec``, with or without ``bound``, and the steps
+of Berkowitz's recursion) is the entry type's fused ``dot`` per entry: one
+unreduced accumulator for all the pair products of a row and a column, one
+fold through m(T) and one reduction at the lowest precision of both rows.
+A product of two matrices (``@``) is the entry type's ``matmul``: over W(k)
+that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
+kernel (``FlatVector._matmul_planes``), which packs each entry of both
+factors once into one big int and makes each output entry one sum of
+big-int products, equal to ``dot`` in planes, precision and tail_dirty
+flag.  Only a matrix product reuses each packed entry across a whole row
+or column of outputs; the short, bounded and single products of the
+``dot`` path are faster unpacked.
 
 The inverse is by Gauss-Jordan elimination on unit pivots, in O(d^3) ring
 operations.  W(k), truncated W(k)[[u]] and truncated S are local, so a unit
@@ -85,7 +94,9 @@ class RingMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         bt = other.transpose().entries
-        return RingMatrix([[_dot(row, colv) for colv in bt] for row in self.entries])
+        if not (self.entries and bt):
+            return RingMatrix([[] for _ in self.entries])
+        return RingMatrix(self.entries[0][0].matmul(self.entries, bt))
 
     def scale(self, scalar) -> "RingMatrix":
         return self.map_entries(lambda x: x * scalar)

@@ -25,24 +25,36 @@ Storage.  An element holds one precision ``prec`` and its coefficients as
 plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
-nonzero coefficient); the indices above it are zero.  A product is one
-integer convolution with the binomials C(i+j, i) as weights, one fold of
-the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec; a sum
-of products (a matrix entry, ``PDElement.dot``) adds all its convolutions
-into one accumulator before that one fold and reduction
-(``FlatVector._dot_planes``), and a single product is its row of length
-one.  Coefficient m of a product reads only the coefficients <= m of its
-factors, so a ``bound`` on ``dot`` (and on ``RingMatrix.matvec`` over S)
-computes just the coefficients below it, exactly as in the full product:
-the filtration tests read only the coefficients below the level they
-test.  For f > 1 each operand's f lists are packed into one int per
-coefficient, list t at bits t*W and up; the slot width W covers the
-largest binomial weight (``comb_max``), so the unpacked slots are exactly
-the f^2 per-list convolutions (``WittRing.dot_acc``).  The product by
-the W(k)-constant p*a in ``n_S`` is the same kernel, unweighted, on one
-pair.  The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``
-and the change to u-divided coordinates (``eval_f0``, ``to_u_divided``),
-each read one table kept on the context (``ambient.PackedTable``): for
+nonzero coefficient); the indices above it are zero.  Products take two
+paths.  A product, or a sum of products (``PDElement.dot``: an entry of
+``RingMatrix.matvec``, a step of Berkowitz's recursion), is one integer
+convolution per pair with the binomials C(i+j, i) as weights, all into one
+accumulator, then one fold of the T-degrees f .. 2f-2 through m(T) and one
+reduction mod p^prec (``FlatVector._dot_planes``); a single product is its
+row of length one.  Coefficient m of a product reads only the coefficients
+<= m of its factors, so a ``bound`` on ``dot`` (and on
+``RingMatrix.matvec`` over S) computes just the coefficients below it,
+exactly as in the full product: the filtration tests read only the
+coefficients below the level they test.  For f > 1 each operand's f lists
+are packed into one int per coefficient, list t at bits t*W and up; the
+slot width W covers the largest binomial weight (``comb_max``), so the
+unpacked slots are exactly the f^2 per-list convolutions
+(``WittRing.dot_acc``).  The product by the W(k)-constant p*a in ``n_S``
+is the same kernel, unweighted, on one pair.  A product of two matrices
+(``PDElement.matmul``, called by ``RingMatrix.__matmul__``) takes the
+other path: each entry of both factors is packed once into one big int,
+every coefficient in its own slot, and each output entry is one sum of
+big-int products (``FlatVector._matmul_planes``).  There the binomial
+weights are removed by scaling (``AmbientParams.gamma_scale``):
+coefficient i of every factor is multiplied by
+unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V), with V = v_p((N_gamma-1)!),
+and coefficient m of the plain convolution by m! = unit(m!) * p^(v_p(m!)),
+which gives a multiple of p^(2V) that is p^(2V) times the weighted sum mod
+p^(cap+2V); its exact quotient by p^(2V), reduced mod p^k, is what ``dot``
+computes.  The three fixed
+W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the change to u-divided
+coordinates (``eval_f0``, ``to_u_divided``), each read one table kept on
+the context (``ambient.PackedTable``): for
 each output index m the row of entry m of every column, each entry's f
 lists packed into one int at the one width
 W = bit_length(N_gamma*f) + 2*bit_length(p^cap).  The input, reduced mod
@@ -142,6 +154,24 @@ class PDElement(FlatVector):
         planes, k, reach = FlatVector._dot_planes(xs, ys, N, amb.comb, amb.comb_max)
         dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
         return PDElement(amb, (), dirty, k, planes)
+
+    @staticmethod
+    def matmul(rows, cols) -> list:
+        """The entries of a matrix product: entry (i, j) equals
+        ``PDElement.dot(rows[i], cols[j])`` in planes, precision and
+        tail_dirty flag, from the packed kernel
+        (``FlatVector._matmul_planes``) with the binomial weights removed
+        by the context's ``gamma_scale``."""
+        amb = rows[0][0].amb
+        N = amb.N_gamma
+        grid = FlatVector._matmul_planes(rows, cols, N, amb.gamma_scale())
+        col_dirty = [any(y.tail_dirty for y in col) for col in cols]
+        out = []
+        for row, line in zip(rows, grid):
+            row_dirty = any(x.tail_dirty for x in row)
+            out.append([PDElement(amb, (), reach > N or row_dirty or dirty, k, planes)
+                        for (planes, k, reach), dirty in zip(line, col_dirty)])
+        return out
 
     def _head(self, n: int) -> "PDElement":
         """This element with the coefficients at index n and beyond dropped;

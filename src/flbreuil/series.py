@@ -9,14 +9,19 @@ Storage.  A series holds its precision ``prec`` and its coefficients as
 plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
-coefficients are dropped, so the length of the lists is degree + 1.  A
-product, or a whole sum of products (``SigmaSeries.dot``), is one integer
-convolution per pair into one accumulator, one fold of the T-degrees
-f .. 2f-2 through m(T) and one reduction mod p^prec
-(``FlatVector._dot_planes``), the kernel that S uses too.  For f > 1 the
+coefficients are dropped, so the length of the lists is degree + 1.
+Products take two paths, as in S.  A product, or a whole sum of products
+(``SigmaSeries.dot``: an entry of ``RingMatrix.matvec``, a step of
+Berkowitz's recursion), is one integer convolution per pair into one
+accumulator, one fold of the T-degrees f .. 2f-2 through m(T) and one
+reduction mod p^prec (``FlatVector._dot_planes``).  For f > 1 the
 convolution runs on the f lists packed into one int per coefficient, list
 t at bits t*W and up, with a slot width W that no sum can overflow
-(``WittRing.dot_acc``).  ``WittScalar``
+(``WittRing.dot_acc``).  A product of two matrices
+(``SigmaSeries.matmul``, called by ``RingMatrix.__matmul__``) packs each
+entry of both factors once into one big int, every coefficient in its own
+slot, and makes each output entry one sum of big-int products, cut at
+N_u after one unpack (``FlatVector._matmul_planes``).  ``WittScalar``
 objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
 ``constant``, the remainder of ``weierstrass_divide``, ``invert``'s
 starting value, ``repr`` and the constructor from a list of scalars.
@@ -86,6 +91,15 @@ class SigmaSeries(FlatVector):
         amb = xs[0].amb
         planes, k, _ = FlatVector._dot_planes(xs, ys, amb.N_u)
         return SigmaSeries(amb, (), k, planes)
+
+    @staticmethod
+    def matmul(rows, cols) -> list:
+        """The entries of a matrix product: entry (i, j) equals
+        ``SigmaSeries.dot(rows[i], cols[j])``, from the packed kernel
+        (``FlatVector._matmul_planes``), cut at degree N_u."""
+        amb = rows[0][0].amb
+        return [[SigmaSeries(amb, (), k, planes) for planes, k, _ in line]
+                for line in FlatVector._matmul_planes(rows, cols, amb.N_u)]
 
     def phi(self) -> "SigmaSeries":
         """Frobenius: u -> u^p, arithmetic Frobenius on coefficients."""

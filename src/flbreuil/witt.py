@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from itertools import chain, zip_longest
 from math import gcd
+from operator import mul
 
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
@@ -565,6 +566,12 @@ class WittScalar(FlatValue):
         k = min(min(x.prec for x in xs), min(y.prec for y in ys))
         return WittScalar(r, r._dot_tuple([(x.coeffs, y.coeffs) for x, y in zip(xs, ys)], k), k)
 
+    @staticmethod
+    def matmul(rows, cols) -> list:
+        """The entries of a matrix product over W(k): one ``dot`` of each
+        row of ``rows`` with each column of ``cols``."""
+        return [[WittScalar.dot(row, col) for col in cols] for row in rows]
+
     def residue(self) -> tuple[int, ...]:
         return tuple(c % self.ring.p for c in self.coeffs)
 
@@ -634,6 +641,73 @@ class FlatVector(FlatValue):
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
         acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
         return ring.fold(acc, k), k, reach
+
+    @staticmethod
+    def _matmul_planes(rows, cols, n: int, scale=None) -> list:
+        """The packed kernel behind the matrix products of series and of S.
+
+        Returns, for each row of ``rows`` and each column of ``cols`` (two
+        lists of equally long lists of elements), the triple that
+        ``_dot_planes(row, col, n)`` returns: the planes of the sum of the
+        products cut at index n, their precision (the lowest of both rows)
+        and the largest index one product reaches.  Each entry of both
+        operands is packed once into one int (Kronecker substitution):
+        coefficient i in the slot at byte i*B, its T-plane t at bit t*W of
+        that slot, with B = ceil((2f - 1) W / 8) bytes and
+        W = bit_length(e*n*f) + 2*bit_length(p^(cap+V)), where e is the
+        inner dimension.  An output entry is then one sum of e big-int
+        products: bits d*W and up of slot m hold the T-degree d part of
+        coefficient m, a sum of at most e*n*f nonnegative terms below
+        p^(2(cap+V)), so it stays below 2^W and no carry crosses into the
+        next degree or slot.  The top slot of a product is the product of
+        the factors' top coefficients, which are nonzero (scaled too: pre[i]
+        has valuation at most V, a coefficient below p^cap less than cap),
+        so the reach is the number of slots the sum occupies.
+
+        ``scale`` = (V, pre, post) removes the binomial weights of S
+        (``AmbientParams.gamma_scale``): coefficient i of every entry is
+        multiplied by pre[i] mod p^(cap+V) before packing, and slot m by
+        post[m] after unpacking.  That gives a multiple of p^(2V) that is
+        p^(2V) times the weighted sum mod p^(cap+2V), so its exact quotient
+        by p^(2V) is the weighted sum mod p^cap.  Without ``scale`` V is 0
+        and the slots are the plain sums.  One fold through m(T) and one
+        reduction mod p^k per output entry follow."""
+        ring = rows[0][0].ring
+        f = ring.f
+        V, pre, post = scale if scale else (0, None, None)
+        mod, div = ring.p ** (ring.cap + V), ring.p ** (2 * V)
+        width = (len(cols[0]) * n * f).bit_length() + 2 * mod.bit_length()
+        stride = ((2 * f - 1) * width + 7) // 8
+
+        def pack(x) -> int:
+            planes = x.planes
+            if not planes[0]:
+                return 0
+            if scale:
+                planes = [[c * s % mod for c, s in zip(pl, pre)] for pl in planes]
+            return int.from_bytes(b"".join([c.to_bytes(stride, "little")
+                                            for c in ring._pack(planes, width)]), "little")
+
+        packed_cols = [[pack(y) for y in col] for col in cols]
+        col_prec = [min(y.prec for y in col) for col in cols]
+        out = []
+        for row in rows:
+            packed_row = [pack(x) for x in row]
+            row_prec = min(x.prec for x in row)
+            line = []
+            for packed_col, k in zip(packed_cols, col_prec):
+                k = min(k, row_prec)
+                acc = sum(map(mul, packed_row, packed_col))
+                reach = -(-acc.bit_length() // (8 * stride))
+                data = acc.to_bytes(reach * stride, "little")
+                slots = [int.from_bytes(data[m * stride:(m + 1) * stride], "little")
+                         for m in range(min(reach, n))]
+                degrees = ring._unpack(slots, width)
+                if scale:
+                    degrees = [[c * w // div for c, w in zip(deg, post)] for deg in degrees]
+                line.append((ring.fold(degrees, k), k, reach))
+            out.append(line)
+        return out
 
     def is_unit(self) -> bool:
         p = self.ring.p

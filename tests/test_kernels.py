@@ -19,14 +19,22 @@ p^cap - 1 at full length) runs the packed convolution of the fused kernel
 at its slot-width bound, and phi_S, embed_sigma and the u-divided
 coordinates on the same elements against the one width of the context's
 packed tables.
+
+A product of two matrices over S or the series ring runs the packed
+matrix kernel; it must equal the fused dot entry by entry (planes,
+precision and tail_dirty flag), also at its own slot-width bound, and
+over S its scaling must give the binomial sum itself, at p up to 13 with
+N_gamma past p^2.
 """
 
 import functools
+import random
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from flbreuil.ambient import AmbientParams
+from flbreuil.ambient import AmbientParams, min_N_gamma
 from flbreuil.pd import (
     PDElement,
     embed_sigma,
@@ -465,3 +473,132 @@ def test_u_divided_at_the_slot_width_bound(f):
     coords = ref_to_u_divided(x)
     assert to_u_divided(x) == coords
     assert eval_f0(x) == coords[0]
+
+
+# --- matrix products: the packed kernel against the fused dot ---
+
+def entry_state(x):
+    return x.planes, x.prec, getattr(x, "tail_dirty", None)
+
+
+def assert_matmul_is_entrywise_dot(A, B):
+    C = A @ B
+    assert (C.rows, C.cols) == (A.rows, B.cols)
+    for row, line in zip(A.entries, C.entries):
+        for j, got in enumerate(line):
+            assert entry_state(got) == entry_state(row[0].dot(row, B.col(j)))
+
+
+def random_entry(rng, amb, cls):
+    """An entry as draw_row makes them, from a seeded generator: a quarter
+    are zero, the others have a random support, up to N_gamma over S and
+    past N_u / 2 for series; each has a random precision and, over S, a
+    random tail_dirty flag."""
+    prec = rng.randrange(1, amb.cap + 1)
+    n = rng.randrange(amb.N_gamma + 1 if cls is PDElement else amb.N_u // 2 + 9)
+    coeffs = [amb.ring.random(rng, prec) if rng.randrange(3) else amb.ring.zero(prec)
+              for _ in range(n if rng.randrange(4) else 0)]
+    if cls is PDElement:
+        return PDElement(amb, coeffs, rng.random() < 0.5, prec)
+    return SigmaSeries(amb, coeffs, prec)
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+@settings(SETTINGS, max_examples=60)
+@given(d=st.integers(1, 6), e=st.integers(1, 6), g=st.integers(1, 6), seed=st.integers(0, 2**32))
+def test_matmul_matches_entrywise_dot(amb, cls, d, e, g, seed):
+    rng = random.Random(seed)
+    A = RingMatrix([[random_entry(rng, amb, cls) for _ in range(e)] for _ in range(d)])
+    B = RingMatrix([[random_entry(rng, amb, cls) for _ in range(g)] for _ in range(e)])
+    assert_matmul_is_entrywise_dot(A, B)
+
+
+def test_matmul_crossing_the_truncations(amb):
+    # full-length S entries reach past N_gamma (dirty), long series past N_u
+    # (cut); zero rows keep their precision and flags
+    ring, N = amb.ring, amb.N_gamma
+    rng = random.Random(5)
+    full = [PDElement(amb, [ring.random(rng, rng.randrange(1, amb.cap + 1)) for _ in range(N)])
+            for _ in range(6)]
+    zero = PDElement(amb, [], True, 3)
+    A = RingMatrix([full[:3], [zero, full[3], zero]])
+    B = RingMatrix([[full[4], zero], [full[5], zero], [zero, zero]])
+    assert_matmul_is_entrywise_dot(A, B)
+    assert (A @ B)[0, 0].tail_dirty and (A @ B)[1, 1].planes[0] == []
+    long = [SigmaSeries(amb, [ring.random(rng) for _ in range(amb.N_u // 2 + 3)])
+            for _ in range(4)]
+    S = RingMatrix([long[:2], [long[2], SigmaSeries(amb, [], 4)]])
+    T = RingMatrix([[long[3]], [long[0]]])
+    assert_matmul_is_entrywise_dot(S, T)
+    assert (S @ T)[0, 0].degree == amb.N_u - 1
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("e", [1, 3, 6])
+def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
+    amb = tight_ambient(f)
+    ring = amb.ring
+    seen = []
+
+    def unpack(slots, width, inner=ring._unpack):
+        out = inner(slots, width)
+        seen.append((width, max(map(max, out)).bit_length()))
+        return out
+
+    def packed_product(cls, n):
+        # a full-length row times its column, every entry p^cap - 1: one
+        # output entry, one unpack; returns its width and largest slot
+        row = full_row(amb, cls, n, e)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(ring, "_unpack", unpack)
+            got = (RingMatrix([row]) @ RingMatrix([[x] for x in row]))[0, 0]
+        assert entry_state(got) == entry_state(cls.dot(row, row))
+        [out] = seen
+        return out
+
+    # series: W = bit_length(e*N_u*f) + 2*bit_length(p^cap), and the
+    # largest slot needs its top bit, so a width of W - 1 would carry
+    width, top = packed_product(SigmaSeries, amb.N_u)
+    assert width == top == slot_width(amb, e, amb.N_u, 1)
+    # S: the same rule at p^(cap+V), the bound of its scaled entries
+    V = amb.gamma_scale()[0]
+    width, top = packed_product(PDElement, amb.N_gamma)
+    assert width == (e * amb.N_gamma * f).bit_length() + 2 * (amb.p ** (amb.cap + V)).bit_length()
+    assert top <= width
+
+
+@functools.cache
+def carry_ambient(p):
+    # N_gamma past p^2, so v_p(i!) steps by two inside the truncation
+    return AmbientParams(p, 1, N_gamma=max(p * p + 2, min_N_gamma(p, 1, 6)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_matmul_scaling_is_the_binomial_product(p):
+    amb = carry_ambient(p)
+    ring, N, cap = amb.ring, amb.N_gamma, amb.cap
+    rng = random.Random(p)
+    top = ring.pk[cap] - 1
+
+    def entry(k, kind):
+        vals = [top] * N if kind == "top" else [
+            rng.randrange(ring.pk[k]) * (ring.pk[rng.randrange(k)] if kind == "deep" else 1)
+            for _ in range(N)]
+        return PDElement(amb, [ring.from_int(v, k) for v in vals])
+
+    def binomial_sum(row, col):
+        k = min(x.prec for x in row + col)
+        x0s = [x.planes[0] + [0] * (N - x.support()) for x in row]
+        y0s = [y.planes[0] + [0] * (N - y.support()) for y in col]
+        out = [sum(comb(m, i) * xs[i] * ys[m - i] for xs, ys in zip(x0s, y0s)
+                   for i in range(m + 1)) % ring.pk[k] for m in range(N)]
+        while out and not out[-1]:
+            out.pop()
+        return (out,), k, True
+
+    row = [entry(cap, "top"), entry(cap, "random"), entry(cap - 3, "deep")]
+    col = [entry(cap, "top"), entry(cap - 1, "deep"), entry(cap, "random")]
+    for r, c in ((row[:2], col[::2]), (row, col)):
+        got = (RingMatrix([r]) @ RingMatrix([[y] for y in c]))[0, 0]
+        assert (got.planes, got.prec, got.tail_dirty) == binomial_sum(r, c)

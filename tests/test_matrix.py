@@ -8,7 +8,7 @@ from flbreuil.kisin import kisin_height_check, random_gls
 from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse
 from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import WittScalar
+from flbreuil.witt import FlatVector, WittScalar
 
 sigma = WittScalar.frobenius
 
@@ -351,3 +351,41 @@ def test_sum_difference_and_comparison_check_shapes(amb3):
         with pytest.raises(ValueError, match="dimension mismatch"):
             op(wide, wide.transpose())
     assert wide.eq_at(wide + wmat(amb3, [[0, 0]]), amb3.N_p)
+
+
+def test_matmul_edges_and_the_choice_of_path(amb3, amb9, monkeypatch):
+    """W(k) products stay on the entrywise dot; series and S products take
+    the packed kernel once per product; both keep the edge behaviour."""
+    calls = []
+    kernel = FlatVector._matmul_planes
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(FlatVector, "_matmul_planes", staticmethod(counted))
+    rng = random.Random(3)
+    makers = {
+        "w": lambda amb: amb.ring.random(rng),
+        "series": lambda amb: SigmaSeries(amb, [amb.ring.random(rng) for _ in range(3)]),
+        "pd": lambda amb: PDElement(amb, [amb.ring.random(rng) for _ in range(3)]),
+    }
+    for amb in (amb3, amb9):
+        for kind, make in makers.items():
+            A = RingMatrix([[make(amb) for _ in range(3)] for _ in range(2)])
+            B = RingMatrix([[make(amb) for _ in range(2)] for _ in range(3)])
+            calls.clear()
+            C = A @ B
+            assert len(calls) == (0 if kind == "w" else 1)
+            assert _same_entries(C, RingMatrix(
+                [[row[0].dot(row, B.col(j)) for j in range(2)] for row in A.entries]))
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                A @ A
+            # an empty right factor gives an empty result on either path
+            assert (A @ RingMatrix([[] for _ in range(3)])).entries == ((), ())
+    # rank 0, and an empty inner dimension: @ can only meet it with a 0x0
+    # right factor, which gives the d x 0 result; a dot raises
+    empty = RingMatrix([])
+    assert (empty @ empty).entries == () and (RingMatrix([[], []]) @ empty).entries == ((), ())
+    with pytest.raises(ValueError, match="empty inner dimension"):
+        RingMatrix([[], []]).matvec(())
