@@ -6,12 +6,17 @@ public precision N_p, the gamma truncation N_gamma, the series truncation
 N_u and the internal precision headroom.  All scalars, series and
 divided-power elements of one computation share a single context.
 
-A context is read-only once constructed; only its tables (u^n, c^i, E^n,
-the unit parts of i!, (p*a)^i/i!, the scale factors that remove the
-binomial weights from a packed matrix product over S (``gamma_scale``)
-and three packed tables) fill lazily, on first use, with values that
-depend on the parameters alone.  So one
-context can serve every computation with the same parameters:
+A context is read-only once constructed; only its tables fill lazily, on
+first use, with values that depend on the parameters alone:
+
+  * the powers u^n, c^i and E^n, each one product from the one before;
+  * unit(i!)^-1, the inverse of the unit part of i!, as the integer
+    inverse mod p^cap (one ``pow``), and (p*a)^i/i!;
+  * the scale factors that remove the binomial weights from a packed
+    matrix product over S (``gamma_scale``);
+  * the columns of the three packed tables below.
+
+So one context can serve every computation with the same parameters:
 ``shared_params`` returns one per parameter set per process, keyed by the
 parameters ``resolve_params`` makes of its keyword arguments, and the
 campaign, the CLI and the loader of serialized modules take theirs from
@@ -264,19 +269,26 @@ class AmbientParams:
     # --- lazy tables ---
 
     def fact_unit_inv(self, i: int) -> WittScalar:
-        """Inverse of the unit part i!/p^(v_p(i!)), at full cap."""
+        """Inverse of the unit part i!/p^(v_p(i!)), at full cap, for
+        0 <= i < len(vfact) (DegreeOverflow otherwise).  The unit is an
+        integer, so its inverse is the integer inverse mod p^cap: the one
+        inverse there is, the value ``WittScalar.invert`` would reach."""
         out = self._fact_unit_inv.get(i)
         if out is None:
-            unit = math.factorial(i) // self.ring.pk[self.vfact[i]]
-            out = self.ring.from_int(unit).invert()
+            if not 0 <= i < len(self.vfact):
+                raise DegreeOverflow(f"{i}! outside the table of factorials")
+            unit = math.factorial(i) // self.p ** self.vfact[i]
+            out = self.ring.from_int(pow(unit, -1, self.ring.pk[self.cap]))
             self._fact_unit_inv[i] = out
         return out
 
     def pa_div_fact(self, i: int) -> WittScalar:
-        """(p*a)^i / i!, integral of valuation i - v_p(i!)."""
+        """(p*a)^i / i!, integral of valuation i - v_p(i!), for the indices
+        of ``fact_unit_inv``."""
         out = self._pa_div_fact.get(i)
         if out is None:
-            out = ((self.a ** i) * self.fact_unit_inv(i)).mul_p_pow(i - self.vfact[i])
+            unit_inv = self.fact_unit_inv(i)       # checks the index first
+            out = ((self.a ** i) * unit_inv).mul_p_pow(i - self.vfact[i])
             self._pa_div_fact[i] = out
         return out
 

@@ -23,7 +23,7 @@ image generates exactly when the matrix of those d images is invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     MalformedJumps,
@@ -138,12 +138,12 @@ def fil_generators(B: BreuilModule):
     return gens
 
 
-@dataclass
-class ValidationReport:
-    strongly_divisible: bool
-    griffiths: bool | None
-    diagram: bool | None
-    cris: bool | None
+class ValidationReport(namedtuple("ValidationReport",
+                                  "strongly_divisible griffiths diagram cris")):
+    """Strong divisibility, then Griffiths transversality, the phi/N square
+    and the crystalline condition, each None without monodromy."""
+
+    __slots__ = ()
 
     def all_true(self) -> bool:
         return bool(self.strongly_divisible) and all(
@@ -253,11 +253,7 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     return level
 
 
-@dataclass
-class BreuilClassification:
-    etale: bool
-    multiplicative: bool
-    unipotent: object
+BreuilClassification = namedtuple("BreuilClassification", "etale multiplicative unipotent")
 
 
 def breuil_bhat(B: BreuilModule) -> RingMatrix:

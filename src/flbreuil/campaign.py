@@ -12,7 +12,6 @@ across processes.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from . import breuil as BR
 from . import fl as FL
@@ -343,12 +342,16 @@ def run_campaign(params: dict, suites: list, seeds: list, config: dict,
     """The records of every (suite, seed) pair, sorted stably by the suite's
     place in ``suites`` and then by seed.  ``params`` are the keyword
     arguments of ``AmbientParams`` and ``config`` maps a suite to its
-    configuration; with ``jobs`` > 1 the pairs run in a process pool."""
+    configuration; with ``jobs`` > 1 the pairs run in a process pool,
+    whose module is imported only then: it loads multiprocessing, pickle,
+    socket and subprocess, which a one-job run never needs."""
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     tasks = [(params, suite, seed, config.get(suite, {})) for suite in suites for seed in seeds]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks))
     else:

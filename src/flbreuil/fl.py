@@ -22,10 +22,10 @@ divides g_{ij} whenever r_i < r_j) and raises NotStrong for any other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedJumps, NotDivisible, NotStrong
-from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
+from .matrix import RingMatrix, converges_to_zero
 from .witt import WittScalar
 
 
@@ -49,25 +49,17 @@ def random_jumps(amb, rng, d: int) -> tuple[int, ...]:
     return tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
 
 
-@dataclass(frozen=True)
 class FLModule:
-    amb: object
-    d: int
-    jumps: tuple[int, ...]
-    Ftil: RingMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "jumps", check_jumps(self.amb, self.d, self.jumps))
-        if self.Ftil.rows != self.d or self.Ftil.cols != self.d:
+    def __init__(self, amb, d: int, jumps, Ftil: RingMatrix):
+        self.amb = amb
+        self.d = d
+        self.jumps = check_jumps(amb, d, jumps)
+        self.Ftil = Ftil
+        if Ftil.rows != d or Ftil.cols != d:
             raise MalformedJumps("Ftil dimension does not match the rank")
 
 
-@dataclass
-class FLClassification:
-    etale: bool
-    multiplicative: bool
-    nilpotent: ConvergenceVerdict
-    unipotent: ConvergenceVerdict
+FLClassification = namedtuple("FLClassification", "etale multiplicative nilpotent unipotent")
 
 
 def fl_validate(M: FLModule) -> bool:

@@ -26,7 +26,7 @@ each step divides by p^r once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .breuil import BreuilModule, adapted_level, breuil_validate, fil_lower, rebase
 from .errors import (
@@ -94,17 +94,17 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
 
 # --- the section ---
 
-@dataclass
-class SectionResult:
-    Bmat: RingMatrix            # section matrix at internal precision
-    iterations: int             # first n with B_{n+1} = B_n mod p^N_p
-    residual_valuation: int     # certified valuation of B f0(A) - A phi(B)
-    exact: bool                 # residual vanishes at N_p
-    B0_claim_ok: bool           # p (B_0 - I) lies in u^p Mat(S)
-    f0_identity: bool           # f_0(B_n) = I held at every step
-    rate_bound: int             # stabilisation bound from the p-power gain
-    residual: RingMatrix        # B f0(A) - A phi(B), at internal precision
-    Phi: RingMatrix             # the Frobenius matrix A solved for
+SectionResult = namedtuple("SectionResult", [
+    "Bmat",                 # section matrix at internal precision
+    "iterations",           # first n with B_{n+1} = B_n mod p^N_p
+    "residual_valuation",   # certified valuation of B f0(A) - A phi(B)
+    "exact",                # residual vanishes at N_p
+    "B0_claim_ok",          # p (B_0 - I) lies in u^p Mat(S)
+    "f0_identity",          # f_0(B_n) = I held at every step
+    "rate_bound",           # stabilisation bound from the p-power gain
+    "residual",             # B f0(A) - A phi(B), at internal precision
+    "Phi",                  # the Frobenius matrix A solved for
+])
 
 
 def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionResult:
@@ -227,14 +227,15 @@ def flag_adapt(amb, d: int, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]
 
 # --- backward functor ---
 
-@dataclass
-class FLTransport:
+class FLTransport(namedtuple("FLTransport", [
+    "M",                    # the reduction, an FLModule
+    "section",              # the SectionResult it was split by
+    "g_w",                  # adapted basis change over W
+    "sec_basis_inv",        # (Bmat * embed(g_w))^(-1), over S
+])):
     """Everything needed to move between a module over S and its reduction."""
 
-    M: FLModule
-    section: SectionResult
-    g_w: RingMatrix            # adapted basis change over W
-    sec_basis_inv: RingMatrix  # (Bmat * embed(g_w))^(-1), over S
+    __slots__ = ()
 
 
 def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
@@ -306,12 +307,17 @@ def tensor_membership_via_section(transport: FLTransport, x, n: int,
 
 # --- round trips ---
 
-@dataclass
-class RoundTripReport:
-    direction: str
-    jumps_equal: bool
-    matrix_relation: str        # "exact" | "failed" | "non-convergent"
-    details: dict = field(default_factory=dict)
+class RoundTripReport(namedtuple("RoundTripReport", [
+    "direction",
+    "jumps_equal",
+    "matrix_relation",      # "exact" | "failed" | "non-convergent"
+    "details",              # a dict, a fresh empty one by default
+])):
+    __slots__ = ()
+
+    def __new__(cls, direction, jumps_equal, matrix_relation, details=None):
+        return super().__new__(cls, direction, jumps_equal, matrix_relation,
+                               {} if details is None else details)
 
     @property
     def success(self) -> bool:

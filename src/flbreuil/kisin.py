@@ -13,46 +13,39 @@ adapted (coordinate-wise) condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import breuil as breuil_mod
 from .errors import MalformedJumps, MissingGLSForm, NotInvertible, SingularMatrix
 from .fl import check_jumps, random_jumps
-from .matrix import ConvergenceVerdict, RingMatrix, converges_to_zero
+from .matrix import RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
 from .series import SigmaSeries, weierstrass_divide
 
 
-@dataclass
 class KisinModule:
-    amb: object
-    d: int
-    A: RingMatrix
-    gls: tuple | None = None  # (X, jumps, Y) when built in normal form
-
-    def __post_init__(self):
-        mats = [self.A]
-        if self.gls is not None:
-            X, jumps, Y = self.gls
-            self.gls = (X, check_jumps(self.amb, self.d, jumps), Y)
+    def __init__(self, amb, d: int, A: RingMatrix, gls: tuple | None = None):
+        self.amb = amb
+        self.d = d
+        self.A = A
+        mats = [A]
+        if gls is not None:
+            X, jumps, Y = gls
+            gls = (X, check_jumps(amb, d, jumps), Y)
             mats += [X, Y]
-        if any(M.rows != self.d or M.cols != self.d for M in mats):
+        self.gls = gls  # (X, jumps, Y) when built in normal form
+        if any(M.rows != d or M.cols != d for M in mats):
             raise MalformedJumps("matrix dimensions do not match the rank")
 
 
-@dataclass
-class HeightResult:
+class HeightResult(namedtuple("HeightResult", "ok quotient unit e_power witness",
+                              defaults=(None, None, None, None))):
     """Verdict of the height check.  On success it holds the quotient
-    E^r adj(A) / E^s and the unit det(A) / E^s; the solution B of
-    A B = E^r I is their ratio, built on first read (a failing result reads
-    None)."""
-
-    ok: bool
-    quotient: RingMatrix | None = None
-    unit: SigmaSeries | None = None
-    e_power: int | None = None
-    witness: dict | None = None
+    E^r adj(A) / E^s (a RingMatrix), the unit det(A) / E^s (a SigmaSeries)
+    and s as ``e_power``; on failure a ``witness`` dict.  The solution B of
+    A B = E^r I is the quotient over the unit, built on first read and kept
+    in the instance's own dict (a failing result reads None)."""
 
     @cached_property
     def B(self) -> RingMatrix | None:
@@ -139,11 +132,7 @@ def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule
     return K
 
 
-@dataclass
-class KisinClassification:
-    etale: bool
-    multiplicative: bool
-    unipotent: ConvergenceVerdict
+KisinClassification = namedtuple("KisinClassification", "etale multiplicative unipotent")
 
 
 def kisin_classify(K: KisinModule, max_steps: int | None = None) -> KisinClassification:

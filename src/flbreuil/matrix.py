@@ -33,7 +33,7 @@ W(k), phi on the series ring and on S) are passed as the entry map itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
 
@@ -293,13 +293,13 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))
 
 
-@dataclass
-class ConvergenceVerdict:
-    """Outcome of the at-precision test of an infinite twisted product."""
+class ConvergenceVerdict(namedtuple("ConvergenceVerdict", "zero steps witness",
+                                    defaults=(None, None))):
+    """Outcome of the at-precision test of an infinite twisted product:
+    ``zero``, the ``steps`` it took when it holds, and otherwise the final
+    partial product as ``witness``."""
 
-    zero: bool
-    steps: int | None = None
-    witness: RingMatrix | None = None
+    __slots__ = ()
 
     def __repr__(self):
         if self.zero:

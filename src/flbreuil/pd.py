@@ -228,7 +228,10 @@ def pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
 
 def pd_shift(x: PDElement, t: int) -> PDElement:
     """The element whose gamma_(i+t) coefficient is the gamma_i coefficient
-    of x; indices pushed to N_gamma or beyond are dropped."""
+    of x, for t >= 0 (DegreeOverflow otherwise); indices pushed to N_gamma
+    or beyond are dropped."""
+    if t < 0:
+        raise DegreeOverflow(f"shift by {t} below gamma_0")
     N = x.amb.N_gamma
     return PDElement(x.amb, (), False, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 

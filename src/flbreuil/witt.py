@@ -418,7 +418,9 @@ class FlatValue:
         return self._map(lambda xs: [c % mod for c in xs], k)
 
     def div_p_exact(self, k: int = 1):
-        """Exact division by p^k; lowers precision by k."""
+        """Exact division by p^k (k >= 0); lowers precision by k."""
+        if k < 0:
+            raise ValueError(f"negative power p^{k}: use mul_p_pow")
         if k == 0:
             return self
         if self.prec - k < 1:
@@ -429,7 +431,10 @@ class FlatValue:
         return self._map(lambda xs: [c // q for c in xs], self.prec - k)
 
     def mul_p_pow(self, k: int):
-        """Exact multiplication by p^k; raises precision up to the ring cap."""
+        """Exact multiplication by p^k (k >= 0); raises precision up to the
+        ring cap."""
+        if k < 0:
+            raise ValueError(f"negative power p^{k}: use div_p_exact")
         if k == 0:
             return self
         ring = self.ring

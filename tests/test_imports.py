@@ -8,9 +8,15 @@ identifier, or inside a quoted annotation.
 
 The dead-code check collects every identifier, attribute name and imported
 name of the kernel, the tests and the benchmark harness, and fails on a
-module-level ``def`` or ``class`` of the kernel whose name is none of them."""
+module-level ``def`` or ``class`` of the kernel whose name is none of them.
+
+Every CLI step is a fresh interpreter, so what ``import flbreuil.cli``
+loads is paid on each start: it must load neither the process pool, which
+only ``verify --jobs`` above 1 uses, nor ``dataclasses`` and ``inspect``."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +87,19 @@ def test_no_unreferenced_top_level_definition():
         and node.name not in referenced
     ]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def _fresh_modules(statement: str) -> set:
+    """The modules a fresh interpreter holds after ``statement``."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statement}; "
+            "print(' '.join(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_process_pool_and_no_dataclasses():
+    added = _fresh_modules("import flbreuil.cli") - _fresh_modules("pass")
+    assert "flbreuil.campaign" in added
+    heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
+    assert not added & heavy, f"import flbreuil.cli loads {sorted(added & heavy)}"

@@ -98,6 +98,23 @@ def test_u_powers_are_the_binomial_expansion(name, request):
         amb.u_pow(amb.N_gamma)
 
 
+@pytest.mark.parametrize("name", ["amb3", "amb9", "amb27"])
+def test_factorial_unit_inverses_are_the_newton_inverses(name, request):
+    # unit(i!)^-1 is the integer inverse mod p^cap; WittScalar.invert, the
+    # Newton inversion, is the reference at every index of the table
+    import math
+
+    amb = request.getfixturevalue(name)
+    n = len(amb.vfact)
+    for i in range(n):
+        unit = math.factorial(i) // amb.p ** amb.vfact[i]
+        assert amb.fact_unit_inv(i) == amb.ring.from_int(unit).invert()
+    for table in (amb.fact_unit_inv, amb.pa_div_fact):
+        for i in (-1, n, 200):
+            with pytest.raises(DegreeOverflow):
+                table(i)
+
+
 # --- Frobenius ---
 
 def test_phi_examples(amb3):
@@ -295,5 +312,7 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
             ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
             y = pd_shift(x, t)
             assert y.prec == ref.prec and y.planes == ref.planes and not y.tail_dirty
+        with pytest.raises(DegreeOverflow):
+            pd_shift(pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])
         assert low.valuation() == 5

@@ -46,6 +46,13 @@ def test_precision_contract(request, fixture, kind):
     for k in (1, 3, cap):
         assert zero.truncate(k).valuation() == k
 
+    # a negative power of p is no shift the other way
+    for k in (-1, -cap):
+        with pytest.raises(ValueError):
+            x.mul_p_pow(k)
+        with pytest.raises(ValueError):
+            zero.div_p_exact(k)
+
 
 def test_pd_eq_at_skips_the_top_coefficient_only_on_a_dirty_difference(amb3):
     N, k = amb3.N_gamma, amb3.cap
