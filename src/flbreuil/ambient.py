@@ -1,10 +1,13 @@
 """Shared parameters and precomputed tables for one working context.
 
-An AmbientParams fixes the prime p, the residue degree f, the Hodge range
-bound r, the uniformiser datum a (a unit of W(k), with E(u) = u + p*a), the
-public precision N_p, the gamma truncation N_gamma, the series truncation
-N_u and the internal precision headroom.  All scalars, series and
-divided-power elements of one computation share a single context.
+An AmbientParams fixes the prime p, the residue degree f, the monic lift
+m of the residue field's modulus, the Hodge range bound r, the uniformiser
+datum a (a unit of W(k), with E(u) = u + p*a), the public precision N_p,
+the gamma truncation N_gamma and the internal precision headroom: the
+keywords of ``resolve_params``, which are the fields of the params
+document (``serialize.params_to_json``).  The series truncation
+N_u = p*N_gamma is derived.  All scalars, series and divided-power
+elements of one computation share a single context.
 
 A context is read-only once constructed; only its tables fill lazily, on
 first use, with values that depend on the parameters alone:
@@ -26,8 +29,9 @@ The three fixed W(k)-linear maps of S on gamma-coefficients, the
 Frobenius ``phi_S`` (columns unit(i!)^-1 * c^i), the embedding
 ``embed_sigma`` of W(k)[[u]] (columns u^n) and the change to the
 u-divided coordinates (columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one
-``PackedTable`` each: columns packed by output index at one slot width,
-and one ``apply``.
+``witt.PackedTable`` each: columns packed by output index at the width
+``WittRing.slot_width`` gives, and one ``apply``.  This module supplies
+only their columns.
 
 Two sizing rules matter:
 
@@ -45,12 +49,11 @@ the section iteration (one p^r per step) with a wide margin.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 from . import pd as pdmod
 from .errors import DegreeOverflow, NotAUnit
 from .series import SigmaSeries, series_from_ints
-from .witt import WittRing, WittScalar, find_irreducible, is_prime
+from .witt import PackedTable, WittRing, WittScalar, find_irreducible, is_prime
 
 
 def section_rate_bound(p: int, r: int, N_p: int) -> int:
@@ -87,12 +90,11 @@ def resolve_params(
     N_p: int = 6,
     N_gamma: int | None = None,
     headroom: int | None = None,
-    N_u: int | None = None,
     a: int | list[int] = -1,
     m_coeffs=None,
 ) -> tuple:
     """The parameters of a context, validated and with defaults applied:
-    (p, r, f, N_p, N_gamma, headroom, N_u, a, m_coeffs), with ``a`` and
+    (p, r, f, N_p, N_gamma, headroom, a, m_coeffs), with ``a`` and
     ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries;
     more than f once its trailing zeros are dropped is a ValueError).
     Keyword arguments that name one context resolve to the same tuple."""
@@ -117,10 +119,6 @@ def resolve_params(
             f"N_gamma = {N_gamma} violates N_gamma*(p-2)/(p-1) >= N_p + r "
             f"(minimum {min_N_gamma(p, r, N_p)})"
         )
-    if N_u is None:
-        N_u = p * N_gamma
-    if N_u < N_gamma:
-        raise ValueError("N_u must be at least N_gamma")
     mod = p ** (N_p + headroom)
     if m_coeffs is None:
         m_coeffs = find_irreducible(p, f)
@@ -130,7 +128,7 @@ def resolve_params(
         a.pop()
     if len(a) > f:
         raise ValueError(f"a has {len(a)} coefficients, but f = {f} allows at most {f}")
-    return (p, r, f, N_p, N_gamma, headroom, N_u,
+    return (p, r, f, N_p, N_gamma, headroom,
             tuple(c % mod for c in a), tuple(int(c) % mod for c in m_coeffs))
 
 
@@ -149,70 +147,19 @@ def shared_params(**kwargs) -> AmbientParams:
     return amb
 
 
-class PackedTable:
-    """A W(k)-linear map on coefficient vectors, stored by output index.
-
-    Column i, the image of the i-th basis vector, comes from ``column(i)``
-    as (planes, tail_dirty) with entries below p^cap, and is asked for only
-    when an input first reaches index i; at most n columns are used.
-    rows[m][i] is entry m of column i with its f T-planes packed into one
-    int at the width W = bit_length(n*f) + 2*bit_length(p^cap)
-    (``WittRing._pack``), reach[i] is the largest support among columns
-    0 .. i and dirty[i] is the tail_dirty flag of column i.
-
-    ``apply`` packs an input with entries below p^cap the same way, so
-    output m is one sum of packed products over row m.  Slot d of that sum
-    adds at most n*f nonnegative terms below p^(2 cap), so it stays below
-    2^W and one unpack recovers every T-degree exactly."""
-
-    __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
-
-    def __init__(self, ring: WittRing, n: int, column):
-        self.ring = ring
-        self.width = (n * ring.f).bit_length() + ring._slot_bits
-        self.rows = [[] for _ in range(n)]
-        self.reach: list[int] = []
-        self.dirty: list[bool] = []
-        self._column = column
-
-    def _grow(self, n: int) -> None:
-        for i in range(len(self.reach), n):
-            planes, dirty = self._column(i)
-            packed = self.ring._pack(planes, self.width)
-            for m, row in enumerate(self.rows):
-                row.append(packed[m] if m < len(packed) else 0)
-            self.reach.append(max(len(packed), self.reach[-1] if self.reach else 0))
-            self.dirty.append(dirty)
-
-    def apply(self, planes, k: int, n_out: int | None = None) -> tuple:
-        """The planes of the image of the vector with these planes, reduced
-        mod p^k: the outputs up to the reach of the columns the input
-        meets, and below n_out when it is given."""
-        ring, width = self.ring, self.width
-        s = ring._pack(planes, width)
-        n = len(s)
-        if n > len(self.reach):
-            self._grow(n)
-        top = self.reach[n - 1] if n else 0
-        if n_out is not None:
-            top = min(top, n_out)
-        acc = [sum(map(mul, s, row)) for row in self.rows[:top]]
-        return ring.fold(ring._unpack(acc, width), k)
-
-
 class AmbientParams:
     """One fixed working context; read-only after construction, with
     tables that only fill lazily.  Takes the arguments of
     ``resolve_params``."""
 
     def __init__(self, *args, **kwargs):
-        p, r, f, N_p, N_gamma, headroom, N_u, a, m_coeffs = resolve_params(*args, **kwargs)
+        p, r, f, N_p, N_gamma, headroom, a, m_coeffs = resolve_params(*args, **kwargs)
         self.p = p
         self.f = f
         self.r = r
         self.N_p = N_p
         self.N_gamma = N_gamma
-        self.N_u = N_u
+        self.N_u = p * N_gamma                 # the series truncation
         self.headroom = headroom
         self.cap = N_p + headroom
         self.ring = WittRing(p, f, m_coeffs, self.cap)
@@ -225,7 +172,7 @@ class AmbientParams:
         self.sigma_a = self.a.frobenius()
 
         # tables: v_p(i!), unit parts of i!, binomials for the gamma product
-        lim = max(N_u, N_gamma) + 2
+        lim = self.N_u + 2
         self.vfact = [0] * lim
         v = 0
         for i in range(1, lim):
@@ -360,18 +307,6 @@ class AmbientParams:
 
     def rate_bound(self) -> int:
         return section_rate_bound(self.p, self.r, self.N_p)
-
-    def describe(self) -> dict:
-        return {
-            "p": self.p,
-            "f": self.f,
-            "m_coeffs": [int(c) for c in self.ring.m],
-            "N_p": self.N_p,
-            "N_gamma": self.N_gamma,
-            "r": self.r,
-            "a": {"coeffs": [str(c) for c in self.a.coeffs], "prec": self.a.prec},
-            "headroom": self.headroom,
-        }
 
     def __repr__(self):
         return (f"AmbientParams(p={self.p}, f={self.f}, r={self.r}, N_p={self.N_p}, "

@@ -313,6 +313,11 @@ SUITES = {
     "kisin-breuil-consistency": suite_kisin_breuil,
 }
 
+# the configuration key of each suite's per-seed sample count (``verify
+# --samples``); the other suites draw a fixed number of instances
+SAMPLE_KEYS = {"ring-laws": "samples", "easylemma": "samples",
+               "lemfil1": "elements", "kisin-breuil-consistency": "elements"}
+
 
 def run_suite_seed(params: dict, suite: str, seed: int, cfg: dict) -> list[dict]:
     amb = shared_params(**params)

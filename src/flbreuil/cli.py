@@ -157,28 +157,8 @@ def cmd_section(args) -> int:
         obj = KI.kisin_to_breuil(obj)
     if not isinstance(obj, BreuilModule):
         raise KernelError("section expects a BreuilModule (or KisinModule) file")
-    sec = FU.section_compute(obj)
-    amb = obj.amb
-    doc = {
-        "schema": SER.SCHEMA,
-        "kind": "SectionResult",
-        "params": SER.params_to_json(amb),
-        "data": {
-            "Bmat": SER.matrix_to_json(sec.Bmat.truncate(amb.N_p)),
-            "iterations": sec.iterations,
-            "rate_bound": sec.rate_bound,
-            "residual_valuation": sec.residual_valuation,
-            "exact": sec.exact,
-            "B0_claim_ok": sec.B0_claim_ok,
-            "f0_identity": sec.f0_identity,
-        },
-    }
-    _write([doc], args.out)
+    _write([SER.section_to_json(obj.amb, FU.section_compute(obj))], args.out)
     return 0
-
-
-_SAMPLE_KEYS = {"ring-laws": "samples", "easylemma": "samples",
-                "lemfil1": "elements", "kisin-breuil-consistency": "elements"}
 
 
 def cmd_verify(args) -> int:
@@ -188,7 +168,7 @@ def cmd_verify(args) -> int:
         suites = list(CAM.SUITES)
     seeds = _parse_seeds(args.seeds)
     config = {} if args.samples is None else {
-        s: {_SAMPLE_KEYS[s]: args.samples} for s in suites if s in _SAMPLE_KEYS}
+        s: {CAM.SAMPLE_KEYS[s]: args.samples} for s in suites if s in CAM.SAMPLE_KEYS}
     # the context is built before any task, so a bad one is a usage error
     # rather than one kernel-error record per task
     shared_params(**params)

@@ -54,10 +54,11 @@ p^(cap+2V); its exact quotient by p^(2V), reduced mod p^k, is what ``dot``
 computes.  The three fixed
 W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the change to u-divided
 coordinates (``eval_f0``, ``to_u_divided``), each read one table kept on
-the context (``ambient.PackedTable``): for
+the context (``witt.PackedTable``): for
 each output index m the row of entry m of every column, each entry's f
 lists packed into one int at the one width
-W = bit_length(N_gamma*f) + 2*bit_length(p^cap).  The input, reduced mod
+W = ``WittRing.slot_width(N_gamma*f)`` = bit_length(N_gamma*f) +
+2*bit_length(p^cap).  The input, reduced mod
 p^prec, is packed the same way, so output m is one sum of packed products
 over its row; a slot adds at most N_gamma*f nonnegative terms below
 p^(2 cap), so it stays below 2^W and unpacks exactly.
@@ -254,7 +255,10 @@ def embed_sigma(s: SigmaSeries) -> PDElement:
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:
-    """Largest j with all coefficients below index j zero at precision."""
+    """Largest j with all coefficients below index j zero at precision
+    (mod p^at when given, at >= 0)."""
+    if at is not None and at < 0:
+        raise ValueError(f"filtration valuation at negative precision p^{at}")
     k = x.prec if at is None else min(at, x.prec)
     q = x.amb.ring.pk[k]
     for i, col in enumerate(zip(*x.planes)):

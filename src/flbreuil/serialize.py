@@ -1,4 +1,4 @@
-"""JSON persistence for modules and parameters.
+"""JSON persistence for modules, section results and parameters.
 
 Every document is an envelope
 
@@ -142,7 +142,17 @@ def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
 # --- ambient parameters ---
 
 def params_to_json(amb: AmbientParams) -> dict:
-    return amb.describe()
+    """The params document: one field per keyword of ``resolve_params``."""
+    return {
+        "p": amb.p,
+        "f": amb.f,
+        "m_coeffs": [int(c) for c in amb.ring.m],
+        "N_p": amb.N_p,
+        "N_gamma": amb.N_gamma,
+        "r": amb.r,
+        "a": scalar_to_json(amb.a),
+        "headroom": amb.headroom,
+    }
 
 
 def params_from_json(d: dict) -> AmbientParams:
@@ -178,14 +188,12 @@ def to_json(obj) -> dict:
             "jumps": list(obj.jumps),
             "Ftil": matrix_to_json(obj.Ftil),
         }
-        amb = obj.amb
     elif isinstance(obj, KisinModule):
         gls = None
         if obj.gls is not None:
             X, jumps, Y = obj.gls
             gls = {"X": matrix_to_json(X), "jumps": list(jumps), "Y": matrix_to_json(Y)}
         kind, data = "KisinModule", {"d": obj.d, "A": matrix_to_json(obj.A), "gls": gls}
-        amb = obj.amb
     elif isinstance(obj, BreuilModule):
         kind, data = "BreuilModule", {
             "d": obj.d,
@@ -194,9 +202,28 @@ def to_json(obj) -> dict:
             "C": matrix_to_json(obj.C),
             "jumps": list(obj.jumps),
         }
-        amb = obj.amb
     else:
         raise SchemaMismatch(f"cannot serialize {type(obj).__name__}")
+    return _envelope(kind, obj.amb, data)
+
+
+def section_to_json(amb: AmbientParams, sec) -> dict:
+    """The SectionResult document of ``functors.section_compute``: the
+    section matrix at the public precision N_p and the iteration's
+    verdicts.  ``amb`` is the module's context, which a rank-0 section
+    matrix does not carry."""
+    return _envelope("SectionResult", amb, {
+        "Bmat": matrix_to_json(sec.Bmat.truncate(amb.N_p)),
+        "iterations": sec.iterations,
+        "rate_bound": sec.rate_bound,
+        "residual_valuation": sec.residual_valuation,
+        "exact": sec.exact,
+        "B0_claim_ok": sec.B0_claim_ok,
+        "f0_identity": sec.f0_identity,
+    })
+
+
+def _envelope(kind: str, amb: AmbientParams, data: dict) -> dict:
     return {"schema": SCHEMA, "kind": kind, "params": params_to_json(amb), "data": data}
 
 

@@ -163,8 +163,6 @@ class WittRing:
         self.f = f
         self.cap = cap
         self.pk = [p**i for i in range(cap + 1)]
-        # bits of a product of two entries below p^cap: see dot_acc
-        self._slot_bits = 2 * self.pk[cap].bit_length()
         if m_coeffs is None:
             m_coeffs = find_irreducible(p, f)
         m_coeffs = tuple(int(c) % self.pk[cap] for c in m_coeffs)
@@ -276,14 +274,22 @@ class WittRing:
     # convolutions summed by T-degree.  The product by the constant p*a in
     # n_S is one such sum, of one pair.  The fixed linear maps of S (phi_S,
     # embed_sigma, the u-divided coordinates) sum packed products against
-    # the rows of a packed table on the context (ambient.PackedTable), at
-    # the one width bit_length(N_gamma*f) + 2*bit_length(p^cap), and unpack
-    # them as dot_acc does (_unpack).
+    # the rows of a PackedTable kept on the context, and unpack them as
+    # dot_acc does.  Every packing width is one slot_width.
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
         mod = self.pk[k] if cols else 1
         return tuple([c[t] % mod for c in cols] for t in range(self.f))
+
+    def slot_width(self, terms: int, top: int | None = None) -> int:
+        """The packing width W of a slot that sums ``terms`` products of two
+        nonnegative ints below ``top`` (p^cap when None), a product weighted
+        by w counting as w terms: the sum stays below terms * top^2 < 2^W,
+        so no carry leaves the slot.  The one rule behind every packed
+        product (``dot_acc``, ``PackedTable``, the matrix kernel)."""
+        top = self.pk[self.cap] if top is None else top
+        return terms.bit_length() + 2 * top.bit_length()
 
     def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> list:
         """The accumulator by T-degree of the sum of the products of the
@@ -293,11 +299,11 @@ class WittRing:
         weights[i][j] <= w_max, when given).
 
         Plane t of an operand is packed at bits t*W and up, with
-        W = bit_length(len(pairs) * n * f * w_max) + 2 * bit_length(p^cap).
-        Slot d of entry m sums, over the pairs, the terms w * x_s[i] * y_t[j]
-        with s + t = d and i + j = m: at most len(pairs) * n * f terms, each
-        nonnegative and below w_max * p^(2 cap), so it stays below 2^W and
-        no carry crosses into slot d + 1.  At f = 1 the pack is the plane
+        W = ``slot_width(len(pairs) * n * f * w_max)``.  Slot d of entry m
+        sums, over the pairs, the terms w * x_s[i] * y_t[j] with s + t = d
+        and i + j = m: at most len(pairs) * n * f terms, each nonnegative
+        and below w_max * p^(2 cap), so it stays below 2^W and no carry
+        crosses into slot d + 1.  At f = 1 the pack is the plane
         itself and nothing is unpacked; at f > 1 an operand is packed only
         below n, the indices an entry below n reads."""
         acc = [0] * n
@@ -305,7 +311,7 @@ class WittRing:
             for xs, ys in pairs:
                 _conv_into(acc, xs[0], ys[0], weights)
             return [acc]
-        width = (len(pairs) * n * self.f * w_max).bit_length() + self._slot_bits
+        width = self.slot_width(len(pairs) * n * self.f * w_max)
         for xs, ys in pairs:
             _conv_into(acc, self._pack(xs, width, n), self._pack(ys, width, n), weights)
         return self._unpack(acc, width)
@@ -390,6 +396,57 @@ class WittRing:
         return WittScalar(self, self._random_unit_tuple(rng, prec), prec)
 
 
+class PackedTable:
+    """A W(k)-linear map on coefficient vectors, stored by output index.
+
+    Column i, the image of the i-th basis vector, comes from ``column(i)``
+    as (planes, tail_dirty) with entries below p^cap, and is asked for only
+    when an input first reaches index i; at most n columns are used.
+    rows[m][i] is entry m of column i with its f T-planes packed into one
+    int (``WittRing._pack``) at the width W = ``ring.slot_width(n*f)``,
+    reach[i] is the largest support among columns 0 .. i and dirty[i] is
+    the tail_dirty flag of column i.
+
+    ``apply`` packs an input with entries below p^cap the same way, so
+    output m is one sum of packed products over row m.  Slot d of that sum
+    adds at most n*f nonnegative terms below p^(2 cap), so it stays below
+    2^W and one unpack recovers every T-degree exactly."""
+
+    __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
+
+    def __init__(self, ring: WittRing, n: int, column):
+        self.ring = ring
+        self.width = ring.slot_width(n * ring.f)
+        self.rows = [[] for _ in range(n)]
+        self.reach: list[int] = []
+        self.dirty: list[bool] = []
+        self._column = column
+
+    def _grow(self, n: int) -> None:
+        for i in range(len(self.reach), n):
+            planes, dirty = self._column(i)
+            packed = self.ring._pack(planes, self.width)
+            for m, row in enumerate(self.rows):
+                row.append(packed[m] if m < len(packed) else 0)
+            self.reach.append(max(len(packed), self.reach[-1] if self.reach else 0))
+            self.dirty.append(dirty)
+
+    def apply(self, planes, k: int, n_out: int | None = None) -> tuple:
+        """The planes of the image of the vector with these planes, reduced
+        mod p^k: the outputs up to the reach of the columns the input
+        meets, and below n_out when it is given."""
+        ring, width = self.ring, self.width
+        s = ring._pack(planes, width)
+        n = len(s)
+        if n > len(self.reach):
+            self._grow(n)
+        top = self.reach[n - 1] if n else 0
+        if n_out is not None:
+            top = min(top, n_out)
+        acc = [sum(map(mul, s, row)) for row in self.rows[:top]]
+        return ring.fold(ring._unpack(acc, width), k)
+
+
 class FlatValue:
     """The flat precision model, shared by scalars and by the elements of
     W(k)[[u]] and S: the one home of its rules.
@@ -456,6 +513,9 @@ class FlatValue:
         return v
 
     def is_zero_at(self, k: int) -> bool:
+        """Zero modulo p^k (k >= 0; vacuously true at k = 0)."""
+        if k < 0:
+            raise ValueError(f"zero test at negative precision p^{k}")
         if self.prec < k:
             raise PrecisionExhausted(f"zero test at p^{k} but only {self.prec} digits known")
         q = self.ring.pk[k]
@@ -659,8 +719,8 @@ class FlatVector(FlatValue):
         operands is packed once into one int (Kronecker substitution):
         coefficient i in the slot at byte i*B, its T-plane t at bit t*W of
         that slot, with B = ceil((2f - 1) W / 8) bytes and
-        W = bit_length(e*n*f) + 2*bit_length(p^(cap+V)), where e is the
-        inner dimension.  An output entry is then one sum of e big-int
+        W = ``slot_width(e*n*f, p^(cap+V))``, where e is the inner
+        dimension.  An output entry is then one sum of e big-int
         products: bits d*W and up of slot m hold the T-degree d part of
         coefficient m, a sum of at most e*n*f nonnegative terms below
         p^(2(cap+V)), so it stays below 2^W and no carry crosses into the
@@ -681,7 +741,7 @@ class FlatVector(FlatValue):
         f = ring.f
         V, pre, post = scale if scale else (0, None, None)
         mod, div = ring.p ** (ring.cap + V), ring.p ** (2 * V)
-        width = (len(cols[0]) * n * f).bit_length() + 2 * mod.bit_length()
+        width = ring.slot_width(len(cols[0]) * n * f, mod)
         stride = ((2 * f - 1) * width + 7) // 8
 
         def pack(x) -> int:

@@ -404,10 +404,11 @@ def test_dot_flags_and_precision_of_edge_rows(amb):
 
 @functools.cache
 def tight_ambient(f):
-    # p^cap = 3^41 lies just below 2^65 and N_u = 31: with every entry
-    # p^cap - 1, the middle T-degree of a full-length series product fills
-    # its slot to more than half of 2^W, so a width of W - 1 would carry
-    return AmbientParams(3, 2, f=f, headroom=35, N_u=31)
+    # p^cap = 3^41 lies just below 2^65 and N_u = p*N_gamma = 84: with
+    # every entry p^cap - 1, the middle T-degree of a full-length series
+    # product fills its slot to more than half of 2^W, so a width of W - 1
+    # would carry
+    return AmbientParams(3, 2, f=f, headroom=35)
 
 
 def full_row(amb, cls, length, n):

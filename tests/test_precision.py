@@ -4,7 +4,7 @@ on the three kinds of value that inherit it."""
 import pytest
 
 from flbreuil.errors import NotDivisible, PrecisionExhausted
-from flbreuil.pd import PDElement, pd_gamma, pd_zero
+from flbreuil.pd import PDElement, fil_valuation, in_u_power_ideal, pd_gamma, pd_zero
 from flbreuil.series import SigmaSeries
 
 KINDS = {
@@ -46,12 +46,30 @@ def test_precision_contract(request, fixture, kind):
     for k in (1, 3, cap):
         assert zero.truncate(k).valuation() == k
 
-    # a negative power of p is no shift the other way
+    # a negative power of p is no shift the other way, and no precision to
+    # test at; at p^0 every value is zero
     for k in (-1, -cap):
         with pytest.raises(ValueError):
             x.mul_p_pow(k)
         with pytest.raises(ValueError):
             zero.div_p_exact(k)
+        with pytest.raises(ValueError):
+            x.is_zero_at(k)
+        with pytest.raises(ValueError):
+            zero.is_zero_at(k)
+    assert x.is_zero_at(0) and x.is_zero_at(2) and not x.is_zero_at(3)
+
+
+def test_filtration_tests_at_a_negative_precision_raise(amb3):
+    # p in S: zero mod p, so in Fil^N_gamma and in u S at precision 1
+    x = PDElement(amb3, [amb3.w(amb3.p)])
+    assert fil_valuation(x, 1) == fil_valuation(x, 0) == amb3.N_gamma
+    assert fil_valuation(x) == 0 and in_u_power_ideal(x, 1, at=1)
+    for at in (-1, -amb3.cap):
+        with pytest.raises(ValueError):
+            fil_valuation(x, at)
+        with pytest.raises(ValueError):
+            in_u_power_ideal(x, 1, at=at)
 
 
 def test_pd_eq_at_skips_the_top_coefficient_only_on_a_dirty_difference(amb3):

@@ -8,14 +8,16 @@ context's tables before it, nor on how the tasks are spread over worker
 processes.
 """
 
+import inspect
 import json
 
 import pytest
 
 from flbreuil import ambient
 from flbreuil import campaign as CAM
-from flbreuil.ambient import AmbientParams, shared_params
+from flbreuil.ambient import AmbientParams, resolve_params, shared_params
 from flbreuil.cli import main
+from flbreuil.serialize import params_from_json, params_to_json
 
 
 def test_same_keywords_give_the_same_context():
@@ -26,10 +28,10 @@ def test_same_keywords_give_the_same_context():
     assert shared_params(p=3, r=2, f=2, a=(2, 1)) is amb
 
 
-@pytest.mark.parametrize("change", [{"N_u": 90}, {"headroom": 25}, {"N_gamma": 30},
+@pytest.mark.parametrize("change", [{"N_p": 5}, {"headroom": 25}, {"N_gamma": 30},
                                     {"a": 2}, {"f": 2}])
 def test_one_differing_keyword_gives_another_context(change):
-    base = {"p": 3, "r": 2, "N_u": 84, "headroom": 24, "N_gamma": 28, "a": -1, "f": 1}
+    base = {"p": 3, "r": 2, "headroom": 24, "N_gamma": 28, "a": -1, "f": 1}
     amb = shared_params(**{**base, **change})
     assert amb is not shared_params(**base)
     assert amb is shared_params(**{**base, **change})
@@ -39,13 +41,28 @@ def test_one_differing_keyword_gives_another_context(change):
 def test_one_context_per_parameters_however_they_are_spelled():
     amb = shared_params(p=3, r=2, f=2, a=-1)
     # the defaults, a padded to f coefficients and reduced mod p^cap, and
-    # the modulus and N_u that the defaults pick
+    # the modulus that the defaults pick
     assert shared_params(p=3, r=2, f=2, a=[amb.ring.pk[amb.cap] - 1, 0], N_p=6,
-                         N_gamma=amb.N_gamma, headroom=amb.headroom, N_u=amb.N_u,
+                         N_gamma=amb.N_gamma, headroom=amb.headroom,
                          m_coeffs=list(amb.ring.m)) is amb
     # the fields of a serialized module
-    doc = amb.describe()
+    doc = params_to_json(amb)
     assert shared_params(**{**doc, "a": [int(c) for c in doc["a"]["coeffs"]]}) is amb
+
+
+def test_the_params_document_names_every_parameter_of_a_context():
+    # one field per keyword: nothing a context depends on is left out of
+    # a file, so every context reloads into itself
+    doc_fields = set(params_to_json(shared_params(p=3, r=2)))
+    assert set(inspect.signature(resolve_params).parameters) == doc_fields
+    # a context that differs from the defaults in every field
+    amb = shared_params(p=5, r=2, f=2, N_p=4, N_gamma=12, headroom=7, a=[2, 1],
+                        m_coeffs=[2, 0, 1])
+    defaults = shared_params(p=5, r=3)
+    assert all(params_to_json(amb)[k] != params_to_json(defaults)[k]
+               for k in doc_fields - {"p"})
+    assert params_from_json(params_to_json(amb)) is amb
+    assert amb.N_u == amb.p * amb.N_gamma
 
 
 def test_cli_and_campaign_share_one_context(tmp_path, monkeypatch):
