@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import (
-    MalformedJumps,
     NotCris,
     NotDivisible,
     NotInFil,
@@ -55,10 +54,8 @@ class BreuilModule:
         self.Phi = Phi
         self.Nmat = Nmat
         self.C = C
-        self.jumps = check_jumps(amb, d, jumps)
         mats = (Phi, C) if Nmat is None else (Phi, Nmat, C)
-        if any(M.rows != d or M.cols != d for M in mats):
-            raise MalformedJumps("matrix dimensions do not match the rank")
+        self.jumps = check_jumps(amb, d, jumps, *mats)
         self._C_inv = None
 
     @property

@@ -41,10 +41,6 @@ class NotStrong(KernelError):
     """The module fails the strongness condition needed by this operation."""
 
 
-class MissingGLSForm(KernelError):
-    """Operation needs a diagonal-normal-form presentation (X, jumps, Y)."""
-
-
 class NotDirectSummand(KernelError):
     """A filtration step is not a direct summand; carries the level."""
 

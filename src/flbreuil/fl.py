@@ -24,17 +24,21 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import MalformedJumps, NotDivisible, NotStrong
+from .errors import MalformedJumps, NotDivisible, NotInvertible, NotStrong
 from .matrix import RingMatrix, converges_to_zero
 from .witt import WittScalar
 
 
-def check_jumps(amb, d: int, jumps) -> tuple[int, ...]:
+def check_jumps(amb, d: int, jumps, *mats: RingMatrix) -> tuple[int, ...]:
+    """The jumps as a tuple, checked to be d sorted integers in [0, r];
+    each matrix in ``mats`` must be d x d, which is checked first."""
     jumps = tuple(jumps)
-    if any(not isinstance(j, int) or isinstance(j, bool) for j in jumps):
-        raise MalformedJumps(f"jumps {jumps} must be integers")
     if d < 0:
         raise MalformedJumps(f"rank must be at least 0, got {d}")
+    if any(M.rows != d or M.cols != d for M in mats):
+        raise MalformedJumps("matrix dimensions do not match the rank")
+    if any(not isinstance(j, int) or isinstance(j, bool) for j in jumps):
+        raise MalformedJumps(f"jumps {jumps} must be integers")
     if len(jumps) != d:
         raise MalformedJumps(f"expected {d} jumps, got {len(jumps)}")
     if any(not 0 <= j <= amb.r for j in jumps):
@@ -53,10 +57,8 @@ class FLModule:
     def __init__(self, amb, d: int, jumps, Ftil: RingMatrix):
         self.amb = amb
         self.d = d
-        self.jumps = check_jumps(amb, d, jumps)
+        self.jumps = check_jumps(amb, d, jumps, Ftil)
         self.Ftil = Ftil
-        if Ftil.rows != d or Ftil.cols != d:
-            raise MalformedJumps("Ftil dimension does not match the rank")
 
 
 FLClassification = namedtuple("FLClassification", "etale multiplicative nilpotent unipotent")
@@ -93,11 +95,12 @@ def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
 
 def fl_v_matrix(M: FLModule) -> tuple[RingMatrix, RingMatrix]:
     """Returns (F, V) with F V = V F = p^r I; V = diag(p^{r-r_i}) Ftil^{-1}."""
-    if not fl_validate(M):
-        raise NotStrong("V-matrix needs an invertible Ftil")
+    try:
+        inv = M.Ftil.invert()
+    except NotInvertible as exc:
+        raise NotStrong("V-matrix needs an invertible Ftil") from exc
     amb = M.amb
     F = fl_frobenius_matrix(M)
-    inv = M.Ftil.invert()
     V = RingMatrix(
         [[inv.entries[i][j].mul_p_pow(amb.r - M.jumps[i]) for j in range(M.d)] for i in range(M.d)],
     )

@@ -28,7 +28,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .breuil import BreuilModule, adapted_level, breuil_validate, fil_lower, rebase
+from .breuil import (
+    BreuilModule,
+    adapted_level,
+    breuil_validate,
+    fil_lower,
+    random_fil_member,
+    random_vector,
+    rebase,
+)
 from .errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -353,7 +361,7 @@ def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripRep
     )
 
 
-def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng=None) -> RoundTripReport:
+def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng) -> RoundTripReport:
     """S -> FL -> S on a basis twist of a base-changed module.
 
     ``B`` must come from the forward functor; ``g`` (congruent to the
@@ -361,7 +369,7 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng=None) -> RoundTripRepor
     closed form g^(-1) f_0(g), the monodromy must be carried along
     (Nmat Bmat + N_S(Bmat) = 0), and top-filtration membership must agree
     between the twisted presentation and the tensor filtration read through
-    the section, on 8 random elements when ``rng`` is given.
+    the section, on 8 random elements drawn from ``rng``.
     """
     amb = B.amb
     at = amb.N_p
@@ -386,19 +394,16 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng=None) -> RoundTripRepor
     try:
         transport = breuil_to_fl(Bt, section=sec)
         jumps_equal = transport.M.jumps == B.jumps
-        if rng is not None:
-            from .breuil import random_fil_member, random_vector
-
-            for _ in range(8):
-                if rng.random() < 0.5:
-                    x = random_fil_member(Bt, rng, amb.r)
-                else:
-                    x = random_vector(Bt, rng, 6)
-                lhs = fil_lower(Bt, amb.r, x, at)
-                rhs = tensor_membership_via_section(transport, x, amb.r, at)
-                if lhs != rhs:
-                    fil_ok = False
-                checked += 1
+        for _ in range(8):
+            if rng.random() < 0.5:
+                x = random_fil_member(Bt, rng, amb.r)
+            else:
+                x = random_vector(Bt, rng, 6)
+            lhs = fil_lower(Bt, amb.r, x, at)
+            rhs = tensor_membership_via_section(transport, x, amb.r, at)
+            if lhs != rhs:
+                fil_ok = False
+            checked += 1
     except (NotStrong, NotDirectSummand, NonConvergent) as exc:
         return RoundTripReport("S->fl->S", False, "failed", {"error": str(exc)})
 

@@ -1,57 +1,30 @@
 """Finite free Kisin modules of E(u)-height r over the truncated series ring.
 
-A module is its Frobenius matrix A (phi of the basis row vector is the basis
-times A).  The height condition asks for B with A B = E(u)^r I; it is
-checked by factoring det(A) as a unit times a power of E through repeated
-synthetic division, then dividing E^r times the adjugate by that power.
+A module is given in its diagonal normal form: X, Y in GL_d of the series
+ring and jumps r_1 <= ... <= r_d, with Frobenius matrix A = X * Lambda * Y,
+Lambda = diag(E^{r_1}, ..., E^{r_d}) (phi of the basis row vector is the
+basis times A).  The constructor checks the presentation and computes A.
 
-The diagonal normal form constructor takes X, Y in GL_d and jump exponents
-and produces A = X * diag(E^{r_i}) * Y; such presentations are the input for
-the transfer to the divided-power side, where the filtration becomes an
-adapted (coordinate-wise) condition.
+The jumps decide the class: the module is etale when every r_i is r and
+multiplicative when every r_i is 0.  The solution of A B = E^r I is
+B = Y^{-1} * diag(E^{r - r_i}) * X^{-1}, whose twisted product decides
+unipotence.  The height check reads A alone: it factors det(A) as a unit
+times a power of E by repeated synthetic division, then divides E^r times
+the adjugate by that power.  The transfer to the divided-power side reads
+the normal form, where the filtration becomes an adapted (coordinate-wise)
+condition.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 from . import breuil as breuil_mod
-from .errors import MalformedJumps, MissingGLSForm, NotInvertible, SingularMatrix
+from .errors import NotInvertible, SingularMatrix
 from .fl import check_jumps, random_jumps
 from .matrix import RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
 from .series import SigmaSeries, weierstrass_divide
-
-
-class KisinModule:
-    def __init__(self, amb, d: int, A: RingMatrix, gls: tuple | None = None):
-        self.amb = amb
-        self.d = d
-        self.A = A
-        mats = [A]
-        if gls is not None:
-            X, jumps, Y = gls
-            gls = (X, check_jumps(amb, d, jumps), Y)
-            mats += [X, Y]
-        self.gls = gls  # (X, jumps, Y) when built in normal form
-        if any(M.rows != d or M.cols != d for M in mats):
-            raise MalformedJumps("matrix dimensions do not match the rank")
-
-
-class HeightResult(namedtuple("HeightResult", "ok quotient unit e_power witness",
-                              defaults=(None, None, None, None))):
-    """Verdict of the height check.  On success it holds the quotient
-    E^r adj(A) / E^s (a RingMatrix), the unit det(A) / E^s (a SigmaSeries)
-    and s as ``e_power``; on failure a ``witness`` dict.  The solution B of
-    A B = E^r I is the quotient over the unit, built on first read and kept
-    in the instance's own dict (a failing result reads None)."""
-
-    @cached_property
-    def B(self) -> RingMatrix | None:
-        if not self.ok:
-            return None
-        return self.quotient.scale(self.unit.invert())
 
 
 def _E_diag(amb, jumps) -> RingMatrix:
@@ -62,9 +35,28 @@ def _E_diag(amb, jumps) -> RingMatrix:
                        for i in range(d)])
 
 
-def normal_form_matrix(amb, X: RingMatrix, jumps, Y: RingMatrix) -> RingMatrix:
-    """A = X * diag(E^{r_1}, ..., E^{r_d}) * Y."""
-    return X @ _E_diag(amb, jumps) @ Y
+class KisinModule:
+    """The module with Frobenius matrix A = X * diag(E^{r_1}, ..., E^{r_d}) * Y.
+
+    X and Y must be d x d and invertible modulo (p, u); the jumps must be
+    d sorted integers in [0, r]."""
+
+    def __init__(self, amb, X: RingMatrix, jumps, Y: RingMatrix):
+        self.amb = amb
+        self.d = X.rows
+        self.jumps = check_jumps(amb, self.d, jumps, X, Y)
+        if not X.residue_invertible() or not Y.residue_invertible():
+            raise NotInvertible("X and Y must lie in GL_d of the series ring")
+        self.X = X
+        self.Y = Y
+        self.A = X @ _E_diag(amb, self.jumps) @ Y
+
+
+class HeightResult(namedtuple("HeightResult", "ok e_power witness", defaults=(None, None))):
+    """Verdict of the height check: on success the power s of E in det(A)
+    as ``e_power``, on failure a ``witness`` dict."""
+
+    __slots__ = ()
 
 
 def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
@@ -73,7 +65,6 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
     det(A) must be a unit times E^s with s <= r*d, and every entry of
     E^r * adj(A) must be divisible by det(A).  Remainder tests run at the
     public precision N_p, so the verdict is an at-precision semidecision.
-    The verdict needs no inverse of the unit: B is built only when read.
     """
     d = A.rows
     at = amb.N_p
@@ -85,18 +76,16 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
     while not q.is_unit():
         if s >= amb.r * d:
             return HeightResult(False, witness={"reason": "det needs more than r*d factors of E"})
-        q2, rem = weierstrass_divide(q)
+        q, rem = weierstrass_divide(q)
         if not rem.is_zero_at(min(at, rem.prec)):
             return HeightResult(
                 False,
                 witness={"reason": "det is not a unit times a power of E",
                          "division": s, "remainder": rem},
             )
-        q, s = q2, s + 1
+        s += 1
     Er = amb.E_pow(amb.r)
-    rows = []
     for i in range(d):
-        row = []
         for j in range(d):
             y = Er * adj.entries[i][j]
             for k in range(s):
@@ -107,9 +96,7 @@ def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
                         witness={"reason": "entry of E^r * adj(A) not divisible by det",
                                  "entry": (i, j), "division": k, "remainder": rem},
                     )
-            row.append(y)
-        rows.append(row)
-    return HeightResult(True, quotient=RingMatrix(rows), unit=q, e_power=s)
+    return HeightResult(True, e_power=s)
 
 
 def _check_rank(d: int) -> None:
@@ -118,15 +105,11 @@ def _check_rank(d: int) -> None:
 
 
 def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule:
-    """A = X * diag(E^{r_1}, ..., E^{r_d}) * Y with X, Y invertible."""
-    d = X.rows
-    _check_rank(d)
-    jumps = check_jumps(amb, d, jumps)
-    if not X.residue_invertible() or not Y.residue_invertible():
-        raise NotInvertible("X and Y must lie in GL_d of the series ring")
-    A = normal_form_matrix(amb, X, jumps, Y)
-    K = KisinModule(amb, d, A, gls=(X, jumps, Y))
-    res = kisin_height_check(amb, A)
+    """The module A = X * diag(E^{r_1}, ..., E^{r_d}) * Y of rank d >= 1,
+    self-checked against its height condition."""
+    _check_rank(X.rows)
+    K = KisinModule(amb, X, jumps, Y)
+    res = kisin_height_check(amb, K.A)
     if not res.ok:
         raise SingularMatrix(f"normal-form module failed its height check: {res.witness}")
     return K
@@ -136,16 +119,15 @@ KisinClassification = namedtuple("KisinClassification", "etale multiplicative un
 
 
 def kisin_classify(K: KisinModule, max_steps: int | None = None) -> KisinClassification:
-    """Positional class: etale iff B is invertible, multiplicative iff A is,
-    unipotent iff the twisted product of B dies (p, u)-adically."""
+    """Positional class: etale iff every jump is r, multiplicative iff
+    every jump is 0, unipotent iff the twisted product of
+    B = Y^{-1} diag(E^{r - r_i}) X^{-1} dies (p, u)-adically."""
     amb = K.amb
-    res = kisin_height_check(amb, K.A)
-    if not res.ok:
-        raise SingularMatrix(f"height check failed: {res.witness}")
+    B = K.Y.invert() @ _E_diag(amb, [amb.r - j for j in K.jumps]) @ K.X.invert()
     return KisinClassification(
-        etale=res.B.residue_invertible(),
-        multiplicative=K.A.residue_invertible(),
-        unipotent=converges_to_zero(res.B, SigmaSeries.phi, amb.N_p, max_steps),
+        etale=all(j == amb.r for j in K.jumps),
+        multiplicative=all(j == 0 for j in K.jumps),
+        unipotent=converges_to_zero(B, SigmaSeries.phi, amb.N_p, max_steps),
     )
 
 
@@ -162,19 +144,16 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     vector w lies in Fil^r exactly when w_i has filtration valuation at
     least r - r_i.
     """
-    if K.gls is None:
-        raise MissingGLSForm("transfer needs a diagonal normal form presentation")
     amb = K.amb
-    X, jumps, Y = K.gls
-    phi_XL = _embed_matrix(X @ _E_diag(amb, jumps)).map_entries(phi_S)
-    Phi = _embed_matrix(Y) @ phi_XL
+    phi_XL = _embed_matrix(K.X @ _E_diag(amb, K.jumps)).map_entries(phi_S)
+    Phi = _embed_matrix(K.Y) @ phi_XL
     return breuil_mod.BreuilModule(
         amb=amb,
         d=K.d,
         Phi=Phi,
         Nmat=None,
         C=RingMatrix.identity(K.d, pd_zero(amb), pd_one(amb)),
-        jumps=jumps,
+        jumps=K.jumps,
     )
 
 
@@ -187,12 +166,10 @@ def kisin_raw_fil_checker(K: KisinModule):
     A = X Lambda Y the module's own matrix, must have filtration valuation
     at least r: ``adapted_level`` of those components with jumps 0, capped
     at r, reaches r.  Independent of the adapted shortcut: it inverts
-    embed(Y) over S as adj * det^(-1) and multiplies out.
+    embed(Y) over S by Gauss-Jordan elimination and multiplies out.
     """
-    if K.gls is None:
-        raise MissingGLSForm("raw membership needs the normal form data")
     amb = K.amb
-    full = _embed_matrix(K.A) @ _embed_matrix(K.gls[2]).invert()
+    full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     zeros = (0,) * K.d
 
     def check(w, at: int | None = None) -> bool:

@@ -18,8 +18,8 @@ import json
 from .ambient import AmbientParams, shared_params
 from .breuil import BreuilModule
 from .errors import PrecisionMismatch, SchemaMismatch
-from .fl import FLModule
-from .kisin import KisinModule, normal_form_matrix
+from .fl import FLModule, check_jumps
+from .kisin import KisinModule
 from .matrix import RingMatrix
 from .pd import PDElement
 from .series import SigmaSeries
@@ -28,12 +28,12 @@ from .witt import WittScalar
 SCHEMA = "flbreuil/1"
 
 
-def _expect(d: dict, required: tuple, optional: tuple = ()) -> None:
+def _expect(d: dict, required: tuple) -> None:
     if not isinstance(d, dict):
         raise SchemaMismatch(f"expected an object, got {type(d).__name__}")
     keys = set(d)
     missing = set(required) - keys
-    unknown = keys - set(required) - set(optional)
+    unknown = keys - set(required)
     if missing:
         raise SchemaMismatch(f"missing fields: {sorted(missing)}")
     if unknown:
@@ -189,10 +189,7 @@ def to_json(obj) -> dict:
             "Ftil": matrix_to_json(obj.Ftil),
         }
     elif isinstance(obj, KisinModule):
-        gls = None
-        if obj.gls is not None:
-            X, jumps, Y = obj.gls
-            gls = {"X": matrix_to_json(X), "jumps": list(jumps), "Y": matrix_to_json(Y)}
+        gls = {"X": matrix_to_json(obj.X), "jumps": list(obj.jumps), "Y": matrix_to_json(obj.Y)}
         kind, data = "KisinModule", {"d": obj.d, "A": matrix_to_json(obj.A), "gls": gls}
     elif isinstance(obj, BreuilModule):
         kind, data = "BreuilModule", {
@@ -244,22 +241,17 @@ def from_json(doc: dict):
                         matrix_from_json(amb, "witt", data["Ftil"]))
     if kind == "KisinModule":
         _expect(data, ("d", "A", "gls"))
-        gls = None
-        if data["gls"] is not None:
-            _expect(data["gls"], ("X", "jumps", "Y"))
-            gls = (
-                matrix_from_json(amb, "series", data["gls"]["X"]),
-                _jumps(data["gls"]),
-                matrix_from_json(amb, "series", data["gls"]["Y"]),
-            )
-        K = KisinModule(amb, _int(data["d"], "d"),
-                        matrix_from_json(amb, "series", data["A"]), gls)
-        if K.gls is not None:
-            nf = normal_form_matrix(amb, *K.gls)
-            k = min((x.prec for M in (K.A, nf) for row in M.entries for x in row),
-                    default=amb.cap)
-            if not K.A.eq_at(nf, k):
-                raise SchemaMismatch("A is not X diag(E^r_i) Y")
+        gls = data["gls"]
+        _expect(gls, ("X", "jumps", "Y"))
+        X, Y, A = (matrix_from_json(amb, "series", m) for m in (gls["X"], gls["Y"], data["A"]))
+        jumps = _jumps(gls)
+        # the document's rank is checked against all three matrices before
+        # the constructor takes the rank from X
+        check_jumps(amb, _int(data["d"], "d"), jumps, X, Y, A)
+        K = KisinModule(amb, X, jumps, Y)
+        k = min((x.prec for M in (A, K.A) for row in M.entries for x in row), default=amb.cap)
+        if not A.eq_at(K.A, k):
+            raise SchemaMismatch("A is not X diag(E^r_i) Y")
         return K
     if kind == "BreuilModule":
         _expect(data, ("d", "Phi", "Nmat", "C", "jumps"))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flbreuil.breuil import breuil_validate, fil_lower, random_fil_member, random_vector
-from flbreuil.errors import MissingGLSForm, NotInvertible, SingularMatrix
+from flbreuil.errors import NotInvertible, SingularMatrix
 from flbreuil.kisin import (
     KisinModule,
     kisin_classify,
@@ -29,36 +29,13 @@ def test_height_check_examples(amb3):
     E2 = amb3.E_series * amb3.E_series
     res = kisin_height_check(amb3, RingMatrix([[E2]]))
     assert res.ok and res.e_power == 2
-    assert series_ints(res.B.entries[0][0]) == [1]
 
     res = kisin_height_check(amb3, smat(amb3, [[[1]]]))
     assert res.ok and res.e_power == 0
-    assert res.B.entries[0][0].eq_at(E2, amb3.cap)
 
     res = kisin_height_check(amb3, smat(amb3, [[[0, 1]]]))  # A = (u)
     assert not res.ok
     assert "unit times a power of E" in res.witness["reason"]
-
-
-def test_height_check_builds_B_only_when_read(amb3, amb5):
-    for amb in (amb3, amb5):
-        rng = random.Random(f"lazy-B:{amb.p}")
-        for d in (1, 3):
-            K = random_gls(amb, rng, d)
-            res = kisin_height_check(amb, K.A)
-            assert res.ok and "B" not in res.__dict__
-            B = res.B
-            assert res.B is B
-            # the value the check used to build eagerly, and A B = E^r I
-            unit_inv = res.unit.invert()
-            assert [[(x.planes, x.prec) for x in row] for row in B.entries] == \
-                [[((y * unit_inv).planes, (y * unit_inv).prec) for y in row]
-                 for row in res.quotient.entries]
-            Er = amb.E_pow(amb.r)
-            zero = amb.useries([])
-            assert (K.A @ B).eq_at(RingMatrix.identity(d, zero, Er), amb.N_p)
-    res = kisin_height_check(amb3, smat(amb3, [[[0, 1]]]))
-    assert not res.ok and res.B is None
 
 
 def test_height_check_singular(amb3):
@@ -92,15 +69,31 @@ def test_gls_always_passes_height(amb3, amb5):
 
 
 def test_classify_examples(amb3):
-    E2 = amb3.E_series * amb3.E_series
-    c = kisin_classify(KisinModule(amb3, 1, RingMatrix([[E2]])))
+    I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
+    I2 = RingMatrix.identity(2, amb3.useries([]), amb3.useries([1]))
+    c = kisin_classify(KisinModule(amb3, I1, (2,), I1))
     assert c.etale and not c.multiplicative and not c.unipotent.zero
-    c = kisin_classify(KisinModule(amb3, 1, smat(amb3, [[[1]]])), max_steps=25)
+    c = kisin_classify(KisinModule(amb3, I1, (0,), I1), max_steps=25)
     assert c.multiplicative and not c.etale and c.unipotent.zero
-    zero = amb3.useries([])
-    D = RingMatrix([[amb3.useries([1]), zero], [zero, E2]])
-    c = kisin_classify(KisinModule(amb3, 2, D))
+    c = kisin_classify(KisinModule(amb3, I2, (0, 2), I2))
     assert not c.etale and not c.multiplicative
+
+
+def test_classify_reads_the_jumps(amb3, amb5):
+    # etale iff B = E^r A^(-1) is residue-invertible, multiplicative iff A is
+    for amb in (amb3, amb5):
+        rng = random.Random(f"classify:{amb.p}")
+        for d in (1, 2, 3):
+            for jumps in ((0,) * d, (amb.r,) * d, None):
+                K = random_gls(amb, rng, d, jumps)
+                c = kisin_classify(K, max_steps=2)
+                B = K.Y.invert() @ RingMatrix(
+                    [[amb.E_pow(amb.r - K.jumps[i]) if i == j else amb.useries([])
+                      for j in range(d)] for i in range(d)]) @ K.X.invert()
+                Er = RingMatrix.identity(d, amb.useries([]), amb.E_pow(amb.r))
+                assert (K.A @ B).eq_at(Er, amb.N_p)
+                assert c.etale == B.residue_invertible()
+                assert c.multiplicative == K.A.residue_invertible()
 
 
 def test_to_breuil_rank_one(amb3):
@@ -123,20 +116,12 @@ def test_to_breuil_diagonal(amb3):
     assert B.Phi.entries[0][1].is_zero_at(amb3.N_p)
 
 
-def test_to_breuil_needs_normal_form(amb3):
-    K = KisinModule(amb3, 1, smat(amb3, [[[1]]]))
-    with pytest.raises(MissingGLSForm):
-        kisin_to_breuil(K)
-    with pytest.raises(MissingGLSForm):
-        kisin_raw_fil_checker(K)
-
-
 def raw_fil_checker_unbounded(K):
     """The raw top-filtration test with every product computed in full:
     embed(A) * embed(Y)^(-1) * w, then filtration valuation >= r in each
     component.  Kept as the reference for the two bounded tests."""
     amb = K.amb
-    full = K.A.map_entries(embed_sigma) @ K.gls[2].map_entries(embed_sigma).invert()
+    full = K.A.map_entries(embed_sigma) @ K.Y.map_entries(embed_sigma).invert()
 
     def check(w):
         return all(fil_valuation(x, amb.N_p) >= amb.r for x in full.matvec(w))

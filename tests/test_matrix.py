@@ -235,7 +235,7 @@ def test_det_kisin_shape_matches_cofactor(amb3):
     for d in range(1, 5):
         K = random_gls(amb3, rng, d)
         assert_matches_cofactor(K.A)
-        assert kisin_height_check(amb3, K.A).e_power == sum(K.gls[1])
+        assert kisin_height_check(amb3, K.A).e_power == sum(K.jumps)
 
 
 def test_invert_series_rank_4_to_6(amb3):
@@ -320,7 +320,7 @@ def test_random_gls_rank_7_passes_height_check():
     amb = AmbientParams(3, 1)
     K = random_gls(amb, random.Random(8), 7)
     res = kisin_height_check(amb, K.A)
-    assert res.ok and res.e_power == sum(K.gls[1])
+    assert res.ok and res.e_power == sum(K.jumps)
 
 
 def test_rank_zero(amb3):

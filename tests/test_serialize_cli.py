@@ -6,7 +6,13 @@ import pytest
 from flbreuil import campaign as CAM
 from flbreuil import serialize as SER
 from flbreuil.cli import main
-from flbreuil.errors import MalformedJumps, NotStrong, PrecisionMismatch, SchemaMismatch
+from flbreuil.errors import (
+    MalformedJumps,
+    NotInvertible,
+    NotStrong,
+    PrecisionMismatch,
+    SchemaMismatch,
+)
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
 from flbreuil.kisin import KisinModule, random_gls
@@ -26,8 +32,8 @@ def test_kisin_round_trip(amb3):
     K = random_gls(amb3, random.Random(1), 2)
     K2 = SER.loads(SER.dumps(K))
     assert K2.A.eq_at(K.A, amb3.cap)
-    assert K2.gls is not None
-    assert K2.gls[1] == K.gls[1]
+    assert K2.X.eq_at(K.X, amb3.cap) and K2.Y.eq_at(K.Y, amb3.cap)
+    assert K2.jumps == K.jumps
 
 
 def test_breuil_round_trip_preserves_missing_monodromy(amb3):
@@ -427,12 +433,17 @@ def test_fl_module_stores_checked_jumps(amb3):
 
 def test_kisin_module_checks_its_normal_form(amb3):
     K = random_gls(amb3, random.Random(11), 2, (0, 1))
-    X, _, Y = K.gls
-    assert KisinModule(amb3, 2, K.A, (X, [0, 1], Y)).gls[1] == (0, 1)
+    X, Y = K.X, K.Y
+    K2 = KisinModule(amb3, X, [0, 1], Y)
+    assert K2.jumps == (0, 1) and K2.A.eq_at(K.A, amb3.cap)
     with pytest.raises(MalformedJumps, match="not sorted"):
-        KisinModule(amb3, 2, K.A, (X, (1, 0), Y))
+        KisinModule(amb3, X, (1, 0), Y)
     with pytest.raises(MalformedJumps, match="do not match the rank"):
-        KisinModule(amb3, 2, K.A, (X, (0, 1), RingMatrix([[Y.entries[0][0]]])))
+        KisinModule(amb3, X, (0, 1), RingMatrix([[Y.entries[0][0]]]))
+    with pytest.raises(NotInvertible, match="GL_d"):
+        KisinModule(amb3, X.mul_p_pow(1), (0, 1), Y)
+    with pytest.raises(NotInvertible, match="GL_d"):
+        KisinModule(amb3, X, (0, 1), Y.mul_p_pow(1))
 
 
 def test_a_longer_than_f_is_rejected(tmp_path, capsys):
@@ -470,3 +481,38 @@ def test_cli_kisin_a_off_its_normal_form_is_a_usage_error(tmp_path, capsys, verb
     assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: A is not X diag(E^r_i) Y"]
+
+
+def _singular_mod_p(name):
+    """A Kisin document edit: row 0 of X (or column 0 of Y) times p, and
+    the same row (column) of A with it, so A stays X diag(E^r_i) Y."""
+    def edit(doc):
+        amb = SER.params_from_json(doc["params"])
+        data = doc["data"]
+        for m in (data["gls"][name], data["A"]):
+            rows = m["entries"]
+            cells = [(0, j) if name == "X" else (j, 0) for j in range(len(rows))]
+            for i, j in cells:
+                x = SER.series_from_json(amb, rows[i][j])
+                rows[i][j] = SER.series_to_json(x.mul_p_pow(1))
+    return edit
+
+
+@pytest.mark.parametrize("verb", [["section"], ["apply", "mfl", "--adjoin-zero-n"]])
+@pytest.mark.parametrize("edit, message", [
+    (_singular_mod_p("X"), "X and Y must lie in GL_d of the series ring"),
+    (_singular_mod_p("Y"), "X and Y must lie in GL_d of the series ring"),
+    (_set("data", "gls", None), "expected an object, got NoneType"),
+], ids=["X-singular", "Y-singular", "gls-null"])
+def test_cli_kisin_normal_form_off_gl_d_is_a_usage_error(tmp_path, capsys, verb, edit, message):
+    # both verbs read only the normal form, so the loader checks that X and
+    # Y are invertible modulo (p, u) and that the form is there at all
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "kisin-gls", "--d", "2", "--r", "2", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    edit(doc)
+    src.write_text(json.dumps(doc))
+    assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
