@@ -6,13 +6,12 @@ Lambda = diag(E^{r_1}, ..., E^{r_d}) (phi of the basis row vector is the
 basis times A).  The constructor checks the presentation and computes A.
 
 The jumps decide the class: the module is etale when every r_i is r and
-multiplicative when every r_i is 0.  The solution of A B = E^r I is
-B = Y^{-1} * diag(E^{r - r_i}) * X^{-1}, whose twisted product decides
-unipotence.  The height check reads A alone: it factors det(A) as a unit
-times a power of E by repeated synthetic division, then divides E^r times
-the adjugate by that power.  The transfer to the divided-power side reads
-the normal form, where the filtration becomes an adapted (coordinate-wise)
-condition.
+multiplicative when every r_i is 0.  Since X and Y are invertible and no
+r_i exceeds r, A B = E^r I has the solution
+B = Y^{-1} * diag(E^{r - r_i}) * X^{-1}: the module has E-height at most r
+by construction.  The twisted product of B decides unipotence.  The
+transfer to the divided-power side reads the normal form, where the
+filtration becomes an adapted (coordinate-wise) condition.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import breuil as breuil_mod
-from .errors import NotInvertible, SingularMatrix
+from .errors import NotInvertible
 from .fl import check_jumps, random_jumps
 from .matrix import RingMatrix, converges_to_zero
 from .pd import embed_sigma, pd_one, pd_zero, phi_S
-from .series import SigmaSeries, weierstrass_divide
+from .series import SigmaSeries
 
 
 def _E_diag(amb, jumps) -> RingMatrix:
@@ -50,69 +49,6 @@ class KisinModule:
         self.X = X
         self.Y = Y
         self.A = X @ _E_diag(amb, self.jumps) @ Y
-
-
-class HeightResult(namedtuple("HeightResult", "ok e_power witness", defaults=(None, None))):
-    """Verdict of the height check: on success the power s of E in det(A)
-    as ``e_power``, on failure a ``witness`` dict."""
-
-    __slots__ = ()
-
-
-def kisin_height_check(amb, A: RingMatrix) -> HeightResult:
-    """Decide whether A B = E^r I is solvable over the series ring.
-
-    det(A) must be a unit times E^s with s <= r*d, and every entry of
-    E^r * adj(A) must be divisible by det(A).  Remainder tests run at the
-    public precision N_p, so the verdict is an at-precision semidecision.
-    """
-    d = A.rows
-    at = amb.N_p
-    det, adj = A.det_adjugate()
-    if det.is_zero_at(min(at, det.prec)):
-        raise SingularMatrix("det(A) vanishes at working precision")
-    q = det
-    s = 0
-    while not q.is_unit():
-        if s >= amb.r * d:
-            return HeightResult(False, witness={"reason": "det needs more than r*d factors of E"})
-        q, rem = weierstrass_divide(q)
-        if not rem.is_zero_at(min(at, rem.prec)):
-            return HeightResult(
-                False,
-                witness={"reason": "det is not a unit times a power of E",
-                         "division": s, "remainder": rem},
-            )
-        s += 1
-    Er = amb.E_pow(amb.r)
-    for i in range(d):
-        for j in range(d):
-            y = Er * adj.entries[i][j]
-            for k in range(s):
-                y, rem = weierstrass_divide(y)
-                if not rem.is_zero_at(min(at, rem.prec)):
-                    return HeightResult(
-                        False,
-                        witness={"reason": "entry of E^r * adj(A) not divisible by det",
-                                 "entry": (i, j), "division": k, "remainder": rem},
-                    )
-    return HeightResult(True, e_power=s)
-
-
-def _check_rank(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"a Kisin module needs rank d >= 1, got {d}")
-
-
-def kisin_gls_construct(amb, X: RingMatrix, jumps, Y: RingMatrix) -> KisinModule:
-    """The module A = X * diag(E^{r_1}, ..., E^{r_d}) * Y of rank d >= 1,
-    self-checked against its height condition."""
-    _check_rank(X.rows)
-    K = KisinModule(amb, X, jumps, Y)
-    res = kisin_height_check(amb, K.A)
-    if not res.ok:
-        raise SingularMatrix(f"normal-form module failed its height check: {res.witness}")
-    return K
 
 
 KisinClassification = namedtuple("KisinClassification", "etale multiplicative unipotent")
@@ -189,9 +125,11 @@ def random_gls(amb, rng, d: int, jumps=None) -> KisinModule:
     the identity modulo (u^p/p) and the iteration converge at the stated
     rate; a plain degree-one term in Y already breaks both.
     """
-    _check_rank(d)
     if jumps is None:
         jumps = random_jumps(amb, rng, d)
+    # checked against d here: the constructor reads the rank off X, and
+    # range(d) builds an empty X for every d <= 0
+    jumps = check_jumps(amb, d, jumps)
 
     def rand_entry(crystalline_shape: bool) -> SigmaSeries:
         coeffs = []
@@ -212,4 +150,4 @@ def random_gls(amb, rng, d: int, jumps=None) -> KisinModule:
             if cand.residue_invertible():
                 return cand
 
-    return kisin_gls_construct(amb, rand_gl(False), jumps, rand_gl(True))
+    return KisinModule(amb, rand_gl(False), jumps, rand_gl(True))

@@ -24,11 +24,11 @@ are quotient rings, so the inverse is unique at working precision.
 Determinant and adjugate come from the characteristic polynomial, computed
 by Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process.
 Lett. 18, 1984) in O(d^4) ring operations, with the adjugate by
-Cayley-Hamilton in Horner form.  They need no division because their
-callers' determinants are not units: the height check factors det(A) as a
-unit times a power of E, and ``scaled_inverse`` as p^t times a unit, so
-A adj(A) = det(A) I holds exactly there.  The semilinear twists (sigma on
-W(k), phi on the series ring and on S) are passed as the entry map itself.
+Cayley-Hamilton in Horner form.  They need no division because
+``scaled_inverse``'s determinants are not units: it factors det(A) as p^t
+times a unit, so A adj(A) = det(A) I holds exactly there.  The semilinear
+twists (sigma on W(k), phi on the series ring and on S) are passed as the
+entry map itself.
 """
 
 from __future__ import annotations
@@ -165,9 +165,6 @@ class RingMatrix:
 
     def det(self):
         return _det_from(self._charpoly("determinant"))
-
-    def adjugate(self) -> "RingMatrix":
-        return self.det_adjugate()[1]
 
     def det_adjugate(self):
         """det(A) and adj(A), both from one characteristic polynomial."""

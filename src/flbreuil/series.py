@@ -23,8 +23,8 @@ entry of both factors once into one big int, every coefficient in its own
 slot, and makes each output entry one sum of big-int products, cut at
 N_u after one unpack (``FlatVector._matmul_planes``).  ``WittScalar``
 objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
-``constant``, the remainder of ``weierstrass_divide``, ``invert``'s
-starting value, ``repr`` and the constructor from a list of scalars.
+``constant``, ``invert``'s starting value, ``repr`` and the constructor
+from a list of scalars.
 """
 
 from __future__ import annotations
@@ -136,20 +136,3 @@ def series_from_ints(amb, ints, prec: int | None = None) -> SigmaSeries:
     prec = amb.cap if prec is None else prec
     return SigmaSeries(amb, [amb.ring.from_int(n, prec) for n in ints], prec)
 
-
-def weierstrass_divide(fnum: SigmaSeries) -> tuple[SigmaSeries, WittScalar]:
-    """Synthetic division by E(u) = u + p*a: fnum = q*E + rem with rem in W(k)."""
-    amb = fnum.amb
-    ring = amb.ring
-    k = fnum.prec
-    if not fnum.planes[0]:
-        return SigmaSeries(amb, [], k), ring.zero(k)
-    cols = list(zip(*fnum.planes))
-    one, neg_pa = ring.one().coeffs, amb.neg_pa.coeffs
-    q = [None] * (len(cols) - 1)
-    carry = cols[-1]
-    for i in range(len(cols) - 1, 0, -1):
-        q[i - 1] = carry
-        # carry = c_(i-1) - p*a * carry, as one product kernel call
-        carry = ring._dot_tuple(((one, cols[i - 1]), (neg_pa, carry)), k)
-    return SigmaSeries(amb, (), k, ring.to_planes(q, k)), WittScalar(ring, carry, k)

@@ -22,7 +22,7 @@ from flbreuil.functors import (
     section_compute,
     tensor_membership_via_section,
 )
-from flbreuil.kisin import kisin_gls_construct, kisin_to_breuil, random_gls
+from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
     eval_f0,
@@ -77,7 +77,7 @@ def test_section_telescopes(amb3, amb5):
 def test_section_rank_one_unit_module(amb3):
     # s = 0: the unit module, section is (1) with zero iterations
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
-    B = kisin_to_breuil(kisin_gls_construct(amb3, I1, (0,), I1))
+    B = kisin_to_breuil(KisinModule(amb3, I1, (0,), I1))
     sec = section_compute(B)
     assert sec.iterations == 0
     assert sec.Bmat.entries[0][0].eq_at(pd_one(amb3), amb3.N_p)
@@ -88,7 +88,7 @@ def test_section_rank_one_fixed_point_oracle(amb3):
     # where A_0 = p^s * unit; run it standalone and compare with the solver
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in (1, 2):
-        K = kisin_gls_construct(amb3, I1, (s,), I1)
+        K = KisinModule(amb3, I1, (s,), I1)
         B = kisin_to_breuil(K)
         a_b = B.Phi.entries[0][0]
         a0 = eval_f0(a_b)
@@ -256,7 +256,7 @@ def test_roundtrip_fl_enforces_unipotence_at_top(amb3):
 def test_kisin_derived_backward(amb3):
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in range(amb3.r + 1):
-        B = kisin_to_breuil(kisin_gls_construct(amb3, I1, (s,), I1))
+        B = kisin_to_breuil(KisinModule(amb3, I1, (s,), I1))
         M = breuil_to_fl(B, adjoin_zero_n=True).M
         assert M.jumps == (s,)
         assert M.Ftil.entries[0][0].is_unit()

@@ -7,14 +7,14 @@ from flbreuil.errors import NotInvertible, SingularMatrix
 from flbreuil.kisin import (
     KisinModule,
     kisin_classify,
-    kisin_gls_construct,
-    kisin_height_check,
     kisin_raw_fil_checker,
     kisin_to_breuil,
     random_gls,
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import embed_sigma, fil_valuation
+from flbreuil.series import SigmaSeries
+from height_reference import kisin_height_check
 
 
 def smat(amb, rows):
@@ -38,6 +38,16 @@ def test_height_check_examples(amb3):
     assert "unit times a power of E" in res.witness["reason"]
 
 
+def test_height_check_rejects_height_above_r(amb3):
+    # det(A) = E^(r+1) is within r*d factors of E, but E^r adj(A) has the
+    # entry E^r, which E^(r+1) does not divide
+    one = amb3.useries([1])
+    zero = amb3.useries([])
+    res = kisin_height_check(amb3, RingMatrix([[amb3.E_pow(amb3.r + 1), zero], [zero, one]]))
+    assert not res.ok
+    assert res.witness["entry"] == (0, 0) and res.witness["division"] == amb3.r
+
+
 def test_height_check_singular(amb3):
     with pytest.raises(SingularMatrix):
         kisin_height_check(amb3, smat(amb3, [[[0]]]))
@@ -45,19 +55,19 @@ def test_height_check_singular(amb3):
 
 def test_gls_construct_examples(amb3):
     I2 = RingMatrix.identity(2, amb3.useries([]), amb3.useries([1]))
-    K = kisin_gls_construct(amb3, I2, (0, 2), I2)
+    K = KisinModule(amb3, I2, (0, 2), I2)
     assert series_ints(K.A.entries[0][0]) == [1]
     assert K.A.entries[1][1].eq_at(amb3.E_series * amb3.E_series, amb3.cap)
     assert K.A.entries[0][1].degree == -1
 
     Y = smat(amb3, [[[1], [0, 1]], [[0], [1]]])
-    K = kisin_gls_construct(amb3, I2, (1, 1), Y)
+    K = KisinModule(amb3, I2, (1, 1), Y)
     # A = [[E, E*u], [0, E]] with E = u - 3
     assert K.A.entries[0][1].eq_at(amb3.E_series * amb3.useries([0, 1]), amb3.cap)
     assert K.A.entries[0][0].eq_at(amb3.E_series, amb3.cap)
 
     with pytest.raises(NotInvertible):
-        kisin_gls_construct(amb3, smat(amb3, [[[3]]]), (1,), smat(amb3, [[[1]]]))
+        KisinModule(amb3, smat(amb3, [[[3]]]), (1,), smat(amb3, [[[1]]]))
 
 
 def test_gls_always_passes_height(amb3, amb5):
@@ -66,6 +76,38 @@ def test_gls_always_passes_height(amb3, amb5):
         for _ in range(10):
             K = random_gls(amb, rng, rng.randrange(1, 4))
             assert kisin_height_check(amb, K.A).ok
+
+
+@pytest.mark.parametrize("name, d_max", [("amb3", 7), ("amb5", 5)])
+def test_height_reference_agrees_with_the_normal_form(name, d_max, request):
+    # the kernel never re-proves the height of a module it builds; the
+    # reference reads A alone (Berkowitz and synthetic division by E)
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"height:{amb.p}")
+    for d in range(1, d_max + 1):
+        K = random_gls(amb, rng, d)
+        res = kisin_height_check(amb, K.A)
+        assert res.ok and res.e_power == sum(K.jumps)
+        B, Er = normal_form_B(K)
+        assert (K.A @ B).eq_at(Er, amb.N_p)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb5"])
+def test_random_gls_takes_no_series_determinant(name, request, monkeypatch):
+    # the O(d^4) characteristic polynomial over the series ring stays out
+    # of module construction; the scalar ones of residue_invertible are cheap
+    amb = request.getfixturevalue(name)
+    charpoly = RingMatrix._charpoly
+    series_calls = []
+
+    def counted(self, what):
+        if isinstance(self.entries[0][0], SigmaSeries):
+            series_calls.append(what)
+        return charpoly(self, what)
+
+    monkeypatch.setattr(RingMatrix, "_charpoly", counted)
+    random_gls(amb, random.Random(f"no-det:{amb.p}"), 6)
+    assert series_calls == []
 
 
 def test_classify_examples(amb3):
@@ -79,6 +121,16 @@ def test_classify_examples(amb3):
     assert not c.etale and not c.multiplicative
 
 
+def normal_form_B(K):
+    """B = Y^(-1) diag(E^(r - r_i)) X^(-1), built from the E powers
+    directly, and E^r I: A B = E^r I when A has height <= r."""
+    amb, d = K.amb, K.d
+    B = K.Y.invert() @ RingMatrix(
+        [[amb.E_pow(amb.r - K.jumps[i]) if i == j else amb.useries([])
+          for j in range(d)] for i in range(d)]) @ K.X.invert()
+    return B, RingMatrix.identity(d, amb.useries([]), amb.E_pow(amb.r))
+
+
 def test_classify_reads_the_jumps(amb3, amb5):
     # etale iff B = E^r A^(-1) is residue-invertible, multiplicative iff A is
     for amb in (amb3, amb5):
@@ -87,10 +139,7 @@ def test_classify_reads_the_jumps(amb3, amb5):
             for jumps in ((0,) * d, (amb.r,) * d, None):
                 K = random_gls(amb, rng, d, jumps)
                 c = kisin_classify(K, max_steps=2)
-                B = K.Y.invert() @ RingMatrix(
-                    [[amb.E_pow(amb.r - K.jumps[i]) if i == j else amb.useries([])
-                      for j in range(d)] for i in range(d)]) @ K.X.invert()
-                Er = RingMatrix.identity(d, amb.useries([]), amb.E_pow(amb.r))
+                B, Er = normal_form_B(K)
                 assert (K.A @ B).eq_at(Er, amb.N_p)
                 assert c.etale == B.residue_invertible()
                 assert c.multiplicative == K.A.residue_invertible()
@@ -99,7 +148,7 @@ def test_classify_reads_the_jumps(amb3, amb5):
 def test_to_breuil_rank_one(amb3):
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in range(amb3.r + 1):
-        K = kisin_gls_construct(amb3, I1, (s,), I1)
+        K = KisinModule(amb3, I1, (s,), I1)
         B = kisin_to_breuil(K)
         expect = amb3.c_pow(s).mul_p_pow(s)
         assert B.Phi.entries[0][0].eq_at(expect, amb3.cap - 1)
@@ -109,7 +158,7 @@ def test_to_breuil_rank_one(amb3):
 
 def test_to_breuil_diagonal(amb3):
     I2 = RingMatrix.identity(2, amb3.useries([]), amb3.useries([1]))
-    B = kisin_to_breuil(kisin_gls_construct(amb3, I2, (0, 2), I2))
+    B = kisin_to_breuil(KisinModule(amb3, I2, (0, 2), I2))
     one = amb3.c_pow(0)
     assert B.Phi.entries[0][0].eq_at(one, amb3.cap - 1)
     assert B.Phi.entries[1][1].eq_at(amb3.c_pow(2).mul_p_pow(2), amb3.cap - 1)

@@ -4,11 +4,12 @@ import pytest
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotDivisible, NotInvertible
-from flbreuil.kisin import kisin_height_check, random_gls
+from flbreuil.kisin import random_gls
 from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse
 from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import FlatVector, WittScalar
+from height_reference import kisin_height_check
 
 sigma = WittScalar.frobenius
 
@@ -141,7 +142,7 @@ def test_det_adjugate_identity(amb3):
     for d in (1, 2, 3):
         A = RingMatrix([[amb3.ring.random(rng) for _ in range(d)] for _ in range(d)])
         det = A.det()
-        prod = A @ A.adjugate()
+        prod = A @ A.det_adjugate()[1]
         expect = wident(amb3, d).scale(det)
         assert prod.eq_at(expect, amb3.cap)
 

@@ -131,15 +131,6 @@ def test_cli_gen_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_cli_gen_rank_zero_is_a_usage_error(tmp_path, capsys):
-    out = tmp_path / "k.json"
-    assert main(["gen", "kisin-gls", "--d", "0", "--out", str(out)]) == 2
-    assert main(["gen", "breuil-from-kisin", "--d", "0", "--out", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: a Kisin module needs rank d >= 1, got 0"] * 2
-
-
 def test_cli_gen_negative_rank_names_the_rank(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert main(["gen", "fl", "--d", "-1", "--out", str(out)]) == 2
@@ -147,13 +138,22 @@ def test_cli_gen_negative_rank_names_the_rank(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: rank must be at least 0, got -1"]
 
 
-def test_zero_rank_det_and_gls_raise(amb3):
+@pytest.mark.parametrize("kind", ["kisin-gls", "breuil-from-kisin"])
+def test_cli_gen_kisin_negative_rank_names_the_rank(tmp_path, capsys, kind):
+    # an empty range(-1) would build a rank-0 module; the rank is checked first
+    out = tmp_path / "k.json"
+    assert main(["gen", kind, "--d", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: rank must be at least 0, got -1"]
+
+
+def test_zero_rank_det_and_negative_rank_gls_raise(amb3):
     from flbreuil.matrix import RingMatrix
 
     with pytest.raises(ValueError):
         RingMatrix([]).det()
-    with pytest.raises(ValueError):
-        random_gls(amb3, random.Random(0), 0)
+    with pytest.raises(MalformedJumps, match="rank must be at least 0, got -1"):
+        random_gls(amb3, random.Random(0), -1)
 
 
 def test_cli_section_suite_error_names_the_class(tmp_path):
@@ -422,6 +422,22 @@ def test_cli_rank_zero_breuil_module_passes_section_and_mfl(tmp_path):
     sec = json.loads(s.read_text())["data"]
     assert sec["iterations"] == 0 and sec["exact"]
     assert main(["apply", "mfl", "--in", str(b), "--out", str(m)]) == 0
+    M = SER.load(str(m))
+    assert isinstance(M, FLModule) and M.d == 0 and M.jumps == ()
+
+
+@pytest.mark.parametrize("kind", ["kisin-gls", "breuil-from-kisin"])
+def test_cli_rank_zero_kisin_module_passes_section_and_mfl(tmp_path, kind):
+    # one rank rule for all three module kinds: d >= 0
+    k = tmp_path / "k.json"
+    s = tmp_path / "s.json"
+    m = tmp_path / "m.json"
+    assert main(["gen", kind, "--d", "0", "--out", str(k)]) == 0
+    assert SER.load(str(k)).d == 0
+    assert main(["section", "--in", str(k), "--out", str(s)]) == 0
+    sec = json.loads(s.read_text())["data"]
+    assert sec["iterations"] == 0 and sec["exact"]
+    assert main(["apply", "mfl", "--in", str(k), "--adjoin-zero-n", "--out", str(m)]) == 0
     M = SER.load(str(m))
     assert isinstance(M, FLModule) and M.d == 0 and M.jumps == ()
 

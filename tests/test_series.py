@@ -3,11 +3,8 @@ import random
 import pytest
 
 from flbreuil.errors import NotAUnit, PrecisionExhausted
-from flbreuil.series import (
-    SigmaSeries,
-    series_from_ints,
-    weierstrass_divide,
-)
+from flbreuil.series import SigmaSeries, series_from_ints
+from height_reference import weierstrass_divide
 
 
 def ints(s):
