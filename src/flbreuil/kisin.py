@@ -102,7 +102,7 @@ def kisin_raw_fil_checker(K: KisinModule):
     A = X Lambda Y the module's own matrix, must have filtration valuation
     at least r: ``adapted_level`` of those components with jumps 0, capped
     at r, reaches r.  Independent of the adapted shortcut: it inverts
-    embed(Y) over S by Gauss-Jordan elimination and multiplies out.
+    embed(Y) over S (``RingMatrix.invert``) and multiplies out.
     """
     amb = K.amb
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()

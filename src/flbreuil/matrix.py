@@ -4,31 +4,40 @@ A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
 entry type has the same arithmetic, precision and residue-field interface.
 Products take one of two paths, picked by the operands.  A product of
-rows with one vector (``matvec``, with or without ``bound``, and the steps
-of Berkowitz's recursion) is the entry type's fused ``dot`` per entry: one
-unreduced accumulator for all the pair products of a row and a column, one
-fold through m(T) and one reduction at the lowest precision of both rows.
-A product of two matrices (``@``) is the entry type's ``matmul``: over W(k)
-that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
-kernel (``FlatVector._matmul_planes``), which packs each entry of both
-factors once into one big int and makes each output entry one sum of
-big-int products, equal to ``dot`` in planes, precision and tail_dirty
-flag.  Only a matrix product reuses each packed entry across a whole row
-or column of outputs; the short, bounded and single products of the
-``dot`` path are faster unpacked.
+rows with one vector (``matvec``, with or without ``bound``) is the entry
+type's fused ``dot`` per entry: one unreduced accumulator for all the pair
+products of a row and a column, one fold through m(T) and one reduction at
+the lowest precision of both rows.  A product of two matrices (``@``) is
+the entry type's ``matmul``: over W(k) that is ``dot`` per entry, and over
+W(k)[[u]] and S it is the packed kernel (``FlatVector._matmul_planes``),
+which packs each entry of both factors once into one big int and makes
+each output entry one sum of big-int products, equal to ``dot`` in planes,
+precision and tail_dirty flag.  Only a matrix product reuses each packed
+entry across a whole row or column of outputs; the short, bounded and
+single products of the ``dot`` path are faster unpacked.
 
-The inverse is by Gauss-Jordan elimination on unit pivots, in O(d^3) ring
-operations.  W(k), truncated W(k)[[u]] and truncated S are local, so a unit
-pivot exists at every step exactly when A is residue-invertible; and they
-are quotient rings, so the inverse is unique at working precision.
-Determinant and adjugate come from the characteristic polynomial, computed
-by Berkowitz's division-free recursion (S. J. Berkowitz, Inf. Process.
-Lett. 18, 1984) in O(d^4) ring operations, with the adjugate by
-Cayley-Hamilton in Horner form.  They need no division because
-``scaled_inverse``'s determinants are not units: it factors det(A) as p^t
-times a unit, so A adj(A) = det(A) I holds exactly there.  The semilinear
-twists (sigma on W(k), phi on the series ring and on S) are passed as the
-entry map itself.
+Every inverse comes from one elimination (``_diagonalise``), in O(d^3)
+ring operations: L A R = diag(p^v_c u_c) with units u_c.  Step c takes the
+first unit of column c in rows >= c, and when there is none an entry
+p^v u (u a unit) of the remaining block whose v is the least valuation
+there, so that p^v divides the whole block.  Row operations clear the
+pivot's column below it, column operations its row to its right.  With k
+the lowest precision among A's entries, a multiplier y / (p^v u) is only
+known mod p^(k-v), but it multiplies entries that p^v divides, so it is
+read at precision k and the block loses no digit (the precision argument
+of Caruso, Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput.
+Math. 17A, 2014).  Then p^s A^(-1) = R diag(p^(s - v_c) u_c^(-1)) L:
+``scaled_inverse`` gives Breuil's p^r Phi^(-1) and the section's
+p^r A_0^(-1), ``invert`` is the case s = 0, and ``residue_invertible``
+eliminates the one-digit lifts of the residues.  W(k), truncated
+W(k)[[u]] and truncated S are local, so a unit pivot exists at every step
+exactly when A is residue-invertible; and they are quotient rings, so the
+inverse is unique at working precision.  The elimination is right to
+k - 2 max(v_c) + s digits, but ``scaled_inverse`` keeps min(cap, k - 2t + s)
+of them, t = sum v_c = v_p(det A): that is what the determinant route
+adj(A) det(A)^(-1) certifies, and the CLI's output bytes are fixed at it.
+The semilinear twists (sigma on W(k), phi on the series ring and on S) are
+passed as the entry map itself.
 """
 
 from __future__ import annotations
@@ -127,103 +136,35 @@ class RingMatrix:
     def is_zero_at(self, k: int) -> bool:
         return all(x.is_zero_at(k) for row in self.entries for x in row)
 
-    # --- characteristic polynomial, determinant, adjugate, inversion ---
-
-    def _charpoly(self, what: str) -> list:
-        """[c_1, ..., c_d] with det(tI - A) = t^d + c_1 t^(d-1) + ... + c_d.
-
-        Berkowitz's recursion: with A split as [[a, R], [C, M]], the
-        coefficient vector of A is the lower triangular Toeplitz matrix with
-        first column (1, -a, -RC, -RMC, ..., -RM^(n-1)C) times that of M
-        (n = size of M).  It runs from the trailing 1x1 corner outwards, with
-        ring operations only, so it is exact in every truncated ring.
-        """
-        if self.rows != self.cols:
-            raise ValueError(f"{what} of a non-square matrix")
-        if not self.rows:
-            raise ValueError(f"{what} of a 0x0 matrix: no entry gives the ring")
-        a = self.entries
-        d = self.rows
-        cs = []
-        for k in range(d - 1, -1, -1):
-            n = d - 1 - k
-            row = a[k][k + 1:]
-            M = [a[i][k + 1:] for i in range(k + 1, d)]
-            v = [a[i][k] for i in range(k + 1, d)]
-            w = [a[k][k]]                      # w_1 = a, w_(j+2) = R M^j C
-            for j in range(n):
-                w.append(_dot(row, v))
-                if j + 1 < n:
-                    v = [_dot(mrow, v) for mrow in M]
-            # c'_i = c_i - (w_i + sum over 0 < j < i of w_j c_(i-j)), c_(n+1) = 0
-            new = []
-            for i in range(1, n + 2):
-                acc = w[i - 1] + _dot(w[:i - 1], cs[i - 2::-1]) if i > 1 else w[0]
-                new.append(cs[i - 1] - acc if i <= n else -acc)
-            cs = new
-        return cs
-
-    def det(self):
-        return _det_from(self._charpoly("determinant"))
-
-    def det_adjugate(self):
-        """det(A) and adj(A), both from one characteristic polynomial."""
-        cs = self._charpoly("adjugate")
-        return _det_from(cs), _adjugate_from(self, cs)
+    # --- inversion ---
 
     def residue_invertible(self) -> bool:
-        """Invertibility: the determinant of the residues is nonzero.
-
-        The determinant is taken over W(k) at one digit, on the lifts of
-        the entries' residues, so it costs scalar arithmetic only."""
+        """Invertibility modulo the maximal ideal: the elimination of the
+        one-digit lifts of the entries' residues finds a unit pivot at every
+        step.  It runs over W(k) at one digit, so it costs scalar arithmetic
+        only."""
         if self.rows != self.cols:
             return False
         if not self.rows:
             return True
         lifts = RingMatrix([[x.ring.make(x.residue(), 1) for x in row] for row in self.entries])
-        return lifts.det().is_unit()
+        try:
+            _diagonalise(lifts, 1)
+        except SingularMatrix:
+            return False
+        return True
 
     def invert(self) -> "RingMatrix":
-        """Two-sided inverse by Gauss-Jordan elimination on unit pivots.
-
-        Column c takes the first row at or below c whose entry there is a
-        unit, scales it by that entry's inverse and clears column c in every
-        other row of [A | I].  Over a local ring a unit pivot exists at every
-        step exactly when A is residue-invertible.  The result is at the
-        lowest precision among A's entries, where it is the unique inverse."""
+        """Two-sided inverse: ``scaled_inverse`` with scale p^0.  It exists
+        exactly when every pivot of the elimination is a unit, that is when A
+        is residue-invertible, and comes back at the lowest precision among
+        A's entries, where it is the unique inverse."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
-        d = self.rows
-        if not d:
-            return self
-        # the inverse mod p^k reads A only mod p^k, so all of [A | I] is cut
-        # to k first: the ints stay short and so do the pivots' inverses
-        k = min(x.prec for row in self.entries for x in row)
-        x0 = self.entries[0][0]
-        f = x0.ring.f
-        one = x0.lift_residue((1,) + (0,) * (f - 1)).truncate(k)
-        zero = x0.lift_residue((0,) * f).truncate(k)
-        aug = [[x.truncate(k) for x in row] + [one if j == i else zero for j in range(d)]
-               for i, row in enumerate(self.entries)]
-        for c in range(d):
-            piv = next((i for i in range(c, d) if aug[i][c].is_unit()), None)
-            if piv is None:
-                raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            prow = aug[c]
-            inv = prow[c].invert()
-            # columns below c are cleared in every row, and column c is only
-            # read as a multiplier, so only the nonzero columns past c move
-            live = [j for j in range(c + 1, 2 * d) if not _is_zero(prow[j])]
-            for j in live:
-                prow[j] = prow[j] * inv
-            for i, row in enumerate(aug):
-                m = row[c]
-                if i == c or _is_zero(m):
-                    continue
-                for j in live:
-                    row[j] = row[j] - m * prow[j]
-        return RingMatrix([row[d:] for row in aug])
+        try:
+            return scaled_inverse(self, 0)
+        except (SingularMatrix, PrecisionExhausted, NotDivisible):
+            raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal") from None
 
 
 def _dot(xs, ys, bound: int | None = None):
@@ -241,53 +182,102 @@ def _is_zero(x) -> bool:
     return x.is_zero_at(x.prec)
 
 
-def _det_from(cs):
-    """det(A) = (-1)^d c_d."""
-    return -cs[-1] if len(cs) % 2 else cs[-1]
-
-
-def _adjugate_from(A: RingMatrix, cs) -> RingMatrix:
-    """Cayley-Hamilton in Horner form:
-    adj(A) = (-1)^(d-1) (A^(d-1) + c_1 A^(d-2) + ... + c_(d-1) I)."""
+def _diagonalise(A: RingMatrix, k: int):
+    """L (as rows), R (as columns) and the pivots (v_c, u_c^(-1)) with
+    L A R = diag(p^v_c u_c) mod p^k, by the elimination of the module
+    docstring.  Raises SingularMatrix when no pivot is left or sum v_c
+    reaches k, where det(A) vanishes."""
     d = A.rows
-    if d == 1:
-        x = A.entries[0][0]
-        return RingMatrix([[x.lift_residue((1,) + (0,) * (x.ring.f - 1))]])
-    B = _plus_diag(A, cs[0])
-    for c in cs[1:-1]:
-        B = _plus_diag(A @ B, c)
-    return -B if d % 2 == 0 else B
+    x0 = A.entries[0][0]
+    one = x0.lift_residue((1,) + (0,) * (x0.ring.f - 1)).truncate(k)
+    zero = one - one
+    a = [[x.truncate(k) for x in row] for row in A.entries]
+    L = [[one if j == i else zero for j in range(d)] for i in range(d)]
+    R = [row[:] for row in L]
+    pivots, t = [], 0
+    for c in range(d):
+        i, j, v = next(((i, c, 0) for i in range(c, d) if a[i][c].is_unit()), (None,) * 3)
+        if i is None:
+            block = [(a[i][j].valuation(), i, j) for i in range(c, d) for j in range(c, d)]
+            v = min(block)[0]
+            if t + v >= k:
+                raise SingularMatrix("determinant vanishes at working precision")
+            i, j = next(((i, j) for w, i, j in block
+                         if w == v and a[i][j].div_p_exact(v).is_unit()), (None, None))
+            if i is None:
+                raise SingularMatrix("determinant is not p-power times a unit")
+            t += v
+        for row in a[c:]:
+            row[c], row[j] = row[j], row[c]
+        R[c], R[j] = R[j], R[c]
+        a[c], a[i] = a[i], a[c]
+        L[c], L[i] = L[i], L[c]
+        prow, lrow, rcol = a[c], L[c], R[c]
+        uinv = prow[c].div_p_exact(v).invert()
+        pivots.append((v, uinv))
+        # only the nonzero entries of the pivot's row, of its row of L and
+        # of its column of R move anything
+        live = [j for j in range(c + 1, d) if not _is_zero(prow[j])]
+        llive = [j for j in range(d) if not _is_zero(lrow[j])]
+        rlive = [j for j in range(d) if not _is_zero(rcol[j])]
+        for row, lr in zip(a[c + 1:], L[c + 1:]):
+            if not _is_zero(row[c]):
+                m = _quotient(row[c], v, uinv, k)
+                for j in live:
+                    row[j] = row[j] - m * prow[j]
+                for j in llive:
+                    lr[j] = lr[j] - m * lrow[j]
+        for j in live:
+            n, col = _quotient(prow[j], v, uinv, k), R[j]
+            for i in rlive:
+                col[i] = col[i] - n * rcol[i]
+    return L, pivots, R
 
 
-def _plus_diag(B: RingMatrix, c) -> RingMatrix:
-    """B + c I, adding c on the diagonal."""
-    return RingMatrix([[x + c if i == j else x for j, x in enumerate(row)]
-                       for i, row in enumerate(B.entries)])
+def _quotient(y, v: int, uinv, k: int):
+    """y / (p^v u) for y divisible by p^v: right mod p^(k-v), read at k."""
+    return _read_at(y.div_p_exact(v) * uinv, k)
+
+
+def _read_at(x, k: int):
+    """x with its stored ints read at precision k >= x.prec."""
+    return x if x.prec == k else x._map(lambda xs: xs, k)
 
 
 def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
-    """Integral matrix equal to p^scale_pow * A^(-1), via det = p^t * unit.
+    """Integral matrix equal to p^s A^(-1) (s = ``scale_pow``).
 
-    Raises SingularMatrix when det vanishes at precision, NotDivisible when
-    p^scale_pow * A^(-1) fails to be integral.  A 0x0 matrix is its own
-    inverse, as in ``RingMatrix.invert``.
+    With L A R = diag(p^v_c u_c) (``_diagonalise``, at the lowest precision
+    k among A's entries) it is R diag(p^(s - v_c) u_c^(-1)) L, certified to
+    min(cap, k - 2t + s) digits, t = sum v_c = v_p(det A).  Raises
+    SingularMatrix when the elimination finds no pivot or t >= k,
+    PrecisionExhausted when t > s and k - 2t + s < 1, and NotDivisible when
+    some v_c > s, so that p^s A^(-1) is not integral.  A 0x0 matrix is its
+    own inverse, as in ``RingMatrix.invert``.
     """
+    if A.rows != A.cols:
+        raise ValueError("scaled inverse of a non-square matrix")
     if not A.rows:
         return A
-    det, adj = A.det_adjugate()
-    t = 0
-    while not det.is_unit():
-        try:
-            det = det.div_p_exact(1)
-        except NotDivisible:
-            raise SingularMatrix("determinant is not p-power times a unit") from None
-        except PrecisionExhausted:
-            raise SingularMatrix("determinant vanishes at working precision") from None
-        t += 1
-    num = adj.scale(det.invert())
-    if scale_pow >= t:
-        return num.mul_p_pow(scale_pow - t)
-    return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))
+    s = scale_pow
+    k = min(x.prec for row in A.entries for x in row)
+    L, pivots, R = _diagonalise(A, k)
+    t = sum(v for v, _ in pivots)
+    top = max(v for v, _ in pivots)
+    prec = min(A.entries[0][0].ring.cap, k - 2 * t + s)
+    if t > s and prec < 1:
+        raise PrecisionExhausted(f"division by p^{t - s} from precision {k - t}")
+    if top > s:
+        raise NotDivisible(f"not divisible by p^{t - s}")
+    # R diag(p^(top - v_c) u_c^(-1)) L = p^top A^(-1), right to k - top digits
+    scaled = RingMatrix([[_read_at(uinv, k).mul_p_pow(top - v) * x for x in row]
+                         for (v, uinv), row in zip(pivots, L)])
+    out = RingMatrix(R).transpose() @ scaled
+    if top:
+        out = out.truncate(k - top)
+    if s > top:
+        out = out.mul_p_pow(s - top)
+    return out.truncate(prec)
 
 
 class ConvergenceVerdict(namedtuple("ConvergenceVerdict", "zero steps witness",

@@ -27,15 +27,15 @@ t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
 nonzero coefficient); the indices above it are zero.  Products take two
 paths.  A product, or a sum of products (``PDElement.dot``: an entry of
-``RingMatrix.matvec``, a step of Berkowitz's recursion), is one integer
-convolution per pair with the binomials C(i+j, i) as weights, all into one
-accumulator, then one fold of the T-degrees f .. 2f-2 through m(T) and one
-reduction mod p^prec (``FlatVector._dot_planes``); a single product is its
-row of length one.  Coefficient m of a product reads only the coefficients
-<= m of its factors, so a ``bound`` on ``dot`` (and on
-``RingMatrix.matvec`` over S) computes just the coefficients below it,
-exactly as in the full product: the filtration tests read only the
-coefficients below the level they test.  For f > 1 each operand's f lists
+``RingMatrix.matvec``), is one integer convolution per pair with the
+binomials C(i+j, i) as weights, all into one accumulator, then one fold
+of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
+(``FlatVector._dot_planes``); a single product is its row of length
+one.  Coefficient m of a product reads only the coefficients <= m of its
+factors, so a ``bound`` on ``dot`` (and on ``RingMatrix.matvec`` over S)
+computes just the coefficients below it, exactly as in the full product:
+the filtration tests read only the coefficients below the level they
+test.  For f > 1 each operand's f lists
 are packed into one int per coefficient, list t at bits t*W and up; the
 slot width W covers the largest binomial weight (``comb_max``), so the
 unpacked slots are exactly the f^2 per-list convolutions

@@ -8,7 +8,8 @@ identifier, or inside a quoted annotation.
 
 The dead-code check collects every identifier, attribute name and imported
 name of the kernel, the tests and the benchmark harness, and fails on a
-module-level ``def`` or ``class`` of the kernel whose name is none of them.
+module-level ``def`` or ``class`` of the kernel, or a method of one of its
+classes other than a dunder, whose name is none of them.
 
 Every CLI step is a fresh interpreter, so what ``import flbreuil.cli``
 loads is paid on each start: it must load neither the process pool, which
@@ -76,15 +77,26 @@ def _referenced(paths) -> set:
     return out
 
 
+def _definitions(tree):
+    """The module-level defs and classes, and the methods of each class but
+    the dunders, which Python calls by protocol."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, defs)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def test_no_unreferenced_top_level_definition():
     referenced = _referenced([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
                               *(ROOT / "perfbench").glob("*.py")])
     unreferenced = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in referenced
+        for node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if node.name not in referenced
     ]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
 

@@ -13,7 +13,6 @@ from flbreuil.kisin import (
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import embed_sigma, fil_valuation
-from flbreuil.series import SigmaSeries
 from height_reference import kisin_height_check
 
 
@@ -90,24 +89,6 @@ def test_height_reference_agrees_with_the_normal_form(name, d_max, request):
         assert res.ok and res.e_power == sum(K.jumps)
         B, Er = normal_form_B(K)
         assert (K.A @ B).eq_at(Er, amb.N_p)
-
-
-@pytest.mark.parametrize("name", ["amb3", "amb5"])
-def test_random_gls_takes_no_series_determinant(name, request, monkeypatch):
-    # the O(d^4) characteristic polynomial over the series ring stays out
-    # of module construction; the scalar ones of residue_invertible are cheap
-    amb = request.getfixturevalue(name)
-    charpoly = RingMatrix._charpoly
-    series_calls = []
-
-    def counted(self, what):
-        if isinstance(self.entries[0][0], SigmaSeries):
-            series_calls.append(what)
-        return charpoly(self, what)
-
-    monkeypatch.setattr(RingMatrix, "_charpoly", counted)
-    random_gls(amb, random.Random(f"no-det:{amb.p}"), 6)
-    assert series_calls == []
 
 
 def test_classify_examples(amb3):

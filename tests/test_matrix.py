@@ -3,13 +3,22 @@ import random
 import pytest
 
 from flbreuil.ambient import AmbientParams
-from flbreuil.errors import NotDivisible, NotInvertible
-from flbreuil.kisin import random_gls
+from flbreuil.breuil import rebase
+from flbreuil.campaign import random_congruent_identity
+from flbreuil.errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
+from flbreuil.fl import random_fl
+from flbreuil.functors import f0_matrix, fl_to_breuil
+from flbreuil.kisin import kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse
 from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import FlatVector, WittScalar
-from height_reference import kisin_height_check
+from height_reference import (
+    berkowitz_det,
+    berkowitz_det_adjugate,
+    berkowitz_scaled_inverse,
+    kisin_height_check,
+)
 
 sigma = WittScalar.frobenius
 
@@ -137,13 +146,95 @@ def test_scaled_inverse(amb3):
         scaled_inverse(wmat(amb3, [[27]]), 2)  # p^2 / p^3 is not integral
 
 
+def _pdiag(amb, vals):
+    return wmat(amb, [[amb.p ** v if i == j else 0 for j in range(len(vals))]
+                      for i, v in enumerate(vals)])
+
+
+@pytest.mark.parametrize("vals, s, outcome", [
+    ((28, 28), 0, SingularMatrix),        # t = 56 >= k = 29
+    ((29,), 0, SingularMatrix),           # a zero 1x1: no pivot
+    ((10, 10), 10, PrecisionExhausted),   # t > s and k - 2t + s = -1
+    ((3,), 2, NotDivisible),              # v = 3 > s
+    ((7, 7), 7, 8),                       # k - 2t + s = 8 digits kept
+], ids=["t-at-k", "zero", "exhausted", "not-integral", "eight-digits"])
+def test_scaled_inverse_contract(vals, s, outcome):
+    # p = 3, r = 1: every entry at the cap k = 29
+    amb = AmbientParams(3, 1)
+    assert amb.cap == 29
+    A = _pdiag(amb, vals)
+    if not isinstance(outcome, int):
+        with pytest.raises(outcome):
+            scaled_inverse(A, s)
+        return
+    out = scaled_inverse(A, s)
+    assert {x.prec for row in out.entries for x in row} == {outcome}
+    assert out.eq_at(wident(amb, len(vals)), outcome)
+
+
+def test_scaled_inverse_contract_edges():
+    amb = AmbientParams(3, 1)
+    with pytest.raises(ValueError):
+        scaled_inverse(wmat(amb, [[1, 2]]), 1)
+    empty = RingMatrix([])
+    assert scaled_inverse(empty, 1) is empty
+
+
+def _outcome(fn, A, s):
+    """The exception class fn raises, or the stored ints, precision and
+    tail_dirty flag of every entry of its result."""
+    try:
+        out = fn(A, s)
+    except (SingularMatrix, PrecisionExhausted, NotDivisible) as exc:
+        return type(exc)
+    return [[_key(x) for x in row] for row in out.entries]
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_scaled_inverse_matches_the_determinant_route_over_w(name, request):
+    # X diag(p^t_i) Y cut to a random precision, against adj(A) det(A)^(-1)
+    # with p^t factored out of det(A): ints, precision or exception class
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"scaled:{name}")
+    seen = set()
+    for _ in range(120):
+        d = rng.randrange(1, 5)
+        X = Y = None
+        while X is None or not X.residue_invertible():
+            X = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+        while Y is None or not Y.residue_invertible():
+            Y = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
+        ts = [rng.choice((0, 0, 1, 2, 3, 7, 20)) for _ in range(d)]
+        A = (X @ _pdiag(amb, ts) @ Y).truncate(rng.randrange(10, amb.cap + 1))
+        s = rng.randrange(0, 8)
+        got = _outcome(scaled_inverse, A, s)
+        assert got == _outcome(berkowitz_scaled_inverse, A, s)
+        seen.add(got if isinstance(got, type) else "ok")
+    assert seen == {"ok", SingularMatrix, PrecisionExhausted, NotDivisible}
+    # f_0 of the Breuil Frobenius of a Kisin module, at s = r
+    for d in range(1, 5):
+        A0 = f0_matrix(kisin_to_breuil(random_gls(amb, rng, d)).Phi)
+        got = _outcome(scaled_inverse, A0, amb.r)
+        assert not isinstance(got, type) and got == _outcome(berkowitz_scaled_inverse, A0, amb.r)
+
+
+def test_scaled_inverse_matches_the_determinant_route_over_s(amb3):
+    # Phi of modules from the three constructions, at s = r
+    rng = random.Random("scaled:S")
+    for d in (1, 2, 3):
+        B = fl_to_breuil(random_fl(amb3, rng, d))
+        for Phi in (B.Phi, rebase(B, random_congruent_identity(amb3, rng, d)).Phi,
+                    kisin_to_breuil(random_gls(amb3, rng, d)).Phi):
+            got = _outcome(scaled_inverse, Phi, amb3.r)
+            assert not isinstance(got, type) and got == _outcome(berkowitz_scaled_inverse, Phi, amb3.r)
+
+
 def test_det_adjugate_identity(amb3):
     rng = random.Random(3)
     for d in (1, 2, 3):
         A = RingMatrix([[amb3.ring.random(rng) for _ in range(d)] for _ in range(d)])
-        det = A.det()
-        prod = A @ A.det_adjugate()[1]
-        expect = wident(amb3, d).scale(det)
+        prod = A @ berkowitz_det_adjugate(A)[1]
+        expect = wident(amb3, d).scale(berkowitz_det(A))
         assert prod.eq_at(expect, amb3.cap)
 
 
@@ -185,9 +276,9 @@ def same(x, y) -> bool:
 
 
 def assert_matches_cofactor(A):
-    det, adj = A.det_adjugate()
-    assert same(det, cofactor_det(A.entries))
-    assert same(A.det(), det)
+    dA, adj = berkowitz_det_adjugate(A)
+    assert same(dA, cofactor_det(A.entries))
+    assert same(berkowitz_det(A), dA)
     ref = cofactor_adjugate(A)
     for row, ref_row in zip(adj.entries, ref.entries):
         for x, y in zip(row, ref_row):
@@ -224,9 +315,9 @@ def test_det_p_power_times_unit_matches_cofactor(amb3, amb9):
                             for i in range(d)])
             A = X @ D @ Y
             assert_matches_cofactor(A)
-            det = A.det()
-            assert det.valuation() == sum(ts)
-            assert det.div_p_exact(sum(ts)).is_unit()
+            dA = berkowitz_det(A)
+            assert dA.valuation() == sum(ts)
+            assert dA.div_p_exact(sum(ts)).is_unit()
             assert A.residue_invertible() == (sum(ts) == 0)
 
 
@@ -253,25 +344,28 @@ def test_invert_series_rank_4_to_6(amb3):
         assert (inv @ A).eq_at(ident, amb3.cap)
 
 
+def _key(x):
+    """The stored ints, the precision and, over S, the tail_dirty flag."""
+    ints = x.coeffs if isinstance(x, WittScalar) else x.planes
+    return ints, x.prec, getattr(x, "tail_dirty", None)
+
+
 def _same_entries(X: RingMatrix, Y: RingMatrix) -> bool:
     """Entrywise equality of the stored ints, the precision and, over S,
     the tail_dirty flag."""
-    def key(x):
-        ints = x.coeffs if isinstance(x, WittScalar) else x.planes
-        return ints, x.prec, getattr(x, "tail_dirty", None)
-    return [[key(x) for x in row] for row in X.entries] == \
-        [[key(y) for y in row] for row in Y.entries]
+    return [[_key(x) for x in row] for row in X.entries] == \
+        [[_key(y) for y in row] for row in Y.entries]
 
 
 def _berkowitz_inverse(A: RingMatrix) -> RingMatrix:
-    det, adj = A.det_adjugate()
-    return adj.scale(det.invert())
+    dA, adj = berkowitz_det_adjugate(A)
+    return adj.scale(dA.invert())
 
 
 @pytest.mark.parametrize("kind", ["w", "w-f2", "series", "pd-near-identity", "pd-full"])
 def test_invert_matches_berkowitz(kind, amb3, amb9):
-    # Gauss-Jordan against adj(A) * det(A)^(-1): the same planes, precision
-    # and tail_dirty flag, d = 1 .. 6
+    # the elimination against adj(A) * det(A)^(-1): the same planes,
+    # precision and tail_dirty flag, d = 1 .. 6
     amb = amb9 if kind == "w-f2" else amb3
     ring = amb.ring
     rng = random.Random(f"gj:{kind}")
@@ -329,13 +423,9 @@ def test_rank_zero(amb3):
     inv = empty.invert()
     assert (inv.rows, inv.cols) == (0, 0)
     assert empty.residue_invertible()
-    with pytest.raises(ValueError):
-        empty.det()
 
 
 def test_det_rejects_non_square_and_denominators(amb3):
-    with pytest.raises(ValueError):
-        wmat(amb3, [[1, 2]]).det()
     with pytest.raises(NotInvertible):
         wmat(amb3, [[1, 2]]).invert()
     assert not wmat(amb3, [[1, 2]]).residue_invertible()
