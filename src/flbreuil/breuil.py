@@ -287,7 +287,9 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
 
 def random_fil_member(B: BreuilModule, rng, n: int):
     """Random element of Fil^n with coefficients kept away from the
-    precision boundary (exact zeros or valuation <= 2)."""
+    precision boundary (exact zeros or valuation <= 2).  Per body index:
+    zero coin ``random() < 0.3``, else a valuation from 2 bits and a unit
+    f-tuple of bit_length(p^cap)-bit draws (``pd_random_calibrated``)."""
     amb = B.amb
     y = []
     for j in range(B.d):
@@ -299,7 +301,9 @@ def random_fil_member(B: BreuilModule, rng, n: int):
 
 def random_vector(B: BreuilModule, rng, max_index: int | None = None):
     """Random coordinate vector with calibrated coefficient valuations
-    (exact zeros or valuation <= 2)."""
+    (exact zeros or valuation <= 2).  Per index: zero coin
+    ``random() < 0.3``, else a valuation from 2 bits and a unit f-tuple of
+    bit_length(p^cap)-bit draws (``pd_random_calibrated``)."""
     amb = B.amb
     top = amb.N_gamma - 1 if max_index is None else max_index
     return tuple(pd_random_calibrated(amb, rng, top, 2) for _ in range(B.d))

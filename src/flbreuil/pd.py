@@ -25,17 +25,20 @@ Storage.  An element holds one precision ``prec`` and its coefficients as
 plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
-nonzero coefficient); the indices above it are zero.  Products take two
-paths.  A product, or a sum of products (``PDElement.dot``: an entry of
-``RingMatrix.matvec``), is one integer convolution per pair with the
-binomials C(i+j, i) as weights, all into one accumulator, then one fold
-of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
+nonzero coefficient); the indices above it are zero.  Products take
+three paths.  A product, or a sum of products (``PDElement.dot``: an
+entry of ``RingMatrix.matvec``), is one integer convolution per pair with
+the binomials C(i+j, i) as weights, all into one accumulator, then one
+fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
 (``FlatVector._dot_planes``); a single product is its row of length
-one.  Coefficient m of a product reads only the coefficients <= m of its
-factors, so a ``bound`` on ``dot`` (and on ``RingMatrix.matvec`` over S)
-computes just the coefficients below it, exactly as in the full product:
-the filtration tests read only the coefficients below the level they
-test.  For f > 1 each operand's f lists
+one.  When the only nonzero pair of the row has the constant one as a
+factor (an entry of a product by the identity matrix), the sum is a copy
+of the other factor, cut at the bound and reduced mod p^prec, and
+nothing is convolved.  Coefficient m of a product reads only the
+coefficients <= m of its factors, so a ``bound`` on ``dot`` (and on
+``RingMatrix.matvec`` over S) computes just the coefficients below it,
+exactly as in the full product: the filtration tests read only the
+coefficients below the level they test.  For f > 1 each operand's f lists
 are packed into one int per coefficient, list t at bits t*W and up; the
 slot width W covers the largest binomial weight (``comb_max``), so the
 unpacked slots are exactly the f^2 per-list convolutions
@@ -81,7 +84,7 @@ from __future__ import annotations
 
 from .errors import DegreeOverflow, NotInFil
 from .series import SigmaSeries
-from .witt import FlatVector, WittScalar, draw_below, trimmed
+from .witt import FlatVector, WittScalar, trimmed
 
 
 class PDElement(FlatVector):
@@ -372,19 +375,32 @@ def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
 
 def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
     """Random element whose coefficients are exact zeros (with chance 0.3)
-    or have p-valuation at most max_val.  Keeps filtration verdicts away
-    from the precision boundary so that at-precision membership tests are
-    decisive."""
+    or have p-valuation at most max_val (>= 0).  Keeps filtration verdicts
+    away from the precision boundary so that at-precision membership tests
+    are decisive.
+
+    Stream, per index below min(max_index, N_gamma): the zero coin
+    ``rng.random() < 0.3``; else the valuation v in [0, max_val], drawn
+    with (max_val+1).bit_length() bits, and then an f-tuple of
+    bit_length(p^cap)-bit draws, each redrawn while >= p^cap, the whole
+    tuple redrawn while it holds no unit; the coefficient is p^v times it."""
+    if max_val < 0:
+        raise ValueError(f"negative valuation bound {max_val}")
     ring = amb.ring
     cap = amb.cap
     mod = ring.pk[cap]
+    coin, getrandbits, draw = rng.random, rng.getrandbits, ring._draw
+    val_bits = (max_val + 1).bit_length()
     planes = tuple([] for _ in range(ring.f))
     for _ in range(min(max_index, amb.N_gamma)):
-        if rng.random() < 0.3:
+        if coin() < 0.3:
             for pl in planes:
                 pl.append(0)
         else:
-            q = ring.pk[min(draw_below(rng, max_val + 1), cap)]
-            for pl, c in zip(planes, ring._random_unit_tuple(rng, cap)):
+            v = getrandbits(val_bits)
+            while v > max_val:
+                v = getrandbits(val_bits)
+            q = ring.pk[min(v, cap)]
+            for pl, c in zip(planes, draw(getrandbits, cap, True)):
                 pl.append(c * q % mod)
     return PDElement(amb, (), False, cap, planes)

@@ -10,13 +10,15 @@ plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.
-Products take two paths, as in S.  A product, or a whole sum of products
-(``SigmaSeries.dot``: an entry of ``RingMatrix.matvec``), is one integer
-convolution per pair into one accumulator, one fold of the T-degrees
-f .. 2f-2 through m(T) and one reduction mod p^prec
-(``FlatVector._dot_planes``).  For f > 1 the convolution runs on the f
-lists packed into one int per coefficient, list t at bits t*W and up,
-with a slot width W that no sum can overflow (``WittRing.dot_acc``).
+Products take three paths, as in S.  A product, or a whole sum of
+products (``SigmaSeries.dot``: an entry of ``RingMatrix.matvec``), is one
+integer convolution per pair into one accumulator, one fold of the
+T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
+(``FlatVector._dot_planes``); when the only nonzero pair has the constant
+one as a factor, it is a copy of the other factor reduced mod p^prec.
+For f > 1 the convolution runs on the f lists packed into one int per
+coefficient, list t at bits t*W and up, with a slot width W that no sum
+can overflow (``WittRing.dot_acc``).
 A product of two matrices
 (``SigmaSeries.matmul``, called by ``RingMatrix.__matmul__``) packs each
 entry of both factors once into one big int, every coefficient in its own

@@ -116,21 +116,6 @@ def trimmed(planes) -> tuple:
     return planes
 
 
-def draw_below(rng, n: int) -> int:
-    """A uniform draw from range(n) (n >= 1) that equals ``rng.randrange(n)``
-    and consumes the same bits: the getrandbits rejection loop of CPython's
-    ``Random._randbelow``, at k = n.bit_length() bits (not that of n - 1,
-    so that n = 1 draws one bit as randrange does)."""
-    if n < 1:
-        raise ValueError("empty range for draw_below")
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
     """out[i + j] += w[i][j] * x[i] * y[j] (w = 1 when None), for i + j < len(out).
 
@@ -227,14 +212,25 @@ class WittRing:
                     out[j] += c * row[j]
         return tuple(x % mod for x in out)
 
-    def _random_tuple(self, rng, k):
+    def _draw(self, getrandbits, k: int, unit: bool) -> list:
+        """f uniform draws from range(p^k), each by the rejection loop of
+        ``random.randrange``: bit_length(p^k) bits from ``getrandbits``,
+        redrawn while >= p^k.  With ``unit`` the whole tuple is redrawn
+        while no entry is prime to p."""
         mod = self.pk[k]
-        return tuple([draw_below(rng, mod) for _ in range(self.f)])
-
-    def _random_unit_tuple(self, rng, k):
+        bits = mod.bit_length()
+        f, p = self.f, self.p
         while True:
-            t = self._random_tuple(rng, k)
-            if any(c % self.p for c in t):
+            t = []
+            done = not unit
+            for _ in range(f):
+                c = getrandbits(bits)
+                while c >= mod:
+                    c = getrandbits(bits)
+                t.append(c)
+                if c % p:
+                    done = True
+            if done:
                 return t
 
     def _lift_frobenius_image(self) -> "WittScalar":
@@ -389,11 +385,11 @@ class WittRing:
 
     def random(self, rng, prec: int | None = None) -> "WittScalar":
         prec = self.cap if prec is None else prec
-        return WittScalar(self, self._random_tuple(rng, prec), prec)
+        return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, False)), prec)
 
     def random_unit(self, rng, prec: int | None = None) -> "WittScalar":
         prec = self.cap if prec is None else prec
-        return WittScalar(self, self._random_unit_tuple(rng, prec), prec)
+        return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, True)), prec)
 
 
 class PackedTable:
@@ -699,13 +695,21 @@ class FlatVector(FlatValue):
         weights of at most ``w_max``) into one unreduced accumulator
         (``WittRing.dot_acc``); one unpack, one fold through m(T) and one
         reduction mod p^k then serve the whole sum.  A pair with a zero
-        entry adds nothing."""
+        entry adds nothing.  When one pair is left and one of its factors
+        is the constant one (whose weights C(j, 0) are 1), the sum is the
+        other factor: its planes are cut at index ``bound`` and reduced
+        mod p^k, and nothing is convolved."""
         ring = xs[0].ring
         k = min(min(x.prec for x in xs), min(y.prec for y in ys))
         pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
         reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
-        acc = ring.dot_acc(pairs, min(reach, bound), weights, w_max)
-        return ring.fold(acc, k), k, reach
+        n = min(reach, bound)
+        if len(pairs) == 1:
+            a, b = pairs[0]
+            for one, other in ((a, b), (b, a)):
+                if len(one[0]) == 1 and one[0][0] == 1 and not any(pl[0] for pl in one[1:]):
+                    return ring.truncate_planes([pl[:n] for pl in other], k), k, reach
+        return ring.fold(ring.dot_acc(pairs, n, weights, w_max), k), k, reach
 
     @staticmethod
     def _matmul_planes(rows, cols, n: int, scale=None) -> list:

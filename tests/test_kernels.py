@@ -46,7 +46,7 @@ from flbreuil.pd import (
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import WittScalar, _conv_into
+from flbreuil.witt import FlatVector, WittScalar, _conv_into
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -603,3 +603,75 @@ def test_matmul_scaling_is_the_binomial_product(p):
     for r, c in ((row[:2], col[::2]), (row, col)):
         got = (RingMatrix([r]) @ RingMatrix([[y] for y in c]))[0, 0]
         assert (got.planes, got.prec, got.tail_dirty) == binomial_sum(r, c)
+
+
+# --- the product by the constant one: a copy of the other factor ---
+
+def convolved(xs, ys, bound, weights=None, w_max=1):
+    """The triple of ``FlatVector._dot_planes`` from the convolution path
+    alone: ``dot_acc`` and ``fold``, called directly."""
+    ring = xs[0].ring
+    k = min(min(x.prec for x in xs), min(y.prec for y in ys))
+    pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
+    reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
+    return ring.fold(ring.dot_acc(pairs, min(reach, bound), weights, w_max), k), k, reach
+
+
+def route_rows(amb, cls):
+    """(xs, ys, copies) triples: rows whose one nonzero pair has the
+    constant one as a factor (copies), and rows that must convolve."""
+    ring = amb.ring
+    rng = random.Random(f"route:{amb.p}:{amb.f}:{cls.__name__}")
+
+    def elem(coeffs, prec=None, dirty=False):
+        if cls is PDElement:
+            return PDElement(amb, coeffs, dirty, prec)
+        return SigmaSeries(amb, coeffs, prec)
+
+    body = [ring.random(rng) for _ in range(5)] + [ring.random_unit(rng)]
+    x, y = elem(body), elem([ring.random(rng) for _ in range(3)])
+    dirty_x = elem(body, dirty=True)
+    one, one3, two = elem([ring.one()]), elem([ring.one(3)]), elem([ring.from_int(2)])
+    zero2 = elem([], prec=2)
+    rows = [
+        ((one,), (x,), True),
+        ((x,), (one,), True),
+        ((one, zero2), (x, y), True),   # k = 2 < prec of x
+        ((zero2, x), (y, one), True),
+        ((one3,), (x,), True),          # the one sets k = 3
+        ((one,), (dirty_x,), True),
+        ((one,), (one,), True),
+        ((one, x), (x, y), False),      # two nonzero pairs
+        ((two,), (x,), False),
+        ((x,), (two,), False),
+    ]
+    if amb.f > 1:
+        rows.append(((elem([ring.make([1, 1])]),), (x,), False))  # 1 + T is not one
+    return rows
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
+    ring, N = amb.ring, amb.N_gamma
+    convolutions = []
+    dot_acc = type(ring).dot_acc
+    monkeypatch.setattr(type(ring), "dot_acc",
+                        lambda self, *a, **kw: convolutions.append(1) or dot_acc(self, *a, **kw))
+    for xs, ys, copies in route_rows(amb, cls):
+        if cls is SigmaSeries:
+            want = convolved(xs, ys, amb.N_u)
+            del convolutions[:]
+            assert FlatVector._dot_planes(xs, ys, amb.N_u) == want
+            got, ref = SigmaSeries.dot(xs, ys), SigmaSeries(amb, (), want[1], want[0])
+            assert (got.planes, got.prec) == (ref.planes, ref.prec)
+            assert bool(convolutions) is not copies
+            continue
+        for bound in (None, 0, 2, N):
+            n = N if bound is None else bound
+            planes, k, reach = want = convolved(xs, ys, n, amb.comb, amb.comb_max)
+            del convolutions[:]
+            assert FlatVector._dot_planes(xs, ys, n, amb.comb, amb.comb_max) == want
+            dirty = reach > N or any(e.tail_dirty for e in xs + ys)
+            assert pd_state(PDElement.dot(xs, ys, bound)) == \
+                pd_state(PDElement(amb, (), dirty, k, planes))
+            assert bool(convolutions) is not copies

@@ -19,7 +19,9 @@ from flbreuil.pd import (
     phi_S,
     to_u_divided,
 )
+from flbreuil.ambient import AmbientParams
 from flbreuil.campaign import easylemma_holds
+from sampler_reference import pd_random_calibrated as ref_pd_random_calibrated
 
 
 def ints(x, n=6):
@@ -316,3 +318,21 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
             pd_shift(pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])
         assert low.valuation() == 5
+
+
+@pytest.mark.parametrize("p, r, f", [(3, 1, 1), (5, 4, 1), (3, 2, 2)])
+def test_pd_random_calibrated_follows_the_reference_stream(p, r, f):
+    # same planes and precision, and the same Mersenne Twister state after
+    # every call; max_val = 0 still draws one bit per valuation
+    amb = AmbientParams(p, r, f=f)
+    a, b = random.Random(f"calibrated:{p}:{f}"), random.Random(f"calibrated:{p}:{f}")
+    for max_val in (0, 2, amb.cap + 1):
+        for max_index in (0, 6, amb.N_gamma + 3):
+            for _ in range(3):
+                got = pd_random_calibrated(amb, a, max_index, max_val)
+                want = ref_pd_random_calibrated(amb, b, max_index, max_val)
+                assert (got.planes, got.prec, got.tail_dirty) == \
+                    (want.planes, want.prec, want.tail_dirty)
+                assert a.getstate() == b.getstate()
+    with pytest.raises(ValueError):
+        pd_random_calibrated(amb, a, 6, -1)

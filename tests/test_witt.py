@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, draw_below, find_irreducible
+from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, find_irreducible
+from sampler_reference import draw_below, random_tuple, random_unit_tuple
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
 
@@ -206,6 +207,18 @@ def test_draw_below_is_randrange():
         assert a.getstate() == b.getstate()
     with pytest.raises(ValueError):
         draw_below(random.Random(0), 0)
+
+
+@pytest.mark.parametrize("p, r, f", [(3, 1, 1), (5, 4, 1), (3, 2, 2)])
+def test_random_scalars_follow_the_reference_stream(p, r, f):
+    # same values and same Mersenne Twister state after every call
+    R = AmbientParams(p, r, f=f).ring
+    a, b = random.Random(f"stream:{p}:{f}"), random.Random(f"stream:{p}:{f}")
+    for prec in (1, R.cap) * 20:
+        for draw, ref in ((R.random, random_tuple), (R.random_unit, random_unit_tuple)):
+            got = draw(a, prec)
+            assert (got.coeffs, got.prec) == (ref(R, b, prec), prec)
+            assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize("f", [1, 2])
