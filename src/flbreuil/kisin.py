@@ -3,7 +3,8 @@
 A module is given in its diagonal normal form: X, Y in GL_d of the series
 ring and jumps r_1 <= ... <= r_d, with Frobenius matrix A = X * Lambda * Y,
 Lambda = diag(E^{r_1}, ..., E^{r_d}) (phi of the basis row vector is the
-basis times A).  The constructor checks the presentation and computes A.
+basis times A).  The constructor checks the presentation and computes A,
+keeping X * Lambda on the way.
 
 The jumps decide the class: the module is etale when every r_i is r and
 multiplicative when every r_i is 0.  Since X and Y are invertible and no
@@ -38,7 +39,8 @@ class KisinModule:
     """The module with Frobenius matrix A = X * diag(E^{r_1}, ..., E^{r_d}) * Y.
 
     X and Y must be d x d and invertible modulo (p, u); the jumps must be
-    d sorted integers in [0, r]."""
+    d sorted integers in [0, r].  ``XL`` keeps the product X * Lambda, which
+    the base change to S reads again."""
 
     def __init__(self, amb, X: RingMatrix, jumps, Y: RingMatrix):
         self.amb = amb
@@ -48,7 +50,8 @@ class KisinModule:
             raise NotInvertible("X and Y must lie in GL_d of the series ring")
         self.X = X
         self.Y = Y
-        self.A = X @ _E_diag(amb, self.jumps) @ Y
+        self.XL = X @ _E_diag(amb, self.jumps)
+        self.A = self.XL @ Y
 
 
 KisinClassification = namedtuple("KisinClassification", "etale multiplicative unipotent")
@@ -81,7 +84,7 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     least r - r_i.
     """
     amb = K.amb
-    phi_XL = _embed_matrix(K.X @ _E_diag(amb, K.jumps)).map_entries(phi_S)
+    phi_XL = _embed_matrix(K.XL).map_entries(phi_S)
     Phi = _embed_matrix(K.Y) @ phi_XL
     return breuil_mod.BreuilModule(
         amb=amb,

@@ -47,14 +47,21 @@ is the same kernel, unweighted, on one pair.  A product of two matrices
 (``PDElement.matmul``, called by ``RingMatrix.__matmul__``) takes the
 other path: each entry of both factors is packed once into one big int,
 every coefficient in its own slot, and each output entry is one sum of
-big-int products (``FlatVector._matmul_planes``).  There the binomial
+big-int products (``FlatVector._matmul_planes``), paired as
+sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j when
+that needs fewer digit products (``witt._packed_matmul``): the same
+integer as the plain sum.  There the binomial
 weights are removed by scaling (``AmbientParams.gamma_scale``):
 coefficient i of every factor is multiplied by
 unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V), with V = v_p((N_gamma-1)!),
 and coefficient m of the plain convolution by m! = unit(m!) * p^(v_p(m!)),
 which gives a multiple of p^(2V) that is p^(2V) times the weighted sum mod
 p^(cap+2V); its exact quotient by p^(2V), reduced mod p^k, is what ``dot``
-computes.  The three fixed
+computes.  When every entry of one factor has support at most one (the
+image of a matrix over W(k)), every weight is C(m, 0) = 1, so the plain
+convolution is the weighted sum: nothing is scaled, and the slot width
+is slot_width(e*N_gamma*f) = bit_length(e*N_gamma*f) +
+2*bit_length(p^cap), without V.  The three fixed
 W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the change to u-divided
 coordinates (``eval_f0``, ``to_u_divided``), each read one table kept on
 the context (``witt.PackedTable``): for
@@ -165,10 +172,18 @@ class PDElement(FlatVector):
         ``PDElement.dot(rows[i], cols[j])`` in planes, precision and
         tail_dirty flag, from the packed kernel
         (``FlatVector._matmul_planes``) with the binomial weights removed
-        by the context's ``gamma_scale``."""
+        by the context's ``gamma_scale``.  When every entry of one factor
+        has support at most 1, each weight is C(m, 0) = 1: the plain
+        convolution is the weighted sum, and the kernel packs unscaled, at
+        W = slot_width(e*N_gamma*f) from p^cap instead of p^(cap+V), with
+        no pre- or post-scaling.  The kernel may pair the inner products
+        (``witt._packed_matmul``); the paired sum is the plain one as an
+        integer, so planes, precision, reach and flag are the same."""
         amb = rows[0][0].amb
         N = amb.N_gamma
-        grid = FlatVector._matmul_planes(rows, cols, N, amb.gamma_scale())
+        constant = any(all(len(x.planes[0]) <= 1 for line in m for x in line)
+                       for m in (rows, cols))
+        grid = FlatVector._matmul_planes(rows, cols, N, None if constant else amb.gamma_scale())
         col_dirty = [any(y.tail_dirty for y in col) for col in cols]
         out = []
         for row, line in zip(rows, grid):

@@ -23,7 +23,11 @@ A product of two matrices
 (``SigmaSeries.matmul``, called by ``RingMatrix.__matmul__``) packs each
 entry of both factors once into one big int, every coefficient in its own
 slot, and makes each output entry one sum of big-int products, cut at
-N_u after one unpack (``FlatVector._matmul_planes``).  ``WittScalar``
+N_u after one unpack (``FlatVector._matmul_planes``); the sum is paired,
+sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j, when
+that needs fewer digit products, and is the same integer either way
+(``witt._packed_matmul``).  Nothing is scaled: a factor of constants
+packs at the width of p^cap as every other.  ``WittScalar``
 objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
 ``constant``, ``invert``'s starting value, ``repr`` and the constructor
 from a list of scalars.
@@ -98,7 +102,11 @@ class SigmaSeries(FlatVector):
     def matmul(rows, cols) -> list:
         """The entries of a matrix product: entry (i, j) equals
         ``SigmaSeries.dot(rows[i], cols[j])``, from the packed kernel
-        (``FlatVector._matmul_planes``), cut at degree N_u."""
+        (``FlatVector._matmul_planes``), cut at degree N_u.  The kernel
+        pairs the inner products when that needs fewer digit products;
+        the paired sum is the plain one as an integer, so the planes and
+        precision are too.  A series product has no weights, so no factor
+        is scaled and the slot width is that of p^cap."""
         amb = rows[0][0].amb
         return [[SigmaSeries(amb, (), k, planes) for planes, k, _ in line]
                 for line in FlatVector._matmul_planes(rows, cols, amb.N_u)]

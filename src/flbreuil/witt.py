@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from itertools import chain, zip_longest
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
@@ -132,6 +132,76 @@ def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
                 out[i:e] = [c + a * b for c, b in zip(out[i:e], y)]
             else:
                 out[i:e] = [c + a * b * r for c, b, r in zip(out[i:e], y, w[i])]
+
+
+def _pairing_pays(e: int, sizes_r: list, sizes_c: list) -> bool:
+    """Whether pairing the inner products (``_packed_matmul``) of a
+    d x e times e x g matrix product needs fewer digit products than the
+    plain sums, by a count read off the operands: ``sizes_r`` and
+    ``sizes_c`` list the sizes of the entries of the two factors (their
+    supports, in slots), and a product of entries of sizes a and b counts
+    a*b.
+
+    With h = e // 2 >= 1, the pairing makes d*g*h + (d + g)*h products
+    over the even indices where the plain sums make 2*d*g*h, but a paired
+    sum is as long as its longest summand, so short entries gain nothing
+    from it.  The plain products over the even indices count
+    2h/e^2 * sR * sC, with sR and sC the total sizes of the two factors
+    (exact when the sizes do not depend on the inner index); the paired
+    ones at most h * (d*g*m^2 + d*mR^2 + g*mC^2), with mR and mC the
+    largest entry of each factor and m the larger of the two.  The
+    pairing pays when that is fewer and neither factor is all constants
+    (size at most 1): the product by a constant is one short pass over
+    the other factor."""
+    if e < 2:
+        return False
+    top_r, top_c = max(sizes_r), max(sizes_c)
+    if min(top_r, top_c) <= 1:
+        return False
+    d, g, top = len(sizes_r) // e, len(sizes_c) // e, max(top_r, top_c)
+    return (d * g * top * top + d * top_r * top_r + g * top_c * top_c) * e * e \
+        < 2 * sum(sizes_r) * sum(sizes_c)
+
+
+def _packed_matmul(rows, cols, paired: bool):
+    """The sums sum_k R[i][k] * C[j][k] of a matrix product, for an
+    iterable ``rows`` of the left factor's rows and a list ``cols`` of the
+    right factor's columns, all equally long lists of nonnegative ints:
+    for each row, an iterator over its sums, formed one at a time, so that
+    a caller can unpack each sum before the next exists.
+
+    With ``paired`` (see ``_pairing_pays``), e the inner dimension and
+    h = e // 2, it pairs the terms (S. Winograd, "A new algorithm for
+    inner product", IEEE Trans. Computers C-17, 1968): sum (i, j) is then
+
+        sum_{k<h} (R[i][2k] + C[j][2k+1]) * (R[i][2k+1] + C[j][2k]) - xi[i] - eta[j]
+
+    plus R[i][e-1] * C[j][e-1] when e is odd, with xi[i] =
+    sum_{k<h} R[i][2k] * R[i][2k+1] formed once per row and eta[j] =
+    sum_{k<h} C[j][2k] * C[j][2k+1] once per column.  Each paired term
+    expands to R[i][2k] C[j][2k] + R[i][2k+1] C[j][2k+1] plus the two
+    products that xi[i] and eta[j] take away, so the result is the plain
+    sum as an integer, bit for bit: the identity holds in any commutative
+    ring."""
+    def plain(r):
+        for c in cols:
+            yield sum(map(mul, r, c))
+
+    if not paired:
+        return map(plain, rows)
+    e = len(cols[0])
+    h = e // 2
+    c_even, c_odd = [c[0:2 * h:2] for c in cols], [c[1:2 * h:2] for c in cols]
+    eta = [sum(map(mul, a, b)) for a, b in zip(c_even, c_odd)]
+
+    def line(r):
+        a, b = r[0:2 * h:2], r[1:2 * h:2]
+        xi = sum(map(mul, a, b))
+        for ca, cb, y, c in zip(c_even, c_odd, eta, cols):
+            v = sum(map(mul, map(add, a, cb), map(add, b, ca))) - xi - y
+            yield v + r[-1] * c[-1] if e % 2 else v
+
+    return map(line, rows)
 
 
 class WittRing:
@@ -362,9 +432,7 @@ class WittRing:
     def make(self, coeffs, prec: int | None = None) -> "WittScalar":
         """Build a scalar from integer coefficients (any length, reduced mod
         m from the top degree down: T^d = -T^(d-f) (m_0 + ... + m_{f-1} T^(f-1)))."""
-        prec = self.cap if prec is None else prec
-        if prec < 1 or prec > self.cap:
-            raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
+        prec = self._precision(prec)
         f = self.f
         coeffs = [int(c) for c in coeffs]
         while len(coeffs) > f:
@@ -384,12 +452,20 @@ class WittRing:
         return self.from_int(1, prec)
 
     def random(self, rng, prec: int | None = None) -> "WittScalar":
-        prec = self.cap if prec is None else prec
+        prec = self._precision(prec)
         return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, False)), prec)
 
     def random_unit(self, rng, prec: int | None = None) -> "WittScalar":
-        prec = self.cap if prec is None else prec
+        prec = self._precision(prec)
         return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, True)), prec)
+
+    def _precision(self, prec: int | None) -> int:
+        """The precision of a new scalar: the cap when None; PrecisionExhausted
+        outside [1, cap], before anything is built or drawn."""
+        prec = self.cap if prec is None else prec
+        if prec < 1 or prec > self.cap:
+            raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
+        return prec
 
 
 class PackedTable:
@@ -728,24 +804,33 @@ class FlatVector(FlatValue):
         products: bits d*W and up of slot m hold the T-degree d part of
         coefficient m, a sum of at most e*n*f nonnegative terms below
         p^(2(cap+V)), so it stays below 2^W and no carry crosses into the
-        next degree or slot.  The top slot of a product is the product of
-        the factors' top coefficients, which are nonzero (scaled too: pre[i]
-        has valuation at most V, a coefficient below p^cap less than cap),
-        so the reach is the number of slots the sum occupies.
+        next degree or slot.  ``_packed_matmul`` forms the sums, paired as
+        sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j
+        (plus the last product when e is odd) when that needs fewer digit
+        products (``_pairing_pays``, on the entries' supports), one row of
+        packed entries and one sum at a time; the paired sum expands to the
+        plain one, so the accumulator is the same integer and so are the
+        slots read below.
+        The top slot of a product is the product of the factors' top
+        coefficients, which are nonzero (scaled too: pre[i] has valuation
+        at most V, a coefficient below p^cap less than cap), so the reach
+        is the number of slots the sum occupies.
 
         ``scale`` = (V, pre, post) removes the binomial weights of S
         (``AmbientParams.gamma_scale``): coefficient i of every entry is
         multiplied by pre[i] mod p^(cap+V) before packing, and slot m by
         post[m] after unpacking.  That gives a multiple of p^(2V) that is
         p^(2V) times the weighted sum mod p^(cap+2V), so its exact quotient
-        by p^(2V) is the weighted sum mod p^cap.  Without ``scale`` V is 0
+        by p^(2V) is the weighted sum mod p^cap.  Without ``scale`` (the
+        series ring, and a product over S with a factor of constants,
+        whose weights are all C(m, 0) = 1) V is 0, W = ``slot_width(e*n*f)``
         and the slots are the plain sums.  One fold through m(T) and one
         reduction mod p^k per output entry follow."""
         ring = rows[0][0].ring
-        f = ring.f
+        f, e = ring.f, len(cols[0])
         V, pre, post = scale if scale else (0, None, None)
         mod, div = ring.p ** (ring.cap + V), ring.p ** (2 * V)
-        width = ring.slot_width(len(cols[0]) * n * f, mod)
+        width = ring.slot_width(e * n * f, mod)
         stride = ((2 * f - 1) * width + 7) // 8
 
         def pack(x) -> int:
@@ -757,16 +842,17 @@ class FlatVector(FlatValue):
             return int.from_bytes(b"".join([c.to_bytes(stride, "little")
                                             for c in ring._pack(planes, width)]), "little")
 
-        packed_cols = [[pack(y) for y in col] for col in cols]
+        paired = _pairing_pays(e, [len(x.planes[0]) for row in rows for x in row],
+                               [len(y.planes[0]) for col in cols for y in col])
+        grid = _packed_matmul(([pack(x) for x in row] for row in rows),
+                              [[pack(y) for y in col] for col in cols], paired)
         col_prec = [min(y.prec for y in col) for col in cols]
         out = []
-        for row in rows:
-            packed_row = [pack(x) for x in row]
+        for row, accs in zip(rows, grid):
             row_prec = min(x.prec for x in row)
             line = []
-            for packed_col, k in zip(packed_cols, col_prec):
+            for acc, k in zip(accs, col_prec):
                 k = min(k, row_prec)
-                acc = sum(map(mul, packed_row, packed_col))
                 reach = -(-acc.bit_length() // (8 * stride))
                 data = acc.to_bytes(reach * stride, "little")
                 slots = [int.from_bytes(data[m * stride:(m + 1) * stride], "little")

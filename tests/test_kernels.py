@@ -24,7 +24,12 @@ A product of two matrices over S or the series ring runs the packed
 matrix kernel; it must equal the fused dot entry by entry (planes,
 precision and tail_dirty flag), also at its own slot-width bound, and
 over S its scaling must give the binomial sum itself, at p up to 13 with
-N_gamma past p^2.
+N_gamma past p^2.  The paired sums of the kernel (``witt._packed_matmul``)
+must give the plain sums bit for bit, on raw ints and on dense, sparse,
+square and rectangular matrices with odd and even inner dimension, and
+the route must be taken where the count says it pays.  A product over S
+with an all-constant factor, on either side, packs unscaled at the width
+of p^cap and must still equal the fused dot.
 """
 
 import functools
@@ -34,6 +39,7 @@ from math import comb
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from flbreuil import witt
 from flbreuil.ambient import AmbientParams, min_N_gamma
 from flbreuil.pd import (
     PDElement,
@@ -46,7 +52,7 @@ from flbreuil.pd import (
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import FlatVector, WittScalar, _conv_into
+from flbreuil.witt import FlatVector, WittScalar, _conv_into, _packed_matmul, _pairing_pays
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -675,3 +681,146 @@ def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
             assert pd_state(PDElement.dot(xs, ys, bound)) == \
                 pd_state(PDElement(amb, (), dirty, k, planes))
             assert bool(convolutions) is not copies
+
+
+# --- paired inner products and the constant route of the matrix kernel ---
+
+def plain_sums(rows, cols):
+    return [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in rows]
+
+
+def packed_sums(rows, cols, paired):
+    return [list(line) for line in _packed_matmul(rows, cols, paired)]
+
+
+@pytest.mark.parametrize("d, e, g", [(d, d, d) for d in range(1, 9)]
+                         + [(2, 3, 4), (4, 3, 2), (3, 4, 5), (5, 5, 2), (1, 7, 3),
+                            (6, 2, 6), (3, 6, 1), (7, 5, 3)])
+def test_pairing_is_the_plain_sum(d, e, g):
+    rng = random.Random(f"pairing:{d}:{e}:{g}")
+
+    def ints(n, bits):
+        return [[rng.getrandbits(bits) for _ in range(e)] for _ in range(n)]
+
+    rows, cols = ints(d, 600), ints(g, 600)
+    for paired in (True, False):
+        assert packed_sums(rows, cols, paired) == plain_sums(rows, cols)
+    # mixed sizes, zeros and a zero row
+    rows[0] = [0] * e
+    cols[-1] = [rng.getrandbits(rng.randrange(1, 900)) for _ in range(e)]
+    for r in rows[1:]:
+        r[rng.randrange(e)] = 0
+    for paired in (True, False):
+        assert packed_sums(rows, cols, paired) == plain_sums(rows, cols)
+
+
+@pytest.mark.parametrize("d, e, g", [(d, d, d) for d in range(1, 9)]
+                         + [(2, 3, 4), (4, 3, 2), (5, 5, 2), (1, 7, 3), (3, 6, 1)])
+def test_pairing_pays_by_the_count(d, e, g):
+    # at equal sizes the count is (d*g + d + g) * h products against
+    # 2*d*g*h: the pairing pays when d + g < d*g and e > 1
+    assert _pairing_pays(e, [20] * (d * e), [20] * (e * g)) is (e > 1 and d + g < d * g)
+    if e < 2 or d + g >= d * g:
+        return
+    # an all-constant factor, on either side (support at most one, zeros
+    # too); two-slot entries already pay
+    consts = [1, 0] * (d * e)
+    assert not _pairing_pays(e, consts[:d * e], [20] * (e * g))
+    assert not _pairing_pays(e, [20] * (d * e), consts[:e * g])
+    assert _pairing_pays(e, [2] * (d * e), [2] * (e * g))
+    # short entries against long ones: a paired sum is as long as the long one
+    assert not _pairing_pays(e, [3] * (d * e), [20] * (e * g))
+    # one long entry in a factor of short ones
+    assert not _pairing_pays(e, [20] + [4] * (d * e - 1), [4] * (e * g))
+
+
+def dense_entry(rng, amb, cls, zero_chance=0.0):
+    """A full-support entry (N_gamma over S, N_u / 2 for series) at a random
+    precision, over S with a random tail_dirty flag; zero with the chance
+    given, at its own precision."""
+    prec = rng.randrange(1, amb.cap + 1)
+    n = amb.N_gamma if cls is PDElement else amb.N_u // 2
+    coeffs = [] if rng.random() < zero_chance else \
+        [amb.ring.random(rng, prec) for _ in range(n - 1)] + [amb.ring.random_unit(rng, prec)]
+    if cls is PDElement:
+        return PDElement(amb, coeffs, rng.random() < 0.3, prec)
+    return SigmaSeries(amb, coeffs, prec)
+
+
+def routes_taken(monkeypatch):
+    """The verdicts of ``_pairing_pays`` in the products that follow."""
+    seen = []
+    pays = witt._pairing_pays
+    monkeypatch.setattr(witt, "_pairing_pays", lambda *a: seen.append(pays(*a)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dense_square_matmul_pairs_and_matches_dot(amb, cls, d, monkeypatch):
+    rng = random.Random(f"dense:{amb.p}:{amb.f}:{cls.__name__}:{d}")
+    A = RingMatrix([[dense_entry(rng, amb, cls) for _ in range(d)] for _ in range(d)])
+    B = RingMatrix([[dense_entry(rng, amb, cls) for _ in range(d)] for _ in range(d)])
+    seen = routes_taken(monkeypatch)
+    assert_matmul_is_entrywise_dot(A, B)
+    assert seen == [d >= 3]
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+@pytest.mark.parametrize("d, e, g", [(2, 3, 4), (4, 3, 2), (3, 4, 5), (5, 5, 2), (1, 7, 3),
+                                     (6, 2, 6), (3, 6, 1), (7, 1, 3)])
+def test_rectangular_sparse_matmul_matches_dot(amb, cls, d, e, g, monkeypatch):
+    rng = random.Random(f"rect:{amb.p}:{amb.f}:{cls.__name__}:{d}:{e}:{g}")
+    A = RingMatrix([[dense_entry(rng, amb, cls, 0.2) for _ in range(e)] for _ in range(d)])
+    B = RingMatrix([[dense_entry(rng, amb, cls, 0.2) for _ in range(g)] for _ in range(e)])
+    assert_matmul_is_entrywise_dot(A, B)
+    # both routes, whatever the count says
+    for forced in (True, False):
+        monkeypatch.setattr(witt, "_pairing_pays", lambda *a: forced)
+        assert_matmul_is_entrywise_dot(A, B)
+
+
+def constant_entry(rng, amb):
+    """An element of S of support at most one: zero, or a constant at a
+    random precision, some of them tail_dirty."""
+    prec = rng.randrange(1, amb.cap + 1)
+    coeffs = [] if rng.randrange(4) == 0 else [amb.ring.random(rng, prec)]
+    return PDElement(amb, coeffs, rng.random() < 0.2, prec)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("e", [1, 2, 3, 5])
+def test_constant_factor_packs_unscaled(amb, side, e, monkeypatch):
+    ring, N, f = amb.ring, amb.N_gamma, amb.f
+    rng = random.Random(f"const:{amb.p}:{f}:{side}:{e}")
+    consts = [[constant_entry(rng, amb) for _ in range(e)] for _ in range(3)]
+    dense = [[dense_entry(rng, amb, PDElement, 0.2) for _ in range(3)] for _ in range(e)]
+    A, B = RingMatrix(consts), RingMatrix(dense)
+    if side == "right":
+        A, B = B.transpose(), A.transpose()
+
+    def packing_widths(A, B):
+        # the widths the product unpacks at, by the product alone
+        widths = []
+        unpack = ring._unpack
+        with monkeypatch.context() as m:
+            m.setattr(ring, "_unpack", lambda acc, w: widths.append(w) or unpack(acc, w))
+            A @ B
+        assert_matmul_is_entrywise_dot(A, B)
+        return set(widths)
+
+    seen = routes_taken(monkeypatch)
+    # the weights are C(m, 0) = 1: no gamma_scale, the width of p^cap, and
+    # no pairing with the constant factor
+    assert packing_widths(A, B) == {(e * N * f).bit_length() + 2 * ring.pk[amb.cap].bit_length()}
+    assert seen[0] is False
+    # one entry of support two brings the scaling back
+    entries = [list(row) for row in (A if side == "left" else B).entries]
+    entries[0][0] = PDElement(amb, [ring.one(), ring.one()])
+    if side == "left":
+        A = RingMatrix(entries)
+    else:
+        B = RingMatrix(entries)
+    V = amb.gamma_scale()[0]
+    assert packing_widths(A, B) == \
+        {(e * N * f).bit_length() + 2 * (amb.p ** (amb.cap + V)).bit_length()}

@@ -4,6 +4,7 @@ import pytest
 
 from flbreuil.breuil import breuil_validate, fil_lower, random_fil_member, random_vector
 from flbreuil.errors import NotInvertible, SingularMatrix
+from flbreuil import kisin
 from flbreuil.kisin import (
     KisinModule,
     kisin_classify,
@@ -12,7 +13,7 @@ from flbreuil.kisin import (
     random_gls,
 )
 from flbreuil.matrix import RingMatrix
-from flbreuil.pd import embed_sigma, fil_valuation
+from flbreuil.pd import embed_sigma, fil_valuation, phi_S
 from height_reference import kisin_height_check
 
 
@@ -144,6 +145,29 @@ def test_to_breuil_diagonal(amb3):
     assert B.Phi.entries[0][0].eq_at(one, amb3.cap - 1)
     assert B.Phi.entries[1][1].eq_at(amb3.c_pow(2).mul_p_pow(2), amb3.cap - 1)
     assert B.Phi.entries[0][1].is_zero_at(amb3.N_p)
+
+
+def states(M):
+    return [[(x.planes, x.prec, getattr(x, "tail_dirty", None)) for x in row]
+            for row in M.entries]
+
+
+def test_to_breuil_reuses_X_Lambda(amb3, amb9, monkeypatch):
+    # the module keeps X * Lambda from its own A = X * Lambda * Y, and the
+    # base change multiplies only Y by phi(X * Lambda)
+    for amb in (amb3, amb9):
+        K = random_gls(amb, random.Random(f"XL:{amb.f}"), 3)
+        XL = K.X @ kisin._E_diag(amb, K.jumps)
+        assert states(K.XL) == states(XL) and states(K.A) == states(XL @ K.Y)
+        products = []
+        matmul = RingMatrix.__matmul__
+        monkeypatch.setattr(RingMatrix, "__matmul__",
+                            lambda a, b: products.append(1) or matmul(a, b))
+        Phi = kisin_to_breuil(K).Phi
+        monkeypatch.undo()
+        assert len(products) == 1
+        want = kisin._embed_matrix(K.Y) @ kisin._embed_matrix(XL).map_entries(phi_S)
+        assert states(Phi) == states(want)
 
 
 def raw_fil_checker_unbounded(K):

@@ -9,7 +9,7 @@ from flbreuil.errors import NotDivisible, NotInvertible, PrecisionExhausted, Sin
 from flbreuil.fl import random_fl
 from flbreuil.functors import f0_matrix, fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
-from flbreuil.matrix import RingMatrix, converges_to_zero, scaled_inverse
+from flbreuil.matrix import RingMatrix, _diagonalise, converges_to_zero, scaled_inverse
 from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import FlatVector, WittScalar
@@ -423,6 +423,52 @@ def test_rank_zero(amb3):
     inv = empty.invert()
     assert (inv.rows, inv.cols) == (0, 0)
     assert empty.residue_invertible()
+
+
+def _eliminates(A):
+    """The verdict of the full elimination, L and R included, on the
+    one-digit lifts of A's residues: a unit pivot at every step."""
+    lifts = RingMatrix([[x.ring.make(x.residue(), 1) for x in row] for row in A.entries])
+    try:
+        _diagonalise(lifts, 1)
+    except SingularMatrix:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["witt", "series", "pd"])
+def test_residue_invertible_is_the_elimination_verdict(amb3, amb9, kind):
+    for amb in (amb3, amb9):
+        ring = amb.ring
+        rng = random.Random(f"residue:{kind}:{amb.f}")
+
+        def entry():
+            if kind == "witt":
+                return ring.random(rng)
+            coeffs = [ring.random(rng) for _ in range(rng.randrange(1, 4))]
+            return (SigmaSeries if kind == "series" else PDElement)(amb, coeffs)
+
+        verdicts = []
+        for d in (1, 2, 3, 4, 5) * 6:
+            rows = [[entry() for _ in range(d)] for _ in range(d)]
+            kind_of = rng.randrange(3)
+            if kind_of == 1 and d > 1:      # a row that is the sum of two others
+                rows[-1] = [x + y for x, y in zip(rows[0], rows[d // 2 - 1 if d > 2 else 0])]
+            elif kind_of == 2:              # a column divisible by p
+                for row in rows:
+                    row[rng.randrange(d) if d > 1 else 0] = row[0].mul_p_pow(1)
+            A = RingMatrix(rows)
+            verdicts.append(A.residue_invertible())
+            assert verdicts[-1] == _eliminates(A)
+        assert True in verdicts and False in verdicts
+
+
+def test_residue_invertible_of_empty_and_non_square(amb3, amb9):
+    assert RingMatrix([]).residue_invertible()
+    for amb in (amb3, amb9):
+        one = amb.ring.one()
+        for shape in ((1, 2), (2, 1), (2, 3)):
+            assert not RingMatrix([[one] * shape[1]] * shape[0]).residue_invertible()
 
 
 def test_det_rejects_non_square_and_denominators(amb3):

@@ -221,6 +221,23 @@ def test_random_scalars_follow_the_reference_stream(p, r, f):
             assert a.getstate() == b.getstate()
 
 
+@pytest.mark.parametrize("prec", [0, -1, "cap+1"])
+@pytest.mark.parametrize("draw", ["random", "random_unit"])
+def test_random_checks_the_precision_before_drawing(draw, prec):
+    # prec 0 would give a scalar below the one-digit floor (random) or never
+    # return (random_unit: p^0 leaves only the draw 0), and cap + 1 would
+    # index past the power table; each raises as make does, drawing nothing
+    R = WittRing(3, cap=8)
+    prec = R.cap + 1 if prec == "cap+1" else prec
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
+        getattr(R, draw)(rng, prec)
+    assert rng.getstate() == state
+    with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
+        R.make([1], prec)
+
+
 @pytest.mark.parametrize("f", [1, 2])
 def test_make_reduces_any_length_mod_m(f):
     # a list longer than a product's 2f - 1 coefficients gives the value of
