@@ -270,10 +270,11 @@ class AmbientParams:
         return cache[n]
 
     def u_pow(self, n: int) -> pdmod.PDElement:
-        """u^n in the gamma basis.  Below N_gamma no product is truncated,
-        so each power is the exact binomial expansion mod p^cap."""
-        if n >= self.N_gamma:
-            raise DegreeOverflow(f"u^{n} exceeds the gamma truncation")
+        """u^n in S/Fil^{N_gamma} S, for any n >= 0.  Below N_gamma no
+        product is truncated, so each power is the exact binomial expansion
+        mod p^cap; from N_gamma on, the products drop the part past
+        N_gamma and flag it ``tail_dirty``, as the truncation of S is a
+        ring map (see ``pd``)."""
         return self._power(self._u_pow, n)
 
     def c_pow(self, i: int) -> pdmod.PDElement:

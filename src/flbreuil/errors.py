@@ -18,7 +18,9 @@ class PrecisionExhausted(KernelError):
 
 
 class DegreeOverflow(KernelError):
-    """A power series does not fit inside the divided-power truncation."""
+    """An index outside an accessor or a table: a coefficient or gamma
+    index past a truncation, a negative power or shift, a factorial past
+    its table, or more gamma-coefficients than N_gamma."""
 
 
 class NotInFil(KernelError):

@@ -5,27 +5,15 @@ A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 entry type has the same arithmetic, precision and residue-field interface.
 Products take one of two paths, picked by the operands.  A product of
 rows with one vector (``matvec``, with or without ``bound``) is the entry
-type's fused ``dot`` per entry: one unreduced accumulator for all the pair
-products of a row and a column, one fold through m(T) and one reduction at
-the lowest precision of both rows.  A product of two matrices (``@``) is
-the entry type's ``matmul``: over W(k) that is ``dot`` per entry, and over
-W(k)[[u]] and S it is the packed kernel (``FlatVector._matmul_planes``),
-which packs each entry of both factors once into one big int and makes
-each output entry one sum of big-int products, equal to ``dot`` in planes,
-precision and tail_dirty flag.  Only a matrix product reuses each packed
-entry across a whole row or column of outputs, and only there can the
-inner products be paired (``witt._packed_matmul``): entry (i, j) is
-sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j, plus
-the last product when the inner dimension is odd, with the row terms
-xi_i = sum_k R_{i,2k} R_{i,2k+1} and the column terms
-eta_j = sum_k C_{2k,j} C_{2k+1,j} formed once each.  Expanded, that is
-the plain sum of packed products as an integer, so every slot, precision
-and flag is the same; it takes about d^3/2 + d^2 products instead of d^3,
-and it is taken when a count of digit products read off the packed
-entries says it needs fewer.  Over S a factor whose entries all have
-support at most one packs without the binomial scaling, at the width of
-p^cap.  The short, bounded and single products of the ``dot`` path are
-faster unpacked.
+type's fused ``dot`` per entry.  A product of two matrices (``@``) is the
+entry type's ``matmul``: over W(k) that is ``dot`` per entry, and over
+W(k)[[u]] and S it is the packed kernel of ``witt``
+(``FlatVector._matmul_planes``, with the inner products paired by
+``witt._packed_matmul`` when that needs fewer digit products), equal to
+``dot`` in planes, precision and tail_dirty flag.  Only a matrix product
+reuses each packed entry across a whole row or column of outputs; the
+short, bounded and single products of the ``dot`` path are faster
+unpacked.
 
 Every inverse comes from one elimination (``_diagonalise``), in O(d^3)
 ring operations: L A R = diag(p^v_c u_c) with units u_c.  Step c takes the

@@ -5,76 +5,55 @@ envelope of W(k)[u] along E) has the topological W(k)-basis
 
     gamma_i = E(u)^i / i!,   i >= 0,
 
-multiplying by gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}.  Elements here
-keep indices 0 .. N_gamma-1; a product term pushed past the bound is dropped
-and the element is flagged ``tail_dirty``.  The key structure maps all act
-termwise in this basis:
+multiplying by gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}.
+
+Truncation.  Elements live in S/Fil^{N_gamma} S and keep the indices
+0 .. N_gamma-1.  Fil^{N_gamma} S, the span of the gamma_i with
+i >= N_gamma, is an ideal by the product rule, so the cut is a ring map,
+and every map into S follows one rule: what lies past N_gamma is dropped,
+and an element that lost a nonzero coefficient, or was computed from one
+that did, is flagged ``tail_dirty``.
+Products, ``pd_shift``, the powers of u and c and ``embed_sigma`` (every
+series degree below N_u, by the product u^N_gamma * s') all do so.  The
+structure maps act termwise, and none of them sees the dropped tail at the
+public precision N_p:
 
   * Fil^j S is the span of gamma_i with i >= j, so filtration valuation is
-    the index of the first coefficient that is nonzero at precision.
+    the index of the first coefficient that is nonzero at precision; the
+    tests read only the indices below j <= r.
   * phi(gamma_i) = (p^i / i!) * c^i with c = phi(E)/p = (u^p + p*sigma(a))/p,
     and the divided Frobenius phi_j = phi / p^j is computed without any
-    division because v_p(p^i/i!) >= j for every index i >= j in range.
+    division because v_p(p^i/i!) >= j for every index i >= j in range.  For
+    i >= N_gamma, v_p(p^i/i!) > i(p-2)/(p-1) >= N_p + r
+    (``ambient.min_N_gamma``), so phi_j of the tail lies in p^N_p S.
   * N(gamma_i) = -i*gamma_i + p*a*gamma_{i-1}, from N(u) = -u and the
-    Leibniz rule.  N does not see the dropped tail, so on a tail_dirty
-    element the top coefficient (index N_gamma - 1) of N is unreliable.
-  * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!; f_pi (u -> pi = -p*a) kills
-    every gamma_i with i >= 1 and reads off the gamma_0 coefficient.
+    Leibniz rule.  The dropped tail reaches only the top coefficient
+    (index N_gamma - 1) of N, which ``eq_at`` skips on a tail_dirty
+    element.
+  * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!, of valuation at least
+    i(p-2)/(p-1) >= N_p + r for i >= N_gamma (``ambient.min_N_gamma``);
+    f_pi (u -> pi = -p*a) kills every gamma_i with i >= 1 and reads off
+    the gamma_0 coefficient.
 
 Storage.  An element holds one precision ``prec`` and its coefficients as
 plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
-nonzero coefficient); the indices above it are zero.  Products take
-three paths.  A product, or a sum of products (``PDElement.dot``: an
-entry of ``RingMatrix.matvec``), is one integer convolution per pair with
-the binomials C(i+j, i) as weights, all into one accumulator, then one
-fold of the T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
-(``FlatVector._dot_planes``); a single product is its row of length
-one.  When the only nonzero pair of the row has the constant one as a
-factor (an entry of a product by the identity matrix), the sum is a copy
-of the other factor, cut at the bound and reduced mod p^prec, and
-nothing is convolved.  Coefficient m of a product reads only the
-coefficients <= m of its factors, so a ``bound`` on ``dot`` (and on
-``RingMatrix.matvec`` over S) computes just the coefficients below it,
-exactly as in the full product: the filtration tests read only the
-coefficients below the level they test.  For f > 1 each operand's f lists
-are packed into one int per coefficient, list t at bits t*W and up; the
-slot width W covers the largest binomial weight (``comb_max``), so the
-unpacked slots are exactly the f^2 per-list convolutions
-(``WittRing.dot_acc``).  The product by the W(k)-constant p*a in ``n_S``
-is the same kernel, unweighted, on one pair.  A product of two matrices
-(``PDElement.matmul``, called by ``RingMatrix.__matmul__``) takes the
-other path: each entry of both factors is packed once into one big int,
-every coefficient in its own slot, and each output entry is one sum of
-big-int products (``FlatVector._matmul_planes``), paired as
-sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j when
-that needs fewer digit products (``witt._packed_matmul``): the same
-integer as the plain sum.  There the binomial
-weights are removed by scaling (``AmbientParams.gamma_scale``):
-coefficient i of every factor is multiplied by
-unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V), with V = v_p((N_gamma-1)!),
-and coefficient m of the plain convolution by m! = unit(m!) * p^(v_p(m!)),
-which gives a multiple of p^(2V) that is p^(2V) times the weighted sum mod
-p^(cap+2V); its exact quotient by p^(2V), reduced mod p^k, is what ``dot``
-computes.  When every entry of one factor has support at most one (the
-image of a matrix over W(k)), every weight is C(m, 0) = 1, so the plain
-convolution is the weighted sum: nothing is scaled, and the slot width
-is slot_width(e*N_gamma*f) = bit_length(e*N_gamma*f) +
-2*bit_length(p^cap), without V.  The three fixed
-W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the change to u-divided
-coordinates (``eval_f0``, ``to_u_divided``), each read one table kept on
-the context (``witt.PackedTable``): for
-each output index m the row of entry m of every column, each entry's f
-lists packed into one int at the one width
-W = ``WittRing.slot_width(N_gamma*f)`` = bit_length(N_gamma*f) +
-2*bit_length(p^cap).  The input, reduced mod
-p^prec, is packed the same way, so output m is one sum of packed products
-over its row; a slot adds at most N_gamma*f nonnegative terms below
-p^(2 cap), so it stays below 2^W and unpacks exactly.
-``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
-``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, ``invert``'s
-starting value, ``repr`` and the constructor from a list of scalars.
+nonzero coefficient); the indices above it are zero.  A product, or a sum
+of products (``PDElement.dot``: an entry of ``RingMatrix.matvec``), is the
+fused kernel ``FlatVector._dot_planes`` with the binomials C(i+j, i) as
+weights; with a ``bound`` it computes just the coefficients below it,
+exactly as in the full product, since coefficient m of a product reads
+only the coefficients <= m of its factors.  A product of two matrices
+(``PDElement.matmul``) is the packed kernel of ``witt``
+(``FlatVector._matmul_planes``, ``witt._packed_matmul``), with the weights
+removed by ``AmbientParams.gamma_scale`` unless one factor is constant.
+The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the
+change to u-divided coordinates (``eval_f0``, ``to_u_divided``), each read
+one ``witt.PackedTable`` kept on the context.  ``WittScalar`` objects are
+built only at the scalar boundary: ``coeff``, ``coeffs``, ``eval_f0``,
+``eval_fpi``, ``to_u_divided``, ``invert``'s starting value, ``repr`` and
+the constructor from a list of scalars.
 
 A second exact coordinate system is used for ideal-membership tests: the
 divided powers of u itself.  Since u = E - p*a,
@@ -248,11 +227,13 @@ def pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
 def pd_shift(x: PDElement, t: int) -> PDElement:
     """The element whose gamma_(i+t) coefficient is the gamma_i coefficient
     of x, for t >= 0 (DegreeOverflow otherwise); indices pushed to N_gamma
-    or beyond are dropped."""
+    or beyond are dropped, and the result is tail_dirty when x is or when
+    a nonzero coefficient was dropped."""
     if t < 0:
         raise DegreeOverflow(f"shift by {t} below gamma_0")
     N = x.amb.N_gamma
-    return PDElement(x.amb, (), False, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
+    dirty = x.tail_dirty or x.support() + t > N
+    return PDElement(x.amb, (), dirty, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
 def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
@@ -262,14 +243,18 @@ def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
 
 
 def embed_sigma(s: SigmaSeries) -> PDElement:
-    """The inclusion of W(k)[[u]] into S: substitute u = gamma_1 - p*a, by
-    the context's table of the gamma-coefficients of u^n."""
-    amb = s.amb
-    if s.degree >= amb.N_gamma:
-        raise DegreeOverflow(
-            f"series degree {s.degree} does not embed below gamma_{amb.N_gamma}"
-        )
-    return PDElement(amb, (), False, s.prec, amb.u_table.apply(s.planes, s.prec))
+    """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S: substitute
+    u = gamma_1 - p*a.  The degrees below N_gamma are one apply of the
+    context's table of the gamma-coefficients of u^n; a series s of
+    higher degree is s_low + u^N_gamma * s_high, with s_high embedded the
+    same way (at most p levels deep, as degrees stop below N_u) and the
+    product truncated and flagged ``tail_dirty`` like every product."""
+    amb, N = s.amb, s.amb.N_gamma
+    if s.degree < N:
+        return PDElement(amb, (), False, s.prec, amb.u_table.apply(s.planes, s.prec))
+    low = s._make(tuple(pl[:N] for pl in s.planes), s.prec)
+    high = s._make(tuple(pl[N:] for pl in s.planes), s.prec)
+    return embed_sigma(low) + amb.u_pow(N) * embed_sigma(high)
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:

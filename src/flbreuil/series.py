@@ -10,24 +10,11 @@ plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.
-Products take three paths, as in S.  A product, or a whole sum of
-products (``SigmaSeries.dot``: an entry of ``RingMatrix.matvec``), is one
-integer convolution per pair into one accumulator, one fold of the
-T-degrees f .. 2f-2 through m(T) and one reduction mod p^prec
-(``FlatVector._dot_planes``); when the only nonzero pair has the constant
-one as a factor, it is a copy of the other factor reduced mod p^prec.
-For f > 1 the convolution runs on the f lists packed into one int per
-coefficient, list t at bits t*W and up, with a slot width W that no sum
-can overflow (``WittRing.dot_acc``).
-A product of two matrices
-(``SigmaSeries.matmul``, called by ``RingMatrix.__matmul__``) packs each
-entry of both factors once into one big int, every coefficient in its own
-slot, and makes each output entry one sum of big-int products, cut at
-N_u after one unpack (``FlatVector._matmul_planes``); the sum is paired,
-sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j, when
-that needs fewer digit products, and is the same integer either way
-(``witt._packed_matmul``).  Nothing is scaled: a factor of constants
-packs at the width of p^cap as every other.  ``WittScalar``
+Products take the paths of S, unweighted and cut at N_u: a product or a sum
+of products (``SigmaSeries.dot``) is the fused kernel
+``FlatVector._dot_planes``, and a product of two matrices
+(``SigmaSeries.matmul``) the packed kernel of ``witt``
+(``FlatVector._matmul_planes``, ``witt._packed_matmul``).  ``WittScalar``
 objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
 ``constant``, ``invert``'s starting value, ``repr`` and the constructor
 from a list of scalars.

@@ -804,13 +804,10 @@ class FlatVector(FlatValue):
         products: bits d*W and up of slot m hold the T-degree d part of
         coefficient m, a sum of at most e*n*f nonnegative terms below
         p^(2(cap+V)), so it stays below 2^W and no carry crosses into the
-        next degree or slot.  ``_packed_matmul`` forms the sums, paired as
-        sum_k (R_{i,2k} + C_{2k+1,j})(R_{i,2k+1} + C_{2k,j}) - xi_i - eta_j
-        (plus the last product when e is odd) when that needs fewer digit
-        products (``_pairing_pays``, on the entries' supports), one row of
-        packed entries and one sum at a time; the paired sum expands to the
-        plain one, so the accumulator is the same integer and so are the
-        slots read below.
+        next degree or slot.  ``_packed_matmul`` forms the sums, one row of
+        packed entries and one sum at a time, paired when that needs fewer
+        digit products (``_pairing_pays``); a paired sum is the plain one
+        as an integer, so the slots read below are the same.
         The top slot of a product is the product of the factors' top
         coefficients, which are nonzero (scaled too: pre[i] has valuation
         at most V, a coefficient below p^cap less than cap), so the reach

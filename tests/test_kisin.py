@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import breuil_validate, fil_lower, random_fil_member, random_vector
 from flbreuil.errors import NotInvertible, SingularMatrix
+from flbreuil.functors import breuil_to_fl
 from flbreuil import kisin
 from flbreuil.kisin import (
     KisinModule,
@@ -207,3 +209,45 @@ def test_E_powers_are_the_running_products(name, request):
         assert got.planes == expect.planes and got.prec == expect.prec
         assert amb.E_pow(n) is got
         expect = expect * amb.E_series
+
+
+def high_degree_module(amb, seed: int, kind: str) -> KisinModule:
+    """A rank-3 module with series degrees past N_gamma, built from
+    ``random_gls``: its dual (rev X^(-T), the jumps r - r_i reversed,
+    rev Y^(-T), with rev reversing rows and columns), whose inverses fill
+    every degree below N_u, or the module with X replaced by X*U, U
+    unipotent with the one entry u^(N_gamma + 5)."""
+    K = random_gls(amb, random.Random(seed), 3)
+    if kind == "dual":
+        def rev_inv_t(M):
+            return RingMatrix([row[::-1] for row in M.invert().transpose().entries[::-1]])
+
+        return KisinModule(amb, rev_inv_t(K.X), [amb.r - j for j in reversed(K.jumps)],
+                           rev_inv_t(K.Y))
+    U = smat(amb, [[[1], [], [0] * (amb.N_gamma + 5) + [1]], [[], [1], []], [[], [], [1]]])
+    return KisinModule(amb, K.X @ U, K.jumps, K.Y)
+
+
+@pytest.mark.parametrize("kind", ["dual", "xu"])
+@pytest.mark.parametrize("p, r, f", [(3, 1, 1), (5, 3, 1), (3, 1, 2)])
+def test_high_degree_modules_agree_with_a_wider_truncation(p, r, f, kind):
+    # the part of u^n past N_gamma that S drops is invisible at N_p: a
+    # context with 3 N_gamma gives the same jumps, Ftil and section
+    # coefficients below N_gamma mod p^N_p (iteration counts may differ)
+    small = AmbientParams(p, r, f=f, N_p=6)
+    big = AmbientParams(p, r, f=f, N_p=6, N_gamma=3 * small.N_gamma)
+    N, N_p = small.N_gamma, small.N_p
+
+    def at_N_p(T):
+        return (T.M.jumps,
+                [[x.truncate(N_p).coeffs for x in row] for row in T.M.Ftil.entries],
+                [[[c.coeffs for c in x.truncate(N_p).coeffs[:N]] for x in row]
+                 for row in T.section.Bmat.entries])
+
+    for seed in (1, 2, 3):
+        B = kisin_to_breuil(high_degree_module(small, seed, kind))
+        assert any(x.tail_dirty for row in B.Phi.entries for x in row)
+        T = breuil_to_fl(B, adjoin_zero_n=True)
+        wide = breuil_to_fl(kisin_to_breuil(high_degree_module(big, seed, kind)),
+                            adjoin_zero_n=True)
+        assert at_N_p(T) == at_N_p(wide)

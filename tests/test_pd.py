@@ -67,18 +67,31 @@ def test_embed_examples(amb3):
 
 
 def test_embed_is_ring_map(amb3):
+    # the last degree makes the product reach past N_gamma, where both
+    # sides drop the tail and flag it
     rng = random.Random(3)
-    for _ in range(20):
-        f = amb3.useries([rng.randrange(81) for _ in range(5)])
-        g = amb3.useries([rng.randrange(81) for _ in range(5)])
+    for n in [5] * 20 + [amb3.N_gamma // 2 + 3] * 5:
+        f = amb3.useries([rng.randrange(81) for _ in range(n)])
+        g = amb3.useries([rng.randrange(81) for _ in range(n)])
         lhs = embed_sigma(f * g)
         rhs = embed_sigma(f) * embed_sigma(g)
         assert lhs.eq_at(rhs, lhs.prec)
+        assert lhs.tail_dirty == rhs.tail_dirty == ((f * g).degree >= amb3.N_gamma)
 
 
-def test_embed_degree_overflow(amb3):
+def test_embed_past_the_truncation_drops_and_flags(amb3):
+    # every degree below N_u embeds as in a context with 3 N_gamma, cut
+    # below N_gamma; only a list of N_gamma + 1 gamma-coefficients is refused
+    N = amb3.N_gamma
+    big = AmbientParams(3, 2, N_gamma=3 * N)
+    rng = random.Random(14)
+    for n in (N, N + 1, 2 * N + 3, amb3.N_u - 1):
+        coeffs = [rng.randrange(3**8) for _ in range(n)] + [1]
+        x, y = embed_sigma(amb3.useries(coeffs)), embed_sigma(big.useries(coeffs))
+        assert x.tail_dirty and not y.tail_dirty and x.prec == y.prec
+        assert x.planes == y._head(N).planes
     with pytest.raises(DegreeOverflow):
-        embed_sigma(amb3.useries([0] * amb3.N_gamma + [1]))
+        PDElement(amb3, [amb3.ring.one()] * (N + 1))
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])
@@ -93,11 +106,15 @@ def test_u_powers_are_the_binomial_expansion(name, request):
         got = amb.u_pow(n)
         assert got.prec == amb.cap and not got.tail_dirty
         assert all(got.coeff(k) == e for k, e in enumerate(expect))
+    # past N_gamma, u^n is the power of a context with 3 N_gamma, cut
+    big = AmbientParams(amb.p, amb.r, f=amb.f, N_gamma=3 * amb.N_gamma)
+    for n in range(amb.N_gamma, amb.N_u):
+        got = amb.u_pow(n)
+        assert got.prec == amb.cap and got.tail_dirty
+        assert got.planes == big.u_pow(n)._head(amb.N_gamma).planes
     for power in (amb.u_pow, amb.c_pow):
         with pytest.raises(DegreeOverflow):
             power(-1)
-    with pytest.raises(DegreeOverflow):
-        amb.u_pow(amb.N_gamma)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9", "amb27"])
@@ -313,7 +330,9 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
             t = rng.randrange(N + 1)
             ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
             y = pd_shift(x, t)
-            assert y.prec == ref.prec and y.planes == ref.planes and not y.tail_dirty
+            assert y.prec == ref.prec and y.planes == ref.planes
+            # flagged exactly when a nonzero coefficient was dropped
+            assert y.tail_dirty == any(not c.is_zero_at(x.prec) for c in x.coeffs[N - t:])
         with pytest.raises(DegreeOverflow):
             pd_shift(pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])

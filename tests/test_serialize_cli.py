@@ -4,6 +4,7 @@ import random
 import pytest
 
 from flbreuil import campaign as CAM
+from flbreuil.ambient import AmbientParams
 from flbreuil import serialize as SER
 from flbreuil.cli import main
 from flbreuil.errors import (
@@ -120,6 +121,26 @@ def test_cli_gen_apply_section_roundtrip(tmp_path):
     c = SER.load(str(m2))
     assert a.jumps == c.jumps
     assert a.Ftil.eq_at(c.Ftil, a.amb.N_p)
+
+
+def test_cli_section_and_mfl_take_series_degrees_past_N_gamma(tmp_path):
+    # X*U with U unipotent and the one entry u^25: at p = 3, r = 1, N_p = 6
+    # the series ring keeps degrees below 60 and S indices below 20
+    amb = AmbientParams(3, 1, N_p=6)
+    K = random_gls(amb, random.Random(1), 3)
+    one, zero = amb.useries([1]), amb.useries([])
+    U = RingMatrix([[one, zero, amb.useries([0] * 25 + [1])], [zero, one, zero],
+                    [zero, zero, one]])
+    m, s, out = (tmp_path / name for name in ("k.json", "s.json", "m.json"))
+    m.write_text(SER.dumps(KisinModule(amb, K.X @ U, K.jumps, K.Y)))
+    assert amb.N_gamma == 20 and amb.N_u == 60
+    assert main(["section", "--in", str(m), "--out", str(s)]) == 0
+    assert main(["apply", "mfl", "--adjoin-zero-n", "--in", str(m), "--out", str(out)]) == 0
+    sec = json.loads(s.read_text())
+    Bmat = SER.matrix_from_json(SER.params_from_json(sec["params"]), "pd", sec["data"]["Bmat"])
+    assert (Bmat.rows, Bmat.cols) == (3, 3)
+    M = SER.load(str(out))
+    assert isinstance(M, FLModule) and M.jumps == K.jumps
 
 
 def test_cli_gen_deterministic(tmp_path):
