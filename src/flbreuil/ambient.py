@@ -243,20 +243,23 @@ class AmbientParams:
         """(V, pre, post) that turn the gamma product into a plain
         convolution (``FlatVector._matmul_planes``): V = v_p((N_gamma-1)!),
         pre[i] = unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V) and
-        post[m] = unit(m!) * p^(v_p(m!)), which is m! itself.  Scaling
-        coefficient i of both factors by pre[i] and coefficient m of their
-        convolution by post[m] gives a multiple of p^(2V) that is p^(2V)
-        times sum_i C(m, i) x_i y_(m-i) modulo p^(cap + 2V): each term
-        x_i y_j carries p^(2V - v_p(i!) - v_p(j!)) after the scaling, and
-        unit(m!) / (unit(i!) unit(j!)) * p^(v_p(m!) - v_p(i!) - v_p(j!)) is
-        C(m, i)."""
+        post[m] = (p^(2V - v_p(m!)), unit(m!)).  Scaling coefficient i of
+        both factors by pre[i] and coefficient m of their convolution by
+        m! = unit(m!) * p^(v_p(m!)) gives a multiple of p^(2V) that is
+        p^(2V) times sum_i C(m, i) x_i y_(m-i) modulo p^(cap + 2V): each
+        term x_i y_j carries p^(2V - v_p(i!) - v_p(j!)) after the scaling,
+        and unit(m!) / (unit(i!) unit(j!)) * p^(v_p(m!) - v_p(i!) - v_p(j!))
+        is C(m, i).  So coefficient m of the scaled convolution is a
+        multiple of p^(2V - v_p(m!)), and its exact quotient by that power
+        times unit(m!) is the weighted sum mod p^cap."""
         if self._gamma_scale is None:
             p, N, vfact = self.p, self.N_gamma, self.vfact
             V = vfact[N - 1]
             mod = p ** (self.cap + V)
-            units = (math.factorial(i) // p ** vfact[i] for i in range(N))
+            units = [math.factorial(i) // p ** vfact[i] for i in range(N)]
             pre = tuple(pow(u, -1, mod) * p ** (V - v) % mod for u, v in zip(units, vfact))
-            self._gamma_scale = (V, pre, tuple(math.factorial(m) for m in range(N)))
+            post = tuple((p ** (2 * V - v), u) for u, v in zip(units, vfact))
+            self._gamma_scale = (V, pre, post)
         return self._gamma_scale
 
     @staticmethod

@@ -87,10 +87,11 @@ def fpi_vector(vec) -> tuple:
 
 def fl_to_breuil(M: FLModule) -> BreuilModule:
     """Base change to S: Phi = Ftil diag(p^{r_i}) as constants, N the bare
-    derivation, identity adapted basis, unchanged jumps."""
+    derivation, identity adapted basis (its own inverse), unchanged
+    jumps."""
     amb = M.amb
     zero = pd_zero(amb)
-    return BreuilModule(
+    B = BreuilModule(
         amb=amb,
         d=M.d,
         Phi=embed_w_matrix(amb, fl_frobenius_matrix(M)),
@@ -98,13 +99,16 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
         C=RingMatrix.identity(M.d, zero, pd_one(amb)),
         jumps=M.jumps,
     )
+    B._C_inv = B.C
+    return B
 
 
 # --- the section ---
 
 SectionResult = namedtuple("SectionResult", [
     "Bmat",                 # section matrix at internal precision
-    "iterations",           # first n with B_{n+1} = B_n mod p^N_p
+    "iterations",           # first n with B_{n+1} = B_n mod p^N_p in every
+                            # gamma_i, i < N_gamma: depends on N_gamma too
     "residual_valuation",   # certified valuation of B f0(A) - A phi(B)
     "exact",                # residual vanishes at N_p
     "B0_claim_ok",          # p (B_0 - I) lies in u^p Mat(S)
@@ -122,6 +126,12 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     presentations coming from the normal form the iteration count never
     exceeds the rate bound; elsewhere it is best effort and NonConvergent
     is raised after twice the bound plus a fixed cushion.
+
+    The count ``iterations`` is the first n with B_(n+1) = B_n mod p^N_p
+    in every gamma-coefficient below N_gamma, as the stop test compares
+    them all.  It is not a function of the module mod p^N_p alone: a
+    context with a larger N_gamma keeps coefficients that may settle a
+    step later, while the section agrees mod p^N_p.
     """
     amb = B.amb
     at = amb.N_p

@@ -81,12 +81,12 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     Y * phi(X Lambda) (Y embedded plainly, the rest through phi), and the
     top filtration is adapted with the normal-form jumps: a coordinate
     vector w lies in Fil^r exactly when w_i has filtration valuation at
-    least r - r_i.
+    least r - r_i.  The adapted basis is the identity, its own inverse.
     """
     amb = K.amb
     phi_XL = _embed_matrix(K.XL).map_entries(phi_S)
     Phi = _embed_matrix(K.Y) @ phi_XL
-    return breuil_mod.BreuilModule(
+    B = breuil_mod.BreuilModule(
         amb=amb,
         d=K.d,
         Phi=Phi,
@@ -94,6 +94,8 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
         C=RingMatrix.identity(K.d, pd_zero(amb), pd_one(amb)),
         jumps=K.jumps,
     )
+    B._C_inv = B.C
+    return B
 
 
 def kisin_raw_fil_checker(K: KisinModule):

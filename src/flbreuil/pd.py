@@ -232,7 +232,8 @@ def pd_shift(x: PDElement, t: int) -> PDElement:
     if t < 0:
         raise DegreeOverflow(f"shift by {t} below gamma_0")
     N = x.amb.N_gamma
-    dirty = x.tail_dirty or x.support() + t > N
+    n = x.support()
+    dirty = x.tail_dirty or (n > 0 and n + t > N)
     return PDElement(x.amb, (), dirty, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
@@ -323,11 +324,14 @@ def n_S(x: PDElement) -> PDElement:
     amb = x.amb
     ring = amb.ring
     # coefficient m of N(x) is p*a * x_{m+1} - m * x_m
+    k = x.prec
+    mod = ring.pk[k]
     shifted = tuple(pl[1:] for pl in x.planes)
-    acc = ring.dot_acc(((shifted, ring.to_planes([amb.pa.coeffs], amb.cap)),), len(x.planes[0]))
-    for t, pl in enumerate(x.planes):
-        acc[t] = [c - m * b for m, (c, b) in enumerate(zip(acc[t], pl))]
-    return PDElement(amb, (), x.tail_dirty, x.prec, ring.fold(acc, x.prec))
+    pax = ring.unfold(*ring.dot_acc(((shifted, ring.to_planes([amb.pa.coeffs], amb.cap)),),
+                                    len(x.planes[0])), k)
+    planes = tuple([(c - m * b) % mod for m, (c, b) in enumerate(zip(cp, pl))]
+                   for cp, pl in zip(pax, x.planes))
+    return PDElement(amb, (), x.tail_dirty, k, planes)
 
 
 def eval_f0(x: PDElement) -> WittScalar:

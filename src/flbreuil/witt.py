@@ -17,14 +17,20 @@ zero test are written there once.
 
 The residue field F_{p^f} is computed with the ring's own product at one
 digit: m is irreducible when no monic polynomial of degree 1 .. f/2
-divides it (trial division), the inverse of a unit starts from
-a^(p^f - 2) and is Newton-lifted to the working precision, and T^p is the
-residue of the Frobenius image of T.
+divides it (trial division), and T^p is the residue of the Frobenius image
+of T.
 
 The arithmetic Frobenius sends T to the unique root of m that is congruent
 to T^p mod p; the image is Hensel-lifted once per ring and then applying the
 Frobenius is a polynomial substitution.  It restricts to x -> x^p on the
 residue field and has order f.
+
+The Frobenius sigma generates the Galois group of W(F_{p^f}) over Z_p, so
+the norm N(a) = a sigma(a) ... sigma^(f-1)(a) lies in Z/p^N, and a unit's
+inverse is sigma(a) ... sigma^(f-1)(a) N(a)^(-1) (J.-P. Serre, *Local
+Fields*, Ch. V): one modular inverse of an integer.  The Hensel lift of
+the Frobenius image, which runs before sigma exists, carries its own
+running inverse of m'(z).
 """
 
 from __future__ import annotations
@@ -304,7 +310,17 @@ class WittRing:
                 return t
 
     def _lift_frobenius_image(self) -> "WittScalar":
-        """The root of m congruent to T^p mod p, Hensel-lifted to full cap."""
+        """The root of m congruent to T^p mod p, Hensel-lifted to full cap.
+
+        Each step is z <- z - m(z) w, w <- w (2 - m'(z) w), with w a running
+        inverse of m'(z) seeded by the residue-field inverse
+        m'(z)^(p^f - 2) at one digit.  When z and w are right to c digits,
+        the step makes both right to 2c: the new error of z is a multiple
+        of the old one times the error of w, plus its square; the new w is
+        off 1/m'(z) at the new z by a multiple of the square of the old
+        distance, which is at most c-deep (the old error of w, plus the move
+        of z).  So the precision doubles per step, and ``invert``, which
+        needs the Frobenius, does not run."""
         cap = self.cap
         z = WittScalar(self, (0, 1) + (0,) * (self.f - 2), 1) ** self.p
         dm = [i * c for i, c in enumerate(self.m)][1:]
@@ -316,11 +332,16 @@ class WittRing:
                 acc = acc * z + self.from_int(c, z.prec)
             return acc
 
+        w = value(dm, z) ** (self.p ** self.f - 2)
+        two = self.from_int(2)
         cur = 1
         while cur < cap:
             cur = min(2 * cur, cap)
-            z = WittScalar(self, z.coeffs, cur)  # read at cur, as in invert
-            z = z - value(self.m, z) * value(dm, z).invert()
+            # z and w are right to half of cur digits; one step makes their
+            # representatives right to cur digits, so read them at cur
+            z, w = WittScalar(self, z.coeffs, cur), WittScalar(self, w.coeffs, cur)
+            z = z - value(self.m, z) * w
+            w = w * (two - value(dm, z) * w)
         if any(value(self.m, z).coeffs):
             raise ArithmeticError("Frobenius lift failed to satisfy m")
         return z
@@ -329,19 +350,19 @@ class WittRing:
     #
     # A vector of n scalars at one precision k is stored as f int lists of
     # length n, the planes: plane t holds the T^t coefficients, every entry
-    # in [0, p^k).  A product is accumulated unreduced by T-degree into
-    # 2f - 1 lists, then the degrees f .. 2f-2 are folded through m(T) and
-    # the result is reduced mod p^k once (fold).  A sum of products runs one
-    # integer convolution per pair (dot_acc): each operand's f planes are
-    # packed into one int per coefficient, plane t at bits t*W and up, which
-    # is the T-polynomial evaluated at T = 2^W (Kronecker substitution), and
-    # bits d*W and up of the convolution hold T-degree d.  The slot width W
-    # is a proven bound, so the unpacked slots are exactly the f^2 plane
-    # convolutions summed by T-degree.  The product by the constant p*a in
-    # n_S is one such sum, of one pair.  The fixed linear maps of S (phi_S,
-    # embed_sigma, the u-divided coordinates) sum packed products against
-    # the rows of a PackedTable kept on the context, and unpack them as
-    # dot_acc does.  Every packing width is one slot_width.
+    # in [0, p^k).  A sum of products runs one integer convolution per pair
+    # (dot_acc): each operand's f planes are packed into one int per
+    # coefficient, plane t at bits t*W and up, which is the T-polynomial
+    # evaluated at T = 2^W (Kronecker substitution), and bits d*W and up of
+    # the convolution hold T-degree d.  The slot width W is a proven bound,
+    # so the slots are exactly the f^2 plane convolutions summed by
+    # T-degree.  One pass (unfold) then reads the slots, folds the degrees
+    # f .. 2f-2 through m(T) and reduces mod p^k once.  The product by the
+    # constant p*a in n_S is one such sum, of one pair.  The fixed linear
+    # maps of S (phi_S, embed_sigma, the u-divided coordinates) sum packed
+    # products against the rows of a PackedTable kept on the context, and
+    # unfold them as dot_acc's callers do.  Every packing width is one
+    # slot_width.
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -357,12 +378,13 @@ class WittRing:
         top = self.pk[self.cap] if top is None else top
         return terms.bit_length() + 2 * top.bit_length()
 
-    def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> list:
-        """The accumulator by T-degree of the sum of the products of the
-        plane-vector pairs (xs, ys), cut at length n and unreduced: list d
-        sums the convolutions of planes s and t with s + t = d, over every
-        pair, from one integer convolution per pair (times
-        weights[i][j] <= w_max, when given).
+    def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> tuple:
+        """The packed accumulator of the sum of the products of the
+        plane-vector pairs (xs, ys), cut at length n and unreduced, and its
+        slot width W: slot d of entry m (bits d*W and up) sums the
+        convolutions of planes s and t with s + t = d, over every pair,
+        from one integer convolution per pair (times weights[i][j] <= w_max,
+        when given).  ``unfold`` turns it into planes.
 
         Plane t of an operand is packed at bits t*W and up, with
         W = ``slot_width(len(pairs) * n * f * w_max)``.  Slot d of entry m
@@ -370,17 +392,17 @@ class WittRing:
         and i + j = m: at most len(pairs) * n * f terms, each nonnegative
         and below w_max * p^(2 cap), so it stays below 2^W and no carry
         crosses into slot d + 1.  At f = 1 the pack is the plane
-        itself and nothing is unpacked; at f > 1 an operand is packed only
-        below n, the indices an entry below n reads."""
+        itself; at f > 1 an operand is packed only below n, the indices an
+        entry below n reads."""
         acc = [0] * n
+        width = self.slot_width(len(pairs) * n * self.f * w_max)
         if self.f == 1:
             for xs, ys in pairs:
                 _conv_into(acc, xs[0], ys[0], weights)
-            return [acc]
-        width = self.slot_width(len(pairs) * n * self.f * w_max)
+            return acc, width
         for xs, ys in pairs:
             _conv_into(acc, self._pack(xs, width, n), self._pack(ys, width, n), weights)
-        return self._unpack(acc, width)
+        return acc, width
 
     def _pack(self, xs, width: int, n: int | None = None) -> list:
         """One int per coefficient: plane t at bits t*width and up; only the
@@ -393,11 +415,26 @@ class WittRing:
 
     def _unpack(self, acc: list, width: int) -> list:
         """The accumulator by T-degree of a list of packed products: slot d
-        of each entry is bits d*width and up.  At f = 1 it is the list."""
-        if self.f == 1:
-            return [acc]
+        of each entry is bits d*width and up."""
         mask = (1 << width) - 1
         return [[(v >> (d * width)) & mask for v in acc] for d in range(2 * self.f - 1)]
+
+    def unfold(self, acc: list, width: int, k: int) -> tuple:
+        """The planes, reduced mod p^k, of a list of packed products (slot
+        d of each entry, bits d*width and up, is its T-degree d part): the
+        unpack, the fold through m(T) and the reduction in one pass.  At
+        f = 1 the list is the plane.  At f = 2 the top slot is degree 2,
+        and T^2 = r_0 + r_1 T (``_redrows``), so plane t is slot t plus
+        r_t times the top slot; fold(_unpack(...)) gives the same ints."""
+        mod = self.pk[k]
+        if self.f == 1:
+            return ([v % mod for v in acc],)
+        if self.f == 2:
+            mask, top = (1 << width) - 1, 2 * width
+            r0, r1 = self._redrows[0]
+            return ([((v & mask) + r0 * (v >> top)) % mod for v in acc],
+                    [((v >> width & mask) + r1 * (v >> top)) % mod for v in acc])
+        return self.fold(self._unpack(acc, width), k)
 
     def fold(self, acc, k) -> tuple:
         """Fold T-degrees f .. 2f-2 of an accumulator through m(T) and
@@ -482,7 +519,7 @@ class PackedTable:
     ``apply`` packs an input with entries below p^cap the same way, so
     output m is one sum of packed products over row m.  Slot d of that sum
     adds at most n*f nonnegative terms below p^(2 cap), so it stays below
-    2^W and one unpack recovers every T-degree exactly."""
+    2^W and one ``unfold`` recovers every T-degree exactly."""
 
     __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
 
@@ -516,7 +553,7 @@ class PackedTable:
         if n_out is not None:
             top = min(top, n_out)
         acc = [sum(map(mul, s, row)) for row in self.rows[:top]]
-        return ring.fold(ring._unpack(acc, width), k)
+        return ring.unfold(acc, width, k)
 
 
 class FlatValue:
@@ -669,31 +706,41 @@ class WittScalar(FlatValue):
         return f"W({list(self.coeffs)} ~p^{self.prec})"
 
     def frobenius(self) -> "WittScalar":
+        """The substitution T -> sigma(T): coefficient t times the
+        coefficients of sigma(T)^t, summed, mod p^prec."""
         r = self.ring
         if r.f == 1:
             return self
-        planes = r.frobenius_planes(tuple([c] for c in self.coeffs), self.prec)
-        return WittScalar(r, tuple(pl[0] for pl in planes), self.prec)
+        a = self.coeffs
+        out = [a[0]] + [0] * (r.f - 1)
+        for c, spow in zip(a[1:], r._spow):
+            if c:
+                out = [x + c * s for x, s in zip(out, spow)]
+        mod = r.pk[self.prec]
+        return WittScalar(r, tuple(x % mod for x in out), self.prec)
 
     def is_unit(self) -> bool:
         return any(c % self.ring.p for c in self.coeffs)
 
     def invert(self) -> "WittScalar":
-        """The residue inverse a^(p^f - 2) in the field F_{p^f}, Newton-lifted
-        by z <- z(2 - az) to this precision, doubling it per step."""
+        """The inverse at this precision by the norm: with
+        conj = sigma(a) ... sigma^(f-1)(a) (1 at f = 1), N = a * conj is
+        fixed by sigma, so it lies in Z/p^prec, and a^(-1) = conj * N^(-1).
+        A T-coefficient of N that is not zero breaks that invariant and
+        raises ArithmeticError."""
         if not self.is_unit():
             raise NotAUnit("cannot invert: zero modulo p")
         r, k = self.ring, self.prec
-        z = self.truncate(1) ** (r.p**r.f - 2)
-        two = WittScalar(r, (2,) + (0,) * (r.f - 1), k)
-        cur = 1
-        while cur < k:
-            cur = min(2 * cur, k)
-            # z is right to half of cur digits; one step makes its
-            # representative right to cur digits, so read it at cur
-            z = WittScalar(r, z.coeffs, cur)
-            z = z * (two - self * z)
-        return z
+        conj, s = (1,) + (0,) * (r.f - 1), self
+        for _ in range(r.f - 1):
+            s = s.frobenius()
+            conj = r._dot_tuple(((conj, s.coeffs),), k)
+        norm = r._dot_tuple(((self.coeffs, conj),), k)
+        if any(norm[1:]):
+            raise ArithmeticError(f"norm {norm} of a unit is not in Z/p^{k}")
+        mod = r.pk[k]
+        n_inv = pow(norm[0], -1, mod)
+        return WittScalar(r, tuple(c * n_inv % mod for c in conj), k)
 
     @staticmethod
     def dot(xs, ys) -> "WittScalar":
@@ -769,8 +816,9 @@ class FlatVector(FlatValue):
         both rows) and the largest index one product reaches.  Each pair is
         one integer convolution of its packed planes (weighted, for S, by
         weights of at most ``w_max``) into one unreduced accumulator
-        (``WittRing.dot_acc``); one unpack, one fold through m(T) and one
-        reduction mod p^k then serve the whole sum.  A pair with a zero
+        (``WittRing.dot_acc``); one ``WittRing.unfold`` (the unpack, the
+        fold through m(T) and the reduction mod p^k) then serves the whole
+        sum.  A pair with a zero
         entry adds nothing.  When one pair is left and one of its factors
         is the constant one (whose weights C(j, 0) are 1), the sum is the
         other factor: its planes are cut at index ``bound`` and reduced
@@ -785,7 +833,7 @@ class FlatVector(FlatValue):
             for one, other in ((a, b), (b, a)):
                 if len(one[0]) == 1 and one[0][0] == 1 and not any(pl[0] for pl in one[1:]):
                     return ring.truncate_planes([pl[:n] for pl in other], k), k, reach
-        return ring.fold(ring.dot_acc(pairs, n, weights, w_max), k), k, reach
+        return ring.unfold(*ring.dot_acc(pairs, n, weights, w_max), k), k, reach
 
     @staticmethod
     def _matmul_planes(rows, cols, n: int, scale=None) -> list:
@@ -815,18 +863,21 @@ class FlatVector(FlatValue):
 
         ``scale`` = (V, pre, post) removes the binomial weights of S
         (``AmbientParams.gamma_scale``): coefficient i of every entry is
-        multiplied by pre[i] mod p^(cap+V) before packing, and slot m by
-        post[m] after unpacking.  That gives a multiple of p^(2V) that is
-        p^(2V) times the weighted sum mod p^(cap+2V), so its exact quotient
-        by p^(2V) is the weighted sum mod p^cap.  Without ``scale`` (the
-        series ring, and a product over S with a factor of constants,
+        multiplied by pre[i] mod p^(cap+V) before packing.  With
+        post[m] = (q, u), every T-degree of slot m is then a multiple of q,
+        and its exact quotient by q times u is the weighted sum mod p^cap.
+        A packed int whose slots are all multiples of q is q times the
+        packed int of their quotients, so slot m is divided by q packed;
+        the product by u follows the reduction mod p^k.  Without ``scale``
+        (the series ring, and a product over S with a factor of constants,
         whose weights are all C(m, 0) = 1) V is 0, W = ``slot_width(e*n*f)``
-        and the slots are the plain sums.  One fold through m(T) and one
-        reduction mod p^k per output entry follow."""
+        and the slots are the plain sums.  One pass (``WittRing.unfold``)
+        per output entry reads its slots, folds them through m(T) and
+        reduces them mod p^k."""
         ring = rows[0][0].ring
         f, e = ring.f, len(cols[0])
         V, pre, post = scale if scale else (0, None, None)
-        mod, div = ring.p ** (ring.cap + V), ring.p ** (2 * V)
+        mod = ring.p ** (ring.cap + V)
         width = ring.slot_width(e * n * f, mod)
         stride = ((2 * f - 1) * width + 7) // 8
 
@@ -854,10 +905,13 @@ class FlatVector(FlatValue):
                 data = acc.to_bytes(reach * stride, "little")
                 slots = [int.from_bytes(data[m * stride:(m + 1) * stride], "little")
                          for m in range(min(reach, n))]
-                degrees = ring._unpack(slots, width)
                 if scale:
-                    degrees = [[c * w // div for c, w in zip(deg, post)] for deg in degrees]
-                line.append((ring.fold(degrees, k), k, reach))
+                    slots = [v // q for v, (q, _) in zip(slots, post)]
+                planes = ring.unfold(slots, width, k)
+                if scale:
+                    kmod = ring.pk[k]
+                    planes = tuple([c * u % kmod for c, (_, u) in zip(pl, post)] for pl in planes)
+                line.append((planes, k, reach))
             out.append(line)
         return out
 

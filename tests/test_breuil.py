@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flbreuil import breuil as BR
+from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import (
     BreuilModule,
     breuil_bhat,
@@ -21,6 +22,7 @@ from flbreuil.campaign import run_suite_seed
 from flbreuil.errors import NotCris, NotDivisible, NotInFil, RecursionBudget
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
+from flbreuil.kisin import kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
     eval_fpi,
@@ -365,6 +367,27 @@ def test_rebase_round_trip(amb3):
         x = random_vector(B, rng, 5)
         xt = h.invert().matvec(x)
         assert fil_lower(B, amb3.r, x) == fil_lower(Bt, amb3.r, xt)
+
+
+@pytest.mark.parametrize("p, r, f", [(3, 1, 1), (5, 3, 1), (3, 2, 2)])
+def test_identity_adapted_basis_is_its_own_inverse(p, r, f, monkeypatch):
+    # both functors seed C^(-1) = C = I without an elimination, and it is
+    # the inverse the elimination gives, in planes, precision and flag
+    amb = AmbientParams(p, r, f=f)
+    rng = random.Random(f"cinv:{p}:{r}:{f}")
+
+    def state(A):
+        return [[(x.planes, x.prec, x.tail_dirty) for x in row] for row in A.entries]
+
+    def no_elimination(self):
+        raise AssertionError("C_inv inverted the identity")
+
+    for d in (1, 2, 3):
+        for B in (fl_to_breuil(random_fl(amb, rng, d)), kisin_to_breuil(random_gls(amb, rng, d))):
+            with monkeypatch.context() as m:
+                m.setattr(RingMatrix, "invert", no_elimination)
+                seeded = B.C_inv
+            assert state(seeded) == state(B.C) == state(B.C.invert())
 
 
 @pytest.mark.parametrize("p, r, seed", [(7, 5, 5), (11, 9, 3)])

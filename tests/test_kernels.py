@@ -9,8 +9,9 @@ are drawn by hypothesis at f = 1 (p = 3 and p = 5), f = 2 and f = 3, with
 independent precisions and supports, so that products cross the gamma
 truncation (and mark the result tail_dirty) and mix precisions.
 
-The fused dot products (one accumulator, one fold and one reduction for a
-whole row) are checked against the left fold of those schoolbook products
+The fused dot products (one accumulator and one unfold, its fold through
+m(T) and reduction, for a whole row; ``unfold`` is checked against the
+unpack and the fold it fuses) are checked against the left fold of those schoolbook products
 under the elements' own addition, and the scalar dot against the fold of
 scalar products and sums.  A dot or a matrix-vector product over S cut
 below a bound must be the full one cut there, with the same precision
@@ -438,7 +439,8 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
     ss = full_row(amb, SigmaSeries, amb.N_u, n_pairs)
     got, ref = SigmaSeries.dot(ss, ss), ref_series_dot(ss, ss)
     assert (got.planes, got.prec) == (ref.planes, ref.prec)
-    # before the fold, the unpacked slots are the per-plane convolutions
+    # before the fold, the slots of the packed accumulator are the
+    # per-plane convolutions, at the width slot_width documents
     for row, n, weights, w_max in ((xs, amb.N_gamma, amb.comb, amb.comb_max),
                                    (ss, amb.N_u, None, 1)):
         pairs = [(x.planes, x.planes) for x in row]
@@ -447,9 +449,26 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
             for s, xa in enumerate(a):
                 for t, yb in enumerate(b):
                     _conv_into(acc[s + t], xa, yb, weights)
-        assert ring.dot_acc(pairs, n, weights, w_max) == acc
+        packed, width = ring.dot_acc(pairs, n, weights, w_max)
+        assert width == slot_width(amb, n_pairs, n, w_max)
+        assert ring._unpack(packed, width) == acc
     # the series case is tight: its largest slot needs the top bit of W
     assert max(map(max, acc)).bit_length() == slot_width(amb, n_pairs, amb.N_u, 1)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_unfold_is_fold_of_unpack(p, f):
+    # the one-pass unfold against unpack-then-fold, at every precision, on
+    # random packed accumulators and on one with every slot at 2^W - 1
+    ring = witt.WittRing(p, f, cap=12)
+    rng = random.Random(f"unfold:{p}:{f}")
+    width = ring.slot_width(7 * f)
+    slots = 2 * f - 1
+    full = sum(((1 << width) - 1) << (d * width) for d in range(slots))
+    acc = [full] + [rng.getrandbits(slots * width) for _ in range(20)] + [0]
+    for k in range(1, ring.cap + 1):
+        assert ring.unfold(acc, width, k) == ring.fold(ring._unpack(acc, width), k)
 
 
 @pytest.mark.parametrize("f", [2, 3])
@@ -547,18 +566,17 @@ def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
     ring = amb.ring
     seen = []
 
-    def unpack(slots, width, inner=ring._unpack):
-        out = inner(slots, width)
-        seen.append((width, max(map(max, out)).bit_length()))
-        return out
+    def unfold(slots, width, k, inner=ring.unfold):
+        seen.append((width, max(map(max, ring._unpack(slots, width))).bit_length()))
+        return inner(slots, width, k)
 
     def packed_product(cls, n):
         # a full-length row times its column, every entry p^cap - 1: one
-        # output entry, one unpack; returns its width and largest slot
+        # output entry, one unfold; returns its width and largest slot
         row = full_row(amb, cls, n, e)
         seen.clear()
         with monkeypatch.context() as m:
-            m.setattr(ring, "_unpack", unpack)
+            m.setattr(ring, "unfold", unfold)
             got = (RingMatrix([row]) @ RingMatrix([[x] for x in row]))[0, 0]
         assert entry_state(got) == entry_state(cls.dot(row, row))
         [out] = seen
@@ -615,12 +633,12 @@ def test_matmul_scaling_is_the_binomial_product(p):
 
 def convolved(xs, ys, bound, weights=None, w_max=1):
     """The triple of ``FlatVector._dot_planes`` from the convolution path
-    alone: ``dot_acc`` and ``fold``, called directly."""
+    alone: ``dot_acc`` and ``unfold``, called directly."""
     ring = xs[0].ring
     k = min(min(x.prec for x in xs), min(y.prec for y in ys))
     pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
     reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
-    return ring.fold(ring.dot_acc(pairs, min(reach, bound), weights, w_max), k), k, reach
+    return ring.unfold(*ring.dot_acc(pairs, min(reach, bound), weights, w_max), k), k, reach
 
 
 def route_rows(amb, cls):
@@ -800,11 +818,11 @@ def test_constant_factor_packs_unscaled(amb, side, e, monkeypatch):
         A, B = B.transpose(), A.transpose()
 
     def packing_widths(A, B):
-        # the widths the product unpacks at, by the product alone
+        # the widths the product unfolds at, by the product alone
         widths = []
-        unpack = ring._unpack
+        unfold = ring.unfold
         with monkeypatch.context() as m:
-            m.setattr(ring, "_unpack", lambda acc, w: widths.append(w) or unpack(acc, w))
+            m.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
             A @ B
         assert_matmul_is_entrywise_dot(A, B)
         return set(widths)

@@ -16,11 +16,13 @@ from flbreuil.pd import (
     pd_one,
     pd_random_calibrated,
     pd_shift,
+    pd_zero,
     phi_S,
     to_u_divided,
 )
 from flbreuil.ambient import AmbientParams
 from flbreuil.campaign import easylemma_holds
+from inverse_reference import newton_inverse
 from sampler_reference import pd_random_calibrated as ref_pd_random_calibrated
 
 
@@ -119,15 +121,15 @@ def test_u_powers_are_the_binomial_expansion(name, request):
 
 @pytest.mark.parametrize("name", ["amb3", "amb9", "amb27"])
 def test_factorial_unit_inverses_are_the_newton_inverses(name, request):
-    # unit(i!)^-1 is the integer inverse mod p^cap; WittScalar.invert, the
-    # Newton inversion, is the reference at every index of the table
+    # unit(i!)^-1 is the integer inverse mod p^cap; the Newton inversion of
+    # ``inverse_reference`` is the reference at every index of the table
     import math
 
     amb = request.getfixturevalue(name)
     n = len(amb.vfact)
     for i in range(n):
         unit = math.factorial(i) // amb.p ** amb.vfact[i]
-        assert amb.fact_unit_inv(i) == amb.ring.from_int(unit).invert()
+        assert amb.fact_unit_inv(i) == newton_inverse(amb.ring.from_int(unit))
     for table in (amb.fact_unit_inv, amb.pa_div_fact):
         for i in (-1, n, 200):
             with pytest.raises(DegreeOverflow):
@@ -327,12 +329,17 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
             x = pd_random_calibrated(amb, rng, rng.randrange(N + 1), 3)
             # a zero coefficient counts as the element's precision
             assert x.valuation() == min(c.valuation() for c in x.coeffs)
-            t = rng.randrange(N + 1)
+            t = rng.randrange(N + 3)
             ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
             y = pd_shift(x, t)
             assert y.prec == ref.prec and y.planes == ref.planes
             # flagged exactly when a nonzero coefficient was dropped
-            assert y.tail_dirty == any(not c.is_zero_at(x.prec) for c in x.coeffs[N - t:])
+            dropped = x.coeffs[max(N - t, 0):]
+            assert y.tail_dirty == any(not c.is_zero_at(x.prec) for c in dropped)
+        # zero drops nothing at any shift, also past N_gamma
+        for t in range(N + 3):
+            y = pd_shift(pd_zero(amb), t)
+            assert y.planes == pd_zero(amb).planes and not y.tail_dirty
         with pytest.raises(DegreeOverflow):
             pd_shift(pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
 from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, find_irreducible
+from inverse_reference import newton_inverse
 from sampler_reference import draw_below, random_tuple, random_unit_tuple
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
@@ -81,6 +82,35 @@ def test_invert_random_units(zp, w9):
         for _ in range(100):
             x = ring.random_unit(rng)
             assert x.invert() * x == ring.one()
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_invert_is_the_newton_inverse(p, f):
+    # the inverse by the norm against Newton's iteration, in coefficients
+    # and precision at every precision; non-units raise on both
+    ring = WittRing(p, f, cap=20)
+    rng = random.Random(f"invert:{p}:{f}")
+    for k in range(1, ring.cap + 1):
+        for _ in range(8):
+            x = ring.random_unit(rng, k)
+            got, want = x.invert(), newton_inverse(x)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+            # the Frobenius of a scalar is that of its one-entry planes
+            planes = ring.frobenius_planes(tuple([c] for c in x.coeffs), k)
+            assert x.frobenius().coeffs == tuple(pl[0] for pl in planes)
+            y = x.mul_p_pow(1) if k < ring.cap else ring.zero(k)
+            for inv in (WittScalar.invert, newton_inverse):
+                with pytest.raises(NotAUnit):
+                    inv(y)
+
+
+def test_invert_checks_that_the_norm_is_in_Zp():
+    # with sigma replaced by the identity, a * sigma(a) = a^2 leaves Z_p
+    ring = WittRing(3, 2, cap=6)
+    ring._spow = ((0, 1),)
+    with pytest.raises(ArithmeticError):
+        ring.make([1, 1]).invert()
 
 
 def test_frobenius_trivial_for_prime_field(zp):
