@@ -79,8 +79,9 @@ def sigma_matrix(M: RingMatrix) -> RingMatrix:
     return M.map_entries(WittScalar.frobenius)
 
 
-def fpi_vector(vec) -> tuple:
-    return tuple(eval_fpi(x) for x in vec)
+def fpi_matrix(M: RingMatrix) -> RingMatrix:
+    """Entrywise evaluation at u = pi, landing over W(k)."""
+    return M.map_entries(eval_fpi)
 
 
 # --- forward functor ---
@@ -245,15 +246,29 @@ def flag_adapt(amb, d: int, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]
 
 # --- backward functor ---
 
-class FLTransport(namedtuple("FLTransport", [
-    "M",                    # the reduction, an FLModule
-    "section",              # the SectionResult it was split by
-    "g_w",                  # adapted basis change over W
-    "sec_basis_inv",        # (Bmat * embed(g_w))^(-1), over S
-])):
-    """Everything needed to move between a module over S and its reduction."""
+class FLTransport:
+    """Everything needed to move between a module over S and its reduction:
+    the reduction ``M``, the ``section`` it was split by and the adapted
+    basis change ``g_w`` over W.  ``sec_basis_inv``, the inverse over S of
+    the section basis Bmat embed(g_w), is built on its first read and
+    kept; only the filtration test through the section
+    (``tensor_membership_via_section``) reads it, so the backward functor
+    itself inverts no matrix over S."""
 
-    __slots__ = ()
+    __slots__ = ("M", "section", "g_w", "_sec_basis_inv")
+
+    def __init__(self, M: FLModule, section: SectionResult, g_w: RingMatrix):
+        self.M = M
+        self.section = section
+        self.g_w = g_w
+        self._sec_basis_inv = None
+
+    @property
+    def sec_basis_inv(self) -> RingMatrix:
+        if self._sec_basis_inv is None:
+            basis = self.section.Bmat @ embed_w_matrix(self.M.amb, self.g_w)
+            self._sec_basis_inv = basis.invert()
+        return self._sec_basis_inv
 
 
 def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
@@ -285,33 +300,31 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
 
     sec = section if section is not None else section_compute(B)
     Bm = sec.Bmat
-    Bm_inv = Bm.invert()
 
     # Frobenius of the reduction: the section basis makes Phi constant.
     # Bm^(-1) Phi phi(Bm) = f0(Phi) - Bm^(-1) R with R = Bm f0(Phi) - Phi phi(Bm)
     # the section's residual, since Bm^(-1) Bm = I holds exactly in the
-    # truncated ring: one product instead of two.
-    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm_inv @ sec.residual
+    # truncated ring: one solve, and no inverse of Bm.
+    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm.solve(sec.residual)
     FM = f0_matrix(conj)
     if not conj.eq_at(embed_w_matrix(amb, FM), at):
         raise NonConvergent("conjugated Frobenius is not constant at precision")
 
     # Filtration of the reduction: images at u = pi of the adapted columns,
-    # expressed in the section basis, stepwise by jump threshold.
-    T = Bm_inv @ B.C
+    # expressed in the section basis, stepwise by jump threshold.  f_pi
+    # reads the gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring
+    # map of the truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C)
+    # is computed over W(k): the same scalars at the same precision.
+    T = fpi_matrix(Bm).invert() @ fpi_matrix(B.C)
     gens_by_level = []
     for i in range(amb.r + 1):
-        gens_by_level.append(
-            [fpi_vector(T.col(j)) for j in range(B.d) if B.jumps[j] >= i]
-        )
+        gens_by_level.append([T.col(j) for j in range(B.d) if B.jumps[j] >= i])
     g, jumps = flag_adapt(amb, B.d, gens_by_level)
 
-    g_inv = g.invert()
-    M = fl_from_frobenius(amb, g_inv @ FM @ sigma_matrix(g), jumps)
+    M = fl_from_frobenius(amb, g.invert() @ FM @ sigma_matrix(g), jumps)
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
-    sec_basis_inv = embed_w_matrix(amb, g_inv) @ Bm_inv
-    return FLTransport(M=M, section=sec, g_w=g, sec_basis_inv=sec_basis_inv)
+    return FLTransport(M, sec, g)
 
 
 def tensor_membership_via_section(transport: FLTransport, x, n: int,
@@ -384,12 +397,13 @@ def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng) -> RoundTripReport:
     amb = B.amb
     at = amb.N_p
     Bt = rebase(B, g)
-    expected = g.invert() @ embed_w_matrix(amb, f0_matrix(g))
     try:
         sec = section_compute(Bt)
     except NonConvergent as exc:
         return RoundTripReport("S->fl->S", False, "non-convergent", {"error": str(exc)})
-    matrix_exact = sec.Bmat.eq_at(expected, at)
+    # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
+    # the closed form costs one product and no second inverse of g
+    matrix_exact = (g @ sec.Bmat).eq_at(embed_w_matrix(amb, f0_matrix(g)), at)
 
     n_ok = True
     if Bt.Nmat is not None:

@@ -15,28 +15,40 @@ reuses each packed entry across a whole row or column of outputs; the
 short, bounded and single products of the ``dot`` path are faster
 unpacked.
 
-Every inverse comes from one elimination (``_diagonalise``), in O(d^3)
-ring operations: L A R = diag(p^v_c u_c) with units u_c.  Step c takes the
-first unit of column c in rows >= c, and when there is none an entry
-p^v u (u a unit) of the remaining block whose v is the least valuation
-there, so that p^v divides the whole block.  Row operations clear the
-pivot's column below it, column operations its row to its right.  With k
-the lowest precision among A's entries, a multiplier y / (p^v u) is only
-known mod p^(k-v), but it multiplies entries that p^v divides, so it is
-read at precision k and the block loses no digit (the precision argument
-of Caruso, Roe and Vaccon, "Tracking p-adic precision", LMS J. Comput.
-Math. 17A, 2014).  Then p^s A^(-1) = R diag(p^(s - v_c) u_c^(-1)) L:
-``scaled_inverse`` gives Breuil's p^r Phi^(-1) and the section's
-p^r A_0^(-1), and ``invert`` is the case s = 0.  ``residue_invertible``
-eliminates the one-digit lifts of the residues with the column search
-and row operations only, and no L or R: over the residue field a column
-without a unit already makes the matrix singular.  W(k), truncated
-W(k)[[u]] and truncated S are local, so a unit pivot exists at every step
-exactly when A is residue-invertible; and they are quotient rings, so the
-inverse is unique at working precision.  The elimination is right to
-k - 2 max(v_c) + s digits, but ``scaled_inverse`` keeps min(cap, k - 2t + s)
-of them, t = sum v_c = v_p(det A): that is what the determinant route
-adj(A) det(A)^(-1) certifies, and the CLI's output bytes are fixed at it.
+Solves and inverses over W(k)[[u]] and S go by the grading.  S is graded
+by the gamma-index (gamma_i gamma_j = C(i+j, i) gamma_(i+j)) and W(k)[[u]]
+by the u-degree, so a square A over either is invertible exactly when its
+degree-0 part A_0 is, and A X = R is solved one degree at a time from
+A_0^(-1): ``solve`` is the entry type's ``solve``, one triangular pass of
+``witt`` (``FlatVector._solve_planes``), and ``invert`` there is the solve
+of the identity.  With k the lowest precision among the entries of A and
+R, every step is exact mod p^k, so no digit is lost: the unit-pivot case
+of the precision argument of Caruso, Roe and Vaccon ("Tracking p-adic
+precision", LMS J. Comput. Math. 17A, 2014).
+
+Every other inverse comes from one elimination (``_diagonalise``), in
+O(d^3) ring operations: A_0^(-1) in ``solve``, every inverse over W(k), and
+the scaled inverses with p-power pivots.  It finds L A R = diag(p^v_c u_c)
+with units u_c.  Step c takes the first unit of column c in rows >= c, and
+when there is none an entry p^v u (u a unit) of the remaining block whose
+v is the least valuation there, so that p^v divides the whole block.  Row
+operations clear the pivot's column below it, column operations its row
+to its right.  With k the lowest precision among A's entries, a
+multiplier y / (p^v u) is only known mod p^(k-v), but it multiplies
+entries that p^v divides, so it is read at precision k and the block loses
+no digit (the same precision argument).  Then p^s A^(-1) =
+R diag(p^(s - v_c) u_c^(-1)) L: ``scaled_inverse`` gives Breuil's
+p^r Phi^(-1) and the section's p^r A_0^(-1), and its case s = 0 is the
+inverse over W(k).  ``residue_invertible`` eliminates the one-digit lifts
+of the residues with the column search and row operations only, and no L
+or R: over the residue field a column without a unit already makes the
+matrix singular.  W(k), truncated W(k)[[u]] and truncated S are local, so
+a unit pivot exists at every step exactly when A is residue-invertible;
+and they are quotient rings, so the inverse is unique at working
+precision.  The elimination is right to k - 2 max(v_c) + s digits, but
+``scaled_inverse`` keeps min(cap, k - 2t + s) of them, t = sum v_c =
+v_p(det A): that is what the determinant route adj(A) det(A)^(-1)
+certifies, and the CLI's output bytes are fixed at it.
 The semilinear twists (sigma on W(k), phi on the series ring and on S) are
 passed as the entry map itself.
 """
@@ -46,6 +58,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
+from .witt import FlatVector
 
 
 class RingMatrix:
@@ -165,17 +178,49 @@ class RingMatrix:
                         row[j] = row[j] - m * prow[j]
         return True
 
-    def invert(self) -> "RingMatrix":
-        """Two-sided inverse: ``scaled_inverse`` with scale p^0.  It exists
-        exactly when every pivot of the elimination is a unit, that is when A
-        is residue-invertible, and comes back at the lowest precision among
-        A's entries, where it is the unique inverse."""
+    def solve(self, R: "RingMatrix") -> "RingMatrix":
+        """The X with A X = R, for A square over W(k)[[u]] or S and R with
+        as many rows: the entry type's ``solve``, one triangular pass over
+        the grading (``FlatVector._solve_planes``), from the inverse of
+        A's degree-0 part over W(k) by the elimination.  It exists exactly
+        when that part is invertible, that is when A is residue-invertible
+        (NotInvertible otherwise), and comes back at the lowest precision
+        among the entries of A and R, where it is the unique solution."""
         if self.rows != self.cols:
             raise NotInvertible("non-square matrix")
-        try:
-            return scaled_inverse(self, 0)
-        except (SingularMatrix, PrecisionExhausted, NotDivisible):
-            raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal") from None
+        if R.rows != self.rows:
+            raise ValueError("dimension mismatch")
+        if not self.rows:
+            return R
+        k = min(x.prec for M in (self, R) for row in M.entries for x in row)
+        head = RingMatrix([[x.coeff(0).truncate(k) for x in row] for row in self.entries])
+        inv0 = _unit_inverse(head)
+        return RingMatrix(self.entries[0][0].solve(self.entries, inv0.entries, R.entries))
+
+    def invert(self) -> "RingMatrix":
+        """Two-sided inverse.  Over W(k)[[u]] and S it is ``solve`` of the
+        identity; over W(k) it is ``scaled_inverse`` with scale p^0.  It
+        exists exactly when A is residue-invertible and comes back at the
+        lowest precision among A's entries, where it is the unique
+        inverse."""
+        if self.rows != self.cols:
+            raise NotInvertible("non-square matrix")
+        if not self.rows:
+            return self
+        x = self.entries[0][0]
+        if isinstance(x, FlatVector):
+            one = x.lift_residue((1,) + (0,) * (x.ring.f - 1))
+            return self.solve(RingMatrix.identity(self.rows, one - one, one))
+        return _unit_inverse(self)
+
+
+def _unit_inverse(A: RingMatrix) -> RingMatrix:
+    """``scaled_inverse(A, 0)`` for a square A over W(k), with its three
+    failures read as NotInvertible."""
+    try:
+        return scaled_inverse(A, 0)
+    except (SingularMatrix, PrecisionExhausted, NotDivisible):
+        raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal") from None
 
 
 def _dot(xs, ys, bound: int | None = None):

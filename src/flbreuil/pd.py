@@ -48,12 +48,16 @@ only the coefficients <= m of its factors.  A product of two matrices
 (``PDElement.matmul``) is the packed kernel of ``witt``
 (``FlatVector._matmul_planes``, ``witt._packed_matmul``), with the weights
 removed by ``AmbientParams.gamma_scale`` unless one factor is constant.
+A solve A X = R over S (``PDElement.solve``, behind ``RingMatrix.solve``,
+``RingMatrix.invert`` and ``invert``) is the triangular kernel of ``witt``
+(``FlatVector._solve_planes``), one pass over the gamma-index from the
+inverse of A's gamma_0 part over W(k), with the same scaling.
 The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the
 change to u-divided coordinates (``eval_f0``, ``to_u_divided``), each read
 one ``witt.PackedTable`` kept on the context.  ``WittScalar`` objects are
 built only at the scalar boundary: ``coeff``, ``coeffs``, ``eval_f0``,
-``eval_fpi``, ``to_u_divided``, ``invert``'s starting value, ``repr`` and
-the constructor from a list of scalars.
+``eval_fpi``, ``to_u_divided``, the gamma_0 part that a solve inverts
+over W(k), ``repr`` and the constructor from a list of scalars.
 
 A second exact coordinate system is used for ideal-membership tests: the
 divided powers of u itself.  Since u = E - p*a,
@@ -81,8 +85,7 @@ class PDElement(FlatVector):
     ``planes`` and ``prec`` instead."""
 
     __slots__ = ("tail_dirty",)
-    _invert_errors = ("inverse in S needs a unit gamma_0 coefficient",
-                      "inverse in S did not converge at precision")
+    _invert_error = "inverse in S needs a unit gamma_0 coefficient"
 
     def __init__(self, amb, coeffs=(), tail_dirty: bool = False, prec: int | None = None,
                  planes=None):
@@ -171,6 +174,21 @@ class PDElement(FlatVector):
                         for (planes, k, reach), dirty in zip(line, col_dirty)])
         return out
 
+    @staticmethod
+    def solve(rows, inv0, rhs) -> list:
+        """The entries of the X with A X = R, for A = ``rows`` (square, with
+        ``inv0`` the inverse over W(k) of its gamma_0 part) and R = ``rhs``:
+        the triangular kernel (``FlatVector._solve_planes``) with the
+        binomial weights removed by the context's ``gamma_scale``.  Every
+        entry is tail_dirty when the product A X would be: when an entry of
+        A or R is, or when the largest supports in A and X reach past
+        N_gamma together."""
+        amb = rows[0][0].amb
+        N = amb.N_gamma
+        grid, k, reach = FlatVector._solve_planes(rows, inv0, rhs, N, amb.gamma_scale())
+        dirty = reach > N or any(x.tail_dirty for m in (rows, rhs) for row in m for x in row)
+        return [[PDElement(amb, (), dirty, k, planes) for planes in line] for line in grid]
+
     def _head(self, n: int) -> "PDElement":
         """This element with the coefficients at index n and beyond dropped;
         the precision and the tail_dirty flag are kept."""
@@ -183,11 +201,6 @@ class PDElement(FlatVector):
         which the dropped tail can reach, is not compared."""
         diff = self - other
         return diff._head(self.amb.N_gamma - diff.tail_dirty).is_zero_at(k)
-
-    def newton_steps(self) -> int:
-        """Newton steps from a residue-field inverse to this precision and
-        gamma truncation, plus slack."""
-        return max(self.amb.N_gamma, self.prec).bit_length() + 2
 
     def support(self) -> int:
         """Index one past the last integer-nonzero coefficient."""
@@ -391,20 +404,34 @@ def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
     if max_val < 0:
         raise ValueError(f"negative valuation bound {max_val}")
     ring = amb.ring
-    cap = amb.cap
-    mod = ring.pk[cap]
-    coin, getrandbits, draw = rng.random, rng.getrandbits, ring._draw
+    cap, p, pk = amb.cap, ring.p, ring.pk
+    mod = pk[cap]
+    bits = mod.bit_length()
+    coin, getrandbits = rng.random, rng.getrandbits
     val_bits = (max_val + 1).bit_length()
     planes = tuple([] for _ in range(ring.f))
     for _ in range(min(max_index, amb.N_gamma)):
         if coin() < 0.3:
             for pl in planes:
                 pl.append(0)
-        else:
+            continue
+        v = getrandbits(val_bits)
+        while v > max_val:
             v = getrandbits(val_bits)
-            while v > max_val:
-                v = getrandbits(val_bits)
-            q = ring.pk[min(v, cap)]
-            for pl, c in zip(planes, draw(getrandbits, cap, True)):
+        q = pk[min(v, cap)]
+        while True:
+            # the f-tuple goes straight onto the planes; without a unit it
+            # comes off again and is redrawn whole
+            unit = False
+            for pl in planes:
+                c = getrandbits(bits)
+                while c >= mod:
+                    c = getrandbits(bits)
+                if c % p:
+                    unit = True
                 pl.append(c * q % mod)
+            if unit:
+                break
+            for pl in planes:
+                pl.pop()
     return PDElement(amb, (), False, cap, planes)

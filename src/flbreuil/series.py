@@ -14,10 +14,12 @@ Products take the paths of S, unweighted and cut at N_u: a product or a sum
 of products (``SigmaSeries.dot``) is the fused kernel
 ``FlatVector._dot_planes``, and a product of two matrices
 (``SigmaSeries.matmul``) the packed kernel of ``witt``
-(``FlatVector._matmul_planes``, ``witt._packed_matmul``).  ``WittScalar``
-objects are built only at the scalar boundary: ``coeff``, ``coeffs``,
-``constant``, ``invert``'s starting value, ``repr`` and the constructor
-from a list of scalars.
+(``FlatVector._matmul_planes``, ``witt._packed_matmul``).  A solve, and
+with it every inverse (``SigmaSeries.solve``), is the triangular kernel
+``FlatVector._solve_planes``, unweighted, one pass over the u-degree.
+``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
+``coeffs``, ``constant``, the constant part that a solve inverts over
+W(k), ``repr`` and the constructor from a list of scalars.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ class SigmaSeries(FlatVector):
     top, as in ``PDElement``."""
 
     __slots__ = ()
-    _invert_errors = ("series inverse needs a unit constant term",
-                      "series inverse did not converge at precision")
+    _invert_error = "series inverse needs a unit constant term"
 
     def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
@@ -98,6 +99,16 @@ class SigmaSeries(FlatVector):
         return [[SigmaSeries(amb, (), k, planes) for planes, k, _ in line]
                 for line in FlatVector._matmul_planes(rows, cols, amb.N_u)]
 
+    @staticmethod
+    def solve(rows, inv0, rhs) -> list:
+        """The entries of the X with A X = R, for A = ``rows`` (square, with
+        ``inv0`` the inverse over W(k) of its constant part) and R = ``rhs``:
+        the triangular kernel (``FlatVector._solve_planes``), unweighted and
+        cut at degree N_u."""
+        amb = rows[0][0].amb
+        grid, k, _ = FlatVector._solve_planes(rows, inv0, rhs, amb.N_u)
+        return [[SigmaSeries(amb, (), k, planes) for planes in line] for line in grid]
+
     def phi(self) -> "SigmaSeries":
         """Frobenius: u -> u^p, arithmetic Frobenius on coefficients."""
         amb = self.amb
@@ -112,11 +123,6 @@ class SigmaSeries(FlatVector):
 
     def constant(self) -> WittScalar:
         return self.coeff(0)
-
-    def newton_steps(self) -> int:
-        """Newton steps from a residue-field inverse to this precision and
-        u-adic truncation, plus slack."""
-        return max(self.amb.N_u, self.prec).bit_length() + 2
 
     def __repr__(self):
         if not self.planes[0]:

@@ -770,8 +770,8 @@ class FlatVector(FlatValue):
     An element is a vector of scalars (its u^i or gamma_i coefficients) at
     one precision ``prec``, stored as planes (see ``WittRing.to_planes``)
     cut after the last nonzero entry.  Subclasses build their results
-    through ``_make(planes, prec)`` and name the two failures of ``invert``
-    in ``_invert_errors``.
+    through ``_make(planes, prec)``, name the failure of ``invert`` in
+    ``_invert_error`` and solve by ``solve(rows, inv0, rhs)``.
     """
 
     __slots__ = ("amb", "planes", "prec")
@@ -915,6 +915,109 @@ class FlatVector(FlatValue):
             out.append(line)
         return out
 
+    @staticmethod
+    def _solve_planes(rows, inv0, rhs, n: int, scale=None) -> tuple:
+        """The triangular kernel behind every solve and inverse over
+        W(k)[[u]] and S.
+
+        For a square A (``rows``, d lists of d elements), the inverse over
+        W(k) of its degree-0 part A_0 (``inv0``, scalars at precision k)
+        and R (``rhs``, d lists of g elements), returns the planes of the X
+        with A X = R, cut at index n (d lists of g planes); their precision
+        k, the lowest among the entries of A and R; and the largest index
+        the product A X reaches, s_A + s_X - 1 for the largest supports in
+        A and X (0 when X is zero).
+
+        Degree m of A X is the sum over i <= m of C(m, i) A_i X_(m-i)
+        (weights 1 in the series ring).  So with A~_i = A_0^(-1) A_i and
+        R~_m = A_0^(-1) R_m, formed first,
+        X_m = R~_m - sum_{i=1..m} C(m, i) A~_i X_(m-i), one degree at a
+        time.  Each step is exact mod p^k in the truncated ring, so X is
+        the unique solution there.
+
+        Every scalar is packed into one int, T-plane t at bits t*W and up
+        (at f = 1 the int is the coefficient), W = ``slot_width(n*d*f,
+        p^(cap+V))``, so a sum of at most n*d packed products holds its
+        T-degree e part at bits e*W and up.  Degree m is one list of d*g
+        such sums, a row of packed A~_i against the packed X_(m-1),
+        X_(m-2), ... of a column, and one ``WittRing.unfold``.  ``scale``
+        = (V, pre, post) removes the binomial weights of S as in
+        ``_matmul_planes``: A~_i and X_j are packed times pre[i] and pre[j]
+        mod p^(cap+V), and sum m is divided by q and, after the unfold,
+        multiplied by u, (q, u) = post[m].  The pass stops once R is spent
+        and the s_A - 1 degrees of X the next sum reads are zero."""
+        ring = rows[0][0].ring
+        f, d, g = ring.f, len(rows), len(rhs[0])
+        k = min(x.prec for m in (rows, rhs) for row in m for x in row)
+        mod = ring.pk[k]
+        V, pre, post = scale if scale else (0, None, None)
+        big = ring.p ** (ring.cap + V)
+        width = ring.slot_width(n * d * f, big)
+        s_a = max(len(x.planes[0]) for row in rows for x in row)
+        s_r = max((len(x.planes[0]) for row in rhs for x in row), default=0)
+
+        def packed(matrix, lo, hi) -> list:
+            # coefficients lo .. hi-1 of every entry, in the order
+            # (degree, column, row)
+            cols = list(zip(*matrix))
+            return ring._pack(tuple([x.planes[t][i] if i < len(x.planes[t]) else 0
+                                     for i in range(lo, hi) for col in cols for x in col]
+                                    for t in range(f)), width)
+
+        inv = ring._pack(tuple([x.coeffs[t] for row in inv0 for x in row] for t in range(f)),
+                         width)
+        inv_rows = [inv[a * d:(a + 1) * d] for a in range(d)]
+        cols = packed(rows, 1, s_a) + packed(rhs, 0, s_r)
+        # entry a of block j: row a of A_0^(-1) times column j of A_1, A_2,
+        # ... (A~_i, (s_a - 1) d blocks) and then of R_0, R_1, ... (R~_m)
+        tilde = ring.unfold([sum(map(mul, r, cols[j:j + d]))
+                             for j in range(0, len(cols), d) for r in inv_rows], width, k)
+        split = (s_a - 1) * d * d
+        if scale:
+            fac = [pre[i] for i in range(1, s_a) for _ in range(d)]
+            a_rows = [ring._pack(tuple([c * s % big for c, s in zip(pl[a:split:d], fac)]
+                                       for pl in tilde), width) for a in range(d)]
+        else:
+            a_rows = [ring._pack(tuple(pl[a:split:d] for pl in tilde), width) for a in range(d)]
+        # column b of X_j, packed, at block n - 1 - j of x_rev[b]
+        x_rev = [[0] * (n * d) for _ in range(g)]
+        xs, last, gd = [], -1, g * d
+        for m in range(n):
+            if m >= s_r and last < max(0, m - s_a + 1):
+                break
+            span = min(m, s_a - 1)
+            if m < s_r:
+                lo = split + m * gd
+                planes = tuple(pl[lo:lo + gd] for pl in tilde)
+            else:
+                planes = tuple([0] * gd for _ in range(f))
+            if span:
+                start = (n - m) * d
+                stop = start + span * d
+                acc = [sum(map(mul, ar, win)) for win in (xr[start:stop] for xr in x_rev)
+                       for ar in a_rows]
+                u = 1
+                if scale:
+                    q, u = post[m]
+                    acc = [v // q for v in acc]
+                planes = tuple([(r - c * u) % mod for r, c in zip(rp, cp)]
+                               for rp, cp in zip(planes, ring.unfold(acc, width, k)))
+            xs.append(planes)
+            if any(map(any, planes)):
+                last = m
+            if scale:
+                s = pre[m]
+                new = ring._pack(tuple([c * s % big for c in pl] for pl in planes), width)
+            else:
+                new = ring._pack(planes, width)
+            pos = (n - 1 - m) * d
+            for b, xr in enumerate(x_rev):
+                xr[pos:pos + d] = new[b * d:(b + 1) * d]
+        xs = xs[:last + 1]
+        grid = [[tuple([xm[t][b * d + a] for xm in xs] for t in range(f)) for b in range(g)]
+                for a in range(d)]
+        return grid, k, s_a + last if xs else 0
+
     def is_unit(self) -> bool:
         p = self.ring.p
         return any(pl[0] % p for pl in self.planes if pl)
@@ -928,20 +1031,10 @@ class FlatVector(FlatValue):
         return type(self)(self.amb, [self.ring.make(t)])
 
     def invert(self):
-        """Inverse of a unit by Newton iteration z <- z(2 - xz), started at
-        the inverse of the constant coefficient."""
-        not_unit, diverged = self._invert_errors
+        """The inverse of a unit: the 1 x 1 case of the triangular kernel
+        (``_solve_planes``, through the type's ``solve``), from the inverse
+        of the constant coefficient over W(k), at this precision."""
         if not self.is_unit():
-            raise NotAUnit(not_unit)
-        amb, prec, cls = self.amb, self.prec, type(self)
-        z = cls(amb, [self.coeff(0).invert()])
-        one = cls(amb, [amb.ring.one(prec)])
-        two = cls(amb, [amb.ring.from_int(2, prec)])
-        for _ in range(self.newton_steps()):
-            xz = self * z
-            z = z * (two - xz)
-            if xz.eq_at(one, prec):
-                break
-        if not (self * z).eq_at(one, prec):
-            raise NotDivisible(diverged)
-        return z
+            raise NotAUnit(self._invert_error)
+        one = self.lift_residue((1,) + (0,) * (self.ring.f - 1))
+        return self.solve(((self,),), ((self.coeff(0).invert(),),), ((one,),))[0][0]

@@ -1,13 +1,17 @@
-"""The reference inverse of a unit of W(F_{p^f}): Newton's iteration, as the
-kernel ran it before it inverted by the norm (``WittScalar.invert``).
+"""Reference inverses by Newton's iteration, as the kernel ran them before
+it inverted a scalar by the norm (``WittScalar.invert``) and a series or
+an element of S by one triangular pass (``FlatVector._solve_planes``).
 
 The residue inverse a^(p^f - 2) in the field F_{p^f} is lifted by
-z <- z(2 - az), which doubles the number of right digits per step.  The
-inverse at precision k is unique, so the kernel's inverse must equal this
-one in coefficients and precision.
+z <- z(2 - az), which doubles the number of right digits per step; a unit
+of W(k)[[u]] or S is inverted the same way from the inverse of its
+constant coefficient.  The inverse at precision k is unique in the
+truncated rings, so the kernel's inverses must equal these in
+coefficients and precision.
 """
 
-from flbreuil.errors import NotAUnit
+from flbreuil.errors import NotAUnit, NotDivisible
+from flbreuil.pd import PDElement
 from flbreuil.witt import WittScalar
 
 
@@ -26,4 +30,29 @@ def newton_inverse(a: WittScalar) -> WittScalar:
         # representative right to cur digits, so read it at cur
         z = WittScalar(r, z.coeffs, cur)
         z = z * (two - a * z)
+    return z
+
+
+def newton_element_inverse(x):
+    """x^(-1) for a unit x of W(k)[[u]] or S, by Newton's iteration
+    z <- z(2 - xz) from the inverse of the constant coefficient, as the
+    kernel ran it before it inverted by one triangular pass
+    (``FlatVector._solve_planes``).  It stops at the first step whose xz is
+    1 at x's precision, after at most bit_length(max(cut, prec)) + 2 steps
+    (the cut N_gamma over S, N_u over the series ring); NotAUnit for a
+    non-unit, NotDivisible when it does not converge."""
+    if not x.is_unit():
+        raise NotAUnit("cannot invert: zero modulo p")
+    amb, prec, cls = x.amb, x.prec, type(x)
+    cut = amb.N_gamma if isinstance(x, PDElement) else amb.N_u
+    z = cls(amb, [newton_inverse(x.coeff(0))])
+    one = cls(amb, [amb.ring.one(prec)])
+    two = cls(amb, [amb.ring.from_int(2, prec)])
+    for _ in range(max(cut, prec).bit_length() + 2):
+        xz = x * z
+        z = z * (two - xz)
+        if xz.eq_at(one, prec):
+            break
+    if not (x * z).eq_at(one, prec):
+        raise NotDivisible("Newton's iteration did not converge at precision")
     return z

@@ -277,6 +277,38 @@ def test_transport_inverse_is_the_product_of_inverses(p):
         assert transport.sec_basis_inv.eq_at(product.invert(), amb.N_p)
 
 
+def test_apply_mfl_inverts_no_matrix_over_s(tmp_path, monkeypatch):
+    # the backward functor solves for the conjugated Frobenius and reads the
+    # filtration images over W(k); the inverse of the section basis is
+    # built only when the transport's sec_basis_inv is read, once
+    from flbreuil.ambient import AmbientParams
+    from flbreuil.cli import main
+    from flbreuil.pd import PDElement
+
+    calls = []
+    invert = RingMatrix.invert
+
+    def counted(self):
+        if self.rows and isinstance(self.entries[0][0], PDElement):
+            calls.append(self.rows)
+        return invert(self)
+
+    monkeypatch.setattr(RingMatrix, "invert", counted)
+    k = tmp_path / "k.json"
+    assert main(["gen", "kisin-gls", "--p", "5", "--d", "4", "--seed", "3", "--out", str(k)]) == 0
+    assert main(["apply", "mfl", "--in", str(k), "--adjoin-zero-n",
+                 "--out", str(tmp_path / "m.json")]) == 0
+    assert calls == []
+
+    amb = AmbientParams(5, 3)
+    transport = breuil_to_fl(kisin_to_breuil(random_gls(amb, random.Random(3), 4)),
+                             adjoin_zero_n=True)
+    assert calls == []
+    first = transport.sec_basis_inv
+    assert calls == [4]
+    assert transport.sec_basis_inv is first and calls == [4]
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_conjugated_frobenius_from_the_residual(p):
     # breuil_to_fl reads Bm^-1 Phi phi(Bm) as embed(f0(Phi)) - Bm^-1 R, with R
