@@ -30,8 +30,9 @@ Frobenius ``phi_S`` (columns unit(i!)^-1 * c^i), the embedding
 ``embed_sigma`` of W(k)[[u]] (columns u^n) and the change to the
 u-divided coordinates (columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one
 ``witt.PackedTable`` each: columns packed by output index at the width
-``WittRing.slot_width`` gives, and one ``apply``.  This module supplies
-only their columns.
+``WittRing.slot_width`` gives, and one ``apply`` for a list of vectors
+(a matrix's entries at once, or one element).  This module supplies only
+their columns.
 
 Two sizing rules matter:
 

@@ -41,6 +41,7 @@ from .pd import (
     pd_random_calibrated,
     pd_shift,
     phi_S,
+    phi_S_all,
 )
 
 
@@ -273,7 +274,7 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     C^(-1) = (h^(-1) C)^(-1) is seeded as C^(-1) h, a product instead of a
     second inversion."""
     h_inv = h.invert()
-    phi_h = h.map_entries(phi_S)
+    phi_h = h.map_all(phi_S_all)
     Phi_new = h_inv @ B.Phi @ phi_h
     C_new = h_inv @ B.C
     Nmat_new = None

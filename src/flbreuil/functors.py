@@ -49,14 +49,14 @@ from .errors import (
 from .fl import FLModule, fl_classify, fl_from_frobenius, fl_frobenius_matrix, fl_validate
 from .matrix import RingMatrix, scaled_inverse
 from .pd import (
+    all_in_u_power_ideal,
     eval_f0,
     eval_fpi,
-    in_u_power_ideal,
     n_S,
     pd_from_scalar,
     pd_one,
     pd_zero,
-    phi_S,
+    phi_S_all,
 )
 from .witt import WittScalar
 
@@ -72,7 +72,8 @@ def embed_w_matrix(amb, M: RingMatrix) -> RingMatrix:
 
 
 def phi_matrix(M: RingMatrix) -> RingMatrix:
-    return M.map_entries(phi_S)
+    """Entrywise phi_S: one apply of the context's table to all entries."""
+    return M.map_all(phi_S_all)
 
 
 def sigma_matrix(M: RingMatrix) -> RingMatrix:
@@ -158,11 +159,9 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     t = r
     B0 = A @ A0inv
     try:
-        claim = all(
-            in_u_power_ideal(x.mul_p_pow(1), amb.p, at)
-            for row in (B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd).entries
-            for x in row
-        )
+        diff = B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd
+        claim = all_in_u_power_ideal([x.mul_p_pow(1) for row in diff.entries for x in row],
+                                     amb.p, at)
     except NotDivisible:
         claim = False  # a non-integral first iterate certainly fails it
     rate = amb.rate_bound()
@@ -300,12 +299,21 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
 
     sec = section if section is not None else section_compute(B)
     Bm = sec.Bmat
+    # f_pi(Bm) is Bm's gamma_0 part: its one inverse over W(k) serves the
+    # filtration below and, cut to the solve's precision (where the inverse
+    # is unique, so the same ints), the solve
+    Bm_pi_inv = fpi_matrix(Bm).invert()
 
     # Frobenius of the reduction: the section basis makes Phi constant.
     # Bm^(-1) Phi phi(Bm) = f0(Phi) - Bm^(-1) R with R = Bm f0(Phi) - Phi phi(Bm)
     # the section's residual, since Bm^(-1) Bm = I holds exactly in the
     # truncated ring: one solve, and no inverse of Bm.
-    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm.solve(sec.residual)
+    corr = sec.residual
+    if B.d:
+        k = min(x.prec for M in (Bm, corr) for row in M.entries for x in row)
+        corr = RingMatrix(Bm[0, 0].solve(Bm.entries, Bm_pi_inv.truncate(k).entries,
+                                         corr.entries))
+    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - corr
     FM = f0_matrix(conj)
     if not conj.eq_at(embed_w_matrix(amb, FM), at):
         raise NonConvergent("conjugated Frobenius is not constant at precision")
@@ -315,7 +323,7 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     # reads the gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring
     # map of the truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C)
     # is computed over W(k): the same scalars at the same precision.
-    T = fpi_matrix(Bm).invert() @ fpi_matrix(B.C)
+    T = Bm_pi_inv @ fpi_matrix(B.C)
     gens_by_level = []
     for i in range(amb.r + 1):
         gens_by_level.append([T.col(j) for j in range(B.d) if B.jumps[j] >= i])

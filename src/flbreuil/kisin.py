@@ -23,7 +23,7 @@ from . import breuil as breuil_mod
 from .errors import NotInvertible
 from .fl import check_jumps, random_jumps
 from .matrix import RingMatrix, converges_to_zero
-from .pd import embed_sigma, pd_one, pd_zero, phi_S
+from .pd import embed_sigma_all, pd_one, pd_zero, phi_S_all
 from .series import SigmaSeries
 
 
@@ -71,7 +71,7 @@ def kisin_classify(K: KisinModule, max_steps: int | None = None) -> KisinClassif
 
 
 def _embed_matrix(A: RingMatrix) -> RingMatrix:
-    return RingMatrix([[embed_sigma(x) for x in row] for row in A.entries])
+    return A.map_all(embed_sigma_all)
 
 
 def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
@@ -84,7 +84,7 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     least r - r_i.  The adapted basis is the identity, its own inverse.
     """
     amb = K.amb
-    phi_XL = _embed_matrix(K.XL).map_entries(phi_S)
+    phi_XL = _embed_matrix(K.XL).map_all(phi_S_all)
     Phi = _embed_matrix(K.Y) @ phi_XL
     B = breuil_mod.BreuilModule(
         amb=amb,

@@ -89,6 +89,14 @@ class RingMatrix:
     def map_entries(self, fn) -> "RingMatrix":
         return RingMatrix([[fn(x) for x in row] for row in self.entries])
 
+    def map_all(self, fn) -> "RingMatrix":
+        """The matrix of the same shape whose entries, row by row, are
+        ``fn`` of the list of all entries: a map of lists that handles
+        them at once, such as ``pd.phi_S_all``."""
+        flat = fn([x for row in self.entries for x in row])
+        c = self.cols
+        return RingMatrix([flat[i * c:(i + 1) * c] for i in range(self.rows)])
+
     def transpose(self) -> "RingMatrix":
         return RingMatrix(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])

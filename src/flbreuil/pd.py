@@ -53,8 +53,13 @@ A solve A X = R over S (``PDElement.solve``, behind ``RingMatrix.solve``,
 (``FlatVector._solve_planes``), one pass over the gamma-index from the
 inverse of A's gamma_0 part over W(k), with the same scaling.
 The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the
-change to u-divided coordinates (``eval_f0``, ``to_u_divided``), each read
-one ``witt.PackedTable`` kept on the context.  ``WittScalar`` objects are
+change to u-divided coordinates (``eval_f0``, ``to_u_divided``,
+``in_u_power_ideal``), each read one ``witt.PackedTable`` kept on the
+context.  A table applies to a list of vectors at once, so ``phi_S_all``,
+``embed_sigma_all`` and ``all_in_u_power_ideal`` map a whole matrix with
+one apply; the single-element maps are the list of one, with the same
+per-element prelude.  ``eval_f0`` reads one output row, so each packed
+input would serve one product: it stays entrywise.  ``WittScalar`` objects are
 built only at the scalar boundary: ``coeff``, ``coeffs``, ``eval_f0``,
 ``eval_fpi``, ``to_u_divided``, the gamma_0 part that a solve inverts
 over W(k), ``repr`` and the constructor from a list of scalars.
@@ -157,8 +162,9 @@ class PDElement(FlatVector):
         by the context's ``gamma_scale``.  When every entry of one factor
         has support at most 1, each weight is C(m, 0) = 1: the plain
         convolution is the weighted sum, and the kernel packs unscaled, at
-        W = slot_width(e*N_gamma*f) from p^cap instead of p^(cap+V), with
-        no pre- or post-scaling.  The kernel may pair the inner products
+        W = slot_width(e*N_gamma*f) from p^K instead of p^(K+V) (K the
+        highest precision of an output entry), with no pre- or
+        post-scaling.  The kernel may pair the inner products
         (``witt._packed_matmul``); the paired sum is the plain one as an
         integer, so planes, precision, reach and flag are the same."""
         amb = rows[0][0].amb
@@ -264,11 +270,26 @@ def embed_sigma(s: SigmaSeries) -> PDElement:
     same way (at most p levels deep, as degrees stop below N_u) and the
     product truncated and flagged ``tail_dirty`` like every product."""
     amb, N = s.amb, s.amb.N_gamma
-    if s.degree < N:
-        return PDElement(amb, (), False, s.prec, amb.u_table.apply(s.planes, s.prec))
+    if len(s.planes[0]) <= N:
+        [planes] = amb.u_table.apply([s.planes], [s.prec])
+        return PDElement(amb, (), False, s.prec, planes)
     low = s._make(tuple(pl[:N] for pl in s.planes), s.prec)
     high = s._make(tuple(pl[N:] for pl in s.planes), s.prec)
     return embed_sigma(low) + amb.u_pow(N) * embed_sigma(high)
+
+
+def embed_sigma_all(ss) -> list:
+    """``embed_sigma`` of every series of the list ss: those of degree
+    below N_gamma by one apply of the context's table to all of them, the
+    others as ``embed_sigma`` takes them."""
+    if not ss:
+        return []
+    amb = ss[0].amb
+    N = amb.N_gamma
+    short = [s for s in ss if len(s.planes[0]) <= N]
+    images = iter(amb.u_table.apply([s.planes for s in short], [s.prec for s in short]))
+    return [PDElement(amb, (), False, s.prec, next(images)) if len(s.planes[0]) <= N
+            else embed_sigma(s) for s in ss]
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:
@@ -284,6 +305,29 @@ def fil_valuation(x: PDElement, at: int | None = None) -> int:
     return x.amb.N_gamma
 
 
+def _phi_input(x: PDElement, j: int) -> tuple:
+    """The input of the table behind ``phi_S``: the planes of the scalars
+    s_i = sigma(x_i) * p^(i - v_p(i!) - j) mod p^k, cut after the last
+    contributing index, and that index (-1 when none is).  An index
+    contributes when its coefficient is nonzero and its exponent is below
+    k.  Every exponent from index j on is nonnegative: i - v_p(i!) is
+    i - j >= 0 below p and at least p - 1 >= r >= j from p on, as
+    v_p(i!) <= (i - 1)/(p - 1)."""
+    amb = x.amb
+    if j < 0 or j > amb.r:
+        raise NotInFil(f"divided Frobenius index {j} outside [0, {amb.r}]")
+    if j > 0 and fil_valuation(x) < j:
+        raise NotInFil(f"element has filtration valuation {fil_valuation(x)} < {j}")
+    k, ring, vfact = x.prec, amb.ring, amb.vfact
+    pk, mod = ring.pk, ring.pk[k]
+    top = next((i for i in range(len(x.planes[0]) - 1, j - 1, -1)
+                if i - vfact[i] - j < k and any(pl[i] for pl in x.planes)), -1)
+    # the indices below j are zero: their exponents i - j are negative
+    scale = [pk[e] if 0 <= e < k else 0 for e in (i - vfact[i] - j for i in range(top + 1))]
+    return [[c * q % mod for c, q in zip(pl, scale)]
+            for pl in ring.frobenius_planes(x.planes, k)], top
+
+
 def phi_S(x: PDElement, j: int = 0) -> PDElement:
     """Divided Frobenius phi_j = phi / p^j on Fil^j, computed termwise.
 
@@ -297,35 +341,25 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
     (``AmbientParams.c_table``).  The result is tail_dirty when x is or
     when the column of the last contributing index is: c^i = c^(i-1)*c
     keeps the flag of its factor, and so does the unit factor, so that
-    column's flag is the flag of every contributing one.
+    column's flag is the flag of every contributing one.  ``phi_S_all``
+    maps a list of elements with one apply of the table.
     """
-    amb = x.amb
-    if j < 0 or j > amb.r:
-        raise NotInFil(f"divided Frobenius index {j} outside [0, {amb.r}]")
-    if j > 0 and fil_valuation(x) < j:
-        raise NotInFil(f"element has filtration valuation {fil_valuation(x)} < {j}")
-    k = x.prec
-    ring = amb.ring
-    mod = ring.pk[k]
-    n = len(x.planes[0])
-    frob = ring.frobenius_planes(x.planes, k)
-    s = [[0] * n for _ in frob]
-    top = -1
-    for i in range(j, n):
-        if not any(pl[i] for pl in x.planes):
-            continue
-        e = i - amb.vfact[i] - j
-        if e < 0:
-            raise NotInFil(f"phi_{j} undefined on gamma_{i}")
-        if e >= k:
-            continue  # contributes 0 at this precision
-        for sp, pl in zip(s, frob):
-            sp[i] = pl[i] * ring.pk[e] % mod
-        top = i
-    table = amb.c_table
-    planes = table.apply([sp[:top + 1] for sp in s], k)
-    dirty = x.tail_dirty or (top >= 0 and table.dirty[top])
-    return PDElement(amb, (), dirty, k, planes)
+    planes, top = _phi_input(x, j)
+    table = x.amb.c_table
+    [out] = table.apply([planes], [x.prec])
+    return PDElement(x.amb, (), x.tail_dirty or (top >= 0 and table.dirty[top]), x.prec, out)
+
+
+def phi_S_all(xs, j: int = 0) -> list:
+    """``phi_S(x, j)`` of every element of the list xs, by one apply of the
+    context's table to all of them."""
+    if not xs:
+        return []
+    inputs = [_phi_input(x, j) for x in xs]
+    table = xs[0].amb.c_table
+    outs = table.apply([planes for planes, _ in inputs], [x.prec for x in xs])
+    return [PDElement(x.amb, (), x.tail_dirty or (top >= 0 and table.dirty[top]), x.prec, out)
+            for x, (_, top), out in zip(xs, inputs, outs)]
 
 
 def n_S(x: PDElement) -> PDElement:
@@ -350,8 +384,9 @@ def n_S(x: PDElement) -> PDElement:
 def eval_f0(x: PDElement) -> WittScalar:
     """Evaluation at u = 0: gamma_i -> (p*a)^i / i!, the first u-divided
     coordinate."""
-    planes = x.amb.u_div_table.apply(x.planes, x.prec, 1)
-    return WittScalar(x.amb.ring, tuple(pl[0] if pl else 0 for pl in planes), x.prec)
+    ring = x.amb.ring
+    [planes] = x.amb.u_div_table.apply([x.planes], [x.prec], 1)
+    return WittScalar(ring, next(zip(*planes), (0,) * ring.f), x.prec)
 
 
 def eval_fpi(x: PDElement) -> WittScalar:
@@ -365,9 +400,10 @@ def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
     coordinates past the support of x are zero."""
     amb = x.amb
     ring = amb.ring
-    cols = list(zip(*amb.u_div_table.apply(x.planes, x.prec)))
+    [planes] = amb.u_div_table.apply([x.planes], [x.prec])
+    cols = list(zip(*planes))
     cols += [(0,) * ring.f] * (amb.N_gamma - len(cols))
-    return tuple(WittScalar(ring, col, x.prec) for col in cols)
+    return tuple([WittScalar(ring, col, x.prec) for col in cols])
 
 
 def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
@@ -375,18 +411,32 @@ def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
 
     u^n * S is spanned by u^m/(m-n)! for m >= n, so coordinate m must carry
     p-valuation at least v_p(m!) - v_p((m-n)!); coordinates below n vanish.
-    Tested on the truncated shadow (indices below N_gamma).
+    Tested on the truncated shadow (indices below N_gamma), mod p^at when
+    given (at >= 0).
     """
-    amb = x.amb
-    k = x.prec if at is None else min(at, x.prec)
-    coords = to_u_divided(x)
-    for m in range(min(n, amb.N_gamma)):
-        if not coords[m].is_zero_at(k):
-            return False
-    for m in range(n, amb.N_gamma):
-        need = min(amb.vfact[m] - amb.vfact[m - n], k)
-        if need > 0 and not coords[m].is_zero_at(need):
-            return False
+    return all_in_u_power_ideal([x], n, at)
+
+
+def all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
+    """Whether ``in_u_power_ideal(x, n, at)`` holds for every element of
+    the list xs: one apply of the context's table gives the planes of
+    their u-divided coordinates (zero past their length)."""
+    if at is not None and at < 0:
+        raise ValueError(f"ideal test at negative precision p^{at}")
+    if not xs:
+        return True
+    amb = xs[0].amb
+    pk, vfact = amb.ring.pk, amb.vfact
+    for x, coords in zip(xs, amb.u_div_table.apply([x.planes for x in xs],
+                                                   [x.prec for x in xs])):
+        k = x.prec if at is None else min(at, x.prec)
+        for m in range(len(coords[0])):
+            need = k if m < n else min(vfact[m] - vfact[m - n], k)
+            if need > 0:
+                q = pk[need]
+                for pl in coords:
+                    if pl[m] % q:
+                        return False
     return True
 
 

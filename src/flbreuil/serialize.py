@@ -66,7 +66,8 @@ def scalar_to_json(x: WittScalar) -> dict:
     return {"coeffs": [str(c) for c in x.coeffs], "prec": x.prec}
 
 
-def scalar_from_json(amb: AmbientParams, d: dict) -> WittScalar:
+def _scalar_ints(amb: AmbientParams, d: dict) -> tuple:
+    """The coefficients and the precision of a scalar document, checked."""
     _expect(d, ("coeffs", "prec"))
     prec = _int(d["prec"], "prec")
     if prec > amb.cap:
@@ -76,7 +77,25 @@ def scalar_from_json(amb: AmbientParams, d: dict) -> WittScalar:
     coeffs = [_int(c, "coefficient") for c in _array(d["coeffs"], "coeffs")]
     if len(coeffs) != amb.f:
         raise SchemaMismatch(f"scalar needs {amb.f} coefficients")
-    return amb.ring.make(coeffs, prec)
+    return coeffs, prec
+
+
+def scalar_from_json(amb: AmbientParams, d: dict) -> WittScalar:
+    return amb.ring.make(*_scalar_ints(amb, d))
+
+
+def _planes_from_json(amb: AmbientParams, docs) -> tuple:
+    """The planes and the precision of the element whose coefficients are
+    the scalar documents ``docs``, each checked in turn as
+    ``scalar_from_json`` checks it: the lowest of their precisions (the
+    cap for none), every coefficient reduced mod p^k, as the element
+    constructors make them from a list of scalars, with no scalar built."""
+    cols, k = [], amb.cap
+    for doc in docs:
+        coeffs, prec = _scalar_ints(amb, doc)
+        cols.append(coeffs)
+        k = min(k, prec)
+    return amb.ring.to_planes(cols, k), k
 
 
 def series_to_json(x: SigmaSeries) -> dict:
@@ -85,10 +104,11 @@ def series_to_json(x: SigmaSeries) -> dict:
 
 def series_from_json(amb: AmbientParams, d: dict) -> SigmaSeries:
     _expect(d, ("ucoeffs",))
-    coeffs = [scalar_from_json(amb, c) for c in _array(d["ucoeffs"], "ucoeffs")]
-    if len(coeffs) > amb.N_u:
+    docs = _array(d["ucoeffs"], "ucoeffs")
+    planes, k = _planes_from_json(amb, docs)
+    if len(docs) > amb.N_u:
         raise SchemaMismatch("too many u coefficients for this truncation")
-    return SigmaSeries(amb, coeffs)
+    return SigmaSeries(amb, (), k, planes)
 
 
 def pd_to_json(x: PDElement) -> dict:
@@ -97,13 +117,14 @@ def pd_to_json(x: PDElement) -> dict:
 
 def pd_from_json(amb: AmbientParams, d: dict) -> PDElement:
     _expect(d, ("gcoeffs", "tail_dirty"))
-    coeffs = [scalar_from_json(amb, c) for c in _array(d["gcoeffs"], "gcoeffs")]
-    if len(coeffs) > amb.N_gamma:
+    docs = _array(d["gcoeffs"], "gcoeffs")
+    planes, k = _planes_from_json(amb, docs)
+    if len(docs) > amb.N_gamma:
         raise SchemaMismatch("too many gamma coefficients for this truncation")
     dirty = d["tail_dirty"]
     if not isinstance(dirty, bool):
         raise SchemaMismatch(f"tail_dirty must be a boolean, got {type(dirty).__name__}")
-    return PDElement(amb, coeffs, dirty)
+    return PDElement(amb, (), dirty, k, planes)
 
 
 def _entry_to_json(x) -> dict:

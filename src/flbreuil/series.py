@@ -94,7 +94,8 @@ class SigmaSeries(FlatVector):
         pairs the inner products when that needs fewer digit products;
         the paired sum is the plain one as an integer, so the planes and
         precision are too.  A series product has no weights, so no factor
-        is scaled and the slot width is that of p^cap."""
+        is scaled and the slot width is that of p^K, K the highest
+        precision of an output entry."""
         amb = rows[0][0].amb
         return [[SigmaSeries(amb, (), k, planes) for planes, k, _ in line]
                 for line in FlatVector._matmul_planes(rows, cols, amb.N_u)]

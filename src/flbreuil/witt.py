@@ -116,9 +116,10 @@ def trimmed(planes) -> tuple:
         m = len(pl)
         while m > n and not pl[m - 1]:
             m -= 1
-        n = max(n, m)
+        if m > n:
+            n = m
     if n < len(planes[0]):
-        planes = tuple(pl[:n] for pl in planes)
+        planes = tuple([pl[:n] for pl in planes])
     return planes
 
 
@@ -360,9 +361,12 @@ class WittRing:
     # f .. 2f-2 through m(T) and reduces mod p^k once.  The product by the
     # constant p*a in n_S is one such sum, of one pair.  The fixed linear
     # maps of S (phi_S, embed_sigma, the u-divided coordinates) sum packed
-    # products against the rows of a PackedTable kept on the context, and
-    # unfold them as dot_acc's callers do.  Every packing width is one
-    # slot_width.
+    # products against the rows of a PackedTable kept on the context, for
+    # a list of vectors packed side by side, and unfold them as dot_acc's
+    # callers do.  Every packing width is one slot_width: from p^cap for
+    # the fused dot and the tables, and for the matrix product and the
+    # solve from p^(K+V), K the highest precision an output entry has,
+    # with every packed coefficient reduced mod p^(K+V) first.
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -374,7 +378,8 @@ class WittRing:
         nonnegative ints below ``top`` (p^cap when None), a product weighted
         by w counting as w terms: the sum stays below terms * top^2 < 2^W,
         so no carry leaves the slot.  The one rule behind every packed
-        product (``dot_acc``, ``PackedTable``, the matrix kernel)."""
+        product (``dot_acc``, ``PackedTable``, the matrix kernel and the
+        solve, which pass the bound of the coefficients they pack)."""
         top = self.pk[self.cap] if top is None else top
         return terms.bit_length() + 2 * top.bit_length()
 
@@ -516,10 +521,16 @@ class PackedTable:
     reach[i] is the largest support among columns 0 .. i and dirty[i] is
     the tail_dirty flag of column i.
 
-    ``apply`` packs an input with entries below p^cap the same way, so
-    output m is one sum of packed products over row m.  Slot d of that sum
-    adds at most n*f nonnegative terms below p^(2 cap), so it stays below
-    2^W and one ``unfold`` recovers every T-degree exactly."""
+    ``apply`` maps a list of vectors at once.  Each is packed the same
+    way, with entries below p^cap, and coefficient i of all of them is
+    packed side by side into one int, vector v in the block at byte v*B,
+    B = ceil((2f - 1) W / 8): the bound that keeps the slots of
+    ``FlatVector._matmul_planes`` apart.  Output m of every vector is then
+    one sum of n products of the entries of row m by those ints.  T-degree
+    d of block v adds at most n*f nonnegative terms below p^(2 cap), so it
+    stays below 2^W, no carry crosses into the next degree or block, and
+    one ``unfold`` per vector recovers every T-degree exactly.  A list of
+    one vector is its own packed coefficients."""
 
     __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
 
@@ -540,20 +551,39 @@ class PackedTable:
             self.reach.append(max(len(packed), self.reach[-1] if self.reach else 0))
             self.dirty.append(dirty)
 
-    def apply(self, planes, k: int, n_out: int | None = None) -> tuple:
-        """The planes of the image of the vector with these planes, reduced
-        mod p^k: the outputs up to the reach of the columns the input
-        meets, and below n_out when it is given."""
+    def apply(self, vectors, ks, n_out: int | None = None) -> list:
+        """The planes of the images of the vectors with these planes, each
+        reduced mod its p^k (``ks``, one per vector): for each, the outputs
+        up to the reach of the columns it meets, and below n_out when it
+        is given."""
         ring, width = self.ring, self.width
-        s = ring._pack(planes, width)
-        n = len(s)
+        if len(vectors) == 1:
+            s = ring._pack(vectors[0], width)
+            n = len(s)
+            if n > len(self.reach):
+                self._grow(n)
+            top = self.reach[n - 1] if n else 0
+            if n_out is not None and top > n_out:
+                top = n_out
+            return [ring.unfold([sum(map(mul, s, row)) for row in self.rows[:top]], width, ks[0])]
+        packs = [ring._pack(planes, width) for planes in vectors]
+        n = max(map(len, packs), default=0)
         if n > len(self.reach):
             self._grow(n)
-        top = self.reach[n - 1] if n else 0
+        reach = self.reach
+        tops = [reach[len(s) - 1] if s else 0 for s in packs]
         if n_out is not None:
-            top = min(top, n_out)
-        acc = [sum(map(mul, s, row)) for row in self.rows[:top]]
-        return ring.unfold(acc, width, k)
+            tops = [min(top, n_out) for top in tops]
+        stride = ((2 * ring.f - 1) * width + 7) // 8
+        blank = bytes(stride)
+        cols = [int.from_bytes(b"".join([s[i].to_bytes(stride, "little") if i < len(s)
+                                         else blank for s in packs]), "little")
+                for i in range(n)]
+        sums = [sum(map(mul, cols, row)).to_bytes(len(packs) * stride, "little")
+                for row in self.rows[:max(tops, default=0)]]
+        return [ring.unfold([int.from_bytes(data[v * stride:(v + 1) * stride], "little")
+                             for data in sums[:top]], width, k)
+                for v, (top, k) in enumerate(zip(tops, ks))]
 
 
 class FlatValue:
@@ -847,37 +877,47 @@ class FlatVector(FlatValue):
         operands is packed once into one int (Kronecker substitution):
         coefficient i in the slot at byte i*B, its T-plane t at bit t*W of
         that slot, with B = ceil((2f - 1) W / 8) bytes and
-        W = ``slot_width(e*n*f, p^(cap+V))``, where e is the inner
-        dimension.  An output entry is then one sum of e big-int
-        products: bits d*W and up of slot m hold the T-degree d part of
-        coefficient m, a sum of at most e*n*f nonnegative terms below
-        p^(2(cap+V)), so it stays below 2^W and no carry crosses into the
-        next degree or slot.  ``_packed_matmul`` forms the sums, one row of
-        packed entries and one sum at a time, paired when that needs fewer
-        digit products (``_pairing_pays``); a paired sum is the plain one
-        as an integer, so the slots read below are the same.
-        The top slot of a product is the product of the factors' top
-        coefficients, which are nonzero (scaled too: pre[i] has valuation
-        at most V, a coefficient below p^cap less than cap), so the reach
-        is the number of slots the sum occupies.
+        W = ``slot_width(e*n*f, p^(K+V))``, where e is the inner
+        dimension and K = min(largest row precision, largest column
+        precision) is the highest precision an output entry has: every
+        packed coefficient is reduced mod p^(K+V) first, and an output of
+        precision k <= K reads only its digits below p^k.  An output entry
+        is then one sum of e big-int products: bits d*W and up of slot m
+        hold the T-degree d part of coefficient m, a sum of at most e*n*f
+        nonnegative terms below p^(2(K+V)), so it stays below 2^W and no
+        carry crosses into the next degree or slot.  ``_packed_matmul``
+        forms the sums, one row of packed entries and one sum at a time,
+        paired when that needs fewer digit products (``_pairing_pays``); a
+        paired sum is the plain one as an integer, so the slots read below
+        are the same.  The reach is read from the supports, as in
+        ``_dot_planes``: the largest s_x + s_y - 1 over the pairs whose
+        entries are both nonzero.  (A top coefficient may vanish mod p^K,
+        so the length of the sum does not give it.)
 
         ``scale`` = (V, pre, post) removes the binomial weights of S
         (``AmbientParams.gamma_scale``): coefficient i of every entry is
-        multiplied by pre[i] mod p^(cap+V) before packing.  With
+        multiplied by pre[i] mod p^(K+V) before packing.  With
         post[m] = (q, u), every T-degree of slot m is then a multiple of q,
-        and its exact quotient by q times u is the weighted sum mod p^cap.
-        A packed int whose slots are all multiples of q is q times the
-        packed int of their quotients, so slot m is divided by q packed;
-        the product by u follows the reduction mod p^k.  Without ``scale``
-        (the series ring, and a product over S with a factor of constants,
-        whose weights are all C(m, 0) = 1) V is 0, W = ``slot_width(e*n*f)``
+        and its exact quotient by q times u is the weighted sum mod p^K:
+        the reduction moves a term x_i y_j by a multiple of
+        p^(K+V) p^(V - v_p(j!)) or p^(K+V) p^(V - v_p(i!)), and
+        v_p(i!), v_p(j!) <= v_p(m!), so the quotient moves by a multiple
+        of p^K.  A packed int whose slots are all multiples of q is q times
+        the packed int of their quotients, so slot m is divided by q
+        packed; the product by u follows the reduction mod p^k.  Without
+        ``scale`` (the series ring, and a product over S with a factor of
+        constants, whose weights are all C(m, 0) = 1) V is 0, the
+        coefficients are reduced mod p^K, W = ``slot_width(e*n*f, p^K)``
         and the slots are the plain sums.  One pass (``WittRing.unfold``)
         per output entry reads its slots, folds them through m(T) and
         reduces them mod p^k."""
         ring = rows[0][0].ring
         f, e = ring.f, len(cols[0])
         V, pre, post = scale if scale else (0, None, None)
-        mod = ring.p ** (ring.cap + V)
+        row_prec = [min(x.prec for x in row) for row in rows]
+        col_prec = [min(y.prec for y in col) for col in cols]
+        K = min(max(row_prec), max(col_prec))
+        mod = ring.p ** (K + V)
         width = ring.slot_width(e * n * f, mod)
         stride = ((2 * f - 1) * width + 7) // 8
 
@@ -887,21 +927,26 @@ class FlatVector(FlatValue):
                 return 0
             if scale:
                 planes = [[c * s % mod for c, s in zip(pl, pre)] for pl in planes]
+            elif x.prec > K:
+                planes = [[c % mod for c in pl] for pl in planes]
             return int.from_bytes(b"".join([c.to_bytes(stride, "little")
                                             for c in ring._pack(planes, width)]), "little")
 
-        paired = _pairing_pays(e, [len(x.planes[0]) for row in rows for x in row],
-                               [len(y.planes[0]) for col in cols for y in col])
+        # supports, with a zero entry far below any sum so that its pairs
+        # reach nothing
+        none = -2 * n - 2
+        r_sup = [[len(x.planes[0]) or none for x in row] for row in rows]
+        c_sup = [[len(y.planes[0]) or none for y in col] for col in cols]
+        paired = _pairing_pays(e, [max(s, 0) for line in r_sup for s in line],
+                               [max(s, 0) for line in c_sup for s in line])
         grid = _packed_matmul(([pack(x) for x in row] for row in rows),
                               [[pack(y) for y in col] for col in cols], paired)
-        col_prec = [min(y.prec for y in col) for col in cols]
         out = []
-        for row, accs in zip(rows, grid):
-            row_prec = min(x.prec for x in row)
+        for rs, accs, row_k in zip(r_sup, grid, row_prec):
             line = []
-            for acc, k in zip(accs, col_prec):
-                k = min(k, row_prec)
-                reach = -(-acc.bit_length() // (8 * stride))
+            for acc, cs, k in zip(accs, c_sup, col_prec):
+                k = min(k, row_k)
+                reach = max(max(map(add, rs, cs)) - 1, 0)
                 data = acc.to_bytes(reach * stride, "little")
                 slots = [int.from_bytes(data[m * stride:(m + 1) * stride], "little")
                          for m in range(min(reach, n))]
@@ -935,15 +980,16 @@ class FlatVector(FlatValue):
         time.  Each step is exact mod p^k in the truncated ring, so X is
         the unique solution there.
 
-        Every scalar is packed into one int, T-plane t at bits t*W and up
-        (at f = 1 the int is the coefficient), W = ``slot_width(n*d*f,
-        p^(cap+V))``, so a sum of at most n*d packed products holds its
-        T-degree e part at bits e*W and up.  Degree m is one list of d*g
-        such sums, a row of packed A~_i against the packed X_(m-1),
+        Every scalar is reduced mod p^(k+V) and packed into one int,
+        T-plane t at bits t*W and up (at f = 1 the int is the
+        coefficient), W = ``slot_width(n*d*f, p^(k+V))``, so a sum of at
+        most n*d packed products holds its T-degree e part at bits e*W and
+        up.  Degree m is one list of d*g such sums, a row of packed A~_i
+        against the packed X_(m-1),
         X_(m-2), ... of a column, and one ``WittRing.unfold``.  ``scale``
         = (V, pre, post) removes the binomial weights of S as in
         ``_matmul_planes``: A~_i and X_j are packed times pre[i] and pre[j]
-        mod p^(cap+V), and sum m is divided by q and, after the unfold,
+        mod p^(k+V), and sum m is divided by q and, after the unfold,
         multiplied by u, (q, u) = post[m].  The pass stops once R is spent
         and the s_A - 1 degrees of X the next sum reads are zero."""
         ring = rows[0][0].ring
@@ -951,7 +997,7 @@ class FlatVector(FlatValue):
         k = min(x.prec for m in (rows, rhs) for row in m for x in row)
         mod = ring.pk[k]
         V, pre, post = scale if scale else (0, None, None)
-        big = ring.p ** (ring.cap + V)
+        big = ring.p ** (k + V)
         width = ring.slot_width(n * d * f, big)
         s_a = max(len(x.planes[0]) for row in rows for x in row)
         s_r = max((len(x.planes[0]) for row in rhs for x in row), default=0)
@@ -960,12 +1006,12 @@ class FlatVector(FlatValue):
             # coefficients lo .. hi-1 of every entry, in the order
             # (degree, column, row)
             cols = list(zip(*matrix))
-            return ring._pack(tuple([x.planes[t][i] if i < len(x.planes[t]) else 0
+            return ring._pack(tuple([x.planes[t][i] % mod if i < len(x.planes[t]) else 0
                                      for i in range(lo, hi) for col in cols for x in col]
                                     for t in range(f)), width)
 
-        inv = ring._pack(tuple([x.coeffs[t] for row in inv0 for x in row] for t in range(f)),
-                         width)
+        inv = ring._pack(tuple([x.coeffs[t] % mod for row in inv0 for x in row]
+                               for t in range(f)), width)
         inv_rows = [inv[a * d:(a + 1) * d] for a in range(d)]
         cols = packed(rows, 1, s_a) + packed(rhs, 0, s_r)
         # entry a of block j: row a of A_0^(-1) times column j of A_1, A_2,

@@ -329,6 +329,35 @@ def test_conjugated_frobenius_from_the_residual(p):
                 assert (x.planes, x.prec) == (y.planes, y.prec)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_breuil_to_fl_inverts_the_gamma0_part_of_the_section_once(p, monkeypatch):
+    # the solve by Bm and the filtration through f_pi(Bm) share one inverse
+    # of Bm's gamma_0 part over W(k), cut to the solve's precision
+    from flbreuil import matrix
+    from flbreuil.ambient import AmbientParams
+
+    amb = AmbientParams(p, p - 2)
+    B = kisin_to_breuil(random_gls(amb, random.Random(f"gamma0:{p}"), 4))
+    sec = section_compute(B)
+    head = [[x.coeff(0) for x in row] for row in sec.Bmat.entries]
+    want = breuil_to_fl(B, section=sec, adjoin_zero_n=True).M
+    seen = []
+    inner = matrix.scaled_inverse
+
+    def counted(A, s):
+        k = min(x.prec for row in A.entries for x in row)
+        seen.append(all(x.eq_at(h, k) for ra, rh in zip(A.entries, head)
+                        for x, h in zip(ra, rh)))
+        return inner(A, s)
+
+    monkeypatch.setattr(matrix, "scaled_inverse", counted)
+    got = breuil_to_fl(B, section=sec, adjoin_zero_n=True).M
+    assert seen.count(True) == 1
+    assert got.jumps == want.jumps
+    assert [[(x.coeffs, x.prec) for x in row] for row in got.Ftil.entries] == \
+        [[(x.coeffs, x.prec) for x in row] for row in want.Ftil.entries]
+
+
 def test_breuil_to_fl_rejects_a_section_of_another_module(amb3):
     # the residual certifies only the Frobenius it was computed for
     rng = random.Random(11)

@@ -7,8 +7,9 @@ lemfil1 and kisin-breuil-consistency tasks at f = 1 (where r + 1 = 5
 filtration levels share one element), on the p = 5, seed 1 section and
 roundtrip-breuil tasks (the bounded filtration tests fil_lower and
 tensor_membership_via_section at p = 5), and on the CLI chain
-(gen kisin-gls, section, apply mfl) at d = 4, seed 1 for p = 3 and p = 5,
-so the Kisin loader is byte-checked at both primes.  A digest
+(gen kisin-gls, section, apply mfl) at d = 4 and d = 6, seed 1 for p = 3
+and p = 5, so the Kisin loader is byte-checked at both primes and the
+packed matrix kernel and table maps at rank 6.  A digest
 covers every record byte (or the exit code and every byte of the written
 file), so any change of a verdict, a witness or a repr shows here.
 """
@@ -42,7 +43,7 @@ VERIFY_TASKS = [
     and t.suite in ("lemfil1", "kisin-breuil-consistency", "section", "roundtrip-breuil")
 ]
 CLI_TASKS = [t for t in H.WORKLOADS["cli-rank"].pool_tasks()
-             if (t.d, t.seed) == (4, 1)]
+             if t.d in (4, 6) and t.seed == 1]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def runner(tmp_path_factory):
 
 
 def test_slice_is_covered_by_golden():
-    assert len(VERIFY_TASKS) == 22 and len(CLI_TASKS) == 6
+    assert len(VERIFY_TASKS) == 22 and len(CLI_TASKS) == 12
     assert all(t.key in GOLDEN for t in VERIFY_TASKS + CLI_TASKS)
 
 
@@ -63,7 +64,8 @@ def test_verify_digest(runner, task):
 
 
 def test_cli_chain_digests(runner):
-    assert [(t.p, t.step) for t in CLI_TASKS] == [(p, s) for p in (3, 5) for s in H.CLI_STEPS]
+    assert [(t.p, t.d, t.step) for t in CLI_TASKS] == \
+        [(p, d, s) for p in (3, 5) for d in (4, 6) for s in H.CLI_STEPS]
     for task in CLI_TASKS:
         out = runner.run(task)
         assert out.error is None

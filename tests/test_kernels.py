@@ -30,7 +30,8 @@ must give the plain sums bit for bit, on raw ints and on dense, sparse,
 square and rectangular matrices with odd and even inner dimension, and
 the route must be taken where the count says it pays.  A product over S
 with an all-constant factor, on either side, packs unscaled at the width
-of p^cap and must still equal the fused dot.
+of p^K (K the highest precision of an output entry) and must still equal
+the fused dot.
 """
 
 import functools
@@ -586,7 +587,8 @@ def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
     # largest slot needs its top bit, so a width of W - 1 would carry
     width, top = packed_product(SigmaSeries, amb.N_u)
     assert width == top == slot_width(amb, e, amb.N_u, 1)
-    # S: the same rule at p^(cap+V), the bound of its scaled entries
+    # S: the same rule at p^(K+V), the bound of its scaled entries; every
+    # entry is at the cap, so K = cap
     V = amb.gamma_scale()[0]
     width, top = packed_product(PDElement, amb.N_gamma)
     assert width == (e * amb.N_gamma * f).bit_length() + 2 * (amb.p ** (amb.cap + V)).bit_length()
@@ -827,10 +829,16 @@ def test_constant_factor_packs_unscaled(amb, side, e, monkeypatch):
         assert_matmul_is_entrywise_dot(A, B)
         return set(widths)
 
+    def top_prec(A, B):
+        # K: the highest precision of an output entry
+        return min(max(min(x.prec for x in row) for row in A.entries),
+                   max(min(y.prec for y in col) for col in B.transpose().entries))
+
     seen = routes_taken(monkeypatch)
-    # the weights are C(m, 0) = 1: no gamma_scale, the width of p^cap, and
+    # the weights are C(m, 0) = 1: no gamma_scale, the width of p^K, and
     # no pairing with the constant factor
-    assert packing_widths(A, B) == {(e * N * f).bit_length() + 2 * ring.pk[amb.cap].bit_length()}
+    assert packing_widths(A, B) == \
+        {(e * N * f).bit_length() + 2 * ring.pk[top_prec(A, B)].bit_length()}
     assert seen[0] is False
     # one entry of support two brings the scaling back
     entries = [list(row) for row in (A if side == "left" else B).entries]
@@ -841,4 +849,4 @@ def test_constant_factor_packs_unscaled(amb, side, e, monkeypatch):
         B = RingMatrix(entries)
     V = amb.gamma_scale()[0]
     assert packing_widths(A, B) == \
-        {(e * N * f).bit_length() + 2 * (amb.p ** (amb.cap + V)).bit_length()}
+        {(e * N * f).bit_length() + 2 * (amb.p ** (top_prec(A, B) + V)).bit_length()}

@@ -1,0 +1,310 @@
+"""Packed products sized by their operands' precision, and the table maps
+of S over many vectors at once.
+
+The matrix kernel (``FlatVector._matmul_planes``) packs every coefficient
+reduced mod p^(K+V), K = min(largest row precision, largest column
+precision), and reads each entry's reach from the supports; the
+triangular solve (``FlatVector._solve_planes``) packs mod p^(k+V), k the
+lowest precision among A and R.  On operands of mixed precision, some
+with a top coefficient that vanishes mod p^K, the products must equal the
+fused dot (``_dot_planes``) entry by entry in planes, precision, reach and
+tail_dirty flag, and the solves the elimination (``scaled_inverse``) in
+planes, precision and flag, with the reach of the product A X, at f in
+{1, 2, 3}, with rank-0 matrices too.
+
+``PackedTable.apply`` maps a list of vectors side by side; the matrix
+maps built on it (``functors.phi_matrix``, ``pd.phi_S_all``,
+``pd.embed_sigma_all``, ``pd.all_in_u_power_ideal``) must equal the
+entrywise maps on 0 x 0, 1 x 1, constant, zero and dirty entries, and
+series past N_gamma.  The loader of series and S (``serialize``) builds planes
+directly and must give the elements the scalar constructors give, with
+the same errors in the same order.
+"""
+
+import random
+
+import pytest
+
+from flbreuil import serialize as SER
+from flbreuil.ambient import AmbientParams
+from flbreuil.errors import PrecisionMismatch, SchemaMismatch
+from flbreuil.functors import phi_matrix
+from flbreuil.matrix import RingMatrix, scaled_inverse
+from flbreuil.pd import (
+    PDElement,
+    all_in_u_power_ideal,
+    embed_sigma,
+    embed_sigma_all,
+    in_u_power_ideal,
+    phi_S,
+    phi_S_all,
+)
+from flbreuil.series import SigmaSeries
+from flbreuil.witt import FlatVector
+
+# (p, f, N_gamma): small cuts keep the references quick; v_p((N_gamma-1)!)
+# >= 1, so the products and solves over S scale by gamma_scale
+CONTEXTS = [(3, 1, 10), (5, 1, 12), (3, 2, 8), (3, 3, 6)]
+
+
+def _amb(p, f, n_gamma):
+    return AmbientParams(p, 1, f=f, N_p=2, N_gamma=n_gamma)
+
+
+def _entry(amb, cls, rng, prec, support, deep_top=None, unit=None, dirty=False):
+    """An entry of support ``support`` at ``prec``, whose constant term is a
+    unit (``unit`` true), a multiple of p (false) or random (None); with
+    ``deep_top`` its top coefficient, when that is not a unit constant
+    term, is p^deep_top times a unit, so it vanishes mod p^deep_top."""
+    ring = amb.ring
+    coeffs = [ring.random(rng, prec) for _ in range(support)]
+    if support and unit is not None:
+        coeffs[0] = ring.random_unit(rng, prec) if unit else coeffs[0].mul_p_pow(1).truncate(prec)
+    if support and deep_top is not None and not (unit and support == 1):
+        coeffs[-1] = ring.random_unit(rng, prec).mul_p_pow(deep_top).truncate(prec)
+    if cls is PDElement:
+        return PDElement(amb, coeffs, dirty, prec)
+    return SigmaSeries(amb, coeffs, prec)
+
+
+def _mixed(amb, cls, rng, e, cut, lows, deep):
+    """Lines of e entries, line i with one entry at precision lows[i] and
+    the others at it or at the cap; the nonzero entries above p^deep have
+    a top coefficient divisible by p^deep, and some entries are zero."""
+    lines = []
+    for low in lows:
+        line = []
+        for c in range(e):
+            prec = low if c == 0 else rng.choice([low, amb.cap])
+            deep_top = deep if prec > deep else None
+            support = rng.choice([1, 2, cut // 2, cut] + [0] * (deep_top is None))
+            line.append(_entry(amb, cls, rng, prec, support, deep_top,
+                               dirty=rng.random() < 0.2))
+        rng.shuffle(line)
+        lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+@pytest.mark.parametrize("p, f, n_gamma", CONTEXTS)
+def test_mixed_precision_matmul_is_the_entrywise_dot(p, f, n_gamma, cls, monkeypatch):
+    amb = _amb(p, f, n_gamma)
+    ring = amb.ring
+    cut = amb.N_gamma if cls is PDElement else amb.N_u
+    rng = random.Random(f"sized-matmul:{p}:{f}:{cls.__name__}")
+    widths = []
+    unfold = ring.unfold
+    monkeypatch.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
+    for d, e, g in ((1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)):
+        K = rng.randrange(2, amb.cap - 1)
+        row_lows = [rng.randrange(1, K + 1) for _ in range(d - 1)] + [K]
+        col_lows = [K + 1] + [rng.randrange(1, amb.cap + 1) for _ in range(g - 1)]
+        assert K == min(max(row_lows), max(col_lows))
+        rows = _mixed(amb, cls, rng, e, cut, row_lows, K)
+        cols = _mixed(amb, cls, rng, e, cut, col_lows, K)
+        # the deep top coefficients vanish mod p^K, but not at their own
+        # precision: the reach must still count them
+        assert any(x.prec > K and not any(pl[-1] % ring.pk[K] for pl in x.planes)
+                   for line in rows + cols for x in line if x.planes[0])
+        weights, w_max = (amb.comb, amb.comb_max) if cls is PDElement else (None, 1)
+        scale = None if cls is SigmaSeries else amb.gamma_scale()
+        del widths[:]
+        grid = FlatVector._matmul_planes(rows, cols, cut, scale)
+        V = scale[0] if scale else 0
+        assert set(widths) == {ring.slot_width(e * cut * f, p ** (K + V))}
+        for row, line in zip(rows, grid):
+            for col, got in zip(cols, line):
+                assert got == FlatVector._dot_planes(row, col, cut, weights, w_max)
+        # the element products, flags included
+        C = RingMatrix(rows) @ RingMatrix([list(r) for r in zip(*cols)])
+        for row, line in zip(rows, C.entries):
+            for col, got in zip(cols, line):
+                want = cls.dot(row, col)
+                assert (got.planes, got.prec, getattr(got, "tail_dirty", None)) == \
+                    (want.planes, want.prec, getattr(want, "tail_dirty", None))
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+@pytest.mark.parametrize("p, f, n_gamma", CONTEXTS)
+def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatch):
+    amb = _amb(p, f, n_gamma)
+    ring = amb.ring
+    cut = amb.N_gamma if cls is PDElement else amb.N_u
+    rng = random.Random(f"sized-solve:{p}:{f}:{cls.__name__}")
+    widths = []
+    unfold = ring.unfold
+    monkeypatch.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
+    for d, g in ((1, 1), (2, 3), (3, 1), (4, 4)):
+        k = rng.randrange(2, amb.cap - 1)
+
+        def entry(unit, prec=None):
+            # at k or above; those above k have a top coefficient p^k * unit.
+            # A unit diagonal over multiples of p keeps A_0 invertible
+            if prec is None:
+                prec = rng.choice([k, rng.randrange(k, amb.cap + 1), amb.cap])
+            return _entry(amb, cls, rng, prec, rng.choice([1, 2, cut // 2, cut]),
+                          k if prec > k else None, unit, rng.random() < 0.15)
+
+        A = RingMatrix([[entry(i == j) for j in range(d)] for i in range(d)])
+        R = RingMatrix([[entry(None, k if (i, j) == (0, 0) else None) for j in range(g)]
+                        for i in range(d)])
+        assert k == min(x.prec for M in (A, R) for row in M.entries for x in row)
+        del widths[:]
+        X = A.solve(R)
+        V = amb.gamma_scale()[0] if cls is PDElement else 0
+        assert set(widths) == {ring.slot_width(cut * d * f, p ** (k + V))}
+        want = (scaled_inverse(A, 0) @ R).truncate(k)
+        assert [[(x.planes, x.prec) for x in row] for row in X.entries] == \
+            [[(y.planes, k) for y in row] for row in want.entries]
+        # the reach is that of the product A X, from the supports
+        inv0 = scaled_inverse(RingMatrix([[x.coeff(0).truncate(k) for x in row]
+                                          for row in A.entries]), 0)
+        _, k_got, reach = FlatVector._solve_planes(
+            A.entries, inv0.entries, R.entries, cut,
+            amb.gamma_scale() if cls is PDElement else None)
+        s_a = max(len(x.planes[0]) for row in A.entries for x in row)
+        s_x = max(len(x.planes[0]) for row in X.entries for x in row)
+        assert (k_got, reach) == (k, s_a + s_x - 1 if s_x else 0)
+        if cls is PDElement:
+            dirty = reach > amb.N_gamma or \
+                any(x.tail_dirty for M in (A, R) for row in M.entries for x in row)
+            assert {x.tail_dirty for row in X.entries for x in row} == {dirty}
+
+
+@pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
+def test_rank_zero_products_and_solves(amb3, cls):
+    empty = RingMatrix([])
+    assert (empty @ empty).entries == ()
+    assert empty.solve(empty) is empty and empty.invert() is empty
+    # d x 0 times 0 x 0: d empty rows, no kernel call
+    x = cls(amb3, [amb3.ring.one()])
+    thin = RingMatrix([[], []])
+    assert (thin @ empty).entries == ((), ())
+    assert (RingMatrix([[x]]) @ RingMatrix([[x]]))[0, 0].planes == x.planes
+
+
+# --- the table maps over many vectors ---
+
+def _map_entries(amb, rng):
+    """Entries of S for the maps: zero at several precisions, constants,
+    dirty ones, short and full supports, mixed precisions."""
+    ring, N = amb.ring, amb.N_gamma
+    out = [PDElement(amb, [], False, 3), PDElement(amb, [], True, amb.cap),
+           PDElement(amb, [ring.random_unit(rng, 5)]),
+           PDElement(amb, [ring.random(rng)], True)]
+    for support in (2, N // 2, N, N):
+        prec = rng.randrange(1, amb.cap + 1)
+        out.append(PDElement(amb, [ring.random(rng, prec) for _ in range(support)],
+                             rng.random() < 0.5, prec))
+    return out
+
+
+def _state(x):
+    return (x.planes, x.prec, x.tail_dirty) if isinstance(x, PDElement) else x
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb5", "amb9", "amb27"])
+def test_matrix_maps_are_the_entrywise_maps(name, request):
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"maps:{name}")
+    xs = _map_entries(amb, rng)
+    rng.shuffle(xs)
+    shapes = [(0, 0), (1, 1), (2, 4), (len(xs) // 2, 2)]
+    for d, e in shapes:
+        M = RingMatrix([xs[i * e:(i + 1) * e] for i in range(d)])
+        got, want = phi_matrix(M), M.map_entries(phi_S)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert [list(map(_state, r)) for r in got.entries] == \
+            [list(map(_state, r)) for r in want.entries]
+    # a map of constants only, and the divided Frobenius phi_j on Fil^j
+    consts = [x for x in xs if x.support() <= 1]
+    assert list(map(_state, phi_S_all(consts))) == [_state(phi_S(x)) for x in consts]
+    j = amb.r
+    fil = [PDElement(amb, [amb.ring.zero(x.prec)] * j + list(x.coeffs[j:]), x.tail_dirty,
+                     x.prec) for x in xs]
+    assert list(map(_state, phi_S_all(fil, j))) == [_state(phi_S(x, j)) for x in fil]
+    assert phi_S_all([]) == [] and embed_sigma_all([]) == []
+    # the embedding: zero, constant and short series at mixed precisions,
+    # and series past N_gamma, which embed_sigma splits
+    ring, N = amb.ring, amb.N_gamma
+    ss = [SigmaSeries(amb, [], 4), SigmaSeries(amb, [ring.random_unit(rng, 3)])]
+    for n in (2, N - 1, N, N + 1, 2 * N + 3):
+        prec = rng.randrange(1, amb.cap + 1)
+        ss.append(SigmaSeries(amb, [ring.random(rng, prec) for _ in range(n)], prec))
+    rng.shuffle(ss)
+    for part in (ss, ss[:1], [s for s in ss if len(s.planes[0]) > N]):
+        assert list(map(_state, embed_sigma_all(part))) == [_state(embed_sigma(s)) for s in part]
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_ideal_test_over_a_list_is_the_single_test(name, request):
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"ideal:{name}")
+    up = amb.u_pow(amb.p)
+    xs = _map_entries(amb, rng) + [up, up * _map_entries(amb, rng)[-1], up.mul_p_pow(1)]
+    seen = set()
+    for n in (0, 1, amb.p):
+        for at in (None, 0, 1, amb.N_p):
+            singles = [in_u_power_ideal(x, n, at) for x in xs]
+            seen.update(singles)
+            for part in (xs, [x for x, ok in zip(xs, singles) if ok], xs[:1]):
+                assert all_in_u_power_ideal(part, n, at) == \
+                    all(in_u_power_ideal(x, n, at) for x in part)
+    assert seen == {True, False}
+    assert all_in_u_power_ideal([], amb.p)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb27"])
+def test_table_apply_over_a_list_is_each_apply(name, request):
+    amb = request.getfixturevalue(name)
+    rng = random.Random(f"apply:{name}")
+    xs = _map_entries(amb, rng)
+    for table in (amb.c_table, amb.u_table, amb.u_div_table):
+        for n_out in (None, 0, 1, 3):
+            singles = [table.apply([x.planes], [x.prec], n_out)[0] for x in xs]
+            assert table.apply([x.planes for x in xs], [x.prec for x in xs], n_out) == singles
+    assert amb.c_table.apply([], []) == []
+
+
+# --- the loader builds the planes directly ---
+
+def _doc(amb, coeffs, prec):
+    return {"coeffs": [str(c) for c in coeffs], "prec": prec}
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_loader_planes_are_the_scalar_constructors(name, request):
+    amb = request.getfixturevalue(name)
+    ring, f = amb.ring, amb.f
+    rng = random.Random(f"loader:{name}")
+    for n in (0, 1, 5, amb.N_gamma):
+        docs = [_doc(amb, [rng.randrange(-ring.pk[amb.cap], 2 * ring.pk[amb.cap])
+                           for _ in range(f)], rng.randrange(1, amb.cap + 1))
+                for _ in range(n)]
+        scalars = [SER.scalar_from_json(amb, d) for d in docs]
+        s = SER.series_from_json(amb, {"ucoeffs": docs})
+        want = SigmaSeries(amb, scalars)
+        assert (s.planes, s.prec) == (want.planes, want.prec)
+        for dirty in (False, True):
+            x = SER.pd_from_json(amb, {"gcoeffs": docs, "tail_dirty": dirty})
+            want = PDElement(amb, scalars, dirty)
+            assert (x.planes, x.prec, x.tail_dirty) == (want.planes, want.prec, dirty)
+
+
+def test_loader_errors_keep_their_order(amb3):
+    good = _doc(amb3, [1], 4)
+    over = _doc(amb3, [1], amb3.cap + 1)
+    short = {"coeffs": [], "prec": 4}
+    # a bad coefficient is reported before the count of coefficients, and
+    # the first bad coefficient before a later one
+    for key, kind, n in (("ucoeffs", SER.series_from_json, amb3.N_u),
+                         ("gcoeffs", SER.pd_from_json, amb3.N_gamma)):
+        extra = {"tail_dirty": "no"} if key == "gcoeffs" else {}
+        with pytest.raises(PrecisionMismatch):
+            kind(amb3, {key: [good] * n + [over, short], **extra})
+        with pytest.raises(SchemaMismatch, match="coefficients$"):
+            kind(amb3, {key: [short, over], **extra})
+        with pytest.raises(SchemaMismatch, match="too many"):
+            kind(amb3, {key: [good] * (n + 1), **extra})
+    with pytest.raises(SchemaMismatch, match="tail_dirty"):
+        SER.pd_from_json(amb3, {"gcoeffs": [good], "tail_dirty": "no"})
