@@ -9,15 +9,14 @@ document (``serialize.params_to_json``).  The series truncation
 N_u = p*N_gamma is derived.  All scalars, series and divided-power
 elements of one computation share a single context.
 
-A context is read-only once constructed; only its tables fill lazily, on
-first use, with values that depend on the parameters alone:
+A context is read-only once constructed, but for caches of values that
+depend on the parameters alone, filled on first use:
 
   * the powers u^n, c^i and E^n, each one product from the one before;
   * unit(i!)^-1, the inverse of the unit part of i!, as the integer
     inverse mod p^cap (one ``pow``), and (p*a)^i/i!;
   * the scale factors that remove the binomial weights from a packed
-    matrix product over S (``gamma_scale``);
-  * the columns of the three packed tables below.
+    matrix product over S (``gamma_scale``).
 
 So one context can serve every computation with the same parameters:
 ``shared_params`` returns one per parameter set per process, keyed by the
@@ -25,14 +24,14 @@ parameters ``resolve_params`` makes of its keyword arguments, and the
 campaign, the CLI and the loader of serialized modules take theirs from
 it.  ``AmbientParams(...)`` still builds a private context.
 
-The three fixed W(k)-linear maps of S on gamma-coefficients, the
-Frobenius ``phi_S`` (columns unit(i!)^-1 * c^i), the embedding
-``embed_sigma`` of W(k)[[u]] (columns u^n) and the change to the
-u-divided coordinates (columns (p*a)^(i-j)/(i-j)! in rows j <= i), are one
-``witt.PackedTable`` each: columns packed by output index at the width
-``WittRing.slot_width`` gives, and one ``apply`` for a list of vectors
-(a matrix's entries at once, or one element).  This module supplies only
-their columns.
+The fixed W(k)-linear maps of S on gamma-coefficients, the Frobenius
+``phi_S`` (columns unit(i!)^-1 * c^i), the embedding ``embed_sigma`` of
+W(k)[[u]] (columns u^n), the change to the u-divided coordinates (columns
+(p*a)^(i-j)/(i-j)! in rows j <= i) and its row 0, the evaluation f_0
+(columns (p*a)^i/i!), are one ``witt.PackedTable`` each, built whole with
+the context from its N_gamma columns in the one packed layout of ``witt``:
+one ``apply`` maps a list of vectors (a matrix's entries at once, or one
+element).
 
 Two sizing rules matter:
 
@@ -150,7 +149,7 @@ def shared_params(**kwargs) -> AmbientParams:
 
 class AmbientParams:
     """One fixed working context; read-only after construction, with
-    tables that only fill lazily.  Takes the arguments of
+    caches that only fill lazily.  Takes the arguments of
     ``resolve_params``."""
 
     def __init__(self, *args, **kwargs):
@@ -190,12 +189,6 @@ class AmbientParams:
             for i in range(N_gamma)
         )
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
-        # the linear maps of S on gamma-coefficients: columns unit(i!)^-1 * c^i
-        # (phi_S), u^n (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i
-        # (u-divided)
-        self.c_table = PackedTable(self.ring, N_gamma, self._c_column)
-        self.u_table = PackedTable(self.ring, N_gamma, self._u_column)
-        self.u_div_table = PackedTable(self.ring, N_gamma, self._u_div_column)
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])
         self._E_pow = [series_from_ints(self, [1]), self.E_series]
 
@@ -214,7 +207,26 @@ class AmbientParams:
         self._u_pow = [one, pdmod.PDElement(self, [self.neg_pa, self.ring.one()])]
         self._c_pow = [one, self.c]
 
-    # --- lazy tables ---
+        # the linear maps of S on gamma-coefficients: columns unit(i!)^-1 * c^i
+        # (phi_S; the unit is an integer, so it scales the planes), u^n
+        # (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
+        mod = self.ring.pk[self.cap]
+        c_cols = []
+        for i in range(N_gamma):
+            c_i, unit_inv = self.c_pow(i), self.fact_unit_inv(i).coeffs[0]
+            c_cols.append(([[c * unit_inv % mod for c in pl] for pl in c_i.planes],
+                           c_i.tail_dirty))
+        self.c_table = PackedTable(self.ring, c_cols)
+        self.u_table = PackedTable(self.ring, [(self.u_pow(n).planes, False)
+                                               for n in range(N_gamma)])
+        pa_div = [self.pa_div_fact(i).coeffs for i in range(N_gamma)]
+        self.u_div_table = PackedTable(self.ring, [
+            (self.ring.to_planes(pa_div[i::-1], self.cap), False) for i in range(N_gamma)])
+        # its row 0, the evaluation at u = 0: gamma_i -> (p*a)^i/i!
+        self.f0_table = PackedTable(self.ring, [(self.ring.to_planes([c], self.cap), False)
+                                                for c in pa_div])
+
+    # --- caches ---
 
     def fact_unit_inv(self, i: int) -> WittScalar:
         """Inverse of the unit part i!/p^(v_p(i!)), at full cap, for
@@ -287,20 +299,6 @@ class AmbientParams:
     def E_pow(self, n: int) -> SigmaSeries:
         """E(u)^n in the series ring."""
         return self._power(self._E_pow, n)
-
-    # --- the columns of the packed tables ---
-
-    def _c_column(self, i: int) -> tuple:
-        unit_inv = pdmod.PDElement(self, [self.fact_unit_inv(i)])
-        col = pdmod.PDElement.dot((self.c_pow(i),), (unit_inv,))
-        return col.planes, col.tail_dirty
-
-    def _u_column(self, n: int) -> tuple:
-        return self.u_pow(n).planes, False
-
-    def _u_div_column(self, i: int) -> tuple:
-        cols = [self.pa_div_fact(i - j).coeffs for j in range(i + 1)]
-        return self.ring.to_planes(cols, self.cap), False
 
     # --- convenience constructors (used heavily by tests) ---
 

@@ -18,6 +18,7 @@ fixed (params, seed) pair reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -80,23 +81,11 @@ def _parse_jumps(text: str | None, d: int, rng, amb):
     return tuple(int(x) for x in text.split(","))
 
 
-def _resolve_out(path: str | None) -> str | None:
-    """Relative output paths land in $FLBREUIL_OUT when it is set."""
-    import os
-
-    base = os.environ.get("FLBREUIL_OUT")
-    if path is None or os.path.isabs(path) or not base:
-        return path
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, path)
-
-
 def _write(docs: list, path: str | None) -> None:
-    """Each document as one line of compact sorted-key JSON, to
-    ``_resolve_out(path)``, or to stdout without a path."""
+    """Each document as one line of compact sorted-key JSON, to the file
+    at ``path``, or to stdout without a path."""
     text = "".join(json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str) + "\n"
                    for doc in docs)
-    path = _resolve_out(path)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -200,7 +189,10 @@ def cmd_report(args) -> int:
     return _print_summary(dict(sorted(CAM.summarise(records).items())), "", sys.stdout)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: each ``parse_args``
+    fills a new namespace, so no call sees another's arguments."""
     ap = argparse.ArgumentParser(prog="flbreuil", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True)

@@ -8,12 +8,12 @@ rows with one vector (``matvec``, with or without ``bound``) is the entry
 type's fused ``dot`` per entry.  A product of two matrices (``@``) is the
 entry type's ``matmul``: over W(k) that is ``dot`` per entry, and over
 W(k)[[u]] and S it is the packed kernel of ``witt``
-(``FlatVector._matmul_planes``, with the inner products paired by
-``witt._packed_matmul`` when that needs fewer digit products), equal to
-``dot`` in planes, precision and tail_dirty flag.  Only a matrix product
-reuses each packed entry across a whole row or column of outputs; the
-short, bounded and single products of the ``dot`` path are faster
-unpacked.
+(``FlatVector._matmul_planes``, in the one packed layout of ``witt``,
+with the inner products paired by ``witt._packed_matmul`` when that
+needs fewer digit products), equal to ``dot`` in planes, precision and
+tail_dirty flag.  ``dot`` stays its own path: as the 1 x 1 matrix
+product it ran slower (the figures are in the layout comment of
+``witt``).
 
 Solves and inverses over W(k)[[u]] and S go by the grading.  S is graded
 by the gamma-index (gamma_i gamma_j = C(i+j, i) gamma_(i+j)) and W(k)[[u]]

@@ -52,14 +52,14 @@ A solve A X = R over S (``PDElement.solve``, behind ``RingMatrix.solve``,
 ``RingMatrix.invert`` and ``invert``) is the triangular kernel of ``witt``
 (``FlatVector._solve_planes``), one pass over the gamma-index from the
 inverse of A's gamma_0 part over W(k), with the same scaling.
-The three fixed W(k)-linear maps, ``phi_S``, ``embed_sigma`` and the
-change to u-divided coordinates (``eval_f0``, ``to_u_divided``,
-``in_u_power_ideal``), each read one ``witt.PackedTable`` kept on the
-context.  A table applies to a list of vectors at once, so ``phi_S_all``,
-``embed_sigma_all`` and ``all_in_u_power_ideal`` map a whole matrix with
-one apply; the single-element maps are the list of one, with the same
-per-element prelude.  ``eval_f0`` reads one output row, so each packed
-input would serve one product: it stays entrywise.  ``WittScalar`` objects are
+The fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``, the change to
+u-divided coordinates (``to_u_divided``, ``in_u_power_ideal``) and its
+row 0, ``eval_f0``, each read one ``witt.PackedTable`` built with the
+context, in the one packed layout of ``witt``.  A table applies to a list
+of vectors at once, so ``phi_S_all``, ``embed_sigma_all`` and
+``all_in_u_power_ideal`` map a whole matrix with one apply; the
+single-element maps are the list of one, with the same per-element
+prelude.  ``WittScalar`` objects are
 built only at the scalar boundary: ``coeff``, ``coeffs``, ``eval_f0``,
 ``eval_fpi``, ``to_u_divided``, the gamma_0 part that a solve inverts
 over W(k), ``repr`` and the constructor from a list of scalars.
@@ -162,11 +162,11 @@ class PDElement(FlatVector):
         by the context's ``gamma_scale``.  When every entry of one factor
         has support at most 1, each weight is C(m, 0) = 1: the plain
         convolution is the weighted sum, and the kernel packs unscaled, at
-        W = slot_width(e*N_gamma*f) from p^K instead of p^(K+V) (K the
-        highest precision of an output entry), with no pre- or
-        post-scaling.  The kernel may pair the inner products
-        (``witt._packed_matmul``); the paired sum is the plain one as an
-        integer, so planes, precision, reach and flag are the same."""
+        ``packing(e*N_gamma*f, p^K)`` instead of p^(K+V) (K the highest
+        precision of an output entry), with no pre- or post-scaling.  The
+        kernel may pair the inner products (``witt._packed_matmul``); the
+        paired sum is the plain one as an integer, so planes, precision,
+        reach and flag are the same."""
         amb = rows[0][0].amb
         N = amb.N_gamma
         constant = any(all(len(x.planes[0]) <= 1 for line in m for x in line)
@@ -383,9 +383,9 @@ def n_S(x: PDElement) -> PDElement:
 
 def eval_f0(x: PDElement) -> WittScalar:
     """Evaluation at u = 0: gamma_i -> (p*a)^i / i!, the first u-divided
-    coordinate."""
+    coordinate, by the context's one-row table."""
     ring = x.amb.ring
-    [planes] = x.amb.u_div_table.apply([x.planes], [x.prec], 1)
+    [planes] = x.amb.f0_table.apply([x.planes], [x.prec])
     return WittScalar(ring, next(zip(*planes), (0,) * ring.f), x.prec)
 
 

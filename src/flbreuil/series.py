@@ -14,7 +14,8 @@ Products take the paths of S, unweighted and cut at N_u: a product or a sum
 of products (``SigmaSeries.dot``) is the fused kernel
 ``FlatVector._dot_planes``, and a product of two matrices
 (``SigmaSeries.matmul``) the packed kernel of ``witt``
-(``FlatVector._matmul_planes``, ``witt._packed_matmul``).  A solve, and
+(``FlatVector._matmul_planes``, ``witt._packed_matmul``), in its one
+packed layout.  A solve, and
 with it every inverse (``SigmaSeries.solve``), is the triangular kernel
 ``FlatVector._solve_planes``, unweighted, one pass over the u-degree.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,

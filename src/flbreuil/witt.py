@@ -35,7 +35,7 @@ running inverse of m'(z).
 
 from __future__ import annotations
 
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 from math import gcd
 from operator import add, mul
 
@@ -139,6 +139,25 @@ def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
                 out[i:e] = [c + a * b for c, b in zip(out[i:e], y)]
             else:
                 out[i:e] = [c + a * b * r for c, b, r in zip(out[i:e], y, w[i])]
+
+
+def _join(ints, B: int) -> int:
+    """One int holding ints[v], each below 2^(8B), in the block of B bytes
+    at byte v*B (see the layout comment of ``WittRing``).  One block is its
+    own int."""
+    if len(ints) == 1:
+        return ints[0]
+    return int.from_bytes(b"".join([c.to_bytes(B, "little") for c in ints]), "little")
+
+
+def _split(v: int, B: int, n: int) -> list:
+    """The first n blocks of B bytes of the nonnegative int v, as ``_join``
+    lays them out; blocks past the top of v read 0.  One block below
+    2^(8B) is v itself."""
+    if n == 1 and not v >> 8 * B:
+        return [v]
+    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[i:i + B], "little") for i in range(0, n * B, B)]
 
 
 def _pairing_pays(e: int, sizes_r: list, sizes_c: list) -> bool:
@@ -349,39 +368,76 @@ class WittRing:
 
     # --- flat vectors of scalars: the storage of series and S elements ---
     #
-    # A vector of n scalars at one precision k is stored as f int lists of
-    # length n, the planes: plane t holds the T^t coefficients, every entry
-    # in [0, p^k).  A sum of products runs one integer convolution per pair
-    # (dot_acc): each operand's f planes are packed into one int per
-    # coefficient, plane t at bits t*W and up, which is the T-polynomial
-    # evaluated at T = 2^W (Kronecker substitution), and bits d*W and up of
-    # the convolution hold T-degree d.  The slot width W is a proven bound,
-    # so the slots are exactly the f^2 plane convolutions summed by
-    # T-degree.  One pass (unfold) then reads the slots, folds the degrees
-    # f .. 2f-2 through m(T) and reduces mod p^k once.  The product by the
-    # constant p*a in n_S is one such sum, of one pair.  The fixed linear
-    # maps of S (phi_S, embed_sigma, the u-divided coordinates) sum packed
-    # products against the rows of a PackedTable kept on the context, for
-    # a list of vectors packed side by side, and unfold them as dot_acc's
-    # callers do.  Every packing width is one slot_width: from p^cap for
-    # the fused dot and the tables, and for the matrix product and the
-    # solve from p^(K+V), K the highest precision an output entry has,
-    # with every packed coefficient reduced mod p^(K+V) first.
+    # The layout.  A vector of n scalars at one precision k is stored as f
+    # int lists of length n, the planes: plane t holds the T^t
+    # coefficients, every entry in [0, p^k).  A packed product packs the f
+    # planes of a coefficient into one int, plane t at bit t*W (``_pack``:
+    # the T-polynomial at T = 2^W, Kronecker substitution), and, where a
+    # product serves many outputs, the coefficients of one operand into one
+    # int, coefficient i in the block of B bytes at byte i*B (``_join``).
+    # ``packing(terms, top)`` gives W and B for a slot that sums ``terms``
+    # products of ints below ``top``, a product weighted by w counting as w
+    # terms.  Every term is nonnegative and their sum is below
+    # terms * top^2 < 2^W, so bits d*W and up of a block hold exactly the
+    # T-degree d part, and the 2f - 1 degrees fit in B = ceil((2f-1)W/8)
+    # bytes: no carry crosses into the next degree or block.  ``_split``
+    # reads the blocks back, and ``read`` turns sums into planes: the exact
+    # division by q and the product by u of ``AmbientParams.gamma_scale``,
+    # when the binomial weights of S were scaled away, around ``unfold``
+    # (the fold of degrees f .. 2f-2 through m(T) and one reduction).
+    #
+    # Four routes use it, each sizing its slots by what it packs: the fused
+    # dot (``dot_acc``, from p^cap, weighted by the binomials ``comb``);
+    # the matrix product (``FlatVector._matmul_planes``, from p^(K+V), K the
+    # highest precision of an output entry, every packed coefficient
+    # reduced mod p^(K+V) first); the tables of S (``PackedTable``, from
+    # p^cap); and the solve (``FlatVector._solve_planes``, from p^(k+V),
+    # one packed int per coefficient).  Merging them lost speed.  Medians
+    # of 4 alternating pairs of ``perfbench/run.py --workload all
+    # --seconds 1`` on a 2-vCPU Xeon (Python 3.11), tasks/s, every run
+    # with 243 of 243 digests correct:
+    #   * the dot as a 1 x 1 matrix product: verify-desk 63.5 -> 35.3,
+    #     verify-f2 45.7 -> 27.0, cli-rank 42.7 -> 38.7; a length-2 product
+    #     over S at p = 5 took 33.9 us instead of 12.4;
+    #   * the solve as the degree-halving recursion of J. van der Hoeven
+    #     ("Relax, but don't be too lazy", 2002) through the matrix
+    #     product: a solve over S at d = 6, p = 5 took 124 ms instead of
+    #     13.4, a series inverse at d = 4 313 ms instead of 6.6;
+    #   * the fused dot on ``gamma_scale`` instead of ``comb``: a length-2
+    #     product at p = 3, f = 2 took 25.8 us instead of 17.4 (a dot of
+    #     three full-length pairs at p = 5 216 us instead of 279);
+    #   * without the input-selected fast paths (the one-vector table
+    #     apply, the product by one, the f = 1 branches of ``dot_acc``,
+    #     ``_dot_tuple`` and ``frobenius_planes``, the unscaled product by a
+    #     constant factor): verify-desk 61.2 -> 50.5, verify-f2 46.9 ->
+    #     40.7, cli-rank 41.1 -> 35.2.
+    # So each stays.  The one-vector table apply needs no branch of its
+    # own: a table packs its columns, not the vectors, so a list of one
+    # vector costs one sum of products (``PackedTable``).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
         mod = self.pk[k] if cols else 1
         return tuple([c[t] % mod for c in cols] for t in range(self.f))
 
-    def slot_width(self, terms: int, top: int | None = None) -> int:
-        """The packing width W of a slot that sums ``terms`` products of two
-        nonnegative ints below ``top`` (p^cap when None), a product weighted
-        by w counting as w terms: the sum stays below terms * top^2 < 2^W,
-        so no carry leaves the slot.  The one rule behind every packed
-        product (``dot_acc``, ``PackedTable``, the matrix kernel and the
-        solve, which pass the bound of the coefficients they pack)."""
+    def packing(self, terms: int, top: int | None = None) -> tuple:
+        """The slot width W and the block size B (in bytes) of a slot that
+        sums ``terms`` products of two nonnegative ints below ``top``
+        (p^cap when None): the one packing rule (see the layout comment)."""
         top = self.pk[self.cap] if top is None else top
-        return terms.bit_length() + 2 * top.bit_length()
+        width = terms.bit_length() + 2 * top.bit_length()
+        return width, ((2 * self.f - 1) * width + 7) // 8
+
+    def read(self, sums, width: int, k: int, post=None) -> tuple:
+        """The planes, reduced mod p^k, of a list of packed sums at slot
+        width W: with ``post``, pairs (q, u) zipped with the sums, each sum
+        is divided by q exactly before ``unfold`` and multiplied by u
+        after it (``AmbientParams.gamma_scale``)."""
+        if post is None:
+            return self.unfold(sums, width, k)
+        planes = self.unfold([v // q for v, (q, _) in zip(sums, post)], width, k)
+        mod = self.pk[k]
+        return tuple([c * u % mod for c, (_, u) in zip(pl, post)] for pl in planes)
 
     def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> tuple:
         """The packed accumulator of the sum of the products of the
@@ -389,18 +445,12 @@ class WittRing:
         slot width W: slot d of entry m (bits d*W and up) sums the
         convolutions of planes s and t with s + t = d, over every pair,
         from one integer convolution per pair (times weights[i][j] <= w_max,
-        when given).  ``unfold`` turns it into planes.
-
-        Plane t of an operand is packed at bits t*W and up, with
-        W = ``slot_width(len(pairs) * n * f * w_max)``.  Slot d of entry m
-        sums, over the pairs, the terms w * x_s[i] * y_t[j] with s + t = d
-        and i + j = m: at most len(pairs) * n * f terms, each nonnegative
-        and below w_max * p^(2 cap), so it stays below 2^W and no carry
-        crosses into slot d + 1.  At f = 1 the pack is the plane
-        itself; at f > 1 an operand is packed only below n, the indices an
-        entry below n reads."""
+        when given), at most len(pairs) * n * f terms.  ``unfold`` turns it
+        into planes.  At f = 1 the pack is the plane itself; at f > 1 an
+        operand is packed only below n, the indices an entry below n
+        reads."""
         acc = [0] * n
-        width = self.slot_width(len(pairs) * n * self.f * w_max)
+        width = self.packing(len(pairs) * n * self.f * w_max)[0]
         if self.f == 1:
             for xs, ys in pairs:
                 _conv_into(acc, xs[0], ys[0], weights)
@@ -511,79 +561,37 @@ class WittRing:
 
 
 class PackedTable:
-    """A W(k)-linear map on coefficient vectors, stored by output index.
+    """A W(k)-linear map on coefficient vectors, built whole from its
+    columns: ``columns[i]`` = (planes, tail_dirty) is the image of the i-th
+    basis vector, with entries below p^cap.
 
-    Column i, the image of the i-th basis vector, comes from ``column(i)``
-    as (planes, tail_dirty) with entries below p^cap, and is asked for only
-    when an input first reaches index i; at most n columns are used.
-    rows[m][i] is entry m of column i with its f T-planes packed into one
-    int (``WittRing._pack``) at the width W = ``ring.slot_width(n*f)``,
-    reach[i] is the largest support among columns 0 .. i and dirty[i] is
-    the tail_dirty flag of column i.
+    With n columns, (W, B) = ``ring.packing(n*f)``: cols[i] is column i in
+    the layout of ``witt`` (entry m in the block at byte m*B, its T-planes
+    packed at width W), reach[i] the largest support among columns
+    0 .. i and dirty[i] the flag of column i.  The image of a vector s is
+    sum_i s_i cols[i], one sum of packed products per vector: block m sums
+    at most n*f products per T-degree of ints below p^cap."""
 
-    ``apply`` maps a list of vectors at once.  Each is packed the same
-    way, with entries below p^cap, and coefficient i of all of them is
-    packed side by side into one int, vector v in the block at byte v*B,
-    B = ceil((2f - 1) W / 8): the bound that keeps the slots of
-    ``FlatVector._matmul_planes`` apart.  Output m of every vector is then
-    one sum of n products of the entries of row m by those ints.  T-degree
-    d of block v adds at most n*f nonnegative terms below p^(2 cap), so it
-    stays below 2^W, no carry crosses into the next degree or block, and
-    one ``unfold`` per vector recovers every T-degree exactly.  A list of
-    one vector is its own packed coefficients."""
+    __slots__ = ("ring", "width", "block", "cols", "reach", "dirty")
 
-    __slots__ = ("ring", "width", "rows", "reach", "dirty", "_column")
-
-    def __init__(self, ring: WittRing, n: int, column):
+    def __init__(self, ring: WittRing, columns):
         self.ring = ring
-        self.width = ring.slot_width(n * ring.f)
-        self.rows = [[] for _ in range(n)]
-        self.reach: list[int] = []
-        self.dirty: list[bool] = []
-        self._column = column
+        self.width, self.block = ring.packing(len(columns) * ring.f)
+        self.cols = [_join(ring._pack(planes, self.width), self.block) for planes, _ in columns]
+        self.reach = list(accumulate((len(planes[0]) for planes, _ in columns), max))
+        self.dirty = [dirty for _, dirty in columns]
 
-    def _grow(self, n: int) -> None:
-        for i in range(len(self.reach), n):
-            planes, dirty = self._column(i)
-            packed = self.ring._pack(planes, self.width)
-            for m, row in enumerate(self.rows):
-                row.append(packed[m] if m < len(packed) else 0)
-            self.reach.append(max(len(packed), self.reach[-1] if self.reach else 0))
-            self.dirty.append(dirty)
-
-    def apply(self, vectors, ks, n_out: int | None = None) -> list:
+    def apply(self, vectors, ks) -> list:
         """The planes of the images of the vectors with these planes, each
-        reduced mod its p^k (``ks``, one per vector): for each, the outputs
-        up to the reach of the columns it meets, and below n_out when it
-        is given."""
+        reduced mod its p^k (``ks``, one per vector), up to the reach of the
+        columns it meets."""
         ring, width = self.ring, self.width
-        if len(vectors) == 1:
-            s = ring._pack(vectors[0], width)
-            n = len(s)
-            if n > len(self.reach):
-                self._grow(n)
-            top = self.reach[n - 1] if n else 0
-            if n_out is not None and top > n_out:
-                top = n_out
-            return [ring.unfold([sum(map(mul, s, row)) for row in self.rows[:top]], width, ks[0])]
-        packs = [ring._pack(planes, width) for planes in vectors]
-        n = max(map(len, packs), default=0)
-        if n > len(self.reach):
-            self._grow(n)
-        reach = self.reach
-        tops = [reach[len(s) - 1] if s else 0 for s in packs]
-        if n_out is not None:
-            tops = [min(top, n_out) for top in tops]
-        stride = ((2 * ring.f - 1) * width + 7) // 8
-        blank = bytes(stride)
-        cols = [int.from_bytes(b"".join([s[i].to_bytes(stride, "little") if i < len(s)
-                                         else blank for s in packs]), "little")
-                for i in range(n)]
-        sums = [sum(map(mul, cols, row)).to_bytes(len(packs) * stride, "little")
-                for row in self.rows[:max(tops, default=0)]]
-        return [ring.unfold([int.from_bytes(data[v * stride:(v + 1) * stride], "little")
-                             for data in sums[:top]], width, k)
-                for v, (top, k) in enumerate(zip(tops, ks))]
+        out = []
+        for planes, k in zip(vectors, ks):
+            s = ring._pack(planes, width)
+            top = self.reach[len(s) - 1] if s else 0
+            out.append(ring.read(_split(sum(map(mul, s, self.cols)), self.block, top), width, k))
+        return out
 
 
 class FlatValue:
@@ -874,43 +882,30 @@ class FlatVector(FlatValue):
         ``_dot_planes(row, col, n)`` returns: the planes of the sum of the
         products cut at index n, their precision (the lowest of both rows)
         and the largest index one product reaches.  Each entry of both
-        operands is packed once into one int (Kronecker substitution):
-        coefficient i in the slot at byte i*B, its T-plane t at bit t*W of
-        that slot, with B = ceil((2f - 1) W / 8) bytes and
-        W = ``slot_width(e*n*f, p^(K+V))``, where e is the inner
-        dimension and K = min(largest row precision, largest column
-        precision) is the highest precision an output entry has: every
-        packed coefficient is reduced mod p^(K+V) first, and an output of
-        precision k <= K reads only its digits below p^k.  An output entry
-        is then one sum of e big-int products: bits d*W and up of slot m
-        hold the T-degree d part of coefficient m, a sum of at most e*n*f
-        nonnegative terms below p^(2(K+V)), so it stays below 2^W and no
-        carry crosses into the next degree or slot.  ``_packed_matmul``
-        forms the sums, one row of packed entries and one sum at a time,
-        paired when that needs fewer digit products (``_pairing_pays``); a
-        paired sum is the plain one as an integer, so the slots read below
-        are the same.  The reach is read from the supports, as in
+        operands is packed once into one int in the layout of ``witt``,
+        with (W, B) = ``packing(e*n*f, p^(K+V))`` for the inner dimension
+        e and K = min(largest row precision, largest column precision), the
+        highest precision an output entry has: every packed coefficient is
+        reduced mod p^(K+V) first, and an output of precision k <= K reads
+        only its digits below p^k.  An output entry is one sum of e big-int
+        products, formed by ``_packed_matmul``, paired when that needs
+        fewer digit products (``_pairing_pays``); a paired sum is the plain
+        one as an integer.  The reach is read from the supports, as in
         ``_dot_planes``: the largest s_x + s_y - 1 over the pairs whose
         entries are both nonzero.  (A top coefficient may vanish mod p^K,
         so the length of the sum does not give it.)
 
         ``scale`` = (V, pre, post) removes the binomial weights of S
         (``AmbientParams.gamma_scale``): coefficient i of every entry is
-        multiplied by pre[i] mod p^(K+V) before packing.  With
-        post[m] = (q, u), every T-degree of slot m is then a multiple of q,
-        and its exact quotient by q times u is the weighted sum mod p^K:
-        the reduction moves a term x_i y_j by a multiple of
-        p^(K+V) p^(V - v_p(j!)) or p^(K+V) p^(V - v_p(i!)), and
-        v_p(i!), v_p(j!) <= v_p(m!), so the quotient moves by a multiple
-        of p^K.  A packed int whose slots are all multiples of q is q times
-        the packed int of their quotients, so slot m is divided by q
-        packed; the product by u follows the reduction mod p^k.  Without
-        ``scale`` (the series ring, and a product over S with a factor of
-        constants, whose weights are all C(m, 0) = 1) V is 0, the
-        coefficients are reduced mod p^K, W = ``slot_width(e*n*f, p^K)``
-        and the slots are the plain sums.  One pass (``WittRing.unfold``)
-        per output entry reads its slots, folds them through m(T) and
-        reduces them mod p^k."""
+        multiplied by pre[i] mod p^(K+V) before packing, and ``read``
+        divides slot m, every T-degree of which is a multiple of q, by q
+        and multiplies it by u, (q, u) = post[m].  That is the weighted sum
+        mod p^K: the reduction moves a term x_i y_j by a multiple of
+        p^(K+V) p^(V - v_p(j!)) or p^(K+V) p^(V - v_p(i!)), and v_p(i!),
+        v_p(j!) <= v_p(m!), so the quotient moves by a multiple of p^K.
+        Without ``scale`` (the series ring, and a product over S with a
+        factor of constants, whose weights are all C(m, 0) = 1) V is 0 and
+        the slots are the plain sums."""
         ring = rows[0][0].ring
         f, e = ring.f, len(cols[0])
         V, pre, post = scale if scale else (0, None, None)
@@ -918,8 +913,7 @@ class FlatVector(FlatValue):
         col_prec = [min(y.prec for y in col) for col in cols]
         K = min(max(row_prec), max(col_prec))
         mod = ring.p ** (K + V)
-        width = ring.slot_width(e * n * f, mod)
-        stride = ((2 * f - 1) * width + 7) // 8
+        width, block = ring.packing(e * n * f, mod)
 
         def pack(x) -> int:
             planes = x.planes
@@ -929,8 +923,7 @@ class FlatVector(FlatValue):
                 planes = [[c * s % mod for c, s in zip(pl, pre)] for pl in planes]
             elif x.prec > K:
                 planes = [[c % mod for c in pl] for pl in planes]
-            return int.from_bytes(b"".join([c.to_bytes(stride, "little")
-                                            for c in ring._pack(planes, width)]), "little")
+            return _join(ring._pack(planes, width), block)
 
         # supports, with a zero entry far below any sum so that its pairs
         # reach nothing
@@ -947,15 +940,7 @@ class FlatVector(FlatValue):
             for acc, cs, k in zip(accs, c_sup, col_prec):
                 k = min(k, row_k)
                 reach = max(max(map(add, rs, cs)) - 1, 0)
-                data = acc.to_bytes(reach * stride, "little")
-                slots = [int.from_bytes(data[m * stride:(m + 1) * stride], "little")
-                         for m in range(min(reach, n))]
-                if scale:
-                    slots = [v // q for v, (q, _) in zip(slots, post)]
-                planes = ring.unfold(slots, width, k)
-                if scale:
-                    kmod = ring.pk[k]
-                    planes = tuple([c * u % kmod for c, (_, u) in zip(pl, post)] for pl in planes)
+                planes = ring.read(_split(acc, block, min(reach, n)), width, k, post)
                 line.append((planes, k, reach))
             out.append(line)
         return out
@@ -980,25 +965,21 @@ class FlatVector(FlatValue):
         time.  Each step is exact mod p^k in the truncated ring, so X is
         the unique solution there.
 
-        Every scalar is reduced mod p^(k+V) and packed into one int,
-        T-plane t at bits t*W and up (at f = 1 the int is the
-        coefficient), W = ``slot_width(n*d*f, p^(k+V))``, so a sum of at
-        most n*d packed products holds its T-degree e part at bits e*W and
-        up.  Degree m is one list of d*g such sums, a row of packed A~_i
-        against the packed X_(m-1),
-        X_(m-2), ... of a column, and one ``WittRing.unfold``.  ``scale``
-        = (V, pre, post) removes the binomial weights of S as in
-        ``_matmul_planes``: A~_i and X_j are packed times pre[i] and pre[j]
-        mod p^(k+V), and sum m is divided by q and, after the unfold,
-        multiplied by u, (q, u) = post[m].  The pass stops once R is spent
-        and the s_A - 1 degrees of X the next sum reads are zero."""
+        Every scalar is reduced mod p^(k+V) and packed into one int at the
+        width W of ``packing(n*d*f, p^(k+V))``.  Degree m is one ``read``
+        of d*g sums, a row of packed A~_i against the packed X_(m-1),
+        X_(m-2), ... of a column.  ``scale`` = (V, pre, post) removes the
+        binomial weights of S as in ``_matmul_planes``: A~_i and X_j are
+        packed times pre[i] and pre[j] mod p^(k+V), and the sums of degree
+        m are read with post[m].  The pass stops once R is spent and the
+        s_A - 1 degrees of X the next sum reads are zero."""
         ring = rows[0][0].ring
         f, d, g = ring.f, len(rows), len(rhs[0])
         k = min(x.prec for m in (rows, rhs) for row in m for x in row)
         mod = ring.pk[k]
         V, pre, post = scale if scale else (0, None, None)
         big = ring.p ** (k + V)
-        width = ring.slot_width(n * d * f, big)
+        width = ring.packing(n * d * f, big)[0]
         s_a = max(len(x.planes[0]) for row in rows for x in row)
         s_r = max((len(x.planes[0]) for row in rhs for x in row), default=0)
 
@@ -1016,8 +997,8 @@ class FlatVector(FlatValue):
         cols = packed(rows, 1, s_a) + packed(rhs, 0, s_r)
         # entry a of block j: row a of A_0^(-1) times column j of A_1, A_2,
         # ... (A~_i, (s_a - 1) d blocks) and then of R_0, R_1, ... (R~_m)
-        tilde = ring.unfold([sum(map(mul, r, cols[j:j + d]))
-                             for j in range(0, len(cols), d) for r in inv_rows], width, k)
+        tilde = ring.read([sum(map(mul, r, cols[j:j + d]))
+                           for j in range(0, len(cols), d) for r in inv_rows], width, k)
         split = (s_a - 1) * d * d
         if scale:
             fac = [pre[i] for i in range(1, s_a) for _ in range(d)]
@@ -1042,12 +1023,9 @@ class FlatVector(FlatValue):
                 stop = start + span * d
                 acc = [sum(map(mul, ar, win)) for win in (xr[start:stop] for xr in x_rev)
                        for ar in a_rows]
-                u = 1
-                if scale:
-                    q, u = post[m]
-                    acc = [v // q for v in acc]
-                planes = tuple([(r - c * u) % mod for r, c in zip(rp, cp)]
-                               for rp, cp in zip(planes, ring.unfold(acc, width, k)))
+                sub = ring.read(acc, width, k, [post[m]] * len(acc) if scale else None)
+                planes = tuple([(r - c) % mod for r, c in zip(rp, cp)]
+                               for rp, cp in zip(planes, sub))
             xs.append(planes)
             if any(map(any, planes)):
                 last = m

@@ -115,3 +115,21 @@ def test_cli_import_loads_no_process_pool_and_no_dataclasses():
     assert "flbreuil.campaign" in added
     heavy = {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
     assert not added & heavy, f"import flbreuil.cli loads {sorted(added & heavy)}"
+
+
+def test_only_join_and_split_convert_between_ints_and_bytes():
+    # the packed layout has one writer and one reader of its blocks:
+    # witt._join and witt._split are the only callers of int.to_bytes and
+    # int.from_bytes in the kernel
+    inside, calls = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            key = (path.name, getattr(node, "lineno", None), getattr(node, "col_offset", None))
+            if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes"):
+                calls.add(key)
+            if path.name == "witt.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name in ("_join", "_split"):
+                inside.update((path.name, n.lineno, n.col_offset) for n in ast.walk(node)
+                              if isinstance(n, ast.Attribute))
+    assert calls and calls <= inside, f"to_bytes/from_bytes outside _join/_split: {calls - inside}"

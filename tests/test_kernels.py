@@ -464,7 +464,7 @@ def test_unfold_is_fold_of_unpack(p, f):
     # random packed accumulators and on one with every slot at 2^W - 1
     ring = witt.WittRing(p, f, cap=12)
     rng = random.Random(f"unfold:{p}:{f}")
-    width = ring.slot_width(7 * f)
+    width = ring.packing(7 * f)[0]
     slots = 2 * f - 1
     full = sum(((1 << width) - 1) << (d * width) for d in range(slots))
     acc = [full] + [rng.getrandbits(slots * width) for _ in range(20)] + [0]
@@ -477,7 +477,7 @@ def test_phi_S_at_the_slot_width_bound(f):
     amb = tight_ambient(f)
     ring = amb.ring
     # the context's three tables pack at the width PackedTable documents
-    for table in (amb.c_table, amb.u_table, amb.u_div_table):
+    for table in (amb.c_table, amb.u_table, amb.u_div_table, amb.f0_table):
         assert table.width == slot_width(amb, 1, amb.N_gamma, 1)
     top = ring.make([ring.pk[amb.cap] - 1] * f)
     for j in (0, amb.r):
@@ -567,17 +567,17 @@ def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
     ring = amb.ring
     seen = []
 
-    def unfold(slots, width, k, inner=ring.unfold):
-        seen.append((width, max(map(max, ring._unpack(slots, width))).bit_length()))
-        return inner(slots, width, k)
+    def read(sums, width, k, post=None, inner=ring.read):
+        seen.append((width, max(map(max, ring._unpack(sums, width))).bit_length()))
+        return inner(sums, width, k, post)
 
     def packed_product(cls, n):
         # a full-length row times its column, every entry p^cap - 1: one
-        # output entry, one unfold; returns its width and largest slot
+        # output entry, one read; returns its width and largest slot
         row = full_row(amb, cls, n, e)
         seen.clear()
         with monkeypatch.context() as m:
-            m.setattr(ring, "unfold", unfold)
+            m.setattr(ring, "read", read)
             got = (RingMatrix([row]) @ RingMatrix([[x] for x in row]))[0, 0]
         assert entry_state(got) == entry_state(cls.dot(row, row))
         [out] = seen
@@ -587,8 +587,9 @@ def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
     # largest slot needs its top bit, so a width of W - 1 would carry
     width, top = packed_product(SigmaSeries, amb.N_u)
     assert width == top == slot_width(amb, e, amb.N_u, 1)
-    # S: the same rule at p^(K+V), the bound of its scaled entries; every
-    # entry is at the cap, so K = cap
+    # S: the same rule at p^(K+V), the bound of its scaled entries, and
+    # no slot before the division by q carries; every entry is at the cap,
+    # so K = cap
     V = amb.gamma_scale()[0]
     width, top = packed_product(PDElement, amb.N_gamma)
     assert width == (e * amb.N_gamma * f).bit_length() + 2 * (amb.p ** (amb.cap + V)).bit_length()
@@ -820,11 +821,11 @@ def test_constant_factor_packs_unscaled(amb, side, e, monkeypatch):
         A, B = B.transpose(), A.transpose()
 
     def packing_widths(A, B):
-        # the widths the product unfolds at, by the product alone
+        # the widths the product reads its sums at, by the product alone
         widths = []
-        unfold = ring.unfold
+        read = ring.read
         with monkeypatch.context() as m:
-            m.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
+            m.setattr(ring, "read", lambda sums, w, *a: widths.append(w) or read(sums, w, *a))
             A @ B
         assert_matmul_is_entrywise_dot(A, B)
         return set(widths)

@@ -6,7 +6,7 @@ import pytest
 from flbreuil import campaign as CAM
 from flbreuil.ambient import AmbientParams
 from flbreuil import serialize as SER
-from flbreuil.cli import main
+from flbreuil.cli import build_parser, main
 from flbreuil.errors import (
     MalformedJumps,
     NotInvertible,
@@ -212,6 +212,34 @@ def test_cli_verify_report_reproducible(tmp_path):
     assert main(args + ["--out", str(r1)]) == 0
     assert main(args + ["--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path):
+    # two verify calls with one --suite each on the one cached parser: each
+    # writes the report of a fresh parser, so the append action of --suite
+    # carries nothing from the first call into the second
+    args = ["--seeds", "1..2", "--samples", "3", "--r", "2"]
+    runs = [("ring-laws", tmp_path / "a.jsonl"), ("unipotence", tmp_path / "b.jsonl")]
+    for suite, out in runs:
+        assert main(["verify", "--suite", suite, *args, "--out", str(out)]) == 0
+    assert build_parser() is build_parser()
+    build_parser.cache_clear()
+    for suite, out in runs:
+        fresh = tmp_path / f"fresh-{suite}.jsonl"
+        assert main(["verify", "--suite", suite, *args, "--out", str(fresh)]) == 0
+        build_parser.cache_clear()
+        assert out.read_bytes() == fresh.read_bytes()
+        assert {json.loads(l)["suite"] for l in out.read_text().splitlines()} == {suite}
+
+
+def test_cli_out_and_in_name_the_same_file(tmp_path, monkeypatch):
+    # a relative --out is the file a later --in of the same name reads,
+    # whatever the environment holds
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FLBREUIL_OUT", str(tmp_path / "elsewhere"))
+    assert main(["gen", "breuil-from-fl", "--p", "3", "--d", "2", "--out", "m.json"]) == 0
+    assert main(["section", "--in", "m.json", "--out", "s.json"]) == 0
+    assert (tmp_path / "s.json").exists() and not (tmp_path / "elsewhere").exists()
 
 
 def test_cli_verify_isolates_kernel_errors(tmp_path, monkeypatch):

@@ -12,13 +12,15 @@ tail_dirty flag, and the solves the elimination (``scaled_inverse``) in
 planes, precision and flag, with the reach of the product A X, at f in
 {1, 2, 3}, with rank-0 matrices too.
 
-``PackedTable.apply`` maps a list of vectors side by side; the matrix
+``PackedTable.apply`` maps a list of vectors; the matrix
 maps built on it (``functors.phi_matrix``, ``pd.phi_S_all``,
 ``pd.embed_sigma_all``, ``pd.all_in_u_power_ideal``) must equal the
 entrywise maps on 0 x 0, 1 x 1, constant, zero and dirty entries, and
-series past N_gamma.  The loader of series and S (``serialize``) builds planes
-directly and must give the elements the scalar constructors give, with
-the same errors in the same order.
+series past N_gamma.  The blocks of the packed layout (``witt._join``,
+``witt._split``) must round-trip, with one block as its own int, a block
+at 2^(8B) - 1 and reads past the blocks present.  The loader of series
+and S (``serialize``) builds planes directly and must give the elements
+the scalar constructors give, with the same errors in the same order.
 """
 
 import random
@@ -40,7 +42,7 @@ from flbreuil.pd import (
     phi_S_all,
 )
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import FlatVector
+from flbreuil.witt import FlatVector, _join, _split
 
 # (p, f, N_gamma): small cuts keep the references quick; v_p((N_gamma-1)!)
 # >= 1, so the products and solves over S scale by gamma_scale
@@ -93,8 +95,8 @@ def test_mixed_precision_matmul_is_the_entrywise_dot(p, f, n_gamma, cls, monkeyp
     cut = amb.N_gamma if cls is PDElement else amb.N_u
     rng = random.Random(f"sized-matmul:{p}:{f}:{cls.__name__}")
     widths = []
-    unfold = ring.unfold
-    monkeypatch.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
+    read = ring.read
+    monkeypatch.setattr(ring, "read", lambda sums, w, *a: widths.append(w) or read(sums, w, *a))
     for d, e, g in ((1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 4, 4)):
         K = rng.randrange(2, amb.cap - 1)
         row_lows = [rng.randrange(1, K + 1) for _ in range(d - 1)] + [K]
@@ -111,7 +113,7 @@ def test_mixed_precision_matmul_is_the_entrywise_dot(p, f, n_gamma, cls, monkeyp
         del widths[:]
         grid = FlatVector._matmul_planes(rows, cols, cut, scale)
         V = scale[0] if scale else 0
-        assert set(widths) == {ring.slot_width(e * cut * f, p ** (K + V))}
+        assert set(widths) == {ring.packing(e * cut * f, p ** (K + V))[0]}
         for row, line in zip(rows, grid):
             for col, got in zip(cols, line):
                 assert got == FlatVector._dot_planes(row, col, cut, weights, w_max)
@@ -132,8 +134,8 @@ def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatc
     cut = amb.N_gamma if cls is PDElement else amb.N_u
     rng = random.Random(f"sized-solve:{p}:{f}:{cls.__name__}")
     widths = []
-    unfold = ring.unfold
-    monkeypatch.setattr(ring, "unfold", lambda acc, w, k: widths.append(w) or unfold(acc, w, k))
+    read = ring.read
+    monkeypatch.setattr(ring, "read", lambda sums, w, *a: widths.append(w) or read(sums, w, *a))
     for d, g in ((1, 1), (2, 3), (3, 1), (4, 4)):
         k = rng.randrange(2, amb.cap - 1)
 
@@ -152,7 +154,7 @@ def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatc
         del widths[:]
         X = A.solve(R)
         V = amb.gamma_scale()[0] if cls is PDElement else 0
-        assert set(widths) == {ring.slot_width(cut * d * f, p ** (k + V))}
+        assert set(widths) == {ring.packing(cut * d * f, p ** (k + V))[0]}
         want = (scaled_inverse(A, 0) @ R).truncate(k)
         assert [[(x.planes, x.prec) for x in row] for row in X.entries] == \
             [[(y.planes, k) for y in row] for row in want.entries]
@@ -259,11 +261,31 @@ def test_table_apply_over_a_list_is_each_apply(name, request):
     amb = request.getfixturevalue(name)
     rng = random.Random(f"apply:{name}")
     xs = _map_entries(amb, rng)
-    for table in (amb.c_table, amb.u_table, amb.u_div_table):
-        for n_out in (None, 0, 1, 3):
-            singles = [table.apply([x.planes], [x.prec], n_out)[0] for x in xs]
-            assert table.apply([x.planes for x in xs], [x.prec for x in xs], n_out) == singles
+    for table in (amb.c_table, amb.u_table, amb.u_div_table, amb.f0_table):
+        singles = [table.apply([x.planes], [x.prec])[0] for x in xs]
+        assert table.apply([x.planes for x in xs], [x.prec for x in xs]) == singles
     assert amb.c_table.apply([], []) == []
+
+
+# --- the block layout ---
+
+@pytest.mark.parametrize("B", [1, 3, 17])
+def test_join_and_split_round_trip(B):
+    rng = random.Random(f"blocks:{B}")
+    top = (1 << 8 * B) - 1
+    cases = [[rng.getrandbits(8 * B) for _ in range(n)] for n in (1, 2, 5)]
+    cases += [[top], [0], [top, 0, top], [0, top], [top, top, 0, 0]]
+    for ints in cases:
+        v = _join(ints, B)
+        assert _split(v, B, len(ints)) == ints
+        # n past the blocks present reads zeros; n below them the first n
+        assert _split(v, B, len(ints) + 3) == ints + [0, 0, 0]
+        assert _split(v, B, 1) == ints[:1] and _split(v, B, 0) == []
+    # one block is its own int, also at 2^(8B) - 1
+    x = rng.getrandbits(8 * B)
+    assert _join([x], B) is x and _split(x, B, 1)[0] is x
+    assert _join([top], B) == top and _split(top, B, 1) == [top]
+    assert _join([], B) == 0 and _split(0, B, 2) == [0, 0]
 
 
 # --- the loader builds the planes directly ---
