@@ -12,9 +12,10 @@ elements of one computation share a single context.
 A context is read-only once constructed, but for caches of values that
 depend on the parameters alone, filled on first use:
 
-  * the powers u^n, c^i and E^n, each one product from the one before;
+  * the powers u^n, c^i, E^n and a^i, each one product from the one
+    before;
   * unit(i!)^-1, the inverse of the unit part of i!, as the integer
-    inverse mod p^cap (one ``pow``), and (p*a)^i/i!;
+    inverse mod p^cap (one ``pow``), and (p*a)^i/i!, from a^i;
   * the scale factors that remove the binomial weights from a packed
     matrix product over S (``gamma_scale``).
 
@@ -31,7 +32,8 @@ W(k)[[u]] (columns u^n), the change to the u-divided coordinates (columns
 (columns (p*a)^i/i!), are one ``witt.PackedTable`` each, built whole with
 the context from its N_gamma columns in the one packed layout of ``witt``:
 one ``apply`` maps a list of vectors (a matrix's entries at once, or one
-element).
+element).  The product by p*a, which the derivation ``n_S`` applies to
+every coefficient, is the f x f integer matrix ``pa_matrix`` on T-planes.
 
 Two sizing rules matter:
 
@@ -170,6 +172,13 @@ class AmbientParams:
         self.pa = self.a.mul_p_pow(1)          # p*a = E(0)
         self.neg_pa = -self.pa                 # pi, the root of E
         self.sigma_a = self.a.frobenius()
+        # the product by p*a on T-planes (``pd.n_S``): row s, column t is
+        # coefficient s of p*a*T^t, as its representative of least absolute
+        # value mod p^cap (-p for the default a = -1), so the products stay short
+        mod = self.ring.pk[self.cap]
+        self.pa_matrix = tuple(zip(*(
+            [c - mod if 2 * c > mod else c
+             for c in (self.pa * self.ring.make([0] * t + [1])).coeffs] for t in range(f))))
 
         # tables: v_p(i!), unit parts of i!, binomials for the gamma product
         lim = self.N_u + 2
@@ -183,6 +192,7 @@ class AmbientParams:
             self.vfact[i] = v
         self._fact_unit_inv: dict[int, WittScalar] = {}
         self._pa_div_fact: dict[int, WittScalar] = {}
+        self._a_pow = [self.ring.one(), self.a]
         self._gamma_scale: tuple | None = None
         self.comb = tuple(
             tuple(math.comb(i + j, i) % self.ring.pk[self.cap] for j in range(N_gamma - i))
@@ -244,11 +254,13 @@ class AmbientParams:
 
     def pa_div_fact(self, i: int) -> WittScalar:
         """(p*a)^i / i!, integral of valuation i - v_p(i!), for the indices
-        of ``fact_unit_inv``."""
+        of ``fact_unit_inv``: a^i from the running powers of a, times
+        unit(i!)^-1 and p^(i - v_p(i!))."""
         out = self._pa_div_fact.get(i)
         if out is None:
             unit_inv = self.fact_unit_inv(i)       # checks the index first
-            out = ((self.a ** i) * unit_inv).mul_p_pow(i - self.vfact[i])
+            a_i = self._power(self._a_pow, i)
+            out = (a_i * unit_inv).mul_p_pow(i - self.vfact[i])
             self._pa_div_fact[i] = out
         return out
 

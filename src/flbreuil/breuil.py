@@ -19,6 +19,25 @@ times the i-th adapted column: modulo the maximal ideal every phi_r image
 of a filtration element is a residue-linear combination of those (higher
 gamma indices pick up strictly positive p-valuation under phi), so the
 image generates exactly when the matrix of those d images is invertible.
+
+The two filtration tests read W(k)-linear maps on jets (the first
+coefficients of each coordinate) from tables, one ``witt.PackedTable`` per
+jet length, built on first use and kept by the object that owns the
+matrix, so that each sample costs one ``apply``:
+
+  * ``adapted_level`` (behind ``fil_level``, ``fil_lower``, the Kisin raw
+    checker and ``functors.tensor_membership_via_section``) reads the
+    first b = top - min(r_j) coefficients of M x, a map of the b-jets of
+    x; its tables live on the ``BreuilModule`` (for C^(-1)), in the
+    checker's closure and on the ``FLTransport`` (for ``sec_basis_inv``);
+  * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < L, a map of
+    the L-jets of x; the module keeps one table per L, built by
+    ``n_apply`` on the basis jets.
+
+Each zero test is taken at the precision the per-sample product had:
+coordinate j of M x at the lowest precision among row j of M and the
+entries of x, the reductions of N^t(x) at that of the chain of
+``n_apply`` (see ``hat_fil_level``).
 """
 
 from __future__ import annotations
@@ -34,15 +53,15 @@ from .errors import (
 from .matrix import RingMatrix, converges_to_zero, scaled_inverse
 from .pd import (
     eval_f0,
-    eval_fpi,
-    fil_valuation,
     n_S,
     pd_gamma,
     pd_random_calibrated,
     pd_shift,
+    pd_zero,
     phi_S,
     phi_S_all,
 )
+from .witt import PackedTable, WittScalar, trimmed
 
 
 class BreuilModule:
@@ -58,6 +77,10 @@ class BreuilModule:
         mats = (Phi, C) if Nmat is None else (Phi, Nmat, C)
         self.jumps = check_jumps(amb, d, jumps, *mats)
         self._C_inv = None
+        # the tables of the filtration tests, by jet length: C^(-1) on jets
+        # (``fil_level``) and the descent through N (``hat_fil_level``)
+        self._fil_tables = {}
+        self._hat_tables = {}
 
     @property
     def C_inv(self) -> RingMatrix:
@@ -70,7 +93,43 @@ class BreuilModule:
         return max(0, i - self.jumps[j])
 
 
-def adapted_level(amb, M: RingMatrix, jumps, x, at: int | None = None,
+def _jet_table(amb, M: RingMatrix, b: int) -> tuple:
+    """The product x -> M x on b-jets, for M over S: coefficient m of
+    (M x)_i is the sum over j and a <= m of C(m, a) (M_ij)_(m-a) x_(j,a),
+    so the first b coefficients of M x are a W(k)-linear map of the first b
+    coefficients of each x_j.  Returns its ``witt.PackedTable``, whose
+    column j*b + a (the image of gamma_a in coordinate j) holds in entry
+    i*b + m the coefficient m of M_ij gamma_a, read straight from M's
+    planes and the binomials, and the lowest precision in each row of M."""
+    ring, comb = amb.ring, amb.comb
+    mod = ring.pk[amb.cap]
+    columns = []
+    for j in range(M.cols):
+        for a in range(b):
+            w = comb[a]
+            planes = tuple([] for _ in range(ring.f))
+            for row in M.entries:
+                for out, pl in zip(planes, row[j].planes):
+                    seg = [w[n] * c % mod for n, c in enumerate(pl[:b - a])]
+                    out.extend([0] * a + seg + [0] * (b - a - len(seg)))
+            columns.append((trimmed(planes), False))
+    return PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries]
+
+
+def _jets(x, b: int, mod: int) -> list:
+    """The planes of the first b coefficients of each element of x, one
+    after the other (zero past an element's support), reduced mod ``mod``:
+    a table's image mod p^k reads its input only mod p^k."""
+    jets = [[] for _ in x[0].planes] if x else []
+    for c in x:
+        for out, pl in zip(jets, c.planes):
+            seg = [v % mod for v in pl[:b]]
+            out.extend(seg)
+            out.extend([0] * (b - len(seg)))
+    return jets
+
+
+def adapted_level(amb, M: RingMatrix, jumps, x, tables: dict, at: int | None = None,
                   top: int | None = None) -> int:
     """The level of x in the filtration adapted to the coordinates of
     y = M x with jumps r_j, capped at ``top`` when it is given (otherwise
@@ -78,22 +137,62 @@ def adapted_level(amb, M: RingMatrix, jumps, x, at: int | None = None,
     is the filtration valuation of y_j.  x lies in step i exactly when
     i <= the level.  A rank-0 vector gets N_gamma + r.
 
-    With ``top``, y is computed only below index top - min(r_j): a
-    coordinate that vanishes there has v_j + r_j >= top whatever its
-    higher coefficients are, and below that index the bounded product
-    agrees with the full one."""
+    Only the first b = top - min(r_j) coefficients of y are read (all
+    N_gamma without ``top``): a coordinate that vanishes there has
+    v_j + r_j >= top whatever its higher coefficients are.  Coefficient m
+    of y reads only the coefficients <= m of x, so y's b-jet is a
+    W(k)-linear map of x's b-jets, one ``witt.PackedTable`` per length b
+    (``_jet_table``), kept in ``tables``, a dict owned by the object that
+    owns M (``BreuilModule`` for C^(-1), the Kisin raw checker for its
+    matrix, ``FLTransport`` for ``sec_basis_inv``) and built on the first
+    test of that length: each test is one ``apply``.  Coordinate j is
+    tested mod p^min(at, k_j) (at defaults to N_p), k_j the lowest
+    precision among row j of M and the entries of x, the precision of the
+    product (M x)_j."""
+    if len(x) != M.cols:
+        raise ValueError("dimension mismatch")
     at = amb.N_p if at is None else at
-    y = M.matvec(x, None if top is None else top - min(jumps, default=0))
-    level = min((fil_valuation(c, at) + r for c, r in zip(y, jumps)),
-                default=amb.N_gamma + amb.r)
-    return level if top is None else min(level, top)
+    n = min(M.rows, len(jumps))
+    if not n:
+        level = amb.N_gamma + amb.r
+        return level if top is None else min(level, top)
+    if at < 0:
+        raise ValueError(f"filtration valuation at negative precision p^{at}")
+    level = amb.N_gamma + min(jumps[:n])
+    if top is not None:
+        level = min(level, top)
+    b = amb.N_gamma if top is None else max(0, min(top - min(jumps), amb.N_gamma))
+    if not b:
+        return level
+    entry = tables.get(b)
+    if entry is None:
+        entry = tables[b] = _jet_table(amb, M, b)
+    table, row_k = entry
+    k = min(at, *[c.prec for c in x])
+    ks = [k if k < rk else rk for rk in row_k[:n]]
+    pk = amb.ring.pk
+    K = max(ks)
+    [y] = table.apply([_jets(x, b, pk[K])], [K])
+    for i, (r, ki) in enumerate(zip(jumps, ks)):
+        # the first coefficient of y_i below level - r_i that is nonzero mod p^ki
+        stop = end = min(b, level - r)
+        q = pk[ki]
+        for pl in y:
+            for m, c in enumerate(pl[i * b:i * b + end]):
+                if c % q:
+                    end = m
+                    break
+        if end < stop:
+            level = end + r
+    return level
 
 
 def fil_level(B: BreuilModule, x, at: int | None = None, top: int | None = None) -> int:
     """The largest i with x in the reconstructed step Fil^i, capped at
     ``top`` when it is given: ``adapted_level`` of the adapted coordinates
-    C^(-1) x with the module's jumps."""
-    return adapted_level(B.amb, B.C_inv, B.jumps, x, at, top)
+    C^(-1) x with the module's jumps, through the module's tables of
+    C^(-1) on jets."""
+    return adapted_level(B.amb, B.C_inv, B.jumps, x, B._fil_tables, at, top)
 
 
 def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
@@ -192,6 +291,30 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
     return ValidationReport(strongly, griffiths, diagram, cris)
 
 
+def _descent_table(B: BreuilModule, L: int) -> tuple:
+    """The reductions that the descent of ``hat_fil_level`` reads below
+    level L: coefficient 0 of N^t(x) for t < L, a W(k)-linear map of the
+    L-jets of x (it reads only the coefficients <= t of x).  Returns its
+    ``witt.PackedTable``, whose column j*L + a holds in entry t*d + i
+    coefficient 0 of coordinate i of N^t(gamma_a e_j), by ``n_apply`` on
+    the d*L basis jets, and the lowest precision in each row of Nmat."""
+    amb, d = B.amb, B.d
+    zero = pd_zero(amb)
+    columns = []
+    for j in range(d):
+        for a in range(L):
+            vec = tuple(pd_gamma(amb, a) if i == j else zero for i in range(d))
+            planes = tuple([] for _ in range(amb.ring.f))
+            for t in range(L):
+                if t:
+                    vec = n_apply(B, vec)
+                for c in vec:
+                    for out, pl in zip(planes, c.planes):
+                        out.append(pl[0] if pl else 0)
+            columns.append((trimmed(planes), False))
+    return PackedTable(amb.ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries]
+
+
 def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
                   m_basis_inv: RingMatrix | None = None, top: int | None = None) -> int:
     """The top level, at most ``top`` (default r), of x in the filtration
@@ -200,28 +323,35 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     Level 0 is everything; x lies in level n when N(x) lies in level n-1
     and the image of x under u -> pi lies in step n of the given filtration
     on the reduction (jumps m_jumps, optionally after a W-basis change).
-    So x lies in level n when, for every t < n, the reduction of N^t(x) lies
-    in step n - t, and the levels are nested.  One descent of the chain
-    x, N(x), N^2(x), ... finds the top level: at step t a nonzero reduced
-    coordinate j with m_jumps[j] < level - t lowers the level to
-    m_jumps[j] + t, and the descent ends when t reaches the level, after at
-    most ``top - 1`` calls to N.  Levels beyond r are refused, and levels
-    from 1 on need the monodromy (NotCris without it).
+    So x lies in level n when, for every t < n, the reduction w_t of
+    N^t(x) lies in step n - t, and the levels are nested.  One descent of
+    the chain finds the top level: at step t a nonzero reduced coordinate
+    j with m_jumps[j] < level - t lowers the level to m_jumps[j] + t, and
+    the descent ends when t reaches the level.  Levels beyond r are
+    refused, and levels from 1 on need the monodromy (NotCris without it).
 
-    Each coordinate of x is cut to its first ``top`` coefficients once.
-    The descent reads only coefficient 0 of N^t(x) for t < top, and
-    coefficient m of N(x) = Nmat x + N_S(x) reads only the coefficients
-    <= m + 1 of x (those <= m through the product, m + 1 through
-    N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m), so coefficient 0
-    of N^t(x) reads only those <= t and the cut changes nothing it reads.
+    The descent reads only coefficient 0 of N^t(x) for t < L, L the level
+    it starts from, and coefficient m of N(x) = Nmat x + N_S(x) reads only
+    the coefficients <= m + 1 of x (those <= m through the product, m + 1
+    through N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m).  So
+    every w_t is a W(k)-linear map of the L-jets of x: the module keeps
+    one table per L (``_descent_table``, in ``B._hat_tables``, built on
+    the first descent from L), and one ``apply`` gives all the w_t.
+    m_basis_inv then maps each w_t over W(k).
 
-    The reduced coordinates are tested for zero mod p^at (default N_p).
-    Coefficient 0 of N(y) is p*a*y_1 plus the Nmat terms, so coefficient 0
-    of N^t(x) carries x_t times (p*a)^t, and step t sees x_t to only about
-    ``at - t`` digits.  So at a finite ``at`` the result is the recursive
-    level with each zero test taken mod p^at, and unlike ``fil_level`` at
-    ``at`` it is not a function of x mod p^at; a comparison of the two
-    reads both at the precision of x itself (``suite_lemfil1``).
+    The reduced coordinates are tested for zero mod p^at (default N_p)
+    at the precisions of the chain of ``n_apply``: coordinate j of w_0 at
+    that of x_j, of w_1 at the lowest among row j of Nmat and the entries
+    of x, of every later w_t at the lowest among all of Nmat and x; after
+    m_basis_inv, coordinate j at the lowest among its row j and the
+    coordinates of w_t.  A test above that precision raises
+    PrecisionExhausted.  Coefficient 0 of N(y) is p*a*y_1 plus the Nmat
+    terms, so coefficient 0 of N^t(x) carries x_t times (p*a)^t, and step
+    t sees x_t to only about ``at - t`` digits.  So at a finite ``at`` the
+    result is the recursive level with each zero test taken mod p^at, and
+    unlike ``fil_level`` at ``at`` it is not a function of x mod p^at; a
+    comparison of the two reads both at the precision of x itself
+    (``suite_lemfil1``).
     """
     amb = B.amb
     level = amb.r if top is None else top
@@ -229,25 +359,51 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
         raise RecursionBudget("negative filtration level")
     if level > amb.r:
         raise RecursionBudget(f"level {level} beyond the Hodge bound {amb.r}")
-    if len(x) != B.d or len(m_jumps) != B.d or (
-        m_basis_inv is not None and m_basis_inv.rows != B.d
+    d = B.d
+    if len(x) != d or len(m_jumps) != d or (
+        m_basis_inv is not None and m_basis_inv.rows != d
     ):
         raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
+    if not (level and d):
+        return level
+    if m_basis_inv is not None and m_basis_inv.cols != d:
+        raise ValueError("dimension mismatch")
     at = amb.N_p if at is None else at
-    vec = tuple(c._head(level) for c in x)
+    L = level
+    entry = B._hat_tables.get(L)
+    if entry is None:
+        entry = B._hat_tables[L] = _descent_table(B, L)
+    table, n_row = entry
+    ring = amb.ring
+    precs = [c.prec for c in x]
+    k = min(precs)
+    # a zero test reads its coordinate mod p^at, and raises at a negative at
+    # or one above the coordinate's precision, so the jets and the images
+    # are read mod p^K
+    K = max(0, min(at, max(precs)))
+    [w] = table.apply([_jets(x, L, ring.pk[K])], [K])
+    w = list(zip(*w))
+    w += [(0,) * ring.f] * (d * L - len(w))
+    if m_basis_inv is not None:
+        basis_k = [min(c.prec for c in row) for row in m_basis_inv.entries]
     t = 0
     while t < level:
-        w = tuple(eval_fpi(c) for c in vec)
+        coeffs = w[t * d:(t + 1) * d]
+        if t == 1:
+            precs = [min(n, k) for n in n_row]
+        elif t == 2:
+            precs = [min(min(n_row), k)] * d
+        ks = precs
         if m_basis_inv is not None:
-            w = m_basis_inv.matvec(w)
-        for j in range(B.d):
-            if m_jumps[j] < level - t and not w[j].is_zero_at(at):
+            ks = [min(bk, min(precs)) for bk in basis_k]
+            coeffs = [ring._dot_tuple([(c.coeffs, v) for c, v in zip(row, coeffs)], kj)
+                      for row, kj in zip(m_basis_inv.entries, ks)]
+        for j in range(d):
+            if m_jumps[j] < level - t and not WittScalar(ring, coeffs[j], ks[j]).is_zero_at(at):
                 level = m_jumps[j] + t
         t += 1
-        if t < level:
-            vec = n_apply(B, vec)
     return level
 
 

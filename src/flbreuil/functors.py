@@ -250,17 +250,19 @@ class FLTransport:
     the reduction ``M``, the ``section`` it was split by and the adapted
     basis change ``g_w`` over W.  ``sec_basis_inv``, the inverse over S of
     the section basis Bmat embed(g_w), is built on its first read and
-    kept; only the filtration test through the section
-    (``tensor_membership_via_section``) reads it, so the backward functor
+    kept, with the tables of its product on jets (``adapted_level``); only
+    the filtration test through the section
+    (``tensor_membership_via_section``) reads them, so the backward functor
     itself inverts no matrix over S."""
 
-    __slots__ = ("M", "section", "g_w", "_sec_basis_inv")
+    __slots__ = ("M", "section", "g_w", "_sec_basis_inv", "_fil_tables")
 
     def __init__(self, M: FLModule, section: SectionResult, g_w: RingMatrix):
         self.M = M
         self.section = section
         self.g_w = g_w
         self._sec_basis_inv = None
+        self._fil_tables = {}
 
     @property
     def sec_basis_inv(self) -> RingMatrix:
@@ -339,9 +341,11 @@ def tensor_membership_via_section(transport: FLTransport, x, n: int,
                                   at: int | None = None) -> bool:
     """Membership in step n of the tensor-product filtration read in the
     section basis: ``adapted_level`` of the coordinates sec_basis_inv x with
-    the jumps of the reduction, capped at n, reaches n."""
+    the jumps of the reduction, capped at n, reaches n, through the
+    transport's tables of sec_basis_inv on jets."""
     M = transport.M
-    return adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x, at, top=n) == n
+    return adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x,
+                         transport._fil_tables, at, top=n) == n
 
 
 # --- round trips ---

@@ -107,14 +107,17 @@ def kisin_raw_fil_checker(K: KisinModule):
     A = X Lambda Y the module's own matrix, must have filtration valuation
     at least r: ``adapted_level`` of those components with jumps 0, capped
     at r, reaches r.  Independent of the adapted shortcut: it inverts
-    embed(Y) over S (``RingMatrix.invert``) and multiplies out.
+    embed(Y) over S (``RingMatrix.invert``) and multiplies out.  The
+    product on r-jets is one table, which the callable keeps and builds
+    on its first test.
     """
     amb = K.amb
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     zeros = (0,) * K.d
+    tables = {}
 
     def check(w, at: int | None = None) -> bool:
-        return breuil_mod.adapted_level(amb, full, zeros, w, at, top=amb.r) == amb.r
+        return breuil_mod.adapted_level(amb, full, zeros, w, tables, at, top=amb.r) == amb.r
 
     return check
 

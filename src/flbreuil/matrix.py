@@ -4,10 +4,10 @@ A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
 entry type has the same arithmetic, precision and residue-field interface.
 Products take one of two paths, picked by the operands.  A product of
-rows with one vector (``matvec``, with or without ``bound``) is the entry
-type's fused ``dot`` per entry.  A product of two matrices (``@``) is the
-entry type's ``matmul``: over W(k) that is ``dot`` per entry, and over
-W(k)[[u]] and S it is the packed kernel of ``witt``
+rows with one vector (``matvec``) is the entry type's fused ``dot`` per
+entry.  A product of two matrices (``@``) is the entry type's ``matmul``:
+over W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the
+packed kernel of ``witt``
 (``FlatVector._matmul_planes``, in the one packed layout of ``witt``,
 with the inner products paired by ``witt._packed_matmul`` when that
 needs fewer digit products), equal to ``dot`` in planes, precision and
@@ -132,12 +132,11 @@ class RingMatrix:
     def scale(self, scalar) -> "RingMatrix":
         return self.map_entries(lambda x: x * scalar)
 
-    def matvec(self, vec, bound: int | None = None):
-        """The product with a column vector.  Over S, ``bound`` computes
-        each entry only below that index (``PDElement.dot``)."""
+    def matvec(self, vec):
+        """The product with a column vector."""
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return tuple(_dot(row, vec, bound) for row in self.entries)
+        return tuple(_dot(row, vec) for row in self.entries)
 
     # --- precision ---
 
@@ -231,14 +230,12 @@ def _unit_inverse(A: RingMatrix) -> RingMatrix:
         raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal") from None
 
 
-def _dot(xs, ys, bound: int | None = None):
+def _dot(xs, ys):
     """Sum of the products x*y over two equally long rows of ring elements,
-    by the entry type's fused kernel (cut below ``bound``, over S)."""
+    by the entry type's fused kernel."""
     if not xs:
         raise ValueError("empty inner dimension: no entry gives the ring")
-    if bound is None:
-        return xs[0].dot(xs, ys)
-    return xs[0].dot(xs, ys, bound)
+    return xs[0].dot(xs, ys)
 
 
 def _is_zero(x) -> bool:

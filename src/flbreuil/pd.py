@@ -42,12 +42,10 @@ reduced mod p^prec.  The lists stop at the support (one past the last
 nonzero coefficient); the indices above it are zero.  A product, or a sum
 of products (``PDElement.dot``: an entry of ``RingMatrix.matvec``), is the
 fused kernel ``FlatVector._dot_planes`` with the binomials C(i+j, i) as
-weights; with a ``bound`` it computes just the coefficients below it,
-exactly as in the full product, since coefficient m of a product reads
-only the coefficients <= m of its factors.  A product of two matrices
-(``PDElement.matmul``) is the packed kernel of ``witt``
-(``FlatVector._matmul_planes``, ``witt._packed_matmul``), with the weights
-removed by ``AmbientParams.gamma_scale`` unless one factor is constant.
+weights.  A product of two matrices (``PDElement.matmul``) is the packed
+kernel of ``witt`` (``FlatVector._matmul_planes``,
+``witt._packed_matmul``), with the weights removed by
+``AmbientParams.gamma_scale`` unless one factor is constant.
 A solve A X = R over S (``PDElement.solve``, behind ``RingMatrix.solve``,
 ``RingMatrix.invert`` and ``invert``) is the triangular kernel of ``witt``
 (``FlatVector._solve_planes``), one pass over the gamma-index from the
@@ -59,10 +57,16 @@ context, in the one packed layout of ``witt``.  A table applies to a list
 of vectors at once, so ``phi_S_all``, ``embed_sigma_all`` and
 ``all_in_u_power_ideal`` map a whole matrix with one apply; the
 single-element maps are the list of one, with the same per-element
-prelude.  ``WittScalar`` objects are
-built only at the scalar boundary: ``coeff``, ``coeffs``, ``eval_f0``,
-``eval_fpi``, ``to_u_divided``, the gamma_0 part that a solve inverts
-over W(k), ``repr`` and the constructor from a list of scalars.
+prelude.  The derivation ``n_S`` multiplies by p*a through the context's
+f x f integer matrix on T-planes (``AmbientParams.pa_matrix``), with no
+packing.  Coefficient m of a product reads only the coefficients <= m of
+its factors, so the first b coefficients of M x, for a matrix M over S,
+are a W(k)-linear map of the first b coefficients of x: the filtration
+tests of ``breuil`` read such maps from tables kept with M.
+``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
+``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, the gamma_0 part
+that a solve inverts over W(k), ``repr`` and the constructor from a list
+of scalars.
 
 A second exact coordinate system is used for ideal-membership tests: the
 divided powers of u itself.  Since u = E - p*a,
@@ -136,20 +140,13 @@ class PDElement(FlatVector):
         return gamma_multiply(self, other)
 
     @staticmethod
-    def dot(xs, ys, bound: int | None = None) -> "PDElement":
+    def dot(xs, ys) -> "PDElement":
         """The sum of the products x*y over two equally long rows, by the
         fused kernel with the binomial weights of the gamma-basis.  It is
         tail_dirty when a factor is, or when a product index crosses
-        N_gamma.
-
-        With ``bound``, only the coefficients below that index are
-        computed; the others are left zero.  Coefficient m of a product
-        reads only the coefficients <= m of its factors, so the ones kept
-        are those of the full sum, and the precision and the tail_dirty
-        flag are the full sum's too."""
+        N_gamma."""
         amb = xs[0].amb
-        N = amb.N_gamma if bound is None else max(0, min(bound, amb.N_gamma))
-        planes, k, reach = FlatVector._dot_planes(xs, ys, N, amb.comb, amb.comb_max)
+        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb, amb.comb_max)
         dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
         return PDElement(amb, (), dirty, k, planes)
 
@@ -365,20 +362,24 @@ def phi_S_all(xs, j: int = 0) -> list:
 def n_S(x: PDElement) -> PDElement:
     """The derivation with N(u) = -u: N(gamma_i) = -i gamma_i + p a gamma_{i-1}.
 
-    On a tail_dirty input the coefficient at the top index misses the
-    contribution of the dropped gamma_{N_gamma} term.
+    Coefficient m of N(x) is p*a * x_(m+1) - m * x_m, mod p^k at the
+    precision k of x.  The product by p*a is the context's f x f integer
+    matrix on T-planes (``AmbientParams.pa_matrix``): plane s of
+    p*a * x_(m+1) is the sum over t of its entry (s, t) times plane t of
+    x_(m+1).  On a tail_dirty input the coefficient at the top index misses
+    the contribution of the dropped gamma_{N_gamma} term.
     """
     amb = x.amb
-    ring = amb.ring
-    # coefficient m of N(x) is p*a * x_{m+1} - m * x_m
-    k = x.prec
-    mod = ring.pk[k]
-    shifted = tuple(pl[1:] for pl in x.planes)
-    pax = ring.unfold(*ring.dot_acc(((shifted, ring.to_planes([amb.pa.coeffs], amb.cap)),),
-                                    len(x.planes[0])), k)
-    planes = tuple([(c - m * b) % mod for m, (c, b) in enumerate(zip(cp, pl))]
-                   for cp, pl in zip(pax, x.planes))
-    return PDElement(amb, (), x.tail_dirty, k, planes)
+    mod = amb.ring.pk[x.prec]
+    nxt = [pl[1:] + [0] for pl in x.planes]
+    planes = []
+    for row, pl in zip(amb.pa_matrix, x.planes):
+        acc = [-m * c for m, c in enumerate(pl)]
+        for coef, src in zip(row, nxt):
+            if coef:
+                acc = [a + coef * b for a, b in zip(acc, src)]
+        planes.append([a % mod for a in acc])
+    return PDElement(amb, (), x.tail_dirty, x.prec, tuple(planes))
 
 
 def eval_f0(x: PDElement) -> WittScalar:

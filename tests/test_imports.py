@@ -133,3 +133,21 @@ def test_only_join_and_split_convert_between_ints_and_bytes():
                 inside.update((path.name, n.lineno, n.col_offset) for n in ast.walk(node)
                               if isinstance(n, ast.Attribute))
     assert calls and calls <= inside, f"to_bytes/from_bytes outside _join/_split: {calls - inside}"
+
+
+def test_filtration_tests_and_n_call_no_per_sample_kernel():
+    # adapted_level and hat_fil_level read the tables of their owners, and
+    # n_S multiplies by the context's matrix of p*a: none of them names the
+    # per-sample product, the chain of N or the fused dot's accumulator
+    banned = {("breuil.py", "adapted_level"): {"matvec", "n_apply"},
+              ("breuil.py", "hat_fil_level"): {"matvec", "n_apply"},
+              ("pd.py", "n_S"): {"dot_acc"}}
+    found = {}
+    for (name, func), names in banned.items():
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        [node] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func]
+        named = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        named |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if named & names:
+            found[func] = sorted(named & names)
+    assert not found, f"per-sample kernel calls: {found}"

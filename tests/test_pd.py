@@ -136,6 +136,16 @@ def test_factorial_unit_inverses_are_the_newton_inverses(name, request):
                 table(i)
 
 
+
+@pytest.mark.parametrize("kw", [dict(p=3, r=2), dict(p=5, r=4), dict(p=3, r=2, f=2, a=[2, 1])])
+def test_pa_div_fact_from_running_powers_is_square_and_multiply(kw):
+    # (p*a)^i/i! from the running powers of a, asked for from the top index
+    # down on a fresh context, gives the ints of a^i by square-and-multiply
+    amb = AmbientParams(**kw)
+    for i in reversed(range(len(amb.vfact))):
+        ref = ((amb.a ** i) * amb.fact_unit_inv(i)).mul_p_pow(i - amb.vfact[i])
+        assert amb.pa_div_fact(i) == ref
+
 # --- Frobenius ---
 
 def test_phi_examples(amb3):
@@ -171,6 +181,38 @@ def test_n_examples(amb3):
     assert as_signed(n_S(pd_gamma(amb3, 2)), 4) == [0, -3, -2, 0]
     u = embed_sigma(amb3.useries([0, 1]))
     assert (n_S(u) + u).is_zero_at(amb3.cap)
+
+
+def n_S_by_the_packed_product(x):
+    """n_S with p*a packed, convolved by ``WittRing.dot_acc`` and unfolded
+    on every call."""
+    amb = x.amb
+    ring = amb.ring
+    k = x.prec
+    mod = ring.pk[k]
+    shifted = tuple(pl[1:] for pl in x.planes)
+    pax = ring.unfold(*ring.dot_acc(((shifted, ring.to_planes([amb.pa.coeffs], amb.cap)),),
+                                    len(x.planes[0])), k)
+    planes = tuple([(c - m * b) % mod for m, (c, b) in enumerate(zip(cp, pl))]
+                   for cp, pl in zip(pax, x.planes))
+    return PDElement(amb, (), x.tail_dirty, k, planes)
+
+
+@pytest.mark.parametrize("kw", [dict(p=3, r=2), dict(p=5, r=4), dict(p=3, r=2, f=2, a=[2, 1]),
+                                dict(p=3, r=2, f=3, a=[1, 2, 1])])
+def test_n_through_the_pa_matrix_is_the_packed_product(kw):
+    # the f x f matrix of p*a on T-planes (with a T-coefficient in a at
+    # f = 2 and 3) gives the planes, precision and flag of the packed product
+    amb = AmbientParams(**kw)
+    rng = random.Random(12)
+    for i in range(250):
+        x = pd_random_calibrated(amb, rng, rng.randrange(amb.N_gamma + 1), 2)
+        if i % 3 == 1:
+            x = x.truncate(rng.randrange(1, amb.cap + 1))
+        if i % 4 == 2:
+            x = PDElement(amb, (), True, x.prec, x.planes)
+        got, ref = n_S(x), n_S_by_the_packed_product(x)
+        assert (got.planes, got.prec, got.tail_dirty) == (ref.planes, ref.prec, ref.tail_dirty)
 
 
 def test_n_leibniz(amb3):
