@@ -20,19 +20,21 @@ of a filtration element is a residue-linear combination of those (higher
 gamma indices pick up strictly positive p-valuation under phi), so the
 image generates exactly when the matrix of those d images is invertible.
 
-The two filtration tests read W(k)-linear maps on jets (the first
-coefficients of each coordinate) from tables, one ``witt.PackedTable`` per
-jet length, built on first use and kept by the object that owns the
-matrix, so that each sample costs one ``apply``:
+The two filtration tests return the level of x capped at r, the only
+steps the paper asks about, and read W(k)-linear maps on jets (the first
+coefficients of each coordinate) from one ``witt.PackedTable`` per owner
+of the matrix, built on first use, so that each sample costs one
+``apply``:
 
   * ``adapted_level`` (behind ``fil_level``, ``fil_lower``, the Kisin raw
     checker and ``functors.tensor_membership_via_section``) reads the
-    first b = top - min(r_j) coefficients of M x, a map of the b-jets of
-    x; its tables live on the ``BreuilModule`` (for C^(-1)), in the
-    checker's closure and on the ``FLTransport`` (for ``sec_basis_inv``);
-  * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < L, a map of
-    the L-jets of x; the module keeps one table per L, built by
-    ``n_apply`` on the basis jets.
+    first b = r - min(r_j) coefficients of M x, a map of the b-jets of x
+    (``jet_table``); the table lives on the ``BreuilModule`` (for
+    C^(-1)), in the checker's closure and on the ``FLTransport`` (for
+    ``sec_basis_inv``);
+  * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < r, a map of
+    the r-jets of x; the module keeps its table, built by ``n_apply`` on
+    the basis jets.
 
 Each zero test is taken at the precision the per-sample product had:
 coordinate j of M x at the lowest precision among row j of M and the
@@ -44,12 +46,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import (
-    NotCris,
-    NotDivisible,
-    NotInFil,
-    RecursionBudget,
-)
+from .errors import NotCris, NotDivisible, NotInFil
 from .matrix import RingMatrix, converges_to_zero, scaled_inverse
 from .pd import (
     eval_f0,
@@ -77,10 +74,10 @@ class BreuilModule:
         mats = (Phi, C) if Nmat is None else (Phi, Nmat, C)
         self.jumps = check_jumps(amb, d, jumps, *mats)
         self._C_inv = None
-        # the tables of the filtration tests, by jet length: C^(-1) on jets
-        # (``fil_level``) and the descent through N (``hat_fil_level``)
-        self._fil_tables = {}
-        self._hat_tables = {}
+        # the tables of the filtration tests, built on first use: C^(-1) on
+        # jets (``fil_level``) and the descent through N (``hat_fil_level``)
+        self._fil_table = None
+        self._hat_table = None
 
     @property
     def C_inv(self) -> RingMatrix:
@@ -93,16 +90,19 @@ class BreuilModule:
         return max(0, i - self.jumps[j])
 
 
-def _jet_table(amb, M: RingMatrix, b: int) -> tuple:
-    """The product x -> M x on b-jets, for M over S: coefficient m of
+def jet_table(amb, M: RingMatrix, jumps) -> tuple:
+    """The product x -> M x on b-jets, for M over S and b = r - min(r_j)
+    (0 without jumps), the jets ``adapted_level`` reads: coefficient m of
     (M x)_i is the sum over j and a <= m of C(m, a) (M_ij)_(m-a) x_(j,a),
     so the first b coefficients of M x are a W(k)-linear map of the first b
     coefficients of each x_j.  Returns its ``witt.PackedTable``, whose
     column j*b + a (the image of gamma_a in coordinate j) holds in entry
     i*b + m the coefficient m of M_ij gamma_a, read straight from M's
-    planes and the binomials, and the lowest precision in each row of M."""
+    planes and the binomials, the lowest precision in each row of M, and
+    b.  The owner of M keeps it."""
     ring, comb = amb.ring, amb.comb
     mod = ring.pk[amb.cap]
+    b = amb.r - min(jumps, default=amb.r)
     columns = []
     for j in range(M.cols):
         for a in range(b):
@@ -113,7 +113,7 @@ def _jet_table(amb, M: RingMatrix, b: int) -> tuple:
                     seg = [w[n] * c % mod for n, c in enumerate(pl[:b - a])]
                     out.extend([0] * a + seg + [0] * (b - a - len(seg)))
             columns.append((trimmed(planes), False))
-    return PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries]
+    return PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries], b
 
 
 def _jets(x, b: int, mod: int) -> list:
@@ -129,50 +129,40 @@ def _jets(x, b: int, mod: int) -> list:
     return jets
 
 
-def adapted_level(amb, M: RingMatrix, jumps, x, tables: dict, at: int | None = None,
-                  top: int | None = None) -> int:
+def adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = None) -> int:
     """The level of x in the filtration adapted to the coordinates of
-    y = M x with jumps r_j, capped at ``top`` when it is given (otherwise
-    unbounded, also beyond r): the minimum over j of v_j + r_j, where v_j
-    is the filtration valuation of y_j.  x lies in step i exactly when
-    i <= the level.  A rank-0 vector gets N_gamma + r.
+    y = M x with jumps r_j, capped at r: the minimum of r and, over j, of
+    v_j + r_j, where v_j is the filtration valuation of y_j.  x lies in
+    step i (0 <= i <= r) exactly when i <= the level.  A rank-0 vector
+    gets r.
 
-    Only the first b = top - min(r_j) coefficients of y are read (all
-    N_gamma without ``top``): a coordinate that vanishes there has
-    v_j + r_j >= top whatever its higher coefficients are.  Coefficient m
-    of y reads only the coefficients <= m of x, so y's b-jet is a
-    W(k)-linear map of x's b-jets, one ``witt.PackedTable`` per length b
-    (``_jet_table``), kept in ``tables``, a dict owned by the object that
-    owns M (``BreuilModule`` for C^(-1), the Kisin raw checker for its
-    matrix, ``FLTransport`` for ``sec_basis_inv``) and built on the first
-    test of that length: each test is one ``apply``.  Coordinate j is
-    tested mod p^min(at, k_j) (at defaults to N_p), k_j the lowest
-    precision among row j of M and the entries of x, the precision of the
-    product (M x)_j."""
+    Only the first b = r - min(r_j) coefficients of y are read: a
+    coordinate that vanishes there has v_j + r_j >= r whatever its higher
+    coefficients are.  Coefficient m of y reads only the coefficients <= m
+    of x, so y's b-jet is a W(k)-linear map of x's b-jets, ``table``
+    (``jet_table`` of M and the jumps), kept by the object that owns M
+    (``BreuilModule`` for C^(-1), the Kisin raw checker for its matrix,
+    ``FLTransport`` for ``sec_basis_inv``): each test is one ``apply``.
+    Coordinate j is tested mod p^min(at, k_j) (at defaults to N_p), k_j the
+    lowest precision among row j of M and the entries of x, the precision
+    of the product (M x)_j."""
     if len(x) != M.cols:
         raise ValueError("dimension mismatch")
     at = amb.N_p if at is None else at
     n = min(M.rows, len(jumps))
+    level = amb.r
     if not n:
-        level = amb.N_gamma + amb.r
-        return level if top is None else min(level, top)
+        return level
     if at < 0:
         raise ValueError(f"filtration valuation at negative precision p^{at}")
-    level = amb.N_gamma + min(jumps[:n])
-    if top is not None:
-        level = min(level, top)
-    b = amb.N_gamma if top is None else max(0, min(top - min(jumps), amb.N_gamma))
+    packed, row_k, b = table
     if not b:
         return level
-    entry = tables.get(b)
-    if entry is None:
-        entry = tables[b] = _jet_table(amb, M, b)
-    table, row_k = entry
     k = min(at, *[c.prec for c in x])
     ks = [k if k < rk else rk for rk in row_k[:n]]
     pk = amb.ring.pk
     K = max(ks)
-    [y] = table.apply([_jets(x, b, pk[K])], [K])
+    [y] = packed.apply([_jets(x, b, pk[K])], [K])
     for i, (r, ki) in enumerate(zip(jumps, ks)):
         # the first coefficient of y_i below level - r_i that is nonzero mod p^ki
         stop = end = min(b, level - r)
@@ -187,17 +177,20 @@ def adapted_level(amb, M: RingMatrix, jumps, x, tables: dict, at: int | None = N
     return level
 
 
-def fil_level(B: BreuilModule, x, at: int | None = None, top: int | None = None) -> int:
-    """The largest i with x in the reconstructed step Fil^i, capped at
-    ``top`` when it is given: ``adapted_level`` of the adapted coordinates
-    C^(-1) x with the module's jumps, through the module's tables of
-    C^(-1) on jets."""
-    return adapted_level(B.amb, B.C_inv, B.jumps, x, B._fil_tables, at, top)
+def fil_level(B: BreuilModule, x, at: int | None = None) -> int:
+    """The largest i <= r with x in the reconstructed step Fil^i:
+    ``adapted_level`` of the adapted coordinates C^(-1) x with the
+    module's jumps, through the module's table of C^(-1) on jets."""
+    if B._fil_table is None:
+        B._fil_table = jet_table(B.amb, B.C_inv, B.jumps)
+    return adapted_level(B.amb, B.C_inv, B.jumps, x, B._fil_table, at)
 
 
 def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
-    """Membership in the reconstructed lower step Fil^i."""
-    return i <= fil_level(B, x, at, top=i)
+    """Membership in the reconstructed lower step Fil^i, 0 <= i <= r."""
+    if not 0 <= i <= B.amb.r:
+        raise ValueError(f"filtration step {i} outside [0, {B.amb.r}]")
+    return i <= fil_level(B, x, at)
 
 
 def phi_module(B: BreuilModule, x):
@@ -291,21 +284,21 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
     return ValidationReport(strongly, griffiths, diagram, cris)
 
 
-def _descent_table(B: BreuilModule, L: int) -> tuple:
-    """The reductions that the descent of ``hat_fil_level`` reads below
-    level L: coefficient 0 of N^t(x) for t < L, a W(k)-linear map of the
-    L-jets of x (it reads only the coefficients <= t of x).  Returns its
-    ``witt.PackedTable``, whose column j*L + a holds in entry t*d + i
-    coefficient 0 of coordinate i of N^t(gamma_a e_j), by ``n_apply`` on
-    the d*L basis jets, and the lowest precision in each row of Nmat."""
-    amb, d = B.amb, B.d
+def _descent_table(B: BreuilModule) -> tuple:
+    """The reductions that the descent of ``hat_fil_level`` reads: coefficient
+    0 of N^t(x) for t < r, a W(k)-linear map of the r-jets of x (it reads
+    only the coefficients <= t of x).  Returns its ``witt.PackedTable``,
+    whose column j*r + a holds in entry t*d + i coefficient 0 of coordinate
+    i of N^t(gamma_a e_j), by ``n_apply`` on the d*r basis jets, and the
+    lowest precision in each row of Nmat."""
+    amb, d, r = B.amb, B.d, B.amb.r
     zero = pd_zero(amb)
     columns = []
     for j in range(d):
-        for a in range(L):
+        for a in range(r):
             vec = tuple(pd_gamma(amb, a) if i == j else zero for i in range(d))
             planes = tuple([] for _ in range(amb.ring.f))
-            for t in range(L):
+            for t in range(r):
                 if t:
                     vec = n_apply(B, vec)
                 for c in vec:
@@ -315,29 +308,28 @@ def _descent_table(B: BreuilModule, L: int) -> tuple:
     return PackedTable(amb.ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries]
 
 
-def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
-                  m_basis_inv: RingMatrix | None = None, top: int | None = None) -> int:
-    """The top level, at most ``top`` (default r), of x in the filtration
-    defined recursively through N and evaluation at pi.
+def hat_fil_level(B: BreuilModule, x, at: int | None = None,
+                  m_basis_inv: RingMatrix | None = None) -> int:
+    """The top level, at most r, of x in the filtration defined recursively
+    through N and evaluation at pi.
 
     Level 0 is everything; x lies in level n when N(x) lies in level n-1
-    and the image of x under u -> pi lies in step n of the given filtration
-    on the reduction (jumps m_jumps, optionally after a W-basis change).
-    So x lies in level n when, for every t < n, the reduction w_t of
-    N^t(x) lies in step n - t, and the levels are nested.  One descent of
-    the chain finds the top level: at step t a nonzero reduced coordinate
-    j with m_jumps[j] < level - t lowers the level to m_jumps[j] + t, and
-    the descent ends when t reaches the level.  Levels beyond r are
-    refused, and levels from 1 on need the monodromy (NotCris without it).
+    and the image of x under u -> pi lies in step n of the filtration on
+    the reduction with the module's jumps (optionally after a W-basis
+    change).  So x lies in level n when, for every t < n, the reduction w_t
+    of N^t(x) lies in step n - t, and the levels are nested.  One descent
+    of the chain finds the top level: at step t a nonzero reduced
+    coordinate j with r_j < level - t lowers the level to r_j + t, and the
+    descent ends when t reaches the level.  Levels from 1 on need the
+    monodromy (NotCris without it).
 
-    The descent reads only coefficient 0 of N^t(x) for t < L, L the level
-    it starts from, and coefficient m of N(x) = Nmat x + N_S(x) reads only
-    the coefficients <= m + 1 of x (those <= m through the product, m + 1
-    through N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m).  So
-    every w_t is a W(k)-linear map of the L-jets of x: the module keeps
-    one table per L (``_descent_table``, in ``B._hat_tables``, built on
-    the first descent from L), and one ``apply`` gives all the w_t.
-    m_basis_inv then maps each w_t over W(k).
+    The descent reads only coefficient 0 of N^t(x) for t < r, and
+    coefficient m of N(x) = Nmat x + N_S(x) reads only the coefficients
+    <= m + 1 of x (those <= m through the product, m + 1 through
+    N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m).  So every w_t is
+    a W(k)-linear map of the r-jets of x: the module keeps that table
+    (``_descent_table``, built on the first descent), and one ``apply``
+    gives all the w_t.  m_basis_inv then maps each w_t over W(k).
 
     The reduced coordinates are tested for zero mod p^at (default N_p)
     at the precisions of the chain of ``n_apply``: coordinate j of w_0 at
@@ -353,16 +345,9 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     comparison of the two reads both at the precision of x itself
     (``suite_lemfil1``).
     """
-    amb = B.amb
-    level = amb.r if top is None else top
-    if level < 0:
-        raise RecursionBudget("negative filtration level")
-    if level > amb.r:
-        raise RecursionBudget(f"level {level} beyond the Hodge bound {amb.r}")
-    d = B.d
-    if len(x) != d or len(m_jumps) != d or (
-        m_basis_inv is not None and m_basis_inv.rows != d
-    ):
+    amb, d, jumps = B.amb, B.d, B.jumps
+    level = amb.r
+    if len(x) != d or (m_basis_inv is not None and m_basis_inv.rows != d):
         raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
@@ -371,11 +356,9 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     if m_basis_inv is not None and m_basis_inv.cols != d:
         raise ValueError("dimension mismatch")
     at = amb.N_p if at is None else at
-    L = level
-    entry = B._hat_tables.get(L)
-    if entry is None:
-        entry = B._hat_tables[L] = _descent_table(B, L)
-    table, n_row = entry
+    if B._hat_table is None:
+        B._hat_table = _descent_table(B)
+    table, n_row = B._hat_table
     ring = amb.ring
     precs = [c.prec for c in x]
     k = min(precs)
@@ -383,9 +366,9 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
     # or one above the coordinate's precision, so the jets and the images
     # are read mod p^K
     K = max(0, min(at, max(precs)))
-    [w] = table.apply([_jets(x, L, ring.pk[K])], [K])
+    [w] = table.apply([_jets(x, level, ring.pk[K])], [K])
     w = list(zip(*w))
-    w += [(0,) * ring.f] * (d * L - len(w))
+    w += [(0,) * ring.f] * (d * level - len(w))
     if m_basis_inv is not None:
         basis_k = [min(c.prec for c in row) for row in m_basis_inv.entries]
     t = 0
@@ -401,8 +384,8 @@ def hat_fil_level(B: BreuilModule, m_jumps, x, at: int | None = None,
             coeffs = [ring._dot_tuple([(c.coeffs, v) for c, v in zip(row, coeffs)], kj)
                       for row, kj in zip(m_basis_inv.entries, ks)]
         for j in range(d):
-            if m_jumps[j] < level - t and not WittScalar(ring, coeffs[j], ks[j]).is_zero_at(at):
-                level = m_jumps[j] + t
+            if jumps[j] < level - t and not WittScalar(ring, coeffs[j], ks[j]).is_zero_at(at):
+                level = jumps[j] + t
         t += 1
     return level
 

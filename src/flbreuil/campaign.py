@@ -160,7 +160,7 @@ def suite_lemfil1(amb, rng, cfg):
         # disagree lie between their two top levels; both are read at the
         # sample's own precision, as the recursive test loses a digit per N
         at = min(c.prec for c in x)
-        mism += abs(BR.fil_level(B, x, at, top=amb.r) - BR.hat_fil_level(B, M.jumps, x, at))
+        mism += abs(BR.fil_level(B, x, at) - BR.hat_fil_level(B, x, at))
     recs.append(_rec("tensor-vs-hat", mism == 0, elements=n_elems, mismatches=mism,
                      instance=SER.to_json(M) if mism else None))
     return recs

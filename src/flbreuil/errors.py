@@ -59,10 +59,6 @@ class A0NotScaledIntegral(KernelError):
     """p^r times the inverse of the constant Frobenius matrix is not integral."""
 
 
-class RecursionBudget(KernelError):
-    """Recursive filtration asked for a level beyond the Hodge range."""
-
-
 class NotCris(KernelError):
     """Monodromy matrix does not land in u times the module."""
 

@@ -33,6 +33,7 @@ from .breuil import (
     adapted_level,
     breuil_validate,
     fil_lower,
+    jet_table,
     random_fil_member,
     random_vector,
     rebase,
@@ -250,19 +251,19 @@ class FLTransport:
     the reduction ``M``, the ``section`` it was split by and the adapted
     basis change ``g_w`` over W.  ``sec_basis_inv``, the inverse over S of
     the section basis Bmat embed(g_w), is built on its first read and
-    kept, with the tables of its product on jets (``adapted_level``); only
+    kept, with the one table of its product on jets (``jet_table``); only
     the filtration test through the section
     (``tensor_membership_via_section``) reads them, so the backward functor
     itself inverts no matrix over S."""
 
-    __slots__ = ("M", "section", "g_w", "_sec_basis_inv", "_fil_tables")
+    __slots__ = ("M", "section", "g_w", "_sec_basis_inv", "_fil_table")
 
     def __init__(self, M: FLModule, section: SectionResult, g_w: RingMatrix):
         self.M = M
         self.section = section
         self.g_w = g_w
         self._sec_basis_inv = None
-        self._fil_tables = {}
+        self._fil_table = None
 
     @property
     def sec_basis_inv(self) -> RingMatrix:
@@ -339,13 +340,17 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
 
 def tensor_membership_via_section(transport: FLTransport, x, n: int,
                                   at: int | None = None) -> bool:
-    """Membership in step n of the tensor-product filtration read in the
-    section basis: ``adapted_level`` of the coordinates sec_basis_inv x with
-    the jumps of the reduction, capped at n, reaches n, through the
-    transport's tables of sec_basis_inv on jets."""
+    """Membership in step n (0 <= n <= r) of the tensor-product filtration
+    read in the section basis: n <= ``adapted_level`` of the coordinates
+    sec_basis_inv x with the jumps of the reduction, through the
+    transport's table of sec_basis_inv on jets."""
     M = transport.M
-    return adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x,
-                         transport._fil_tables, at, top=n) == n
+    if not 0 <= n <= M.amb.r:
+        raise ValueError(f"filtration step {n} outside [0, {M.amb.r}]")
+    if transport._fil_table is None:
+        transport._fil_table = jet_table(M.amb, transport.sec_basis_inv, M.jumps)
+    return n <= adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x,
+                              transport._fil_table, at)
 
 
 # --- round trips ---

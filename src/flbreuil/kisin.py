@@ -105,19 +105,19 @@ def kisin_raw_fil_checker(K: KisinModule):
     the linearised Frobenius of the element must land in Fil^r S tensor the
     module, i.e. every component of embed(A) * embed(Y)^{-1} * w, with
     A = X Lambda Y the module's own matrix, must have filtration valuation
-    at least r: ``adapted_level`` of those components with jumps 0, capped
-    at r, reaches r.  Independent of the adapted shortcut: it inverts
-    embed(Y) over S (``RingMatrix.invert``) and multiplies out.  The
-    product on r-jets is one table, which the callable keeps and builds
-    on its first test.
+    at least r: ``adapted_level`` of those components with jumps 0
+    reaches r.  Independent of the adapted shortcut: it inverts embed(Y)
+    over S (``RingMatrix.invert``) and multiplies out.  The product on
+    r-jets is one table (``breuil.jet_table``), built with the callable,
+    which keeps it.
     """
     amb = K.amb
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     zeros = (0,) * K.d
-    tables = {}
+    table = breuil_mod.jet_table(amb, full, zeros)
 
     def check(w, at: int | None = None) -> bool:
-        return breuil_mod.adapted_level(amb, full, zeros, w, tables, at, top=amb.r) == amb.r
+        return breuil_mod.adapted_level(amb, full, zeros, w, table, at) == amb.r
 
     return check
 

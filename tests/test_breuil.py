@@ -19,7 +19,7 @@ from flbreuil.breuil import (
     rebase,
 )
 from flbreuil.campaign import run_suite_seed
-from flbreuil.errors import NotCris, NotDivisible, NotInFil, RecursionBudget
+from flbreuil.errors import NotCris, NotDivisible, NotInFil
 from flbreuil.fl import FLModule, random_fl
 from flbreuil.functors import fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
@@ -172,32 +172,20 @@ def test_hat_filtration_rank_one(amb3):
         B = fl_to_breuil(M)
         x = (pd_one(amb3),)
         for n in range(amb3.r + 1):
-            assert (hat_fil_level(B, M.jumps, x, top=n) == n) == (n <= s)
+            assert (n <= hat_fil_level(B, x)) == (n <= s)
 
 
 def test_hat_filtration_gamma_example(amb3):
     M = random_fl(amb3, random.Random(3), 1, (0,))
     B = fl_to_breuil(M)
-    assert hat_fil_level(B, M.jumps, (pd_gamma(amb3, 1),), top=1) == 1
-
-
-def test_hat_budget(amb3):
-    M = random_fl(amb3, random.Random(4), 1, (0,))
-    B = fl_to_breuil(M)
-    with pytest.raises(RecursionBudget):
-        hat_fil_level(B, M.jumps, (pd_one(amb3),), top=amb3.r + 1)
+    assert 1 <= hat_fil_level(B, (pd_gamma(amb3, 1),))
 
 
 def test_hat_needs_monodromy(amb3):
     B = rank1(amb3, 0, amb3.w(1))
-    x = (pd_one(amb3),)
-    assert hat_fil_level(B, (0,), x, top=0) == 0
     # level 1 is defined through N, even where the reduction alone refuses x
-    for n in range(1, amb3.r + 1):
-        with pytest.raises(NotCris):
-            hat_fil_level(B, (0,), x, top=n)
     with pytest.raises(NotCris):
-        hat_fil_level(B, (0,), x)
+        hat_fil_level(B, (pd_one(amb3),))
 
 
 def test_hat_level_rejects_wrong_lengths(amb3):
@@ -205,15 +193,15 @@ def test_hat_level_rejects_wrong_lengths(amb3):
     M = random_fl(amb3, rng, 3)
     B = fl_to_breuil(M)
     x = random_vector(B, rng, 6)
-    assert 0 <= hat_fil_level(B, M.jumps, x) <= amb3.r
-    for jumps, vec in (((0,), x), (M.jumps, x[:2]), (M.jumps + (0,), x), (M.jumps, x + x[:1])):
+    assert 0 <= hat_fil_level(B, x) <= amb3.r
+    for vec in (x[:2], x + x[:1]):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            hat_fil_level(B, jumps, vec)
+            hat_fil_level(B, vec)
     # a reduction basis change with too few or too many rows
     for rows in (2, 4):
         g = RingMatrix([[amb3.ring.one()] * 3 for _ in range(rows)])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            hat_fil_level(B, M.jumps, x, m_basis_inv=g)
+            hat_fil_level(B, x, m_basis_inv=g)
 
 
 def test_hat_equals_tensor_small(amb3):
@@ -227,7 +215,7 @@ def test_hat_equals_tensor_small(amb3):
             else:
                 x = random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
-                assert fil_lower(B, n, x) == (hat_fil_level(B, M.jumps, x, top=n) == n)
+                assert fil_lower(B, n, x) == (n <= hat_fil_level(B, x))
 
 
 def fil_lower_per_coordinate(B, i, x, at=None):
@@ -242,10 +230,8 @@ def hat_fil_membership_recursive(B, m_jumps, x, n, at=None, m_basis_inv=None):
     """The hat filtration at the one level n by its defining recursion,
     memoised per call; kept as the reference for hat_fil_level."""
     amb = B.amb
-    if n < 0:
-        raise RecursionBudget("negative filtration level")
-    if n > amb.r:
-        raise RecursionBudget(f"level {n} beyond the Hodge bound {amb.r}")
+    if not 0 <= n <= amb.r:
+        raise ValueError(f"filtration step {n} outside [0, {amb.r}]")
     at = amb.N_p if at is None else at
     cache = {}
 
@@ -288,15 +274,15 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
         M = random_fl(amb, rng, d)
         B = fl_to_breuil(M)
         g = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
-        built = set()
+        built = []
 
-        def expected_calls(L):
-            # N is applied only while the module's table for a descent from
-            # L is built, L - 1 times on each of the d*L basis jets, once
-            if not L or L in built:
+        def expected_calls():
+            # N is applied only while the module's table for the descent is
+            # built, r - 1 times on each of the d*r basis jets, once
+            if built:
                 return 0
-            built.add(L)
-            return d * L * (L - 1)
+            built.append(B)
+            return d * r * (r - 1)
 
         for k in range(12):
             x = (random_fil_member(B, rng, rng.randrange(r + 1)) if k % 2 == 0
@@ -304,18 +290,14 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
             L = fil_level(B, x)
             for basis in (None, g):
                 calls[0] = 0
-                H = hat_fil_level(B, M.jumps, x, m_basis_inv=basis)
-                assert 0 <= H <= r and calls[0] == expected_calls(r)
+                H = hat_fil_level(B, x, m_basis_inv=basis)
+                assert 0 <= H <= r and calls[0] == expected_calls()
                 for n in range(r + 1):
-                    calls[0] = 0
-                    member = hat_fil_level(B, M.jumps, x, m_basis_inv=basis, top=n) == n
-                    assert calls[0] == expected_calls(n)
                     ref = hat_fil_membership_recursive(B, M.jumps, x, n, m_basis_inv=basis)
-                    assert member == ref == (n <= H)
-                seen.add((min(L, r), H))
+                    assert ref == (n <= H)
+                seen.add((L, H))
             for i in range(r + 1):
                 assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x) == (i <= L)
-                assert fil_level(B, x, top=i) == min(L, i)
     # both levels range over several values
     assert len({L for L, _ in seen}) > 1 and len({H for _, H in seen}) > 1
 

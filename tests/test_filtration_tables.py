@@ -1,18 +1,19 @@
 """The filtration tests read off tables agree with the per-sample products
 they replace.
 
-``adapted_level`` reads the b-jet of M x from a table of M on jets (kept by
-the object that owns M), and ``hat_fil_level`` reads every reduction of its
-descent from a table of the module's N on jets.  Here both are checked
-against references that multiply out every sample: the whole product M x
-and ``fil_valuation`` (``level_by_product``), the chain x, N(x), N^2(x), ...
-of ``n_apply`` (``hat_level_by_chain``, the descent as it was before the
-table), and the per-level references of ``test_breuil``.  The owners are a
-rebased module (a general C^(-1)), the Kisin raw checker and a transport's
-``sec_basis_inv``, at f = 1 and f = 2, ranks 0-3, every top in 0..r, and
-``at`` below and above the samples' precisions, with matrices whose rows
-are known to different precisions.  Errors must match too.  Each table is
-built once per owner and length.
+``adapted_level`` reads the b-jet of M x from a table of M on jets, and
+``hat_fil_level`` reads every reduction of its descent from a table of the
+module's N on jets; each owner of a matrix keeps one table.  Both levels
+are capped at r.  Here both are checked against references that multiply
+out every sample: the whole product M x and ``fil_valuation``
+(``level_by_product``, capped at r by the caller), the chain x, N(x),
+N^2(x), ... of ``n_apply`` (``hat_level_by_chain``), and the per-level
+references of ``test_breuil``.  The owners are a rebased module (a general
+C^(-1)), the Kisin raw checker and a transport's ``sec_basis_inv``, at
+f = 1 and f = 2, ranks 0-3, every step in 0..r, and ``at`` below and above
+the samples' precisions, with matrices whose rows are known to different
+precisions.  Errors must match too, and a step outside 0..r is refused.
+Each table is built once per owner.
 """
 
 import random
@@ -20,6 +21,7 @@ import random
 import pytest
 
 from flbreuil import breuil as BR
+from flbreuil import functors as FU
 from flbreuil.breuil import (
     BreuilModule,
     fil_level,
@@ -31,36 +33,30 @@ from flbreuil.breuil import (
     rebase,
 )
 from flbreuil.campaign import random_congruent_identity
-from flbreuil.errors import NotCris, PrecisionExhausted, RecursionBudget
+from flbreuil.errors import NotCris, PrecisionExhausted
 from flbreuil.fl import random_fl
 from flbreuil.functors import breuil_to_fl, fl_to_breuil, fpi_matrix, tensor_membership_via_section
 from flbreuil.kisin import _embed_matrix, kisin_raw_fil_checker, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
-from flbreuil.pd import eval_fpi, fil_valuation
+from flbreuil.pd import eval_fpi, fil_valuation, pd_gamma, pd_one, pd_zero
 from test_breuil import fil_lower_per_coordinate, hat_fil_membership_recursive
 
 
-def level_by_product(amb, M, jumps, x, at=None, top=None):
-    """``adapted_level`` by the whole product M x and ``fil_valuation``."""
+def level_by_product(amb, M, jumps, x, at=None):
+    """The uncapped level of ``adapted_level`` by the whole product M x and
+    ``fil_valuation``."""
     at = amb.N_p if at is None else at
     y = M.matvec(x)
-    level = min((fil_valuation(c, at) + r for c, r in zip(y, jumps)),
-                default=amb.N_gamma + amb.r)
-    return level if top is None else min(level, top)
+    return min((fil_valuation(c, at) + r for c, r in zip(y, jumps)),
+               default=amb.N_gamma + amb.r)
 
 
-def hat_level_by_chain(B, m_jumps, x, at=None, m_basis_inv=None, top=None):
+def hat_level_by_chain(B, x, at=None, m_basis_inv=None):
     """``hat_fil_level`` by the chain of ``n_apply``: each step reduces the
     current N^t(x) at u = pi, maps it by m_basis_inv and applies N once."""
-    amb = B.amb
-    level = amb.r if top is None else top
-    if level < 0:
-        raise RecursionBudget("negative filtration level")
-    if level > amb.r:
-        raise RecursionBudget(f"level {level} beyond the Hodge bound {amb.r}")
-    if len(x) != B.d or len(m_jumps) != B.d or (
-        m_basis_inv is not None and m_basis_inv.rows != B.d
-    ):
+    amb, m_jumps = B.amb, B.jumps
+    level = amb.r
+    if len(x) != B.d or (m_basis_inv is not None and m_basis_inv.rows != B.d):
         raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
@@ -84,7 +80,7 @@ def outcome(fn, *args, **kwargs):
     """The value of a call, or the type and message of what it raised."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, PrecisionExhausted, NotCris, RecursionBudget) as exc:
+    except (ValueError, PrecisionExhausted, NotCris) as exc:
         return type(exc), str(exc)
 
 
@@ -132,8 +128,7 @@ def test_rebased_levels_agree_through_the_monodromy(request, name):
             x = (random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
                  else random_vector(B, rng, 6))
             at = min(c.prec for c in x)
-            assert fil_level(B, x, at, top=amb.r) == \
-                hat_fil_level(B, M.jumps, x, at, m_basis_inv=basis)
+            assert fil_level(B, x, at) == hat_fil_level(B, x, at, m_basis_inv=basis)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])
@@ -149,26 +144,23 @@ def test_adapted_tables_match_the_product(request, name, d):
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     # a matrix whose rows are known to different precisions
     cut = rows_truncated(B.C_inv, rng) if d else B.C_inv
-    cut_tables, rev_tables = {}, {}
+    # the jumps in descending order too: no caller's are, but the level is
+    # a minimum over the coordinates in any order
+    tables = {jumps: BR.jet_table(amb, cut, jumps) for jumps in (B.jumps, B.jumps[::-1])}
     for x in samples(B, rng, 10):
         for at in ats(x):
-            L = level_by_product(amb, B.C_inv, B.jumps, x, at)
+            L = min(level_by_product(amb, B.C_inv, B.jumps, x, at), r)
             assert fil_level(B, x, at) == L
-            Lt = level_by_product(amb, transport.sec_basis_inv, transport.M.jumps, x, at)
-            # the jumps in descending order too: no caller's are, but the
-            # level is a minimum over the coordinates in any order
-            for jumps, tables in ((B.jumps, cut_tables), (B.jumps[::-1], rev_tables)):
-                Lc = level_by_product(amb, cut, jumps, x, at)
-                assert BR.adapted_level(amb, cut, jumps, x, tables, at) == Lc
-                for top in range(r + 1):
-                    assert BR.adapted_level(amb, cut, jumps, x, tables, at, top) == min(Lc, top)
-            for top in range(r + 1):
-                assert fil_level(B, x, at, top) == min(L, top)
-                assert fil_lower(B, top, x, at) == (top <= L)
-                assert tensor_membership_via_section(transport, x, top, at) == (top <= Lt)
+            Lt = min(level_by_product(amb, transport.sec_basis_inv, transport.M.jumps, x, at), r)
+            for jumps, table in tables.items():
+                Lc = min(level_by_product(amb, cut, jumps, x, at), r)
+                assert BR.adapted_level(amb, cut, jumps, x, table, at) == Lc
+            for i in range(r + 1):
+                assert fil_lower(B, i, x, at) == (i <= L)
+                assert tensor_membership_via_section(transport, x, i, at) == (i <= Lt)
                 if at is None:
-                    assert fil_lower(B, top, x) == fil_lower_per_coordinate(B, top, x)
-            assert raw(x, at) == (level_by_product(amb, full, (0,) * d, x, at, r) == r)
+                    assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x)
+            assert raw(x, at) == (level_by_product(amb, full, (0,) * d, x, at) >= r)
     # the product's own errors
     if d:
         x = random_vector(B, rng, 6)
@@ -176,7 +168,24 @@ def test_adapted_tables_match_the_product(request, name, d):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 fil_level(B, *args)
         with pytest.raises(ValueError, match="negative precision"):
-            fil_level(B, x, -1, top=r)
+            fil_level(B, x, -1)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_steps_outside_the_hodge_range_are_refused(request, name):
+    # a level capped at r answers only the steps 0..r: below 0 every x
+    # would be a member, and above r the level cannot tell
+    amb = request.getfixturevalue(name)
+    r = amb.r
+    B = fl_to_breuil(random_fl(amb, random.Random(80), 2))
+    transport = breuil_to_fl(B)
+    g = pd_gamma(amb, r + 1)
+    for x in ((pd_one(amb), pd_one(amb)), (g, g)):
+        for i in (-1, r + 1):
+            with pytest.raises(ValueError, match=f"filtration step {i} outside"):
+                fil_lower(B, i, x)
+            with pytest.raises(ValueError, match=f"filtration step {i} outside"):
+                tensor_membership_via_section(transport, x, i)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb5", "amb9"])
@@ -200,14 +209,25 @@ def test_descent_table_matches_the_chain(request, name, d):
         for mod in (B, Bn):
             for m_basis_inv in bases:
                 for at in ats(x) + (-1, *row_precs, *(k + 1 for k in row_precs)):
-                    for top in (None, *range(r + 1)):
-                        got = outcome(hat_fil_level, mod, M.jumps, x, at, m_basis_inv, top)
-                        ref = outcome(hat_level_by_chain, mod, M.jumps, x, at, m_basis_inv, top)
-                        assert got == ref
-                        if (at is None and top is not None and mod is B and m_basis_inv in (None, basis)
-                                and all(c.prec == amb.cap for c in x)):
-                            assert (got == top) == hat_fil_membership_recursive(
-                                mod, M.jumps, x, top, m_basis_inv=m_basis_inv)
+                    got = outcome(hat_fil_level, mod, x, at, m_basis_inv)
+                    assert got == outcome(hat_level_by_chain, mod, x, at, m_basis_inv)
+                    if (at is None and mod is B and m_basis_inv in (None, basis)
+                            and all(c.prec == amb.cap for c in x)):
+                        for n in range(r + 1):
+                            assert (n <= got) == hat_fil_membership_recursive(
+                                mod, M.jumps, x, n, m_basis_inv=m_basis_inv)
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb9"])
+def test_coordinates_at_the_level_are_not_read(request, name):
+    # a coordinate whose jump already reaches the level cannot lower it, so
+    # neither test reads it, and its precision below ``at`` raises nothing
+    amb = request.getfixturevalue(name)
+    r = amb.r
+    B = fl_to_breuil(random_fl(amb, random.Random(90), 2, (r - 1, r)))
+    x = (pd_gamma(amb, 1), pd_zero(amb).truncate(3))
+    assert hat_fil_level(B, x) == hat_level_by_chain(B, x) == r
+    assert fil_level(B, x) == r
 
 
 def test_descent_errors_match_the_chain(amb3, amb9):
@@ -217,62 +237,50 @@ def test_descent_errors_match_the_chain(amb3, amb9):
         B = rebase(fl_to_breuil(M), random_congruent_identity(amb, rng, 3))
         x = random_vector(B, rng, 6)
         one, r = amb.ring.one(), amb.r
-        cases = [
-            (B, M.jumps, x, None, None, -1),
-            (B, M.jumps, x, None, None, r + 1),
-            (B, (0,), x, None, None, None),
-            (B, M.jumps, x[:2], None, None, None),
-            (B, M.jumps, x + x[:1], None, None, None),
-            (B, M.jumps, x, None, RingMatrix([[one] * 3] * 2), None),
-            (B, M.jumps, x, None, RingMatrix([[one] * 3] * 4), None),
-            wrong_cols := (B, M.jumps, x, None, RingMatrix([[one] * 2] * 3), 1),
-            (B, M.jumps, x, amb.cap + 1, None, None),
-        ]
         K = kisin_to_breuil(random_gls(amb, rng, 2))
         y = random_vector(K, rng, 6)
-        cases += [(K, (0, 0), y, None, None, n) for n in (None, 0, 1)]
+        cases = [
+            (B, x[:2], None, None),
+            (B, x + x[:1], None, None),
+            (B, x, None, RingMatrix([[one] * 3] * 2)),
+            (B, x, None, RingMatrix([[one] * 3] * 4)),
+            wrong_cols := (B, x, None, RingMatrix([[one] * 2] * 3)),
+            (B, x, amb.cap + 1, None),
+            no_n := (K, y, None, None),
+        ]
         for args in cases:
             got, ref = outcome(hat_fil_level, *args), outcome(hat_level_by_chain, *args)
             assert got == ref
-        assert outcome(hat_fil_level, K, (0, 0), y, None, None, 1)[0] is NotCris
-        assert outcome(hat_fil_level, B, M.jumps, x, None, None, -1)[0] is RecursionBudget
+        assert outcome(hat_fil_level, *no_n)[0] is NotCris
         assert outcome(hat_fil_level, *wrong_cols)[0] is ValueError
 
 
-def test_each_table_is_built_once_per_owner_and_length(amb3, monkeypatch):
+def test_each_table_is_built_once_per_owner(amb3, monkeypatch):
     built = []
-    for name in ("_jet_table", "_descent_table"):
-        make = getattr(BR, name)
+    for module, name in ((BR, "jet_table"), (FU, "jet_table"), (BR, "_descent_table")):
+        make = getattr(module, name)
 
-        def counted(owner, *args, make=make, name=name):
-            built.append((name, args[-1]))
-            return make(owner, *args)
+        def counted(*args, make=make, name=name):
+            # the matrix a jet table is built from, the module of a descent
+            built.append((name, id(args[1] if name == "jet_table" else args[0])))
+            return make(*args)
 
-        monkeypatch.setattr(BR, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rng = random.Random(70)
     r = amb3.r
-    M = random_fl(amb3, rng, 2)
-    B = rebase(fl_to_breuil(M), random_congruent_identity(amb3, rng, 2))
+    B = rebase(fl_to_breuil(random_fl(amb3, rng, 2)), random_congruent_identity(amb3, rng, 2))
     transport = breuil_to_fl(B)
     raw = kisin_raw_fil_checker(random_gls(amb3, rng, 2))
-    lengths = set()
     for x in samples(B, rng, 6):
-        at = min(c.prec for c in x)
-        for top in range(r + 1):
-            fil_lower(B, top, x, at)
-            tensor_membership_via_section(transport, x, top, at)
-            hat_fil_level(B, M.jumps, x, at, top=top)
-            if top > min(B.jumps):
-                lengths.add(top - min(B.jumps))
-        fil_level(B, x, at)
-        raw(x, at)
-    lengths.add(amb3.N_gamma)
-    assert sorted(B._fil_tables) == sorted(lengths)
-    assert sorted(transport._fil_tables) == sorted(top - min(transport.M.jumps)
-                                                   for top in range(r + 1)
-                                                   if top > min(transport.M.jumps))
-    # a descent from level 0 reads nothing and builds nothing
-    assert sorted(B._hat_tables) == list(range(1, r + 1))
-    jet = [n for kind, n in built if kind == "_jet_table"]
-    assert len(jet) == len(B._fil_tables) + len(transport._fil_tables) + 1
-    assert sorted(n for kind, n in built if kind == "_descent_table") == list(range(1, r + 1))
+        prec = min(c.prec for c in x)
+        for at in (max(prec - 2, 0), prec):
+            for i in range(r + 1):
+                fil_lower(B, i, x, at)
+                tensor_membership_via_section(transport, x, i, at)
+            fil_level(B, x, at)
+            hat_fil_level(B, x, at)
+            raw(x, at)
+    # the raw checker's matrix is its own: it builds its table with the closure
+    assert sorted(name for name, _ in built) == ["_descent_table"] + ["jet_table"] * 3
+    assert {("jet_table", id(B.C_inv)), ("jet_table", id(transport.sec_basis_inv)),
+            ("_descent_table", id(B))} < set(built)

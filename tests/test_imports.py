@@ -151,3 +151,20 @@ def test_filtration_tests_and_n_call_no_per_sample_kernel():
         if named & names:
             found[func] = sorted(named & names)
     assert not found, f"per-sample kernel calls: {found}"
+
+
+def test_every_error_type_is_raised_in_the_kernel():
+    # an error type outlives its last raiser only as dead API: every class
+    # of errors.py but the base KernelError is raised somewhere in the kernel
+    tree = ast.parse((SRC / "errors.py").read_text(), filename="errors.py")
+    declared = {n.name for n in tree.body if isinstance(n, ast.ClassDef)} - {"KernelError"}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    assert declared and not declared - raised, f"never raised: {sorted(declared - raised)}"
