@@ -195,7 +195,7 @@ def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
 
 def phi_module(B: BreuilModule, x):
     """The Frobenius of the module on coordinates: Phi applied to phi_S(x)."""
-    return B.Phi.matvec(tuple(phi_S(c, 0) for c in x))
+    return B.Phi.matvec(phi_S_all(x))
 
 
 def phi_r_apply(B: BreuilModule, x):

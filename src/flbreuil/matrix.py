@@ -2,16 +2,17 @@
 
 A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
-entry type has the same arithmetic, precision and residue-field interface.
-Products take one of two paths, picked by the operands.  A product of
-rows with one vector (``matvec``) is the entry type's fused ``dot`` per
-entry.  A product of two matrices (``@``) is the entry type's ``matmul``:
-over W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the
-packed kernel of ``witt``
-(``FlatVector._matmul_planes``, in the one packed layout of ``witt``,
-with the inner products paired by ``witt._packed_matmul`` when that
-needs fewer digit products), equal to ``dot`` in planes, precision and
-tail_dirty flag.  ``dot`` stays its own path: as the 1 x 1 matrix
+entry type has the same arithmetic, precision and residue-field interface,
+and over W(k)[[u]] and S that arithmetic is one code path,
+``witt.FlatVector``, which reads each ring's cut and weights from its
+``_grading`` hook.  Products take one of two paths, picked by the
+operands.  A product of rows with one vector (``matvec``) is the fused
+``dot`` per entry.  A product of two matrices (``@``) is ``matmul``: over
+W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
+kernel ``FlatVector._matmul_planes`` (in the one packed layout of
+``witt``, with the inner products paired by ``witt._packed_matmul`` when
+that needs fewer digit products), equal to ``dot`` in planes, precision
+and tail_dirty flag.  ``dot`` stays its own path: as the 1 x 1 matrix
 product it ran slower (the figures are in the layout comment of
 ``witt``).
 
@@ -19,7 +20,7 @@ Solves and inverses over W(k)[[u]] and S go by the grading.  S is graded
 by the gamma-index (gamma_i gamma_j = C(i+j, i) gamma_(i+j)) and W(k)[[u]]
 by the u-degree, so a square A over either is invertible exactly when its
 degree-0 part A_0 is, and A X = R is solved one degree at a time from
-A_0^(-1): ``solve`` is the entry type's ``solve``, one triangular pass of
+A_0^(-1): ``solve`` is ``FlatVector.solve``, one triangular pass of
 ``witt`` (``FlatVector._solve_planes``), and ``invert`` there is the solve
 of the identity.  With k the lowest precision among the entries of A and
 R, every step is exact mod p^k, so no digit is lost: the unit-pivot case
@@ -187,7 +188,7 @@ class RingMatrix:
 
     def solve(self, R: "RingMatrix") -> "RingMatrix":
         """The X with A X = R, for A square over W(k)[[u]] or S and R with
-        as many rows: the entry type's ``solve``, one triangular pass over
+        as many rows: ``FlatVector.solve``, one triangular pass over
         the grading (``FlatVector._solve_planes``), from the inverse of
         A's degree-0 part over W(k) by the elimination.  It exists exactly
         when that part is invertible, that is when A is residue-invertible
@@ -232,7 +233,7 @@ def _unit_inverse(A: RingMatrix) -> RingMatrix:
 
 def _dot(xs, ys):
     """Sum of the products x*y over two equally long rows of ring elements,
-    by the entry type's fused kernel."""
+    by the fused kernel of their ring."""
     if not xs:
         raise ValueError("empty inner dimension: no entry gives the ring")
     return xs[0].dot(xs, ys)

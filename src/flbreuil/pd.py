@@ -39,25 +39,24 @@ Storage.  An element holds one precision ``prec`` and its coefficients as
 plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
-nonzero coefficient); the indices above it are zero.  A product, or a sum
-of products (``PDElement.dot``: an entry of ``RingMatrix.matvec``), is the
-fused kernel ``FlatVector._dot_planes`` with the binomials C(i+j, i) as
-weights.  A product of two matrices (``PDElement.matmul``) is the packed
-kernel of ``witt`` (``FlatVector._matmul_planes``,
-``witt._packed_matmul``), with the weights removed by
-``AmbientParams.gamma_scale`` unless one factor is constant.
-A solve A X = R over S (``PDElement.solve``, behind ``RingMatrix.solve``,
-``RingMatrix.invert`` and ``invert``) is the triangular kernel of ``witt``
-(``FlatVector._solve_planes``), one pass over the gamma-index from the
-inverse of A's gamma_0 part over W(k), with the same scaling.
+nonzero coefficient); the indices above it are zero.  Arithmetic is that of
+``FlatVector``, shared with W(k)[[u]]: ``_grading`` gives the cut N_gamma,
+the binomials C(i+j, i) as the weights of the fused kernel
+``FlatVector._dot_planes`` (a product, or a sum of products: an entry of
+``RingMatrix.matvec``), and ``AmbientParams.gamma_scale``, which removes
+those weights in the packed kernel of a matrix product
+(``FlatVector._matmul_planes``, unscaled when one factor is constant) and
+in the triangular kernel of a solve A X = R (``FlatVector._solve_planes``,
+behind ``RingMatrix.solve``, ``RingMatrix.invert`` and ``invert``), one
+pass over the gamma-index from the inverse of A's gamma_0 part over W(k).
 The fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``, the change to
 u-divided coordinates (``to_u_divided``, ``in_u_power_ideal``) and its
 row 0, ``eval_f0``, each read one ``witt.PackedTable`` built with the
 context, in the one packed layout of ``witt``.  A table applies to a list
 of vectors at once, so ``phi_S_all``, ``embed_sigma_all`` and
-``all_in_u_power_ideal`` map a whole matrix with one apply; the
-single-element maps are the list of one, with the same per-element
-prelude.  The derivation ``n_S`` multiplies by p*a through the context's
+``all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S``,
+``embed_sigma`` and ``in_u_power_ideal`` are their lists of one.  The
+derivation ``n_S`` multiplies by p*a through the context's
 f x f integer matrix on T-planes (``AmbientParams.pa_matrix``), with no
 packing.  Coefficient m of a product reads only the coefficients <= m of
 its factors, so the first b coefficients of M x, for a matrix M over S,
@@ -112,6 +111,10 @@ class PDElement(FlatVector):
         dirty = self.tail_dirty if tail_dirty is None else tail_dirty
         return PDElement(self.amb, (), dirty, prec, planes)
 
+    @staticmethod
+    def _grading(amb) -> tuple:
+        return amb.N_gamma, amb.comb, amb.comb_max, amb.gamma_scale
+
     def coeff(self, i: int) -> WittScalar:
         N = self.amb.N_gamma
         if not -N <= i < N:
@@ -123,74 +126,6 @@ class PDElement(FlatVector):
     @property
     def coeffs(self) -> tuple[WittScalar, ...]:
         return tuple(self.coeff(i) for i in range(self.amb.N_gamma))
-
-    def __add__(self, other):
-        if not isinstance(other, PDElement):
-            return NotImplemented
-        return self._make(*self._sum(other), self.tail_dirty or other.tail_dirty)
-
-    def __sub__(self, other):
-        if not isinstance(other, PDElement):
-            return NotImplemented
-        return self._make(*self._sum(other, sub=True), self.tail_dirty or other.tail_dirty)
-
-    def __mul__(self, other):
-        if not isinstance(other, PDElement):
-            return NotImplemented
-        return gamma_multiply(self, other)
-
-    @staticmethod
-    def dot(xs, ys) -> "PDElement":
-        """The sum of the products x*y over two equally long rows, by the
-        fused kernel with the binomial weights of the gamma-basis.  It is
-        tail_dirty when a factor is, or when a product index crosses
-        N_gamma."""
-        amb = xs[0].amb
-        planes, k, reach = FlatVector._dot_planes(xs, ys, amb.N_gamma, amb.comb, amb.comb_max)
-        dirty = reach > amb.N_gamma or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys))
-        return PDElement(amb, (), dirty, k, planes)
-
-    @staticmethod
-    def matmul(rows, cols) -> list:
-        """The entries of a matrix product: entry (i, j) equals
-        ``PDElement.dot(rows[i], cols[j])`` in planes, precision and
-        tail_dirty flag, from the packed kernel
-        (``FlatVector._matmul_planes``) with the binomial weights removed
-        by the context's ``gamma_scale``.  When every entry of one factor
-        has support at most 1, each weight is C(m, 0) = 1: the plain
-        convolution is the weighted sum, and the kernel packs unscaled, at
-        ``packing(e*N_gamma*f, p^K)`` instead of p^(K+V) (K the highest
-        precision of an output entry), with no pre- or post-scaling.  The
-        kernel may pair the inner products (``witt._packed_matmul``); the
-        paired sum is the plain one as an integer, so planes, precision,
-        reach and flag are the same."""
-        amb = rows[0][0].amb
-        N = amb.N_gamma
-        constant = any(all(len(x.planes[0]) <= 1 for line in m for x in line)
-                       for m in (rows, cols))
-        grid = FlatVector._matmul_planes(rows, cols, N, None if constant else amb.gamma_scale())
-        col_dirty = [any(y.tail_dirty for y in col) for col in cols]
-        out = []
-        for row, line in zip(rows, grid):
-            row_dirty = any(x.tail_dirty for x in row)
-            out.append([PDElement(amb, (), reach > N or row_dirty or dirty, k, planes)
-                        for (planes, k, reach), dirty in zip(line, col_dirty)])
-        return out
-
-    @staticmethod
-    def solve(rows, inv0, rhs) -> list:
-        """The entries of the X with A X = R, for A = ``rows`` (square, with
-        ``inv0`` the inverse over W(k) of its gamma_0 part) and R = ``rhs``:
-        the triangular kernel (``FlatVector._solve_planes``) with the
-        binomial weights removed by the context's ``gamma_scale``.  Every
-        entry is tail_dirty when the product A X would be: when an entry of
-        A or R is, or when the largest supports in A and X reach past
-        N_gamma together."""
-        amb = rows[0][0].amb
-        N = amb.N_gamma
-        grid, k, reach = FlatVector._solve_planes(rows, inv0, rhs, N, amb.gamma_scale())
-        dirty = reach > N or any(x.tail_dirty for m in (rows, rhs) for row in m for x in row)
-        return [[PDElement(amb, (), dirty, k, planes) for planes in line] for line in grid]
 
     def _head(self, n: int) -> "PDElement":
         """This element with the coefficients at index n and beyond dropped;
@@ -253,40 +188,32 @@ def pd_shift(x: PDElement, t: int) -> PDElement:
     return PDElement(x.amb, (), dirty, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
-def gamma_multiply(x: PDElement, y: PDElement) -> PDElement:
-    """Product under gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}: the
-    length-one case of ``PDElement.dot``."""
-    return PDElement.dot((x,), (y,))
-
-
 def embed_sigma(s: SigmaSeries) -> PDElement:
-    """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S: substitute
-    u = gamma_1 - p*a.  The degrees below N_gamma are one apply of the
-    context's table of the gamma-coefficients of u^n; a series s of
-    higher degree is s_low + u^N_gamma * s_high, with s_high embedded the
-    same way (at most p levels deep, as degrees stop below N_u) and the
-    product truncated and flagged ``tail_dirty`` like every product."""
-    amb, N = s.amb, s.amb.N_gamma
-    if len(s.planes[0]) <= N:
-        [planes] = amb.u_table.apply([s.planes], [s.prec])
-        return PDElement(amb, (), False, s.prec, planes)
-    low = s._make(tuple(pl[:N] for pl in s.planes), s.prec)
-    high = s._make(tuple(pl[N:] for pl in s.planes), s.prec)
-    return embed_sigma(low) + amb.u_pow(N) * embed_sigma(high)
+    """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S: the list of one of
+    ``embed_sigma_all``."""
+    return embed_sigma_all([s])[0]
 
 
 def embed_sigma_all(ss) -> list:
-    """``embed_sigma`` of every series of the list ss: those of degree
-    below N_gamma by one apply of the context's table to all of them, the
-    others as ``embed_sigma`` takes them."""
+    """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S of every series of
+    the list ss: substitute u = gamma_1 - p*a.  The degrees below N_gamma
+    are one apply of the context's table of the gamma-coefficients of u^n
+    to all of them; a series s of higher degree is s_low + u^N_gamma *
+    s_high, with the s_high embedded the same way (at most p levels deep,
+    as degrees stop below N_u) and the product truncated and flagged
+    ``tail_dirty`` like every product."""
     if not ss:
         return []
     amb = ss[0].amb
     N = amb.N_gamma
-    short = [s for s in ss if len(s.planes[0]) <= N]
-    images = iter(amb.u_table.apply([s.planes for s in short], [s.prec for s in short]))
-    return [PDElement(amb, (), False, s.prec, next(images)) if len(s.planes[0]) <= N
-            else embed_sigma(s) for s in ss]
+    images = amb.u_table.apply([[pl[:N] for pl in s.planes] for s in ss], [s.prec for s in ss])
+    out = [PDElement(amb, (), False, s.prec, planes) for s, planes in zip(ss, images)]
+    long = [i for i, s in enumerate(ss) if len(s.planes[0]) > N]
+    highs = embed_sigma_all([ss[i]._make(tuple(pl[N:] for pl in ss[i].planes), ss[i].prec)
+                             for i in long])
+    for i, high in zip(long, highs):
+        out[i] = out[i] + amb.u_pow(N) * high
+    return out
 
 
 def fil_valuation(x: PDElement, at: int | None = None) -> int:
@@ -326,7 +253,15 @@ def _phi_input(x: PDElement, j: int) -> tuple:
 
 
 def phi_S(x: PDElement, j: int = 0) -> PDElement:
-    """Divided Frobenius phi_j = phi / p^j on Fil^j, computed termwise.
+    """Divided Frobenius phi_j = phi / p^j on Fil^j: the list of one of
+    ``phi_S_all``."""
+    return phi_S_all([x], j)[0]
+
+
+def phi_S_all(xs, j: int = 0) -> list:
+    """Divided Frobenius phi_j = phi / p^j on Fil^j of every element of the
+    list xs, computed termwise by one apply of the context's table to all
+    of them.
 
     Uses phi(gamma_i) = (p^i / i!) c^i; the power p^(i - v_p(i!) - j) is a
     nonnegative shift for every i >= j with j <= r, so nothing is divided.
@@ -335,21 +270,11 @@ def phi_S(x: PDElement, j: int = 0) -> PDElement:
 
     The scalars s_i = sigma(x_i) * p^(i - v_p(i!) - j), reduced mod p^k,
     are the input of the context's table of unit(i!)^-1 * c^i
-    (``AmbientParams.c_table``).  The result is tail_dirty when x is or
+    (``AmbientParams.c_table``).  An image is tail_dirty when x is or
     when the column of the last contributing index is: c^i = c^(i-1)*c
     keeps the flag of its factor, and so does the unit factor, so that
-    column's flag is the flag of every contributing one.  ``phi_S_all``
-    maps a list of elements with one apply of the table.
+    column's flag is the flag of every contributing one.
     """
-    planes, top = _phi_input(x, j)
-    table = x.amb.c_table
-    [out] = table.apply([planes], [x.prec])
-    return PDElement(x.amb, (), x.tail_dirty or (top >= 0 and table.dirty[top]), x.prec, out)
-
-
-def phi_S_all(xs, j: int = 0) -> list:
-    """``phi_S(x, j)`` of every element of the list xs, by one apply of the
-    context's table to all of them."""
     if not xs:
         return []
     inputs = [_phi_input(x, j) for x in xs]

@@ -10,17 +10,16 @@ plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.
-Products take the paths of S, unweighted and cut at N_u: a product or a sum
-of products (``SigmaSeries.dot``) is the fused kernel
-``FlatVector._dot_planes``, and a product of two matrices
-(``SigmaSeries.matmul``) the packed kernel of ``witt``
-(``FlatVector._matmul_planes``, ``witt._packed_matmul``), in its one
-packed layout.  A solve, and
-with it every inverse (``SigmaSeries.solve``), is the triangular kernel
-``FlatVector._solve_planes``, unweighted, one pass over the u-degree.
+Arithmetic is that of ``FlatVector``, shared with S: ``_grading`` gives
+the cut N_u and no weights, so a product or a sum of products (``dot``) is
+the fused kernel ``FlatVector._dot_planes`` unweighted, a product of two
+matrices (``matmul``) the packed kernel ``FlatVector._matmul_planes``
+unscaled, and a solve, and with it every inverse, the triangular kernel
+``FlatVector._solve_planes``, one pass over the u-degree.  The cut at N_u is
+this ring's own truncation, so a series is never ``tail_dirty``.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
-``coeffs``, ``constant``, the constant part that a solve inverts over
-W(k), ``repr`` and the constructor from a list of scalars.
+``coeffs``, the constant part that a solve inverts over W(k), ``repr`` and
+the constructor from a list of scalars.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ class SigmaSeries(FlatVector):
 
     __slots__ = ()
     _invert_error = "series inverse needs a unit constant term"
+    tail_dirty = False
 
     def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
@@ -48,8 +48,12 @@ class SigmaSeries(FlatVector):
         self.planes = trimmed(planes)
         self.prec = prec
 
-    def _make(self, planes, prec: int) -> "SigmaSeries":
+    def _make(self, planes, prec: int, tail_dirty: bool = False) -> "SigmaSeries":
         return SigmaSeries(self.amb, (), prec, planes)
+
+    @staticmethod
+    def _grading(amb) -> tuple:
+        return amb.N_u, None, 1, None
 
     @property
     def degree(self) -> int:
@@ -64,53 +68,6 @@ class SigmaSeries(FlatVector):
             return WittScalar(self.amb.ring, tuple(pl[i] for pl in self.planes), self.prec)
         return self.amb.ring.zero(self.prec)
 
-    def __add__(self, other):
-        if not isinstance(other, SigmaSeries):
-            return NotImplemented
-        return self._make(*self._sum(other))
-
-    def __sub__(self, other):
-        if not isinstance(other, SigmaSeries):
-            return NotImplemented
-        return self._make(*self._sum(other, sub=True))
-
-    def __mul__(self, other):
-        if not isinstance(other, SigmaSeries):
-            return NotImplemented
-        return SigmaSeries.dot((self,), (other,))
-
-    @staticmethod
-    def dot(xs, ys) -> "SigmaSeries":
-        """The sum of the products x*y over two equally long rows, by the
-        fused kernel, cut at degree N_u."""
-        amb = xs[0].amb
-        planes, k, _ = FlatVector._dot_planes(xs, ys, amb.N_u)
-        return SigmaSeries(amb, (), k, planes)
-
-    @staticmethod
-    def matmul(rows, cols) -> list:
-        """The entries of a matrix product: entry (i, j) equals
-        ``SigmaSeries.dot(rows[i], cols[j])``, from the packed kernel
-        (``FlatVector._matmul_planes``), cut at degree N_u.  The kernel
-        pairs the inner products when that needs fewer digit products;
-        the paired sum is the plain one as an integer, so the planes and
-        precision are too.  A series product has no weights, so no factor
-        is scaled and the slot width is that of p^K, K the highest
-        precision of an output entry."""
-        amb = rows[0][0].amb
-        return [[SigmaSeries(amb, (), k, planes) for planes, k, _ in line]
-                for line in FlatVector._matmul_planes(rows, cols, amb.N_u)]
-
-    @staticmethod
-    def solve(rows, inv0, rhs) -> list:
-        """The entries of the X with A X = R, for A = ``rows`` (square, with
-        ``inv0`` the inverse over W(k) of its constant part) and R = ``rhs``:
-        the triangular kernel (``FlatVector._solve_planes``), unweighted and
-        cut at degree N_u."""
-        amb = rows[0][0].amb
-        grid, k, _ = FlatVector._solve_planes(rows, inv0, rhs, amb.N_u)
-        return [[SigmaSeries(amb, (), k, planes) for planes in line] for line in grid]
-
     def phi(self) -> "SigmaSeries":
         """Frobenius: u -> u^p, arithmetic Frobenius on coefficients."""
         amb = self.amb
@@ -122,9 +79,6 @@ class SigmaSeries(FlatVector):
             spread[::p] = pl[: len(spread[::p])]
             out.append(spread)
         return self._make(tuple(out), self.prec)
-
-    def constant(self) -> WittScalar:
-        return self.coeff(0)
 
     def __repr__(self):
         if not self.planes[0]:

@@ -807,9 +807,15 @@ class FlatVector(FlatValue):
 
     An element is a vector of scalars (its u^i or gamma_i coefficients) at
     one precision ``prec``, stored as planes (see ``WittRing.to_planes``)
-    cut after the last nonzero entry.  Subclasses build their results
-    through ``_make(planes, prec)``, name the failure of ``invert`` in
-    ``_invert_error`` and solve by ``solve(rows, inv0, rhs)``.
+    cut after the last nonzero entry.  Sums, products, ``dot``, ``matmul``,
+    ``solve`` and ``invert`` are written here once; two kinds do not
+    combine.  A kind builds its results through ``_make(planes, prec,
+    tail_dirty)``, names the failure of ``invert`` in ``_invert_error`` and
+    gives, in ``_grading(amb)``, its cut, the weights of ``_dot_planes``
+    with their bound, and the source of the ``scale`` of the matrix
+    kernels: N_gamma, the binomials and ``gamma_scale`` for S, whose cut
+    flags what it drops (``tail_dirty``, see ``pd``); N_u, None, 1 and None
+    for the series ring, whose cut is its own truncation and flags nothing.
     """
 
     __slots__ = ("amb", "planes", "prec")
@@ -836,14 +842,79 @@ class FlatVector(FlatValue):
     def _map(self, fn, prec: int):
         return self._make(tuple(fn(pl) for pl in self.planes), prec)
 
-    def _sum(self, other, sub: bool = False) -> tuple:
-        """The planes of self + other (or self - other), and their precision."""
+    def _sum(self, other, sub: bool = False):
+        """self + other (or self - other), at the lower precision, flagged
+        when either is; NotImplemented for two kinds."""
+        if type(other) is not type(self):
+            return NotImplemented
         k = min(self.prec, other.prec)
         mod = self.ring.pk[k]
         pairs = [zip_longest(x, y, fillvalue=0) for x, y in zip(self.planes, other.planes)]
         if sub:
-            return tuple([(a - b) % mod for a, b in pr] for pr in pairs), k
-        return tuple([(a + b) % mod for a, b in pr] for pr in pairs), k
+            planes = tuple([(a - b) % mod for a, b in pr] for pr in pairs)
+        else:
+            planes = tuple([(a + b) % mod for a, b in pr] for pr in pairs)
+        return self._make(planes, k, self.tail_dirty or other.tail_dirty)
+
+    def __add__(self, other):
+        return self._sum(other)
+
+    def __sub__(self, other):
+        return self._sum(other, sub=True)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dot((self,), (other,))
+
+    @staticmethod
+    def dot(xs, ys):
+        """The sum of the products x*y over two equally long rows: the fused
+        kernel ``_dot_planes`` with the kind's weights, cut at its index.
+        Over S it is tail_dirty when a factor is, or when a product index
+        crosses the cut."""
+        x0 = xs[0]
+        cut, weights, w_max, _ = x0._grading(x0.amb)
+        planes, k, reach = FlatVector._dot_planes(xs, ys, cut, weights, w_max)
+        dirty = weights is not None and (
+            reach > cut or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys)))
+        return x0._make(planes, k, dirty)
+
+    @staticmethod
+    def matmul(rows, cols) -> list:
+        """The entries of a matrix product: entry (i, j) equals
+        ``dot(rows[i], cols[j])`` in planes, precision and flag, from the
+        packed kernel ``_matmul_planes``.  When every entry of one factor
+        has support at most 1, each weight is C(m, 0) = 1, so the kernel
+        packs unscaled."""
+        x0 = rows[0][0]
+        cut, weights, _, scale = x0._grading(x0.amb)
+        flags = weights is not None
+        constant = not flags or any(all(len(x.planes[0]) <= 1 for line in m for x in line)
+                                    for m in (rows, cols))
+        grid = FlatVector._matmul_planes(rows, cols, cut, None if constant else scale())
+        row_dirty = [flags and any(x.tail_dirty for x in row) for row in rows]
+        col_dirty = [flags and any(y.tail_dirty for y in col) for col in cols]
+        return [[x0._make(planes, k, flags and (reach > cut or rd or cd))
+                 for (planes, k, reach), cd in zip(line, col_dirty)]
+                for line, rd in zip(grid, row_dirty)]
+
+    @staticmethod
+    def solve(rows, inv0, rhs) -> list:
+        """The entries of the X with A X = R, for A = ``rows`` (square, with
+        ``inv0`` the inverse over W(k) of its degree-0 part) and R =
+        ``rhs``: the triangular kernel ``_solve_planes`` with the kind's
+        ``scale``, cut at its index.  Over S every entry is tail_dirty when
+        the product A X would be: when an entry of A or R is, or when the
+        largest supports in A and X reach past the cut together."""
+        x0 = rows[0][0]
+        cut, weights, _, scale = x0._grading(x0.amb)
+        flags = weights is not None
+        grid, k, reach = FlatVector._solve_planes(rows, inv0, rhs, cut,
+                                                  scale() if flags else None)
+        dirty = flags and (
+            reach > cut or any(x.tail_dirty for m in (rows, rhs) for row in m for x in row))
+        return [[x0._make(planes, k, dirty) for planes in line] for line in grid]
 
     @staticmethod
     def _dot_planes(xs, ys, bound: int, weights=None, w_max: int = 1):
@@ -856,11 +927,10 @@ class FlatVector(FlatValue):
         weights of at most ``w_max``) into one unreduced accumulator
         (``WittRing.dot_acc``); one ``WittRing.unfold`` (the unpack, the
         fold through m(T) and the reduction mod p^k) then serves the whole
-        sum.  A pair with a zero
-        entry adds nothing.  When one pair is left and one of its factors
-        is the constant one (whose weights C(j, 0) are 1), the sum is the
-        other factor: its planes are cut at index ``bound`` and reduced
-        mod p^k, and nothing is convolved."""
+        sum.  A pair with a zero entry adds nothing.  When one pair is left
+        and one of its factors is the constant one (whose weights C(j, 0)
+        are 1), the sum is the other factor: its planes are cut at index
+        ``bound`` and reduced mod p^k, and nothing is convolved."""
         ring = xs[0].ring
         k = min(min(x.prec for x in xs), min(y.prec for y in ys))
         pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
@@ -1055,9 +1125,8 @@ class FlatVector(FlatValue):
         return type(self)(self.amb, [self.ring.make(t)])
 
     def invert(self):
-        """The inverse of a unit: the 1 x 1 case of the triangular kernel
-        (``_solve_planes``, through the type's ``solve``), from the inverse
-        of the constant coefficient over W(k), at this precision."""
+        """The inverse of a unit: the 1 x 1 case of ``solve``, from the
+        inverse of the constant coefficient over W(k), at this precision."""
         if not self.is_unit():
             raise NotAUnit(self._invert_error)
         one = self.lift_residue((1,) + (0,) * (self.ring.f - 1))

@@ -135,6 +135,22 @@ def test_only_join_and_split_convert_between_ints_and_bytes():
     assert calls and calls <= inside, f"to_bytes/from_bytes outside _join/_split: {calls - inside}"
 
 
+def test_one_arithmetic_path_for_series_and_s():
+    # W(k)[[u]] and S share one sum, difference, product, dot, matmul and
+    # solve: witt.FlatVector defines each once, and series.py and pd.py
+    # define none of them
+    ops = ("__add__", "__sub__", "__mul__", "dot", "matmul", "solve")
+
+    def defined(name):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        return [(cls.name, n.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                for n in cls.body if isinstance(n, ast.FunctionDef) and n.name in ops]
+
+    assert defined("series.py") == [] and defined("pd.py") == []
+    flat = sorted(name for cls, name in defined("witt.py") if cls == "FlatVector")
+    assert flat == sorted(ops)
+
+
 def test_filtration_tests_and_n_call_no_per_sample_kernel():
     # adapted_level and hat_fil_level read the tables of their owners, and
     # n_S multiplies by the context's matrix of p*a: none of them names the

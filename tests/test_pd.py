@@ -59,6 +59,17 @@ def test_gamma_truncation_flags_dirty(amb3):
     assert not clean.tail_dirty
 
 
+def test_series_and_s_do_not_combine(amb3):
+    # the two kinds share one arithmetic path but stay two rings
+    s, x = amb3.useries([1, 2]), pd_gamma(amb3, 1)
+    with pytest.raises(TypeError):
+        s + x
+    with pytest.raises(TypeError):
+        x - s
+    with pytest.raises(TypeError):
+        s * x
+
+
 # --- the embedding of the series ring ---
 
 def test_embed_examples(amb3):

@@ -62,13 +62,15 @@ def test_phi_uses_arithmetic_frobenius(amb9):
 
 def test_truncation_drops_high_degrees(amb3):
     m = amb3.useries([0] * (amb3.N_u - 1) + [1])
-    assert (m * amb3.useries([0, 1])).degree == -1  # pushed past the bound
+    cut = m * amb3.useries([0, 1])
+    assert cut.degree == -1  # pushed past the bound
+    assert cut.tail_dirty is False  # the cut at N_u is the ring's own truncation
     assert m.phi().degree == -1
 
 
 def test_constant_and_unit(amb3):
     f = amb3.useries([4, 1])
-    assert f.constant().coeffs[0] == 4
+    assert f.coeff(0).coeffs[0] == 4
     assert f.is_unit()
     assert not amb3.useries([3, 1]).is_unit()
 
