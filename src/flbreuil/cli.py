@@ -10,7 +10,8 @@ Verbs:
              are the suites roundtrip-fl and roundtrip-breuil
   report     summarise a JSON-lines report file as verify does
 
-Exit codes: 0 all checks pass, 1 check failures, 2 usage errors.
+Exit codes: 0 all checks pass, 1 check failures (for ``section``, a section
+whose fixed-point certificate fails, ``"exact": false``), 2 usage errors.
 Reports are JSON lines (sorted keys, no timing inside the records), so a
 fixed (params, seed) pair reproduces byte-identical files.
 """
@@ -141,13 +142,20 @@ def cmd_apply(args) -> int:
 
 
 def cmd_section(args) -> int:
+    """Write the section document of a stored S-module (a Kisin module is
+    base-changed first).  The section is computed to the N_p digits the
+    document holds, which are those of the section computed at full
+    precision (``functors.section_compute``).  Exit 1 when the fixed-point
+    certificate fails (``"exact": false``); the document is written
+    either way."""
     obj = SER.load(args.infile)
     if isinstance(obj, KisinModule):
         obj = KI.kisin_to_breuil(obj)
     if not isinstance(obj, BreuilModule):
         raise KernelError("section expects a BreuilModule (or KisinModule) file")
-    _write([SER.section_to_json(obj.amb, FU.section_compute(obj))], args.out)
-    return 0
+    sec = FU.section_compute(obj, prec=obj.amb.N_p)
+    _write([SER.section_to_json(obj.amb, sec)], args.out)
+    return 0 if sec.exact else 1
 
 
 def cmd_verify(args) -> int:

@@ -19,9 +19,11 @@ p + p^2 + ... + p^{n+1} - r(n+1), which gives the stabilisation bound.  The
 first iterate satisfies p (B_0 - I) in u^p Mat(S); that membership is
 checked in exact u-divided-power coordinates.
 
-The limit solves B f_0(A) = A phi(B): the fixed-point certificate.  The
-whole iteration runs at the internal precision (N_p plus headroom) because
-each step divides by p^r once.
+The limit solves B f_0(A) = A phi(B): the fixed-point certificate.  Each
+step divides by p^r once, so the iteration spends r digits a step: by
+default it runs at the internal precision (N_p plus headroom), and a caller
+that reads only prec digits of the section (the CLI's ``section``, prec =
+N_p) has it run on inputs cut to prec plus the digits its steps spend.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .errors import (
     NotDirectSummand,
     NotDivisible,
     NotStrong,
+    PrecisionExhausted,
     SingularMatrix,
 )
 from .fl import FLModule, fl_classify, fl_from_frobenius, fl_frobenius_matrix, fl_validate
@@ -109,7 +112,8 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
 # --- the section ---
 
 SectionResult = namedtuple("SectionResult", [
-    "Bmat",                 # section matrix at internal precision
+    "Bmat",                 # section matrix: at least prec digits when
+                            # prec is given, else at internal precision
     "iterations",           # first n with B_{n+1} = B_n mod p^N_p in every
                             # gamma_i, i < N_gamma: depends on N_gamma too
     "residual_valuation",   # certified valuation of B f0(A) - A phi(B)
@@ -117,12 +121,13 @@ SectionResult = namedtuple("SectionResult", [
     "B0_claim_ok",          # p (B_0 - I) lies in u^p Mat(S)
     "f0_identity",          # f_0(B_n) = I held at every step
     "rate_bound",           # stabilisation bound from the p-power gain
-    "residual",             # B f0(A) - A phi(B), at internal precision
+    "residual",             # B f0(A) - A phi(B), at the precision of Bmat
     "Phi",                  # the Frobenius matrix A solved for
 ])
 
 
-def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionResult:
+def section_compute(B: BreuilModule, max_steps: int | None = None,
+                    prec: int | None = None) -> SectionResult:
     """Compute the unique phi-equivariant splitting of the reduction mod u.
 
     Runs the fixed-point iteration in the module's own basis.  On
@@ -135,6 +140,38 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     them all.  It is not a function of the module mod p^N_p alone: a
     context with a larger N_gamma keeps coefficients that may settle a
     step later, while the section agrees mod p^N_p.
+
+    ``prec`` (N_p <= prec <= cap, else ValueError) is the number of digits
+    of ``Bmat`` the caller reads.  Without it the iteration runs at the
+    precision of A and p^r A_0^(-1).  With it, p^r A_0^(-1) is still
+    computed at full precision, and the iteration runs on A and p^r
+    A_0^(-1) cut to L = prec + r (s + 2) digits, first with s = rate
+    bound, then, if it has not stabilised within s steps, once more with
+    s = ``max_steps``.  Step n of a run tests at p^(N_p + (n + 2) r) and
+    the result divides by p^((n + 2) r), so L suffices for steps 0 .. s
+    and leaves ``Bmat`` at least prec digits; ``residual`` and the
+    verdicts are computed from that ``Bmat``.
+
+    The iterates are numerators over p^t and only ring operations make
+    them (products, phi_S, sums), so mod p^L they depend only on A and p^r
+    A_0^(-1) mod p^L: a cut run holds the full run's values mod p^L, and
+    every zero, divisibility and valuation test it makes, at most at p^L,
+    reads the same digits.  What a cut can change is a ``tail_dirty``
+    flag: flags are read off supports (a product's reach past N_gamma, the
+    table columns phi_S meets), and a support only shortens when its top
+    coefficients vanish mod p^L, so a flag set in a cut run is set in the
+    full run, not conversely.  The stop test skips the top gamma
+    coefficient of a flagged difference; a cut run therefore stops only
+    where the full run does, and a failed test that rests on a coefficient
+    below the top fails in both.  Two cases are left where a cut run
+    cannot tell what the full run decides: a step whose test fails only at
+    the top coefficient of unflagged entries, and an unflagged entry of
+    ``Bmat`` when A is not constant (constant entries throughout never
+    reach a flag).  Either one sends the computation to the next run, the
+    last of which has no cut.  So every ``iterations``, ``exact``,
+    ``B0_claim_ok``, ``f0_identity``, ``residual_valuation`` and
+    ``Bmat`` mod p^prec, flags included, is the one computed without
+    ``prec``.
     """
     amb = B.amb
     at = amb.N_p
@@ -149,6 +186,20 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     A0_pd = embed_w_matrix(amb, A0_w)
     ident_w = RingMatrix.identity(d, amb.ring.zero(), amb.ring.one())
     ident_pd = RingMatrix.identity(d, pd_zero(amb), pd_one(amb))
+    r = amb.r
+    rate = amb.rate_bound()
+    if max_steps is None:
+        max_steps = 2 * rate + 4
+
+    # (digits of the run, or None for no cut; steps it may take)
+    runs = [(None, max_steps)]
+    if prec is not None:
+        if not at <= prec <= amb.cap:
+            raise ValueError(f"section precision {prec} outside [{at}, {amb.cap}]")
+        cuts = sorted({min(rate, max_steps), max_steps})
+        runs = [(prec + r * (s + 2), s) for s in cuts if prec + r * (s + 2) < amb.cap] + runs
+    constant = all(len(x.planes[0]) <= 1 and not x.tail_dirty for row in A.entries for x in row)
+    top = amb.N_gamma - 1
 
     # Iterate n is kept as its numerator over p^t, t = (n + 1) r, and each
     # comparison first scales the side with the lower exponent: away from
@@ -156,42 +207,48 @@ def section_compute(B: BreuilModule, max_steps: int | None = None) -> SectionRes
     # even though the limit never does.  Once the sequence stabilises mod
     # p^N_p the numerator is divisible by p^t (limit integral, discrepancy
     # p-deep), so a single final division is always the right move.
-    r = amb.r
-    t = r
-    B0 = A @ A0inv
-    try:
-        diff = B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd
-        claim = all_in_u_power_ideal([x.mul_p_pow(1) for row in diff.entries for x in row],
-                                     amb.p, at)
-    except NotDivisible:
-        claim = False  # a non-integral first iterate certainly fails it
-    rate = amb.rate_bound()
-    if max_steps is None:
-        max_steps = 2 * rate + 4
+    for L, steps in runs:
+        A_L, A0inv_L = (A, A0inv) if L is None else (A.truncate(L), A0inv.truncate(L))
+        t = r
+        B0 = A_L @ A0inv_L
+        try:
+            diff = B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd
+            claim = all_in_u_power_ideal([x.mul_p_pow(1) for row in diff.entries for x in row],
+                                         amb.p, at)
+        except NotDivisible:
+            claim = False  # a non-integral first iterate certainly fails it
 
-    f0_ok = f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
-    cur = B0
-    iterations = None
-    for n in range(max_steps + 1):
-        nxt = A @ phi_matrix(cur) @ A0inv
-        t += r
-        f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
-        stable = nxt.eq_at(cur.mul_p_pow(r), at + t)
-        cur = nxt
-        if stable:
-            iterations = n
+        f0_ok = f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
+        cur = B0
+        stable = undecided = False
+        for iterations in range(steps + 1):
+            nxt = A_L @ phi_matrix(cur) @ A0inv_L
+            t += r
+            f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
+            stable = nxt.eq_at(cur.mul_p_pow(r), at + t)
+            # a test that fails only at the top coefficient of unflagged
+            # entries may pass in the full run, which skips it when flagged
+            undecided = not stable and L is not None and all(
+                x._head(top).is_zero_at(at + t)
+                for row in (nxt - cur.mul_p_pow(r)).entries for x in row)
+            cur = nxt
+            if stable or undecided:
+                break
+        if not stable:
+            if undecided or steps < max_steps:
+                continue
+            raise NonConvergent(
+                f"no stabilisation mod p^{at} within {max_steps + 1} steps "
+                f"(rate bound {rate}); expected only away from normal-form bases"
+            )
+        try:
+            cur = cur.map_entries(lambda x: x.div_p_exact(t))
+        except NotDivisible as exc:
+            raise NonConvergent(
+                f"stabilised iterate failed to normalise: {exc}"
+            ) from exc
+        if L is None or constant or all(x.tail_dirty for row in cur.entries for x in row):
             break
-    if iterations is None:
-        raise NonConvergent(
-            f"no stabilisation mod p^{at} within {max_steps + 1} steps "
-            f"(rate bound {rate}); expected only away from normal-form bases"
-        )
-    try:
-        cur = cur.map_entries(lambda x: x.div_p_exact(t))
-    except NotDivisible as exc:
-        raise NonConvergent(
-            f"stabilised iterate failed to normalise: {exc}"
-        ) from exc
 
     residual = cur @ A0_pd - A @ phi_matrix(cur)
     res_val = min([at] + [x.valuation() for row in residual.entries for x in row])
@@ -333,6 +390,10 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     g, jumps = flag_adapt(amb, B.d, gens_by_level)
 
     M = fl_from_frobenius(amb, g.invert() @ FM @ sigma_matrix(g), jumps)
+    short = min((x.prec for row in M.Ftil.entries for x in row), default=at)
+    if short < at:
+        raise PrecisionExhausted(f"the reduction's Ftil is known to {short} digits, "
+                                 f"below N_p = {at}")
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
     return FLTransport(M, sec, g)

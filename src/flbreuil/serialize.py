@@ -227,9 +227,11 @@ def to_json(obj) -> dict:
 
 def section_to_json(amb: AmbientParams, sec) -> dict:
     """The SectionResult document of ``functors.section_compute``: the
-    section matrix at the public precision N_p and the iteration's
-    verdicts.  ``amb`` is the module's context, which a rank-0 section
-    matrix does not carry."""
+    section matrix cut to the public precision N_p and the iteration's
+    verdicts.  ``sec`` needs Bmat to at least N_p digits, as a section
+    computed with ``prec=N_p`` or without ``prec`` has it; both give the
+    same document.  ``amb`` is the module's context, which a rank-0
+    section matrix does not carry."""
     return _envelope("SectionResult", amb, {
         "Bmat": matrix_to_json(sec.Bmat.truncate(amb.N_p)),
         "iterations": sec.iterations,

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from flbreuil.breuil import breuil_classify, breuil_validate, fil_lower, rebase
+from flbreuil import serialize as SER
+from flbreuil.breuil import BreuilModule, breuil_classify, breuil_validate, fil_lower, rebase
 from flbreuil.errors import (
     A0NotScaledIntegral,
     NonConvergent,
     NotDirectSummand,
     NotStrong,
+    PrecisionExhausted,
 )
 from flbreuil.fl import FLModule, fl_classify, random_fl
 from flbreuil.functors import (
@@ -139,8 +141,65 @@ def test_section_step_budget(amb3):
             for i in range(2)
         ]
         g = RingMatrix(ent)
+    Bt = rebase(B, g)
     with pytest.raises(NonConvergent):
-        section_compute(rebase(B, g), max_steps=0)
+        section_compute(Bt, max_steps=0)
+    with pytest.raises(NonConvergent):
+        section_compute(Bt, max_steps=0, prec=amb3.N_p)
+
+
+def _section_fields(sec, at):
+    return (sec.iterations, sec.rate_bound, sec.residual_valuation, sec.exact,
+            sec.B0_claim_ok, sec.f0_identity, SER.matrix_to_json(sec.Bmat.truncate(at)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2])
+def test_section_at_the_read_precision_is_the_full_section(p, f):
+    # Kisin normal forms, FL images and rebased FL images: the verdicts and
+    # Bmat mod p^N_p, tail_dirty flags included, do not depend on prec.
+    # At p = 3, r = 1 the rebased modules need 2 steps against a rate
+    # bound of 1, so the cut run is retried with max_steps
+    from flbreuil.ambient import shared_params
+    from flbreuil.campaign import random_congruent_identity
+
+    retried = 0
+    for r in sorted({1, p - 2}):
+        amb = shared_params(p=p, r=r, f=f)
+        rng = random.Random(f"section-prec:{p}:{f}:{r}")
+        for _ in range(3):
+            d = rng.randrange(1, 4)
+            B = fl_to_breuil(random_fl(amb, rng, d))
+            g = random_congruent_identity(amb, rng, d)
+            for mod in (kisin_to_breuil(random_gls(amb, rng, d)), B, rebase(B, g)):
+                full = section_compute(mod)
+                cut = section_compute(mod, prec=amb.N_p)
+                assert _section_fields(cut, amb.N_p) == _section_fields(full, amb.N_p)
+                assert cut.Phi is mod.Phi
+                retried += full.iterations > full.rate_bound
+    assert retried or p > 3
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_section_of_an_unflagged_non_constant_module_is_not_cut(amb3, k):
+    # A = p (1 + p^k gamma_1): the section has support 14 (k = 2) or 5 and
+    # no tail_dirty flag, which a cut run cannot vouch for, so the run
+    # with prec ends without a cut and keeps the full precision
+    a = (pd_one(amb3) + pd_gamma(amb3, 1, amb3.w(3 ** k))).mul_p_pow(1)
+    B = BreuilModule(amb3, 1, RingMatrix([[a]]), None, RingMatrix([[pd_one(amb3)]]), (1,))
+    full = section_compute(B)
+    cut = section_compute(B, prec=amb3.N_p)
+    assert not full.Bmat.entries[0][0].tail_dirty
+    assert _section_fields(cut, amb3.N_p) == _section_fields(full, amb3.N_p)
+    assert cut.Bmat.entries[0][0].prec == full.Bmat.entries[0][0].prec
+
+
+def test_section_precision_outside_its_range_is_refused(amb3):
+    B = fl_to_breuil(random_fl(amb3, random.Random(5), 2))
+    for prec in (amb3.N_p - 1, amb3.cap + 1):
+        with pytest.raises(ValueError):
+            section_compute(B, prec=prec)
+    assert section_compute(B, prec=amb3.cap).exact
 
 
 @pytest.mark.parametrize("seed", [10, 15])
@@ -367,6 +426,33 @@ def test_breuil_to_fl_rejects_a_section_of_another_module(amb3):
         breuil_to_fl(B2, section=section_compute(B1), adjoin_zero_n=True)
     sec2 = section_compute(B2)
     assert breuil_to_fl(B2, section=sec2, adjoin_zero_n=True).section is sec2
+
+
+@pytest.mark.parametrize("headroom", [24, 26, 30])
+def test_breuil_to_fl_refuses_ftil_below_N_p(headroom):
+    # p = 5, r = 3, jumps (0,0,0,3,3,3): the section spends sum r_i = 9
+    # digits and Ftil divides columns by p^3, so the lowest Ftil precision
+    # is 3 at headroom 24, 5 at 26 and 9 at 30, against N_p = 6
+    from flbreuil.ambient import shared_params
+
+    amb = shared_params(p=5, r=3, headroom=headroom)
+    for seed in range(1, 7):
+        B = kisin_to_breuil(random_gls(amb, random.Random(seed), 6, jumps=(0, 0, 0, 3, 3, 3)))
+        if headroom < 30:
+            with pytest.raises(PrecisionExhausted, match="below N_p"):
+                breuil_to_fl(B, adjoin_zero_n=True)
+        else:
+            M = breuil_to_fl(B, adjoin_zero_n=True).M
+            assert min(x.prec for row in M.Ftil.entries for x in row) == 9
+
+
+def test_breuil_to_fl_refuses_a_section_cut_to_N_p(amb3):
+    # a section computed to the N_p digits the section verb writes leaves
+    # the jump-1 column of Ftil one digit short
+    B = kisin_to_breuil(random_gls(amb3, random.Random(1), 2, jumps=(0, 1)))
+    with pytest.raises(PrecisionExhausted, match="below N_p"):
+        breuil_to_fl(B, section=section_compute(B, prec=amb3.N_p), adjoin_zero_n=True)
+    assert breuil_to_fl(B, section=section_compute(B), adjoin_zero_n=True).M.jumps == (0, 1)
 
 
 def test_roundtrip_breuil_identity_twist(amb3):

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from flbreuil import campaign as CAM
+from flbreuil import functors as FU
 from flbreuil.ambient import AmbientParams
+from flbreuil.breuil import rebase
 from flbreuil import serialize as SER
 from flbreuil.cli import build_parser, main
 from flbreuil.errors import (
@@ -15,8 +17,8 @@ from flbreuil.errors import (
     SchemaMismatch,
 )
 from flbreuil.fl import FLModule, random_fl
-from flbreuil.functors import fl_to_breuil
-from flbreuil.kisin import KisinModule, random_gls
+from flbreuil.functors import fl_to_breuil, section_compute
+from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 
 
@@ -171,6 +173,64 @@ def test_cli_gen_kisin_negative_rank_names_the_rank(tmp_path, capsys, kind):
 def test_zero_rank_det_and_negative_rank_gls_raise(amb3):
     with pytest.raises(MalformedJumps, match="rank must be at least 0, got -1"):
         random_gls(amb3, random.Random(0), -1)
+
+
+def _section_bytes(path) -> str:
+    """The section document of the module stored at ``path``, computed
+    at full precision, as the CLI writes it."""
+    B = SER.load(str(path))
+    if isinstance(B, KisinModule):
+        B = kisin_to_breuil(B)
+    doc = SER.section_to_json(B.amb, section_compute(B))
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_cli_section_of_a_rebased_module_is_the_full_section(tmp_path):
+    # p = 3, r = 1: this rebased FL image takes 2 steps against a rate
+    # bound of 1, so the verb retries its cut run
+    amb = AmbientParams(3, 1)
+    rng = random.Random(2)
+    B = fl_to_breuil(random_fl(amb, rng, 2))
+    Bt = rebase(B, CAM.random_congruent_identity(amb, rng, 2))
+    sec = section_compute(Bt)
+    assert sec.iterations > sec.rate_bound
+    b, s = tmp_path / "b.json", tmp_path / "s.json"
+    b.write_text(SER.dumps(Bt))
+    assert main(["section", "--in", str(b), "--out", str(s)]) == 0
+    assert s.read_text() == _section_bytes(b)
+
+
+def test_cli_section_at_p13_is_the_full_section(tmp_path):
+    # N_p = 4 against a cap of 171 digits: the verb iterates on 37
+    # (N_p + r (rate bound + 2), rate bound 1)
+    k, s = tmp_path / "k.json", tmp_path / "s.json"
+    assert main(["gen", "kisin-gls", "--p", "13", "--r", "11", "--Np", "4", "--d", "3",
+                 "--seed", "1", "--out", str(k)]) == 0
+    assert main(["section", "--in", str(k), "--out", str(s)]) == 0
+    assert s.read_text() == _section_bytes(k)
+
+
+def test_cli_section_exits_1_on_an_inexact_section(tmp_path, monkeypatch):
+    # exit code 1 is a failed check: here the fixed-point certificate
+    real = FU.section_compute
+    monkeypatch.setattr(FU, "section_compute",
+                        lambda *a, **kw: real(*a, **kw)._replace(exact=False))
+    b, s = tmp_path / "b.json", tmp_path / "s.json"
+    assert main(["gen", "breuil-from-fl", "--d", "2", "--jumps", "0,1", "--out", str(b)]) == 0
+    assert main(["section", "--in", str(b), "--out", str(s)]) == 1
+    assert json.loads(s.read_text())["data"]["exact"] is False
+
+
+def test_cli_mfl_refuses_ftil_below_N_p(tmp_path, capsys):
+    # at headroom 26 the reduction's Ftil is known to 5 digits, below N_p = 6
+    k, out = tmp_path / "k.json", tmp_path / "m.json"
+    assert main(["gen", "kisin-gls", "--p", "5", "--r", "3", "--headroom", "26", "--d", "6",
+                 "--jumps", "0,0,0,3,3,3", "--seed", "1", "--out", str(k)]) == 0
+    capsys.readouterr()
+    assert main(["apply", "mfl", "--adjoin-zero-n", "--in", str(k), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "below N_p" in err[0]
 
 
 def test_cli_section_suite_error_names_the_class(tmp_path):
