@@ -225,12 +225,12 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
             nxt = A_L @ phi_matrix(cur) @ A0inv_L
             t += r
             f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
-            stable = nxt.eq_at(cur.mul_p_pow(r), at + t)
+            prev = cur.mul_p_pow(r)
+            stable = nxt.eq_at(prev, at + t)
             # a test that fails only at the top coefficient of unflagged
             # entries may pass in the full run, which skips it when flagged
             undecided = not stable and L is not None and all(
-                x._head(top).is_zero_at(at + t)
-                for row in (nxt - cur.mul_p_pow(r)).entries for x in row)
+                x._head(top).is_zero_at(at + t) for row in (nxt - prev).entries for x in row)
             cur = nxt
             if stable or undecided:
                 break
