@@ -47,6 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotCris, NotDivisible, NotInFil
+from .fl import check_jumps
 from .matrix import RingMatrix, converges_to_zero, scaled_inverse
 from .pd import (
     eval_f0,
@@ -64,8 +65,6 @@ from .witt import PackedTable, WittScalar, trimmed
 class BreuilModule:
     def __init__(self, amb, d: int, Phi: RingMatrix, Nmat: RingMatrix | None,
                  C: RingMatrix, jumps):
-        from .fl import check_jumps
-
         self.amb = amb
         self.d = d
         self.Phi = Phi

@@ -2,7 +2,9 @@
 
 Each suite function takes (amb, rng, cfg) and returns a list of check
 records {"check": str, "ok": bool, ...}; a failing record carries enough
-data (seed, instance JSON) to replay in isolation.  ``run_campaign`` runs
+data (seed, instance JSON) to replay in isolation.  The round trips
+``roundtrip_fl`` and ``roundtrip_breuil`` build their records here from the
+two functors and the section of ``functors``.  ``run_campaign`` runs
 every (suite, seed) pair, optionally over a process pool, and returns the
 records in suite and seed order; ``summarise`` counts them per suite.
 Randomness is derived from "suite:seed" strings, so runs are reproducible
@@ -20,7 +22,7 @@ from . import kisin as KI
 from . import pd as P
 from . import serialize as SER
 from .ambient import shared_params
-from .errors import KernelError
+from .errors import KernelError, NonConvergent, NotDirectSummand, NotStrong
 from .matrix import RingMatrix
 
 
@@ -205,16 +207,36 @@ def suite_section(amb, rng, cfg):
 
 # --- round trips (criteria 7, 8) ---
 
+def roundtrip_fl(M, allow_non_unipotent: bool = False) -> dict:
+    """The ``roundtrip-fl-exact`` record of ``M``: FL -> S -> FL must
+    reproduce jumps and Ftil on the nose."""
+    amb = M.amb
+    if not FL.fl_validate(M):
+        raise NotStrong("round trip needs a strong module")
+    if amb.r == amb.p - 1 and not allow_non_unipotent:
+        if not FL.fl_classify(M).unipotent.zero:
+            raise NotStrong("with r = p-1 the equivalence needs a unipotent module "
+                            "(pass allow_non_unipotent=True to explore)")
+    B = FU.fl_to_breuil(M)
+    sec = FU.section_compute(B)
+    M2 = FU.breuil_to_fl(B, section=sec).M
+    ok = M2.jumps == M.jumps and M2.Ftil.eq_at(M.Ftil, amb.N_p)
+    sec_prec = min(x.prec for row in sec.Bmat.entries for x in row)
+    ident = RingMatrix.identity(M.d, P.pd_zero(amb), P.pd_one(amb))
+    return _rec("roundtrip-fl-exact", ok,
+                details={"iterations": sec.iterations,
+                         "section_is_identity": sec.Bmat.eq_at(ident, sec_prec),
+                         "jumps": list(M2.jumps)},
+                instance=SER.to_json(M) if not ok else None)
+
+
 def suite_roundtrip_fl(amb, rng, cfg):
     d = rng.randrange(1, cfg.get("d_max", 3) + 1)
     if cfg.get("unipotent_only", amb.r == amb.p - 1):
         M = FL.random_unipotent_fl(amb, rng, d)
     else:
         M = FL.random_fl(amb, rng, d)
-    rep = FU.roundtrip_fl(M)
-    return [_rec("roundtrip-fl-exact", rep.success,
-                 details=rep.details,
-                 instance=SER.to_json(M) if not rep.success else None)]
+    return [roundtrip_fl(M)]
 
 
 def random_congruent_identity(amb, rng, d: int) -> RingMatrix:
@@ -229,17 +251,65 @@ def random_congruent_identity(amb, rng, d: int) -> RingMatrix:
     ])
 
 
+def roundtrip_breuil(M, g, rng) -> dict:
+    """The ``roundtrip-breuil`` record of S -> FL -> S on the base change of
+    ``M`` re-presented by ``g`` (congruent to the identity mod p).
+
+    The computed section must equal the closed form g^(-1) f_0(g), the
+    monodromy must be carried along (Nmat Bmat + N_S(Bmat) = 0), and
+    top-filtration membership must agree between the twisted presentation
+    and the tensor filtration read through the section, on 8 random
+    elements drawn from ``rng``; the reduction must have the jumps of
+    ``M``.  A section that does not converge passes as ``converged``
+    False; a round trip that fails after it does not.
+    """
+    amb = M.amb
+    at = amb.N_p
+    Bt = BR.rebase(FU.fl_to_breuil(M), g)
+    try:
+        sec = FU.section_compute(Bt)
+    except NonConvergent as exc:
+        return _rec("roundtrip-breuil", True, converged=False, relation="non-convergent",
+                    details={"error": str(exc)}, instance=None)
+    Bm = sec.Bmat
+    # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
+    # the closed form costs one product and no second inverse of g
+    matrix_exact = (g @ Bm).eq_at(FU.embed_w_matrix(amb, FU.f0_matrix(g)), at)
+    resid = Bt.Nmat @ Bm + Bm.map_entries(P.n_S)
+    # the top gamma coefficient of N on a truncated element is the one
+    # coordinate the dropped tail can reach; eq_at skips it when dirty
+    n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P.pd_zero(amb)), at)
+
+    n_fil = 8
+    fil_ok = True
+    try:
+        transport = FU.breuil_to_fl(Bt, section=sec)
+        for _ in range(n_fil):
+            if rng.random() < 0.5:
+                x = BR.random_fil_member(Bt, rng, amb.r)
+            else:
+                x = BR.random_vector(Bt, rng, 6)
+            fil_ok &= (BR.fil_lower(Bt, amb.r, x, at)
+                       == FU.tensor_membership_via_section(transport, x, amb.r, at))
+    except (NotStrong, NotDirectSummand, NonConvergent) as exc:
+        return _rec("roundtrip-breuil", False, converged=True, relation="failed",
+                    details={"error": str(exc)}, instance=SER.to_json(M))
+
+    exact = matrix_exact and n_ok and fil_ok
+    ok = transport.M.jumps == M.jumps and exact
+    return _rec("roundtrip-breuil", ok, converged=True,
+                relation="exact" if exact else "failed",
+                details={"iterations": sec.iterations,
+                         "section_matches_closed_form": matrix_exact,
+                         "n_equivariant": n_ok,
+                         "fil_samples": n_fil},
+                instance=SER.to_json(M) if not ok else None)
+
+
 def suite_roundtrip_breuil(amb, rng, cfg):
     d = rng.randrange(1, cfg.get("d_max", 3) + 1)
     M = FL.random_fl(amb, rng, d)
-    B = FU.fl_to_breuil(M)
-    g = random_congruent_identity(amb, rng, d)
-    rep = FU.roundtrip_breuil(B, g, rng=rng)
-    converged = rep.matrix_relation != "non-convergent"
-    ok = (not converged) or rep.success
-    return [_rec("roundtrip-breuil", ok, converged=converged,
-                 relation=rep.matrix_relation, details=rep.details,
-                 instance=SER.to_json(M) if not ok else None)]
+    return [roundtrip_breuil(M, random_congruent_identity(amb, rng, d), rng)]
 
 
 # --- unipotence preservation (criterion 9) ---

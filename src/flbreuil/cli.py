@@ -123,18 +123,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_breuil(path: str, verb: str) -> BreuilModule:
+    """The S-module stored at ``path``, a Kisin module base-changed first."""
+    obj = SER.load(path)
+    if isinstance(obj, KisinModule):
+        obj = KI.kisin_to_breuil(obj)
+    if not isinstance(obj, BreuilModule):
+        raise KernelError(f"{verb} expects a BreuilModule (or KisinModule) file")
+    return obj
+
+
 def cmd_apply(args) -> int:
-    obj = SER.load(args.infile)
     if args.functor == "mls":
+        obj = SER.load(args.infile)
         if not isinstance(obj, FLModule):
             raise KernelError("apply mls expects an FLModule file")
         out = FU.fl_to_breuil(obj)
     elif args.functor == "mfl":
-        if isinstance(obj, KisinModule):
-            obj = KI.kisin_to_breuil(obj)
-        if not isinstance(obj, BreuilModule):
-            raise KernelError("apply mfl expects a BreuilModule (or KisinModule) file")
-        out = FU.breuil_to_fl(obj, adjoin_zero_n=args.adjoin_zero_n).M
+        B = _load_breuil(args.infile, "apply mfl")
+        out = FU.breuil_to_fl(B, adjoin_zero_n=args.adjoin_zero_n).M
     else:
         raise ValueError(args.functor)
     _write([SER.to_json(out)], args.out)
@@ -148,13 +155,9 @@ def cmd_section(args) -> int:
     precision (``functors.section_compute``).  Exit 1 when the fixed-point
     certificate fails (``"exact": false``); the document is written
     either way."""
-    obj = SER.load(args.infile)
-    if isinstance(obj, KisinModule):
-        obj = KI.kisin_to_breuil(obj)
-    if not isinstance(obj, BreuilModule):
-        raise KernelError("section expects a BreuilModule (or KisinModule) file")
-    sec = FU.section_compute(obj, prec=obj.amb.N_p)
-    _write([SER.section_to_json(obj.amb, sec)], args.out)
+    B = _load_breuil(args.infile, "section")
+    sec = FU.section_compute(B, prec=B.amb.N_p)
+    _write([SER.section_to_json(B.amb, sec)], args.out)
     return 0 if sec.exact else 1
 
 
@@ -194,6 +197,8 @@ def cmd_report(args) -> int:
                 raise ValueError(f"{args.infile}:{lineno}: not a report record (an object "
                                  "with a string 'suite', a boolean 'ok' and an integer 'seed')")
             records.append(rec)
+    if not records:
+        raise ValueError(f"{args.infile}: no report records")
     return _print_summary(dict(sorted(CAM.summarise(records).items())), "", sys.stdout)
 
 

@@ -1,5 +1,6 @@
 """The two functors between Fontaine-Laffaille and strongly divisible
-modules, the phi-equivariant section, and the round-trip verifiers.
+modules, the phi-equivariant section, flag adaptation over W(k) and the
+transport between a module over S and its reduction.
 
 Forward direction: base change along W(k) -> S.  The Frobenius matrix
 becomes Ftil * diag(p^{r_i}) (constant entries), the monodromy is the
@@ -30,16 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .breuil import (
-    BreuilModule,
-    adapted_level,
-    breuil_validate,
-    fil_lower,
-    jet_table,
-    random_fil_member,
-    random_vector,
-    rebase,
-)
+from .breuil import BreuilModule, adapted_level, breuil_validate, jet_table
 from .errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -50,13 +42,12 @@ from .errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from .fl import FLModule, fl_classify, fl_from_frobenius, fl_frobenius_matrix, fl_validate
+from .fl import FLModule, fl_from_frobenius, fl_frobenius_matrix, fl_validate
 from .matrix import RingMatrix, scaled_inverse
 from .pd import (
     all_in_u_power_ideal,
     eval_f0,
     eval_fpi,
-    n_S,
     pd_from_scalar,
     pd_one,
     pd_zero,
@@ -413,111 +404,3 @@ def tensor_membership_via_section(transport: FLTransport, x, n: int,
     return n <= adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x,
                               transport._fil_table, at)
 
-
-# --- round trips ---
-
-class RoundTripReport(namedtuple("RoundTripReport", [
-    "direction",
-    "jumps_equal",
-    "matrix_relation",      # "exact" | "failed" | "non-convergent"
-    "details",              # a dict, a fresh empty one by default
-])):
-    __slots__ = ()
-
-    def __new__(cls, direction, jumps_equal, matrix_relation, details=None):
-        return super().__new__(cls, direction, jumps_equal, matrix_relation,
-                               {} if details is None else details)
-
-    @property
-    def success(self) -> bool:
-        return self.jumps_equal and self.matrix_relation == "exact"
-
-
-def roundtrip_fl(M: FLModule, allow_non_unipotent: bool = False) -> RoundTripReport:
-    """FL -> S -> FL must reproduce jumps and Ftil on the nose."""
-    amb = M.amb
-    if not fl_validate(M):
-        raise NotStrong("round trip needs a strong module")
-    if amb.r == amb.p - 1 and not allow_non_unipotent:
-        if not fl_classify(M).unipotent.zero:
-            raise NotStrong("with r = p-1 the equivalence needs a unipotent module "
-                            "(pass allow_non_unipotent=True to explore)")
-    B = fl_to_breuil(M)
-    sec = section_compute(B)
-    M2 = breuil_to_fl(B, section=sec).M
-    jumps_equal = M2.jumps == M.jumps
-    exact = jumps_equal and M2.Ftil.eq_at(M.Ftil, amb.N_p)
-    sec_prec = min(x.prec for row in sec.Bmat.entries for x in row)
-    return RoundTripReport(
-        direction="fl->S->fl",
-        jumps_equal=jumps_equal,
-        matrix_relation="exact" if exact else "failed",
-        details={
-            "iterations": sec.iterations,
-            "section_is_identity": sec.Bmat.eq_at(
-                RingMatrix.identity(M.d, pd_zero(amb), pd_one(amb)), sec_prec
-            ),
-            "jumps": list(M2.jumps),
-        },
-    )
-
-
-def roundtrip_breuil(B: BreuilModule, g: RingMatrix, rng) -> RoundTripReport:
-    """S -> FL -> S on a basis twist of a base-changed module.
-
-    ``B`` must come from the forward functor; ``g`` (congruent to the
-    identity mod p) re-presents it.  The computed section must equal the
-    closed form g^(-1) f_0(g), the monodromy must be carried along
-    (Nmat Bmat + N_S(Bmat) = 0), and top-filtration membership must agree
-    between the twisted presentation and the tensor filtration read through
-    the section, on 8 random elements drawn from ``rng``.
-    """
-    amb = B.amb
-    at = amb.N_p
-    Bt = rebase(B, g)
-    try:
-        sec = section_compute(Bt)
-    except NonConvergent as exc:
-        return RoundTripReport("S->fl->S", False, "non-convergent", {"error": str(exc)})
-    # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
-    # the closed form costs one product and no second inverse of g
-    matrix_exact = (g @ sec.Bmat).eq_at(embed_w_matrix(amb, f0_matrix(g)), at)
-
-    n_ok = True
-    if Bt.Nmat is not None:
-        Bm = sec.Bmat
-        resid = Bt.Nmat @ Bm + Bm.map_entries(n_S)
-        # the top gamma coefficient of N on a truncated element is the one
-        # coordinate the dropped tail can reach; eq_at skips it when dirty
-        n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, pd_zero(amb)), at)
-
-    fil_ok = True
-    checked = 0
-    try:
-        transport = breuil_to_fl(Bt, section=sec)
-        jumps_equal = transport.M.jumps == B.jumps
-        for _ in range(8):
-            if rng.random() < 0.5:
-                x = random_fil_member(Bt, rng, amb.r)
-            else:
-                x = random_vector(Bt, rng, 6)
-            lhs = fil_lower(Bt, amb.r, x, at)
-            rhs = tensor_membership_via_section(transport, x, amb.r, at)
-            if lhs != rhs:
-                fil_ok = False
-            checked += 1
-    except (NotStrong, NotDirectSummand, NonConvergent) as exc:
-        return RoundTripReport("S->fl->S", False, "failed", {"error": str(exc)})
-
-    ok = matrix_exact and n_ok and fil_ok
-    return RoundTripReport(
-        direction="S->fl->S",
-        jumps_equal=jumps_equal and fil_ok,
-        matrix_relation="exact" if ok else "failed",
-        details={
-            "iterations": sec.iterations,
-            "section_matches_closed_form": matrix_exact,
-            "n_equivariant": n_ok,
-            "fil_samples": checked,
-        },
-    )

@@ -155,12 +155,12 @@ class PDElement(FlatVector):
         return f"PD({body} ~p^{self.prec}{dirt})"
 
 
-def pd_zero(amb, prec: int | None = None) -> PDElement:
-    return PDElement(amb, [], prec=prec)
+def pd_zero(amb) -> PDElement:
+    return PDElement(amb, [])
 
 
-def pd_one(amb, prec: int | None = None) -> PDElement:
-    return PDElement(amb, [amb.ring.one(prec)])
+def pd_one(amb) -> PDElement:
+    return PDElement(amb, [amb.ring.one()])
 
 
 def pd_from_scalar(amb, w: WittScalar) -> PDElement:

@@ -4,6 +4,7 @@ import pytest
 
 from flbreuil import serialize as SER
 from flbreuil.breuil import BreuilModule, breuil_classify, breuil_validate, fil_lower, rebase
+from flbreuil.campaign import roundtrip_breuil, roundtrip_fl
 from flbreuil.errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -19,8 +20,6 @@ from flbreuil.functors import (
     fl_to_breuil,
     flag_adapt,
     phi_matrix,
-    roundtrip_breuil,
-    roundtrip_fl,
     section_compute,
     tensor_membership_via_section,
 )
@@ -216,9 +215,9 @@ def test_section_keeps_the_exponent_of_a_non_integral_first_iterate(seed):
     amb = shared_params(p=5, r=3)
     rng = random.Random(f"roundtrip-breuil:{seed}")
     d = rng.randrange(1, 4)
-    B = fl_to_breuil(random_fl(amb, rng, d))
+    M = random_fl(amb, rng, d)
     g = random_congruent_identity(amb, rng, d)
-    Bt = rebase(B, g)
+    Bt = rebase(fl_to_breuil(M), g)
     assert d == 3
     B0_num = Bt.Phi @ embed_w_matrix(amb, scaled_inverse(f0_matrix(Bt.Phi), amb.r))
     with pytest.raises(NotDivisible):
@@ -226,7 +225,8 @@ def test_section_keeps_the_exponent_of_a_non_integral_first_iterate(seed):
     sec = section_compute(Bt)
     assert not sec.B0_claim_ok
     assert sec.iterations == 2 and sec.exact and sec.f0_identity
-    assert roundtrip_breuil(B, g, rng=rng).success
+    rep = roundtrip_breuil(M, g, rng)
+    assert rep["ok"] and rep["relation"] == "exact"
 
 
 def test_section_basis_hint_closed_form(amb3):
@@ -286,13 +286,13 @@ def test_roundtrip_fl_rank_one(amb3):
             rep = roundtrip_fl(M, allow_non_unipotent=True)
         else:
             rep = roundtrip_fl(M)
-        assert rep.success
+        assert rep["ok"]
 
 
 def test_roundtrip_fl_swap_module(amb3):
     M = FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]]))
     assert fl_classify(M).unipotent.zero
-    assert roundtrip_fl(M).success
+    assert roundtrip_fl(M)["ok"]
 
 
 def test_roundtrip_fl_random(amb5):
@@ -302,14 +302,14 @@ def test_roundtrip_fl_random(amb5):
     rng = random.Random(6)
     for _ in range(5):
         M = random_fl(amb, rng, rng.randrange(1, 4))
-        assert roundtrip_fl(M).success
+        assert roundtrip_fl(M)["ok"]
 
 
 def test_roundtrip_fl_enforces_unipotence_at_top(amb3):
     M = FLModule(amb3, 1, (amb3.r,), wmat(amb3, [[1]]))  # etale, not unipotent
     with pytest.raises(NotStrong):
         roundtrip_fl(M)
-    assert roundtrip_fl(M, allow_non_unipotent=True).success
+    assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
 
 
 def test_kisin_derived_backward(amb3):
@@ -458,10 +458,9 @@ def test_breuil_to_fl_refuses_a_section_cut_to_N_p(amb3):
 def test_roundtrip_breuil_identity_twist(amb3):
     rng = random.Random(7)
     M = random_fl(amb3, rng, 2)
-    B = fl_to_breuil(M)
     g = RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3))
-    rep = roundtrip_breuil(B, g, rng=rng)
-    assert rep.success and rep.details["iterations"] == 0
+    rep = roundtrip_breuil(M, g, rng)
+    assert rep["ok"] and rep["relation"] == "exact" and rep["details"]["iterations"] == 0
 
 
 def test_roundtrip_breuil_constant_corner(amb3):
@@ -473,8 +472,8 @@ def test_roundtrip_breuil_constant_corner(amb3):
         [pd_one(amb3), pd_from_scalar(amb3, amb3.w(3))],
         [pd_zero(amb3), pd_one(amb3)],
     ])
-    rep = roundtrip_breuil(B, g, rng=rng)
-    assert rep.success
+    rep = roundtrip_breuil(M, g, rng)
+    assert rep["ok"] and rep["relation"] == "exact"
     sec = section_compute(rebase(B, g))
     assert sec.Bmat.eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
 
@@ -487,11 +486,57 @@ def test_roundtrip_breuil_gamma_corner(amb3):
         [pd_one(amb3), pd_gamma(amb3, 1, amb3.w(3))],
         [pd_zero(amb3), pd_one(amb3)],
     ])
-    rep = roundtrip_breuil(B, g, rng=rng)
-    assert rep.success
+    rep = roundtrip_breuil(M, g, rng)
+    assert rep["ok"] and rep["relation"] == "exact"
     sec = section_compute(rebase(B, g))
     expect = g.invert() @ embed_w_matrix(amb3, f0_matrix(g))
     assert sec.Bmat.eq_at(expect, amb3.N_p)
+
+
+# The two roundtrip-breuil record shapes no golden task reaches, at p = 3,
+# r = 1, seed 1 (a rank-one module).  The expected records are those the
+# round trip wrote before it moved from functors.py into campaign.py.
+RANK_ONE_INSTANCE = {
+    "data": {"Ftil": {"cols": 1, "denom_exp": 0, "rows": 1,
+                      "entries": [[{"coeffs": ["54300745614563"], "prec": 29}]]},
+             "d": 1, "jumps": [0]},
+    "kind": "FLModule",
+    "params": {"N_gamma": 20, "N_p": 6, "a": {"coeffs": ["68630377364882"], "prec": 29},
+               "f": 1, "headroom": 23, "m_coeffs": [0, 1], "p": 3, "r": 1},
+    "schema": "flbreuil/1",
+}
+
+
+def _raises(exc):
+    def patched(*args, **kwargs):
+        raise exc
+    return patched
+
+
+def test_roundtrip_breuil_record_of_a_non_convergent_section(monkeypatch):
+    from flbreuil import functors
+    from flbreuil.campaign import run_suite_seed
+
+    monkeypatch.setattr(functors, "section_compute",
+                        _raises(NonConvergent("no stabilisation (patched)")))
+    assert run_suite_seed({"p": 3, "r": 1}, "roundtrip-breuil", 1, {}) == [{
+        "check": "roundtrip-breuil", "ok": True, "converged": False,
+        "relation": "non-convergent", "details": {"error": "no stabilisation (patched)"},
+        "instance": None, "suite": "roundtrip-breuil", "seed": 1,
+    }]
+
+
+def test_roundtrip_breuil_record_of_a_failed_reduction(monkeypatch):
+    from flbreuil import functors
+    from flbreuil.campaign import run_suite_seed
+
+    monkeypatch.setattr(functors, "breuil_to_fl",
+                        _raises(NotStrong("reduction fails strongness (patched)")))
+    assert run_suite_seed({"p": 3, "r": 1}, "roundtrip-breuil", 1, {}) == [{
+        "check": "roundtrip-breuil", "ok": False, "converged": True, "relation": "failed",
+        "details": {"error": "reduction fails strongness (patched)"},
+        "instance": RANK_ONE_INSTANCE, "suite": "roundtrip-breuil", "seed": 1,
+    }]
 
 
 def tensor_membership_unbounded(transport, x, n):
@@ -543,9 +588,9 @@ def test_full_pipeline_with_nontrivial_residue_degree(amb9):
         assert sec.iterations == 0 and sec.exact and sec.f0_identity
         assert breuil_validate(B).all_true()
         if not fl_classify(M).unipotent.zero:
-            assert roundtrip_fl(M, allow_non_unipotent=True).success
+            assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
         else:
-            assert roundtrip_fl(M).success
+            assert roundtrip_fl(M)["ok"]
     K = random_gls(amb9, rng, 2)
     sec = section_compute(kisin_to_breuil(K))
     assert sec.iterations <= sec.rate_bound and sec.exact and sec.B0_claim_ok
@@ -560,7 +605,7 @@ def test_degenerate_hodge_range(amb3):
     c = fl_classify(M)
     assert c.etale and c.multiplicative
     assert not c.unipotent.zero and not c.nilpotent.zero
-    assert roundtrip_fl(M).success
+    assert roundtrip_fl(M)["ok"]
 
 
 def test_unipotence_preserved(amb3):

@@ -266,6 +266,26 @@ def test_cli_report_rejects_malformed_lines(tmp_path, capsys, bad):
     assert err.startswith("error: ") and f"{rep}:3:" in err
 
 
+@pytest.mark.parametrize("verb", [["apply", "mfl"], ["section"]])
+def test_cli_module_verbs_refuse_an_fl_file(tmp_path, capsys, verb):
+    fl = tmp_path / "fl.json"
+    assert main(["gen", "fl", "--d", "1", "--out", str(fl)]) == 0
+    assert main(verb + ["--in", str(fl)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {' '.join(verb)} expects a BreuilModule (or KisinModule) file\n"
+
+
+@pytest.mark.parametrize("text", ["", "\n", "\n  \n"])
+def test_cli_report_refuses_a_file_without_records(tmp_path, capsys, text):
+    # exit 0 reads as "every check passed", which an empty report cannot say
+    rep = tmp_path / "rep.jsonl"
+    rep.write_text(text)
+    assert main(["report", "--in", str(rep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(rep) in err and len(err.splitlines()) == 1
+
+
 def test_cli_verify_report_reproducible(tmp_path):
     r1, r2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     args = ["verify", "--suite", "easylemma", "--seeds", "1..3", "--r", "2"]
