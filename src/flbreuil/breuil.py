@@ -389,22 +389,14 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None,
     return level
 
 
-BreuilClassification = namedtuple("BreuilClassification", "etale multiplicative unipotent")
-
-
 def breuil_bhat(B: BreuilModule) -> RingMatrix:
     """The matrix with Phi * Bhat = p^r I; integrality is asserted."""
     return scaled_inverse(B.Phi, B.amb.r)
 
 
-def breuil_classify(B: BreuilModule) -> BreuilClassification:
-    amb = B.amb
-    bhat = breuil_bhat(B)
-    return BreuilClassification(
-        etale=all(j == amb.r for j in B.jumps),
-        multiplicative=all(j == 0 for j in B.jumps),
-        unipotent=converges_to_zero(bhat, phi_S, amb.N_p),
-    )
+def breuil_unipotent(B: BreuilModule) -> bool:
+    """Whether the twisted product of Bhat vanishes mod p^N_p."""
+    return converges_to_zero(breuil_bhat(B), phi_S, B.amb.N_p)
 
 
 def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:

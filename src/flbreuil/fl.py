@@ -9,10 +9,11 @@ the basis e.  The plain Frobenius phi = phi_0 then has matrix
 
 With an adapted basis, the sum of the images phi_i(Fil^i M) is exactly the
 column span of Ftil (the arithmetic Frobenius is bijective on W), so the
-module is strong precisely when Ftil is invertible.  Classification is by
-matrix products: V = diag(p^{r - r_i}) * Ftil^{-1} satisfies F V = p^r I,
-the module is unipotent exactly when the twisted product of V tends to
-zero, and nilpotent exactly when the twisted product of F does.
+module is strong precisely when Ftil is invertible.  The matrix
+V = diag(p^{r - r_i}) * Ftil^{-1} satisfies F V = p^r I, and the module is
+unipotent exactly when the twisted product of V tends to zero
+(``fl_unipotent``).  The jumps alone say whether it is etale (every r_i is
+r) or multiplicative (every r_i is 0).
 
 F and its inverse live here alone: ``fl_frobenius_matrix`` scales column j
 by p^{r_j}, ``fl_from_frobenius`` divides it back and raises NotStrong when
@@ -21,8 +22,6 @@ divides g_{ij} whenever r_i < r_j) and raises NotStrong for any other.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .errors import MalformedJumps, NotDivisible, NotInvertible, NotStrong
 from .matrix import RingMatrix, converges_to_zero
@@ -61,9 +60,6 @@ class FLModule:
         self.Ftil = Ftil
 
 
-FLClassification = namedtuple("FLClassification", "etale multiplicative nilpotent unipotent")
-
-
 def fl_validate(M: FLModule) -> bool:
     """Strongness: the images of the divided Frobenii span the module,
     which for an adapted presentation means Ftil is invertible over W."""
@@ -93,29 +89,21 @@ def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
     return FLModule(amb, d, jumps, Ftil)
 
 
-def fl_v_matrix(M: FLModule) -> tuple[RingMatrix, RingMatrix]:
-    """Returns (F, V) with F V = V F = p^r I; V = diag(p^{r-r_i}) Ftil^{-1}."""
+def fl_v_matrix(M: FLModule) -> RingMatrix:
+    """V = diag(p^{r-r_i}) Ftil^{-1}, with F V = V F = p^r I."""
     try:
         inv = M.Ftil.invert()
     except NotInvertible as exc:
         raise NotStrong("V-matrix needs an invertible Ftil") from exc
     amb = M.amb
-    F = fl_frobenius_matrix(M)
-    V = RingMatrix(
+    return RingMatrix(
         [[inv.entries[i][j].mul_p_pow(amb.r - M.jumps[i]) for j in range(M.d)] for i in range(M.d)],
     )
-    return F, V
 
 
-def fl_classify(M: FLModule) -> FLClassification:
-    amb = M.amb
-    F, V = fl_v_matrix(M)
-    return FLClassification(
-        etale=all(j == amb.r for j in M.jumps),
-        multiplicative=all(j == 0 for j in M.jumps),
-        nilpotent=converges_to_zero(F, WittScalar.frobenius, amb.N_p),
-        unipotent=converges_to_zero(V, WittScalar.frobenius, amb.N_p),
-    )
+def fl_unipotent(M: FLModule) -> bool:
+    """Whether the twisted product of V vanishes mod p^N_p."""
+    return converges_to_zero(fl_v_matrix(M), WittScalar.frobenius, M.amb.N_p)
 
 
 def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
@@ -133,7 +121,7 @@ def random_unipotent_fl(amb, rng, d: int) -> FLModule:
     """Random strong module screened to be unipotent via the V-product."""
     while True:
         M = random_fl(amb, rng, d, random_jumps(amb, rng, d))
-        if fl_classify(M).unipotent.zero:
+        if fl_unipotent(M):
             return M
 
 

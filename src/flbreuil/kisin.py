@@ -6,23 +6,21 @@ Lambda = diag(E^{r_1}, ..., E^{r_d}) (phi of the basis row vector is the
 basis times A).  The constructor checks the presentation and computes A,
 keeping X * Lambda on the way.
 
-The jumps decide the class: the module is etale when every r_i is r and
-multiplicative when every r_i is 0.  Since X and Y are invertible and no
-r_i exceeds r, A B = E^r I has the solution
-B = Y^{-1} * diag(E^{r - r_i}) * X^{-1}: the module has E-height at most r
-by construction.  The twisted product of B decides unipotence.  The
-transfer to the divided-power side reads the normal form, where the
-filtration becomes an adapted (coordinate-wise) condition.
+Since X and Y are invertible and no r_i exceeds r, A B = E^r I has the
+solution B = Y^{-1} * diag(E^{r - r_i}) * X^{-1}: the module has E-height
+at most r by construction.  The jumps give its class: B is invertible, and
+the module etale, exactly when every r_i is r; A is invertible, and the
+module multiplicative, exactly when every r_i is 0.  The transfer to the
+divided-power side reads the normal form, where the filtration becomes an
+adapted (coordinate-wise) condition.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import breuil as breuil_mod
 from .errors import NotInvertible
 from .fl import check_jumps, random_jumps
-from .matrix import RingMatrix, converges_to_zero
+from .matrix import RingMatrix
 from .pd import embed_sigma_all, pd_one, pd_zero, phi_S_all
 from .series import SigmaSeries
 
@@ -52,22 +50,6 @@ class KisinModule:
         self.Y = Y
         self.XL = X @ _E_diag(amb, self.jumps)
         self.A = self.XL @ Y
-
-
-KisinClassification = namedtuple("KisinClassification", "etale multiplicative unipotent")
-
-
-def kisin_classify(K: KisinModule, max_steps: int | None = None) -> KisinClassification:
-    """Positional class: etale iff every jump is r, multiplicative iff
-    every jump is 0, unipotent iff the twisted product of
-    B = Y^{-1} diag(E^{r - r_i}) X^{-1} dies (p, u)-adically."""
-    amb = K.amb
-    B = K.Y.invert() @ _E_diag(amb, [amb.r - j for j in K.jumps]) @ K.X.invert()
-    return KisinClassification(
-        etale=all(j == amb.r for j in K.jumps),
-        multiplicative=all(j == 0 for j in K.jumps),
-        unipotent=converges_to_zero(B, SigmaSeries.phi, amb.N_p, max_steps),
-    )
 
 
 def _embed_matrix(A: RingMatrix) -> RingMatrix:

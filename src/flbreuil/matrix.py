@@ -56,8 +56,6 @@ passed as the entry map itself.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
 from .witt import FlatVector
 
@@ -342,38 +340,18 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     return out.truncate(prec)
 
 
-class ConvergenceVerdict(namedtuple("ConvergenceVerdict", "zero steps witness",
-                                    defaults=(None, None))):
-    """Outcome of the at-precision test of an infinite twisted product:
-    ``zero``, the ``steps`` it took when it holds, and otherwise the final
-    partial product as ``witness``."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        if self.zero:
-            return f"ZeroAtPrecision(steps={self.steps})"
-        return "NotZero(...)"
-
-
-def converges_to_zero(A: RingMatrix, twist, at: int, max_steps: int | None = None) -> ConvergenceVerdict:
+def converges_to_zero(A: RingMatrix, twist, at: int) -> bool:
     """Semidecision for 'the product A * twist(A) * ... tends to zero'.
 
-    ``twist`` is the entry map: WittScalar.frobenius, SigmaSeries.phi or
-    phi_S.  Returns ZeroAtPrecision at the first partial product that
-    vanishes modulo p^at (and modulo the u / gamma truncations), otherwise
-    NotZero with the final partial product.  A NotZero verdict certifies
-    only the inspected window.
+    ``twist`` is the entry map: WittScalar.frobenius or phi_S.  True when
+    one of the partial products of 1 ... d*at + 1 factors (d the rank of A)
+    vanishes modulo p^at (and modulo the u / gamma truncations).  False
+    certifies only that window.
     """
-    if max_steps is None:
-        max_steps = A.rows * at
-    prod = A
-    term = A
-    for n in range(max_steps + 1):
+    prod = term = A
+    for _ in range(A.rows * at):
         if prod.is_zero_at(at):
-            return ConvergenceVerdict(True, steps=n)
-        if n == max_steps:
-            break
+            return True
         term = term.map_entries(twist)
         prod = prod @ term
-    return ConvergenceVerdict(False, witness=prod.truncate(at))
+    return prod.is_zero_at(at)

@@ -7,7 +7,7 @@ from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import (
     BreuilModule,
     breuil_bhat,
-    breuil_classify,
+    breuil_unipotent,
     breuil_validate,
     fil_level,
     fil_lower,
@@ -304,13 +304,13 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
 
 def test_classify_examples(amb3):
     r = amb3.r
+    # etale (jump r) is not unipotent, and its Bhat is the identity
     B = rank1(amb3, r, amb3.w(3**r))
-    c = breuil_classify(B)
-    assert c.etale and not c.unipotent.zero
+    assert not breuil_unipotent(B)
     bh = breuil_bhat(B)
     assert bh.eq_at(RingMatrix.identity(1, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
     B = rank1(amb3, 1, amb3.w(3))
-    assert breuil_classify(B).unipotent.zero
+    assert breuil_unipotent(B)
 
 
 def test_bhat_certificate(amb3):

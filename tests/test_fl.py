@@ -5,20 +5,26 @@ import pytest
 from flbreuil.errors import MalformedJumps, NotStrong
 from flbreuil.fl import (
     FLModule,
-    fl_classify,
     fl_from_frobenius,
     fl_frobenius_matrix,
     fl_transport,
+    fl_unipotent,
     fl_v_matrix,
     fl_validate,
     random_fl,
     random_unipotent_fl,
 )
-from flbreuil.matrix import RingMatrix
+from flbreuil.matrix import RingMatrix, converges_to_zero
+from flbreuil.witt import WittScalar
 
 
 def wmat(amb, rows):
     return RingMatrix([[amb.w(v) for v in row] for row in rows])
+
+
+def nilpotent(M):
+    """Whether the twisted product of F vanishes mod p^N_p."""
+    return converges_to_zero(fl_frobenius_matrix(M), WittScalar.frobenius, M.amb.N_p)
 
 
 def test_validate_examples(amb3):
@@ -53,12 +59,13 @@ def test_negative_rank_is_malformed(amb3):
 
 def test_v_matrix_examples(amb3):
     # rank 1, jump 1, r = 2: F = V = (p)
-    F, V = fl_v_matrix(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))
-    assert F.eq_at(wmat(amb3, [[3]]), amb3.cap) and V.eq_at(wmat(amb3, [[3]]), amb3.cap)
-    F, V = fl_v_matrix(FLModule(amb3, 2, (0, 2), wmat(amb3, [[1, 0], [0, 1]])))
-    assert F.eq_at(wmat(amb3, [[1, 0], [0, 9]]), amb3.cap)
-    assert V.eq_at(wmat(amb3, [[9, 0], [0, 1]]), amb3.cap)
-    F, V = fl_v_matrix(FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
+    M = FLModule(amb3, 1, (1,), wmat(amb3, [[1]]))
+    assert fl_frobenius_matrix(M).eq_at(wmat(amb3, [[3]]), amb3.cap)
+    assert fl_v_matrix(M).eq_at(wmat(amb3, [[3]]), amb3.cap)
+    M = FLModule(amb3, 2, (0, 2), wmat(amb3, [[1, 0], [0, 1]]))
+    assert fl_frobenius_matrix(M).eq_at(wmat(amb3, [[1, 0], [0, 9]]), amb3.cap)
+    assert fl_v_matrix(M).eq_at(wmat(amb3, [[9, 0], [0, 1]]), amb3.cap)
+    V = fl_v_matrix(FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
     assert V.eq_at(wmat(amb3, [[0, 9], [1, 0]]), amb3.cap)
 
 
@@ -67,7 +74,7 @@ def test_fv_is_p_to_r(amb3, amb5):
         rng = random.Random(0)
         for _ in range(25):
             M = random_fl(amb, rng, rng.randrange(1, 4))
-            F, V = fl_v_matrix(M)
+            F, V = fl_frobenius_matrix(M), fl_v_matrix(M)
             expect = RingMatrix.identity(M.d, amb.ring.zero(), amb.ring.one()).mul_p_pow(amb.r)
             assert (F @ V).eq_at(expect, amb.cap - amb.r)
             assert (V @ F).eq_at(expect, amb.cap - amb.r)
@@ -79,23 +86,23 @@ def test_v_matrix_needs_strong(amb3):
 
 
 def test_classify_examples(amb3):
-    c = fl_classify(FLModule(amb3, 1, (amb3.r,), wmat(amb3, [[1]])))
-    assert c.etale and not c.unipotent.zero
-    c = fl_classify(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))
-    assert not c.etale and c.unipotent.zero
-    c = fl_classify(FLModule(amb3, 2, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]])))
-    assert c.unipotent.zero and c.nilpotent.zero and not c.etale
+    # etale (jump r) is not unipotent; jump 1 and the swap module are
+    assert not fl_unipotent(FLModule(amb3, 1, (amb3.r,), wmat(amb3, [[1]])))
+    assert fl_unipotent(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))
+    swap = FLModule(amb3, 2, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]]))
+    assert fl_unipotent(swap) and nilpotent(swap)
 
 
 def test_positional_exclusions(amb3):
+    # an etale module (every jump r) is never unipotent, a multiplicative
+    # one (every jump 0) never nilpotent
     rng = random.Random(1)
     for _ in range(30):
         M = random_fl(amb3, rng, rng.randrange(1, 4))
-        c = fl_classify(M)
-        if c.etale:
-            assert not c.unipotent.zero
-        if c.multiplicative:
-            assert not c.nilpotent.zero
+        if all(j == amb3.r for j in M.jumps):
+            assert not fl_unipotent(M)
+        if all(j == 0 for j in M.jumps):
+            assert not nilpotent(M)
 
 
 def test_random_fl_is_strong(amb3):
@@ -108,7 +115,7 @@ def test_random_unipotent_screen(amb3):
     rng = random.Random(3)
     for _ in range(10):
         M = random_unipotent_fl(amb3, rng, 2)
-        assert fl_classify(M).unipotent.zero
+        assert fl_unipotent(M)
 
 
 def random_flag_preserving(amb, rng, jumps) -> RingMatrix:
@@ -131,11 +138,9 @@ def test_classification_invariant_under_flag_base_change(amb3):
         g = random_flag_preserving(amb3, rng, jumps)
         M2 = fl_transport(M, g)
         assert fl_validate(M2)
-        c1, c2 = fl_classify(M), fl_classify(M2)
-        assert c1.etale == c2.etale
-        assert c1.multiplicative == c2.multiplicative
-        assert c1.unipotent.zero == c2.unipotent.zero
-        assert c1.nilpotent.zero == c2.nilpotent.zero
+        assert M2.jumps == M.jumps
+        assert fl_unipotent(M) == fl_unipotent(M2)
+        assert nilpotent(M) == nilpotent(M2)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])

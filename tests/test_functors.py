@@ -3,8 +3,8 @@ import random
 import pytest
 
 from flbreuil import serialize as SER
-from flbreuil.breuil import BreuilModule, breuil_classify, breuil_validate, fil_lower, rebase
-from flbreuil.campaign import roundtrip_breuil, roundtrip_fl
+from flbreuil.breuil import BreuilModule, breuil_unipotent, breuil_validate, fil_lower, rebase
+from flbreuil.campaign import roundtrip_breuil, roundtrip_fl, run_suite_seed
 from flbreuil.errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -12,7 +12,7 @@ from flbreuil.errors import (
     NotStrong,
     PrecisionExhausted,
 )
-from flbreuil.fl import FLModule, fl_classify, random_fl
+from flbreuil.fl import FLModule, fl_unipotent, random_fl
 from flbreuil.functors import (
     breuil_to_fl,
     embed_w_matrix,
@@ -282,7 +282,7 @@ def test_roundtrip_fl_rank_one(amb3):
     rng = random.Random(5)
     for s in range(amb3.r + 1):
         M = random_fl(amb3, rng, 1, (s,))
-        if amb3.r == amb3.p - 1 and not fl_classify(M).unipotent.zero:
+        if amb3.r == amb3.p - 1 and not fl_unipotent(M):
             rep = roundtrip_fl(M, allow_non_unipotent=True)
         else:
             rep = roundtrip_fl(M)
@@ -291,7 +291,7 @@ def test_roundtrip_fl_rank_one(amb3):
 
 def test_roundtrip_fl_swap_module(amb3):
     M = FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]]))
-    assert fl_classify(M).unipotent.zero
+    assert fl_unipotent(M)
     assert roundtrip_fl(M)["ok"]
 
 
@@ -587,7 +587,7 @@ def test_full_pipeline_with_nontrivial_residue_degree(amb9):
         sec = section_compute(B)
         assert sec.iterations == 0 and sec.exact and sec.f0_identity
         assert breuil_validate(B).all_true()
-        if not fl_classify(M).unipotent.zero:
+        if not fl_unipotent(M):
             assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
         else:
             assert roundtrip_fl(M)["ok"]
@@ -602,9 +602,10 @@ def test_degenerate_hodge_range(amb3):
     amb0 = AmbientParams(3, 0)
     rng = random.Random(13)
     M = random_fl(amb0, rng, 2)
-    c = fl_classify(M)
-    assert c.etale and c.multiplicative
-    assert not c.unipotent.zero and not c.nilpotent.zero
+    # every jump is 0 = r: etale and multiplicative, and V = Ftil^(-1) is
+    # invertible, so not unipotent
+    assert M.jumps == (0, 0)
+    assert not fl_unipotent(M)
     assert roundtrip_fl(M)["ok"]
 
 
@@ -615,6 +616,15 @@ def test_unipotence_preserved(amb3):
     for s in range(amb3.r + 1):
         mods.append(FLModule(amb3, 1, (s,), RingMatrix([[amb3.ring.one()]])))
     for M in mods:
-        flv = fl_classify(M).unipotent.zero
-        brv = breuil_classify(fl_to_breuil(M)).unipotent.zero
+        flv = fl_unipotent(M)
+        brv = breuil_unipotent(fl_to_breuil(M))
         assert flv == brv
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 2)])
+def test_unipotence_suite_at_r_zero(p, f):
+    # at r = 0 V = Ftil^(-1) is invertible, so no module is unipotent: the
+    # crafted swap module must come out not unipotent on both sides
+    for seed in (1, 2, 3):
+        recs = run_suite_seed({"p": p, "r": 0, "f": f}, "unipotence", seed, {})
+        assert [rec for rec in recs if not rec["ok"]] == []

@@ -9,7 +9,10 @@ identifier, or inside a quoted annotation.
 The dead-code check collects every identifier, attribute name and imported
 name of the kernel, the tests and the benchmark harness, and fails on a
 module-level ``def`` or ``class`` of the kernel, or a method of one of its
-classes other than a dunder, whose name is none of them.
+classes other than a dunder, whose name is none of them.  A second check
+pins the definitions that no kernel code references to an explicit list,
+each with its reason, so that a definition whose last kernel caller leaves
+fails loudly instead of living on as test-only API.
 
 Every CLI step is a fresh interpreter, so what ``import flbreuil.cli``
 loads is paid on each start: it must load neither the process pool, which
@@ -79,13 +82,15 @@ def _referenced(paths) -> set:
 
 def _definitions(tree):
     """The module-level defs and classes, and the methods of each class but
-    the dunders, which Python calls by protocol."""
+    the dunders, which Python calls by protocol: each node with its
+    qualified name (``Class.method`` for a method)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (item for item in node.body if isinstance(item, defs)
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, defs)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
@@ -95,10 +100,35 @@ def test_no_unreferenced_top_level_definition():
     unreferenced = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in sorted(SRC.glob("*.py"))
-        for node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        for _, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
         if node.name not in referenced
     ]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+# The kernel definitions that no kernel code references, and why each stays.
+NO_KERNEL_CALLER = {
+    "fl_transport": "flag-preserving base change, for the morphism and FL -> Kisin work "
+                    "(ROADMAP items 8 and 18)",
+    "to_u_divided": "the benchmark harness names it as a span",
+    "in_u_power_ideal": "tested against all_in_u_power_ideal, which the kernel calls",
+    "SigmaSeries.degree": "the tests read the degree of a series product",
+    "SigmaSeries.phi": "the benchmark harness names it as a span, and a Kisin-side Hom "
+                       "count needs it (ROADMAP item 8)",
+}
+
+
+def test_definitions_without_a_kernel_caller_are_listed():
+    referenced = _referenced(SRC.glob("*.py"))
+    unreferenced = {
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if node.name not in referenced
+    }
+    assert unreferenced == set(NO_KERNEL_CALLER), (
+        f"no kernel caller but not listed: {sorted(unreferenced - set(NO_KERNEL_CALLER))}; "
+        f"listed but called: {sorted(set(NO_KERNEL_CALLER) - unreferenced)}")
 
 
 def _fresh_modules(statement: str) -> set:

@@ -9,7 +9,6 @@ from flbreuil.functors import breuil_to_fl
 from flbreuil import kisin
 from flbreuil.kisin import (
     KisinModule,
-    kisin_classify,
     kisin_raw_fil_checker,
     kisin_to_breuil,
     random_gls,
@@ -94,17 +93,6 @@ def test_height_reference_agrees_with_the_normal_form(name, d_max, request):
         assert (K.A @ B).eq_at(Er, amb.N_p)
 
 
-def test_classify_examples(amb3):
-    I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
-    I2 = RingMatrix.identity(2, amb3.useries([]), amb3.useries([1]))
-    c = kisin_classify(KisinModule(amb3, I1, (2,), I1))
-    assert c.etale and not c.multiplicative and not c.unipotent.zero
-    c = kisin_classify(KisinModule(amb3, I1, (0,), I1), max_steps=25)
-    assert c.multiplicative and not c.etale and c.unipotent.zero
-    c = kisin_classify(KisinModule(amb3, I2, (0, 2), I2))
-    assert not c.etale and not c.multiplicative
-
-
 def normal_form_B(K):
     """B = Y^(-1) diag(E^(r - r_i)) X^(-1), built from the E powers
     directly, and E^r I: A B = E^r I when A has height <= r."""
@@ -122,11 +110,10 @@ def test_classify_reads_the_jumps(amb3, amb5):
         for d in (1, 2, 3):
             for jumps in ((0,) * d, (amb.r,) * d, None):
                 K = random_gls(amb, rng, d, jumps)
-                c = kisin_classify(K, max_steps=2)
                 B, Er = normal_form_B(K)
                 assert (K.A @ B).eq_at(Er, amb.N_p)
-                assert c.etale == B.residue_invertible()
-                assert c.multiplicative == K.A.residue_invertible()
+                assert all(j == amb.r for j in K.jumps) == B.residue_invertible()
+                assert all(j == 0 for j in K.jumps) == K.A.residue_invertible()
 
 
 def test_to_breuil_rank_one(amb3):

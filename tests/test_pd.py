@@ -21,7 +21,7 @@ from flbreuil.pd import (
     to_u_divided,
 )
 from flbreuil.ambient import AmbientParams
-from flbreuil.campaign import easylemma_holds
+from flbreuil.campaign import easylemma_holds, run_suite_seed
 from inverse_reference import newton_inverse
 from sampler_reference import pd_random_calibrated as ref_pd_random_calibrated
 
@@ -323,6 +323,15 @@ def test_easylemma_precision_boundary(amb3):
     assert fil_valuation(n_S(s), amb3.N_p) >= 1
     assert fil_valuation(s, amb3.N_p) == 1
     assert fil_valuation(s, amb3.N_p - 1) >= 2
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 4)])
+def test_easylemma_witness_at_one_digit(p, r):
+    # the witness coefficient p a of N(gamma_i) vanishes mod p, so the
+    # suite must read it at two digits even when N_p is 1
+    for seed in (1, 2, 3):
+        recs = run_suite_seed({"p": p, "r": r, "N_p": 1}, "easylemma", seed, {})
+        assert [rec for rec in recs if not rec["ok"]] == []
 
 
 # --- u-divided coordinates and ideal membership ---
