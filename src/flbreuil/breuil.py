@@ -1,10 +1,13 @@
 """Strongly divisible modules over the divided-power ring S.
 
-A module of rank d is presented by the Frobenius matrix Phi over S (in the
-normalisation phi, not the divided phi_r = phi / p^r), an optional
+A module of rank d is presented by the d x d Frobenius matrix Phi over S
+(in the normalisation phi, not the divided phi_r = phi / p^r), an optional
 monodromy matrix Nmat (the operator acts on coordinates by x -> Nmat x +
 N_S(x) applied entrywise), a basis change C into the adapted filtration
-basis, and jumps r_1 <= ... <= r_d.  The top filtration is
+basis, and jumps r_1 <= ... <= r_d; the constructor reads d off Phi and
+checks the other matrices and the jumps against it.  The divided Frobenius
+``phi_r_apply`` is Phi phi_S(x) divided exactly by p^r, on Fil^r alone.
+The top filtration is
 
     Fil^r = { C y : y_i has filtration valuation >= max(0, r - r_i) },
 
@@ -63,10 +66,9 @@ from .witt import PackedTable, WittScalar, trimmed
 
 
 class BreuilModule:
-    def __init__(self, amb, d: int, Phi: RingMatrix, Nmat: RingMatrix | None,
-                 C: RingMatrix, jumps):
+    def __init__(self, amb, Phi: RingMatrix, Nmat: RingMatrix | None, C: RingMatrix, jumps):
         self.amb = amb
-        self.d = d
+        self.d = d = Phi.rows
         self.Phi = Phi
         self.Nmat = Nmat
         self.C = C
@@ -411,7 +413,7 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     if B.Nmat is not None:
         nh = h.map_entries(n_S)
         Nmat_new = h_inv @ (B.Nmat @ h + nh)
-    out = BreuilModule(B.amb, B.d, Phi_new, Nmat_new, C_new, B.jumps)
+    out = BreuilModule(B.amb, Phi_new, Nmat_new, C_new, B.jumps)
     out._C_inv = B.C_inv @ h
     return out
 

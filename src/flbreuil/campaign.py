@@ -151,7 +151,7 @@ def suite_lemfil1(amb, rng, cfg):
                      griffiths=rep.griffiths, diagram=rep.diagram, cris=rep.cris,
                      instance=SER.to_json(M) if not rep.all_true() else None))
 
-    bad = FL.FLModule(amb, d, M.jumps, M.Ftil.mul_p_pow(1))
+    bad = FL.FLModule(amb, M.jumps, M.Ftil.mul_p_pow(1))
     rep_bad = BR.breuil_validate(FU.fl_to_breuil(bad))
     recs.append(_rec("mls-notstrong-detected", not rep_bad.strongly_divisible))
 
@@ -333,14 +333,12 @@ def suite_unipotence(amb, rng, cfg):
                      instance=SER.to_json(M) if not agree else None))
     ok = True
     for s in range(amb.r + 1):
-        M1 = FL.FLModule(amb, 1, (s,), RingMatrix([[amb.ring.one()]]))
+        M1 = FL.FLModule(amb, (s,), RingMatrix([[amb.ring.one()]]))
         agree, flv, brv = _unipotence_agrees(M1)
         ok &= agree
         ok &= flv == (s < amb.r)  # rank one: unipotent iff the jump is below r
-    swap = FL.FLModule(
-        amb, 2, (0, amb.r),
-        RingMatrix([[amb.w(0), amb.w(1)], [amb.w(1), amb.w(0)]]),
-    )
+    swap = FL.FLModule(amb, (0, amb.r),
+                       RingMatrix([[amb.w(0), amb.w(1)], [amb.w(1), amb.w(0)]]))
     agree, flv, brv = _unipotence_agrees(swap)
     # V = diag(p^r, 1) swap is unipotent (V^2 = p^r I) for r > 0; at r = 0 it
     # is the permutation itself, and no module is unipotent

@@ -30,8 +30,8 @@ from . import kisin as KI
 from . import serialize as SER
 from .ambient import shared_params
 from .breuil import BreuilModule
-from .errors import KernelError
-from .fl import FLModule, random_fl, random_jumps
+from .errors import KernelError, NotStrong
+from .fl import FLModule, fl_validate, random_fl, random_jumps
 from .kisin import KisinModule, random_gls
 
 
@@ -138,6 +138,8 @@ def cmd_apply(args) -> int:
         obj = SER.load(args.infile)
         if not isinstance(obj, FLModule):
             raise KernelError("apply mls expects an FLModule file")
+        if not fl_validate(obj):
+            raise NotStrong("apply mls expects a strong FL module (Ftil invertible)")
         out = FU.fl_to_breuil(obj)
     elif args.functor == "mfl":
         B = _load_breuil(args.infile, "apply mfl")

@@ -3,7 +3,8 @@
 A module of rank d is stored through its filtration jumps r_1 <= ... <= r_d
 (the basis vector e_i lies in Fil^{r_i} M but not Fil^{r_i+1} M) and the
 divided-Frobenius matrix Ftil over W(k), whose column i is phi_{r_i}(e_i) in
-the basis e.  The plain Frobenius phi = phi_0 then has matrix
+the basis e (d is the size of Ftil).  The plain Frobenius phi = phi_0 then
+has matrix
 
     F = Ftil * diag(p^{r_i}).
 
@@ -53,10 +54,10 @@ def random_jumps(amb, rng, d: int) -> tuple[int, ...]:
 
 
 class FLModule:
-    def __init__(self, amb, d: int, jumps, Ftil: RingMatrix):
+    def __init__(self, amb, jumps, Ftil: RingMatrix):
         self.amb = amb
-        self.d = d
-        self.jumps = check_jumps(amb, d, jumps, Ftil)
+        self.d = Ftil.rows
+        self.jumps = check_jumps(amb, self.d, jumps, Ftil)
         self.Ftil = Ftil
 
 
@@ -86,7 +87,7 @@ def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
                            for i in range(d)])
     except NotDivisible as exc:
         raise NotStrong(f"divided Frobenius is not integral: {exc}") from exc
-    return FLModule(amb, d, jumps, Ftil)
+    return FLModule(amb, jumps, Ftil)
 
 
 def fl_v_matrix(M: FLModule) -> RingMatrix:
@@ -114,7 +115,7 @@ def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
     while True:
         Ftil = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
         if Ftil.residue_invertible():
-            return FLModule(amb, d, jumps, Ftil)
+            return FLModule(amb, jumps, Ftil)
 
 
 def random_unipotent_fl(amb, rng, d: int) -> FLModule:

@@ -90,7 +90,6 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
     zero = pd_zero(amb)
     B = BreuilModule(
         amb=amb,
-        d=M.d,
         Phi=embed_w_matrix(amb, fl_frobenius_matrix(M)),
         Nmat=RingMatrix.zeros(M.d, M.d, zero),
         C=RingMatrix.identity(M.d, zero, pd_one(amb)),

@@ -70,7 +70,6 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     Phi = _embed_matrix(K.Y) @ phi_XL
     B = breuil_mod.BreuilModule(
         amb=amb,
-        d=K.d,
         Phi=Phi,
         Nmat=None,
         C=RingMatrix.identity(K.d, pd_zero(amb), pd_one(amb)),

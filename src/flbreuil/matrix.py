@@ -128,9 +128,6 @@ class RingMatrix:
             return RingMatrix([[] for _ in self.entries])
         return RingMatrix(self.entries[0][0].matmul(self.entries, bt))
 
-    def scale(self, scalar) -> "RingMatrix":
-        return self.map_entries(lambda x: x * scalar)
-
     def matvec(self, vec):
         """The product with a column vector."""
         if len(vec) != self.cols:

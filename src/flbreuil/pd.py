@@ -21,11 +21,11 @@ public precision N_p:
   * Fil^j S is the span of gamma_i with i >= j, so filtration valuation is
     the index of the first coefficient that is nonzero at precision; the
     tests read only the indices below j <= r.
-  * phi(gamma_i) = (p^i / i!) * c^i with c = phi(E)/p = (u^p + p*sigma(a))/p,
-    and the divided Frobenius phi_j = phi / p^j is computed without any
-    division because v_p(p^i/i!) >= j for every index i >= j in range.  For
-    i >= N_gamma, v_p(p^i/i!) > i(p-2)/(p-1) >= N_p + r
-    (``ambient.min_N_gamma``), so phi_j of the tail lies in p^N_p S.
+  * phi(gamma_i) = (p^i / i!) * c^i with c = phi(E)/p = (u^p + p*sigma(a))/p.
+    For i >= N_gamma, v_p(p^i/i!) > i(p-2)/(p-1) >= N_p + r
+    (``ambient.min_N_gamma``), so phi of the tail lies in p^(N_p + r) S
+    and the divided Frobenius phi_r = phi / p^r of it (one exact division,
+    ``breuil.phi_r_apply``) in p^N_p S.
   * N(gamma_i) = -i*gamma_i + p*a*gamma_{i-1}, from N(u) = -u and the
     Leibniz rule.  The dropped tail reaches only the top coefficient
     (index N_gamma - 1) of N, which ``eq_at`` skips on a tail_dirty
@@ -80,7 +80,7 @@ m >= n.  Both transforms are exact, so the test costs no precision.
 
 from __future__ import annotations
 
-from .errors import DegreeOverflow, NotInFil
+from .errors import DegreeOverflow
 from .series import SigmaSeries
 from .witt import FlatVector, WittScalar, trimmed
 
@@ -229,55 +229,43 @@ def fil_valuation(x: PDElement, at: int | None = None) -> int:
     return x.amb.N_gamma
 
 
-def _phi_input(x: PDElement, j: int) -> tuple:
+def _phi_input(x: PDElement) -> tuple:
     """The input of the table behind ``phi_S``: the planes of the scalars
-    s_i = sigma(x_i) * p^(i - v_p(i!) - j) mod p^k, cut after the last
+    s_i = sigma(x_i) * p^(i - v_p(i!)) mod p^k, cut after the last
     contributing index, and that index (-1 when none is).  An index
     contributes when its coefficient is nonzero and its exponent is below
-    k.  Every exponent from index j on is nonnegative: i - v_p(i!) is
-    i - j >= 0 below p and at least p - 1 >= r >= j from p on, as
-    v_p(i!) <= (i - 1)/(p - 1)."""
+    k; every exponent is nonnegative, as v_p(i!) <= i."""
     amb = x.amb
-    if j < 0 or j > amb.r:
-        raise NotInFil(f"divided Frobenius index {j} outside [0, {amb.r}]")
-    if j > 0 and fil_valuation(x) < j:
-        raise NotInFil(f"element has filtration valuation {fil_valuation(x)} < {j}")
     k, ring, vfact = x.prec, amb.ring, amb.vfact
     pk, mod = ring.pk, ring.pk[k]
-    top = next((i for i in range(len(x.planes[0]) - 1, j - 1, -1)
-                if i - vfact[i] - j < k and any(pl[i] for pl in x.planes)), -1)
-    # the indices below j are zero: their exponents i - j are negative
-    scale = [pk[e] if 0 <= e < k else 0 for e in (i - vfact[i] - j for i in range(top + 1))]
+    top = next((i for i in range(len(x.planes[0]) - 1, -1, -1)
+                if i - vfact[i] < k and any(pl[i] for pl in x.planes)), -1)
+    scale = [pk[e] if e < k else 0 for e in (i - vfact[i] for i in range(top + 1))]
     return [[c * q % mod for c, q in zip(pl, scale)]
             for pl in ring.frobenius_planes(x.planes, k)], top
 
 
-def phi_S(x: PDElement, j: int = 0) -> PDElement:
-    """Divided Frobenius phi_j = phi / p^j on Fil^j: the list of one of
-    ``phi_S_all``."""
-    return phi_S_all([x], j)[0]
+def phi_S(x: PDElement) -> PDElement:
+    """Frobenius phi of S: the list of one of ``phi_S_all``."""
+    return phi_S_all([x])[0]
 
 
-def phi_S_all(xs, j: int = 0) -> list:
-    """Divided Frobenius phi_j = phi / p^j on Fil^j of every element of the
-    list xs, computed termwise by one apply of the context's table to all
-    of them.
+def phi_S_all(xs) -> list:
+    """Frobenius phi of every element of the list xs, computed termwise by
+    one apply of the context's table to all of them.
 
-    Uses phi(gamma_i) = (p^i / i!) c^i; the power p^(i - v_p(i!) - j) is a
-    nonnegative shift for every i >= j with j <= r, so nothing is divided.
-    Coefficients below index j are required to vanish at the value's own
-    precision and are treated as exactly zero.
-
-    The scalars s_i = sigma(x_i) * p^(i - v_p(i!) - j), reduced mod p^k,
-    are the input of the context's table of unit(i!)^-1 * c^i
-    (``AmbientParams.c_table``).  An image is tail_dirty when x is or
-    when the column of the last contributing index is: c^i = c^(i-1)*c
-    keeps the flag of its factor, and so does the unit factor, so that
-    column's flag is the flag of every contributing one.
+    Uses phi(gamma_i) = (p^i / i!) c^i: the scalars
+    s_i = sigma(x_i) * p^(i - v_p(i!)), reduced mod p^k, are the input of
+    the context's table of unit(i!)^-1 * c^i (``AmbientParams.c_table``).
+    An image is tail_dirty when x is or when the column of the last
+    contributing index is: c^i = c^(i-1)*c keeps the flag of its factor,
+    and so does the unit factor, so that column's flag is the flag of
+    every contributing one.  The divided Frobenius phi_r = phi / p^r on
+    Fil^r is this image divided exactly by p^r (``breuil.phi_r_apply``).
     """
     if not xs:
         return []
-    inputs = [_phi_input(x, j) for x in xs]
+    inputs = [_phi_input(x) for x in xs]
     table = xs[0].amb.c_table
     outs = table.apply([planes for planes, _ in inputs], [x.prec for x in xs])
     return [PDElement(x.amb, (), x.tail_dirty or (top >= 0 and table.dirty[top]), x.prec, out)

@@ -260,8 +260,11 @@ def from_json(doc: dict):
     data = doc["data"]
     if kind == "FLModule":
         _expect(data, ("d", "jumps", "Ftil"))
-        return FLModule(amb, _int(data["d"], "d"), _jumps(data),
-                        matrix_from_json(amb, "witt", data["Ftil"]))
+        d, jumps = _int(data["d"], "d"), _jumps(data)
+        Ftil = matrix_from_json(amb, "witt", data["Ftil"])
+        # the document's rank is checked before the constructor reads it off Ftil
+        check_jumps(amb, d, jumps, Ftil)
+        return FLModule(amb, jumps, Ftil)
     if kind == "KisinModule":
         _expect(data, ("d", "A", "gls"))
         gls = data["gls"]
@@ -279,14 +282,12 @@ def from_json(doc: dict):
     if kind == "BreuilModule":
         _expect(data, ("d", "Phi", "Nmat", "C", "jumps"))
         nmat = None if data["Nmat"] is None else matrix_from_json(amb, "pd", data["Nmat"])
-        return BreuilModule(
-            amb,
-            _int(data["d"], "d"),
-            matrix_from_json(amb, "pd", data["Phi"]),
-            nmat,
-            matrix_from_json(amb, "pd", data["C"]),
-            _jumps(data),
-        )
+        d = _int(data["d"], "d")
+        Phi, C = (matrix_from_json(amb, "pd", data[k]) for k in ("Phi", "C"))
+        jumps = _jumps(data)
+        # the document's rank is checked before the constructor reads it off Phi
+        check_jumps(amb, d, jumps, *(M for M in (Phi, nmat, C) if M is not None))
+        return BreuilModule(amb, Phi, nmat, C, jumps)
     raise SchemaMismatch(f"unknown kind {kind!r}")
 
 

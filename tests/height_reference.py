@@ -115,7 +115,8 @@ def berkowitz_scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
         except PrecisionExhausted:
             raise SingularMatrix("determinant vanishes at working precision") from None
         t += 1
-    num = adj.scale(det.invert())
+    u = det.invert()
+    num = adj.map_entries(lambda x: x * u)
     if scale_pow >= t:
         return num.mul_p_pow(scale_pow - t)
     return num.map_entries(lambda x: x.div_p_exact(t - scale_pow))

@@ -38,7 +38,7 @@ from flbreuil.pd import (
 
 def rank1(amb, jump, phi_scalar, nmat=None):
     return BreuilModule(
-        amb, 1,
+        amb,
         RingMatrix([[pd_from_scalar(amb, phi_scalar)]]),
         nmat,
         RingMatrix.identity(1, pd_zero(amb), pd_one(amb)),
@@ -99,7 +99,7 @@ def test_phi_r_examples(amb3):
     for s in range(r):
         Bs = rank1(amb3, s, amb3.w(3**s))
         out = phi_r_apply(Bs, (pd_gamma(amb3, r - s),))
-        expect = phi_S(pd_gamma(amb3, r - s), r - s)
+        expect = phi_S(pd_gamma(amb3, r - s)).div_p_exact(r - s)
         assert out[0].eq_at(expect, amb3.N_p)
         assert out[0].is_unit()
     # E^r times a basis vector maps to c^r times the Frobenius column
@@ -134,7 +134,7 @@ def test_phi_r_semilinearity(amb3):
         s = PDElement(amb3, [amb3.ring.zero()] * r + list(body.coeffs[:6]))
         x = random_vector(B, rng, 5)
         lhs = phi_r_apply(B, tuple(s * xi for xi in x))
-        phirs = phi_S(s, r)
+        phirs = phi_S(s).div_p_exact(r)
         closed = tuple(phirs * yi for yi in phi_module(B, x))
         defining = tuple(c_inv_r * phirs * yi
                          for yi in phi_r_apply(B, tuple(Er * xi for xi in x)))
@@ -149,9 +149,21 @@ def test_validate_on_base_change_images(amb3):
     M = random_fl(amb3, rng, 2)
     rep = breuil_validate(fl_to_breuil(M))
     assert rep.all_true()
-    bad = FLModule(amb3, 2, M.jumps, M.Ftil.mul_p_pow(1))
+    bad = FLModule(amb3, M.jumps, M.Ftil.mul_p_pow(1))
     rep = breuil_validate(fl_to_breuil(bad))
     assert not rep.strongly_divisible
+
+
+def test_griffiths_fails_when_N_leaves_fil_r_minus_1(amb3):
+    # N(e_1) = u e_0 with jumps (0, 2): e_1 lies in Fil^2, but E N(e_1) =
+    # E u e_0 = (2 gamma_2 - p a gamma_1) e_0 lies in Fil^1 and not in
+    # Fil^2, so N(Fil^r) is not inside Fil^(r-1); a test that reads E N(g)
+    # at step r - 1 instead of r passes this module
+    B0 = fl_to_breuil(random_fl(amb3, random.Random(1), 2, (0, 2)))
+    z, u = pd_zero(amb3), amb3.u_pow(1)
+    B = BreuilModule(amb3, B0.Phi, RingMatrix([[z, u], [z, z]]), B0.C, B0.jumps)
+    assert tuple(breuil_validate(B)) == (True, False, False, True)
+    assert fil_level(B, (u * pd_gamma(amb3, 1), z)) == 1
 
 
 def test_validate_cris_detects_constant_monodromy(amb3):

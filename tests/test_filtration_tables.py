@@ -198,8 +198,7 @@ def test_descent_table_matches_the_chain(request, name, d):
     h = random_congruent_identity(amb, rng, d)
     B = rebase(fl_to_breuil(M), h)
     # the same module with Nmat's rows known to different precisions
-    Bn = BreuilModule(amb, d, B.Phi, rows_truncated(B.Nmat, rng) if d else B.Nmat,
-                      B.C, B.jumps)
+    Bn = BreuilModule(amb, B.Phi, rows_truncated(B.Nmat, rng) if d else B.Nmat, B.C, B.jumps)
     basis = fpi_matrix(h)
     bases = [None, basis] + ([rows_truncated(basis, rng)] if d else [])
     # zero tests at and just above the precisions of Nmat's rows separate

@@ -28,16 +28,16 @@ def nilpotent(M):
 
 
 def test_validate_examples(amb3):
-    assert fl_validate(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))
-    assert not fl_validate(FLModule(amb3, 1, (0,), wmat(amb3, [[3]])))
-    assert fl_validate(FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
+    assert fl_validate(FLModule(amb3, (1,), wmat(amb3, [[1]])))
+    assert not fl_validate(FLModule(amb3, (0,), wmat(amb3, [[3]])))
+    assert fl_validate(FLModule(amb3, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
 
 
 def test_malformed_jumps(amb3):
     with pytest.raises(MalformedJumps):
-        FLModule(amb3, 2, (2, 0), wmat(amb3, [[1, 0], [0, 1]]))
+        FLModule(amb3, (2, 0), wmat(amb3, [[1, 0], [0, 1]]))
     with pytest.raises(MalformedJumps):
-        FLModule(amb3, 1, (3,), wmat(amb3, [[1]]))
+        FLModule(amb3, (3,), wmat(amb3, [[1]]))
 
 
 def test_non_integer_jumps_are_malformed(amb3):
@@ -45,8 +45,8 @@ def test_non_integer_jumps_are_malformed(amb3):
     Ftil = wmat(amb3, [[1, 0], [0, 1]])
     for jumps in ((0.7, 1.9), (0, 1.0), (False, True), ("0", "1")):
         with pytest.raises(MalformedJumps, match="must be integers"):
-            FLModule(amb3, 2, jumps, Ftil)
-    assert FLModule(amb3, 2, [0, 1], Ftil).jumps == (0, 1)
+            FLModule(amb3, jumps, Ftil)
+    assert FLModule(amb3, [0, 1], Ftil).jumps == (0, 1)
 
 
 def test_negative_rank_is_malformed(amb3):
@@ -59,13 +59,13 @@ def test_negative_rank_is_malformed(amb3):
 
 def test_v_matrix_examples(amb3):
     # rank 1, jump 1, r = 2: F = V = (p)
-    M = FLModule(amb3, 1, (1,), wmat(amb3, [[1]]))
+    M = FLModule(amb3, (1,), wmat(amb3, [[1]]))
     assert fl_frobenius_matrix(M).eq_at(wmat(amb3, [[3]]), amb3.cap)
     assert fl_v_matrix(M).eq_at(wmat(amb3, [[3]]), amb3.cap)
-    M = FLModule(amb3, 2, (0, 2), wmat(amb3, [[1, 0], [0, 1]]))
+    M = FLModule(amb3, (0, 2), wmat(amb3, [[1, 0], [0, 1]]))
     assert fl_frobenius_matrix(M).eq_at(wmat(amb3, [[1, 0], [0, 9]]), amb3.cap)
     assert fl_v_matrix(M).eq_at(wmat(amb3, [[9, 0], [0, 1]]), amb3.cap)
-    V = fl_v_matrix(FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
+    V = fl_v_matrix(FLModule(amb3, (0, 2), wmat(amb3, [[0, 1], [1, 0]])))
     assert V.eq_at(wmat(amb3, [[0, 9], [1, 0]]), amb3.cap)
 
 
@@ -82,14 +82,14 @@ def test_fv_is_p_to_r(amb3, amb5):
 
 def test_v_matrix_needs_strong(amb3):
     with pytest.raises(NotStrong):
-        fl_v_matrix(FLModule(amb3, 1, (0,), wmat(amb3, [[3]])))
+        fl_v_matrix(FLModule(amb3, (0,), wmat(amb3, [[3]])))
 
 
 def test_classify_examples(amb3):
     # etale (jump r) is not unipotent; jump 1 and the swap module are
-    assert not fl_unipotent(FLModule(amb3, 1, (amb3.r,), wmat(amb3, [[1]])))
-    assert fl_unipotent(FLModule(amb3, 1, (1,), wmat(amb3, [[1]])))
-    swap = FLModule(amb3, 2, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]]))
+    assert not fl_unipotent(FLModule(amb3, (amb3.r,), wmat(amb3, [[1]])))
+    assert fl_unipotent(FLModule(amb3, (1,), wmat(amb3, [[1]])))
+    swap = FLModule(amb3, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]]))
     assert fl_unipotent(swap) and nilpotent(swap)
 
 

@@ -44,7 +44,7 @@ def wmat(amb, rows):
 # --- forward functor ---
 
 def test_fl_to_breuil_rank_one(amb3):
-    M = FLModule(amb3, 1, (1,), wmat(amb3, [[1]]))
+    M = FLModule(amb3, (1,), wmat(amb3, [[1]]))
     B = fl_to_breuil(M)
     assert B.Phi.entries[0][0].eq_at(pd_from_scalar(amb3, amb3.w(3)), amb3.cap)
     assert B.jumps == (1,)
@@ -57,7 +57,7 @@ def test_fl_to_breuil_strongness_equivalence(amb3):
     for _ in range(10):
         M = random_fl(amb3, rng, 2)
         assert breuil_validate(fl_to_breuil(M)).strongly_divisible
-        bad = FLModule(amb3, 2, M.jumps, M.Ftil.mul_p_pow(1))
+        bad = FLModule(amb3, M.jumps, M.Ftil.mul_p_pow(1))
         assert not breuil_validate(fl_to_breuil(bad)).strongly_divisible
 
 
@@ -117,7 +117,7 @@ def test_section_rejects_bad_constant_matrix(amb3):
     from flbreuil.breuil import BreuilModule
 
     B = BreuilModule(
-        amb3, 1,
+        amb3,
         RingMatrix([[pd_from_scalar(amb3, amb3.w(3 ** (amb3.r + 1)))]]),
         None, RingMatrix.identity(1, pd_zero(amb3), pd_one(amb3)), (0,),
     )
@@ -185,7 +185,7 @@ def test_section_of_an_unflagged_non_constant_module_is_not_cut(amb3, k):
     # no tail_dirty flag, which a cut run cannot vouch for, so the run
     # with prec ends without a cut and keeps the full precision
     a = (pd_one(amb3) + pd_gamma(amb3, 1, amb3.w(3 ** k))).mul_p_pow(1)
-    B = BreuilModule(amb3, 1, RingMatrix([[a]]), None, RingMatrix([[pd_one(amb3)]]), (1,))
+    B = BreuilModule(amb3, RingMatrix([[a]]), None, RingMatrix([[pd_one(amb3)]]), (1,))
     full = section_compute(B)
     cut = section_compute(B, prec=amb3.N_p)
     assert not full.Bmat.entries[0][0].tail_dirty
@@ -290,7 +290,7 @@ def test_roundtrip_fl_rank_one(amb3):
 
 
 def test_roundtrip_fl_swap_module(amb3):
-    M = FLModule(amb3, 2, (0, 2), wmat(amb3, [[0, 1], [1, 0]]))
+    M = FLModule(amb3, (0, 2), wmat(amb3, [[0, 1], [1, 0]]))
     assert fl_unipotent(M)
     assert roundtrip_fl(M)["ok"]
 
@@ -306,7 +306,7 @@ def test_roundtrip_fl_random(amb5):
 
 
 def test_roundtrip_fl_enforces_unipotence_at_top(amb3):
-    M = FLModule(amb3, 1, (amb3.r,), wmat(amb3, [[1]]))  # etale, not unipotent
+    M = FLModule(amb3, (amb3.r,), wmat(amb3, [[1]]))  # etale, not unipotent
     with pytest.raises(NotStrong):
         roundtrip_fl(M)
     assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
@@ -612,9 +612,9 @@ def test_degenerate_hodge_range(amb3):
 def test_unipotence_preserved(amb3):
     rng = random.Random(11)
     mods = [random_fl(amb3, rng, rng.randrange(1, 3)) for _ in range(10)]
-    mods.append(FLModule(amb3, 2, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]])))
+    mods.append(FLModule(amb3, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]])))
     for s in range(amb3.r + 1):
-        mods.append(FLModule(amb3, 1, (s,), RingMatrix([[amb3.ring.one()]])))
+        mods.append(FLModule(amb3, (s,), RingMatrix([[amb3.ring.one()]])))
     for M in mods:
         flv = fl_unipotent(M)
         brv = breuil_unipotent(fl_to_breuil(M))

@@ -6,13 +6,17 @@ A stdlib stand-in for a linter's unused-import rule: ``ast`` walks each
 ``from __future__`` imports.  A name counts as used when it appears as an
 identifier, or inside a quoted annotation.
 
-The dead-code check collects every identifier, attribute name and imported
-name of the kernel, the tests and the benchmark harness, and fails on a
-module-level ``def`` or ``class`` of the kernel, or a method of one of its
-classes other than a dunder, whose name is none of them.  A second check
-pins the definitions that no kernel code references to an explicit list,
-each with its reason, so that a definition whose last kernel caller leaves
-fails loudly instead of living on as test-only API.
+The dead-code check collects the names by which the kernel, the tests and
+the benchmark harness can call a definition, and fails on a module-level
+``def`` or ``class`` of the kernel, or a method of one of its classes other
+than a dunder, that none of them names.  A module-level definition is
+named by a bare identifier, an imported name or an access on a kernel
+module (``SER.dumps``); a method only by an attribute access on anything
+but a kernel or stdlib module; an access on a stdlib module
+(``json.dumps``) names nothing.  A second check pins the definitions that
+no kernel code names to an explicit list, each with its reason, so that a
+definition whose last kernel caller leaves fails loudly instead of living
+on as test-only API.
 
 Every CLI step is a fresh interpreter, so what ``import flbreuil.cli``
 loads is paid on each start: it must load neither the process pool, which
@@ -66,18 +70,59 @@ def test_no_unused_import(path):
     assert not unused, f"{path.name}: imported but never used: {unused}"
 
 
-def _referenced(paths) -> set:
-    """Every Name id, Attribute attr and import alias in these files."""
-    out = set()
+KERNEL_MODULES = {p.stem for p in MODULES}
+
+
+def _module_names(tree) -> tuple[set, set]:
+    """The names an import binds to a kernel module (``from . import pd as
+    P``, ``from flbreuil import serialize as SER``, the package itself)
+    and those it binds to a stdlib module (``import json``)."""
+    kernel, stdlib = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top in sys.stdlib_module_names:
+                    stdlib.add(alias.asname or top)
+                elif top == "flbreuil":
+                    kernel.add(alias.asname or top)
+        elif isinstance(node, ast.ImportFrom) and (node.level, node.module) in \
+                ((1, None), (0, "flbreuil")):
+            kernel.update(a.asname or a.name for a in node.names if a.name in KERNEL_MODULES)
+    return kernel, stdlib
+
+
+def _is_module(node, names: set, submodules=None) -> bool:
+    """Whether the expression names a module bound in ``names``, or a
+    submodule of one (``flbreuil.cli``, ``os.path``) whose name is in
+    ``submodules`` when that is given."""
+    if isinstance(node, ast.Attribute):
+        return (submodules is None or node.attr in submodules) and \
+            _is_module(node.value, names, submodules)
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _referenced(paths) -> tuple[set, set]:
+    """The names these files can call a definition by: for a module-level
+    definition, every bare name, imported name and access on a kernel
+    module; for a method, every attribute access on anything but a kernel
+    or stdlib module.  An access on a stdlib module (``json.dumps``) names
+    neither."""
+    top, methods = set(), set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernel, stdlib = _module_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                top.add(node.id)
             elif isinstance(node, ast.alias):
-                out.update(n for n in (node.name, node.asname) if n)
-    return out
+                top.update(n for n in (node.name, node.asname) if n)
+            elif isinstance(node, ast.Attribute):
+                if _is_module(node.value, kernel, KERNEL_MODULES):
+                    top.add(node.attr)
+                elif not _is_module(node.value, stdlib):
+                    methods.add(node.attr)
+    return top, methods
 
 
 def _definitions(tree):
@@ -94,15 +139,21 @@ def _definitions(tree):
                         and not (item.name.startswith("__") and item.name.endswith("__")))
 
 
-def test_no_unreferenced_top_level_definition():
-    referenced = _referenced([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                              *(ROOT / "perfbench").glob("*.py")])
-    unreferenced = [
-        f"{path.name}:{node.lineno} {node.name}"
+def _unreferenced(paths) -> dict:
+    """The kernel definitions that no name in these files can call, each
+    qualified name with its location."""
+    top, methods = _referenced(paths)
+    return {
+        name: f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        for _, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
-        if node.name not in referenced
-    ]
+        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if node.name not in (methods if "." in name else top)
+    }
+
+
+def test_no_unreferenced_top_level_definition():
+    unreferenced = _unreferenced([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                                  *(ROOT / "perfbench").glob("*.py")])
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
 
 
@@ -113,19 +164,14 @@ NO_KERNEL_CALLER = {
     "to_u_divided": "the benchmark harness names it as a span",
     "in_u_power_ideal": "tested against all_in_u_power_ideal, which the kernel calls",
     "SigmaSeries.degree": "the tests read the degree of a series product",
+    "dumps": "the inverse of loads, and the round-trip tests go through it",
     "SigmaSeries.phi": "the benchmark harness names it as a span, and a Kisin-side Hom "
                        "count needs it (ROADMAP item 8)",
 }
 
 
 def test_definitions_without_a_kernel_caller_are_listed():
-    referenced = _referenced(SRC.glob("*.py"))
-    unreferenced = {
-        name
-        for path in sorted(SRC.glob("*.py"))
-        for name, node in _definitions(ast.parse(path.read_text(), filename=str(path)))
-        if node.name not in referenced
-    }
+    unreferenced = set(_unreferenced(SRC.glob("*.py")))
     assert unreferenced == set(NO_KERNEL_CALLER), (
         f"no kernel caller but not listed: {sorted(unreferenced - set(NO_KERNEL_CALLER))}; "
         f"listed but called: {sorted(set(NO_KERNEL_CALLER) - unreferenced)}")

@@ -3,7 +3,7 @@
 The references multiply coefficient by coefficient with ``WittScalar``
 arithmetic, reading elements only through their scalar coefficients:
 the gamma product with the binomial table, the series product, the
-derivation n_S, the divided Frobenius phi_S (with its own powers of c), the
+derivation n_S, the Frobenius phi_S (with its own powers of c), the
 u-divided coordinates and the embedding of the series ring.  Inputs
 are drawn by hypothesis at f = 1 (p = 3 and p = 5), f = 2 and f = 3, with
 independent precisions and supports, so that products cross the gamma
@@ -70,11 +70,10 @@ def draw_scalars(draw, amb, n, prec):
             for _ in range(n)]
 
 
-def draw_pd(draw, amb, min_index=0):
+def draw_pd(draw, amb):
     prec = draw(st.integers(1, amb.cap))
     n = draw(st.integers(0, amb.N_gamma))
     coeffs = draw_scalars(draw, amb, n, prec)
-    coeffs[:min_index] = [amb.ring.zero(prec)] * min(min_index, n)
     return PDElement(amb, coeffs, draw(st.booleans()))
 
 
@@ -166,17 +165,17 @@ def ref_c_pow(amb, i):
     return PDElement(amb, out, dirty, k)
 
 
-def ref_phi_S(x, j):
+def ref_phi_S(x):
     amb = x.amb
     k = x.prec
     out = [amb.ring.zero(k)] * amb.N_gamma
     dirty = x.tail_dirty
     xs = x.coeffs
-    for i in range(j, x.support()):
+    for i in range(x.support()):
         b = xs[i]
         if not any(b.coeffs):
             continue
-        e = i - amb.vfact[i] - j
+        e = i - amb.vfact[i]
         if e >= k:
             continue
         cp = ref_c_pow(amb, i)
@@ -257,9 +256,8 @@ def test_n_S_matches_schoolbook(amb, data):
 @SETTINGS
 @given(data=st.data())
 def test_phi_S_matches_schoolbook(amb, data):
-    j = data.draw(st.integers(0, amb.r))
-    x = draw_pd(data.draw, amb, min_index=j)
-    assert_pd(phi_S(x, j), *ref_phi_S(x, j))
+    x = draw_pd(data.draw, amb)
+    assert_pd(phi_S(x), *ref_phi_S(x))
 
 
 @SETTINGS
@@ -488,10 +486,9 @@ def test_phi_S_at_the_slot_width_bound(f):
     for table in (amb.c_table, amb.u_table, amb.u_div_table, amb.f0_table):
         assert table.width == slot_width(amb, 1, amb.N_gamma, 1)
     top = ring.make([ring.pk[amb.cap] - 1] * f)
-    for j in (0, amb.r):
-        x = PDElement(amb, [ring.zero()] * j + [top] * (amb.N_gamma - j))
-        out, k, dirty = ref_phi_S(x, j)
-        assert pd_state(phi_S(x, j)) == pd_state(PDElement(amb, out, dirty, k))
+    x = PDElement(amb, [top] * amb.N_gamma)
+    out, k, dirty = ref_phi_S(x)
+    assert pd_state(phi_S(x)) == pd_state(PDElement(amb, out, dirty, k))
 
 
 @pytest.mark.parametrize("f", [2, 3])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flbreuil.errors import DegreeOverflow, NotInFil
+from flbreuil.errors import DegreeOverflow
 from flbreuil.pd import (
     PDElement,
     embed_sigma,
@@ -162,19 +162,12 @@ def test_pa_div_fact_from_running_powers_is_square_and_multiply(kw):
 def test_phi_examples(amb3):
     assert ints(phi_S(pd_gamma(amb3, 0))) == [1, 0, 0, 0, 0, 0]
     assert ints(phi_S(pd_gamma(amb3, 1))) == [24, 27, 18, 6, 0, 0]
-    assert ints(phi_S(pd_gamma(amb3, 1), 1)) == [8, 9, 6, 2, 0, 0]
+    assert ints(phi_S(pd_gamma(amb3, 1)).div_p_exact(1)) == [8, 9, 6, 2, 0, 0]
 
 
 def test_phi_c_consistency(amb3):
     # phi(E) = p*c and phi_1(E) = c
-    assert phi_S(pd_gamma(amb3, 1), 1).eq_at(amb3.c, amb3.cap)
-
-
-def test_phi_needs_filtration(amb3):
-    with pytest.raises(NotInFil):
-        phi_S(pd_one(amb3), 1)
-    with pytest.raises(NotInFil):
-        phi_S(pd_gamma(amb3, 2), amb3.r + 1)
+    assert phi_S(pd_gamma(amb3, 1)).div_p_exact(1).eq_at(amb3.c, amb3.cap - 1)
 
 
 def test_phi_multiplicative(amb3):

@@ -233,6 +233,22 @@ def test_cli_mfl_refuses_ftil_below_N_p(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "below N_p" in err[0]
 
 
+def test_cli_mls_refuses_a_module_that_is_not_strong(tmp_path, capsys):
+    # Ftil = 0 is not invertible: its image would not be strongly divisible
+    m, out = tmp_path / "m.json", tmp_path / "b.json"
+    assert main(["gen", "fl", "--d", "2", "--out", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    for row in doc["data"]["Ftil"]["entries"]:
+        for entry in row:
+            entry["coeffs"] = ["0"]
+    m.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["apply", "mls", "--in", str(m), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: apply mls expects a strong FL module (Ftil invertible)"]
+
+
 def test_cli_section_suite_error_names_the_class(tmp_path):
     rep = tmp_path / "rep.jsonl"
     code = main(["verify", "--suite", "section", "--p", "5", "--r", "4", "--headroom", "12",
@@ -498,6 +514,13 @@ def _resize(name, rows, cols):
     return edit
 
 
+def _rank(d):
+    """A document edit: the stated rank becomes d."""
+    def edit(doc):
+        doc["data"]["d"] = d
+    return edit
+
+
 @pytest.mark.parametrize("kind, verb, edit", [
     ("breuil-from-fl", ["apply", "mfl"], _resize("Nmat", 3, 2)),
     ("breuil-from-fl", ["section"], _resize("Nmat", 3, 2)),
@@ -506,8 +529,10 @@ def _resize(name, rows, cols):
     ("kisin-gls", ["section"], _resize("A", 1, 1)),
     ("kisin-gls", ["apply", "mfl", "--adjoin-zero-n"], _resize("A", 1, 1)),
     ("kisin-gls", ["section"], _resize("gls.X", 3, 3)),
+    ("fl", ["apply", "mls"], _rank(3)),
+    ("breuil-from-fl", ["section"], _rank(1)),
 ], ids=["Nmat-3x2-mfl", "Nmat-3x2-section", "Nmat-1x1-mfl", "Nmat-1x1-section",
-        "A-1x1-section", "A-1x1-mfl", "X-3x3-section"])
+        "A-1x1-section", "A-1x1-mfl", "X-3x3-section", "d-3-mls", "d-1-section"])
 def test_cli_matrix_not_of_the_rank_is_a_usage_error(tmp_path, capsys, kind, verb, edit):
     src = tmp_path / "in.json"
     out = tmp_path / "out.json"
@@ -569,7 +594,7 @@ def test_cli_rank_zero_kisin_module_passes_section_and_mfl(tmp_path, kind):
 
 def test_fl_module_stores_checked_jumps(amb3):
     M = random_fl(amb3, random.Random(11), 2, (0, 1))
-    assert FLModule(amb3, 2, [0, 1], M.Ftil).jumps == (0, 1)
+    assert FLModule(amb3, [0, 1], M.Ftil).jumps == (0, 1)
 
 
 def test_kisin_module_checks_its_normal_form(amb3):

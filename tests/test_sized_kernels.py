@@ -218,13 +218,9 @@ def test_matrix_maps_are_the_entrywise_maps(name, request):
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert [list(map(_state, r)) for r in got.entries] == \
             [list(map(_state, r)) for r in want.entries]
-    # a map of constants only, and the divided Frobenius phi_j on Fil^j
+    # a map of constants only
     consts = [x for x in xs if x.support() <= 1]
     assert list(map(_state, phi_S_all(consts))) == [_state(phi_S(x)) for x in consts]
-    j = amb.r
-    fil = [PDElement(amb, [amb.ring.zero(x.prec)] * j + list(x.coeffs[j:]), x.tail_dirty,
-                     x.prec) for x in xs]
-    assert list(map(_state, phi_S_all(fil, j))) == [_state(phi_S(x, j)) for x in fil]
     assert phi_S_all([]) == [] and embed_sigma_all([]) == []
     # the embedding: zero, constant and short series at mixed precisions,
     # and series past N_gamma, which embed_sigma splits
