@@ -10,11 +10,10 @@ operands.  A product of rows with one vector (``matvec``) is the fused
 ``dot`` per entry.  A product of two matrices (``@``) is ``matmul``: over
 W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
 kernel ``FlatVector._matmul_planes`` (in the one packed layout of
-``witt``, with the inner products paired by ``witt._packed_matmul`` when
-that needs fewer digit products), equal to ``dot`` in planes, precision
-and tail_dirty flag.  ``dot`` stays its own path: as the 1 x 1 matrix
-product it ran slower (the figures are in the layout comment of
-``witt``).
+``witt``, each entry one sum of big-int products), equal to ``dot`` in
+planes, precision and tail_dirty flag.  ``dot`` stays its own path: as
+the 1 x 1 matrix product it ran slower (the figures are in the layout
+comment of ``witt``).
 
 Solves and inverses over W(k)[[u]] and S go by the grading.  S is graded
 by the gamma-index (gamma_i gamma_j = C(i+j, i) gamma_(i+j)) and W(k)[[u]]

@@ -50,18 +50,18 @@ in the triangular kernel of a solve A X = R (``FlatVector._solve_planes``,
 behind ``RingMatrix.solve``, ``RingMatrix.invert`` and ``invert``), one
 pass over the gamma-index from the inverse of A's gamma_0 part over W(k).
 The fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``, the change to
-u-divided coordinates (``to_u_divided``, ``in_u_power_ideal``) and its
+u-divided coordinates (``to_u_divided``, ``all_in_u_power_ideal``) and its
 row 0, ``eval_f0``, each read one ``witt.PackedTable`` built with the
 context, in the one packed layout of ``witt``.  A table applies to a list
 of vectors at once, so ``phi_S_all``, ``embed_sigma_all`` and
-``all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S``,
-``embed_sigma`` and ``in_u_power_ideal`` are their lists of one.  The
-derivation ``n_S`` multiplies by p*a through the context's
-f x f integer matrix on T-planes (``AmbientParams.pa_matrix``), with no
-packing.  Coefficient m of a product reads only the coefficients <= m of
-its factors, so the first b coefficients of M x, for a matrix M over S,
-are a W(k)-linear map of the first b coefficients of x: the filtration
-tests of ``breuil`` read such maps from tables kept with M.
+``all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S`` and
+``embed_sigma`` are their lists of one.  The derivation ``n_S`` multiplies
+by p*a through the context's f x f integer matrix on T-planes
+(``AmbientParams.pa_matrix``), with no packing.  Coefficient m of a
+product reads only the coefficients <= m of its factors, so the first b
+coefficients of M x, for a matrix M over S, are a W(k)-linear map of the
+first b coefficients of x: the filtration tests of ``breuil`` read such
+maps from tables kept with M.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, the gamma_0 part
 that a solve inverts over W(k), ``repr`` and the constructor from a list
@@ -320,21 +320,17 @@ def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
     return tuple([WittScalar(ring, col, x.prec) for col in cols])
 
 
-def in_u_power_ideal(x: PDElement, n: int, at: int | None = None) -> bool:
-    """Membership in u^n * S at precision, tested in u-divided coordinates.
+def all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
+    """Whether every element of the list xs lies in u^n * S at precision,
+    tested in u-divided coordinates: one apply of the context's table
+    gives the planes of their u-divided coordinates (zero past their
+    length).
 
     u^n * S is spanned by u^m/(m-n)! for m >= n, so coordinate m must carry
     p-valuation at least v_p(m!) - v_p((m-n)!); coordinates below n vanish.
     Tested on the truncated shadow (indices below N_gamma), mod p^at when
     given (at >= 0).
     """
-    return all_in_u_power_ideal([x], n, at)
-
-
-def all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
-    """Whether ``in_u_power_ideal(x, n, at)`` holds for every element of
-    the list xs: one apply of the context's table gives the planes of
-    their u-divided coordinates (zero past their length)."""
     if at is not None and at < 0:
         raise ValueError(f"ideal test at negative precision p^{at}")
     if not xs:

@@ -160,76 +160,6 @@ def _split(v: int, B: int, n: int) -> list:
     return [int.from_bytes(data[i:i + B], "little") for i in range(0, n * B, B)]
 
 
-def _pairing_pays(e: int, sizes_r: list, sizes_c: list) -> bool:
-    """Whether pairing the inner products (``_packed_matmul``) of a
-    d x e times e x g matrix product needs fewer digit products than the
-    plain sums, by a count read off the operands: ``sizes_r`` and
-    ``sizes_c`` list the sizes of the entries of the two factors (their
-    supports, in slots), and a product of entries of sizes a and b counts
-    a*b.
-
-    With h = e // 2 >= 1, the pairing makes d*g*h + (d + g)*h products
-    over the even indices where the plain sums make 2*d*g*h, but a paired
-    sum is as long as its longest summand, so short entries gain nothing
-    from it.  The plain products over the even indices count
-    2h/e^2 * sR * sC, with sR and sC the total sizes of the two factors
-    (exact when the sizes do not depend on the inner index); the paired
-    ones at most h * (d*g*m^2 + d*mR^2 + g*mC^2), with mR and mC the
-    largest entry of each factor and m the larger of the two.  The
-    pairing pays when that is fewer and neither factor is all constants
-    (size at most 1): the product by a constant is one short pass over
-    the other factor."""
-    if e < 2:
-        return False
-    top_r, top_c = max(sizes_r), max(sizes_c)
-    if min(top_r, top_c) <= 1:
-        return False
-    d, g, top = len(sizes_r) // e, len(sizes_c) // e, max(top_r, top_c)
-    return (d * g * top * top + d * top_r * top_r + g * top_c * top_c) * e * e \
-        < 2 * sum(sizes_r) * sum(sizes_c)
-
-
-def _packed_matmul(rows, cols, paired: bool):
-    """The sums sum_k R[i][k] * C[j][k] of a matrix product, for an
-    iterable ``rows`` of the left factor's rows and a list ``cols`` of the
-    right factor's columns, all equally long lists of nonnegative ints:
-    for each row, an iterator over its sums, formed one at a time, so that
-    a caller can unpack each sum before the next exists.
-
-    With ``paired`` (see ``_pairing_pays``), e the inner dimension and
-    h = e // 2, it pairs the terms (S. Winograd, "A new algorithm for
-    inner product", IEEE Trans. Computers C-17, 1968): sum (i, j) is then
-
-        sum_{k<h} (R[i][2k] + C[j][2k+1]) * (R[i][2k+1] + C[j][2k]) - xi[i] - eta[j]
-
-    plus R[i][e-1] * C[j][e-1] when e is odd, with xi[i] =
-    sum_{k<h} R[i][2k] * R[i][2k+1] formed once per row and eta[j] =
-    sum_{k<h} C[j][2k] * C[j][2k+1] once per column.  Each paired term
-    expands to R[i][2k] C[j][2k] + R[i][2k+1] C[j][2k+1] plus the two
-    products that xi[i] and eta[j] take away, so the result is the plain
-    sum as an integer, bit for bit: the identity holds in any commutative
-    ring."""
-    def plain(r):
-        for c in cols:
-            yield sum(map(mul, r, c))
-
-    if not paired:
-        return map(plain, rows)
-    e = len(cols[0])
-    h = e // 2
-    c_even, c_odd = [c[0:2 * h:2] for c in cols], [c[1:2 * h:2] for c in cols]
-    eta = [sum(map(mul, a, b)) for a, b in zip(c_even, c_odd)]
-
-    def line(r):
-        a, b = r[0:2 * h:2], r[1:2 * h:2]
-        xi = sum(map(mul, a, b))
-        for ca, cb, y, c in zip(c_even, c_odd, eta, cols):
-            v = sum(map(mul, map(add, a, cb), map(add, b, ca))) - xi - y
-            yield v + r[-1] * c[-1] if e % 2 else v
-
-    return map(line, rows)
-
-
 class WittRing:
     """Context for W(F_{p^f}) mod p^cap: modulus tables and the Frobenius."""
 
@@ -958,9 +888,9 @@ class FlatVector(FlatValue):
         highest precision an output entry has: every packed coefficient is
         reduced mod p^(K+V) first, and an output of precision k <= K reads
         only its digits below p^k.  An output entry is one sum of e big-int
-        products, formed by ``_packed_matmul``, paired when that needs
-        fewer digit products (``_pairing_pays``); a paired sum is the plain
-        one as an integer.  The reach is read from the supports, as in
+        products, a packed row against a packed column; the rows are packed
+        and summed one at a time, each sum unpacked before the next row is
+        packed.  The reach is read from the supports, as in
         ``_dot_planes``: the largest s_x + s_y - 1 over the pairs whose
         entries are both nonzero.  (A top coefficient may vanish mod p^K,
         so the length of the sum does not give it.)
@@ -1000,16 +930,15 @@ class FlatVector(FlatValue):
         none = -2 * n - 2
         r_sup = [[len(x.planes[0]) or none for x in row] for row in rows]
         c_sup = [[len(y.planes[0]) or none for y in col] for col in cols]
-        paired = _pairing_pays(e, [max(s, 0) for line in r_sup for s in line],
-                               [max(s, 0) for line in c_sup for s in line])
-        grid = _packed_matmul(([pack(x) for x in row] for row in rows),
-                              [[pack(y) for y in col] for col in cols], paired)
+        packed_cols = [[pack(y) for y in col] for col in cols]
         out = []
-        for rs, accs, row_k in zip(r_sup, grid, row_prec):
+        for row, rs, row_k in zip(rows, r_sup, row_prec):
+            r = [pack(x) for x in row]
             line = []
-            for acc, cs, k in zip(accs, c_sup, col_prec):
+            for c, cs, k in zip(packed_cols, c_sup, col_prec):
                 k = min(k, row_k)
                 reach = max(max(map(add, rs, cs)) - 1, 0)
+                acc = sum(map(mul, r, c))
                 planes = ring.read(_split(acc, block, min(reach, n)), width, k, post)
                 line.append((planes, k, reach))
             out.append(line)

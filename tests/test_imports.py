@@ -162,7 +162,6 @@ NO_KERNEL_CALLER = {
     "fl_transport": "flag-preserving base change, for the morphism and FL -> Kisin work "
                     "(ROADMAP items 8 and 18)",
     "to_u_divided": "the benchmark harness names it as a span",
-    "in_u_power_ideal": "tested against all_in_u_power_ideal, which the kernel calls",
     "SigmaSeries.degree": "the tests read the degree of a series product",
     "dumps": "the inverse of loads, and the round-trip tests go through it",
     "SigmaSeries.phi": "the benchmark harness names it as a span, and a Kisin-side Hom "

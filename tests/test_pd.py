@@ -5,11 +5,11 @@ import pytest
 from flbreuil.errors import DegreeOverflow
 from flbreuil.pd import (
     PDElement,
+    all_in_u_power_ideal,
     embed_sigma,
     eval_f0,
     eval_fpi,
     fil_valuation,
-    in_u_power_ideal,
     n_S,
     pd_from_scalar,
     pd_gamma,
@@ -344,16 +344,16 @@ def test_u_divided_of_embedding(amb3):
 def test_u_power_ideal_membership(amb3):
     p = amb3.p
     up = embed_sigma(amb3.useries([0] * p + [1]))
-    assert in_u_power_ideal(up, p)
-    assert not in_u_power_ideal(pd_one(amb3), p)
-    assert not in_u_power_ideal(embed_sigma(amb3.useries([0] * (p - 1) + [1])), p)
+    assert all_in_u_power_ideal([up], p)
+    assert not all_in_u_power_ideal([pd_one(amb3)], p)
+    assert not all_in_u_power_ideal([embed_sigma(amb3.useries([0] * (p - 1) + [1]))], p)
     rng = random.Random(11)
     for _ in range(20):
         x = pd_random_calibrated(amb3, rng, 6, 1)
-        assert in_u_power_ideal(up * x, p)
+        assert all_in_u_power_ideal([up * x], p)
     # u^p = p*(c - sigma(a)) lies in the ideal by construction
     diff = (amb3.c - pd_from_scalar(amb3, amb3.sigma_a)).mul_p_pow(1)
-    assert in_u_power_ideal(diff, p)
+    assert all_in_u_power_ideal([diff], p)
 
 
 def test_pd_inverse(amb3):

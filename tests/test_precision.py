@@ -4,7 +4,7 @@ on the three kinds of value that inherit it."""
 import pytest
 
 from flbreuil.errors import NotDivisible, PrecisionExhausted
-from flbreuil.pd import PDElement, fil_valuation, in_u_power_ideal, pd_gamma, pd_zero
+from flbreuil.pd import PDElement, all_in_u_power_ideal, fil_valuation, pd_gamma, pd_zero
 from flbreuil.series import SigmaSeries
 
 KINDS = {
@@ -64,12 +64,12 @@ def test_filtration_tests_at_a_negative_precision_raise(amb3):
     # p in S: zero mod p, so in Fil^N_gamma and in u S at precision 1
     x = PDElement(amb3, [amb3.w(amb3.p)])
     assert fil_valuation(x, 1) == fil_valuation(x, 0) == amb3.N_gamma
-    assert fil_valuation(x) == 0 and in_u_power_ideal(x, 1, at=1)
+    assert fil_valuation(x) == 0 and all_in_u_power_ideal([x], 1, at=1)
     for at in (-1, -amb3.cap):
         with pytest.raises(ValueError):
             fil_valuation(x, at)
         with pytest.raises(ValueError):
-            in_u_power_ideal(x, 1, at=at)
+            all_in_u_power_ideal([x], 1, at=at)
 
 
 def test_pd_eq_at_skips_the_top_coefficient_only_on_a_dirty_difference(amb3):

@@ -221,6 +221,22 @@ def test_cli_section_exits_1_on_an_inexact_section(tmp_path, monkeypatch):
     assert json.loads(s.read_text())["data"]["exact"] is False
 
 
+def test_cli_section_does_not_ask_for_strong_divisibility(tmp_path, capsys):
+    # p Ftil: the image is not strongly divisible, but p^r A_0^(-1) is
+    # integral, so the section and its certificate hold; apply mfl refuses
+    amb = AmbientParams(3, 1)
+    M = random_fl(amb, random.Random(1), 2)
+    B = fl_to_breuil(FLModule(amb, M.jumps, M.Ftil.mul_p_pow(1)))
+    b, s, out = tmp_path / "b.json", tmp_path / "s.json", tmp_path / "m.json"
+    b.write_text(SER.dumps(B))
+    assert main(["section", "--in", str(b), "--out", str(s)]) == 0
+    assert json.loads(s.read_text())["data"]["exact"] is True
+    capsys.readouterr()
+    assert main(["apply", "mfl", "--in", str(b), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: input is not strongly divisible"]
+
+
 def test_cli_mfl_refuses_ftil_below_N_p(tmp_path, capsys):
     # at headroom 26 the reduction's Ftil is known to 5 digits, below N_p = 6
     k, out = tmp_path / "k.json", tmp_path / "m.json"

@@ -37,7 +37,6 @@ from flbreuil.pd import (
     all_in_u_power_ideal,
     embed_sigma,
     embed_sigma_all,
-    in_u_power_ideal,
     phi_S,
     phi_S_all,
 )
@@ -243,11 +242,11 @@ def test_ideal_test_over_a_list_is_the_single_test(name, request):
     seen = set()
     for n in (0, 1, amb.p):
         for at in (None, 0, 1, amb.N_p):
-            singles = [in_u_power_ideal(x, n, at) for x in xs]
+            singles = [all_in_u_power_ideal([x], n, at) for x in xs]
             seen.update(singles)
             for part in (xs, [x for x, ok in zip(xs, singles) if ok], xs[:1]):
                 assert all_in_u_power_ideal(part, n, at) == \
-                    all(in_u_power_ideal(x, n, at) for x in part)
+                    all(all_in_u_power_ideal([x], n, at) for x in part)
     assert seen == {True, False}
     assert all_in_u_power_ideal([], amb.p)
 
