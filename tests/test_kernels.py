@@ -724,7 +724,8 @@ def dense_entry(rng, amb, cls, zero_chance=0.0):
 
 @pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
 @pytest.mark.parametrize("d", range(1, 9))
-def test_dense_square_matmul_matches_dot(amb, cls, d):
+def test_dense_square_matmul_pairs_and_matches_dot(amb, cls, d):
+    """A pair of dense d x d matrices multiplies to the entrywise dot of rows and columns."""
     rng = random.Random(f"dense:{amb.p}:{amb.f}:{cls.__name__}:{d}")
     A = RingMatrix([[dense_entry(rng, amb, cls) for _ in range(d)] for _ in range(d)])
     B = RingMatrix([[dense_entry(rng, amb, cls) for _ in range(d)] for _ in range(d)])
