@@ -15,7 +15,10 @@ which automatically contains Fil^r S times the module.  Lower steps are
 reconstructed by the same coordinate rule with r replaced by i; on adapted
 presentations this agrees with the colon module { x : Fil^(r-i) S x inside
 Fil^r } because binomial coefficients with both arguments below p are prime
-to p.
+to p.  The tensor-product filtration sum_i Fil^(r-i) S (x) Fil^i M of a
+reduction M, read in the section basis, is the same rule with C the
+section basis Bmat embed(g) and the jumps of M, so the round trip compares
+the two through ``fil_lower``.
 
 Strong divisibility is decided on the d generators gamma_{max(0, r-r_i)}
 times the i-th adapted column: modulo the maximal ideal every phi_r image
@@ -29,12 +32,10 @@ coefficients of each coordinate) from one ``witt.PackedTable`` per owner
 of the matrix, built on first use, so that each sample costs one
 ``apply``:
 
-  * ``adapted_level`` (behind ``fil_level``, ``fil_lower``, the Kisin raw
-    checker and ``functors.tensor_membership_via_section``) reads the
-    first b = r - min(r_j) coefficients of M x, a map of the b-jets of x
-    (``jet_table``); the table lives on the ``BreuilModule`` (for
-    C^(-1)), in the checker's closure and on the ``FLTransport`` (for
-    ``sec_basis_inv``);
+  * ``adapted_level`` (behind ``fil_level``, ``fil_lower`` and the Kisin
+    raw checker) reads the first b = r - min(r_j) coefficients of M x, a
+    map of the b-jets of x (``jet_table``); the table lives on the
+    ``BreuilModule`` (for C^(-1)) and in the checker's closure;
   * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < r, a map of
     the r-jets of x; the module keeps its table, built by ``n_apply`` on
     the basis jets.
@@ -142,8 +143,8 @@ def adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = N
     coefficients are.  Coefficient m of y reads only the coefficients <= m
     of x, so y's b-jet is a W(k)-linear map of x's b-jets, ``table``
     (``jet_table`` of M and the jumps), kept by the object that owns M
-    (``BreuilModule`` for C^(-1), the Kisin raw checker for its matrix,
-    ``FLTransport`` for ``sec_basis_inv``): each test is one ``apply``.
+    (``BreuilModule`` for C^(-1), the Kisin raw checker for its matrix):
+    each test is one ``apply``.
     Coordinate j is tested mod p^min(at, k_j) (at defaults to N_p), k_j the
     lowest precision among row j of M and the entries of x, the precision
     of the product (M x)_j."""

@@ -261,11 +261,12 @@ def roundtrip_breuil(M, g, rng) -> dict:
 
     The computed section must equal the closed form g^(-1) f_0(g), the
     monodromy must be carried along (Nmat Bmat + N_S(Bmat) = 0), and
-    top-filtration membership must agree between the twisted presentation
-    and the tensor filtration read through the section, on 8 random
-    elements drawn from ``rng``; the reduction must have the jumps of
-    ``M``.  A section that does not converge passes as ``converged``
-    False; a round trip that fails after it does not.
+    ``fil_lower`` at step r must agree between the twisted presentation
+    and the tensor filtration, the same Phi and N presented with adapted
+    basis Bmat embed(g_w) and the reduction's jumps, on 8 random elements
+    drawn from ``rng``; the reduction must have the jumps of ``M``.  A
+    section that does not converge passes as ``converged`` False; a round
+    trip that fails after it does not.
     """
     amb = M.amb
     at = amb.N_p
@@ -288,13 +289,16 @@ def roundtrip_breuil(M, g, rng) -> dict:
     fil_ok = True
     try:
         transport = FU.breuil_to_fl(Bt, section=sec)
+        # the tensor filtration: adapted basis Bmat embed(g_w), the
+        # reduction's jumps
+        Bs = BR.BreuilModule(amb, Bt.Phi, Bt.Nmat, Bm @ FU.embed_w_matrix(amb, transport.g_w),
+                             transport.M.jumps)
         for _ in range(n_fil):
             if rng.random() < 0.5:
                 x = BR.random_fil_member(Bt, rng, amb.r)
             else:
                 x = BR.random_vector(Bt, rng, 6)
-            fil_ok &= (BR.fil_lower(Bt, amb.r, x, at)
-                       == FU.tensor_membership_via_section(transport, x, amb.r, at))
+            fil_ok &= BR.fil_lower(Bt, amb.r, x, at) == BR.fil_lower(Bs, amb.r, x, at)
     except (NotStrong, NotDirectSummand, NonConvergent) as exc:
         return _rec("roundtrip-breuil", False, converged=True, relation="failed",
                     details={"error": str(exc)}, instance=SER.to_json(M))

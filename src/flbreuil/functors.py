@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .breuil import BreuilModule, adapted_level, breuil_validate, jet_table
+from .breuil import BreuilModule, breuil_validate
 from .errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -293,31 +293,13 @@ def flag_adapt(amb, d: int, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]
 
 # --- backward functor ---
 
-class FLTransport:
-    """Everything needed to move between a module over S and its reduction:
-    the reduction ``M``, the ``section`` it was split by and the adapted
-    basis change ``g_w`` over W.  ``sec_basis_inv``, the inverse over S of
-    the section basis Bmat embed(g_w), is built on its first read and
-    kept, with the one table of its product on jets (``jet_table``); only
-    the filtration test through the section
-    (``tensor_membership_via_section``) reads them, so the backward functor
-    itself inverts no matrix over S."""
-
-    __slots__ = ("M", "section", "g_w", "_sec_basis_inv", "_fil_table")
-
-    def __init__(self, M: FLModule, section: SectionResult, g_w: RingMatrix):
-        self.M = M
-        self.section = section
-        self.g_w = g_w
-        self._sec_basis_inv = None
-        self._fil_table = None
-
-    @property
-    def sec_basis_inv(self) -> RingMatrix:
-        if self._sec_basis_inv is None:
-            basis = self.section.Bmat @ embed_w_matrix(self.M.amb, self.g_w)
-            self._sec_basis_inv = basis.invert()
-        return self._sec_basis_inv
+FLTransport = namedtuple("FLTransport", [
+    "M",                    # the reduction, over W(k)
+    "section",              # the SectionResult it was split by
+    "g_w",                  # adapted basis change over W: the section basis
+                            # Bmat embed(g_w) with M's jumps presents the
+                            # tensor-product filtration
+])
 
 
 def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
@@ -339,8 +321,8 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     if section is not None and section.Phi is not B.Phi:
         raise ValueError("the section was computed for another module's Frobenius")
     if B.Nmat is None and not adjoin_zero_n:
-        raise NotCris("no monodromy matrix; pass adjoin_zero_n=True to "
-                      "read the module as crystalline with trivial N")
+        raise NotCris("no monodromy matrix; pass adjoin_zero_n=True (the CLI's "
+                      "--adjoin-zero-n) to read the module as crystalline with trivial N")
     report = breuil_validate(B)
     if report.cris is False:
         raise NotCris("monodromy does not land in u times the module")
@@ -387,19 +369,3 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     if not fl_validate(M):
         raise NotStrong("reduction fails strongness")
     return FLTransport(M, sec, g)
-
-
-def tensor_membership_via_section(transport: FLTransport, x, n: int,
-                                  at: int | None = None) -> bool:
-    """Membership in step n (0 <= n <= r) of the tensor-product filtration
-    read in the section basis: n <= ``adapted_level`` of the coordinates
-    sec_basis_inv x with the jumps of the reduction, through the
-    transport's table of sec_basis_inv on jets."""
-    M = transport.M
-    if not 0 <= n <= M.amb.r:
-        raise ValueError(f"filtration step {n} outside [0, {M.amb.r}]")
-    if transport._fil_table is None:
-        transport._fil_table = jet_table(M.amb, transport.sec_basis_inv, M.jumps)
-    return n <= adapted_level(M.amb, transport.sec_basis_inv, M.jumps, x,
-                              transport._fil_table, at)
-

@@ -395,3 +395,17 @@ def test_lemfil1_compares_the_levels_at_the_sample_precision(p, r, seed):
     # tested at N_p it disagrees with the tensor level on these seeds.
     recs = run_suite_seed({"p": p, "r": r, "N_p": 6}, "lemfil1", seed, {})
     assert [rec["check"] for rec in recs if not rec["ok"]] == []
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_validate_square_fails_alone(p, seed):
+    # Nmat = u diag(1, 0) on a base-change image: N lands in u times the
+    # module (cris), E N(Fil^r) stays in Fil^r (Griffiths) and Phi is
+    # untouched (strongly divisible), so only the phi/N square is left to
+    # fail; a validator that skips the square passes this module
+    amb = AmbientParams(p, p - 2)
+    B0 = fl_to_breuil(random_fl(amb, random.Random(seed), 2))
+    z = pd_zero(amb)
+    B = BreuilModule(amb, B0.Phi, RingMatrix([[amb.u_pow(1), z], [z, z]]), B0.C, B0.jumps)
+    assert tuple(breuil_validate(B)) == (True, True, False, True)

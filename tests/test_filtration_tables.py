@@ -9,10 +9,10 @@ out every sample: the whole product M x and ``fil_valuation``
 (``level_by_product``, capped at r by the caller), the chain x, N(x),
 N^2(x), ... of ``n_apply`` (``hat_level_by_chain``), and the per-level
 references of ``test_breuil``.  The owners are a rebased module (a general
-C^(-1)), the Kisin raw checker and a transport's ``sec_basis_inv``, at
-f = 1 and f = 2, ranks 0-3, every step in 0..r, and ``at`` below and above
-the samples' precisions, with matrices whose rows are known to different
-precisions.  Errors must match too, and a step outside 0..r is refused.
+C^(-1)), the same module presented in the section basis (the tensor
+filtration) and the Kisin raw checker, at f = 1 and f = 2, ranks 0-3,
+every step in 0..r, and ``at`` below and above the samples' precisions,
+with matrices whose rows are known to different precisions.  Errors must match too, and a step outside 0..r is refused.
 Each table is built once per owner.
 """
 
@@ -21,7 +21,6 @@ import random
 import pytest
 
 from flbreuil import breuil as BR
-from flbreuil import functors as FU
 from flbreuil.breuil import (
     BreuilModule,
     fil_level,
@@ -35,11 +34,12 @@ from flbreuil.breuil import (
 from flbreuil.campaign import random_congruent_identity
 from flbreuil.errors import NotCris, PrecisionExhausted
 from flbreuil.fl import random_fl
-from flbreuil.functors import breuil_to_fl, fl_to_breuil, fpi_matrix, tensor_membership_via_section
+from flbreuil.functors import breuil_to_fl, fl_to_breuil, fpi_matrix
 from flbreuil.kisin import _embed_matrix, kisin_raw_fil_checker, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import eval_fpi, fil_valuation, pd_gamma, pd_one, pd_zero
 from test_breuil import fil_lower_per_coordinate, hat_fil_membership_recursive
+from test_functors import section_basis_module
 
 
 def level_by_product(amb, M, jumps, x, at=None):
@@ -138,7 +138,7 @@ def test_adapted_tables_match_the_product(request, name, d):
     r = amb.r
     rng = random.Random(40 + d)
     B = rebase(fl_to_breuil(random_fl(amb, rng, d)), random_congruent_identity(amb, rng, d))
-    transport = breuil_to_fl(B)
+    Bs = section_basis_module(B, breuil_to_fl(B))
     K = random_gls(amb, rng, d)
     raw = kisin_raw_fil_checker(K)
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
@@ -151,13 +151,13 @@ def test_adapted_tables_match_the_product(request, name, d):
         for at in ats(x):
             L = min(level_by_product(amb, B.C_inv, B.jumps, x, at), r)
             assert fil_level(B, x, at) == L
-            Lt = min(level_by_product(amb, transport.sec_basis_inv, transport.M.jumps, x, at), r)
+            Lt = min(level_by_product(amb, Bs.C_inv, Bs.jumps, x, at), r)
             for jumps, table in tables.items():
                 Lc = min(level_by_product(amb, cut, jumps, x, at), r)
                 assert BR.adapted_level(amb, cut, jumps, x, table, at) == Lc
             for i in range(r + 1):
                 assert fil_lower(B, i, x, at) == (i <= L)
-                assert tensor_membership_via_section(transport, x, i, at) == (i <= Lt)
+                assert fil_lower(Bs, i, x, at) == (i <= Lt)
                 if at is None:
                     assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x)
             assert raw(x, at) == (level_by_product(amb, full, (0,) * d, x, at) >= r)
@@ -178,14 +178,11 @@ def test_steps_outside_the_hodge_range_are_refused(request, name):
     amb = request.getfixturevalue(name)
     r = amb.r
     B = fl_to_breuil(random_fl(amb, random.Random(80), 2))
-    transport = breuil_to_fl(B)
     g = pd_gamma(amb, r + 1)
     for x in ((pd_one(amb), pd_one(amb)), (g, g)):
         for i in (-1, r + 1):
             with pytest.raises(ValueError, match=f"filtration step {i} outside"):
                 fil_lower(B, i, x)
-            with pytest.raises(ValueError, match=f"filtration step {i} outside"):
-                tensor_membership_via_section(transport, x, i)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb5", "amb9"])
@@ -256,7 +253,7 @@ def test_descent_errors_match_the_chain(amb3, amb9):
 
 def test_each_table_is_built_once_per_owner(amb3, monkeypatch):
     built = []
-    for module, name in ((BR, "jet_table"), (FU, "jet_table"), (BR, "_descent_table")):
+    for module, name in ((BR, "jet_table"), (BR, "_descent_table")):
         make = getattr(module, name)
 
         def counted(*args, make=make, name=name):
@@ -268,18 +265,18 @@ def test_each_table_is_built_once_per_owner(amb3, monkeypatch):
     rng = random.Random(70)
     r = amb3.r
     B = rebase(fl_to_breuil(random_fl(amb3, rng, 2)), random_congruent_identity(amb3, rng, 2))
-    transport = breuil_to_fl(B)
+    Bs = section_basis_module(B, breuil_to_fl(B))
     raw = kisin_raw_fil_checker(random_gls(amb3, rng, 2))
     for x in samples(B, rng, 6):
         prec = min(c.prec for c in x)
         for at in (max(prec - 2, 0), prec):
             for i in range(r + 1):
                 fil_lower(B, i, x, at)
-                tensor_membership_via_section(transport, x, i, at)
+                fil_lower(Bs, i, x, at)
             fil_level(B, x, at)
             hat_fil_level(B, x, at)
             raw(x, at)
     # the raw checker's matrix is its own: it builds its table with the closure
     assert sorted(name for name, _ in built) == ["_descent_table"] + ["jet_table"] * 3
-    assert {("jet_table", id(B.C_inv)), ("jet_table", id(transport.sec_basis_inv)),
+    assert {("jet_table", id(B.C_inv)), ("jet_table", id(Bs.C_inv)),
             ("_descent_table", id(B))} < set(built)

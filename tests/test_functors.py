@@ -8,6 +8,7 @@ from flbreuil.campaign import roundtrip_breuil, roundtrip_fl, run_suite_seed
 from flbreuil.errors import (
     A0NotScaledIntegral,
     NonConvergent,
+    NotCris,
     NotDirectSummand,
     NotStrong,
     PrecisionExhausted,
@@ -21,13 +22,11 @@ from flbreuil.functors import (
     flag_adapt,
     phi_matrix,
     section_compute,
-    tensor_membership_via_section,
 )
 from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
     eval_f0,
-    fil_valuation,
     pd_from_scalar,
     pd_gamma,
     pd_one,
@@ -35,10 +34,18 @@ from flbreuil.pd import (
     pd_zero,
     phi_S,
 )
+from test_breuil import fil_lower_per_coordinate
 
 
 def wmat(amb, rows):
     return RingMatrix([[amb.w(v) for v in row] for row in rows])
+
+
+def section_basis_module(B, transport):
+    """B's Phi and N with the tensor-product filtration: adapted basis the
+    section basis Bmat embed(g_w), the jumps of the reduction."""
+    C = transport.section.Bmat @ embed_w_matrix(B.amb, transport.g_w)
+    return BreuilModule(B.amb, B.Phi, B.Nmat, C, transport.M.jumps)
 
 
 # --- forward functor ---
@@ -321,25 +328,41 @@ def test_kisin_derived_backward(amb3):
         assert M.Ftil.entries[0][0].is_unit()
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_transport_inverse_is_the_product_of_inverses(p):
-    # sec_basis_inv is built as embed(g^-1) Bmat^-1 from the two inverses the
-    # functor already has; it equals the inverse of Bmat embed(g) over S
+def test_backward_functor_refusals(amb3):
+    # without monodromy data only adjoin_zero_n reads the module
+    K = kisin_to_breuil(random_gls(amb3, random.Random(2), 2))
+    with pytest.raises(NotCris, match="adjoin_zero_n=True"):
+        breuil_to_fl(K)
+    # a constant Nmat does not land in u times the module
+    B0 = fl_to_breuil(random_fl(amb3, random.Random(3), 2))
+    z, one = pd_zero(amb3), pd_one(amb3)
+    B = BreuilModule(amb3, B0.Phi, RingMatrix([[one, z], [z, z]]), B0.C, B0.jumps)
+    with pytest.raises(NotCris) as exc:
+        breuil_to_fl(B)
+    assert str(exc.value) == "monodromy does not land in u times the module"
+
+
+def test_validate_reports_phi_fil_r_not_divisible():
+    # Phi = I with jump r: Fil^r is the whole module and phi(e) = e is not
+    # divisible by p^r, so there are no phi_r images, and strong
+    # divisibility and the square read False without raising; the backward
+    # functor refuses the module
     from flbreuil.ambient import AmbientParams
 
-    amb = AmbientParams(p, p - 2)
-    rng = random.Random(f"transport:{p}")
-    for d in range(1, 5):
-        B = kisin_to_breuil(random_gls(amb, rng, d))
-        transport = breuil_to_fl(B, adjoin_zero_n=True)
-        product = transport.section.Bmat @ embed_w_matrix(amb, transport.g_w)
-        assert transport.sec_basis_inv.eq_at(product.invert(), amb.N_p)
+    amb = AmbientParams(5, 3)
+    z = pd_zero(amb)
+    ident = RingMatrix.identity(1, z, pd_one(amb))
+    B = BreuilModule(amb, ident, RingMatrix.zeros(1, 1, z), ident, (3,))
+    rep = breuil_validate(B)
+    assert rep.strongly_divisible is False and rep.diagram is False
+    with pytest.raises(NotStrong):
+        breuil_to_fl(B)
 
 
 def test_apply_mfl_inverts_no_matrix_over_s(tmp_path, monkeypatch):
     # the backward functor solves for the conjugated Frobenius and reads the
     # filtration images over W(k); the inverse of the section basis is
-    # built only when the transport's sec_basis_inv is read, once
+    # built only when the module it presents reads its C_inv, once
     from flbreuil.ambient import AmbientParams
     from flbreuil.cli import main
     from flbreuil.pd import PDElement
@@ -360,12 +383,13 @@ def test_apply_mfl_inverts_no_matrix_over_s(tmp_path, monkeypatch):
     assert calls == []
 
     amb = AmbientParams(5, 3)
-    transport = breuil_to_fl(kisin_to_breuil(random_gls(amb, random.Random(3), 4)),
-                             adjoin_zero_n=True)
+    B = kisin_to_breuil(random_gls(amb, random.Random(3), 4))
+    transport = breuil_to_fl(B, adjoin_zero_n=True)
     assert calls == []
-    first = transport.sec_basis_inv
+    Bs = section_basis_module(B, transport)
+    first = Bs.C_inv
     assert calls == [4]
-    assert transport.sec_basis_inv is first and calls == [4]
+    assert Bs.C_inv is first and calls == [4]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -539,15 +563,6 @@ def test_roundtrip_breuil_record_of_a_failed_reduction(monkeypatch):
     }]
 
 
-def tensor_membership_unbounded(transport, x, n):
-    """Step n of the tensor filtration with the product computed in full:
-    sec_basis_inv x, then filtration valuation >= max(0, n - r_j) in each
-    coordinate.  Kept as the reference for the bounded test."""
-    M = transport.M
-    z = transport.sec_basis_inv.matvec(x)
-    return all(fil_valuation(z[j], M.amb.N_p) >= max(0, n - M.jumps[j]) for j in range(M.d))
-
-
 def test_tensor_membership_through_section(amb3):
     # the bounded product is cut at n - min(r_j) for every n, so every level
     # is compared with the full product, also on twisted presentations whose
@@ -562,15 +577,15 @@ def test_tensor_membership_through_section(amb3):
         if d is not None:
             M = random_fl(amb3, rng, d)
             B = rebase(fl_to_breuil(M), random_congruent_identity(amb3, rng, d))
-        transport = breuil_to_fl(B)
+        Bs = section_basis_module(B, breuil_to_fl(B))
         for _ in range(30):
             if rng.random() < 0.5:
                 x = random_fil_member(B, rng, amb3.r)
             else:
                 x = random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
-                member = tensor_membership_via_section(transport, x, n)
-                assert member == tensor_membership_unbounded(transport, x, n)
+                member = fil_lower(Bs, n, x)
+                assert member == fil_lower_per_coordinate(Bs, n, x)
                 assert member == fil_lower(B, n, x)
                 seen.add((n, member))
     # every level above 0 is met both inside and outside its step

@@ -5,11 +5,11 @@ The benchmark harness is imported as it stands and run in-process on the
 p = 3, seed 1 verification tasks at f = 1 and f = 2, on the p = 5, seed 1
 lemfil1 and kisin-breuil-consistency tasks at f = 1 (where r + 1 = 5
 filtration levels share one element), on the p = 5, seed 1 section and
-roundtrip-breuil tasks (the bounded filtration tests fil_lower and
-tensor_membership_via_section at p = 5), and on the CLI chain
-(gen kisin-gls, section, apply mfl) at d = 4 and d = 6, seed 1 for p = 3
-and p = 5, so the Kisin loader is byte-checked at both primes and the
-packed matrix kernel and table maps at rank 6.  A digest
+roundtrip-breuil tasks (the bounded filtration test fil_lower, on the
+twisted presentation and in the section basis, at p = 5), and on the CLI
+chain (gen kisin-gls, section, apply mfl) at d = 4 and d = 6, seed 1 for
+p = 3 and p = 5, so the Kisin loader is byte-checked at both primes and
+the packed matrix kernel and table maps at rank 6.  A digest
 covers every record byte (or the exit code and every byte of the written
 file), so any change of a verdict, a witness or a repr shows here.
 """

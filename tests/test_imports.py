@@ -16,15 +16,21 @@ but a kernel or stdlib module; an access on a stdlib module
 (``json.dumps``) names nothing.  A second check pins the definitions that
 no kernel code names to an explicit list, each with its reason, so that a
 definition whose last kernel caller leaves fails loudly instead of living
-on as test-only API.
+on as test-only API.  Likewise every span and counter the benchmark reads
+(``perfbench/run.py``'s ``_LAYER_SPEC``, ``perfbench/tracer.py``'s
+``GROUPS``, both read with ``ast``) must name a kernel function or a name
+of a kernel class, except an explicit list of stale names, so that a
+rename cannot zero a live counter unseen.
 
 Every CLI step is a fresh interpreter, so what ``import flbreuil.cli``
 loads is paid on each start: it must load neither the process pool, which
 only ``verify --jobs`` above 1 uses, nor ``dataclasses`` and ``inspect``."""
 
 import ast
+import importlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -174,6 +180,66 @@ def test_definitions_without_a_kernel_caller_are_listed():
     assert unreferenced == set(NO_KERNEL_CALLER), (
         f"no kernel caller but not listed: {sorted(unreferenced - set(NO_KERNEL_CALLER))}; "
         f"listed but called: {sorted(set(NO_KERNEL_CALLER) - unreferenced)}")
+
+
+# The benchmark's span names that no kernel definition answers to: the
+# tracer wraps nothing under them, so their counters read zero until the
+# benchmark is next changed (ROADMAP item 12).
+STALE_SPANS = [
+    "breuil.hat_fil_membership",
+    "functors.breuil_to_fl_with_transport",
+    "kisin.kisin_height_check",
+    "matrix.RingMatrix.det",
+    "matrix.RingMatrix.adjugate",
+    "pd.gamma_multiply",
+    "series.SigmaSeries.__mul__",
+]
+
+
+def _assigned(path: Path, name: str):
+    """The expression assigned to ``name`` at the top level of ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _benchmark_spans() -> set:
+    """The kernel names the benchmark reads: every ``calls:`` and ``self:``
+    span and constructor counter of ``_LAYER_SPEC`` (its literal part; the
+    suite groups follow it), and every member of the tracer's ``GROUPS``."""
+    spec = _assigned(ROOT / "perfbench" / "run.py", "_LAYER_SPEC")
+    spans = set()
+    for _, _, stat in ast.literal_eval(spec.left if isinstance(spec, ast.BinOp) else spec):
+        kind, key = stat.split(":", 1)
+        if kind in ("calls", "self") or (kind == "count" and key.endswith(".__init__")):
+            spans.add(key)
+    return spans | set(ast.literal_eval(_assigned(ROOT / "perfbench" / "tracer.py", "GROUPS")))
+
+
+def _defines(key: str) -> bool:
+    """Whether ``layer.name`` or ``layer.Class.name`` is what the tracer
+    wraps: a function or class of that module, and a name in the class's
+    own ``__dict__``."""
+    layer, name, *attr = key.split(".")
+    module = importlib.import_module(f"flbreuil.{layer}")
+    obj = vars(module).get(name)
+    if getattr(obj, "__module__", None) != module.__name__:
+        return False
+    if attr:
+        return isinstance(obj, type) and attr[0] in vars(obj)
+    return isinstance(obj, types.FunctionType)
+
+
+def test_benchmark_span_names_are_kernel_definitions():
+    spans = _benchmark_spans()
+    assert {"witt.WittScalar.__init__", "pd.PDElement.__init__"} <= spans
+    stale = {key for key in spans if not _defines(key)}
+    assert stale == set(STALE_SPANS), (
+        f"spans naming no definition but not listed: {sorted(stale - set(STALE_SPANS))}; "
+        f"listed but defined: {sorted(set(STALE_SPANS) - stale)}")
 
 
 def _fresh_modules(statement: str) -> set:

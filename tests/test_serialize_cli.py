@@ -237,6 +237,19 @@ def test_cli_section_does_not_ask_for_strong_divisibility(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: input is not strongly divisible"]
 
 
+def test_cli_mfl_refuses_kisin_input_without_the_flag(tmp_path, capsys):
+    # a Kisin-derived module carries no monodromy: apply mfl reads it only
+    # with --adjoin-zero-n, and the refusal names that flag
+    k, out = tmp_path / "k.json", tmp_path / "m.json"
+    assert main(["gen", "kisin-gls", "--p", "5", "--d", "2", "--seed", "1", "--out", str(k)]) == 0
+    capsys.readouterr()
+    assert main(["apply", "mfl", "--in", str(k), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no monodromy matrix")
+    assert "--adjoin-zero-n" in err[0]
+
+
 def test_cli_mfl_refuses_ftil_below_N_p(tmp_path, capsys):
     # at headroom 26 the reduction's Ftil is known to 5 digits, below N_p = 6
     k, out = tmp_path / "k.json", tmp_path / "m.json"
