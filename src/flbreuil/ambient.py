@@ -314,11 +314,11 @@ class AmbientParams:
 
     # --- convenience constructors (used heavily by tests) ---
 
-    def w(self, n: int, prec: int | None = None) -> WittScalar:
-        return self.ring.from_int(n, prec)
+    def w(self, n: int) -> WittScalar:
+        return self.ring.from_int(n)
 
-    def useries(self, ints, prec: int | None = None) -> SigmaSeries:
-        return series_from_ints(self, ints, prec)
+    def useries(self, ints) -> SigmaSeries:
+        return series_from_ints(self, ints)
 
     def rate_bound(self) -> int:
         return section_rate_bound(self.p, self.r, self.N_p)

@@ -36,14 +36,14 @@ of the matrix, built on first use, so that each sample costs one
     raw checker) reads the first b = r - min(r_j) coefficients of M x, a
     map of the b-jets of x (``jet_table``); the table lives on the
     ``BreuilModule`` (for C^(-1)) and in the checker's closure;
-  * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < r, a map of
-    the r-jets of x; the module keeps its table, built by ``n_apply`` on
-    the basis jets.
+  * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < r, mapped
+    into the adapted basis by f_pi(C^(-1)), a map of the r-jets of x; the
+    module keeps its table, built by ``n_apply`` on the basis jets.
 
 Each zero test is taken at the precision the per-sample product had:
 coordinate j of M x at the lowest precision among row j of M and the
 entries of x, the reductions of N^t(x) at that of the chain of
-``n_apply`` (see ``hat_fil_level``).
+``n_apply`` and of the map (see ``hat_fil_level``).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .fl import check_jumps
 from .matrix import RingMatrix, converges_to_zero, scaled_inverse
 from .pd import (
     eval_f0,
+    eval_fpi,
     n_S,
     pd_gamma,
     pd_random_calibrated,
@@ -287,80 +288,90 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
 
 
 def _descent_table(B: BreuilModule) -> tuple:
-    """The reductions that the descent of ``hat_fil_level`` reads: coefficient
-    0 of N^t(x) for t < r, a W(k)-linear map of the r-jets of x (it reads
-    only the coefficients <= t of x).  Returns its ``witt.PackedTable``,
-    whose column j*r + a holds in entry t*d + i coefficient 0 of coordinate
-    i of N^t(gamma_a e_j), by ``n_apply`` on the d*r basis jets, and the
-    lowest precision in each row of Nmat."""
+    """The reductions that the descent of ``hat_fil_level`` reads: P w_t for
+    t < r, w_t coefficient 0 of N^t(x) and P = f_pi(C^(-1)), a W(k)-linear
+    map of the r-jets of x (w_t reads only the coefficients <= t of x).
+    Returns its ``witt.PackedTable``, whose column j*r + a holds in entry
+    t*d + i coordinate i of P w_t for x = gamma_a e_j (``n_apply`` on the
+    d*r basis jets, then one apply of r copies of P down the diagonal), the
+    lowest precision in each row of Nmat and of P, and the coordinates each
+    row of P reads (its nonzero entries)."""
     amb, d, r = B.amb, B.d, B.amb.r
+    ring = amb.ring
     zero = pd_zero(amb)
-    columns = []
+    chains = []
     for j in range(d):
         for a in range(r):
             vec = tuple(pd_gamma(amb, a) if i == j else zero for i in range(d))
-            planes = tuple([] for _ in range(amb.ring.f))
+            planes = tuple([] for _ in range(ring.f))
             for t in range(r):
                 if t:
                     vec = n_apply(B, vec)
                 for c in vec:
                     for out, pl in zip(planes, c.planes):
                         out.append(pl[0] if pl else 0)
-            columns.append((trimmed(planes), False))
-    return PackedTable(amb.ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries]
+            chains.append(trimmed(planes))
+    P = B.C_inv.map_entries(eval_fpi).entries
+    blank = [(0,) * ring.f] * d
+    diagonal = PackedTable(ring, [
+        (trimmed(ring.to_planes(blank * t + [row[l].coeffs for row in P], ring.cap)), False)
+        for t in range(r) for l in range(d)])
+    columns = [(trimmed(w), False) for w in diagonal.apply(chains, [ring.cap] * len(chains))]
+    return (PackedTable(ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries],
+            [min(c.prec for c in row) for row in P],
+            [[l for l, c in enumerate(row) if any(c.coeffs)] for row in P])
 
 
-def hat_fil_level(B: BreuilModule, x, at: int | None = None,
-                  m_basis_inv: RingMatrix | None = None) -> int:
+def hat_fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     """The top level, at most r, of x in the filtration defined recursively
     through N and evaluation at pi.
 
     Level 0 is everything; x lies in level n when N(x) lies in level n-1
     and the image of x under u -> pi lies in step n of the filtration on
-    the reduction with the module's jumps (optionally after a W-basis
-    change).  So x lies in level n when, for every t < n, the reduction w_t
-    of N^t(x) lies in step n - t, and the levels are nested.  One descent
-    of the chain finds the top level: at step t a nonzero reduced
-    coordinate j with r_j < level - t lowers the level to r_j + t, and the
-    descent ends when t reaches the level.  Levels from 1 on need the
-    monodromy (NotCris without it).
+    the reduction with the module's jumps, read in the adapted basis
+    through P = f_pi(C^(-1)), so the level is the module's, whatever its
+    presentation.  So x lies in level n when, for every t < n, P w_t, w_t
+    the reduction of N^t(x), lies in step n - t, and the levels are nested.
+    One descent of the chain finds the top level: at step t a nonzero
+    coordinate j of P w_t with r_j < level - t lowers the level to r_j + t,
+    and the descent ends when t reaches the level.  Levels from 1 on need
+    the monodromy (NotCris without it).
 
     The descent reads only coefficient 0 of N^t(x) for t < r, and
     coefficient m of N(x) = Nmat x + N_S(x) reads only the coefficients
     <= m + 1 of x (those <= m through the product, m + 1 through
-    N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m).  So every w_t is
-    a W(k)-linear map of the r-jets of x: the module keeps that table
+    N_S(gamma_(m+1)) = -(m+1) gamma_(m+1) + p*a gamma_m).  So every P w_t
+    is a W(k)-linear map of the r-jets of x: the module keeps that table
     (``_descent_table``, built on the first descent), and one ``apply``
-    gives all the w_t.  m_basis_inv then maps each w_t over W(k).
+    gives them all.
 
-    The reduced coordinates are tested for zero mod p^at (default N_p)
-    at the precisions of the chain of ``n_apply``: coordinate j of w_0 at
-    that of x_j, of w_1 at the lowest among row j of Nmat and the entries
-    of x, of every later w_t at the lowest among all of Nmat and x; after
-    m_basis_inv, coordinate j at the lowest among its row j and the
-    coordinates of w_t.  A test above that precision raises
-    PrecisionExhausted.  Coefficient 0 of N(y) is p*a*y_1 plus the Nmat
-    terms, so coefficient 0 of N^t(x) carries x_t times (p*a)^t, and step
-    t sees x_t to only about ``at - t`` digits.  So at a finite ``at`` the
-    result is the recursive level with each zero test taken mod p^at, and
-    unlike ``fil_level`` at ``at`` it is not a function of x mod p^at; a
-    comparison of the two reads both at the precision of x itself
-    (``suite_lemfil1``).
+    The coordinates are tested for zero mod p^at (default N_p) at the
+    precisions of the chain of ``n_apply`` and of P: coordinate l of w_0 is
+    known to that of x_l, of w_1 to the lowest among row l of Nmat and the
+    entries of x, of every later w_t to the lowest among all of Nmat and x,
+    and coordinate j of P w_t is tested at the lowest among row j of P and
+    the coordinates of w_t that the row reads (its nonzero entries; a zero
+    entry known mod p^a adds 0 mod p^a, and the row's precision is at most
+    a).  A test above that precision raises PrecisionExhausted.
+    Coefficient 0 of N(y) is p*a*y_1 plus the Nmat terms, so coefficient 0
+    of N^t(x) carries x_t times (p*a)^t, and step t sees x_t to only about
+    ``at - t`` digits.  So at a finite ``at`` the result is the recursive
+    level with each zero test taken mod p^at, and unlike ``fil_level`` at
+    ``at`` it is not a function of x mod p^at; a comparison of the two
+    reads both at the precision of x itself (``suite_lemfil1``).
     """
     amb, d, jumps = B.amb, B.d, B.jumps
     level = amb.r
-    if len(x) != d or (m_basis_inv is not None and m_basis_inv.rows != d):
+    if len(x) != d:
         raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
     if not (level and d):
         return level
-    if m_basis_inv is not None and m_basis_inv.cols != d:
-        raise ValueError("dimension mismatch")
     at = amb.N_p if at is None else at
     if B._hat_table is None:
         B._hat_table = _descent_table(B)
-    table, n_row = B._hat_table
+    table, n_row, p_row, p_reads = B._hat_table
     ring = amb.ring
     precs = [c.prec for c in x]
     k = min(precs)
@@ -371,22 +382,16 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None,
     [w] = table.apply([_jets(x, level, ring.pk[K])], [K])
     w = list(zip(*w))
     w += [(0,) * ring.f] * (d * level - len(w))
-    if m_basis_inv is not None:
-        basis_k = [min(c.prec for c in row) for row in m_basis_inv.entries]
     t = 0
     while t < level:
-        coeffs = w[t * d:(t + 1) * d]
         if t == 1:
             precs = [min(n, k) for n in n_row]
         elif t == 2:
             precs = [min(min(n_row), k)] * d
-        ks = precs
-        if m_basis_inv is not None:
-            ks = [min(bk, min(precs)) for bk in basis_k]
-            coeffs = [ring._dot_tuple([(c.coeffs, v) for c, v in zip(row, coeffs)], kj)
-                      for row, kj in zip(m_basis_inv.entries, ks)]
+        if t < 3:
+            ks = [min([kp] + [precs[l] for l in reads]) for kp, reads in zip(p_row, p_reads)]
         for j in range(d):
-            if jumps[j] < level - t and not WittScalar(ring, coeffs[j], ks[j]).is_zero_at(at):
+            if jumps[j] < level - t and not WittScalar(ring, w[t * d + j], ks[j]).is_zero_at(at):
                 level = jumps[j] + t
         t += 1
     return level

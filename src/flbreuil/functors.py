@@ -257,38 +257,37 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
 
 # --- flag adaptation over W ---
 
-def flag_adapt(amb, d: int, gens_by_level) -> tuple[RingMatrix, tuple[int, ...]]:
-    """Build a basis adapted to a nested flag of W-spans in W^d.
+def flag_adapt(amb, T: RingMatrix, jumps) -> tuple[RingMatrix, tuple[int, ...]]:
+    """Build a basis adapted to the flag of W-spans in W^d whose step i is
+    spanned by the columns j of the square matrix T with jumps[j] >= i.
 
-    ``gens_by_level[i]`` generates step i (i = 0 .. r, decreasing spans).
-    Processes levels from the top down, reducing each generator against the
-    basis found so far; a reduced generator must be zero at precision or
-    expose a unit pivot, otherwise the step is not a direct summand.
-    Returns (g, jumps) with jumps ascending and g's columns the adapted
-    basis in matching order.
+    Reduces each column once, in order of descending jump (ties by column
+    index), against the basis found so far; a reduced column must be zero
+    at precision or expose a unit pivot, otherwise its step is not a direct
+    summand.  Returns (g, jumps) with jumps ascending and g's columns the
+    adapted basis in matching order.
     """
     at = amb.N_p
+    d = len(jumps)
     chosen: list[tuple[list, int, int]] = []   # (vector, pivot row, level)
-    for level in range(len(gens_by_level) - 1, -1, -1):
-        for v in gens_by_level[level]:
-            w = list(v)
-            for bvec, prow, _ in chosen:
-                c = w[prow] * bvec[prow].invert()
-                if any(c.coeffs):
-                    w = [wi - c * bi for wi, bi in zip(w, bvec)]
-            pivot = next((i for i, wi in enumerate(w) if wi.is_unit()), None)
-            if pivot is None:
-                if all(wi.is_zero_at(min(at, wi.prec)) for wi in w):
-                    continue
-                raise NotDirectSummand(level)
-            chosen.append((w, pivot, level))
+    for j in sorted(range(d), key=lambda j: -jumps[j]):
+        w = list(T.col(j))
+        for bvec, prow, _ in chosen:
+            c = w[prow] * bvec[prow].invert()
+            if any(c.coeffs):
+                w = [wi - c * bi for wi, bi in zip(w, bvec)]
+        pivot = next((i for i, wi in enumerate(w) if wi.is_unit()), None)
+        if pivot is None:
+            if all(wi.is_zero_at(min(at, wi.prec)) for wi in w):
+                continue
+            raise NotDirectSummand(jumps[j])
+        chosen.append((w, pivot, jumps[j]))
     if len(chosen) != d:
         raise NotDirectSummand(0, "generators do not span the full module")
     order = sorted(range(d), key=lambda t: chosen[t][2])
     cols = [chosen[t][0] for t in order]
     g = RingMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
-    jumps = tuple(chosen[t][2] for t in order)
-    return g, jumps
+    return g, tuple(chosen[t][2] for t in order)
 
 
 # --- backward functor ---
@@ -351,15 +350,11 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
         raise NonConvergent("conjugated Frobenius is not constant at precision")
 
     # Filtration of the reduction: images at u = pi of the adapted columns,
-    # expressed in the section basis, stepwise by jump threshold.  f_pi
-    # reads the gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring
-    # map of the truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C)
-    # is computed over W(k): the same scalars at the same precision.
-    T = Bm_pi_inv @ fpi_matrix(B.C)
-    gens_by_level = []
-    for i in range(amb.r + 1):
-        gens_by_level.append([T.col(j) for j in range(B.d) if B.jumps[j] >= i])
-    g, jumps = flag_adapt(amb, B.d, gens_by_level)
+    # expressed in the section basis, with their jumps.  f_pi reads the
+    # gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring map of the
+    # truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C) is
+    # computed over W(k): the same scalars at the same precision.
+    g, jumps = flag_adapt(amb, Bm_pi_inv @ fpi_matrix(B.C), B.jumps)
 
     M = fl_from_frobenius(amb, g.invert() @ FM @ sigma_matrix(g), jumps)
     short = min((x.prec for row in M.Ftil.entries for x in row), default=at)

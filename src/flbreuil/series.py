@@ -91,7 +91,6 @@ class SigmaSeries(FlatVector):
         return "Series(" + " + ".join(terms) + f" ~p^{self.prec})"
 
 
-def series_from_ints(amb, ints, prec: int | None = None) -> SigmaSeries:
-    prec = amb.cap if prec is None else prec
-    return SigmaSeries(amb, [amb.ring.from_int(n, prec) for n in ints], prec)
+def series_from_ints(amb, ints) -> SigmaSeries:
+    return SigmaSeries(amb, [amb.ring.from_int(n) for n in ints], amb.cap)
 

@@ -112,8 +112,8 @@ def test_criterion_07_roundtrip_fl():
     bad = []
     total = 0
     for p in PRIMES:
-        recs = _run(p, p - 2, "roundtrip-fl", range(1, 51), {"unipotent_only": False})
-        recs += _run(p, p - 1, "roundtrip-fl", range(1, 26), {"unipotent_only": True})
+        recs = _run(p, p - 2, "roundtrip-fl", range(1, 51))
+        recs += _run(p, p - 1, "roundtrip-fl", range(1, 26))
         total += len(recs)
         bad.extend(r for r in recs if not r["ok"])
     _report(7, f"FL -> S -> FL reproduces jumps and Ftil exactly on {total} modules",

@@ -51,22 +51,29 @@ def level_by_product(amb, M, jumps, x, at=None):
                default=amb.N_gamma + amb.r)
 
 
-def hat_level_by_chain(B, x, at=None, m_basis_inv=None):
+def mapped(P, w):
+    """P w over W(k), coordinate j known to the lowest precision among row j
+    of P and the coordinates of w that the row reads (its nonzero entries)."""
+    return tuple(sum((c * v for c, v in zip(row, w) if any(c.coeffs)),
+                     row[0].ring.zero(min(c.prec for c in row)))
+                 for row in P.entries)
+
+
+def hat_level_by_chain(B, x, at=None):
     """``hat_fil_level`` by the chain of ``n_apply``: each step reduces the
-    current N^t(x) at u = pi, maps it by m_basis_inv and applies N once."""
+    current N^t(x) at u = pi, maps it by f_pi(C^(-1)) and applies N once."""
     amb, m_jumps = B.amb, B.jumps
     level = amb.r
-    if len(x) != B.d or (m_basis_inv is not None and m_basis_inv.rows != B.d):
+    if len(x) != B.d:
         raise ValueError("dimension mismatch")
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
     at = amb.N_p if at is None else at
+    P = fpi_matrix(B.C_inv)
     vec = tuple(x)
     t = 0
     while t < level:
-        w = tuple(eval_fpi(c) for c in vec)
-        if m_basis_inv is not None:
-            w = m_basis_inv.matvec(w)
+        w = mapped(P, [eval_fpi(c) for c in vec])
         for j in range(B.d):
             if m_jumps[j] < level - t and not w[j].is_zero_at(at):
                 level = m_jumps[j] + t
@@ -123,12 +130,11 @@ def test_rebased_levels_agree_through_the_monodromy(request, name):
         M = random_fl(amb, rng, d)
         h = random_congruent_identity(amb, rng, d)
         B = rebase(fl_to_breuil(M), h)
-        basis = fpi_matrix(h)
         for k in range(30):
             x = (random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
                  else random_vector(B, rng, 6))
             at = min(c.prec for c in x)
-            assert fil_level(B, x, at) == hat_fil_level(B, x, at, m_basis_inv=basis)
+            assert fil_level(B, x, at) == hat_fil_level(B, x, at)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])
@@ -193,25 +199,29 @@ def test_descent_table_matches_the_chain(request, name, d):
     rng = random.Random(50 + d)
     M = random_fl(amb, rng, d)
     h = random_congruent_identity(amb, rng, d)
-    B = rebase(fl_to_breuil(M), h)
+    B0 = fl_to_breuil(M)
+    B = rebase(B0, h)
     # the same module with Nmat's rows known to different precisions
     Bn = BreuilModule(amb, B.Phi, rows_truncated(B.Nmat, rng) if d else B.Nmat, B.C, B.jumps)
-    basis = fpi_matrix(h)
-    bases = [None, basis] + ([rows_truncated(basis, rng)] if d else [])
+    # rebased by a triangular h with its columns cut to different precisions:
+    # f_pi(C^(-1)) = f_pi(h) has zero entries, and entries known to several
+    # precisions in each row
+    if d:
+        tri = RingMatrix([[c if i <= j else pd_zero(amb) for j, c in enumerate(row)]
+                          for i, row in enumerate(h.entries)])
+        h = rows_truncated(tri.transpose(), rng).transpose()
+    Bt = rebase(B0, h)
     # zero tests at and just above the precisions of Nmat's rows separate
     # the precision of N(x) (its row's) from that of N^2(x) (all of Nmat's)
     row_precs = {min(c.prec for c in row) for row in Bn.Nmat.entries}
     for x in samples(B, rng, 10):
-        for mod in (B, Bn):
-            for m_basis_inv in bases:
-                for at in ats(x) + (-1, *row_precs, *(k + 1 for k in row_precs)):
-                    got = outcome(hat_fil_level, mod, x, at, m_basis_inv)
-                    assert got == outcome(hat_level_by_chain, mod, x, at, m_basis_inv)
-                    if (at is None and mod is B and m_basis_inv in (None, basis)
-                            and all(c.prec == amb.cap for c in x)):
-                        for n in range(r + 1):
-                            assert (n <= got) == hat_fil_membership_recursive(
-                                mod, M.jumps, x, n, m_basis_inv=m_basis_inv)
+        for mod in (B0, B, Bn, Bt):
+            for at in ats(x) + (-1, *row_precs, *(k + 1 for k in row_precs)):
+                got = outcome(hat_fil_level, mod, x, at)
+                assert got == outcome(hat_level_by_chain, mod, x, at)
+                if at is None and mod in (B0, B) and all(c.prec == amb.cap for c in x):
+                    for n in range(r + 1):
+                        assert (n <= got) == hat_fil_membership_recursive(mod, M.jumps, x, n)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])
@@ -232,23 +242,19 @@ def test_descent_errors_match_the_chain(amb3, amb9):
         M = random_fl(amb, rng, 3)
         B = rebase(fl_to_breuil(M), random_congruent_identity(amb, rng, 3))
         x = random_vector(B, rng, 6)
-        one, r = amb.ring.one(), amb.r
         K = kisin_to_breuil(random_gls(amb, rng, 2))
         y = random_vector(K, rng, 6)
         cases = [
-            (B, x[:2], None, None),
-            (B, x + x[:1], None, None),
-            (B, x, None, RingMatrix([[one] * 3] * 2)),
-            (B, x, None, RingMatrix([[one] * 3] * 4)),
-            wrong_cols := (B, x, None, RingMatrix([[one] * 2] * 3)),
-            (B, x, amb.cap + 1, None),
-            no_n := (K, y, None, None),
+            short := (B, x[:2], None),
+            (B, x + x[:1], None),
+            (B, x, amb.cap + 1),
+            no_n := (K, y, None),
         ]
         for args in cases:
             got, ref = outcome(hat_fil_level, *args), outcome(hat_level_by_chain, *args)
             assert got == ref
         assert outcome(hat_fil_level, *no_n)[0] is NotCris
-        assert outcome(hat_fil_level, *wrong_cols)[0] is ValueError
+        assert outcome(hat_fil_level, *short)[0] is ValueError
 
 
 def test_each_table_is_built_once_per_owner(amb3, monkeypatch):

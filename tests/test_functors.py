@@ -260,27 +260,25 @@ def test_section_basis_hint_closed_form(amb3):
 # --- flag adaptation ---
 
 def test_flag_adapt_standard_flag(amb3):
-    e1 = (amb3.w(1), amb3.w(0))
-    e2 = (amb3.w(0), amb3.w(1))
-    g, jumps = flag_adapt(amb3, 2, [[e1, e2], [e1]])
+    # step 1 is spanned by e1, step 0 by e1 and e2
+    g, jumps = flag_adapt(amb3, wmat(amb3, [[1, 0], [0, 1]]), (1, 0))
     assert jumps == (0, 1)
     # the column with jump 1 must span the middle step
     assert g.entries[0][1].is_unit() and g.entries[1][1].is_zero_at(amb3.N_p)
 
 
 def test_flag_adapt_diagonal_embedding(amb3):
-    v = (amb3.w(1), amb3.w(1))
-    e1 = (amb3.w(1), amb3.w(0))
-    e2 = (amb3.w(0), amb3.w(1))
-    g, jumps = flag_adapt(amb3, 2, [[e1, e2], [v]])
+    # step 1 is spanned by e1 + e2, step 0 by it and e1
+    g, jumps = flag_adapt(amb3, wmat(amb3, [[1, 1], [0, 1]]), (0, 1))
     assert jumps == (0, 1)
     col = (g.entries[0][1], g.entries[1][1])
     assert col[0].eq_at(col[1], amb3.N_p)  # proportional to e1 + e2
 
 
 def test_flag_adapt_rejects_non_summand(amb3):
+    # the one column, 3 e1, has no unit pivot: 3 W is not a summand of W
     with pytest.raises(NotDirectSummand):
-        flag_adapt(amb3, 1, [[(amb3.w(1),)], [(amb3.w(3),)]])
+        flag_adapt(amb3, wmat(amb3, [[3]]), (1,))
 
 
 # --- backward functor and round trips ---

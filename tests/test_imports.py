@@ -16,7 +16,9 @@ but a kernel or stdlib module; an access on a stdlib module
 (``json.dumps``) names nothing.  A second check pins the definitions that
 no kernel code names to an explicit list, each with its reason, so that a
 definition whose last kernel caller leaves fails loudly instead of living
-on as test-only API.  Likewise every span and counter the benchmark reads
+on as test-only API.  A third pins, the same way, the optional parameters
+that no kernel call passes (by keyword, by position, or through ``*`` or
+``**``; a call is matched to a definition by its name).  Likewise every span and counter the benchmark reads
 (``perfbench/run.py``'s ``_LAYER_SPEC``, ``perfbench/tracer.py``'s
 ``GROUPS``, both read with ``ast``) must name a kernel function or a name
 of a kernel class, except an explicit list of stale names, so that a
@@ -180,6 +182,88 @@ def test_definitions_without_a_kernel_caller_are_listed():
     assert unreferenced == set(NO_KERNEL_CALLER), (
         f"no kernel caller but not listed: {sorted(unreferenced - set(NO_KERNEL_CALLER))}; "
         f"listed but called: {sorted(set(NO_KERNEL_CALLER) - unreferenced)}")
+
+
+def _calls(paths) -> dict:
+    """For each callee name (a bare name, or the attribute a call reads),
+    one entry per call in these files: the number of positional arguments
+    before any ``*``, the keyword names, and whether a ``*`` or ``**``
+    passes more."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                star = [isinstance(a, ast.Starred) for a in node.args]
+                keys = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (star.index(True) if any(star) else len(star), keys,
+                     any(star) or None in keys))
+    return calls
+
+
+def _optional_parameters(node, qual: str, method: bool = False):
+    """Each parameter with a default of the functions under ``node``, nested
+    ones and methods included: its key ``module.Class.function.param``, the
+    name its callers call (the class's for ``__init__``), its positional
+    index counted without ``self`` (None when keyword-only) and its name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _optional_parameters(child, f"{qual}.{child.name}", True)
+            continue
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _optional_parameters(child, qual, method)
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+        callee = qual.rsplit(".", 1)[-1] if child.name == "__init__" else child.name
+        key = f"{qual}.{child.name}"
+        a = child.args
+        pos = a.posonlyargs + a.args
+        skip = int(method and not static)
+        for i in range(len(pos) - len(a.defaults), len(pos)):
+            yield f"{key}.{pos[i].arg}", callee, i - skip, pos[i].arg
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield f"{key}.{arg.arg}", callee, None, arg.arg
+        yield from _optional_parameters(child, key)
+
+
+def _unpassed_optional_parameters() -> set:
+    """The optional parameters of kernel functions that no kernel call
+    passes: by keyword, by position, or through ``*`` or ``**``."""
+    calls = _calls(SRC.glob("*.py"))
+    unpassed = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for key, callee, index, name in _optional_parameters(tree, path.stem):
+            if not any(more or name in keys or (index is not None and n > index)
+                       for n, keys, more in calls.get(callee, ())):
+                unpassed.add(key)
+    return unpassed
+
+
+# The optional parameters that no kernel call passes, and why each stays.
+NO_KERNEL_ARGUMENT = {
+    "functors.section_compute.max_steps": "the tests bound the iteration to reach "
+                                          "NonConvergent",
+    "campaign.roundtrip_fl.allow_non_unipotent": "the tests run the round trip on modules "
+                                                 "that are not unipotent at r = p - 1",
+    "cli.main.argv": "the tests and the benchmark run the CLI in process",
+    "kisin.kisin_raw_fil_checker.check.at": "the tests read the raw test below and above "
+                                            "a sample's precision",
+    "witt.WittRing.one.prec": "the tests build a one known to fewer digits",
+    "witt.WittRing.random.prec": "the tests draw scalars known to fewer digits",
+    "witt.WittRing.random_unit.prec": "the tests draw units known to fewer digits",
+}
+
+
+def test_optional_parameters_without_a_kernel_argument_are_listed():
+    # a default that no kernel call overrides is an option only tests set:
+    # it is removed, or listed here with its reason
+    unpassed = _unpassed_optional_parameters()
+    assert unpassed == set(NO_KERNEL_ARGUMENT), (
+        f"no kernel call passes but not listed: {sorted(unpassed - set(NO_KERNEL_ARGUMENT))}; "
+        f"listed but passed: {sorted(set(NO_KERNEL_ARGUMENT) - unpassed)}")
 
 
 # The benchmark's span names that no kernel definition answers to: the
