@@ -44,11 +44,7 @@ class NotStrong(KernelError):
 
 
 class NotDirectSummand(KernelError):
-    """A filtration step is not a direct summand; carries the level."""
-
-    def __init__(self, level, message=""):
-        self.level = level
-        super().__init__(message or f"filtration step {level} is not a direct summand")
+    """A filtration step is not a direct summand."""
 
 
 class NonConvergent(KernelError):

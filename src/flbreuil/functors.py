@@ -257,37 +257,29 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
 
 # --- flag adaptation over W ---
 
-def flag_adapt(amb, T: RingMatrix, jumps) -> tuple[RingMatrix, tuple[int, ...]]:
+def flag_adapt(T: RingMatrix, jumps) -> tuple[RingMatrix, tuple[int, ...]]:
     """Build a basis adapted to the flag of W-spans in W^d whose step i is
     spanned by the columns j of the square matrix T with jumps[j] >= i.
 
     Reduces each column once, in order of descending jump (ties by column
-    index), against the basis found so far; a reduced column must be zero
-    at precision or expose a unit pivot, otherwise its step is not a direct
-    summand.  Returns (g, jumps) with jumps ascending and g's columns the
-    adapted basis in matching order.
+    index), against the basis found so far; a reduced column must expose a
+    unit pivot, otherwise its step is not a direct summand.  Returns
+    (g, jumps) with jumps ascending and g's columns the adapted basis in
+    matching order.
     """
-    at = amb.N_p
-    d = len(jumps)
-    chosen: list[tuple[list, int, int]] = []   # (vector, pivot row, level)
-    for j in sorted(range(d), key=lambda j: -jumps[j]):
+    chosen: list[tuple] = []   # (vector, pivot row, inverse of the pivot, level)
+    for j in sorted(range(len(jumps)), key=lambda j: -jumps[j]):
         w = list(T.col(j))
-        for bvec, prow, _ in chosen:
-            c = w[prow] * bvec[prow].invert()
+        for bvec, prow, inv, _ in chosen:
+            c = w[prow] * inv
             if any(c.coeffs):
                 w = [wi - c * bi for wi, bi in zip(w, bvec)]
         pivot = next((i for i, wi in enumerate(w) if wi.is_unit()), None)
         if pivot is None:
-            if all(wi.is_zero_at(min(at, wi.prec)) for wi in w):
-                continue
-            raise NotDirectSummand(jumps[j])
-        chosen.append((w, pivot, jumps[j]))
-    if len(chosen) != d:
-        raise NotDirectSummand(0, "generators do not span the full module")
-    order = sorted(range(d), key=lambda t: chosen[t][2])
-    cols = [chosen[t][0] for t in order]
-    g = RingMatrix([[cols[j][i] for j in range(d)] for i in range(d)])
-    return g, tuple(chosen[t][2] for t in order)
+            raise NotDirectSummand(f"filtration step {jumps[j]} is not a direct summand")
+        chosen.append((w, pivot, w[pivot].invert(), jumps[j]))
+    chosen.sort(key=lambda t: t[3])
+    return RingMatrix(zip(*(t[0] for t in chosen))), tuple(t[3] for t in chosen)
 
 
 # --- backward functor ---
@@ -354,7 +346,7 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     # gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring map of the
     # truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C) is
     # computed over W(k): the same scalars at the same precision.
-    g, jumps = flag_adapt(amb, Bm_pi_inv @ fpi_matrix(B.C), B.jumps)
+    g, jumps = flag_adapt(Bm_pi_inv @ fpi_matrix(B.C), B.jumps)
 
     M = fl_from_frobenius(amb, g.invert() @ FM @ sigma_matrix(g), jumps)
     short = min((x.prec for row in M.Ftil.entries for x in row), default=at)

@@ -62,8 +62,14 @@ def _array(v, name: str) -> list:
 
 # --- scalars and elements ---
 
-def scalar_to_json(x: WittScalar) -> dict:
-    return {"coeffs": [str(c) for c in x.coeffs], "prec": x.prec}
+def _entry_to_json(x) -> dict:
+    """The document of a scalar, a series or an element of S."""
+    if isinstance(x, WittScalar):
+        return {"coeffs": [str(c) for c in x.coeffs], "prec": x.prec}
+    coeffs = [_entry_to_json(c) for c in x.coeffs]
+    if isinstance(x, SigmaSeries):
+        return {"ucoeffs": coeffs}
+    return {"gcoeffs": coeffs, "tail_dirty": x.tail_dirty}
 
 
 def _scalar_ints(amb: AmbientParams, d: dict) -> tuple:
@@ -80,62 +86,32 @@ def _scalar_ints(amb: AmbientParams, d: dict) -> tuple:
     return coeffs, prec
 
 
-def scalar_from_json(amb: AmbientParams, d: dict) -> WittScalar:
-    return amb.ring.make(*_scalar_ints(amb, d))
-
-
-def _planes_from_json(amb: AmbientParams, docs) -> tuple:
-    """The planes and the precision of the element whose coefficients are
-    the scalar documents ``docs``, each checked in turn as
-    ``scalar_from_json`` checks it: the lowest of their precisions (the
-    cap for none), every coefficient reduced mod p^k, as the element
+def _entry_from_json(amb: AmbientParams, kind: str, d: dict):
+    """The entry of kind "witt", "series" or "pd" that the document ``d``
+    holds.  A series or an element of S takes the lowest precision of its
+    coefficient documents (the cap for none), each checked in turn as a
+    scalar's, and every coefficient reduced mod p^k, as the element
     constructors make them from a list of scalars, with no scalar built."""
+    if kind == "witt":
+        return amb.ring.make(*_scalar_ints(amb, d))
+    series = kind == "series"
+    key = "ucoeffs" if series else "gcoeffs"
+    _expect(d, (key,) if series else (key, "tail_dirty"))
     cols, k = [], amb.cap
-    for doc in docs:
+    for doc in _array(d[key], key):
         coeffs, prec = _scalar_ints(amb, doc)
         cols.append(coeffs)
         k = min(k, prec)
-    return amb.ring.to_planes(cols, k), k
-
-
-def series_to_json(x: SigmaSeries) -> dict:
-    return {"ucoeffs": [scalar_to_json(c) for c in x.coeffs]}
-
-
-def series_from_json(amb: AmbientParams, d: dict) -> SigmaSeries:
-    _expect(d, ("ucoeffs",))
-    docs = _array(d["ucoeffs"], "ucoeffs")
-    planes, k = _planes_from_json(amb, docs)
-    if len(docs) > amb.N_u:
-        raise SchemaMismatch("too many u coefficients for this truncation")
-    return SigmaSeries(amb, (), k, planes)
-
-
-def pd_to_json(x: PDElement) -> dict:
-    return {"gcoeffs": [scalar_to_json(c) for c in x.coeffs], "tail_dirty": x.tail_dirty}
-
-
-def pd_from_json(amb: AmbientParams, d: dict) -> PDElement:
-    _expect(d, ("gcoeffs", "tail_dirty"))
-    docs = _array(d["gcoeffs"], "gcoeffs")
-    planes, k = _planes_from_json(amb, docs)
-    if len(docs) > amb.N_gamma:
-        raise SchemaMismatch("too many gamma coefficients for this truncation")
+    if len(cols) > (amb.N_u if series else amb.N_gamma):
+        raise SchemaMismatch(f"too many {'u' if series else 'gamma'} coefficients "
+                             "for this truncation")
+    planes = amb.ring.to_planes(cols, k)
+    if series:
+        return SigmaSeries(amb, (), k, planes)
     dirty = d["tail_dirty"]
     if not isinstance(dirty, bool):
         raise SchemaMismatch(f"tail_dirty must be a boolean, got {type(dirty).__name__}")
     return PDElement(amb, (), dirty, k, planes)
-
-
-def _entry_to_json(x) -> dict:
-    if isinstance(x, SigmaSeries):
-        return series_to_json(x)
-    if isinstance(x, PDElement):
-        return pd_to_json(x)
-    return scalar_to_json(x)
-
-
-_ENTRY_FROM_JSON = {"witt": scalar_from_json, "series": series_from_json, "pd": pd_from_json}
 
 
 def matrix_to_json(M: RingMatrix) -> dict:
@@ -149,11 +125,12 @@ def matrix_to_json(M: RingMatrix) -> dict:
 
 def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
     _expect(d, ("rows", "cols", "denom_exp", "entries"))
-    dec = _ENTRY_FROM_JSON[kind]
-    entries = [[dec(amb, x) for x in _array(row, "matrix row")]
+    entries = [[_entry_from_json(amb, kind, x) for x in _array(row, "matrix row")]
                for row in _array(d["entries"], "entries")]
     if _int(d["denom_exp"], "denom_exp"):
         raise SchemaMismatch("a matrix has no denominator: denom_exp must be 0")
+    if len({len(row) for row in entries}) > 1:
+        raise SchemaMismatch("matrix rows differ in length")
     M = RingMatrix(entries)
     if M.rows != _int(d["rows"], "rows") or M.cols != _int(d["cols"], "cols"):
         raise SchemaMismatch("declared matrix shape does not match entries")
@@ -171,7 +148,7 @@ def params_to_json(amb: AmbientParams) -> dict:
         "N_p": amb.N_p,
         "N_gamma": amb.N_gamma,
         "r": amb.r,
-        "a": scalar_to_json(amb.a),
+        "a": _entry_to_json(amb.a),
         "headroom": amb.headroom,
     }
 

@@ -15,10 +15,11 @@ coefficients.  ``FlatValue``, the base of ``WittScalar`` and of
 exact division and multiplication by p^k, negation, the valuation and the
 zero test are written there once.
 
-The residue field F_{p^f} is computed with the ring's own product at one
-digit: m is irreducible when no monic polynomial of degree 1 .. f/2
-divides it (trial division), and T^p is the residue of the Frobenius image
-of T.
+The irreducibility of m is tested over F_p on coefficient lists
+(``_fp_is_irreducible`` with ``_fp_mod``): m is irreducible when no monic
+polynomial of degree 1 .. f/2 divides it (trial division).  T^p, the
+residue of the Frobenius image of T, is the ring's own product at one
+digit.
 
 The arithmetic Frobenius sends T to the unique root of m that is congruent
 to T^p mod p; the image is Hensel-lifted once per ring and then applying the
@@ -68,8 +69,6 @@ def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     dm = len(m) - 1
     inv_lead = pow(m[-1], -1, p)
     while len(a) - 1 >= dm and _fp_trim(a):
-        if not a:
-            break
         c = (a[-1] * inv_lead) % p
         shift = len(a) - 1 - dm
         for i, mi in enumerate(m):
@@ -184,7 +183,7 @@ class WittRing:
         if not _fp_is_irreducible(list(self.m_res), p):
             raise ValueError("m must be irreducible modulo p")
         # reduction rows: T^(f+i) expressed in degrees < f, mod p^cap
-        self._redrows = self._build_redrows()
+        self._redrows = tuple(self.make([0] * (f + i) + [1]).coeffs for i in range(f - 1))
         # Frobenius: the coefficients of the image s of T and of its powers
         # s^1 .. s^(f-1), lifted once at full cap
         if f == 1:
@@ -196,21 +195,6 @@ class WittRing:
             self._spow = tuple(s.coeffs for s in pows)
 
     # --- raw coefficient tuples (length f, mod p^k) ---
-
-    def _build_redrows(self):
-        cap = self.cap
-        mod = self.pk[cap]
-        rows = []
-        # T^f = -(c_0 + ... + c_{f-1} T^{f-1})
-        row = tuple((-c) % mod for c in self.m[:-1])
-        rows.append(row)
-        for _ in range(self.f - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[:-1])
-            top = prev[-1]
-            nxt = tuple((shifted[i] + top * rows[0][i]) % mod for i in range(self.f))
-            rows.append(nxt)
-        return tuple(rows)
 
     def _dot_tuple(self, pairs, k):
         """The sum of the products a*b over pairs of coefficient tuples,

@@ -34,6 +34,7 @@ from flbreuil.pd import (
     pd_zero,
     phi_S,
 )
+from flag_reference import flag_adapt as ref_flag_adapt
 from test_breuil import fil_lower_per_coordinate
 
 
@@ -261,7 +262,7 @@ def test_section_basis_hint_closed_form(amb3):
 
 def test_flag_adapt_standard_flag(amb3):
     # step 1 is spanned by e1, step 0 by e1 and e2
-    g, jumps = flag_adapt(amb3, wmat(amb3, [[1, 0], [0, 1]]), (1, 0))
+    g, jumps = flag_adapt(wmat(amb3, [[1, 0], [0, 1]]), (1, 0))
     assert jumps == (0, 1)
     # the column with jump 1 must span the middle step
     assert g.entries[0][1].is_unit() and g.entries[1][1].is_zero_at(amb3.N_p)
@@ -269,7 +270,7 @@ def test_flag_adapt_standard_flag(amb3):
 
 def test_flag_adapt_diagonal_embedding(amb3):
     # step 1 is spanned by e1 + e2, step 0 by it and e1
-    g, jumps = flag_adapt(amb3, wmat(amb3, [[1, 1], [0, 1]]), (0, 1))
+    g, jumps = flag_adapt(wmat(amb3, [[1, 1], [0, 1]]), (0, 1))
     assert jumps == (0, 1)
     col = (g.entries[0][1], g.entries[1][1])
     assert col[0].eq_at(col[1], amb3.N_p)  # proportional to e1 + e2
@@ -278,7 +279,51 @@ def test_flag_adapt_diagonal_embedding(amb3):
 def test_flag_adapt_rejects_non_summand(amb3):
     # the one column, 3 e1, has no unit pivot: 3 W is not a summand of W
     with pytest.raises(NotDirectSummand):
-        flag_adapt(amb3, wmat(amb3, [[3]]), (1,))
+        flag_adapt(wmat(amb3, [[3]]), (1,))
+
+
+def _adapted(fn, *args):
+    """The adapted basis, every coefficient with its precision, and the
+    jumps; or None when the flag is refused."""
+    try:
+        g, jumps = fn(*args)
+    except NotDirectSummand:
+        return None
+    return [[(x.coeffs, x.prec) for x in row] for row in g.entries], jumps
+
+
+@pytest.mark.parametrize("name", ["amb3", "amb5", "amb9"])
+def test_flag_adapt_matches_the_reference(name, request):
+    # one refusal for every column without a unit pivot, and each pivot
+    # inverted once, give the reference's basis, or both refuse the flag
+    amb = request.getfixturevalue(name)
+    ring = amb.ring
+    rng = random.Random(f"flag_adapt:{name}")
+    seen = {"invertible": 0, "zero": 0, "non-unit": 0}
+    for _ in range(40):
+        for shape in seen:
+            d = rng.randint(1, 5)
+            jumps = tuple(sorted(rng.randint(0, amb.r) for _ in range(d)))
+            cols = [[ring.random(rng, rng.randint(1, amb.cap)) for _ in range(d)]
+                    for _ in range(d)]
+            j = rng.randrange(d)
+            if shape == "zero":
+                # a multiple of a column reduced before column j (jumps
+                # descend, ties by index), or zero when there is none
+                before = [k for k in range(d) if (-jumps[k], k) < (-jumps[j], j)]
+                c = ring.random(rng)
+                cols[j] = ([c * x for x in cols[rng.choice(before)]] if before
+                           else [ring.zero(rng.randint(1, amb.cap))] * d)
+            elif shape == "non-unit":
+                cols[j] = [x.mul_p_pow(rng.randint(1, 2)) for x in cols[j]]
+            T = RingMatrix([[cols[k][i] for k in range(d)] for i in range(d)])
+            want = _adapted(ref_flag_adapt, amb, T, jumps)
+            assert _adapted(flag_adapt, T, jumps) == want
+            if shape == "invertible":
+                seen[shape] += want is not None
+            else:
+                seen[shape] += want is None
+    assert min(seen.values()) >= 10, seen
 
 
 # --- backward functor and round trips ---

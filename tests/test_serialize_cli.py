@@ -575,6 +575,22 @@ def test_cli_matrix_not_of_the_rank_is_a_usage_error(tmp_path, capsys, kind, ver
     assert err == ["error: matrix dimensions do not match the rank"]
 
 
+def test_ragged_matrix_is_a_schema_error(tmp_path, capsys):
+    # rows of different lengths are refused by the loader in its own error
+    # type, before a matrix is built
+    src = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    assert main(["gen", "fl", "--d", "2", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    doc["data"]["Ftil"]["entries"][1].pop()
+    with pytest.raises(SchemaMismatch, match="^matrix rows differ in length$"):
+        SER.from_json(doc)
+    src.write_text(json.dumps(doc))
+    assert main(["apply", "mls", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: matrix rows differ in length"]
+
+
 @pytest.mark.parametrize("verb", [["section"], ["apply", "mfl", "--adjoin-zero-n"]])
 def test_cli_series_longer_than_the_truncation_is_a_usage_error(tmp_path, capsys, verb):
     # the constructor cuts a series at N_u; a file may not rely on that cut
@@ -584,7 +600,7 @@ def test_cli_series_longer_than_the_truncation_is_a_usage_error(tmp_path, capsys
     doc = json.loads(src.read_text())
     amb = SER.params_from_json(doc["params"])
     ucoeffs = doc["data"]["A"]["entries"][0][0]["ucoeffs"]
-    ucoeffs += [SER.scalar_to_json(amb.ring.one())] * (amb.N_u + 3 - len(ucoeffs))
+    ucoeffs += [SER._entry_to_json(amb.ring.one())] * (amb.N_u + 3 - len(ucoeffs))
     src.write_text(json.dumps(doc))
     assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
@@ -688,8 +704,8 @@ def _singular_mod_p(name):
             rows = m["entries"]
             cells = [(0, j) if name == "X" else (j, 0) for j in range(len(rows))]
             for i, j in cells:
-                x = SER.series_from_json(amb, rows[i][j])
-                rows[i][j] = SER.series_to_json(x.mul_p_pow(1))
+                x = SER._entry_from_json(amb, "series", rows[i][j])
+                rows[i][j] = SER._entry_to_json(x.mul_p_pow(1))
     return edit
 
 

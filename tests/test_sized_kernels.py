@@ -298,12 +298,12 @@ def test_loader_planes_are_the_scalar_constructors(name, request):
         docs = [_doc(amb, [rng.randrange(-ring.pk[amb.cap], 2 * ring.pk[amb.cap])
                            for _ in range(f)], rng.randrange(1, amb.cap + 1))
                 for _ in range(n)]
-        scalars = [SER.scalar_from_json(amb, d) for d in docs]
-        s = SER.series_from_json(amb, {"ucoeffs": docs})
+        scalars = [SER._entry_from_json(amb, "witt", d) for d in docs]
+        s = SER._entry_from_json(amb, "series", {"ucoeffs": docs})
         want = SigmaSeries(amb, scalars)
         assert (s.planes, s.prec) == (want.planes, want.prec)
         for dirty in (False, True):
-            x = SER.pd_from_json(amb, {"gcoeffs": docs, "tail_dirty": dirty})
+            x = SER._entry_from_json(amb, "pd", {"gcoeffs": docs, "tail_dirty": dirty})
             want = PDElement(amb, scalars, dirty)
             assert (x.planes, x.prec, x.tail_dirty) == (want.planes, want.prec, dirty)
 
@@ -314,14 +314,13 @@ def test_loader_errors_keep_their_order(amb3):
     short = {"coeffs": [], "prec": 4}
     # a bad coefficient is reported before the count of coefficients, and
     # the first bad coefficient before a later one
-    for key, kind, n in (("ucoeffs", SER.series_from_json, amb3.N_u),
-                         ("gcoeffs", SER.pd_from_json, amb3.N_gamma)):
+    for key, kind, n in (("ucoeffs", "series", amb3.N_u), ("gcoeffs", "pd", amb3.N_gamma)):
         extra = {"tail_dirty": "no"} if key == "gcoeffs" else {}
         with pytest.raises(PrecisionMismatch):
-            kind(amb3, {key: [good] * n + [over, short], **extra})
+            SER._entry_from_json(amb3, kind, {key: [good] * n + [over, short], **extra})
         with pytest.raises(SchemaMismatch, match="coefficients$"):
-            kind(amb3, {key: [short, over], **extra})
+            SER._entry_from_json(amb3, kind, {key: [short, over], **extra})
         with pytest.raises(SchemaMismatch, match="too many"):
-            kind(amb3, {key: [good] * (n + 1), **extra})
+            SER._entry_from_json(amb3, kind, {key: [good] * (n + 1), **extra})
     with pytest.raises(SchemaMismatch, match="tail_dirty"):
-        SER.pd_from_json(amb3, {"gcoeffs": [good], "tail_dirty": "no"})
+        SER._entry_from_json(amb3, "pd", {"gcoeffs": [good], "tail_dirty": "no"})

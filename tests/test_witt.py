@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
 from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, find_irreducible
+from flag_reference import build_redrows
 from inverse_reference import newton_inverse
 from sampler_reference import draw_below, random_tuple, random_unit_tuple
 
@@ -31,6 +32,21 @@ def test_find_irreducible_deterministic():
     assert find_irreducible(3, 2) == (1, 0, 1)
     m5 = find_irreducible(5, 2)
     assert len(m5) == 3 and m5[2] == 1
+
+
+@pytest.mark.parametrize("cap", [1, 4, 29])
+@pytest.mark.parametrize("f", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduction_rows_match_the_reference(p, f, cap):
+    # T^(f+i) mod m(T) read off the ring's make is the old recurrence's row,
+    # for the default modulus and for one lifted by multiples of p
+    rng = random.Random(f"redrows:{p}:{f}:{cap}")
+    m = find_irreducible(p, f)
+    lifted = [c + p * rng.randrange(p**cap) for c in m[:-1]] + [1]
+    for coeffs in (m, lifted):
+        ring = WittRing(p, f, coeffs, cap)
+        assert len(ring._redrows) == f - 1
+        assert ring._redrows == build_redrows(ring)
 
 
 def _mobius(n: int) -> int:
