@@ -4,8 +4,8 @@ An AmbientParams fixes the prime p, the residue degree f, the monic lift
 m of the residue field's modulus, the Hodge range bound r, the uniformiser
 datum a (a unit of W(k), with E(u) = u + p*a), the public precision N_p,
 the gamma truncation N_gamma and the internal precision headroom: the
-keywords of ``resolve_params``, which are the fields of the params
-document (``serialize.params_to_json``).  The series truncation
+keywords of ``_resolve_params``, which are the fields of the params
+document (``serialize._params_to_json``).  The series truncation
 N_u = p*N_gamma is derived.  All scalars, series and divided-power
 elements of one computation share a single context.
 
@@ -21,15 +21,15 @@ depend on the parameters alone, filled on first use:
 
 So one context can serve every computation with the same parameters:
 ``shared_params`` returns one per parameter set per process, keyed by the
-parameters ``resolve_params`` makes of its keyword arguments, and the
+parameters ``_resolve_params`` makes of its keyword arguments, and the
 campaign, the CLI and the loader of serialized modules take theirs from
 it.  ``AmbientParams(...)`` still builds a private context.
 
 The fixed W(k)-linear maps of S on gamma-coefficients, the Frobenius
-``phi_S`` (columns unit(i!)^-1 * c^i), the embedding ``embed_sigma`` of
+``phi_S`` (columns unit(i!)^-1 * c^i), the embedding ``_embed_sigma`` of
 W(k)[[u]] (columns u^n), the change to the u-divided coordinates (columns
 (p*a)^(i-j)/(i-j)! in rows j <= i) and its row 0, the evaluation f_0
-(columns (p*a)^i/i!), are one ``witt.PackedTable`` each, built whole with
+(columns (p*a)^i/i!), are one ``witt._PackedTable`` each, built whole with
 the context from its N_gamma columns in the one packed layout of ``witt``:
 one ``apply`` maps a list of vectors (a matrix's entries at once, or one
 element).  The product by p*a, which the derivation ``n_S`` applies to
@@ -54,11 +54,11 @@ import math
 
 from . import pd as pdmod
 from .errors import DegreeOverflow, NotAUnit
-from .series import SigmaSeries, series_from_ints
-from .witt import PackedTable, WittRing, WittScalar, find_irreducible, is_prime
+from .series import SigmaSeries, _series_from_ints
+from .witt import WittScalar, _find_irreducible, _is_prime, _PackedTable, _WittRing
 
 
-def section_rate_bound(p: int, r: int, N_p: int) -> int:
+def _section_rate_bound(p: int, r: int, N_p: int) -> int:
     """Smallest n with p + p^2 + ... + p^(n+1) - r(n+1) >= N_p."""
     n = 0
     while True:
@@ -68,23 +68,19 @@ def section_rate_bound(p: int, r: int, N_p: int) -> int:
         n += 1
 
 
-def min_N_gamma(p: int, r: int, N_p: int) -> int:
+def _min_N_gamma(p: int, r: int, N_p: int) -> int:
     """The hard lower bound: phi of the dropped tail lies in p^(N_p+r) S."""
     return max(p + 1, math.ceil((N_p + r) * (p - 1) / (p - 2)))
 
 
-def default_N_gamma(p: int, r: int, N_p: int) -> int:
+def _default_N_gamma(p: int, r: int, N_p: int) -> int:
     """Sized so tail effects stay below p^N_p across the iteration window."""
-    window = section_rate_bound(p, r, N_p) + 3
+    window = _section_rate_bound(p, r, N_p) + 3
     target = N_p + r * window
-    return max(min_N_gamma(p, r, N_p), math.ceil(target * (p - 1) / (p - 2)))
+    return max(_min_N_gamma(p, r, N_p), math.ceil(target * (p - 1) / (p - 2)))
 
 
-def default_headroom(p: int, r: int, N_p: int) -> int:
-    return r * (3 * N_p + 2) + p
-
-
-def resolve_params(
+def _resolve_params(
     p: int,
     r: int,
     *,
@@ -100,7 +96,7 @@ def resolve_params(
     ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries;
     more than f once its trailing zeros are dropped is a ValueError).
     Keyword arguments that name one context resolve to the same tuple."""
-    if not is_prime(p) or p < 3:
+    if not _is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime; p = 2 is not supported "
                          "(the diagonal normal form behind the Kisin-side "
                          "constructions needs p > 2)")
@@ -111,19 +107,19 @@ def resolve_params(
     if N_p < 1:
         raise ValueError("N_p must be positive")
     if headroom is None:
-        headroom = default_headroom(p, r, N_p)
+        headroom = r * (3 * N_p + 2) + p
     if headroom < 0:
         raise ValueError("headroom must be nonnegative")
     if N_gamma is None:
-        N_gamma = default_N_gamma(p, r, N_p)
-    if N_gamma < min_N_gamma(p, r, N_p):
+        N_gamma = _default_N_gamma(p, r, N_p)
+    if N_gamma < _min_N_gamma(p, r, N_p):
         raise ValueError(
             f"N_gamma = {N_gamma} violates N_gamma*(p-2)/(p-1) >= N_p + r "
-            f"(minimum {min_N_gamma(p, r, N_p)})"
+            f"(minimum {_min_N_gamma(p, r, N_p)})"
         )
     mod = p ** (N_p + headroom)
     if m_coeffs is None:
-        m_coeffs = find_irreducible(p, f)
+        m_coeffs = _find_irreducible(p, f)
     a = [a] if isinstance(a, int) else [int(c) for c in a]
     a += [0] * (f - len(a))
     while len(a) > f and not a[-1] % mod:
@@ -139,10 +135,10 @@ _SHARED: dict[tuple, AmbientParams] = {}
 
 def shared_params(**kwargs) -> AmbientParams:
     """The context of this process for the parameters these keyword
-    arguments of ``AmbientParams`` resolve to (``resolve_params``): built
+    arguments of ``AmbientParams`` resolve to (``_resolve_params``): built
     on the first call, the same object on every later call that names the
     same parameters, however it spells them."""
-    key = resolve_params(**kwargs)
+    key = _resolve_params(**kwargs)
     amb = _SHARED.get(key)
     if amb is None:
         amb = _SHARED[key] = AmbientParams(**kwargs)
@@ -152,10 +148,10 @@ def shared_params(**kwargs) -> AmbientParams:
 class AmbientParams:
     """One fixed working context; read-only after construction, with
     caches that only fill lazily.  Takes the arguments of
-    ``resolve_params``."""
+    ``_resolve_params``."""
 
     def __init__(self, *args, **kwargs):
-        p, r, f, N_p, N_gamma, headroom, a, m_coeffs = resolve_params(*args, **kwargs)
+        p, r, f, N_p, N_gamma, headroom, a, m_coeffs = _resolve_params(*args, **kwargs)
         self.p = p
         self.f = f
         self.r = r
@@ -164,7 +160,7 @@ class AmbientParams:
         self.N_u = p * N_gamma                 # the series truncation
         self.headroom = headroom
         self.cap = N_p + headroom
-        self.ring = WittRing(p, f, m_coeffs, self.cap)
+        self.ring = _WittRing(p, f, m_coeffs, self.cap)
 
         self.a = self.ring.make(a)
         if not self.a.is_unit():
@@ -200,7 +196,7 @@ class AmbientParams:
         )
         self.comb_max = max(map(max, self.comb))  # the largest weight, for dot_acc
         self.E_series = SigmaSeries(self, [self.pa, self.ring.one()])
-        self._E_pow = [series_from_ints(self, [1]), self.E_series]
+        self._E_pow = [_series_from_ints(self, [1]), self.E_series]
 
         # c = phi(E)/p = (u^p + p*sigma(a))/p: the division is exact at the
         # integer level (the gamma_k term of u^p carries p^(p-k) from
@@ -213,28 +209,28 @@ class AmbientParams:
         c_coeffs[0] = c_coeffs[0] + self.sigma_a
         self.c = pdmod.PDElement(self, c_coeffs)
         # the powers of u = gamma_1 - p*a and of c, from x^0 and x^1 on
-        one = pdmod.pd_one(self)
+        one = pdmod._pd_one(self)
         self._u_pow = [one, pdmod.PDElement(self, [self.neg_pa, self.ring.one()])]
         self._c_pow = [one, self.c]
 
         # the linear maps of S on gamma-coefficients: columns unit(i!)^-1 * c^i
         # (phi_S; the unit is an integer, so it scales the planes), u^n
-        # (embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
+        # (_embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
         mod = self.ring.pk[self.cap]
         c_cols = []
         for i in range(N_gamma):
             c_i, unit_inv = self.c_pow(i), self.fact_unit_inv(i).coeffs[0]
             c_cols.append(([[c * unit_inv % mod for c in pl] for pl in c_i.planes],
                            c_i.tail_dirty))
-        self.c_table = PackedTable(self.ring, c_cols)
-        self.u_table = PackedTable(self.ring, [(self.u_pow(n).planes, False)
-                                               for n in range(N_gamma)])
+        self.c_table = _PackedTable(self.ring, c_cols)
+        self.u_table = _PackedTable(self.ring, [(self.u_pow(n).planes, False)
+                                                for n in range(N_gamma)])
         pa_div = [self.pa_div_fact(i).coeffs for i in range(N_gamma)]
-        self.u_div_table = PackedTable(self.ring, [
+        self.u_div_table = _PackedTable(self.ring, [
             (self.ring.to_planes(pa_div[i::-1], self.cap), False) for i in range(N_gamma)])
         # its row 0, the evaluation at u = 0: gamma_i -> (p*a)^i/i!
-        self.f0_table = PackedTable(self.ring, [(self.ring.to_planes([c], self.cap), False)
-                                                for c in pa_div])
+        self.f0_table = _PackedTable(self.ring, [(self.ring.to_planes([c], self.cap), False)
+                                                 for c in pa_div])
 
     # --- caches ---
 
@@ -266,7 +262,7 @@ class AmbientParams:
 
     def gamma_scale(self) -> tuple:
         """(V, pre, post) that turn the gamma product into a plain
-        convolution (``FlatVector._matmul_planes``): V = v_p((N_gamma-1)!),
+        convolution (``_FlatVector._matmul_planes``): V = v_p((N_gamma-1)!),
         pre[i] = unit(i!)^-1 * p^(V - v_p(i!)) mod p^(cap+V) and
         post[m] = (p^(2V - v_p(m!)), unit(m!)).  Scaling coefficient i of
         both factors by pre[i] and coefficient m of their convolution by
@@ -318,10 +314,10 @@ class AmbientParams:
         return self.ring.from_int(n)
 
     def useries(self, ints) -> SigmaSeries:
-        return series_from_ints(self, ints)
+        return _series_from_ints(self, ints)
 
     def rate_bound(self) -> int:
-        return section_rate_bound(self.p, self.r, self.N_p)
+        return _section_rate_bound(self.p, self.r, self.N_p)
 
     def __repr__(self):
         return (f"AmbientParams(p={self.p}, f={self.f}, r={self.r}, N_p={self.N_p}, "

@@ -6,7 +6,7 @@ monodromy matrix Nmat (the operator acts on coordinates by x -> Nmat x +
 N_S(x) applied entrywise), a basis change C into the adapted filtration
 basis, and jumps r_1 <= ... <= r_d; the constructor reads d off Phi and
 checks the other matrices and the jumps against it.  The divided Frobenius
-``phi_r_apply`` is Phi phi_S(x) divided exactly by p^r, on Fil^r alone.
+``_phi_r_apply`` is Phi phi_S(x) divided exactly by p^r, on Fil^r alone.
 The top filtration is
 
     Fil^r = { C y : y_i has filtration valuation >= max(0, r - r_i) },
@@ -28,22 +28,22 @@ image generates exactly when the matrix of those d images is invertible.
 
 The two filtration tests return the level of x capped at r, the only
 steps the paper asks about, and read W(k)-linear maps on jets (the first
-coefficients of each coordinate) from one ``witt.PackedTable`` per owner
+coefficients of each coordinate) from one ``witt._PackedTable`` per owner
 of the matrix, built on first use, so that each sample costs one
 ``apply``:
 
-  * ``adapted_level`` (behind ``fil_level``, ``fil_lower`` and the Kisin
+  * ``_adapted_level`` (behind ``fil_level``, ``fil_lower`` and the Kisin
     raw checker) reads the first b = r - min(r_j) coefficients of M x, a
-    map of the b-jets of x (``jet_table``); the table lives on the
+    map of the b-jets of x (``_jet_table``); the table lives on the
     ``BreuilModule`` (for C^(-1)) and in the checker's closure;
   * ``hat_fil_level`` reads coefficient 0 of N^t(x) for t < r, mapped
     into the adapted basis by f_pi(C^(-1)), a map of the r-jets of x; the
-    module keeps its table, built by ``n_apply`` on the basis jets.
+    module keeps its table, built by ``_n_apply`` on the basis jets.
 
 Each zero test is taken at the precision the per-sample product had:
 coordinate j of M x at the lowest precision among row j of M and the
 entries of x, the reductions of N^t(x) at that of the chain of
-``n_apply`` and of the map (see ``hat_fil_level``).
+``_n_apply`` and of the map (see ``hat_fil_level``).
 """
 
 from __future__ import annotations
@@ -51,20 +51,20 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotCris, NotDivisible, NotInFil
-from .fl import check_jumps
-from .matrix import RingMatrix, converges_to_zero, scaled_inverse
+from .fl import _check_jumps
+from .matrix import RingMatrix, _converges_to_zero, _scaled_inverse
 from .pd import (
-    eval_f0,
-    eval_fpi,
+    _eval_f0,
+    _eval_fpi,
+    _pd_gamma,
+    _pd_random_calibrated,
+    _pd_shift,
+    _pd_zero,
+    _phi_S_all,
     n_S,
-    pd_gamma,
-    pd_random_calibrated,
-    pd_shift,
-    pd_zero,
     phi_S,
-    phi_S_all,
 )
-from .witt import PackedTable, WittScalar, trimmed
+from .witt import WittScalar, _PackedTable, _trimmed
 
 
 class BreuilModule:
@@ -75,7 +75,7 @@ class BreuilModule:
         self.Nmat = Nmat
         self.C = C
         mats = (Phi, C) if Nmat is None else (Phi, Nmat, C)
-        self.jumps = check_jumps(amb, d, jumps, *mats)
+        self.jumps = _check_jumps(amb, d, jumps, *mats)
         self._C_inv = None
         # the tables of the filtration tests, built on first use: C^(-1) on
         # jets (``fil_level``) and the descent through N (``hat_fil_level``)
@@ -93,12 +93,12 @@ class BreuilModule:
         return max(0, i - self.jumps[j])
 
 
-def jet_table(amb, M: RingMatrix, jumps) -> tuple:
+def _jet_table(amb, M: RingMatrix, jumps) -> tuple:
     """The product x -> M x on b-jets, for M over S and b = r - min(r_j)
-    (0 without jumps), the jets ``adapted_level`` reads: coefficient m of
+    (0 without jumps), the jets ``_adapted_level`` reads: coefficient m of
     (M x)_i is the sum over j and a <= m of C(m, a) (M_ij)_(m-a) x_(j,a),
     so the first b coefficients of M x are a W(k)-linear map of the first b
-    coefficients of each x_j.  Returns its ``witt.PackedTable``, whose
+    coefficients of each x_j.  Returns its ``witt._PackedTable``, whose
     column j*b + a (the image of gamma_a in coordinate j) holds in entry
     i*b + m the coefficient m of M_ij gamma_a, read straight from M's
     planes and the binomials, the lowest precision in each row of M, and
@@ -115,8 +115,8 @@ def jet_table(amb, M: RingMatrix, jumps) -> tuple:
                 for out, pl in zip(planes, row[j].planes):
                     seg = [w[n] * c % mod for n, c in enumerate(pl[:b - a])]
                     out.extend([0] * a + seg + [0] * (b - a - len(seg)))
-            columns.append((trimmed(planes), False))
-    return PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries], b
+            columns.append((_trimmed(planes), False))
+    return _PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries], b
 
 
 def _jets(x, b: int, mod: int) -> list:
@@ -132,7 +132,7 @@ def _jets(x, b: int, mod: int) -> list:
     return jets
 
 
-def adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = None) -> int:
+def _adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = None) -> int:
     """The level of x in the filtration adapted to the coordinates of
     y = M x with jumps r_j, capped at r: the minimum of r and, over j, of
     v_j + r_j, where v_j is the filtration valuation of y_j.  x lies in
@@ -143,7 +143,7 @@ def adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = N
     coordinate that vanishes there has v_j + r_j >= r whatever its higher
     coefficients are.  Coefficient m of y reads only the coefficients <= m
     of x, so y's b-jet is a W(k)-linear map of x's b-jets, ``table``
-    (``jet_table`` of M and the jumps), kept by the object that owns M
+    (``_jet_table`` of M and the jumps), kept by the object that owns M
     (``BreuilModule`` for C^(-1), the Kisin raw checker for its matrix):
     each test is one ``apply``.
     Coordinate j is tested mod p^min(at, k_j) (at defaults to N_p), k_j the
@@ -182,11 +182,11 @@ def adapted_level(amb, M: RingMatrix, jumps, x, table: tuple, at: int | None = N
 
 def fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     """The largest i <= r with x in the reconstructed step Fil^i:
-    ``adapted_level`` of the adapted coordinates C^(-1) x with the
+    ``_adapted_level`` of the adapted coordinates C^(-1) x with the
     module's jumps, through the module's table of C^(-1) on jets."""
     if B._fil_table is None:
-        B._fil_table = jet_table(B.amb, B.C_inv, B.jumps)
-    return adapted_level(B.amb, B.C_inv, B.jumps, x, B._fil_table, at)
+        B._fil_table = _jet_table(B.amb, B.C_inv, B.jumps)
+    return _adapted_level(B.amb, B.C_inv, B.jumps, x, B._fil_table, at)
 
 
 def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
@@ -196,24 +196,24 @@ def fil_lower(B: BreuilModule, i: int, x, at: int | None = None) -> bool:
     return i <= fil_level(B, x, at)
 
 
-def phi_module(B: BreuilModule, x):
+def _phi_module(B: BreuilModule, x):
     """The Frobenius of the module on coordinates: Phi applied to phi_S(x)."""
-    return B.Phi.matvec(phi_S_all(x))
+    return B.Phi.matvec(_phi_S_all(x))
 
 
-def phi_r_apply(B: BreuilModule, x):
+def _phi_r_apply(B: BreuilModule, x):
     """Divided Frobenius phi_r = phi / p^r on Fil^r; division must be exact."""
     amb = B.amb
     if not fil_lower(B, amb.r, x):
         raise NotInFil("phi_r needs an element of Fil^r")
-    img = phi_module(B, x)
+    img = _phi_module(B, x)
     try:
         return tuple(c.div_p_exact(amb.r) for c in img)
     except NotDivisible as exc:
         raise NotDivisible(f"phi(Fil^r) not divisible by p^r: {exc}") from exc
 
 
-def n_apply(B: BreuilModule, x):
+def _n_apply(B: BreuilModule, x):
     """Monodromy on coordinates: Nmat x plus the derivation of the coordinates."""
     if B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
@@ -221,18 +221,18 @@ def n_apply(B: BreuilModule, x):
     return tuple(l + n_S(c) for l, c in zip(lin, x))
 
 
-def fil_generators(B: BreuilModule):
+def _fil_generators(B: BreuilModule):
     """The d standard generators gamma_{max(0, r-r_i)} * (C column i)."""
     amb = B.amb
     gens = []
     for i in range(B.d):
-        g = pd_gamma(amb, B.fil_threshold(amb.r, i))
+        g = _pd_gamma(amb, B.fil_threshold(amb.r, i))
         gens.append(tuple(g * c for c in B.C.col(i)))
     return gens
 
 
-class ValidationReport(namedtuple("ValidationReport",
-                                  "strongly_divisible griffiths diagram cris")):
+class _ValidationReport(namedtuple("ValidationReport",
+                                   "strongly_divisible griffiths diagram cris")):
     """Strong divisibility, then Griffiths transversality, the phi/N square
     and the crystalline condition, each None without monodromy."""
 
@@ -244,27 +244,27 @@ class ValidationReport(namedtuple("ValidationReport",
         )
 
 
-def breuil_validate(B: BreuilModule) -> ValidationReport:
+def breuil_validate(B: BreuilModule) -> _ValidationReport:
     """Check strong divisibility, transversality, the phi/N square and the
     crystalline condition; N-dependent checks report None when N is absent."""
     amb = B.amb
     at = amb.N_p
-    gens = fil_generators(B)
+    gens = _fil_generators(B)
     try:
-        images = [phi_r_apply(B, g) for g in gens]
+        images = [_phi_r_apply(B, g) for g in gens]
         cols = RingMatrix([[images[j][i] for j in range(B.d)] for i in range(B.d)])
         strongly = cols.residue_invertible()
     except (NotDivisible, NotInFil):
         strongly = False
         images = None
     if B.Nmat is None:
-        return ValidationReport(strongly, None, None, None)
+        return _ValidationReport(strongly, None, None, None)
 
     griffiths = True
     diagram = True
-    E = pd_gamma(amb, 1)
+    E = _pd_gamma(amb, 1)
     for j, g in enumerate(gens):
-        ENg = tuple(E * c for c in n_apply(B, g))
+        ENg = tuple(E * c for c in _n_apply(B, g))
         if not fil_lower(B, amb.r, ENg, at):
             griffiths = False
             diagram = False
@@ -273,51 +273,51 @@ def breuil_validate(B: BreuilModule) -> ValidationReport:
             diagram = False
             continue
         try:
-            lhs = phi_r_apply(B, ENg)
+            lhs = _phi_r_apply(B, ENg)
         except (NotDivisible, NotInFil):
             diagram = False
             continue
-        rhs = tuple(amb.c * c for c in n_apply(B, images[j]))
+        rhs = tuple(amb.c * c for c in _n_apply(B, images[j]))
         if not all(a.eq_at(b, at) for a, b in zip(lhs, rhs)):
             diagram = False
     cris = all(
-        eval_f0(B.Nmat.entries[i][j]).is_zero_at(at)
+        _eval_f0(B.Nmat.entries[i][j]).is_zero_at(at)
         for i in range(B.d) for j in range(B.d)
     )
-    return ValidationReport(strongly, griffiths, diagram, cris)
+    return _ValidationReport(strongly, griffiths, diagram, cris)
 
 
 def _descent_table(B: BreuilModule) -> tuple:
     """The reductions that the descent of ``hat_fil_level`` reads: P w_t for
     t < r, w_t coefficient 0 of N^t(x) and P = f_pi(C^(-1)), a W(k)-linear
     map of the r-jets of x (w_t reads only the coefficients <= t of x).
-    Returns its ``witt.PackedTable``, whose column j*r + a holds in entry
-    t*d + i coordinate i of P w_t for x = gamma_a e_j (``n_apply`` on the
+    Returns its ``witt._PackedTable``, whose column j*r + a holds in entry
+    t*d + i coordinate i of P w_t for x = gamma_a e_j (``_n_apply`` on the
     d*r basis jets, then one apply of r copies of P down the diagonal), the
     lowest precision in each row of Nmat and of P, and the coordinates each
     row of P reads (its nonzero entries)."""
     amb, d, r = B.amb, B.d, B.amb.r
     ring = amb.ring
-    zero = pd_zero(amb)
+    zero = _pd_zero(amb)
     chains = []
     for j in range(d):
         for a in range(r):
-            vec = tuple(pd_gamma(amb, a) if i == j else zero for i in range(d))
+            vec = tuple(_pd_gamma(amb, a) if i == j else zero for i in range(d))
             planes = tuple([] for _ in range(ring.f))
             for t in range(r):
                 if t:
-                    vec = n_apply(B, vec)
+                    vec = _n_apply(B, vec)
                 for c in vec:
                     for out, pl in zip(planes, c.planes):
                         out.append(pl[0] if pl else 0)
-            chains.append(trimmed(planes))
-    P = B.C_inv.map_entries(eval_fpi).entries
+            chains.append(_trimmed(planes))
+    P = B.C_inv.map_entries(_eval_fpi).entries
     blank = [(0,) * ring.f] * d
-    diagonal = PackedTable(ring, [
-        (trimmed(ring.to_planes(blank * t + [row[l].coeffs for row in P], ring.cap)), False)
+    diagonal = _PackedTable(ring, [
+        (_trimmed(ring.to_planes(blank * t + [row[l].coeffs for row in P], ring.cap)), False)
         for t in range(r) for l in range(d)])
-    columns = [(trimmed(w), False) for w in diagonal.apply(chains, [ring.cap] * len(chains))]
-    return (PackedTable(ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries],
+    columns = [(_trimmed(w), False) for w in diagonal.apply(chains, [ring.cap] * len(chains))]
+    return (_PackedTable(ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries],
             [min(c.prec for c in row) for row in P],
             [[l for l, c in enumerate(row) if any(c.coeffs)] for row in P])
 
@@ -346,7 +346,7 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     gives them all.
 
     The coordinates are tested for zero mod p^at (default N_p) at the
-    precisions of the chain of ``n_apply`` and of P: coordinate l of w_0 is
+    precisions of the chain of ``_n_apply`` and of P: coordinate l of w_0 is
     known to that of x_l, of w_1 to the lowest among row l of Nmat and the
     entries of x, of every later w_t to the lowest among all of Nmat and x,
     and coordinate j of P w_t is tested at the lowest among row j of P and
@@ -358,7 +358,7 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     ``at - t`` digits.  So at a finite ``at`` the result is the recursive
     level with each zero test taken mod p^at, and unlike ``fil_level`` at
     ``at`` it is not a function of x mod p^at; a comparison of the two
-    reads both at the precision of x itself (``suite_lemfil1``).
+    reads both at the precision of x itself (``_suite_lemfil1``).
     """
     amb, d, jumps = B.amb, B.d, B.jumps
     level = amb.r
@@ -397,22 +397,22 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     return level
 
 
-def breuil_bhat(B: BreuilModule) -> RingMatrix:
+def _breuil_bhat(B: BreuilModule) -> RingMatrix:
     """The matrix with Phi * Bhat = p^r I; integrality is asserted."""
-    return scaled_inverse(B.Phi, B.amb.r)
+    return _scaled_inverse(B.Phi, B.amb.r)
 
 
 def breuil_unipotent(B: BreuilModule) -> bool:
     """Whether the twisted product of Bhat vanishes mod p^N_p."""
-    return converges_to_zero(breuil_bhat(B), phi_S, B.amb.N_p)
+    return _converges_to_zero(_breuil_bhat(B), phi_S, B.amb.N_p)
 
 
-def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
+def _rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     """The same module presented in the basis f h (h in GL_d(S)).  Its
     C^(-1) = (h^(-1) C)^(-1) is seeded as C^(-1) h, a product instead of a
     second inversion."""
     h_inv = h.invert()
-    phi_h = h.map_all(phi_S_all)
+    phi_h = h.map_all(_phi_S_all)
     Phi_new = h_inv @ B.Phi @ phi_h
     C_new = h_inv @ B.C
     Nmat_new = None
@@ -424,25 +424,25 @@ def rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:
     return out
 
 
-def random_fil_member(B: BreuilModule, rng, n: int):
+def _random_fil_member(B: BreuilModule, rng, n: int):
     """Random element of Fil^n with coefficients kept away from the
     precision boundary (exact zeros or valuation <= 2).  Per body index:
     zero coin ``random() < 0.3``, else a valuation from 2 bits and a unit
-    f-tuple of bit_length(p^cap)-bit draws (``pd_random_calibrated``)."""
+    f-tuple of bit_length(p^cap)-bit draws (``_pd_random_calibrated``)."""
     amb = B.amb
     y = []
     for j in range(B.d):
         t = B.fil_threshold(n, j)
-        body = pd_random_calibrated(amb, rng, amb.N_gamma - t - 1, 2)
-        y.append(pd_shift(body, t))
+        body = _pd_random_calibrated(amb, rng, amb.N_gamma - t - 1, 2)
+        y.append(_pd_shift(body, t))
     return B.C.matvec(tuple(y))
 
 
-def random_vector(B: BreuilModule, rng, max_index: int | None = None):
+def _random_vector(B: BreuilModule, rng, max_index: int | None = None):
     """Random coordinate vector with calibrated coefficient valuations
     (exact zeros or valuation <= 2).  Per index: zero coin
     ``random() < 0.3``, else a valuation from 2 bits and a unit f-tuple of
-    bit_length(p^cap)-bit draws (``pd_random_calibrated``)."""
+    bit_length(p^cap)-bit draws (``_pd_random_calibrated``)."""
     amb = B.amb
     top = amb.N_gamma - 1 if max_index is None else max_index
-    return tuple(pd_random_calibrated(amb, rng, top, 2) for _ in range(B.d))
+    return tuple(_pd_random_calibrated(amb, rng, top, 2) for _ in range(B.d))

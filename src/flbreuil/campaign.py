@@ -3,10 +3,10 @@
 Each suite function takes (amb, rng, cfg) and returns a list of check
 records {"check": str, "ok": bool, ...}; a failing record carries enough
 data (seed, instance JSON) to replay in isolation.  The round trips
-``roundtrip_fl`` and ``roundtrip_breuil`` build their records here from the
-two functors and the section of ``functors``.  ``run_campaign`` runs
+``_roundtrip_fl`` and ``_roundtrip_breuil`` build their records here from the
+two functors and the section of ``functors``.  ``_run_campaign`` runs
 every (suite, seed) pair, optionally over a process pool, and returns the
-records in suite and seed order; ``summarise`` counts them per suite.
+records in suite and seed order; ``_summarise`` counts them per suite.
 Randomness is derived from "suite:seed" strings, so runs are reproducible
 across processes.
 """
@@ -35,7 +35,7 @@ def _rec(check, ok, **detail):
 
 # --- ring laws (criterion 1) ---
 
-def suite_ring_laws(amb, rng, cfg):
+def _suite_ring_laws(amb, rng, cfg):
     n = cfg.get("samples", 100)
     recs = []
 
@@ -59,16 +59,16 @@ def suite_ring_laws(amb, rng, cfg):
     at = amb.N_p
     ok_leib = ok_phimul = ok_f0 = ok_filmul = ok_fpi = True
     for _ in range(n):
-        x = P.pd_random_calibrated(amb, rng, 5, 2)
-        y = P.pd_random_calibrated(amb, rng, 5, 2)
+        x = P._pd_random_calibrated(amb, rng, 5, 2)
+        y = P._pd_random_calibrated(amb, rng, 5, 2)
         xy, phx = x * y, P.phi_S(x)
         lhs = P.n_S(xy)
         rhs = P.n_S(x) * y + x * P.n_S(y)
         ok_leib &= lhs.eq_at(rhs, at)
         ok_phimul &= P.phi_S(xy).eq_at(phx * P.phi_S(y), at)
-        ok_f0 &= P.eval_f0(phx).eq_at(P.eval_f0(x).frobenius(), at)
-        vx, vy = P.fil_valuation(x, at), P.fil_valuation(y, at)
-        ok_filmul &= P.fil_valuation(xy, at) >= min(vx + vy, amb.N_gamma)
+        ok_f0 &= P._eval_f0(phx).eq_at(P._eval_f0(x).frobenius(), at)
+        vx, vy = P._fil_valuation(x, at), P._fil_valuation(y, at)
+        ok_filmul &= P._fil_valuation(xy, at) >= min(vx + vy, amb.N_gamma)
         s = amb.useries([rng.randrange(amb.ring.pk[amb.cap]) for _ in range(4)])
         val = s.coeff(0)
         q = amb.neg_pa
@@ -76,7 +76,7 @@ def suite_ring_laws(amb, rng, cfg):
         for i in range(4):
             acc = acc + s.coeff(i) * qp
             qp = qp * q
-        ok_fpi &= P.eval_fpi(P.embed_sigma(s)).eq_at(acc, at)
+        ok_fpi &= P._eval_fpi(P._embed_sigma(s)).eq_at(acc, at)
     recs.append(_rec("pd-n-derivation", ok_leib, n=n))
     recs.append(_rec("pd-phi-multiplicative", ok_phimul, n=n))
     recs.append(_rec("pd-f0-phi-commutes", ok_f0, n=n))
@@ -86,7 +86,7 @@ def suite_ring_laws(amb, rng, cfg):
     # N phi = p phi N on Fil^1, termwise on low gamma indices
     ok_nphi = True
     for i in range(1, min(6, amb.N_gamma)):
-        g = P.pd_gamma(amb, i)
+        g = P._pd_gamma(amb, i)
         lhs = P.n_S(P.phi_S(g))
         rhs = P.phi_S(P.n_S(g)).mul_p_pow(1)
         ok_nphi &= lhs.eq_at(rhs, at)
@@ -96,16 +96,16 @@ def suite_ring_laws(amb, rng, cfg):
 
 # --- the one-step filtration descent (criterion 2) ---
 
-def easylemma_holds(amb, s, i: int) -> bool:
+def _easylemma_holds(amb, s, i: int) -> bool:
     """Mod p^N_p: s and N(s) in Fil^i forces s into Fil^(i+1)."""
     at = amb.N_p
-    hyp = P.fil_valuation(s, at) >= i and P.fil_valuation(P.n_S(s), at) >= i
+    hyp = P._fil_valuation(s, at) >= i and P._fil_valuation(P.n_S(s), at) >= i
     if not hyp:
         return True
-    return P.fil_valuation(s, at) >= i + 1
+    return P._fil_valuation(s, at) >= i + 1
 
 
-def suite_easylemma(amb, rng, cfg):
+def _suite_easylemma(amb, rng, cfg):
     n = cfg.get("samples", 20)
     recs = []
     if amb.r < 2:
@@ -118,30 +118,30 @@ def suite_easylemma(amb, rng, cfg):
         ok_pos = True
         for _ in range(n):
             # exact member of Fil^(i+1): hypothesis holds, conclusion must too
-            body = P.pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
-            s = P.pd_shift(body, i + 1)
-            ok_pos &= easylemma_holds(amb, s, i)
+            body = P._pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
+            s = P._pd_shift(body, i + 1)
+            ok_pos &= _easylemma_holds(amb, s, i)
         recs.append(_rec(f"easylemma-positive-i{i}", ok_pos, n=n))
 
         ok_neg = True
         for _ in range(n):
             # unit coefficient at gamma_i: N(s) must visibly leave Fil^i
-            tail = P.pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
-            s = P.pd_gamma(amb, i, amb.ring.random_unit(rng)) + P.pd_shift(tail, i + 1)
-            ok_neg &= P.fil_valuation(P.n_S(s), at) < i
-            ok_neg &= P.fil_valuation(s, at) < i + 1
-        g = P.pd_gamma(amb, i)
-        ok_neg &= P.fil_valuation(P.n_S(g), at) == i - 1
+            tail = P._pd_random_calibrated(amb, rng, amb.N_gamma - i - 2, 2)
+            s = P._pd_gamma(amb, i, amb.ring.random_unit(rng)) + P._pd_shift(tail, i + 1)
+            ok_neg &= P._fil_valuation(P.n_S(s), at) < i
+            ok_neg &= P._fil_valuation(s, at) < i + 1
+        g = P._pd_gamma(amb, i)
+        ok_neg &= P._fil_valuation(P.n_S(g), at) == i - 1
         recs.append(_rec(f"easylemma-witness-i{i}", ok_neg, n=n))
     return recs
 
 
 # --- the two filtrations agree (criteria 3 and 11) ---
 
-def suite_lemfil1(amb, rng, cfg):
+def _suite_lemfil1(amb, rng, cfg):
     n_elems = cfg.get("elements", 200)
     d = rng.randrange(1, 4)
-    M = FL.random_fl(amb, rng, d)
+    M = FL._random_fl(amb, rng, d)
     B = FU.fl_to_breuil(M)
     recs = []
 
@@ -159,9 +159,9 @@ def suite_lemfil1(amb, rng, cfg):
     for k in range(n_elems):
         if k % 2 == 0:
             level = rng.randrange(amb.r + 1)
-            x = BR.random_fil_member(B, rng, level)
+            x = BR._random_fil_member(B, rng, level)
         else:
-            x = BR.random_vector(B, rng, max_index=6)
+            x = BR._random_vector(B, rng, max_index=6)
         # both filtrations are nested, so the levels 0..r on which they
         # disagree lie between their two top levels; both are read at the
         # sample's own precision, as the recursive test loses a digit per N
@@ -174,14 +174,14 @@ def suite_lemfil1(amb, rng, cfg):
 
 # --- section suite (criteria 4, 5, 6) ---
 
-def suite_section(amb, rng, cfg):
+def _suite_section(amb, rng, cfg):
     recs = []
     d = rng.randrange(1, 4)
 
-    M = FL.random_fl(amb, rng, d)
+    M = FL._random_fl(amb, rng, d)
     Bfl = FU.fl_to_breuil(M)
     sec = FU.section_compute(Bfl)
-    ident = RingMatrix.identity(d, P.pd_zero(amb), P.pd_one(amb))
+    ident = RingMatrix.identity(d, P._pd_zero(amb), P._pd_one(amb))
     prec = min(x.prec for row in sec.Bmat.entries for x in row)
     tele = (sec.iterations == 0 and sec.Bmat.eq_at(ident, prec)
             and sec.exact and sec.f0_identity)
@@ -211,22 +211,20 @@ def suite_section(amb, rng, cfg):
 
 # --- round trips (criteria 7, 8) ---
 
-def roundtrip_fl(M, allow_non_unipotent: bool = False) -> dict:
+def _roundtrip_fl(M) -> dict:
     """The ``roundtrip-fl-exact`` record of ``M``: FL -> S -> FL must
     reproduce jumps and Ftil on the nose."""
     amb = M.amb
     if not FL.fl_validate(M):
         raise NotStrong("round trip needs a strong module")
-    if amb.r == amb.p - 1 and not allow_non_unipotent:
-        if not FL.fl_unipotent(M):
-            raise NotStrong("with r = p-1 the equivalence needs a unipotent module "
-                            "(pass allow_non_unipotent=True to explore)")
+    if amb.r == amb.p - 1 and not FL.fl_unipotent(M):
+        raise NotStrong("with r = p-1 the equivalence needs a unipotent module")
     B = FU.fl_to_breuil(M)
     sec = FU.section_compute(B)
     M2 = FU.breuil_to_fl(B, section=sec).M
     ok = M2.jumps == M.jumps and M2.Ftil.eq_at(M.Ftil, amb.N_p)
     sec_prec = min(x.prec for row in sec.Bmat.entries for x in row)
-    ident = RingMatrix.identity(M.d, P.pd_zero(amb), P.pd_one(amb))
+    ident = RingMatrix.identity(M.d, P._pd_zero(amb), P._pd_one(amb))
     return _rec("roundtrip-fl-exact", ok,
                 details={"iterations": sec.iterations,
                          "section_is_identity": sec.Bmat.eq_at(ident, sec_prec),
@@ -234,28 +232,28 @@ def roundtrip_fl(M, allow_non_unipotent: bool = False) -> dict:
                 instance=SER.to_json(M) if not ok else None)
 
 
-def suite_roundtrip_fl(amb, rng, cfg):
+def _suite_roundtrip_fl(amb, rng, cfg):
     d = rng.randrange(1, 4)
     if amb.r == amb.p - 1:
-        M = FL.random_unipotent_fl(amb, rng, d)
+        M = FL._random_unipotent_fl(amb, rng, d)
     else:
-        M = FL.random_fl(amb, rng, d)
-    return [roundtrip_fl(M)]
+        M = FL._random_fl(amb, rng, d)
+    return [_roundtrip_fl(M)]
 
 
-def random_congruent_identity(amb, rng, d: int) -> RingMatrix:
+def _random_congruent_identity(amb, rng, d: int) -> RingMatrix:
     """Random g = I + p*(support 4), which lies in GL_d(S) as g = I mod p."""
     return RingMatrix([
         [
-            (P.pd_one(amb) if i == j else P.pd_zero(amb))
-            + P.pd_random_calibrated(amb, rng, 4, 0).mul_p_pow(1)
+            (P._pd_one(amb) if i == j else P._pd_zero(amb))
+            + P._pd_random_calibrated(amb, rng, 4, 0).mul_p_pow(1)
             for j in range(d)
         ]
         for i in range(d)
     ])
 
 
-def roundtrip_breuil(M, g, rng) -> dict:
+def _roundtrip_breuil(M, g, rng) -> dict:
     """The ``roundtrip-breuil`` record of S -> FL -> S on the base change of
     ``M`` re-presented by ``g`` (congruent to the identity mod p).
 
@@ -270,7 +268,7 @@ def roundtrip_breuil(M, g, rng) -> dict:
     """
     amb = M.amb
     at = amb.N_p
-    Bt = BR.rebase(FU.fl_to_breuil(M), g)
+    Bt = BR._rebase(FU.fl_to_breuil(M), g)
     try:
         sec = FU.section_compute(Bt)
     except NonConvergent as exc:
@@ -279,11 +277,11 @@ def roundtrip_breuil(M, g, rng) -> dict:
     Bm = sec.Bmat
     # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
     # the closed form costs one product and no second inverse of g
-    matrix_exact = (g @ Bm).eq_at(FU.embed_w_matrix(amb, FU.f0_matrix(g)), at)
+    matrix_exact = (g @ Bm).eq_at(FU._embed_w_matrix(amb, FU._f0_matrix(g)), at)
     resid = Bt.Nmat @ Bm + Bm.map_entries(P.n_S)
     # the top gamma coefficient of N on a truncated element is the one
     # coordinate the dropped tail can reach; eq_at skips it when dirty
-    n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P.pd_zero(amb)), at)
+    n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P._pd_zero(amb)), at)
 
     n_fil = 8
     fil_ok = True
@@ -291,13 +289,13 @@ def roundtrip_breuil(M, g, rng) -> dict:
         transport = FU.breuil_to_fl(Bt, section=sec)
         # the tensor filtration: adapted basis Bmat embed(g_w), the
         # reduction's jumps
-        Bs = BR.BreuilModule(amb, Bt.Phi, Bt.Nmat, Bm @ FU.embed_w_matrix(amb, transport.g_w),
+        Bs = BR.BreuilModule(amb, Bt.Phi, Bt.Nmat, Bm @ FU._embed_w_matrix(amb, transport.g_w),
                              transport.M.jumps)
         for _ in range(n_fil):
             if rng.random() < 0.5:
-                x = BR.random_fil_member(Bt, rng, amb.r)
+                x = BR._random_fil_member(Bt, rng, amb.r)
             else:
-                x = BR.random_vector(Bt, rng, 6)
+                x = BR._random_vector(Bt, rng, 6)
             fil_ok &= BR.fil_lower(Bt, amb.r, x, at) == BR.fil_lower(Bs, amb.r, x, at)
     except (NotStrong, NotDirectSummand, NonConvergent) as exc:
         return _rec("roundtrip-breuil", False, converged=True, relation="failed",
@@ -314,10 +312,10 @@ def roundtrip_breuil(M, g, rng) -> dict:
                 instance=SER.to_json(M) if not ok else None)
 
 
-def suite_roundtrip_breuil(amb, rng, cfg):
+def _suite_roundtrip_breuil(amb, rng, cfg):
     d = rng.randrange(1, 4)
-    M = FL.random_fl(amb, rng, d)
-    return [roundtrip_breuil(M, random_congruent_identity(amb, rng, d), rng)]
+    M = FL._random_fl(amb, rng, d)
+    return [_roundtrip_breuil(M, _random_congruent_identity(amb, rng, d), rng)]
 
 
 # --- unipotence preservation (criterion 9) ---
@@ -328,10 +326,10 @@ def _unipotence_agrees(M) -> tuple[bool, bool, bool]:
     return fl_verdict == br_verdict, fl_verdict, br_verdict
 
 
-def suite_unipotence(amb, rng, cfg):
+def _suite_unipotence(amb, rng, cfg):
     recs = []
     d = rng.randrange(1, 4)
-    M = FL.random_fl(amb, rng, d)
+    M = FL._random_fl(amb, rng, d)
     agree, flv, brv = _unipotence_agrees(M)
     recs.append(_rec("unipotence-random", agree, fl=flv, breuil=brv,
                      instance=SER.to_json(M) if not agree else None))
@@ -353,18 +351,18 @@ def suite_unipotence(amb, rng, cfg):
 
 # --- raw vs adapted top filtration after the Kisin transfer (criterion 10) ---
 
-def suite_kisin_breuil(amb, rng, cfg):
+def _suite_kisin_breuil(amb, rng, cfg):
     n_elems = cfg.get("elements", 200)
     d = rng.randrange(1, 4)
     K = KI.random_gls(amb, rng, d)
     B = KI.kisin_to_breuil(K)
-    raw = KI.kisin_raw_fil_checker(K)
+    raw = KI._kisin_raw_fil_checker(K)
     mism = 0
     for k in range(n_elems):
         if k % 2 == 0:
-            x = BR.random_fil_member(B, rng, amb.r)
+            x = BR._random_fil_member(B, rng, amb.r)
         else:
-            x = BR.random_vector(B, rng, max_index=6)
+            x = BR._random_vector(B, rng, max_index=6)
         if BR.fil_lower(B, amb.r, x) != raw(x):
             mism += 1
     strongly = BR.breuil_validate(B).strongly_divisible
@@ -377,20 +375,20 @@ def suite_kisin_breuil(amb, rng, cfg):
 
 
 SUITES = {
-    "ring-laws": suite_ring_laws,
-    "easylemma": suite_easylemma,
-    "lemfil1": suite_lemfil1,
-    "section": suite_section,
-    "roundtrip-fl": suite_roundtrip_fl,
-    "roundtrip-breuil": suite_roundtrip_breuil,
-    "unipotence": suite_unipotence,
-    "kisin-breuil-consistency": suite_kisin_breuil,
+    "ring-laws": _suite_ring_laws,
+    "easylemma": _suite_easylemma,
+    "lemfil1": _suite_lemfil1,
+    "section": _suite_section,
+    "roundtrip-fl": _suite_roundtrip_fl,
+    "roundtrip-breuil": _suite_roundtrip_breuil,
+    "unipotence": _suite_unipotence,
+    "kisin-breuil-consistency": _suite_kisin_breuil,
 }
 
 # the configuration key of each suite's per-seed sample count (``verify
 # --samples``); the other suites draw a fixed number of instances
-SAMPLE_KEYS = {"ring-laws": "samples", "easylemma": "samples",
-               "lemfil1": "elements", "kisin-breuil-consistency": "elements"}
+_SAMPLE_KEYS = {"ring-laws": "samples", "easylemma": "samples",
+                "lemfil1": "elements", "kisin-breuil-consistency": "elements"}
 
 
 def run_suite_seed(params: dict, suite: str, seed: int, cfg: dict) -> list[dict]:
@@ -416,8 +414,8 @@ def _worker(args):
     return suite, seed, records
 
 
-def run_campaign(params: dict, suites: list, seeds: list, config: dict,
-                 jobs: int) -> list[dict]:
+def _run_campaign(params: dict, suites: list, seeds: list, config: dict,
+                  jobs: int) -> list[dict]:
     """The records of every (suite, seed) pair, sorted stably by the suite's
     place in ``suites`` and then by seed.  ``params`` are the keyword
     arguments of ``AmbientParams`` and ``config`` maps a suite to its
@@ -439,7 +437,7 @@ def run_campaign(params: dict, suites: list, seeds: list, config: dict,
     return [rec for _, _, recs in results for rec in recs]
 
 
-def summarise(records) -> dict:
+def _summarise(records) -> dict:
     """suite -> {"pass", "fail", "failing_seeds"}, the counts of passing and
     failing records and the sorted seeds of the failing ones, with the
     suites in the order of their first record."""

@@ -31,7 +31,7 @@ from . import serialize as SER
 from .ambient import shared_params
 from .breuil import BreuilModule
 from .errors import KernelError, NotStrong
-from .fl import FLModule, fl_validate, random_fl, random_jumps
+from .fl import FLModule, _random_fl, _random_jumps, fl_validate
 from .kisin import KisinModule, random_gls
 
 
@@ -78,7 +78,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_jumps(text: str | None, d: int, rng, amb):
     if text is None:
-        return random_jumps(amb, rng, d)
+        return _random_jumps(amb, rng, d)
     return tuple(int(x) for x in text.split(","))
 
 
@@ -95,7 +95,7 @@ def _write(docs: list, path: str | None) -> None:
 
 
 def _print_summary(summary: dict, prefix: str, file) -> int:
-    """One line per suite of ``campaign.summarise``; 1 when a record failed."""
+    """One line per suite of ``campaign._summarise``; 1 when a record failed."""
     for suite, s in summary.items():
         status = "ok" if s["fail"] == 0 else f"FAIL seeds={s['failing_seeds']}"
         print(f"{prefix}{suite:28s} pass={s['pass']:4d} fail={s['fail']:3d}  {status}",
@@ -103,22 +103,20 @@ def _print_summary(summary: dict, prefix: str, file) -> int:
     return 0 if all(s["fail"] == 0 for s in summary.values()) else 1
 
 
-def cmd_gen(args) -> int:
+def _cmd_gen(args) -> int:
     import random
 
     amb = shared_params(**_amb_kwargs(args))
     rng = random.Random(f"gen:{args.kind}:{args.seed}")
     jumps = _parse_jumps(args.jumps, args.d, rng, amb)
     if args.kind == "fl":
-        obj = random_fl(amb, rng, args.d, jumps)
+        obj = _random_fl(amb, rng, args.d, jumps)
     elif args.kind == "kisin-gls":
         obj = random_gls(amb, rng, args.d, jumps=jumps)
     elif args.kind == "breuil-from-fl":
-        obj = FU.fl_to_breuil(random_fl(amb, rng, args.d, jumps))
-    elif args.kind == "breuil-from-kisin":
+        obj = FU.fl_to_breuil(_random_fl(amb, rng, args.d, jumps))
+    else:  # breuil-from-kisin, the last choice the parser allows
         obj = KI.kisin_to_breuil(random_gls(amb, rng, args.d, jumps=jumps))
-    else:
-        raise ValueError(f"unknown kind {args.kind}")
     _write([SER.to_json(obj)], args.out)
     return 0
 
@@ -133,7 +131,7 @@ def _load_breuil(path: str, verb: str) -> BreuilModule:
     return obj
 
 
-def cmd_apply(args) -> int:
+def _cmd_apply(args) -> int:
     if args.functor == "mls":
         obj = SER.load(args.infile)
         if not isinstance(obj, FLModule):
@@ -141,16 +139,14 @@ def cmd_apply(args) -> int:
         if not fl_validate(obj):
             raise NotStrong("apply mls expects a strong FL module (Ftil invertible)")
         out = FU.fl_to_breuil(obj)
-    elif args.functor == "mfl":
+    else:  # mfl, the other choice the parser allows
         B = _load_breuil(args.infile, "apply mfl")
         out = FU.breuil_to_fl(B, adjoin_zero_n=args.adjoin_zero_n).M
-    else:
-        raise ValueError(args.functor)
     _write([SER.to_json(out)], args.out)
     return 0
 
 
-def cmd_section(args) -> int:
+def _cmd_section(args) -> int:
     """Write the section document of a stored S-module (a Kisin module is
     base-changed first).  The section is computed to the N_p digits the
     document holds, which are those of the section computed at full
@@ -166,31 +162,31 @@ def cmd_section(args) -> int:
     rank-4 to rank-6 section task at p = 3 and 5."""
     B = _load_breuil(args.infile, "section")
     sec = FU.section_compute(B, prec=B.amb.N_p)
-    _write([SER.section_to_json(B.amb, sec)], args.out)
+    _write([SER._section_to_json(B.amb, sec)], args.out)
     return 0 if sec.exact else 1
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     params = _amb_kwargs(args)
     suites = args.suite or ["all"]
     if "all" in suites:
         suites = list(CAM.SUITES)
     seeds = _parse_seeds(args.seeds)
     config = {} if args.samples is None else {
-        s: {CAM.SAMPLE_KEYS[s]: args.samples} for s in suites if s in CAM.SAMPLE_KEYS}
+        s: {CAM._SAMPLE_KEYS[s]: args.samples} for s in suites if s in CAM._SAMPLE_KEYS}
     # the context is built before any task, so a bad one is a usage error
     # rather than one kernel-error record per task
     shared_params(**params)
     t0 = time.time()
-    records = CAM.run_campaign(params, suites, seeds, config, args.jobs)
+    records = CAM._run_campaign(params, suites, seeds, config, args.jobs)
     elapsed = time.time() - t0
     _write(records, args.out)
-    code = _print_summary(CAM.summarise(records), "# ", sys.stderr)
+    code = _print_summary(CAM._summarise(records), "# ", sys.stderr)
     print(f"# elapsed {elapsed:.1f}s", file=sys.stderr)
     return code
 
 
-def cmd_report(args) -> int:
+def _cmd_report(args) -> int:
     records = []
     with open(args.infile, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -208,11 +204,11 @@ def cmd_report(args) -> int:
             records.append(rec)
     if not records:
         raise ValueError(f"{args.infile}: no report records")
-    return _print_summary(dict(sorted(CAM.summarise(records).items())), "", sys.stdout)
+    return _print_summary(dict(sorted(CAM._summarise(records).items())), "", sys.stdout)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     """The parser of ``main``, built once per process: each ``parse_args``
     fills a new namespace, so no call sees another's arguments."""
     ap = argparse.ArgumentParser(prog="flbreuil", description=__doc__,
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--out", type=str, default=None)
     _add_params(g)
-    g.set_defaults(fn=cmd_gen)
+    g.set_defaults(fn=_cmd_gen)
 
     a = sub.add_parser("apply", help="apply a functor to a stored instance")
     a.add_argument("functor", choices=["mls", "mfl"])
@@ -234,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", type=str, default=None)
     a.add_argument("--adjoin-zero-n", action="store_true",
                    help="read a Frobenius-only module as crystalline with trivial N")
-    a.set_defaults(fn=cmd_apply)
+    a.set_defaults(fn=_cmd_apply)
 
     s = sub.add_parser("section", help="compute the phi-equivariant section")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--out", type=str, default=None)
-    s.set_defaults(fn=cmd_section)
+    s.set_defaults(fn=_cmd_section)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", action="append",
@@ -251,17 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", type=str, default=None)
     v.add_argument("--jobs", type=_positive_int, default=1)
     _add_params(v)
-    v.set_defaults(fn=cmd_verify)
+    v.set_defaults(fn=_cmd_verify)
 
     rp = sub.add_parser("report", help="summarise a JSONL report")
     rp.add_argument("--in", dest="infile", required=True)
-    rp.set_defaults(fn=cmd_report)
+    rp.set_defaults(fn=_cmd_report)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -16,8 +16,8 @@ unipotent exactly when the twisted product of V tends to zero
 (``fl_unipotent``).  The jumps alone say whether it is etale (every r_i is
 r) or multiplicative (every r_i is 0).
 
-F and its inverse live here alone: ``fl_frobenius_matrix`` scales column j
-by p^{r_j}, ``fl_from_frobenius`` divides it back and raises NotStrong when
+F and its inverse live here alone: ``_fl_frobenius_matrix`` scales column j
+by p^{r_j}, ``_fl_from_frobenius`` divides it back and raises NotStrong when
 it cannot.  ``fl_transport`` needs a flag-preserving g (p^{r_j - r_i}
 divides g_{ij} whenever r_i < r_j) and raises NotStrong for any other.
 """
@@ -25,11 +25,11 @@ divides g_{ij} whenever r_i < r_j) and raises NotStrong for any other.
 from __future__ import annotations
 
 from .errors import MalformedJumps, NotDivisible, NotInvertible, NotStrong
-from .matrix import RingMatrix, converges_to_zero
+from .matrix import RingMatrix, _converges_to_zero
 from .witt import WittScalar
 
 
-def check_jumps(amb, d: int, jumps, *mats: RingMatrix) -> tuple[int, ...]:
+def _check_jumps(amb, d: int, jumps, *mats: RingMatrix) -> tuple[int, ...]:
     """The jumps as a tuple, checked to be d sorted integers in [0, r];
     each matrix in ``mats`` must be d x d, which is checked first."""
     jumps = tuple(jumps)
@@ -48,7 +48,7 @@ def check_jumps(amb, d: int, jumps, *mats: RingMatrix) -> tuple[int, ...]:
     return jumps
 
 
-def random_jumps(amb, rng, d: int) -> tuple[int, ...]:
+def _random_jumps(amb, rng, d: int) -> tuple[int, ...]:
     """d jumps drawn uniformly from [0, r], sorted ascending."""
     return tuple(sorted(rng.randrange(amb.r + 1) for _ in range(d)))
 
@@ -57,7 +57,7 @@ class FLModule:
     def __init__(self, amb, jumps, Ftil: RingMatrix):
         self.amb = amb
         self.d = Ftil.rows
-        self.jumps = check_jumps(amb, self.d, jumps, Ftil)
+        self.jumps = _check_jumps(amb, self.d, jumps, Ftil)
         self.Ftil = Ftil
 
 
@@ -67,7 +67,7 @@ def fl_validate(M: FLModule) -> bool:
     return M.Ftil.residue_invertible()
 
 
-def fl_frobenius_matrix(M: FLModule) -> RingMatrix:
+def _fl_frobenius_matrix(M: FLModule) -> RingMatrix:
     """Matrix of phi = phi_0: column j of Ftil scaled by p^{r_j}."""
     cols = M.jumps
     return RingMatrix(
@@ -75,9 +75,9 @@ def fl_frobenius_matrix(M: FLModule) -> RingMatrix:
     )
 
 
-def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
+def _fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
     """The module with jumps r_j whose Frobenius matrix is F: column j of F
-    divided by p^{r_j}, the inverse of ``fl_frobenius_matrix``.  Raises
+    divided by p^{r_j}, the inverse of ``_fl_frobenius_matrix``.  Raises
     NotStrong when a column is not divisible by its power of p."""
     d = len(jumps)
     if F.rows != d or F.cols != d:
@@ -90,7 +90,7 @@ def fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
     return FLModule(amb, jumps, Ftil)
 
 
-def fl_v_matrix(M: FLModule) -> RingMatrix:
+def _fl_v_matrix(M: FLModule) -> RingMatrix:
     """V = diag(p^{r-r_i}) Ftil^{-1}, with F V = V F = p^r I."""
     try:
         inv = M.Ftil.invert()
@@ -104,24 +104,24 @@ def fl_v_matrix(M: FLModule) -> RingMatrix:
 
 def fl_unipotent(M: FLModule) -> bool:
     """Whether the twisted product of V vanishes mod p^N_p."""
-    return converges_to_zero(fl_v_matrix(M), WittScalar.frobenius, M.amb.N_p)
+    return _converges_to_zero(_fl_v_matrix(M), WittScalar.frobenius, M.amb.N_p)
 
 
-def random_fl(amb, rng, d: int, jumps=None) -> FLModule:
+def _random_fl(amb, rng, d: int, jumps=None) -> FLModule:
     """Random strong module: Ftil sampled in GL_d(W)."""
     if jumps is None:
-        jumps = random_jumps(amb, rng, d)
-    jumps = check_jumps(amb, d, jumps)
+        jumps = _random_jumps(amb, rng, d)
+    jumps = _check_jumps(amb, d, jumps)
     while True:
         Ftil = RingMatrix([[amb.ring.random(rng) for _ in range(d)] for _ in range(d)])
         if Ftil.residue_invertible():
             return FLModule(amb, jumps, Ftil)
 
 
-def random_unipotent_fl(amb, rng, d: int) -> FLModule:
+def _random_unipotent_fl(amb, rng, d: int) -> FLModule:
     """Random strong module screened to be unipotent via the V-product."""
     while True:
-        M = random_fl(amb, rng, d, random_jumps(amb, rng, d))
+        M = _random_fl(amb, rng, d, _random_jumps(amb, rng, d))
         if fl_unipotent(M):
             return M
 
@@ -130,9 +130,9 @@ def fl_transport(M: FLModule, g: RingMatrix) -> FLModule:
     """The same module in the basis e g, for flag-preserving g.
 
     F transforms semilinearly, F' = g^{-1} F sigma(g), and
-    ``fl_from_frobenius`` divides it back.  Since Ftil is invertible,
+    ``_fl_from_frobenius`` divides it back.  Since Ftil is invertible,
     column j of F sigma(g) is divisible by p^{r_j} exactly when p^{r_j - r_i}
     divides sigma(g)_{ij} for every r_i < r_j: that is the flag condition,
     and a g that breaks it raises NotStrong."""
     sg = g.map_entries(WittScalar.frobenius)
-    return fl_from_frobenius(M.amb, g.invert() @ fl_frobenius_matrix(M) @ sg, M.jumps)
+    return _fl_from_frobenius(M.amb, g.invert() @ _fl_frobenius_matrix(M) @ sg, M.jumps)

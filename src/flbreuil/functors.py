@@ -42,42 +42,38 @@ from .errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from .fl import FLModule, fl_from_frobenius, fl_frobenius_matrix, fl_validate
-from .matrix import RingMatrix, scaled_inverse
+from .fl import FLModule, _fl_frobenius_matrix, _fl_from_frobenius, fl_validate
+from .matrix import RingMatrix, _scaled_inverse
 from .pd import (
-    all_in_u_power_ideal,
-    eval_f0,
-    eval_fpi,
-    pd_from_scalar,
-    pd_one,
-    pd_zero,
-    phi_S_all,
+    _all_in_u_power_ideal,
+    _eval_f0,
+    _eval_fpi,
+    _pd_from_scalar,
+    _pd_one,
+    _pd_zero,
+    _phi_S_all,
 )
 from .witt import WittScalar
 
 
-def f0_matrix(M: RingMatrix) -> RingMatrix:
+def _f0_matrix(M: RingMatrix) -> RingMatrix:
     """Entrywise evaluation at u = 0, landing over W(k)."""
-    return M.map_entries(eval_f0)
+    return M.map_entries(_eval_f0)
 
 
-def embed_w_matrix(amb, M: RingMatrix) -> RingMatrix:
+def _embed_w_matrix(amb, M: RingMatrix) -> RingMatrix:
     """Constants of W(k) viewed inside S."""
-    return M.map_entries(lambda x: pd_from_scalar(amb, x))
+    return M.map_entries(lambda x: _pd_from_scalar(amb, x))
 
 
-def phi_matrix(M: RingMatrix) -> RingMatrix:
+def _phi_matrix(M: RingMatrix) -> RingMatrix:
     """Entrywise phi_S: one apply of the context's table to all entries."""
-    return M.map_all(phi_S_all)
+    return M.map_all(_phi_S_all)
 
 
-def sigma_matrix(M: RingMatrix) -> RingMatrix:
-    return M.map_entries(WittScalar.frobenius)
-
-
-def fpi_matrix(M: RingMatrix) -> RingMatrix:
+def _fpi_matrix(M: RingMatrix) -> RingMatrix:
     """Entrywise evaluation at u = pi, landing over W(k)."""
-    return M.map_entries(eval_fpi)
+    return M.map_entries(_eval_fpi)
 
 
 # --- forward functor ---
@@ -87,12 +83,12 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
     derivation, identity adapted basis (its own inverse), unchanged
     jumps."""
     amb = M.amb
-    zero = pd_zero(amb)
+    zero = _pd_zero(amb)
     B = BreuilModule(
         amb=amb,
-        Phi=embed_w_matrix(amb, fl_frobenius_matrix(M)),
+        Phi=_embed_w_matrix(amb, _fl_frobenius_matrix(M)),
         Nmat=RingMatrix.zeros(M.d, M.d, zero),
-        C=RingMatrix.identity(M.d, zero, pd_one(amb)),
+        C=RingMatrix.identity(M.d, zero, _pd_one(amb)),
         jumps=M.jumps,
     )
     B._C_inv = B.C
@@ -100,6 +96,10 @@ def fl_to_breuil(M: FLModule) -> BreuilModule:
 
 
 # --- the section ---
+
+# the steps past twice the rate bound that the section iteration takes
+# before it gives up with NonConvergent
+_STEP_CUSHION = 4
 
 SectionResult = namedtuple("SectionResult", [
     "Bmat",                 # section matrix: at least prec digits when
@@ -116,14 +116,13 @@ SectionResult = namedtuple("SectionResult", [
 ])
 
 
-def section_compute(B: BreuilModule, max_steps: int | None = None,
-                    prec: int | None = None) -> SectionResult:
+def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
     """Compute the unique phi-equivariant splitting of the reduction mod u.
 
     Runs the fixed-point iteration in the module's own basis.  On
     presentations coming from the normal form the iteration count never
     exceeds the rate bound; elsewhere it is best effort and NonConvergent
-    is raised after twice the bound plus a fixed cushion.
+    is raised after twice the bound plus ``_STEP_CUSHION`` steps.
 
     The count ``iterations`` is the first n with B_(n+1) = B_n mod p^N_p
     in every gamma-coefficient below N_gamma, as the stop test compares
@@ -137,7 +136,7 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
     computed at full precision, and the iteration runs on A and p^r
     A_0^(-1) cut to L = prec + r (s + 2) digits, first with s = rate
     bound, then, if it has not stabilised within s steps, once more with
-    s = ``max_steps``.  Step n of a run tests at p^(N_p + (n + 2) r) and
+    s = the step budget.  Step n of a run tests at p^(N_p + (n + 2) r) and
     the result divides by p^((n + 2) r), so L suffices for steps 0 .. s
     and leaves ``Bmat`` at least prec digits; ``residual`` and the
     verdicts are computed from that ``Bmat``.
@@ -167,19 +166,18 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
     at = amb.N_p
     d = B.d
     A = B.Phi
-    A0_w = f0_matrix(A)
+    A0_w = _f0_matrix(A)
     try:
-        scaled = scaled_inverse(A0_w, amb.r)
+        scaled = _scaled_inverse(A0_w, amb.r)
     except (NotDivisible, SingularMatrix) as exc:
         raise A0NotScaledIntegral(f"p^r A_0^(-1) is not integral: {exc}") from exc
-    A0inv = embed_w_matrix(amb, scaled)      # p^r A_0^(-1), integral
-    A0_pd = embed_w_matrix(amb, A0_w)
+    A0inv = _embed_w_matrix(amb, scaled)      # p^r A_0^(-1), integral
+    A0_pd = _embed_w_matrix(amb, A0_w)
     ident_w = RingMatrix.identity(d, amb.ring.zero(), amb.ring.one())
-    ident_pd = RingMatrix.identity(d, pd_zero(amb), pd_one(amb))
+    ident_pd = RingMatrix.identity(d, _pd_zero(amb), _pd_one(amb))
     r = amb.r
     rate = amb.rate_bound()
-    if max_steps is None:
-        max_steps = 2 * rate + 4
+    max_steps = 2 * rate + _STEP_CUSHION
 
     # (digits of the run, or None for no cut; steps it may take)
     runs = [(None, max_steps)]
@@ -203,18 +201,18 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
         B0 = A_L @ A0inv_L
         try:
             diff = B0.map_entries(lambda x: x.div_p_exact(r)) - ident_pd
-            claim = all_in_u_power_ideal([x.mul_p_pow(1) for row in diff.entries for x in row],
-                                         amb.p, at)
+            claim = _all_in_u_power_ideal([x.mul_p_pow(1) for row in diff.entries for x in row],
+                                          amb.p, at)
         except NotDivisible:
             claim = False  # a non-integral first iterate certainly fails it
 
-        f0_ok = f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
+        f0_ok = _f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
         cur = B0
         stable = undecided = False
         for iterations in range(steps + 1):
-            nxt = A_L @ phi_matrix(cur) @ A0inv_L
+            nxt = A_L @ _phi_matrix(cur) @ A0inv_L
             t += r
-            f0_ok = f0_ok and f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
+            f0_ok = f0_ok and _f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
             prev = cur.mul_p_pow(r)
             stable = nxt.eq_at(prev, at + t)
             # a test that fails only at the top coefficient of unflagged
@@ -240,7 +238,7 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
         if L is None or constant or all(x.tail_dirty for row in cur.entries for x in row):
             break
 
-    residual = cur @ A0_pd - A @ phi_matrix(cur)
+    residual = cur @ A0_pd - A @ _phi_matrix(cur)
     res_val = min([at] + [x.valuation() for row in residual.entries for x in row])
     return SectionResult(
         Bmat=cur,
@@ -257,7 +255,7 @@ def section_compute(B: BreuilModule, max_steps: int | None = None,
 
 # --- flag adaptation over W ---
 
-def flag_adapt(T: RingMatrix, jumps) -> tuple[RingMatrix, tuple[int, ...]]:
+def _flag_adapt(T: RingMatrix, jumps) -> tuple[RingMatrix, tuple[int, ...]]:
     """Build a basis adapted to the flag of W-spans in W^d whose step i is
     spanned by the columns j of the square matrix T with jumps[j] >= i.
 
@@ -325,7 +323,7 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     # f_pi(Bm) is Bm's gamma_0 part: its one inverse over W(k) serves the
     # filtration below and, cut to the solve's precision (where the inverse
     # is unique, so the same ints), the solve
-    Bm_pi_inv = fpi_matrix(Bm).invert()
+    Bm_pi_inv = _fpi_matrix(Bm).invert()
 
     # Frobenius of the reduction: the section basis makes Phi constant.
     # Bm^(-1) Phi phi(Bm) = f0(Phi) - Bm^(-1) R with R = Bm f0(Phi) - Phi phi(Bm)
@@ -336,9 +334,9 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
         k = min(x.prec for M in (Bm, corr) for row in M.entries for x in row)
         corr = RingMatrix(Bm[0, 0].solve(Bm.entries, Bm_pi_inv.truncate(k).entries,
                                          corr.entries))
-    conj = embed_w_matrix(amb, f0_matrix(B.Phi)) - corr
-    FM = f0_matrix(conj)
-    if not conj.eq_at(embed_w_matrix(amb, FM), at):
+    conj = _embed_w_matrix(amb, _f0_matrix(B.Phi)) - corr
+    FM = _f0_matrix(conj)
+    if not conj.eq_at(_embed_w_matrix(amb, FM), at):
         raise NonConvergent("conjugated Frobenius is not constant at precision")
 
     # Filtration of the reduction: images at u = pi of the adapted columns,
@@ -346,9 +344,9 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     # gamma_0 coefficient and (xy)_0 = x_0 y_0, so it is a ring map of the
     # truncated ring, and f_pi(Bm^(-1) C) = f_pi(Bm)^(-1) f_pi(C) is
     # computed over W(k): the same scalars at the same precision.
-    g, jumps = flag_adapt(Bm_pi_inv @ fpi_matrix(B.C), B.jumps)
+    g, jumps = _flag_adapt(Bm_pi_inv @ _fpi_matrix(B.C), B.jumps)
 
-    M = fl_from_frobenius(amb, g.invert() @ FM @ sigma_matrix(g), jumps)
+    M = _fl_from_frobenius(amb, g.invert() @ FM @ g.map_entries(WittScalar.frobenius), jumps)
     short = min((x.prec for row in M.Ftil.entries for x in row), default=at)
     if short < at:
         raise PrecisionExhausted(f"the reduction's Ftil is known to {short} digits, "

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from . import breuil as breuil_mod
 from .errors import NotInvertible
-from .fl import check_jumps, random_jumps
+from .fl import _check_jumps, _random_jumps
 from .matrix import RingMatrix
-from .pd import embed_sigma_all, pd_one, pd_zero, phi_S_all
+from .pd import _embed_sigma_all, _pd_one, _pd_zero, _phi_S_all
 from .series import SigmaSeries
 
 
@@ -43,7 +43,7 @@ class KisinModule:
     def __init__(self, amb, X: RingMatrix, jumps, Y: RingMatrix):
         self.amb = amb
         self.d = X.rows
-        self.jumps = check_jumps(amb, self.d, jumps, X, Y)
+        self.jumps = _check_jumps(amb, self.d, jumps, X, Y)
         if not X.residue_invertible() or not Y.residue_invertible():
             raise NotInvertible("X and Y must lie in GL_d of the series ring")
         self.X = X
@@ -53,7 +53,7 @@ class KisinModule:
 
 
 def _embed_matrix(A: RingMatrix) -> RingMatrix:
-    return A.map_all(embed_sigma_all)
+    return A.map_all(_embed_sigma_all)
 
 
 def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
@@ -66,39 +66,39 @@ def kisin_to_breuil(K: KisinModule) -> "breuil_mod.BreuilModule":
     least r - r_i.  The adapted basis is the identity, its own inverse.
     """
     amb = K.amb
-    phi_XL = _embed_matrix(K.XL).map_all(phi_S_all)
+    phi_XL = _embed_matrix(K.XL).map_all(_phi_S_all)
     Phi = _embed_matrix(K.Y) @ phi_XL
     B = breuil_mod.BreuilModule(
         amb=amb,
         Phi=Phi,
         Nmat=None,
-        C=RingMatrix.identity(K.d, pd_zero(amb), pd_one(amb)),
+        C=RingMatrix.identity(K.d, _pd_zero(amb), _pd_one(amb)),
         jumps=K.jumps,
     )
     B._C_inv = B.C
     return B
 
 
-def kisin_raw_fil_checker(K: KisinModule):
+def _kisin_raw_fil_checker(K: KisinModule):
     """Membership test for the top filtration straight from its definition.
 
     Returns a callable on coordinate vectors (in the transferred basis f):
     the linearised Frobenius of the element must land in Fil^r S tensor the
     module, i.e. every component of embed(A) * embed(Y)^{-1} * w, with
     A = X Lambda Y the module's own matrix, must have filtration valuation
-    at least r: ``adapted_level`` of those components with jumps 0
+    at least r: ``_adapted_level`` of those components with jumps 0
     reaches r.  Independent of the adapted shortcut: it inverts embed(Y)
     over S (``RingMatrix.invert``) and multiplies out.  The product on
-    r-jets is one table (``breuil.jet_table``), built with the callable,
+    r-jets is one table (``breuil._jet_table``), built with the callable,
     which keeps it.
     """
     amb = K.amb
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     zeros = (0,) * K.d
-    table = breuil_mod.jet_table(amb, full, zeros)
+    table = breuil_mod._jet_table(amb, full, zeros)
 
-    def check(w, at: int | None = None) -> bool:
-        return breuil_mod.adapted_level(amb, full, zeros, w, table, at) == amb.r
+    def check(w) -> bool:
+        return breuil_mod._adapted_level(amb, full, zeros, w, table) == amb.r
 
     return check
 
@@ -115,10 +115,10 @@ def random_gls(amb, rng, d: int, jumps=None) -> KisinModule:
     rate; a plain degree-one term in Y already breaks both.
     """
     if jumps is None:
-        jumps = random_jumps(amb, rng, d)
+        jumps = _random_jumps(amb, rng, d)
     # checked against d here: the constructor reads the rank off X, and
     # range(d) builds an empty X for every d <= 0
-    jumps = check_jumps(amb, d, jumps)
+    jumps = _check_jumps(amb, d, jumps)
 
     def rand_entry(crystalline_shape: bool) -> SigmaSeries:
         coeffs = []

@@ -4,12 +4,12 @@ A RingMatrix holds entries of one ring: WittScalar (W(k)), SigmaSeries
 (W(k)[[u]]) or PDElement (S).  It calls the entries' own methods; every
 entry type has the same arithmetic, precision and residue-field interface,
 and over W(k)[[u]] and S that arithmetic is one code path,
-``witt.FlatVector``, which reads each ring's cut and weights from its
+``witt._FlatVector``, which reads each ring's cut and weights from its
 ``_grading`` hook.  Products take one of two paths, picked by the
 operands.  A product of rows with one vector (``matvec``) is the fused
 ``dot`` per entry.  A product of two matrices (``@``) is ``matmul``: over
 W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
-kernel ``FlatVector._matmul_planes`` (in the one packed layout of
+kernel ``_FlatVector._matmul_planes`` (in the one packed layout of
 ``witt``, each entry one sum of big-int products), equal to ``dot`` in
 planes, precision and tail_dirty flag.  ``dot`` stays its own path: as
 the 1 x 1 matrix product it ran slower (the figures are in the layout
@@ -19,8 +19,8 @@ Solves and inverses over W(k)[[u]] and S go by the grading.  S is graded
 by the gamma-index (gamma_i gamma_j = C(i+j, i) gamma_(i+j)) and W(k)[[u]]
 by the u-degree, so a square A over either is invertible exactly when its
 degree-0 part A_0 is, and A X = R is solved one degree at a time from
-A_0^(-1): ``solve`` is ``FlatVector.solve``, one triangular pass of
-``witt`` (``FlatVector._solve_planes``), and ``invert`` there is the solve
+A_0^(-1): ``solve`` is ``_FlatVector.solve``, one triangular pass of
+``witt`` (``_FlatVector._solve_planes``), and ``invert`` there is the solve
 of the identity.  With k the lowest precision among the entries of A and
 R, every step is exact mod p^k, so no digit is lost: the unit-pivot case
 of the precision argument of Caruso, Roe and Vaccon ("Tracking p-adic
@@ -37,7 +37,7 @@ to its right.  With k the lowest precision among A's entries, a
 multiplier y / (p^v u) is only known mod p^(k-v), but it multiplies
 entries that p^v divides, so it is read at precision k and the block loses
 no digit (the same precision argument).  Then p^s A^(-1) =
-R diag(p^(s - v_c) u_c^(-1)) L: ``scaled_inverse`` gives Breuil's
+R diag(p^(s - v_c) u_c^(-1)) L: ``_scaled_inverse`` gives Breuil's
 p^r Phi^(-1) and the section's p^r A_0^(-1), and its case s = 0 is the
 inverse over W(k).  ``residue_invertible`` eliminates the one-digit lifts
 of the residues with the column search and row operations only, and no L
@@ -46,7 +46,7 @@ matrix singular.  W(k), truncated W(k)[[u]] and truncated S are local, so
 a unit pivot exists at every step exactly when A is residue-invertible;
 and they are quotient rings, so the inverse is unique at working
 precision.  The elimination is right to k - 2 max(v_c) + s digits, but
-``scaled_inverse`` keeps min(cap, k - 2t + s) of them, t = sum v_c =
+``_scaled_inverse`` keeps min(cap, k - 2t + s) of them, t = sum v_c =
 v_p(det A): that is what the determinant route adj(A) det(A)^(-1)
 certifies, and the CLI's output bytes are fixed at it.
 The semilinear twists (sigma on W(k), phi on the series ring and on S) are
@@ -56,7 +56,7 @@ passed as the entry map itself.
 from __future__ import annotations
 
 from .errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
-from .witt import FlatVector
+from .witt import _FlatVector
 
 
 class RingMatrix:
@@ -90,7 +90,7 @@ class RingMatrix:
     def map_all(self, fn) -> "RingMatrix":
         """The matrix of the same shape whose entries, row by row, are
         ``fn`` of the list of all entries: a map of lists that handles
-        them at once, such as ``pd.phi_S_all``."""
+        them at once, such as ``pd._phi_S_all``."""
         flat = fn([x for row in self.entries for x in row])
         c = self.cols
         return RingMatrix([flat[i * c:(i + 1) * c] for i in range(self.rows)])
@@ -182,8 +182,8 @@ class RingMatrix:
 
     def solve(self, R: "RingMatrix") -> "RingMatrix":
         """The X with A X = R, for A square over W(k)[[u]] or S and R with
-        as many rows: ``FlatVector.solve``, one triangular pass over
-        the grading (``FlatVector._solve_planes``), from the inverse of
+        as many rows: ``_FlatVector.solve``, one triangular pass over
+        the grading (``_FlatVector._solve_planes``), from the inverse of
         A's degree-0 part over W(k) by the elimination.  It exists exactly
         when that part is invertible, that is when A is residue-invertible
         (NotInvertible otherwise), and comes back at the lowest precision
@@ -201,7 +201,7 @@ class RingMatrix:
 
     def invert(self) -> "RingMatrix":
         """Two-sided inverse.  Over W(k)[[u]] and S it is ``solve`` of the
-        identity; over W(k) it is ``scaled_inverse`` with scale p^0.  It
+        identity; over W(k) it is ``_scaled_inverse`` with scale p^0.  It
         exists exactly when A is residue-invertible and comes back at the
         lowest precision among A's entries, where it is the unique
         inverse."""
@@ -210,17 +210,17 @@ class RingMatrix:
         if not self.rows:
             return self
         x = self.entries[0][0]
-        if isinstance(x, FlatVector):
+        if isinstance(x, _FlatVector):
             one = x.lift_residue((1,) + (0,) * (x.ring.f - 1))
             return self.solve(RingMatrix.identity(self.rows, one - one, one))
         return _unit_inverse(self)
 
 
 def _unit_inverse(A: RingMatrix) -> RingMatrix:
-    """``scaled_inverse(A, 0)`` for a square A over W(k), with its three
+    """``_scaled_inverse(A, 0)`` for a square A over W(k), with its three
     failures read as NotInvertible."""
     try:
-        return scaled_inverse(A, 0)
+        return _scaled_inverse(A, 0)
     except (SingularMatrix, PrecisionExhausted, NotDivisible):
         raise NotInvertible("no unit pivot: not invertible modulo the maximal ideal") from None
 
@@ -300,7 +300,7 @@ def _read_at(x, k: int):
     return x if x.prec == k else x._map(lambda xs: xs, k)
 
 
-def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
+def _scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     """Integral matrix equal to p^s A^(-1) (s = ``scale_pow``).
 
     With L A R = diag(p^v_c u_c) (``_diagonalise``, at the lowest precision
@@ -336,7 +336,7 @@ def scaled_inverse(A: RingMatrix, scale_pow: int) -> RingMatrix:
     return out.truncate(prec)
 
 
-def converges_to_zero(A: RingMatrix, twist, at: int) -> bool:
+def _converges_to_zero(A: RingMatrix, twist, at: int) -> bool:
     """Semidecision for 'the product A * twist(A) * ... tends to zero'.
 
     ``twist`` is the entry map: WittScalar.frobenius or phi_S.  True when

@@ -13,7 +13,7 @@ i >= N_gamma, is an ideal by the product rule, so the cut is a ring map,
 and every map into S follows one rule: what lies past N_gamma is dropped,
 and an element that lost a nonzero coefficient, or was computed from one
 that did, is flagged ``tail_dirty``.
-Products, ``pd_shift``, the powers of u and c and ``embed_sigma`` (every
+Products, ``_pd_shift``, the powers of u and c and ``_embed_sigma`` (every
 series degree below N_u, by the product u^N_gamma * s') all do so.  The
 structure maps act termwise, and none of them sees the dropped tail at the
 public precision N_p:
@@ -23,39 +23,39 @@ public precision N_p:
     tests read only the indices below j <= r.
   * phi(gamma_i) = (p^i / i!) * c^i with c = phi(E)/p = (u^p + p*sigma(a))/p.
     For i >= N_gamma, v_p(p^i/i!) > i(p-2)/(p-1) >= N_p + r
-    (``ambient.min_N_gamma``), so phi of the tail lies in p^(N_p + r) S
+    (``ambient._min_N_gamma``), so phi of the tail lies in p^(N_p + r) S
     and the divided Frobenius phi_r = phi / p^r of it (one exact division,
-    ``breuil.phi_r_apply``) in p^N_p S.
+    ``breuil._phi_r_apply``) in p^N_p S.
   * N(gamma_i) = -i*gamma_i + p*a*gamma_{i-1}, from N(u) = -u and the
     Leibniz rule.  The dropped tail reaches only the top coefficient
     (index N_gamma - 1) of N, which ``eq_at`` skips on a tail_dirty
     element.
   * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!, of valuation at least
-    i(p-2)/(p-1) >= N_p + r for i >= N_gamma (``ambient.min_N_gamma``);
+    i(p-2)/(p-1) >= N_p + r for i >= N_gamma (``ambient._min_N_gamma``);
     f_pi (u -> pi = -p*a) kills every gamma_i with i >= 1 and reads off
     the gamma_0 coefficient.
 
 Storage.  An element holds one precision ``prec`` and its coefficients as
-plain ints, in the flat layout of ``WittRing.to_planes``: f int lists, list
+plain ints, in the flat layout of ``_WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), every entry
 reduced mod p^prec.  The lists stop at the support (one past the last
 nonzero coefficient); the indices above it are zero.  Arithmetic is that of
-``FlatVector``, shared with W(k)[[u]]: ``_grading`` gives the cut N_gamma,
+``_FlatVector``, shared with W(k)[[u]]: ``_grading`` gives the cut N_gamma,
 the binomials C(i+j, i) as the weights of the fused kernel
-``FlatVector._dot_planes`` (a product, or a sum of products: an entry of
+``_FlatVector._dot_planes`` (a product, or a sum of products: an entry of
 ``RingMatrix.matvec``), and ``AmbientParams.gamma_scale``, which removes
 those weights in the packed kernel of a matrix product
-(``FlatVector._matmul_planes``, unscaled when one factor is constant) and
-in the triangular kernel of a solve A X = R (``FlatVector._solve_planes``,
+(``_FlatVector._matmul_planes``, unscaled when one factor is constant) and
+in the triangular kernel of a solve A X = R (``_FlatVector._solve_planes``,
 behind ``RingMatrix.solve``, ``RingMatrix.invert`` and ``invert``), one
 pass over the gamma-index from the inverse of A's gamma_0 part over W(k).
-The fixed W(k)-linear maps, ``phi_S``, ``embed_sigma``, the change to
-u-divided coordinates (``to_u_divided``, ``all_in_u_power_ideal``) and its
-row 0, ``eval_f0``, each read one ``witt.PackedTable`` built with the
+The fixed W(k)-linear maps, ``phi_S``, ``_embed_sigma``, the change to
+u-divided coordinates (``to_u_divided``, ``_all_in_u_power_ideal``) and its
+row 0, ``_eval_f0``, each read one ``witt._PackedTable`` built with the
 context, in the one packed layout of ``witt``.  A table applies to a list
-of vectors at once, so ``phi_S_all``, ``embed_sigma_all`` and
-``all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S`` and
-``embed_sigma`` are their lists of one.  The derivation ``n_S`` multiplies
+of vectors at once, so ``_phi_S_all``, ``_embed_sigma_all`` and
+``_all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S`` and
+``_embed_sigma`` are their lists of one.  The derivation ``n_S`` multiplies
 by p*a through the context's f x f integer matrix on T-planes
 (``AmbientParams.pa_matrix``), with no packing.  Coefficient m of a
 product reads only the coefficients <= m of its factors, so the first b
@@ -63,7 +63,7 @@ coefficients of M x, for a matrix M over S, are a W(k)-linear map of the
 first b coefficients of x: the filtration tests of ``breuil`` read such
 maps from tables kept with M.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
-``coeffs``, ``eval_f0``, ``eval_fpi``, ``to_u_divided``, the gamma_0 part
+``coeffs``, ``_eval_f0``, ``_eval_fpi``, ``to_u_divided``, the gamma_0 part
 that a solve inverts over W(k), ``repr`` and the constructor from a list
 of scalars.
 
@@ -82,10 +82,10 @@ from __future__ import annotations
 
 from .errors import DegreeOverflow
 from .series import SigmaSeries
-from .witt import FlatVector, WittScalar, trimmed
+from .witt import WittScalar, _FlatVector, _trimmed
 
 
-class PDElement(FlatVector):
+class PDElement(_FlatVector):
     """Element of S: coefficients for gamma_0 .. gamma_{N_gamma - 1}.
 
     ``PDElement(amb, coeffs)`` takes a list of scalars and keeps the lowest
@@ -103,7 +103,7 @@ class PDElement(FlatVector):
             if len(coeffs) > amb.N_gamma:
                 raise DegreeOverflow("gamma index beyond truncation")
             planes, prec = self._from_scalars(amb, coeffs, prec)
-        self.planes = trimmed(planes)
+        self.planes = _trimmed(planes)
         self.prec = prec
         self.tail_dirty = tail_dirty
 
@@ -155,19 +155,19 @@ class PDElement(FlatVector):
         return f"PD({body} ~p^{self.prec}{dirt})"
 
 
-def pd_zero(amb) -> PDElement:
+def _pd_zero(amb) -> PDElement:
     return PDElement(amb, [])
 
 
-def pd_one(amb) -> PDElement:
+def _pd_one(amb) -> PDElement:
     return PDElement(amb, [amb.ring.one()])
 
 
-def pd_from_scalar(amb, w: WittScalar) -> PDElement:
+def _pd_from_scalar(amb, w: WittScalar) -> PDElement:
     return PDElement(amb, [w])
 
 
-def pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
+def _pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
     if not 0 <= i < amb.N_gamma:
         raise DegreeOverflow(f"gamma_{i} outside truncation")
     coeff = amb.ring.one() if coeff is None else coeff
@@ -175,7 +175,7 @@ def pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
     return PDElement(amb, [zero] * i + [coeff])
 
 
-def pd_shift(x: PDElement, t: int) -> PDElement:
+def _pd_shift(x: PDElement, t: int) -> PDElement:
     """The element whose gamma_(i+t) coefficient is the gamma_i coefficient
     of x, for t >= 0 (DegreeOverflow otherwise); indices pushed to N_gamma
     or beyond are dropped, and the result is tail_dirty when x is or when
@@ -188,13 +188,13 @@ def pd_shift(x: PDElement, t: int) -> PDElement:
     return PDElement(x.amb, (), dirty, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
-def embed_sigma(s: SigmaSeries) -> PDElement:
+def _embed_sigma(s: SigmaSeries) -> PDElement:
     """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S: the list of one of
-    ``embed_sigma_all``."""
-    return embed_sigma_all([s])[0]
+    ``_embed_sigma_all``."""
+    return _embed_sigma_all([s])[0]
 
 
-def embed_sigma_all(ss) -> list:
+def _embed_sigma_all(ss) -> list:
     """The inclusion of W(k)[[u]] into S/Fil^{N_gamma} S of every series of
     the list ss: substitute u = gamma_1 - p*a.  The degrees below N_gamma
     are one apply of the context's table of the gamma-coefficients of u^n
@@ -209,14 +209,14 @@ def embed_sigma_all(ss) -> list:
     images = amb.u_table.apply([[pl[:N] for pl in s.planes] for s in ss], [s.prec for s in ss])
     out = [PDElement(amb, (), False, s.prec, planes) for s, planes in zip(ss, images)]
     long = [i for i, s in enumerate(ss) if len(s.planes[0]) > N]
-    highs = embed_sigma_all([ss[i]._make(tuple(pl[N:] for pl in ss[i].planes), ss[i].prec)
+    highs = _embed_sigma_all([ss[i]._make(tuple(pl[N:] for pl in ss[i].planes), ss[i].prec)
                              for i in long])
     for i, high in zip(long, highs):
         out[i] = out[i] + amb.u_pow(N) * high
     return out
 
 
-def fil_valuation(x: PDElement, at: int | None = None) -> int:
+def _fil_valuation(x: PDElement, at: int | None = None) -> int:
     """Largest j with all coefficients below index j zero at precision
     (mod p^at when given, at >= 0)."""
     if at is not None and at < 0:
@@ -246,11 +246,11 @@ def _phi_input(x: PDElement) -> tuple:
 
 
 def phi_S(x: PDElement) -> PDElement:
-    """Frobenius phi of S: the list of one of ``phi_S_all``."""
-    return phi_S_all([x])[0]
+    """Frobenius phi of S: the list of one of ``_phi_S_all``."""
+    return _phi_S_all([x])[0]
 
 
-def phi_S_all(xs) -> list:
+def _phi_S_all(xs) -> list:
     """Frobenius phi of every element of the list xs, computed termwise by
     one apply of the context's table to all of them.
 
@@ -261,7 +261,7 @@ def phi_S_all(xs) -> list:
     contributing index is: c^i = c^(i-1)*c keeps the flag of its factor,
     and so does the unit factor, so that column's flag is the flag of
     every contributing one.  The divided Frobenius phi_r = phi / p^r on
-    Fil^r is this image divided exactly by p^r (``breuil.phi_r_apply``).
+    Fil^r is this image divided exactly by p^r (``breuil._phi_r_apply``).
     """
     if not xs:
         return []
@@ -295,7 +295,7 @@ def n_S(x: PDElement) -> PDElement:
     return PDElement(amb, (), x.tail_dirty, x.prec, tuple(planes))
 
 
-def eval_f0(x: PDElement) -> WittScalar:
+def _eval_f0(x: PDElement) -> WittScalar:
     """Evaluation at u = 0: gamma_i -> (p*a)^i / i!, the first u-divided
     coordinate, by the context's one-row table."""
     ring = x.amb.ring
@@ -303,7 +303,7 @@ def eval_f0(x: PDElement) -> WittScalar:
     return WittScalar(ring, next(zip(*planes), (0,) * ring.f), x.prec)
 
 
-def eval_fpi(x: PDElement) -> WittScalar:
+def _eval_fpi(x: PDElement) -> WittScalar:
     """Evaluation at u = pi = -p*a, where E vanishes: reads gamma_0."""
     return x.coeff(0)
 
@@ -320,7 +320,7 @@ def to_u_divided(x: PDElement) -> tuple[WittScalar, ...]:
     return tuple([WittScalar(ring, col, x.prec) for col in cols])
 
 
-def all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
+def _all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
     """Whether every element of the list xs lies in u^n * S at precision,
     tested in u-divided coordinates: one apply of the context's table
     gives the planes of their u-divided coordinates (zero past their
@@ -350,7 +350,7 @@ def all_in_u_power_ideal(xs, n: int, at: int | None = None) -> bool:
     return True
 
 
-def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
+def _pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
     """Random element whose coefficients are exact zeros (with chance 0.3)
     or have p-valuation at most max_val (>= 0).  Keeps filtration verdicts
     away from the precision boundary so that at-precision membership tests

@@ -18,14 +18,14 @@ import json
 from .ambient import AmbientParams, shared_params
 from .breuil import BreuilModule
 from .errors import PrecisionMismatch, SchemaMismatch
-from .fl import FLModule, check_jumps
+from .fl import FLModule, _check_jumps
 from .kisin import KisinModule
 from .matrix import RingMatrix
 from .pd import PDElement
 from .series import SigmaSeries
 from .witt import WittScalar
 
-SCHEMA = "flbreuil/1"
+_SCHEMA = "flbreuil/1"
 
 
 def _expect(d: dict, required: tuple) -> None:
@@ -114,7 +114,7 @@ def _entry_from_json(amb: AmbientParams, kind: str, d: dict):
     return PDElement(amb, (), dirty, k, planes)
 
 
-def matrix_to_json(M: RingMatrix) -> dict:
+def _matrix_to_json(M: RingMatrix) -> dict:
     return {
         "rows": M.rows,
         "cols": M.cols,
@@ -123,7 +123,7 @@ def matrix_to_json(M: RingMatrix) -> dict:
     }
 
 
-def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
+def _matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
     _expect(d, ("rows", "cols", "denom_exp", "entries"))
     entries = [[_entry_from_json(amb, kind, x) for x in _array(row, "matrix row")]
                for row in _array(d["entries"], "entries")]
@@ -139,8 +139,8 @@ def matrix_from_json(amb: AmbientParams, kind: str, d: dict) -> RingMatrix:
 
 # --- ambient parameters ---
 
-def params_to_json(amb: AmbientParams) -> dict:
-    """The params document: one field per keyword of ``resolve_params``."""
+def _params_to_json(amb: AmbientParams) -> dict:
+    """The params document: one field per keyword of ``_resolve_params``."""
     return {
         "p": amb.p,
         "f": amb.f,
@@ -153,7 +153,7 @@ def params_to_json(amb: AmbientParams) -> dict:
     }
 
 
-def params_from_json(d: dict) -> AmbientParams:
+def _params_from_json(d: dict) -> AmbientParams:
     _expect(d, ("p", "f", "m_coeffs", "N_p", "N_gamma", "r", "a", "headroom"))
     p = _int(d["p"], "p")
     if p == 2:
@@ -184,17 +184,17 @@ def to_json(obj) -> dict:
         kind, data = "FLModule", {
             "d": obj.d,
             "jumps": list(obj.jumps),
-            "Ftil": matrix_to_json(obj.Ftil),
+            "Ftil": _matrix_to_json(obj.Ftil),
         }
     elif isinstance(obj, KisinModule):
-        gls = {"X": matrix_to_json(obj.X), "jumps": list(obj.jumps), "Y": matrix_to_json(obj.Y)}
-        kind, data = "KisinModule", {"d": obj.d, "A": matrix_to_json(obj.A), "gls": gls}
+        gls = {"X": _matrix_to_json(obj.X), "jumps": list(obj.jumps), "Y": _matrix_to_json(obj.Y)}
+        kind, data = "KisinModule", {"d": obj.d, "A": _matrix_to_json(obj.A), "gls": gls}
     elif isinstance(obj, BreuilModule):
         kind, data = "BreuilModule", {
             "d": obj.d,
-            "Phi": matrix_to_json(obj.Phi),
-            "Nmat": None if obj.Nmat is None else matrix_to_json(obj.Nmat),
-            "C": matrix_to_json(obj.C),
+            "Phi": _matrix_to_json(obj.Phi),
+            "Nmat": None if obj.Nmat is None else _matrix_to_json(obj.Nmat),
+            "C": _matrix_to_json(obj.C),
             "jumps": list(obj.jumps),
         }
     else:
@@ -202,7 +202,7 @@ def to_json(obj) -> dict:
     return _envelope(kind, obj.amb, data)
 
 
-def section_to_json(amb: AmbientParams, sec) -> dict:
+def _section_to_json(amb: AmbientParams, sec) -> dict:
     """The SectionResult document of ``functors.section_compute``: the
     section matrix cut to the public precision N_p and the iteration's
     verdicts.  ``sec`` needs Bmat to at least N_p digits, as a section
@@ -210,7 +210,7 @@ def section_to_json(amb: AmbientParams, sec) -> dict:
     same document.  ``amb`` is the module's context, which a rank-0
     section matrix does not carry."""
     return _envelope("SectionResult", amb, {
-        "Bmat": matrix_to_json(sec.Bmat.truncate(amb.N_p)),
+        "Bmat": _matrix_to_json(sec.Bmat.truncate(amb.N_p)),
         "iterations": sec.iterations,
         "rate_bound": sec.rate_bound,
         "residual_valuation": sec.residual_valuation,
@@ -221,36 +221,36 @@ def section_to_json(amb: AmbientParams, sec) -> dict:
 
 
 def _envelope(kind: str, amb: AmbientParams, data: dict) -> dict:
-    return {"schema": SCHEMA, "kind": kind, "params": params_to_json(amb), "data": data}
+    return {"schema": _SCHEMA, "kind": kind, "params": _params_to_json(amb), "data": data}
 
 
 def _jumps(d: dict) -> tuple:
     return tuple(_int(j, "jump") for j in _array(d["jumps"], "jumps"))
 
 
-def from_json(doc: dict):
+def _from_json(doc: dict):
     _expect(doc, ("schema", "kind", "params", "data"))
-    if doc["schema"] != SCHEMA:
-        raise SchemaMismatch(f"schema {doc['schema']!r} is not {SCHEMA!r}")
-    amb = params_from_json(doc["params"])
+    if doc["schema"] != _SCHEMA:
+        raise SchemaMismatch(f"schema {doc['schema']!r} is not {_SCHEMA!r}")
+    amb = _params_from_json(doc["params"])
     kind = doc["kind"]
     data = doc["data"]
     if kind == "FLModule":
         _expect(data, ("d", "jumps", "Ftil"))
         d, jumps = _int(data["d"], "d"), _jumps(data)
-        Ftil = matrix_from_json(amb, "witt", data["Ftil"])
+        Ftil = _matrix_from_json(amb, "witt", data["Ftil"])
         # the document's rank is checked before the constructor reads it off Ftil
-        check_jumps(amb, d, jumps, Ftil)
+        _check_jumps(amb, d, jumps, Ftil)
         return FLModule(amb, jumps, Ftil)
     if kind == "KisinModule":
         _expect(data, ("d", "A", "gls"))
         gls = data["gls"]
         _expect(gls, ("X", "jumps", "Y"))
-        X, Y, A = (matrix_from_json(amb, "series", m) for m in (gls["X"], gls["Y"], data["A"]))
+        X, Y, A = (_matrix_from_json(amb, "series", m) for m in (gls["X"], gls["Y"], data["A"]))
         jumps = _jumps(gls)
         # the document's rank is checked against all three matrices before
         # the constructor takes the rank from X
-        check_jumps(amb, _int(data["d"], "d"), jumps, X, Y, A)
+        _check_jumps(amb, _int(data["d"], "d"), jumps, X, Y, A)
         K = KisinModule(amb, X, jumps, Y)
         k = min((x.prec for M in (A, K.A) for row in M.entries for x in row), default=amb.cap)
         if not A.eq_at(K.A, k):
@@ -258,12 +258,12 @@ def from_json(doc: dict):
         return K
     if kind == "BreuilModule":
         _expect(data, ("d", "Phi", "Nmat", "C", "jumps"))
-        nmat = None if data["Nmat"] is None else matrix_from_json(amb, "pd", data["Nmat"])
+        nmat = None if data["Nmat"] is None else _matrix_from_json(amb, "pd", data["Nmat"])
         d = _int(data["d"], "d")
-        Phi, C = (matrix_from_json(amb, "pd", data[k]) for k in ("Phi", "C"))
+        Phi, C = (_matrix_from_json(amb, "pd", data[k]) for k in ("Phi", "C"))
         jumps = _jumps(data)
         # the document's rank is checked before the constructor reads it off Phi
-        check_jumps(amb, d, jumps, *(M for M in (Phi, nmat, C) if M is not None))
+        _check_jumps(amb, d, jumps, *(M for M in (Phi, nmat, C) if M is not None))
         return BreuilModule(amb, Phi, nmat, C, jumps)
     raise SchemaMismatch(f"unknown kind {kind!r}")
 
@@ -273,7 +273,7 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    return from_json(json.loads(text))
+    return _from_json(json.loads(text))
 
 
 def load(path: str):

@@ -6,16 +6,16 @@ on coefficients; degrees at or above the truncation bound are dropped, which
 is the intended (p, u)-adic semantics.
 
 Storage.  A series holds its precision ``prec`` and its coefficients as
-plain ints in the flat layout of ``WittRing.to_planes``: f int lists, list
+plain ints in the flat layout of ``_WittRing.to_planes``: f int lists, list
 t holding the T^t coefficients of W(k) = Z[T]/(p^N, m(T)), entry i of each
 list belonging to u^i, every entry reduced mod p^prec.  Trailing zero
 coefficients are dropped, so the length of the lists is degree + 1.
-Arithmetic is that of ``FlatVector``, shared with S: ``_grading`` gives
+Arithmetic is that of ``_FlatVector``, shared with S: ``_grading`` gives
 the cut N_u and no weights, so a product or a sum of products (``dot``) is
-the fused kernel ``FlatVector._dot_planes`` unweighted, a product of two
-matrices (``matmul``) the packed kernel ``FlatVector._matmul_planes``
+the fused kernel ``_FlatVector._dot_planes`` unweighted, a product of two
+matrices (``matmul``) the packed kernel ``_FlatVector._matmul_planes``
 unscaled, and a solve, and with it every inverse, the triangular kernel
-``FlatVector._solve_planes``, one pass over the u-degree.  The cut at N_u is
+``_FlatVector._solve_planes``, one pass over the u-degree.  The cut at N_u is
 this ring's own truncation, so a series is never ``tail_dirty``.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, the constant part that a solve inverts over W(k), ``repr`` and
@@ -24,10 +24,10 @@ the constructor from a list of scalars.
 
 from __future__ import annotations
 
-from .witt import FlatVector, WittScalar, trimmed
+from .witt import WittScalar, _FlatVector, _trimmed
 
 
-class SigmaSeries(FlatVector):
+class SigmaSeries(_FlatVector):
     """Polynomial-truncated element of W(k)[[u]].
 
     ``SigmaSeries(amb, coeffs, prec)`` takes a list of scalars, cut at
@@ -45,7 +45,7 @@ class SigmaSeries(FlatVector):
         self.amb = amb
         if planes is None:
             planes, prec = self._from_scalars(amb, list(coeffs)[:amb.N_u], prec)
-        self.planes = trimmed(planes)
+        self.planes = _trimmed(planes)
         self.prec = prec
 
     def _make(self, planes, prec: int, tail_dirty: bool = False) -> "SigmaSeries":
@@ -91,6 +91,6 @@ class SigmaSeries(FlatVector):
         return "Series(" + " + ".join(terms) + f" ~p^{self.prec})"
 
 
-def series_from_ints(amb, ints) -> SigmaSeries:
+def _series_from_ints(amb, ints) -> SigmaSeries:
     return SigmaSeries(amb, [amb.ring.from_int(n) for n in ints], amb.cap)
 

@@ -10,8 +10,8 @@ Precision follows a flat model: every scalar carries one absolute precision
 minimum of the two input precisions, and exact division by p^k lowers the
 precision by k.  Multiplication by p^k raises it by k, capped at the ring
 cap.  A series or an element of S carries one such precision for all its
-coefficients.  ``FlatValue``, the base of ``WittScalar`` and of
-``FlatVector`` (series and S), is the one home of these rules: truncation,
+coefficients.  ``_FlatValue``, the base of ``WittScalar`` and of
+``_FlatVector`` (series and S), is the one home of these rules: truncation,
 exact division and multiplication by p^k, negation, the valuation and the
 zero test are written there once.
 
@@ -43,7 +43,7 @@ from operator import add, mul
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -90,7 +90,7 @@ def _fp_is_irreducible(m: list[int], p: int) -> bool:
     return True
 
 
-def find_irreducible(p: int, f: int) -> tuple[int, ...]:
+def _find_irreducible(p: int, f: int) -> tuple[int, ...]:
     """Deterministically pick a monic irreducible degree-f lift over F_p.
 
     Returns ascending coefficients (c_0, ..., c_{f-1}, 1).  For f = 1 the
@@ -108,7 +108,7 @@ def find_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {f} over F_{p}")
 
 
-def trimmed(planes) -> tuple:
+def _trimmed(planes) -> tuple:
     """The planes cut after their last index that is nonzero in some plane."""
     n = 0
     for pl in planes:
@@ -142,7 +142,7 @@ def _conv_into(out: list[int], x: list[int], y: list[int], w) -> None:
 
 def _join(ints, B: int) -> int:
     """One int holding ints[v], each below 2^(8B), in the block of B bytes
-    at byte v*B (see the layout comment of ``WittRing``).  One block is its
+    at byte v*B (see the layout comment of ``_WittRing``).  One block is its
     own int."""
     if len(ints) == 1:
         return ints[0]
@@ -159,11 +159,11 @@ def _split(v: int, B: int, n: int) -> list:
     return [int.from_bytes(data[i:i + B], "little") for i in range(0, n * B, B)]
 
 
-class WittRing:
+class _WittRing:
     """Context for W(F_{p^f}) mod p^cap: modulus tables and the Frobenius."""
 
     def __init__(self, p: int, f: int = 1, m_coeffs=None, cap: int = 8):
-        if not is_prime(p) or p < 3:
+        if not _is_prime(p) or p < 3:
             raise ValueError("p must be an odd prime (p > 2)")
         if f < 1:
             raise ValueError("residue degree f must be >= 1")
@@ -174,7 +174,7 @@ class WittRing:
         self.cap = cap
         self.pk = [p**i for i in range(cap + 1)]
         if m_coeffs is None:
-            m_coeffs = find_irreducible(p, f)
+            m_coeffs = _find_irreducible(p, f)
         m_coeffs = tuple(int(c) % self.pk[cap] for c in m_coeffs)
         if len(m_coeffs) != f + 1 or m_coeffs[-1] != 1:
             raise ValueError("m must be monic of degree f")
@@ -222,12 +222,12 @@ class WittRing:
                     out[j] += c * row[j]
         return tuple(x % mod for x in out)
 
-    def _draw(self, getrandbits, k: int, unit: bool) -> list:
-        """f uniform draws from range(p^k), each by the rejection loop of
-        ``random.randrange``: bit_length(p^k) bits from ``getrandbits``,
-        redrawn while >= p^k.  With ``unit`` the whole tuple is redrawn
+    def _draw(self, getrandbits, unit: bool) -> list:
+        """f uniform draws from range(p^cap), each by the rejection loop of
+        ``random.randrange``: bit_length(p^cap) bits from ``getrandbits``,
+        redrawn while >= p^cap.  With ``unit`` the whole tuple is redrawn
         while no entry is prime to p."""
-        mod = self.pk[k]
+        mod = self.pk[self.cap]
         bits = mod.bit_length()
         f, p = self.f, self.p
         while True:
@@ -302,10 +302,10 @@ class WittRing:
     #
     # Four routes use it, each sizing its slots by what it packs: the fused
     # dot (``dot_acc``, from p^cap, weighted by the binomials ``comb``);
-    # the matrix product (``FlatVector._matmul_planes``, from p^(K+V), K the
+    # the matrix product (``_FlatVector._matmul_planes``, from p^(K+V), K the
     # highest precision of an output entry, every packed coefficient
-    # reduced mod p^(K+V) first); the tables of S (``PackedTable``, from
-    # p^cap); and the solve (``FlatVector._solve_planes``, from p^(k+V),
+    # reduced mod p^(K+V) first); the tables of S (``_PackedTable``, from
+    # p^cap); and the solve (``_FlatVector._solve_planes``, from p^(k+V),
     # one packed int per coefficient).  Merging them lost speed.  Medians
     # of 4 alternating pairs of ``perfbench/run.py --workload all
     # --seconds 1`` on a 2-vCPU Xeon (Python 3.11), tasks/s, every run
@@ -327,7 +327,7 @@ class WittRing:
     #     40.7, cli-rank 41.1 -> 35.2.
     # So each stays.  The one-vector table apply needs no branch of its
     # own: a table packs its columns, not the vectors, so a list of one
-    # vector costs one sum of products (``PackedTable``).
+    # vector costs one sum of products (``_PackedTable``).
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -437,8 +437,12 @@ class WittRing:
 
     def make(self, coeffs, prec: int | None = None) -> "WittScalar":
         """Build a scalar from integer coefficients (any length, reduced mod
-        m from the top degree down: T^d = -T^(d-f) (m_0 + ... + m_{f-1} T^(f-1)))."""
-        prec = self._precision(prec)
+        m from the top degree down: T^d = -T^(d-f) (m_0 + ... + m_{f-1} T^(f-1)))
+        to ``prec`` digits, the cap when None; PrecisionExhausted outside
+        [1, cap]."""
+        prec = self.cap if prec is None else prec
+        if prec < 1 or prec > self.cap:
+            raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
         f = self.f
         coeffs = [int(c) for c in coeffs]
         while len(coeffs) > f:
@@ -454,27 +458,17 @@ class WittRing:
     def zero(self, prec: int | None = None) -> "WittScalar":
         return self.from_int(0, prec)
 
-    def one(self, prec: int | None = None) -> "WittScalar":
-        return self.from_int(1, prec)
+    def one(self) -> "WittScalar":
+        return self.from_int(1)
 
-    def random(self, rng, prec: int | None = None) -> "WittScalar":
-        prec = self._precision(prec)
-        return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, False)), prec)
+    def random(self, rng) -> "WittScalar":
+        return WittScalar(self, tuple(self._draw(rng.getrandbits, False)), self.cap)
 
-    def random_unit(self, rng, prec: int | None = None) -> "WittScalar":
-        prec = self._precision(prec)
-        return WittScalar(self, tuple(self._draw(rng.getrandbits, prec, True)), prec)
-
-    def _precision(self, prec: int | None) -> int:
-        """The precision of a new scalar: the cap when None; PrecisionExhausted
-        outside [1, cap], before anything is built or drawn."""
-        prec = self.cap if prec is None else prec
-        if prec < 1 or prec > self.cap:
-            raise PrecisionExhausted(f"precision {prec} outside [1, {self.cap}]")
-        return prec
+    def random_unit(self, rng) -> "WittScalar":
+        return WittScalar(self, tuple(self._draw(rng.getrandbits, True)), self.cap)
 
 
-class PackedTable:
+class _PackedTable:
     """A W(k)-linear map on coefficient vectors, built whole from its
     columns: ``columns[i]`` = (planes, tail_dirty) is the image of the i-th
     basis vector, with entries below p^cap.
@@ -488,7 +482,7 @@ class PackedTable:
 
     __slots__ = ("ring", "width", "block", "cols", "reach", "dirty")
 
-    def __init__(self, ring: WittRing, columns):
+    def __init__(self, ring: _WittRing, columns):
         self.ring = ring
         self.width, self.block = ring.packing(len(columns) * ring.f)
         self.cols = [_join(ring._pack(planes, self.width), self.block) for planes, _ in columns]
@@ -508,7 +502,7 @@ class PackedTable:
         return out
 
 
-class FlatValue:
+class _FlatValue:
     """The flat precision model, shared by scalars and by the elements of
     W(k)[[u]] and S: the one home of its rules.
 
@@ -586,12 +580,12 @@ class FlatValue:
         return (self - other).is_zero_at(k)
 
 
-class WittScalar(FlatValue):
+class WittScalar(_FlatValue):
     """Element of W(F_{p^f}) known modulo p^prec."""
 
     __slots__ = ("ring", "coeffs", "prec")
 
-    def __init__(self, ring: WittRing, coeffs: tuple[int, ...], prec: int):
+    def __init__(self, ring: _WittRing, coeffs: tuple[int, ...], prec: int):
         self.ring = ring
         self.coeffs = coeffs
         self.prec = prec
@@ -716,11 +710,11 @@ class WittScalar(FlatValue):
         return self.ring.make(t)
 
 
-class FlatVector(FlatValue):
+class _FlatVector(_FlatValue):
     """Arithmetic shared by the elements of W(k)[[u]] and of S.
 
     An element is a vector of scalars (its u^i or gamma_i coefficients) at
-    one precision ``prec``, stored as planes (see ``WittRing.to_planes``)
+    one precision ``prec``, stored as planes (see ``_WittRing.to_planes``)
     cut after the last nonzero entry.  Sums, products, ``dot``, ``matmul``,
     ``solve`` and ``invert`` are written here once; two kinds do not
     combine.  A kind builds its results through ``_make(planes, prec,
@@ -735,7 +729,7 @@ class FlatVector(FlatValue):
     __slots__ = ("amb", "planes", "prec")
 
     @property
-    def ring(self) -> WittRing:
+    def ring(self) -> _WittRing:
         return self.amb.ring
 
     @staticmethod
@@ -789,7 +783,7 @@ class FlatVector(FlatValue):
         crosses the cut."""
         x0 = xs[0]
         cut, weights, w_max, _ = x0._grading(x0.amb)
-        planes, k, reach = FlatVector._dot_planes(xs, ys, cut, weights, w_max)
+        planes, k, reach = _FlatVector._dot_planes(xs, ys, cut, weights, w_max)
         dirty = weights is not None and (
             reach > cut or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys)))
         return x0._make(planes, k, dirty)
@@ -806,7 +800,7 @@ class FlatVector(FlatValue):
         flags = weights is not None
         constant = not flags or any(all(len(x.planes[0]) <= 1 for line in m for x in line)
                                     for m in (rows, cols))
-        grid = FlatVector._matmul_planes(rows, cols, cut, None if constant else scale())
+        grid = _FlatVector._matmul_planes(rows, cols, cut, None if constant else scale())
         row_dirty = [flags and any(x.tail_dirty for x in row) for row in rows]
         col_dirty = [flags and any(y.tail_dirty for y in col) for col in cols]
         return [[x0._make(planes, k, flags and (reach > cut or rd or cd))
@@ -824,8 +818,8 @@ class FlatVector(FlatValue):
         x0 = rows[0][0]
         cut, weights, _, scale = x0._grading(x0.amb)
         flags = weights is not None
-        grid, k, reach = FlatVector._solve_planes(rows, inv0, rhs, cut,
-                                                  scale() if flags else None)
+        grid, k, reach = _FlatVector._solve_planes(rows, inv0, rhs, cut,
+                                                   scale() if flags else None)
         dirty = flags and (
             reach > cut or any(x.tail_dirty for m in (rows, rhs) for row in m for x in row))
         return [[x0._make(planes, k, dirty) for planes in line] for line in grid]
@@ -839,7 +833,7 @@ class FlatVector(FlatValue):
         both rows) and the largest index one product reaches.  Each pair is
         one integer convolution of its packed planes (weighted, for S, by
         weights of at most ``w_max``) into one unreduced accumulator
-        (``WittRing.dot_acc``); one ``WittRing.unfold`` (the unpack, the
+        (``_WittRing.dot_acc``); one ``_WittRing.unfold`` (the unpack, the
         fold through m(T) and the reduction mod p^k) then serves the whole
         sum.  A pair with a zero entry adds nothing.  When one pair is left
         and one of its factors is the constant one (whose weights C(j, 0)

@@ -1,5 +1,5 @@
-"""The reference flag adaptation and reduction rows: ``functors.flag_adapt``
-and ``WittRing._build_redrows`` as the kernel wrote them before each became
+"""The reference flag adaptation and reduction rows: ``functors._flag_adapt``
+and ``_WittRing._build_redrows`` as the kernel wrote them before each became
 one path, kept as they were (the method with its ring passed in).
 
 ``flag_adapt`` skipped a column that reduced to zero at precision and

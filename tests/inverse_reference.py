@@ -1,6 +1,6 @@
 """Reference inverses by Newton's iteration, as the kernel ran them before
 it inverted a scalar by the norm (``WittScalar.invert``) and a series or
-an element of S by one triangular pass (``FlatVector._solve_planes``).
+an element of S by one triangular pass (``_FlatVector._solve_planes``).
 
 The residue inverse a^(p^f - 2) in the field F_{p^f} is lifted by
 z <- z(2 - az), which doubles the number of right digits per step; a unit
@@ -37,7 +37,7 @@ def newton_element_inverse(x):
     """x^(-1) for a unit x of W(k)[[u]] or S, by Newton's iteration
     z <- z(2 - xz) from the inverse of the constant coefficient, as the
     kernel ran it before it inverted by one triangular pass
-    (``FlatVector._solve_planes``).  It stops at the first step whose xz is
+    (``_FlatVector._solve_planes``).  It stops at the first step whose xz is
     1 at x's precision, after at most bit_length(max(cut, prec)) + 2 steps
     (the cut N_gamma over S, N_u over the series ring); NotAUnit for a
     non-unit, NotDivisible when it does not converge."""
@@ -46,7 +46,7 @@ def newton_element_inverse(x):
     amb, prec, cls = x.amb, x.prec, type(x)
     cut = amb.N_gamma if isinstance(x, PDElement) else amb.N_u
     z = cls(amb, [newton_inverse(x.coeff(0))])
-    one = cls(amb, [amb.ring.one(prec)])
+    one = cls(amb, [amb.ring.one().truncate(prec)])
     two = cls(amb, [amb.ring.from_int(2, prec)])
     for _ in range(max(cut, prec).bit_length() + 2):
         xz = x * z

@@ -1,5 +1,5 @@
 """The reference samplers: the draw chain the kernel used before its draws
-became one flat loop (``WittRing._draw``), kept as it was.
+became one flat loop (``_WittRing._draw``), kept as it was.
 
 Every fixed-seed report and every golden digest depends on the exact
 Mersenne Twister words a sample consumes, so the tests compare the
@@ -10,6 +10,7 @@ tuple redraws the whole tuple until one entry is prime to p.
 """
 
 from flbreuil.pd import PDElement
+from flbreuil.witt import WittScalar
 
 
 def draw_below(rng, n: int) -> int:
@@ -37,6 +38,13 @@ def random_unit_tuple(ring, rng, k):
         t = random_tuple(ring, rng, k)
         if any(c % ring.p for c in t):
             return t
+
+
+def drawn(ring, rng, k: int, unit: bool = False) -> WittScalar:
+    """A scalar known to k digits, drawn from the stream as the kernel drew
+    it when its draws took a precision: the same values and the same words
+    consumed, so test data cut below the cap stays what it was."""
+    return WittScalar(ring, (random_unit_tuple if unit else random_tuple)(ring, rng, k), k)
 
 
 def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:

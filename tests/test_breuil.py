@@ -6,32 +6,32 @@ from flbreuil import breuil as BR
 from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import (
     BreuilModule,
-    breuil_bhat,
+    _breuil_bhat,
+    _n_apply,
+    _phi_r_apply,
+    _random_fil_member,
+    _random_vector,
+    _rebase,
     breuil_unipotent,
     breuil_validate,
     fil_level,
     fil_lower,
     hat_fil_level,
-    n_apply,
-    phi_r_apply,
-    random_fil_member,
-    random_vector,
-    rebase,
 )
-from flbreuil.campaign import random_congruent_identity, run_suite_seed
+from flbreuil.campaign import _random_congruent_identity, run_suite_seed
 from flbreuil.errors import NotCris, NotDivisible, NotInFil
-from flbreuil.fl import FLModule, random_fl
-from flbreuil.functors import fl_to_breuil, fpi_matrix
+from flbreuil.fl import FLModule, _random_fl
+from flbreuil.functors import _fpi_matrix, fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
-    eval_fpi,
-    fil_valuation,
-    pd_from_scalar,
-    pd_gamma,
-    pd_one,
-    pd_random_calibrated,
-    pd_zero,
+    _eval_fpi,
+    _fil_valuation,
+    _pd_from_scalar,
+    _pd_gamma,
+    _pd_one,
+    _pd_random_calibrated,
+    _pd_zero,
     phi_S,
 )
 
@@ -39,29 +39,29 @@ from flbreuil.pd import (
 def rank1(amb, jump, phi_scalar, nmat=None):
     return BreuilModule(
         amb,
-        RingMatrix([[pd_from_scalar(amb, phi_scalar)]]),
+        RingMatrix([[_pd_from_scalar(amb, phi_scalar)]]),
         nmat,
-        RingMatrix.identity(1, pd_zero(amb), pd_one(amb)),
+        RingMatrix.identity(1, _pd_zero(amb), _pd_one(amb)),
         (jump,),
     )
 
 
 def test_fil_membership_examples(amb3):
     B = rank1(amb3, 1, amb3.w(3))
-    assert fil_lower(B, amb3.r, (pd_gamma(amb3, 1),))
-    assert not fil_lower(B, amb3.r, (pd_one(amb3),))
-    assert fil_lower(B, amb3.r, (pd_gamma(amb3, 2),))
+    assert fil_lower(B, amb3.r, (_pd_gamma(amb3, 1),))
+    assert not fil_lower(B, amb3.r, (_pd_one(amb3),))
+    assert fil_lower(B, amb3.r, (_pd_gamma(amb3, 2),))
 
 
 def test_fil_lower_examples(amb3):
     B = rank1(amb3, 1, amb3.w(3))
-    x = (pd_one(amb3),)
+    x = (_pd_one(amb3),)
     assert fil_lower(B, 0, x)
     # rank 1 with jump s: Fil^i is Fil^(max(0, i-s)) S times the module
     assert fil_lower(B, 1, x)
     assert not fil_lower(B, 2, x)
-    assert fil_lower(B, 2, (pd_gamma(amb3, 1),))
-    g1 = (pd_gamma(amb3, 1),)
+    assert fil_lower(B, 2, (_pd_gamma(amb3, 1),))
+    g1 = (_pd_gamma(amb3, 1),)
     assert fil_lower(B, amb3.r, g1) == (fil_level(B, g1) >= amb3.r)
 
 
@@ -74,17 +74,17 @@ def fil_lower_colon(B, i, x, at=None):
     amb = B.amb
     if i >= amb.r:
         return fil_lower(B, i, x, at)
-    g = pd_gamma(amb, amb.r - i)
+    g = _pd_gamma(amb, amb.r - i)
     return fil_lower(B, amb.r, tuple(g * c for c in x), at)
 
 
 def test_fil_lower_matches_colon_form(amb3):
     rng = random.Random(0)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     for _ in range(40):
-        x = random_vector(B, rng, 6) if rng.random() < 0.5 else \
-            random_fil_member(B, rng, rng.randrange(amb3.r + 1))
+        x = _random_vector(B, rng, 6) if rng.random() < 0.5 else \
+            _random_fil_member(B, rng, rng.randrange(amb3.r + 1))
         for i in range(amb3.r + 1):
             assert fil_lower(B, i, x) == fil_lower_colon(B, i, x)
 
@@ -93,20 +93,20 @@ def test_phi_r_examples(amb3):
     r = amb3.r
     # etale rank one: phi_r(gamma_0) = 1
     B = rank1(amb3, r, amb3.w(3**r))
-    out = phi_r_apply(B, (pd_one(amb3),))
-    assert out[0].eq_at(pd_one(amb3), amb3.N_p)
+    out = _phi_r_apply(B, (_pd_one(amb3),))
+    assert out[0].eq_at(_pd_one(amb3), amb3.N_p)
     # jump s: phi_r(gamma_(r-s)) is the divided Frobenius image, a unit multiple
     for s in range(r):
         Bs = rank1(amb3, s, amb3.w(3**s))
-        out = phi_r_apply(Bs, (pd_gamma(amb3, r - s),))
-        expect = phi_S(pd_gamma(amb3, r - s)).div_p_exact(r - s)
+        out = _phi_r_apply(Bs, (_pd_gamma(amb3, r - s),))
+        expect = phi_S(_pd_gamma(amb3, r - s)).div_p_exact(r - s)
         assert out[0].eq_at(expect, amb3.N_p)
         assert out[0].is_unit()
     # E^r times a basis vector maps to c^r times the Frobenius column
-    from flbreuil.pd import embed_sigma
-    Er = embed_sigma(amb3.E_series * amb3.E_series)
+    from flbreuil.pd import _embed_sigma
+    Er = _embed_sigma(amb3.E_series * amb3.E_series)
     B1 = rank1(amb3, 1, amb3.w(3))
-    out = phi_r_apply(B1, (Er,))
+    out = _phi_r_apply(B1, (Er,))
     expect = amb3.c_pow(r) * B1.Phi.entries[0][0]
     assert out[0].eq_at(expect, amb3.N_p)
 
@@ -114,30 +114,30 @@ def test_phi_r_examples(amb3):
 def test_phi_r_requires_membership(amb3):
     B = rank1(amb3, 0, amb3.w(1))
     with pytest.raises(NotInFil):
-        phi_r_apply(B, (pd_one(amb3),))
+        _phi_r_apply(B, (_pd_one(amb3),))
 
 
 def test_phi_r_semilinearity(amb3):
     # the defining relation phi_r(s x) = c^(-r) phi_r(s) phi_r(E^r x) for
     # s in Fil^r S, which closes to phi_r(s x) = phi_r(s) phi(x)
-    from flbreuil.breuil import phi_module
-    from flbreuil.pd import PDElement, embed_sigma
+    from flbreuil.breuil import _phi_module
+    from flbreuil.pd import PDElement, _embed_sigma
 
     rng = random.Random(20)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     r = amb3.r
     c_inv_r = amb3.c_pow(r).invert()
-    Er = embed_sigma(amb3.E_series * amb3.E_series)
+    Er = _embed_sigma(amb3.E_series * amb3.E_series)
     for _ in range(20):
-        body = pd_random_calibrated(amb3, rng, 6, 1)
+        body = _pd_random_calibrated(amb3, rng, 6, 1)
         s = PDElement(amb3, [amb3.ring.zero()] * r + list(body.coeffs[:6]))
-        x = random_vector(B, rng, 5)
-        lhs = phi_r_apply(B, tuple(s * xi for xi in x))
+        x = _random_vector(B, rng, 5)
+        lhs = _phi_r_apply(B, tuple(s * xi for xi in x))
         phirs = phi_S(s).div_p_exact(r)
-        closed = tuple(phirs * yi for yi in phi_module(B, x))
+        closed = tuple(phirs * yi for yi in _phi_module(B, x))
         defining = tuple(c_inv_r * phirs * yi
-                         for yi in phi_r_apply(B, tuple(Er * xi for xi in x)))
+                         for yi in _phi_r_apply(B, tuple(Er * xi for xi in x)))
         assert all(a.eq_at(b, amb3.N_p)
                    for a, b in zip(lhs, closed))
         assert all(a.eq_at(b, amb3.N_p)
@@ -146,7 +146,7 @@ def test_phi_r_semilinearity(amb3):
 
 def test_validate_on_base_change_images(amb3):
     rng = random.Random(1)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     rep = breuil_validate(fl_to_breuil(M))
     assert rep.all_true()
     bad = FLModule(amb3, M.jumps, M.Ftil.mul_p_pow(1))
@@ -159,15 +159,15 @@ def test_griffiths_fails_when_N_leaves_fil_r_minus_1(amb3):
     # E u e_0 = (2 gamma_2 - p a gamma_1) e_0 lies in Fil^1 and not in
     # Fil^2, so N(Fil^r) is not inside Fil^(r-1); a test that reads E N(g)
     # at step r - 1 instead of r passes this module
-    B0 = fl_to_breuil(random_fl(amb3, random.Random(1), 2, (0, 2)))
-    z, u = pd_zero(amb3), amb3.u_pow(1)
+    B0 = fl_to_breuil(_random_fl(amb3, random.Random(1), 2, (0, 2)))
+    z, u = _pd_zero(amb3), amb3.u_pow(1)
     B = BreuilModule(amb3, B0.Phi, RingMatrix([[z, u], [z, z]]), B0.C, B0.jumps)
     assert tuple(breuil_validate(B)) == (True, False, False, True)
-    assert fil_level(B, (u * pd_gamma(amb3, 1), z)) == 1
+    assert fil_level(B, (u * _pd_gamma(amb3, 1), z)) == 1
 
 
 def test_validate_cris_detects_constant_monodromy(amb3):
-    B = rank1(amb3, 0, amb3.w(1), nmat=RingMatrix([[pd_one(amb3)]]))
+    B = rank1(amb3, 0, amb3.w(1), nmat=RingMatrix([[_pd_one(amb3)]]))
     assert breuil_validate(B).cris is False
 
 
@@ -180,31 +180,31 @@ def test_validate_skips_without_monodromy(amb3):
 def test_hat_filtration_rank_one(amb3):
     rng = random.Random(2)
     for s in range(amb3.r + 1):
-        M = random_fl(amb3, rng, 1, (s,))
+        M = _random_fl(amb3, rng, 1, (s,))
         B = fl_to_breuil(M)
-        x = (pd_one(amb3),)
+        x = (_pd_one(amb3),)
         for n in range(amb3.r + 1):
             assert (n <= hat_fil_level(B, x)) == (n <= s)
 
 
 def test_hat_filtration_gamma_example(amb3):
-    M = random_fl(amb3, random.Random(3), 1, (0,))
+    M = _random_fl(amb3, random.Random(3), 1, (0,))
     B = fl_to_breuil(M)
-    assert 1 <= hat_fil_level(B, (pd_gamma(amb3, 1),))
+    assert 1 <= hat_fil_level(B, (_pd_gamma(amb3, 1),))
 
 
 def test_hat_needs_monodromy(amb3):
     B = rank1(amb3, 0, amb3.w(1))
     # level 1 is defined through N, even where the reduction alone refuses x
     with pytest.raises(NotCris):
-        hat_fil_level(B, (pd_one(amb3),))
+        hat_fil_level(B, (_pd_one(amb3),))
 
 
 def test_hat_level_rejects_wrong_lengths(amb3):
     rng = random.Random(6)
-    M = random_fl(amb3, rng, 3)
+    M = _random_fl(amb3, rng, 3)
     B = fl_to_breuil(M)
-    x = random_vector(B, rng, 6)
+    x = _random_vector(B, rng, 6)
     assert 0 <= hat_fil_level(B, x) <= amb3.r
     for vec in (x[:2], x + x[:1]):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -214,13 +214,13 @@ def test_hat_level_rejects_wrong_lengths(amb3):
 def test_hat_equals_tensor_small(amb3):
     rng = random.Random(5)
     for _ in range(5):
-        M = random_fl(amb3, rng, 2)
+        M = _random_fl(amb3, rng, 2)
         B = fl_to_breuil(M)
         for _ in range(30):
             if rng.random() < 0.5:
-                x = random_fil_member(B, rng, rng.randrange(amb3.r + 1))
+                x = _random_fil_member(B, rng, rng.randrange(amb3.r + 1))
             else:
-                x = random_vector(B, rng, 6)
+                x = _random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
                 assert fil_lower(B, n, x) == (n <= hat_fil_level(B, x))
 
@@ -230,7 +230,7 @@ def fil_lower_per_coordinate(B, i, x, at=None):
     kept as the reference for fil_level."""
     at = B.amb.N_p if at is None else at
     y = B.C_inv.matvec(x)
-    return all(fil_valuation(y[j], at) >= B.fil_threshold(i, j) for j in range(B.d))
+    return all(_fil_valuation(y[j], at) >= B.fil_threshold(i, j) for j in range(B.d))
 
 
 def hat_fil_membership_recursive(B, m_jumps, x, n, at=None):
@@ -241,11 +241,11 @@ def hat_fil_membership_recursive(B, m_jumps, x, n, at=None):
     if not 0 <= n <= amb.r:
         raise ValueError(f"filtration step {n} outside [0, {amb.r}]")
     at = amb.N_p if at is None else at
-    P = fpi_matrix(B.C_inv)
+    P = _fpi_matrix(B.C_inv)
     cache = {}
 
     def reduce_vec(vec):
-        return P.matvec(tuple(eval_fpi(c) for c in vec))
+        return P.matvec(tuple(_eval_fpi(c) for c in vec))
 
     def member(vec, level, key):
         if level == 0:
@@ -256,7 +256,7 @@ def hat_fil_membership_recursive(B, m_jumps, x, n, at=None):
         w = reduce_vec(vec)
         ok = all(w[j].is_zero_at(at) for j in range(B.d) if m_jumps[j] < level)
         if ok:
-            ok = member(tuple(n_apply(B, vec)), level - 1, key + 1)
+            ok = member(tuple(_n_apply(B, vec)), level - 1, key + 1)
         cache[(key, level)] = ok
         return ok
 
@@ -271,16 +271,16 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
 
     def counted(B, x):
         calls[0] += 1
-        return n_apply(B, x)
+        return _n_apply(B, x)
 
-    monkeypatch.setattr(BR, "n_apply", counted)  # the reference keeps the original
+    monkeypatch.setattr(BR, "_n_apply", counted)  # the reference keeps the original
     rng = random.Random(8)
     seen = set()
     for d in (1, 2, 3):
-        M = random_fl(amb, rng, d)
+        M = _random_fl(amb, rng, d)
         B0 = fl_to_breuil(M)
         # the base change (C = I) and a rebase of it (a general C^(-1))
-        for B in (B0, rebase(B0, random_congruent_identity(amb, rng, d))):
+        for B in (B0, _rebase(B0, _random_congruent_identity(amb, rng, d))):
             built = []
 
             def expected_calls():
@@ -292,8 +292,8 @@ def test_levels_match_per_level_membership(request, monkeypatch, name):
                 return d * r * (r - 1)
 
             for k in range(12):
-                x = (random_fil_member(B, rng, rng.randrange(r + 1)) if k % 2 == 0
-                     else random_vector(B, rng, 6))
+                x = (_random_fil_member(B, rng, rng.randrange(r + 1)) if k % 2 == 0
+                     else _random_vector(B, rng, 6))
                 L = fil_level(B, x)
                 calls[0] = 0
                 H = hat_fil_level(B, x)
@@ -312,8 +312,8 @@ def test_classify_examples(amb3):
     # etale (jump r) is not unipotent, and its Bhat is the identity
     B = rank1(amb3, r, amb3.w(3**r))
     assert not breuil_unipotent(B)
-    bh = breuil_bhat(B)
-    assert bh.eq_at(RingMatrix.identity(1, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
+    bh = _breuil_bhat(B)
+    assert bh.eq_at(RingMatrix.identity(1, _pd_zero(amb3), _pd_one(amb3)), amb3.N_p)
     B = rank1(amb3, 1, amb3.w(3))
     assert breuil_unipotent(B)
 
@@ -321,42 +321,42 @@ def test_classify_examples(amb3):
 def test_bhat_certificate(amb3):
     rng = random.Random(6)
     for _ in range(10):
-        M = random_fl(amb3, rng, 2)
+        M = _random_fl(amb3, rng, 2)
         B = fl_to_breuil(M)
-        bh = breuil_bhat(B)
-        expect = RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)).mul_p_pow(amb3.r)
+        bh = _breuil_bhat(B)
+        expect = RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3)).mul_p_pow(amb3.r)
         assert (B.Phi @ bh).eq_at(expect, amb3.N_p)
 
 
 def test_bhat_rejects_malformed(amb3):
     B = rank1(amb3, 0, amb3.w(3 ** (amb3.r + 1)))
     with pytest.raises(NotDivisible):
-        breuil_bhat(B)
+        _breuil_bhat(B)
 
 
 def test_rebase_round_trip(amb3):
     rng = random.Random(7)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     h = None
     while h is None or not h.residue_invertible():
         ent = [
             [
-                (pd_one(amb3) if i == j else pd_zero(amb3))
-                + pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
+                (_pd_one(amb3) if i == j else _pd_zero(amb3))
+                + _pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
                 for j in range(2)
             ]
             for i in range(2)
         ]
         h = RingMatrix(ent)
-    Bt = rebase(B, h)
-    back = rebase(Bt, h.invert())
+    Bt = _rebase(B, h)
+    back = _rebase(Bt, h.invert())
     assert back.Phi.eq_at(B.Phi, amb3.N_p)
     assert back.C.eq_at(B.C, amb3.N_p)
     assert back.Nmat.eq_at(B.Nmat, amb3.N_p)
     # membership is intrinsic: x in the twisted basis is h^(-1) x in the old
     for _ in range(20):
-        x = random_vector(B, rng, 5)
+        x = _random_vector(B, rng, 5)
         xt = h.invert().matvec(x)
         assert fil_lower(B, amb3.r, x) == fil_lower(Bt, amb3.r, xt)
 
@@ -375,7 +375,7 @@ def test_identity_adapted_basis_is_its_own_inverse(p, r, f, monkeypatch):
         raise AssertionError("C_inv inverted the identity")
 
     for d in (1, 2, 3):
-        for B in (fl_to_breuil(random_fl(amb, rng, d)), kisin_to_breuil(random_gls(amb, rng, d))):
+        for B in (fl_to_breuil(_random_fl(amb, rng, d)), kisin_to_breuil(random_gls(amb, rng, d))):
             with monkeypatch.context() as m:
                 m.setattr(RingMatrix, "invert", no_elimination)
                 seeded = B.C_inv
@@ -398,7 +398,7 @@ def test_validate_square_fails_alone(p, seed):
     # untouched (strongly divisible), so only the phi/N square is left to
     # fail; a validator that skips the square passes this module
     amb = AmbientParams(p, p - 2)
-    B0 = fl_to_breuil(random_fl(amb, random.Random(seed), 2))
-    z = pd_zero(amb)
+    B0 = fl_to_breuil(_random_fl(amb, random.Random(seed), 2))
+    z = _pd_zero(amb)
     B = BreuilModule(amb, B0.Phi, RingMatrix([[amb.u_pow(1), z], [z, z]]), B0.C, B0.jumps)
     assert tuple(breuil_validate(B)) == (True, True, False, True)

@@ -1,17 +1,18 @@
 """The filtration tests read off tables agree with the per-sample products
 they replace.
 
-``adapted_level`` reads the b-jet of M x from a table of M on jets, and
+``_adapted_level`` reads the b-jet of M x from a table of M on jets, and
 ``hat_fil_level`` reads every reduction of its descent from a table of the
 module's N on jets; each owner of a matrix keeps one table.  Both levels
 are capped at r.  Here both are checked against references that multiply
-out every sample: the whole product M x and ``fil_valuation``
+out every sample: the whole product M x and ``_fil_valuation``
 (``level_by_product``, capped at r by the caller), the chain x, N(x),
-N^2(x), ... of ``n_apply`` (``hat_level_by_chain``), and the per-level
+N^2(x), ... of ``_n_apply`` (``hat_level_by_chain``), and the per-level
 references of ``test_breuil``.  The owners are a rebased module (a general
 C^(-1)), the same module presented in the section basis (the tensor
 filtration) and the Kisin raw checker, at f = 1 and f = 2, ranks 0-3,
-every step in 0..r, and ``at`` below and above the samples' precisions,
+every step in 0..r, and ``at`` below and above the samples' precisions
+(the raw checker, which reads x at N_p, on samples cut to ``at`` digits),
 with matrices whose rows are known to different precisions.  Errors must match too, and a step outside 0..r is refused.
 Each table is built once per owner.
 """
@@ -23,31 +24,31 @@ import pytest
 from flbreuil import breuil as BR
 from flbreuil.breuil import (
     BreuilModule,
+    _n_apply,
+    _random_fil_member,
+    _random_vector,
+    _rebase,
     fil_level,
     fil_lower,
     hat_fil_level,
-    n_apply,
-    random_fil_member,
-    random_vector,
-    rebase,
 )
-from flbreuil.campaign import random_congruent_identity
+from flbreuil.campaign import _random_congruent_identity
 from flbreuil.errors import NotCris, PrecisionExhausted
-from flbreuil.fl import random_fl
-from flbreuil.functors import breuil_to_fl, fl_to_breuil, fpi_matrix
-from flbreuil.kisin import _embed_matrix, kisin_raw_fil_checker, kisin_to_breuil, random_gls
+from flbreuil.fl import _random_fl
+from flbreuil.functors import _fpi_matrix, breuil_to_fl, fl_to_breuil
+from flbreuil.kisin import _embed_matrix, _kisin_raw_fil_checker, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
-from flbreuil.pd import eval_fpi, fil_valuation, pd_gamma, pd_one, pd_zero
+from flbreuil.pd import _eval_fpi, _fil_valuation, _pd_gamma, _pd_one, _pd_zero
 from test_breuil import fil_lower_per_coordinate, hat_fil_membership_recursive
 from test_functors import section_basis_module
 
 
 def level_by_product(amb, M, jumps, x, at=None):
-    """The uncapped level of ``adapted_level`` by the whole product M x and
-    ``fil_valuation``."""
+    """The uncapped level of ``_adapted_level`` by the whole product M x and
+    ``_fil_valuation``."""
     at = amb.N_p if at is None else at
     y = M.matvec(x)
-    return min((fil_valuation(c, at) + r for c, r in zip(y, jumps)),
+    return min((_fil_valuation(c, at) + r for c, r in zip(y, jumps)),
                default=amb.N_gamma + amb.r)
 
 
@@ -60,7 +61,7 @@ def mapped(P, w):
 
 
 def hat_level_by_chain(B, x, at=None):
-    """``hat_fil_level`` by the chain of ``n_apply``: each step reduces the
+    """``hat_fil_level`` by the chain of ``_n_apply``: each step reduces the
     current N^t(x) at u = pi, maps it by f_pi(C^(-1)) and applies N once."""
     amb, m_jumps = B.amb, B.jumps
     level = amb.r
@@ -69,17 +70,17 @@ def hat_level_by_chain(B, x, at=None):
     if level > 0 and B.Nmat is None:
         raise NotCris("module carries no monodromy matrix")
     at = amb.N_p if at is None else at
-    P = fpi_matrix(B.C_inv)
+    P = _fpi_matrix(B.C_inv)
     vec = tuple(x)
     t = 0
     while t < level:
-        w = mapped(P, [eval_fpi(c) for c in vec])
+        w = mapped(P, [_eval_fpi(c) for c in vec])
         for j in range(B.d):
             if m_jumps[j] < level - t and not w[j].is_zero_at(at):
                 level = m_jumps[j] + t
         t += 1
         if t < level:
-            vec = n_apply(B, vec)
+            vec = _n_apply(B, vec)
     return level
 
 
@@ -105,8 +106,8 @@ def samples(B, rng, n):
     amb = B.amb
     out = []
     for k in range(n):
-        x = (random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
-             else random_vector(B, rng, 6))
+        x = (_random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
+             else _random_vector(B, rng, 6))
         if k % 3 == 2:
             x = tuple(c.truncate(rng.randrange(2, amb.N_p + 3)) for c in x)
         out.append(x)
@@ -127,12 +128,12 @@ def test_rebased_levels_agree_through_the_monodromy(request, name):
     rng = random.Random(31)
     for _ in range(8):
         d = rng.randrange(1, 4)
-        M = random_fl(amb, rng, d)
-        h = random_congruent_identity(amb, rng, d)
-        B = rebase(fl_to_breuil(M), h)
+        M = _random_fl(amb, rng, d)
+        h = _random_congruent_identity(amb, rng, d)
+        B = _rebase(fl_to_breuil(M), h)
         for k in range(30):
-            x = (random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
-                 else random_vector(B, rng, 6))
+            x = (_random_fil_member(B, rng, rng.randrange(amb.r + 1)) if k % 2 == 0
+                 else _random_vector(B, rng, 6))
             at = min(c.prec for c in x)
             assert fil_level(B, x, at) == hat_fil_level(B, x, at)
 
@@ -143,16 +144,23 @@ def test_adapted_tables_match_the_product(request, name, d):
     amb = request.getfixturevalue(name)
     r = amb.r
     rng = random.Random(40 + d)
-    B = rebase(fl_to_breuil(random_fl(amb, rng, d)), random_congruent_identity(amb, rng, d))
+    B = _rebase(fl_to_breuil(_random_fl(amb, rng, d)), _random_congruent_identity(amb, rng, d))
     Bs = section_basis_module(B, breuil_to_fl(B))
     K = random_gls(amb, rng, d)
-    raw = kisin_raw_fil_checker(K)
+    raw = _kisin_raw_fil_checker(K)
     full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
     # a matrix whose rows are known to different precisions
     cut = rows_truncated(B.C_inv, rng) if d else B.C_inv
     # the jumps in descending order too: no caller's are, but the level is
     # a minimum over the coordinates in any order
-    tables = {jumps: BR.jet_table(amb, cut, jumps) for jumps in (B.jumps, B.jumps[::-1])}
+    tables = {jumps: BR._jet_table(amb, cut, jumps) for jumps in (B.jumps, B.jumps[::-1])}
+
+    def raw_agrees(x, at):
+        # the raw test reads x to N_p digits, or fewer when x is known to
+        # fewer: x cut to at digits has it read x below its precision
+        x = x if at is None or at < 1 else tuple(c.truncate(at) for c in x)
+        return raw(x) == (level_by_product(amb, full, (0,) * d, x) >= r)
+
     for x in samples(B, rng, 10):
         for at in ats(x):
             L = min(level_by_product(amb, B.C_inv, B.jumps, x, at), r)
@@ -160,16 +168,21 @@ def test_adapted_tables_match_the_product(request, name, d):
             Lt = min(level_by_product(amb, Bs.C_inv, Bs.jumps, x, at), r)
             for jumps, table in tables.items():
                 Lc = min(level_by_product(amb, cut, jumps, x, at), r)
-                assert BR.adapted_level(amb, cut, jumps, x, table, at) == Lc
+                assert BR._adapted_level(amb, cut, jumps, x, table, at) == Lc
             for i in range(r + 1):
                 assert fil_lower(B, i, x, at) == (i <= L)
                 assert fil_lower(Bs, i, x, at) == (i <= Lt)
                 if at is None:
                     assert fil_lower(B, i, x) == fil_lower_per_coordinate(B, i, x)
-            assert raw(x, at) == (level_by_product(amb, full, (0,) * d, x, at) >= r)
+            assert raw_agrees(x, at)
+    # members of the raw filtration itself, whose verdict rests on the
+    # digits the test reads
+    for x in samples(kisin_to_breuil(K), rng, 10):
+        for at in ats(x):
+            assert raw_agrees(x, at)
     # the product's own errors
     if d:
-        x = random_vector(B, rng, 6)
+        x = _random_vector(B, rng, 6)
         for args in ((x[:-1],), (x + x[:1],)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 fil_level(B, *args)
@@ -183,9 +196,9 @@ def test_steps_outside_the_hodge_range_are_refused(request, name):
     # would be a member, and above r the level cannot tell
     amb = request.getfixturevalue(name)
     r = amb.r
-    B = fl_to_breuil(random_fl(amb, random.Random(80), 2))
-    g = pd_gamma(amb, r + 1)
-    for x in ((pd_one(amb), pd_one(amb)), (g, g)):
+    B = fl_to_breuil(_random_fl(amb, random.Random(80), 2))
+    g = _pd_gamma(amb, r + 1)
+    for x in ((_pd_one(amb), _pd_one(amb)), (g, g)):
         for i in (-1, r + 1):
             with pytest.raises(ValueError, match=f"filtration step {i} outside"):
                 fil_lower(B, i, x)
@@ -197,20 +210,20 @@ def test_descent_table_matches_the_chain(request, name, d):
     amb = request.getfixturevalue(name)
     r = amb.r
     rng = random.Random(50 + d)
-    M = random_fl(amb, rng, d)
-    h = random_congruent_identity(amb, rng, d)
+    M = _random_fl(amb, rng, d)
+    h = _random_congruent_identity(amb, rng, d)
     B0 = fl_to_breuil(M)
-    B = rebase(B0, h)
+    B = _rebase(B0, h)
     # the same module with Nmat's rows known to different precisions
     Bn = BreuilModule(amb, B.Phi, rows_truncated(B.Nmat, rng) if d else B.Nmat, B.C, B.jumps)
     # rebased by a triangular h with its columns cut to different precisions:
     # f_pi(C^(-1)) = f_pi(h) has zero entries, and entries known to several
     # precisions in each row
     if d:
-        tri = RingMatrix([[c if i <= j else pd_zero(amb) for j, c in enumerate(row)]
+        tri = RingMatrix([[c if i <= j else _pd_zero(amb) for j, c in enumerate(row)]
                           for i, row in enumerate(h.entries)])
         h = rows_truncated(tri.transpose(), rng).transpose()
-    Bt = rebase(B0, h)
+    Bt = _rebase(B0, h)
     # zero tests at and just above the precisions of Nmat's rows separate
     # the precision of N(x) (its row's) from that of N^2(x) (all of Nmat's)
     row_precs = {min(c.prec for c in row) for row in Bn.Nmat.entries}
@@ -230,8 +243,8 @@ def test_coordinates_at_the_level_are_not_read(request, name):
     # neither test reads it, and its precision below ``at`` raises nothing
     amb = request.getfixturevalue(name)
     r = amb.r
-    B = fl_to_breuil(random_fl(amb, random.Random(90), 2, (r - 1, r)))
-    x = (pd_gamma(amb, 1), pd_zero(amb).truncate(3))
+    B = fl_to_breuil(_random_fl(amb, random.Random(90), 2, (r - 1, r)))
+    x = (_pd_gamma(amb, 1), _pd_zero(amb).truncate(3))
     assert hat_fil_level(B, x) == hat_level_by_chain(B, x) == r
     assert fil_level(B, x) == r
 
@@ -239,11 +252,11 @@ def test_coordinates_at_the_level_are_not_read(request, name):
 def test_descent_errors_match_the_chain(amb3, amb9):
     rng = random.Random(60)
     for amb in (amb3, amb9):
-        M = random_fl(amb, rng, 3)
-        B = rebase(fl_to_breuil(M), random_congruent_identity(amb, rng, 3))
-        x = random_vector(B, rng, 6)
+        M = _random_fl(amb, rng, 3)
+        B = _rebase(fl_to_breuil(M), _random_congruent_identity(amb, rng, 3))
+        x = _random_vector(B, rng, 6)
         K = kisin_to_breuil(random_gls(amb, rng, 2))
-        y = random_vector(K, rng, 6)
+        y = _random_vector(K, rng, 6)
         cases = [
             short := (B, x[:2], None),
             (B, x + x[:1], None),
@@ -259,20 +272,20 @@ def test_descent_errors_match_the_chain(amb3, amb9):
 
 def test_each_table_is_built_once_per_owner(amb3, monkeypatch):
     built = []
-    for module, name in ((BR, "jet_table"), (BR, "_descent_table")):
+    for module, name in ((BR, "_jet_table"), (BR, "_descent_table")):
         make = getattr(module, name)
 
         def counted(*args, make=make, name=name):
             # the matrix a jet table is built from, the module of a descent
-            built.append((name, id(args[1] if name == "jet_table" else args[0])))
+            built.append((name, id(args[1] if name == "_jet_table" else args[0])))
             return make(*args)
 
         monkeypatch.setattr(module, name, counted)
     rng = random.Random(70)
     r = amb3.r
-    B = rebase(fl_to_breuil(random_fl(amb3, rng, 2)), random_congruent_identity(amb3, rng, 2))
+    B = _rebase(fl_to_breuil(_random_fl(amb3, rng, 2)), _random_congruent_identity(amb3, rng, 2))
     Bs = section_basis_module(B, breuil_to_fl(B))
-    raw = kisin_raw_fil_checker(random_gls(amb3, rng, 2))
+    raw = _kisin_raw_fil_checker(random_gls(amb3, rng, 2))
     for x in samples(B, rng, 6):
         prec = min(c.prec for c in x)
         for at in (max(prec - 2, 0), prec):
@@ -281,8 +294,8 @@ def test_each_table_is_built_once_per_owner(amb3, monkeypatch):
                 fil_lower(Bs, i, x, at)
             fil_level(B, x, at)
             hat_fil_level(B, x, at)
-            raw(x, at)
+            raw(x)
     # the raw checker's matrix is its own: it builds its table with the closure
-    assert sorted(name for name, _ in built) == ["_descent_table"] + ["jet_table"] * 3
-    assert {("jet_table", id(B.C_inv)), ("jet_table", id(Bs.C_inv)),
+    assert sorted(name for name, _ in built) == ["_descent_table"] + ["_jet_table"] * 3
+    assert {("_jet_table", id(B.C_inv)), ("_jet_table", id(Bs.C_inv)),
             ("_descent_table", id(B))} < set(built)

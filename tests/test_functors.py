@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from flbreuil import fl as FL
+from flbreuil import functors
 from flbreuil import serialize as SER
-from flbreuil.breuil import BreuilModule, breuil_unipotent, breuil_validate, fil_lower, rebase
-from flbreuil.campaign import roundtrip_breuil, roundtrip_fl, run_suite_seed
+from flbreuil.breuil import BreuilModule, _rebase, breuil_unipotent, breuil_validate, fil_lower
+from flbreuil.campaign import _roundtrip_breuil, _roundtrip_fl, run_suite_seed
 from flbreuil.errors import (
     A0NotScaledIntegral,
     NonConvergent,
@@ -13,27 +15,28 @@ from flbreuil.errors import (
     NotStrong,
     PrecisionExhausted,
 )
-from flbreuil.fl import FLModule, fl_unipotent, random_fl
+from flbreuil.fl import FLModule, _random_fl, fl_unipotent
 from flbreuil.functors import (
+    _embed_w_matrix,
+    _f0_matrix,
+    _flag_adapt,
+    _phi_matrix,
     breuil_to_fl,
-    embed_w_matrix,
-    f0_matrix,
     fl_to_breuil,
-    flag_adapt,
-    phi_matrix,
     section_compute,
 )
 from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 from flbreuil.pd import (
-    eval_f0,
-    pd_from_scalar,
-    pd_gamma,
-    pd_one,
-    pd_random_calibrated,
-    pd_zero,
+    _eval_f0,
+    _pd_from_scalar,
+    _pd_gamma,
+    _pd_one,
+    _pd_random_calibrated,
+    _pd_zero,
     phi_S,
 )
+from sampler_reference import drawn
 from flag_reference import flag_adapt as ref_flag_adapt
 from test_breuil import fil_lower_per_coordinate
 
@@ -45,7 +48,7 @@ def wmat(amb, rows):
 def section_basis_module(B, transport):
     """B's Phi and N with the tensor-product filtration: adapted basis the
     section basis Bmat embed(g_w), the jumps of the reduction."""
-    C = transport.section.Bmat @ embed_w_matrix(B.amb, transport.g_w)
+    C = transport.section.Bmat @ _embed_w_matrix(B.amb, transport.g_w)
     return BreuilModule(B.amb, B.Phi, B.Nmat, C, transport.M.jumps)
 
 
@@ -54,7 +57,7 @@ def section_basis_module(B, transport):
 def test_fl_to_breuil_rank_one(amb3):
     M = FLModule(amb3, (1,), wmat(amb3, [[1]]))
     B = fl_to_breuil(M)
-    assert B.Phi.entries[0][0].eq_at(pd_from_scalar(amb3, amb3.w(3)), amb3.cap)
+    assert B.Phi.entries[0][0].eq_at(_pd_from_scalar(amb3, amb3.w(3)), amb3.cap)
     assert B.jumps == (1,)
     rep = breuil_validate(B)
     assert rep.all_true()  # N = derivation only, so cris holds for free
@@ -63,7 +66,7 @@ def test_fl_to_breuil_rank_one(amb3):
 def test_fl_to_breuil_strongness_equivalence(amb3):
     rng = random.Random(0)
     for _ in range(10):
-        M = random_fl(amb3, rng, 2)
+        M = _random_fl(amb3, rng, 2)
         assert breuil_validate(fl_to_breuil(M)).strongly_divisible
         bad = FLModule(amb3, M.jumps, M.Ftil.mul_p_pow(1))
         assert not breuil_validate(fl_to_breuil(bad)).strongly_divisible
@@ -75,11 +78,11 @@ def test_section_telescopes(amb3, amb5):
     for amb in (amb3, amb5):
         rng = random.Random(1)
         for _ in range(5):
-            M = random_fl(amb, rng, rng.randrange(1, 4))
+            M = _random_fl(amb, rng, rng.randrange(1, 4))
             sec = section_compute(fl_to_breuil(M))
             assert sec.iterations == 0
             prec = min(x.prec for row in sec.Bmat.entries for x in row)
-            assert sec.Bmat.eq_at(RingMatrix.identity(M.d, pd_zero(amb), pd_one(amb)), prec)
+            assert sec.Bmat.eq_at(RingMatrix.identity(M.d, _pd_zero(amb), _pd_one(amb)), prec)
             assert sec.exact and sec.f0_identity and sec.B0_claim_ok
 
 
@@ -89,7 +92,7 @@ def test_section_rank_one_unit_module(amb3):
     B = kisin_to_breuil(KisinModule(amb3, I1, (0,), I1))
     sec = section_compute(B)
     assert sec.iterations == 0
-    assert sec.Bmat.entries[0][0].eq_at(pd_one(amb3), amb3.N_p)
+    assert sec.Bmat.entries[0][0].eq_at(_pd_one(amb3), amb3.N_p)
 
 
 def test_section_rank_one_fixed_point_oracle(amb3):
@@ -100,14 +103,14 @@ def test_section_rank_one_fixed_point_oracle(amb3):
         K = KisinModule(amb3, I1, (s,), I1)
         B = kisin_to_breuil(K)
         a_b = B.Phi.entries[0][0]
-        a0 = eval_f0(a_b)
-        unit_inv = pd_from_scalar(amb3, a0.div_p_exact(s).invert())
+        a0 = _eval_f0(a_b)
+        unit_inv = _pd_from_scalar(amb3, a0.div_p_exact(s).invert())
         x = (a_b * unit_inv).div_p_exact(s)
         for _ in range(6):
             x = (a_b * phi_S(x) * unit_inv).div_p_exact(s)
         sec = section_compute(B)
         assert sec.Bmat.entries[0][0].eq_at(x, amb3.N_p)
-        assert eval_f0(sec.Bmat.entries[0][0]).eq_at(amb3.w(1), amb3.N_p)
+        assert _eval_f0(sec.Bmat.entries[0][0]).eq_at(amb3.w(1), amb3.N_p)
 
 
 def test_section_on_normal_form_instances(amb3, amb5):
@@ -126,38 +129,40 @@ def test_section_rejects_bad_constant_matrix(amb3):
 
     B = BreuilModule(
         amb3,
-        RingMatrix([[pd_from_scalar(amb3, amb3.w(3 ** (amb3.r + 1)))]]),
-        None, RingMatrix.identity(1, pd_zero(amb3), pd_one(amb3)), (0,),
+        RingMatrix([[_pd_from_scalar(amb3, amb3.w(3 ** (amb3.r + 1)))]]),
+        None, RingMatrix.identity(1, _pd_zero(amb3), _pd_one(amb3)), (0,),
     )
     with pytest.raises(A0NotScaledIntegral):
         section_compute(B)
 
 
-def test_section_step_budget(amb3):
+def test_section_step_budget(amb3, monkeypatch):
     rng = random.Random(3)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     g = None
     while g is None or not g.residue_invertible():
         ent = [
             [
-                (pd_one(amb3) if i == j else pd_zero(amb3))
-                + pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
+                (_pd_one(amb3) if i == j else _pd_zero(amb3))
+                + _pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
                 for j in range(2)
             ]
             for i in range(2)
         ]
         g = RingMatrix(ent)
-    Bt = rebase(B, g)
+    Bt = _rebase(B, g)
+    # a cushion of -2 leaves a budget of 2 * 1 - 2 = 0 steps at rate bound 1
+    monkeypatch.setattr(functors, "_STEP_CUSHION", -2)
     with pytest.raises(NonConvergent):
-        section_compute(Bt, max_steps=0)
+        section_compute(Bt)
     with pytest.raises(NonConvergent):
-        section_compute(Bt, max_steps=0, prec=amb3.N_p)
+        section_compute(Bt, prec=amb3.N_p)
 
 
 def _section_fields(sec, at):
     return (sec.iterations, sec.rate_bound, sec.residual_valuation, sec.exact,
-            sec.B0_claim_ok, sec.f0_identity, SER.matrix_to_json(sec.Bmat.truncate(at)))
+            sec.B0_claim_ok, sec.f0_identity, SER._matrix_to_json(sec.Bmat.truncate(at)))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -166,9 +171,9 @@ def test_section_at_the_read_precision_is_the_full_section(p, f):
     # Kisin normal forms, FL images and rebased FL images: the verdicts and
     # Bmat mod p^N_p, tail_dirty flags included, do not depend on prec.
     # At p = 3, r = 1 the rebased modules need 2 steps against a rate
-    # bound of 1, so the cut run is retried with max_steps
+    # bound of 1, so the cut run is retried with the full step budget
     from flbreuil.ambient import shared_params
-    from flbreuil.campaign import random_congruent_identity
+    from flbreuil.campaign import _random_congruent_identity
 
     retried = 0
     for r in sorted({1, p - 2}):
@@ -176,9 +181,9 @@ def test_section_at_the_read_precision_is_the_full_section(p, f):
         rng = random.Random(f"section-prec:{p}:{f}:{r}")
         for _ in range(3):
             d = rng.randrange(1, 4)
-            B = fl_to_breuil(random_fl(amb, rng, d))
-            g = random_congruent_identity(amb, rng, d)
-            for mod in (kisin_to_breuil(random_gls(amb, rng, d)), B, rebase(B, g)):
+            B = fl_to_breuil(_random_fl(amb, rng, d))
+            g = _random_congruent_identity(amb, rng, d)
+            for mod in (kisin_to_breuil(random_gls(amb, rng, d)), B, _rebase(B, g)):
                 full = section_compute(mod)
                 cut = section_compute(mod, prec=amb.N_p)
                 assert _section_fields(cut, amb.N_p) == _section_fields(full, amb.N_p)
@@ -192,8 +197,8 @@ def test_section_of_an_unflagged_non_constant_module_is_not_cut(amb3, k):
     # A = p (1 + p^k gamma_1): the section has support 14 (k = 2) or 5 and
     # no tail_dirty flag, which a cut run cannot vouch for, so the run
     # with prec ends without a cut and keeps the full precision
-    a = (pd_one(amb3) + pd_gamma(amb3, 1, amb3.w(3 ** k))).mul_p_pow(1)
-    B = BreuilModule(amb3, RingMatrix([[a]]), None, RingMatrix([[pd_one(amb3)]]), (1,))
+    a = (_pd_one(amb3) + _pd_gamma(amb3, 1, amb3.w(3 ** k))).mul_p_pow(1)
+    B = BreuilModule(amb3, RingMatrix([[a]]), None, RingMatrix([[_pd_one(amb3)]]), (1,))
     full = section_compute(B)
     cut = section_compute(B, prec=amb3.N_p)
     assert not full.Bmat.entries[0][0].tail_dirty
@@ -202,7 +207,7 @@ def test_section_of_an_unflagged_non_constant_module_is_not_cut(amb3, k):
 
 
 def test_section_precision_outside_its_range_is_refused(amb3):
-    B = fl_to_breuil(random_fl(amb3, random.Random(5), 2))
+    B = fl_to_breuil(_random_fl(amb3, random.Random(5), 2))
     for prec in (amb3.N_p - 1, amb3.cap + 1):
         with pytest.raises(ValueError):
             section_compute(B, prec=prec)
@@ -211,50 +216,50 @@ def test_section_precision_outside_its_range_is_refused(amb3):
 
 @pytest.mark.parametrize("seed", [10, 15])
 def test_section_keeps_the_exponent_of_a_non_integral_first_iterate(seed):
-    # The instances suite_roundtrip_breuil draws at p = 5, r = 3 for these
+    # The instances _suite_roundtrip_breuil draws at p = 5, r = 3 for these
     # seeds: B_0 = A A_0^(-1) is not integral, yet the iterates' numerators
     # over p^t converge and the limit is the exact section.  Dividing each
     # iterate by p^r as it is made would fail on B_0 already.
     from flbreuil.ambient import shared_params
-    from flbreuil.campaign import random_congruent_identity
+    from flbreuil.campaign import _random_congruent_identity
     from flbreuil.errors import NotDivisible
-    from flbreuil.matrix import scaled_inverse
+    from flbreuil.matrix import _scaled_inverse
 
     amb = shared_params(p=5, r=3)
     rng = random.Random(f"roundtrip-breuil:{seed}")
     d = rng.randrange(1, 4)
-    M = random_fl(amb, rng, d)
-    g = random_congruent_identity(amb, rng, d)
-    Bt = rebase(fl_to_breuil(M), g)
+    M = _random_fl(amb, rng, d)
+    g = _random_congruent_identity(amb, rng, d)
+    Bt = _rebase(fl_to_breuil(M), g)
     assert d == 3
-    B0_num = Bt.Phi @ embed_w_matrix(amb, scaled_inverse(f0_matrix(Bt.Phi), amb.r))
+    B0_num = Bt.Phi @ _embed_w_matrix(amb, _scaled_inverse(_f0_matrix(Bt.Phi), amb.r))
     with pytest.raises(NotDivisible):
         B0_num.map_entries(lambda x: x.div_p_exact(amb.r))
     sec = section_compute(Bt)
     assert not sec.B0_claim_ok
     assert sec.iterations == 2 and sec.exact and sec.f0_identity
-    rep = roundtrip_breuil(M, g, rng)
+    rep = _roundtrip_breuil(M, g, rng)
     assert rep["ok"] and rep["relation"] == "exact"
 
 
 def test_section_basis_hint_closed_form(amb3):
     rng = random.Random(4)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     h = None
     while h is None or not h.residue_invertible():
         ent = [
             [
-                (pd_one(amb3) if i == j else pd_zero(amb3))
-                + pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
+                (_pd_one(amb3) if i == j else _pd_zero(amb3))
+                + _pd_random_calibrated(amb3, rng, 3, 0).mul_p_pow(1)
                 for j in range(2)
             ]
             for i in range(2)
         ]
         h = RingMatrix(ent)
     sec0 = section_compute(B)
-    sec_h = section_compute(rebase(B, h))
-    expect = h.invert() @ sec0.Bmat @ embed_w_matrix(amb3, f0_matrix(h))
+    sec_h = section_compute(_rebase(B, h))
+    expect = h.invert() @ sec0.Bmat @ _embed_w_matrix(amb3, _f0_matrix(h))
     assert sec_h.Bmat.eq_at(expect, amb3.N_p)
 
 
@@ -262,7 +267,7 @@ def test_section_basis_hint_closed_form(amb3):
 
 def test_flag_adapt_standard_flag(amb3):
     # step 1 is spanned by e1, step 0 by e1 and e2
-    g, jumps = flag_adapt(wmat(amb3, [[1, 0], [0, 1]]), (1, 0))
+    g, jumps = _flag_adapt(wmat(amb3, [[1, 0], [0, 1]]), (1, 0))
     assert jumps == (0, 1)
     # the column with jump 1 must span the middle step
     assert g.entries[0][1].is_unit() and g.entries[1][1].is_zero_at(amb3.N_p)
@@ -270,7 +275,7 @@ def test_flag_adapt_standard_flag(amb3):
 
 def test_flag_adapt_diagonal_embedding(amb3):
     # step 1 is spanned by e1 + e2, step 0 by it and e1
-    g, jumps = flag_adapt(wmat(amb3, [[1, 1], [0, 1]]), (0, 1))
+    g, jumps = _flag_adapt(wmat(amb3, [[1, 1], [0, 1]]), (0, 1))
     assert jumps == (0, 1)
     col = (g.entries[0][1], g.entries[1][1])
     assert col[0].eq_at(col[1], amb3.N_p)  # proportional to e1 + e2
@@ -279,7 +284,7 @@ def test_flag_adapt_diagonal_embedding(amb3):
 def test_flag_adapt_rejects_non_summand(amb3):
     # the one column, 3 e1, has no unit pivot: 3 W is not a summand of W
     with pytest.raises(NotDirectSummand):
-        flag_adapt(wmat(amb3, [[3]]), (1,))
+        _flag_adapt(wmat(amb3, [[3]]), (1,))
 
 
 def _adapted(fn, *args):
@@ -304,7 +309,7 @@ def test_flag_adapt_matches_the_reference(name, request):
         for shape in seen:
             d = rng.randint(1, 5)
             jumps = tuple(sorted(rng.randint(0, amb.r) for _ in range(d)))
-            cols = [[ring.random(rng, rng.randint(1, amb.cap)) for _ in range(d)]
+            cols = [[drawn(ring, rng, rng.randint(1, amb.cap)) for _ in range(d)]
                     for _ in range(d)]
             j = rng.randrange(d)
             if shape == "zero":
@@ -318,7 +323,7 @@ def test_flag_adapt_matches_the_reference(name, request):
                 cols[j] = [x.mul_p_pow(rng.randint(1, 2)) for x in cols[j]]
             T = RingMatrix([[cols[k][i] for k in range(d)] for i in range(d)])
             want = _adapted(ref_flag_adapt, amb, T, jumps)
-            assert _adapted(flag_adapt, T, jumps) == want
+            assert _adapted(_flag_adapt, T, jumps) == want
             if shape == "invertible":
                 seen[shape] += want is not None
             else:
@@ -328,21 +333,29 @@ def test_flag_adapt_matches_the_reference(name, request):
 
 # --- backward functor and round trips ---
 
-def test_roundtrip_fl_rank_one(amb3):
+def _roundtrip_non_unipotent(M, monkeypatch) -> dict:
+    """The round-trip record of a module that is not unipotent, with the
+    campaign's unipotence predicate reading every module as unipotent."""
+    with monkeypatch.context() as mp:
+        mp.setattr(FL, "fl_unipotent", lambda M: True)
+        return _roundtrip_fl(M)
+
+
+def test_roundtrip_fl_rank_one(amb3, monkeypatch):
     rng = random.Random(5)
     for s in range(amb3.r + 1):
-        M = random_fl(amb3, rng, 1, (s,))
+        M = _random_fl(amb3, rng, 1, (s,))
         if amb3.r == amb3.p - 1 and not fl_unipotent(M):
-            rep = roundtrip_fl(M, allow_non_unipotent=True)
+            rep = _roundtrip_non_unipotent(M, monkeypatch)
         else:
-            rep = roundtrip_fl(M)
+            rep = _roundtrip_fl(M)
         assert rep["ok"]
 
 
 def test_roundtrip_fl_swap_module(amb3):
     M = FLModule(amb3, (0, 2), wmat(amb3, [[0, 1], [1, 0]]))
     assert fl_unipotent(M)
-    assert roundtrip_fl(M)["ok"]
+    assert _roundtrip_fl(M)["ok"]
 
 
 def test_roundtrip_fl_random(amb5):
@@ -351,15 +364,15 @@ def test_roundtrip_fl_random(amb5):
     amb = AmbientParams(5, 3)
     rng = random.Random(6)
     for _ in range(5):
-        M = random_fl(amb, rng, rng.randrange(1, 4))
-        assert roundtrip_fl(M)["ok"]
+        M = _random_fl(amb, rng, rng.randrange(1, 4))
+        assert _roundtrip_fl(M)["ok"]
 
 
-def test_roundtrip_fl_enforces_unipotence_at_top(amb3):
+def test_roundtrip_fl_enforces_unipotence_at_top(amb3, monkeypatch):
     M = FLModule(amb3, (amb3.r,), wmat(amb3, [[1]]))  # etale, not unipotent
     with pytest.raises(NotStrong):
-        roundtrip_fl(M)
-    assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
+        _roundtrip_fl(M)
+    assert _roundtrip_non_unipotent(M, monkeypatch)["ok"]
 
 
 def test_kisin_derived_backward(amb3):
@@ -377,8 +390,8 @@ def test_backward_functor_refusals(amb3):
     with pytest.raises(NotCris, match="adjoin_zero_n=True"):
         breuil_to_fl(K)
     # a constant Nmat does not land in u times the module
-    B0 = fl_to_breuil(random_fl(amb3, random.Random(3), 2))
-    z, one = pd_zero(amb3), pd_one(amb3)
+    B0 = fl_to_breuil(_random_fl(amb3, random.Random(3), 2))
+    z, one = _pd_zero(amb3), _pd_one(amb3)
     B = BreuilModule(amb3, B0.Phi, RingMatrix([[one, z], [z, z]]), B0.C, B0.jumps)
     with pytest.raises(NotCris) as exc:
         breuil_to_fl(B)
@@ -393,8 +406,8 @@ def test_validate_reports_phi_fil_r_not_divisible():
     from flbreuil.ambient import AmbientParams
 
     amb = AmbientParams(5, 3)
-    z = pd_zero(amb)
-    ident = RingMatrix.identity(1, z, pd_one(amb))
+    z = _pd_zero(amb)
+    ident = RingMatrix.identity(1, z, _pd_one(amb))
     B = BreuilModule(amb, ident, RingMatrix.zeros(1, 1, z), ident, (3,))
     rep = breuil_validate(B)
     assert rep.strongly_divisible is False and rep.diagram is False
@@ -448,8 +461,8 @@ def test_conjugated_frobenius_from_the_residual(p):
         sec = section_compute(B)
         assert sec.Phi is B.Phi
         Bm_inv = sec.Bmat.invert()
-        short = embed_w_matrix(amb, f0_matrix(B.Phi)) - Bm_inv @ sec.residual
-        full = Bm_inv @ B.Phi @ phi_matrix(sec.Bmat)
+        short = _embed_w_matrix(amb, _f0_matrix(B.Phi)) - Bm_inv @ sec.residual
+        full = Bm_inv @ B.Phi @ _phi_matrix(sec.Bmat)
         for ra, rb in zip(short.entries, full.entries):
             for x, y in zip(ra, rb):
                 assert (x.planes, x.prec) == (y.planes, y.prec)
@@ -468,7 +481,7 @@ def test_breuil_to_fl_inverts_the_gamma0_part_of_the_section_once(p, monkeypatch
     head = [[x.coeff(0) for x in row] for row in sec.Bmat.entries]
     want = breuil_to_fl(B, section=sec, adjoin_zero_n=True).M
     seen = []
-    inner = matrix.scaled_inverse
+    inner = matrix._scaled_inverse
 
     def counted(A, s):
         k = min(x.prec for row in A.entries for x in row)
@@ -476,7 +489,7 @@ def test_breuil_to_fl_inverts_the_gamma0_part_of_the_section_once(p, monkeypatch
                         for x, h in zip(ra, rh)))
         return inner(A, s)
 
-    monkeypatch.setattr(matrix, "scaled_inverse", counted)
+    monkeypatch.setattr(matrix, "_scaled_inverse", counted)
     got = breuil_to_fl(B, section=sec, adjoin_zero_n=True).M
     assert seen.count(True) == 1
     assert got.jumps == want.jumps
@@ -524,39 +537,39 @@ def test_breuil_to_fl_refuses_a_section_cut_to_N_p(amb3):
 
 def test_roundtrip_breuil_identity_twist(amb3):
     rng = random.Random(7)
-    M = random_fl(amb3, rng, 2)
-    g = RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3))
-    rep = roundtrip_breuil(M, g, rng)
+    M = _random_fl(amb3, rng, 2)
+    g = RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3))
+    rep = _roundtrip_breuil(M, g, rng)
     assert rep["ok"] and rep["relation"] == "exact" and rep["details"]["iterations"] == 0
 
 
 def test_roundtrip_breuil_constant_corner(amb3):
     # f_0(g) = g for a constant perturbation, so the expected section is I
     rng = random.Random(8)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     g = RingMatrix([
-        [pd_one(amb3), pd_from_scalar(amb3, amb3.w(3))],
-        [pd_zero(amb3), pd_one(amb3)],
+        [_pd_one(amb3), _pd_from_scalar(amb3, amb3.w(3))],
+        [_pd_zero(amb3), _pd_one(amb3)],
     ])
-    rep = roundtrip_breuil(M, g, rng)
+    rep = _roundtrip_breuil(M, g, rng)
     assert rep["ok"] and rep["relation"] == "exact"
-    sec = section_compute(rebase(B, g))
-    assert sec.Bmat.eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
+    sec = section_compute(_rebase(B, g))
+    assert sec.Bmat.eq_at(RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3)), amb3.N_p)
 
 
 def test_roundtrip_breuil_gamma_corner(amb3):
     rng = random.Random(9)
-    M = random_fl(amb3, rng, 2)
+    M = _random_fl(amb3, rng, 2)
     B = fl_to_breuil(M)
     g = RingMatrix([
-        [pd_one(amb3), pd_gamma(amb3, 1, amb3.w(3))],
-        [pd_zero(amb3), pd_one(amb3)],
+        [_pd_one(amb3), _pd_gamma(amb3, 1, amb3.w(3))],
+        [_pd_zero(amb3), _pd_one(amb3)],
     ])
-    rep = roundtrip_breuil(M, g, rng)
+    rep = _roundtrip_breuil(M, g, rng)
     assert rep["ok"] and rep["relation"] == "exact"
-    sec = section_compute(rebase(B, g))
-    expect = g.invert() @ embed_w_matrix(amb3, f0_matrix(g))
+    sec = section_compute(_rebase(B, g))
+    expect = g.invert() @ _embed_w_matrix(amb3, _f0_matrix(g))
     assert sec.Bmat.eq_at(expect, amb3.N_p)
 
 
@@ -581,7 +594,6 @@ def _raises(exc):
 
 
 def test_roundtrip_breuil_record_of_a_non_convergent_section(monkeypatch):
-    from flbreuil import functors
     from flbreuil.campaign import run_suite_seed
 
     monkeypatch.setattr(functors, "section_compute",
@@ -594,7 +606,6 @@ def test_roundtrip_breuil_record_of_a_non_convergent_section(monkeypatch):
 
 
 def test_roundtrip_breuil_record_of_a_failed_reduction(monkeypatch):
-    from flbreuil import functors
     from flbreuil.campaign import run_suite_seed
 
     monkeypatch.setattr(functors, "breuil_to_fl",
@@ -610,22 +621,22 @@ def test_tensor_membership_through_section(amb3):
     # the bounded product is cut at n - min(r_j) for every n, so every level
     # is compared with the full product, also on twisted presentations whose
     # section is not the identity
-    from flbreuil.breuil import random_fil_member, random_vector
-    from flbreuil.campaign import random_congruent_identity
+    from flbreuil.breuil import _random_fil_member, _random_vector
+    from flbreuil.campaign import _random_congruent_identity
 
     rng = random.Random(10)
-    B = fl_to_breuil(random_fl(amb3, rng, 2))
+    B = fl_to_breuil(_random_fl(amb3, rng, 2))
     seen = set()
     for d in (None, 1, 2, 3):
         if d is not None:
-            M = random_fl(amb3, rng, d)
-            B = rebase(fl_to_breuil(M), random_congruent_identity(amb3, rng, d))
+            M = _random_fl(amb3, rng, d)
+            B = _rebase(fl_to_breuil(M), _random_congruent_identity(amb3, rng, d))
         Bs = section_basis_module(B, breuil_to_fl(B))
         for _ in range(30):
             if rng.random() < 0.5:
-                x = random_fil_member(B, rng, amb3.r)
+                x = _random_fil_member(B, rng, amb3.r)
             else:
-                x = random_vector(B, rng, 6)
+                x = _random_vector(B, rng, 6)
             for n in range(amb3.r + 1):
                 member = fil_lower(Bs, n, x)
                 assert member == fil_lower_per_coordinate(Bs, n, x)
@@ -635,20 +646,20 @@ def test_tensor_membership_through_section(amb3):
     assert {(n, v) for n in range(1, amb3.r + 1) for v in (True, False)} <= seen
 
 
-def test_full_pipeline_with_nontrivial_residue_degree(amb9):
+def test_full_pipeline_with_nontrivial_residue_degree(amb9, monkeypatch):
     # f = 2 exercises every semilinear twist; a misplaced Frobenius anywhere
     # in the functor chain would break the exact round trip
     rng = random.Random(12)
     for _ in range(3):
-        M = random_fl(amb9, rng, 2)
+        M = _random_fl(amb9, rng, 2)
         B = fl_to_breuil(M)
         sec = section_compute(B)
         assert sec.iterations == 0 and sec.exact and sec.f0_identity
         assert breuil_validate(B).all_true()
         if not fl_unipotent(M):
-            assert roundtrip_fl(M, allow_non_unipotent=True)["ok"]
+            assert _roundtrip_non_unipotent(M, monkeypatch)["ok"]
         else:
-            assert roundtrip_fl(M)["ok"]
+            assert _roundtrip_fl(M)["ok"]
     K = random_gls(amb9, rng, 2)
     sec = section_compute(kisin_to_breuil(K))
     assert sec.iterations <= sec.rate_bound and sec.exact and sec.B0_claim_ok
@@ -659,17 +670,17 @@ def test_degenerate_hodge_range(amb3):
 
     amb0 = AmbientParams(3, 0)
     rng = random.Random(13)
-    M = random_fl(amb0, rng, 2)
+    M = _random_fl(amb0, rng, 2)
     # every jump is 0 = r: etale and multiplicative, and V = Ftil^(-1) is
     # invertible, so not unipotent
     assert M.jumps == (0, 0)
     assert not fl_unipotent(M)
-    assert roundtrip_fl(M)["ok"]
+    assert _roundtrip_fl(M)["ok"]
 
 
 def test_unipotence_preserved(amb3):
     rng = random.Random(11)
-    mods = [random_fl(amb3, rng, rng.randrange(1, 3)) for _ in range(10)]
+    mods = [_random_fl(amb3, rng, rng.randrange(1, 3)) for _ in range(10)]
     mods.append(FLModule(amb3, (0, amb3.r), wmat(amb3, [[0, 1], [1, 0]])))
     for s in range(amb3.r + 1):
         mods.append(FLModule(amb3, (s,), RingMatrix([[amb3.ring.one()]])))

@@ -18,7 +18,10 @@ no kernel code names to an explicit list, each with its reason, so that a
 definition whose last kernel caller leaves fails loudly instead of living
 on as test-only API.  A third pins, the same way, the optional parameters
 that no kernel call passes (by keyword, by position, or through ``*`` or
-``**``; a call is matched to a definition by its name).  Likewise every span and counter the benchmark reads
+``**``; a call is matched to a definition by its name).  A fourth pins the
+public names of each module (``PUBLIC``: no leading underscore), and a
+fifth fails on a public name that nothing outside the tests names.
+Likewise every span and counter the benchmark reads
 (``perfbench/run.py``'s ``_LAYER_SPEC``, ``perfbench/tracer.py``'s
 ``GROUPS``, both read with ``ast``) must name a kernel function or a name
 of a kernel class, except an explicit list of stale names, so that a
@@ -30,6 +33,7 @@ only ``verify --jobs`` above 1 uses, nor ``dataclasses`` and ``inspect``."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 import types
@@ -244,16 +248,7 @@ def _unpassed_optional_parameters() -> set:
 
 # The optional parameters that no kernel call passes, and why each stays.
 NO_KERNEL_ARGUMENT = {
-    "functors.section_compute.max_steps": "the tests bound the iteration to reach "
-                                          "NonConvergent",
-    "campaign.roundtrip_fl.allow_non_unipotent": "the tests run the round trip on modules "
-                                                 "that are not unipotent at r = p - 1",
-    "cli.main.argv": "the tests and the benchmark run the CLI in process",
-    "kisin.kisin_raw_fil_checker.check.at": "the tests read the raw test below and above "
-                                            "a sample's precision",
-    "witt.WittRing.one.prec": "the tests build a one known to fewer digits",
-    "witt.WittRing.random.prec": "the tests draw scalars known to fewer digits",
-    "witt.WittRing.random_unit.prec": "the tests draw units known to fewer digits",
+    "cli.main.argv": "the benchmark harness runs the CLI in process",
 }
 
 
@@ -335,6 +330,71 @@ def _fresh_modules(statement: str) -> set:
     return set(proc.stdout.split())
 
 
+# The public names of each kernel module: its top-level defs, classes and
+# assignments without a leading underscore, which is the only declaration
+# of the surface.  Adding or dropping one means editing this list and the
+# README's API section.
+PUBLIC = {
+    "ambient": ["AmbientParams", "shared_params"],
+    "breuil": ["BreuilModule", "breuil_unipotent", "breuil_validate", "fil_level", "fil_lower",
+               "hat_fil_level"],
+    "campaign": ["SUITES", "run_suite_seed"],
+    "cli": ["main"],
+    "errors": ["A0NotScaledIntegral", "DegreeOverflow", "KernelError", "MalformedJumps",
+               "NonConvergent", "NotAUnit", "NotCris", "NotDirectSummand", "NotDivisible",
+               "NotInFil", "NotInvertible", "NotStrong", "PrecisionExhausted",
+               "PrecisionMismatch", "SchemaMismatch", "SingularMatrix"],
+    "fl": ["FLModule", "fl_transport", "fl_unipotent", "fl_validate"],
+    "functors": ["FLTransport", "SectionResult", "breuil_to_fl", "fl_to_breuil",
+                 "section_compute"],
+    "kisin": ["KisinModule", "kisin_to_breuil", "random_gls"],
+    "matrix": ["RingMatrix"],
+    "pd": ["PDElement", "n_S", "phi_S", "to_u_divided"],
+    "serialize": ["dumps", "load", "loads", "to_json"],
+    "series": ["SigmaSeries"],
+    "witt": ["WittScalar"],
+}
+
+
+def _public_names(path: Path) -> list:
+    """The sorted public names a kernel module defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_public_names_are_pinned():
+    assert {path.stem: _public_names(path) for path in MODULES} == PUBLIC
+
+
+def _readme_api() -> set:
+    """The identifiers of the README's "API" section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"[A-Za-z_]\w*", section))
+
+
+def test_every_public_name_is_named_outside_the_tests():
+    # a public name needs a reader besides the tests: another kernel module
+    # (by name), the benchmark or the tools (any mention, span strings
+    # included), or the README's API section
+    outside = _readme_api()
+    for path in [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "tools").glob("*.py")]:
+        outside.update(re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8")))
+    unnamed = {}
+    for path in MODULES:
+        others = _referenced(p for p in SRC.glob("*.py") if p != path)[0]
+        for name in _public_names(path):
+            if name not in outside | others:
+                unnamed.setdefault(path.stem, []).append(name)
+    assert not unnamed, f"public but named only by the tests: {unnamed}"
+
+
 def test_cli_import_loads_no_process_pool_and_no_dataclasses():
     added = _fresh_modules("import flbreuil.cli") - _fresh_modules("pass")
     assert "flbreuil.campaign" in added
@@ -362,7 +422,7 @@ def test_only_join_and_split_convert_between_ints_and_bytes():
 
 def test_one_arithmetic_path_for_series_and_s():
     # W(k)[[u]] and S share one sum, difference, product, dot, matmul and
-    # solve: witt.FlatVector defines each once, and series.py and pd.py
+    # solve: witt._FlatVector defines each once, and series.py and pd.py
     # define none of them
     ops = ("__add__", "__sub__", "__mul__", "dot", "matmul", "solve")
 
@@ -372,16 +432,16 @@ def test_one_arithmetic_path_for_series_and_s():
                 for n in cls.body if isinstance(n, ast.FunctionDef) and n.name in ops]
 
     assert defined("series.py") == [] and defined("pd.py") == []
-    flat = sorted(name for cls, name in defined("witt.py") if cls == "FlatVector")
+    flat = sorted(name for cls, name in defined("witt.py") if cls == "_FlatVector")
     assert flat == sorted(ops)
 
 
 def test_filtration_tests_and_n_call_no_per_sample_kernel():
-    # adapted_level and hat_fil_level read the tables of their owners, and
+    # _adapted_level and hat_fil_level read the tables of their owners, and
     # n_S multiplies by the context's matrix of p*a: none of them names the
     # per-sample product, the chain of N or the fused dot's accumulator
-    banned = {("breuil.py", "adapted_level"): {"matvec", "n_apply"},
-              ("breuil.py", "hat_fil_level"): {"matvec", "n_apply"},
+    banned = {("breuil.py", "_adapted_level"): {"matvec", "_n_apply"},
+              ("breuil.py", "hat_fil_level"): {"matvec", "_n_apply"},
               ("pd.py", "n_S"): {"dot_acc"}}
     found = {}
     for (name, func), names in banned.items():

@@ -16,7 +16,7 @@ under the elements' own addition, and the scalar dot against the fold of
 scalar products and sums; the fused kernel cut below an index must be
 the full one cut there.  A deterministic worst case (every entry
 p^cap - 1 at full length) runs the packed convolution of the fused kernel
-at its slot-width bound, and phi_S, embed_sigma and the u-divided
+at its slot-width bound, and phi_S, _embed_sigma and the u-divided
 coordinates on the same elements against the one width of the context's
 packed tables.
 
@@ -38,18 +38,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flbreuil import witt
-from flbreuil.ambient import AmbientParams, min_N_gamma
+from flbreuil.ambient import AmbientParams, _min_N_gamma
 from flbreuil.pd import (
     PDElement,
-    embed_sigma,
-    eval_f0,
+    _embed_sigma,
+    _eval_f0,
     n_S,
     phi_S,
     to_u_divided,
 )
 from flbreuil.matrix import RingMatrix
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import FlatVector, WittScalar, _conv_into
+from flbreuil.witt import WittScalar, _conv_into, _FlatVector
+from sampler_reference import drawn
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -216,7 +217,7 @@ def test_gamma_multiply_matches_schoolbook(amb, data):
 def test_gamma_multiply_crossing_the_truncation(amb):
     N = amb.N_gamma
     top = PDElement(amb, [amb.ring.zero()] * (N - 2) + [amb.ring.one(), amb.ring.one()])
-    lin = PDElement(amb, [amb.ring.one(7), amb.ring.one(7)])
+    lin = PDElement(amb, [amb.ring.one().truncate(7), amb.ring.one().truncate(7)])
     out, k, dirty = ref_gamma_multiply(top, lin)
     assert dirty and k == 7
     assert_pd(top * lin, out, k, dirty)
@@ -263,10 +264,10 @@ def test_u_divided_and_embedding_match_schoolbook(amb, data):
     x = draw_pd(data.draw, amb)
     coords = ref_to_u_divided(x)
     assert to_u_divided(x) == coords
-    assert eval_f0(x) == coords[0]
+    assert _eval_f0(x) == coords[0]
     prec = data.draw(st.integers(1, amb.cap))
     s = SigmaSeries(amb, draw_scalars(data.draw, amb, data.draw(st.integers(0, amb.N_gamma)), prec))
-    assert_pd(embed_sigma(s), ref_embed_sigma(s), s.prec, False)
+    assert_pd(_embed_sigma(s), ref_embed_sigma(s), s.prec, False)
 
 
 # --- fused dot products against the left fold of products and sums ---
@@ -353,7 +354,7 @@ def pd_cut_state(xs, ys, bound):
     planes and precision, flagged as the full sum is."""
     amb = xs[0].amb
     N = amb.N_gamma
-    planes, k, reach = FlatVector._dot_planes(xs, ys, min(bound, N), amb.comb, amb.comb_max)
+    planes, k, reach = _FlatVector._dot_planes(xs, ys, min(bound, N), amb.comb, amb.comb_max)
     dirty = reach > N or any(e.tail_dirty for e in (*xs, *ys))
     return pd_state(PDElement(amb, (), dirty, k, planes))
 
@@ -394,7 +395,7 @@ def test_dot_flags_and_precision_of_edge_rows(amb):
     one = ring.one()
     top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
     lin = PDElement(amb, [one, one])
-    low = PDElement(amb, [ring.one(3)])
+    low = PDElement(amb, [ring.one().truncate(3)])
     # only the second pair crosses N_gamma: the sum is dirty
     row = PDElement.dot((low, top), (low, lin))
     assert pd_state(row) == pd_state(ref_pd_dot((low, top), (low, lin)))
@@ -428,7 +429,7 @@ def full_row(amb, cls, length, n):
 
 
 def slot_width(amb, n_pairs, n, w_max):
-    """The slot width W that ``WittRing.dot_acc`` documents."""
+    """The slot width W that ``_WittRing.dot_acc`` documents."""
     return (n_pairs * n * amb.f * w_max).bit_length() + 2 * amb.ring.pk[amb.cap].bit_length()
 
 
@@ -465,7 +466,7 @@ def test_dot_at_the_slot_width_bound(f, n_pairs):
 def test_unfold_is_fold_of_unpack(p, f):
     # the one-pass unfold against unpack-then-fold, at every precision, on
     # random packed accumulators and on one with every slot at 2^W - 1
-    ring = witt.WittRing(p, f, cap=12)
+    ring = witt._WittRing(p, f, cap=12)
     rng = random.Random(f"unfold:{p}:{f}")
     width = ring.packing(7 * f)[0]
     slots = 2 * f - 1
@@ -479,7 +480,7 @@ def test_unfold_is_fold_of_unpack(p, f):
 def test_phi_S_at_the_slot_width_bound(f):
     amb = tight_ambient(f)
     ring = amb.ring
-    # the context's three tables pack at the width PackedTable documents
+    # the context's three tables pack at the width _PackedTable documents
     for table in (amb.c_table, amb.u_table, amb.u_div_table, amb.f0_table):
         assert table.width == slot_width(amb, 1, amb.N_gamma, 1)
     top = ring.make([ring.pk[amb.cap] - 1] * f)
@@ -492,7 +493,7 @@ def test_phi_S_at_the_slot_width_bound(f):
 def test_embed_sigma_at_the_slot_width_bound(f):
     amb = tight_ambient(f)
     s = full_row(amb, SigmaSeries, amb.N_gamma, 1)[0]
-    assert pd_state(embed_sigma(s)) == pd_state(PDElement(amb, ref_embed_sigma(s), False, s.prec))
+    assert pd_state(_embed_sigma(s)) == pd_state(PDElement(amb, ref_embed_sigma(s), False, s.prec))
 
 
 @pytest.mark.parametrize("f", [2, 3])
@@ -501,7 +502,7 @@ def test_u_divided_at_the_slot_width_bound(f):
     x = full_row(amb, PDElement, amb.N_gamma, 1)[0]
     coords = ref_to_u_divided(x)
     assert to_u_divided(x) == coords
-    assert eval_f0(x) == coords[0]
+    assert _eval_f0(x) == coords[0]
 
 
 # --- matrix products: the packed kernel against the fused dot ---
@@ -525,7 +526,7 @@ def random_entry(rng, amb, cls):
     random tail_dirty flag."""
     prec = rng.randrange(1, amb.cap + 1)
     n = rng.randrange(amb.N_gamma + 1 if cls is PDElement else amb.N_u // 2 + 9)
-    coeffs = [amb.ring.random(rng, prec) if rng.randrange(3) else amb.ring.zero(prec)
+    coeffs = [drawn(amb.ring, rng, prec) if rng.randrange(3) else amb.ring.zero(prec)
               for _ in range(n if rng.randrange(4) else 0)]
     if cls is PDElement:
         return PDElement(amb, coeffs, rng.random() < 0.5, prec)
@@ -547,7 +548,7 @@ def test_matmul_crossing_the_truncations(amb):
     # (cut); zero rows keep their precision and flags
     ring, N = amb.ring, amb.N_gamma
     rng = random.Random(5)
-    full = [PDElement(amb, [ring.random(rng, rng.randrange(1, amb.cap + 1)) for _ in range(N)])
+    full = [PDElement(amb, [drawn(ring, rng, rng.randrange(1, amb.cap + 1)) for _ in range(N)])
             for _ in range(6)]
     zero = PDElement(amb, [], True, 3)
     A = RingMatrix([full[:3], [zero, full[3], zero]])
@@ -601,7 +602,7 @@ def test_matmul_at_the_slot_width_bound(f, e, monkeypatch):
 @functools.cache
 def carry_ambient(p):
     # N_gamma past p^2, so v_p(i!) steps by two inside the truncation
-    return AmbientParams(p, 1, N_gamma=max(p * p + 2, min_N_gamma(p, 1, 6)))
+    return AmbientParams(p, 1, N_gamma=max(p * p + 2, _min_N_gamma(p, 1, 6)))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -637,7 +638,7 @@ def test_matmul_scaling_is_the_binomial_product(p):
 # --- the product by the constant one: a copy of the other factor ---
 
 def convolved(xs, ys, bound, weights=None, w_max=1):
-    """The triple of ``FlatVector._dot_planes`` from the convolution path
+    """The triple of ``_FlatVector._dot_planes`` from the convolution path
     alone: ``dot_acc`` and ``unfold``, called directly."""
     ring = xs[0].ring
     k = min(min(x.prec for x in xs), min(y.prec for y in ys))
@@ -660,7 +661,7 @@ def route_rows(amb, cls):
     body = [ring.random(rng) for _ in range(5)] + [ring.random_unit(rng)]
     x, y = elem(body), elem([ring.random(rng) for _ in range(3)])
     dirty_x = elem(body, dirty=True)
-    one, one3, two = elem([ring.one()]), elem([ring.one(3)]), elem([ring.from_int(2)])
+    one, one3, two = elem([ring.one()]), elem([ring.one().truncate(3)]), elem([ring.from_int(2)])
     zero2 = elem([], prec=2)
     rows = [
         ((one,), (x,), True),
@@ -690,7 +691,7 @@ def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
         if cls is SigmaSeries:
             want = convolved(xs, ys, amb.N_u)
             del convolutions[:]
-            assert FlatVector._dot_planes(xs, ys, amb.N_u) == want
+            assert _FlatVector._dot_planes(xs, ys, amb.N_u) == want
             got, ref = SigmaSeries.dot(xs, ys), SigmaSeries(amb, (), want[1], want[0])
             assert (got.planes, got.prec) == (ref.planes, ref.prec)
             assert bool(convolutions) is not copies
@@ -698,7 +699,7 @@ def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
         for n in (N, 0, 2):
             want = convolved(xs, ys, n, amb.comb, amb.comb_max)
             del convolutions[:]
-            assert FlatVector._dot_planes(xs, ys, n, amb.comb, amb.comb_max) == want
+            assert _FlatVector._dot_planes(xs, ys, n, amb.comb, amb.comb_max) == want
             assert bool(convolutions) is not copies
         planes, k, reach = convolved(xs, ys, N, amb.comb, amb.comb_max)
         dirty = reach > N or any(e.tail_dirty for e in xs + ys)
@@ -716,7 +717,7 @@ def dense_entry(rng, amb, cls, zero_chance=0.0):
     prec = rng.randrange(1, amb.cap + 1)
     n = amb.N_gamma if cls is PDElement else amb.N_u // 2
     coeffs = [] if rng.random() < zero_chance else \
-        [amb.ring.random(rng, prec) for _ in range(n - 1)] + [amb.ring.random_unit(rng, prec)]
+        [drawn(amb.ring, rng, prec) for _ in range(n - 1)] + [drawn(amb.ring, rng, prec, True)]
     if cls is PDElement:
         return PDElement(amb, coeffs, rng.random() < 0.3, prec)
     return SigmaSeries(amb, coeffs, prec)
@@ -746,7 +747,7 @@ def constant_entry(rng, amb):
     """An element of S of support at most one: zero, or a constant at a
     random precision, some of them tail_dirty."""
     prec = rng.randrange(1, amb.cap + 1)
-    coeffs = [] if rng.randrange(4) == 0 else [amb.ring.random(rng, prec)]
+    coeffs = [] if rng.randrange(4) == 0 else [drawn(amb.ring, rng, prec)]
     return PDElement(amb, coeffs, rng.random() < 0.2, prec)
 
 

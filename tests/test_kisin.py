@@ -3,18 +3,18 @@ import random
 import pytest
 
 from flbreuil.ambient import AmbientParams
-from flbreuil.breuil import breuil_validate, fil_lower, random_fil_member, random_vector
+from flbreuil.breuil import _random_fil_member, _random_vector, breuil_validate, fil_lower
 from flbreuil.errors import NotInvertible, SingularMatrix
 from flbreuil.functors import breuil_to_fl
 from flbreuil import kisin
 from flbreuil.kisin import (
     KisinModule,
-    kisin_raw_fil_checker,
+    _kisin_raw_fil_checker,
     kisin_to_breuil,
     random_gls,
 )
 from flbreuil.matrix import RingMatrix
-from flbreuil.pd import embed_sigma, fil_valuation, phi_S
+from flbreuil.pd import _embed_sigma, _fil_valuation, phi_S
 from height_reference import kisin_height_check
 
 
@@ -164,10 +164,10 @@ def raw_fil_checker_unbounded(K):
     embed(A) * embed(Y)^(-1) * w, then filtration valuation >= r in each
     component.  Kept as the reference for the two bounded tests."""
     amb = K.amb
-    full = K.A.map_entries(embed_sigma) @ K.Y.map_entries(embed_sigma).invert()
+    full = K.A.map_entries(_embed_sigma) @ K.Y.map_entries(_embed_sigma).invert()
 
     def check(w):
-        return all(fil_valuation(x, amb.N_p) >= amb.r for x in full.matvec(w))
+        return all(_fil_valuation(x, amb.N_p) >= amb.r for x in full.matvec(w))
 
     return check
 
@@ -177,13 +177,13 @@ def test_raw_vs_adapted_membership(amb3):
     for _ in range(5):
         K = random_gls(amb3, rng, rng.randrange(1, 3))
         B = kisin_to_breuil(K)
-        raw = kisin_raw_fil_checker(K)
+        raw = _kisin_raw_fil_checker(K)
         ref = raw_fil_checker_unbounded(K)
         for k in range(30):
             if k % 2 == 0:
-                x = random_fil_member(B, rng, amb3.r)
+                x = _random_fil_member(B, rng, amb3.r)
             else:
-                x = random_vector(B, rng, 5)
+                x = _random_vector(B, rng, 5)
             assert fil_lower(B, amb3.r, x) == raw(x) == ref(x)
 
 

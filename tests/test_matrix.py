@@ -3,16 +3,17 @@ import random
 import pytest
 
 from flbreuil.ambient import AmbientParams
-from flbreuil.breuil import rebase
-from flbreuil.campaign import random_congruent_identity
+from flbreuil.breuil import _rebase
+from flbreuil.campaign import _random_congruent_identity
 from flbreuil.errors import NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
-from flbreuil.fl import random_fl
-from flbreuil.functors import f0_matrix, fl_to_breuil
+from flbreuil.fl import _random_fl
+from flbreuil.functors import _f0_matrix, fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
-from flbreuil.matrix import RingMatrix, _diagonalise, converges_to_zero, scaled_inverse
-from flbreuil.pd import PDElement, pd_gamma, pd_one, pd_zero
+from flbreuil.matrix import RingMatrix, _converges_to_zero, _diagonalise, _scaled_inverse
+from flbreuil.pd import PDElement, _pd_gamma, _pd_one, _pd_zero
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import FlatVector, WittScalar
+from flbreuil.witt import WittScalar, _FlatVector
+from sampler_reference import drawn
 from height_reference import (
     berkowitz_det,
     berkowitz_det_adjugate,
@@ -39,10 +40,10 @@ def test_invert_identity_and_swap(amb3):
 
 
 def test_invert_unipotent_pd(amb3):
-    g1 = pd_gamma(amb3, 1)
-    A = RingMatrix([[pd_one(amb3), g1], [pd_zero(amb3), pd_one(amb3)]])
+    g1 = _pd_gamma(amb3, 1)
+    A = RingMatrix([[_pd_one(amb3), g1], [_pd_zero(amb3), _pd_one(amb3)]])
     inv = A.invert()
-    assert (inv @ A).eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.cap)
+    assert (inv @ A).eq_at(RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3)), amb3.cap)
     assert (inv.entries[0][1] + g1).is_zero_at(amb3.cap)
 
 
@@ -78,7 +79,8 @@ def test_invert_random_all_rings(amb3, amb9):
                          for _ in range(2)] for _ in range(2)])
         if not A.residue_invertible():
             continue
-        assert (A.invert() @ A).eq_at(RingMatrix.identity(2, pd_zero(amb3), pd_one(amb3)), amb3.N_p)
+        ident = RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3))
+        assert (A.invert() @ A).eq_at(ident, amb3.N_p)
         done += 1
 
 
@@ -116,10 +118,10 @@ def test_twisted_chain_composition_identity(amb3, amb9):
 
 
 def test_converges_examples(amb3):
-    assert converges_to_zero(wmat(amb3, [[3, 0], [0, 3]]), sigma, amb3.N_p)
-    assert not converges_to_zero(wident(amb3, 2), sigma, amb3.N_p)
+    assert _converges_to_zero(wmat(amb3, [[3, 0], [0, 3]]), sigma, amb3.N_p)
+    assert not _converges_to_zero(wident(amb3, 2), sigma, amb3.N_p)
     M = wmat(amb3, [[0, 9], [1, 0]])
-    assert converges_to_zero(M, sigma, amb3.N_p)
+    assert _converges_to_zero(M, sigma, amb3.N_p)
 
 
 def test_converges_window_reaches_d_times_at_factors(amb3):
@@ -127,7 +129,7 @@ def test_converges_window_reaches_d_times_at_factors(amb3):
     # d * N_p = 12 factors: a window of 11 factors would answer False
     A = wmat(amb3, [[0, 1], [3, 0]])
     assert A.rows * amb3.N_p == 12
-    assert converges_to_zero(A, sigma, amb3.N_p)
+    assert _converges_to_zero(A, sigma, amb3.N_p)
 
 
 def test_converges_invariant_under_conjugation(amb3):
@@ -139,15 +141,15 @@ def test_converges_invariant_under_conjugation(amb3):
             g = RingMatrix([[amb3.ring.random(rng) for _ in range(2)] for _ in range(2)])
         conj = g @ A @ g.invert()
         # f = 1: every g is fixed by sigma
-        assert converges_to_zero(A, sigma, amb3.N_p) == converges_to_zero(conj, sigma, amb3.N_p)
+        assert _converges_to_zero(A, sigma, amb3.N_p) == _converges_to_zero(conj, sigma, amb3.N_p)
 
 
 def test_scaled_inverse(amb3):
     A0 = wmat(amb3, [[1, 0], [0, 9]])
-    S = scaled_inverse(A0, 2)
+    S = _scaled_inverse(A0, 2)
     assert S.eq_at(wmat(amb3, [[9, 0], [0, 1]]), amb3.N_p)
     with pytest.raises(NotDivisible):
-        scaled_inverse(wmat(amb3, [[27]]), 2)  # p^2 / p^3 is not integral
+        _scaled_inverse(wmat(amb3, [[27]]), 2)  # p^2 / p^3 is not integral
 
 
 def _pdiag(amb, vals):
@@ -169,9 +171,9 @@ def test_scaled_inverse_contract(vals, s, outcome):
     A = _pdiag(amb, vals)
     if not isinstance(outcome, int):
         with pytest.raises(outcome):
-            scaled_inverse(A, s)
+            _scaled_inverse(A, s)
         return
-    out = scaled_inverse(A, s)
+    out = _scaled_inverse(A, s)
     assert {x.prec for row in out.entries for x in row} == {outcome}
     assert out.eq_at(wident(amb, len(vals)), outcome)
 
@@ -179,9 +181,9 @@ def test_scaled_inverse_contract(vals, s, outcome):
 def test_scaled_inverse_contract_edges():
     amb = AmbientParams(3, 1)
     with pytest.raises(ValueError):
-        scaled_inverse(wmat(amb, [[1, 2]]), 1)
+        _scaled_inverse(wmat(amb, [[1, 2]]), 1)
     empty = RingMatrix([])
-    assert scaled_inverse(empty, 1) is empty
+    assert _scaled_inverse(empty, 1) is empty
 
 
 def _outcome(fn, A, s):
@@ -211,14 +213,14 @@ def test_scaled_inverse_matches_the_determinant_route_over_w(name, request):
         ts = [rng.choice((0, 0, 1, 2, 3, 7, 20)) for _ in range(d)]
         A = (X @ _pdiag(amb, ts) @ Y).truncate(rng.randrange(10, amb.cap + 1))
         s = rng.randrange(0, 8)
-        got = _outcome(scaled_inverse, A, s)
+        got = _outcome(_scaled_inverse, A, s)
         assert got == _outcome(berkowitz_scaled_inverse, A, s)
         seen.add(got if isinstance(got, type) else "ok")
     assert seen == {"ok", SingularMatrix, PrecisionExhausted, NotDivisible}
     # f_0 of the Breuil Frobenius of a Kisin module, at s = r
     for d in range(1, 5):
-        A0 = f0_matrix(kisin_to_breuil(random_gls(amb, rng, d)).Phi)
-        got = _outcome(scaled_inverse, A0, amb.r)
+        A0 = _f0_matrix(kisin_to_breuil(random_gls(amb, rng, d)).Phi)
+        got = _outcome(_scaled_inverse, A0, amb.r)
         assert not isinstance(got, type) and got == _outcome(berkowitz_scaled_inverse, A0, amb.r)
 
 
@@ -226,10 +228,10 @@ def test_scaled_inverse_matches_the_determinant_route_over_s(amb3):
     # Phi of modules from the three constructions, at s = r
     rng = random.Random("scaled:S")
     for d in (1, 2, 3):
-        B = fl_to_breuil(random_fl(amb3, rng, d))
-        for Phi in (B.Phi, rebase(B, random_congruent_identity(amb3, rng, d)).Phi,
+        B = fl_to_breuil(_random_fl(amb3, rng, d))
+        for Phi in (B.Phi, _rebase(B, _random_congruent_identity(amb3, rng, d)).Phi,
                     kisin_to_breuil(random_gls(amb3, rng, d)).Phi):
-            got = _outcome(scaled_inverse, Phi, amb3.r)
+            got = _outcome(_scaled_inverse, Phi, amb3.r)
             assert not isinstance(got, type) and got == _outcome(berkowitz_scaled_inverse, Phi, amb3.r)
 
 
@@ -408,7 +410,7 @@ def test_invert_swaps_rows_and_cuts_to_the_lowest_precision(amb3):
     for d in (2, 3, 4):
         A = None
         while A is None or not A.residue_invertible():
-            A = RingMatrix([[PDElement(amb3, [amb3.ring.random(rng, rng.randrange(2, amb3.cap + 1))
+            A = RingMatrix([[PDElement(amb3, [drawn(amb3.ring, rng, rng.randrange(2, amb3.cap + 1))
                                               for _ in range(3)])
                              for _ in range(d)] for _ in range(d)])
         low = min(x.prec for row in A.entries for x in row)
@@ -500,13 +502,13 @@ def test_matmul_edges_and_the_choice_of_path(amb3, amb9, monkeypatch):
     """W(k) products stay on the entrywise dot; series and S products take
     the packed kernel once per product; both keep the edge behaviour."""
     calls = []
-    kernel = FlatVector._matmul_planes
+    kernel = _FlatVector._matmul_planes
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(FlatVector, "_matmul_planes", staticmethod(counted))
+    monkeypatch.setattr(_FlatVector, "_matmul_planes", staticmethod(counted))
     rng = random.Random(3)
     makers = {
         "w": lambda amb: amb.ring.random(rng),

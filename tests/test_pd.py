@@ -5,23 +5,23 @@ import pytest
 from flbreuil.errors import DegreeOverflow
 from flbreuil.pd import (
     PDElement,
-    all_in_u_power_ideal,
-    embed_sigma,
-    eval_f0,
-    eval_fpi,
-    fil_valuation,
+    _all_in_u_power_ideal,
+    _embed_sigma,
+    _eval_f0,
+    _eval_fpi,
+    _fil_valuation,
+    _pd_from_scalar,
+    _pd_gamma,
+    _pd_one,
+    _pd_random_calibrated,
+    _pd_shift,
+    _pd_zero,
     n_S,
-    pd_from_scalar,
-    pd_gamma,
-    pd_one,
-    pd_random_calibrated,
-    pd_shift,
-    pd_zero,
     phi_S,
     to_u_divided,
 )
 from flbreuil.ambient import AmbientParams
-from flbreuil.campaign import easylemma_holds, run_suite_seed
+from flbreuil.campaign import _easylemma_holds, run_suite_seed
 from inverse_reference import newton_inverse
 from sampler_reference import pd_random_calibrated as ref_pd_random_calibrated
 
@@ -42,26 +42,26 @@ def as_signed(x, n=6):
 # --- multiplication ---
 
 def test_gamma_product_binomials(amb3):
-    g1, g2, g3 = (pd_gamma(amb3, i) for i in (1, 2, 3))
+    g1, g2, g3 = (_pd_gamma(amb3, i) for i in (1, 2, 3))
     assert ints(g1 * g1) == [0, 0, 2, 0, 0, 0]
     assert ints(g2 * g3)[5] == 10
     rng = random.Random(0)
     x = PDElement(amb3, [amb3.ring.random(rng) for _ in range(6)])
-    assert (pd_one(amb3) * x).eq_at(x, x.prec)
+    assert (_pd_one(amb3) * x).eq_at(x, x.prec)
 
 
 def test_gamma_truncation_flags_dirty(amb3):
-    top = pd_gamma(amb3, amb3.N_gamma - 1)
-    prod = top * pd_gamma(amb3, 2)
+    top = _pd_gamma(amb3, amb3.N_gamma - 1)
+    prod = top * _pd_gamma(amb3, 2)
     assert prod.tail_dirty
     assert prod.is_zero_at(prod.prec)
-    clean = pd_gamma(amb3, 1) * pd_gamma(amb3, 2)
+    clean = _pd_gamma(amb3, 1) * _pd_gamma(amb3, 2)
     assert not clean.tail_dirty
 
 
 def test_series_and_s_do_not_combine(amb3):
     # the two kinds share one arithmetic path but stay two rings
-    s, x = amb3.useries([1, 2]), pd_gamma(amb3, 1)
+    s, x = amb3.useries([1, 2]), _pd_gamma(amb3, 1)
     with pytest.raises(TypeError):
         s + x
     with pytest.raises(TypeError):
@@ -74,9 +74,9 @@ def test_series_and_s_do_not_combine(amb3):
 
 def test_embed_examples(amb3):
     # p = 3, a = -1, E = u - 3
-    assert ints(embed_sigma(amb3.useries([0, 1]))) == [3, 1, 0, 0, 0, 0]
-    assert ints(embed_sigma(amb3.useries([0, 0, 1]))) == [9, 6, 2, 0, 0, 0]
-    assert ints(embed_sigma(amb3.useries([1]))) == [1, 0, 0, 0, 0, 0]
+    assert ints(_embed_sigma(amb3.useries([0, 1]))) == [3, 1, 0, 0, 0, 0]
+    assert ints(_embed_sigma(amb3.useries([0, 0, 1]))) == [9, 6, 2, 0, 0, 0]
+    assert ints(_embed_sigma(amb3.useries([1]))) == [1, 0, 0, 0, 0, 0]
 
 
 def test_embed_is_ring_map(amb3):
@@ -86,8 +86,8 @@ def test_embed_is_ring_map(amb3):
     for n in [5] * 20 + [amb3.N_gamma // 2 + 3] * 5:
         f = amb3.useries([rng.randrange(81) for _ in range(n)])
         g = amb3.useries([rng.randrange(81) for _ in range(n)])
-        lhs = embed_sigma(f * g)
-        rhs = embed_sigma(f) * embed_sigma(g)
+        lhs = _embed_sigma(f * g)
+        rhs = _embed_sigma(f) * _embed_sigma(g)
         assert lhs.eq_at(rhs, lhs.prec)
         assert lhs.tail_dirty == rhs.tail_dirty == ((f * g).degree >= amb3.N_gamma)
 
@@ -100,7 +100,7 @@ def test_embed_past_the_truncation_drops_and_flags(amb3):
     rng = random.Random(14)
     for n in (N, N + 1, 2 * N + 3, amb3.N_u - 1):
         coeffs = [rng.randrange(3**8) for _ in range(n)] + [1]
-        x, y = embed_sigma(amb3.useries(coeffs)), embed_sigma(big.useries(coeffs))
+        x, y = _embed_sigma(amb3.useries(coeffs)), _embed_sigma(big.useries(coeffs))
         assert x.tail_dirty and not y.tail_dirty and x.prec == y.prec
         assert x.planes == y._head(N).planes
     with pytest.raises(DegreeOverflow):
@@ -160,35 +160,35 @@ def test_pa_div_fact_from_running_powers_is_square_and_multiply(kw):
 # --- Frobenius ---
 
 def test_phi_examples(amb3):
-    assert ints(phi_S(pd_gamma(amb3, 0))) == [1, 0, 0, 0, 0, 0]
-    assert ints(phi_S(pd_gamma(amb3, 1))) == [24, 27, 18, 6, 0, 0]
-    assert ints(phi_S(pd_gamma(amb3, 1)).div_p_exact(1)) == [8, 9, 6, 2, 0, 0]
+    assert ints(phi_S(_pd_gamma(amb3, 0))) == [1, 0, 0, 0, 0, 0]
+    assert ints(phi_S(_pd_gamma(amb3, 1))) == [24, 27, 18, 6, 0, 0]
+    assert ints(phi_S(_pd_gamma(amb3, 1)).div_p_exact(1)) == [8, 9, 6, 2, 0, 0]
 
 
 def test_phi_c_consistency(amb3):
     # phi(E) = p*c and phi_1(E) = c
-    assert phi_S(pd_gamma(amb3, 1)).div_p_exact(1).eq_at(amb3.c, amb3.cap - 1)
+    assert phi_S(_pd_gamma(amb3, 1)).div_p_exact(1).eq_at(amb3.c, amb3.cap - 1)
 
 
 def test_phi_multiplicative(amb3):
     rng = random.Random(4)
     for _ in range(60):
-        x = pd_random_calibrated(amb3, rng, 5, 2)
-        y = pd_random_calibrated(amb3, rng, 5, 2)
+        x = _pd_random_calibrated(amb3, rng, 5, 2)
+        y = _pd_random_calibrated(amb3, rng, 5, 2)
         assert phi_S(x * y).eq_at(phi_S(x) * phi_S(y), amb3.N_p)
 
 
 # --- the derivation ---
 
 def test_n_examples(amb3):
-    assert ints(n_S(pd_gamma(amb3, 0))) == [0, 0, 0, 0, 0, 0]
-    assert as_signed(n_S(pd_gamma(amb3, 2)), 4) == [0, -3, -2, 0]
-    u = embed_sigma(amb3.useries([0, 1]))
+    assert ints(n_S(_pd_gamma(amb3, 0))) == [0, 0, 0, 0, 0, 0]
+    assert as_signed(n_S(_pd_gamma(amb3, 2)), 4) == [0, -3, -2, 0]
+    u = _embed_sigma(amb3.useries([0, 1]))
     assert (n_S(u) + u).is_zero_at(amb3.cap)
 
 
 def n_S_by_the_packed_product(x):
-    """n_S with p*a packed, convolved by ``WittRing.dot_acc`` and unfolded
+    """n_S with p*a packed, convolved by ``_WittRing.dot_acc`` and unfolded
     on every call."""
     amb = x.amb
     ring = amb.ring
@@ -210,7 +210,7 @@ def test_n_through_the_pa_matrix_is_the_packed_product(kw):
     amb = AmbientParams(**kw)
     rng = random.Random(12)
     for i in range(250):
-        x = pd_random_calibrated(amb, rng, rng.randrange(amb.N_gamma + 1), 2)
+        x = _pd_random_calibrated(amb, rng, rng.randrange(amb.N_gamma + 1), 2)
         if i % 3 == 1:
             x = x.truncate(rng.randrange(1, amb.cap + 1))
         if i % 4 == 2:
@@ -222,8 +222,8 @@ def test_n_through_the_pa_matrix_is_the_packed_product(kw):
 def test_n_leibniz(amb3):
     rng = random.Random(5)
     for _ in range(60):
-        x = pd_random_calibrated(amb3, rng, 6, 2)
-        y = pd_random_calibrated(amb3, rng, 6, 2)
+        x = _pd_random_calibrated(amb3, rng, 6, 2)
+        y = _pd_random_calibrated(amb3, rng, 6, 2)
         lhs = n_S(x * y)
         rhs = n_S(x) * y + x * n_S(y)
         assert lhs.eq_at(rhs, amb3.N_p)
@@ -232,46 +232,46 @@ def test_n_leibniz(amb3):
 def test_n_phi_commutation(amb3):
     # N phi = p phi N, valid termwise on positive gamma indices
     for i in range(1, 6):
-        g = pd_gamma(amb3, i)
+        g = _pd_gamma(amb3, i)
         assert n_S(phi_S(g)).eq_at(phi_S(n_S(g)).mul_p_pow(1), amb3.N_p)
 
 
 # --- filtration ---
 
 def test_fil_valuation_examples(amb3):
-    assert fil_valuation(pd_gamma(amb3, 2, amb3.w(2))) == 2
-    x = pd_gamma(amb3, 2) + pd_from_scalar(amb3, amb3.w(3))
-    assert fil_valuation(x) == 0
-    assert fil_valuation(PDElement(amb3, [])) == amb3.N_gamma
+    assert _fil_valuation(_pd_gamma(amb3, 2, amb3.w(2))) == 2
+    x = _pd_gamma(amb3, 2) + _pd_from_scalar(amb3, amb3.w(3))
+    assert _fil_valuation(x) == 0
+    assert _fil_valuation(PDElement(amb3, [])) == amb3.N_gamma
 
 
 def test_fil_multiplicative(amb3):
     rng = random.Random(6)
     for _ in range(60):
-        x = pd_random_calibrated(amb3, rng, 6, 2)
-        y = pd_random_calibrated(amb3, rng, 6, 2)
-        vx, vy = fil_valuation(x, amb3.N_p), fil_valuation(y, amb3.N_p)
-        v = fil_valuation(x * y, amb3.N_p)
+        x = _pd_random_calibrated(amb3, rng, 6, 2)
+        y = _pd_random_calibrated(amb3, rng, 6, 2)
+        vx, vy = _fil_valuation(x, amb3.N_p), _fil_valuation(y, amb3.N_p)
+        v = _fil_valuation(x * y, amb3.N_p)
         assert v >= min(vx + vy, amb3.N_gamma)
     # equality with unit leading coefficients
-    x = pd_gamma(amb3, 2, amb3.w(2)) + pd_gamma(amb3, 4)
-    y = pd_gamma(amb3, 1, amb3.w(4))
-    assert fil_valuation(x * y, amb3.N_p) == 3
+    x = _pd_gamma(amb3, 2, amb3.w(2)) + _pd_gamma(amb3, 4)
+    y = _pd_gamma(amb3, 1, amb3.w(4))
+    assert _fil_valuation(x * y, amb3.N_p) == 3
 
 
 # --- evaluations ---
 
 def test_f0_examples(amb3):
-    assert eval_f0(pd_gamma(amb3, 0)).coeffs[0] == 1
-    assert as_signed(pd_from_scalar(amb3, eval_f0(pd_gamma(amb3, 1))), 1) == [-3]
-    assert eval_f0(embed_sigma(amb3.useries([0, 1]))).is_zero_at(amb3.cap)
+    assert _eval_f0(_pd_gamma(amb3, 0)).coeffs[0] == 1
+    assert as_signed(_pd_from_scalar(amb3, _eval_f0(_pd_gamma(amb3, 1))), 1) == [-3]
+    assert _eval_f0(_embed_sigma(amb3.useries([0, 1]))).is_zero_at(amb3.cap)
 
 
 def test_fpi_examples(amb3):
-    assert eval_fpi(pd_gamma(amb3, 0)).coeffs[0] == 1
+    assert _eval_fpi(_pd_gamma(amb3, 0)).coeffs[0] == 1
     for i in range(1, 4):
-        assert eval_fpi(pd_gamma(amb3, i)).is_zero_at(amb3.cap)
-    assert eval_fpi(embed_sigma(amb3.useries([0, 1]))).coeffs[0] == 3  # pi = 3
+        assert _eval_fpi(_pd_gamma(amb3, i)).is_zero_at(amb3.cap)
+    assert _eval_fpi(_embed_sigma(amb3.useries([0, 1]))).coeffs[0] == 3  # pi = 3
 
 
 def test_f0_intertwines_phi(amb3, amb9):
@@ -279,7 +279,7 @@ def test_f0_intertwines_phi(amb3, amb9):
         rng = random.Random(7)
         for _ in range(40):
             x = PDElement(amb, [amb.ring.random(rng) for _ in range(7)])
-            assert eval_f0(phi_S(x)).eq_at(eval_f0(x).frobenius(), amb.N_p)
+            assert _eval_f0(phi_S(x)).eq_at(_eval_f0(x).frobenius(), amb.N_p)
 
 
 def test_fpi_of_embedding_evaluates_at_pi(amb3):
@@ -291,7 +291,7 @@ def test_fpi_of_embedding_evaluates_at_pi(amb3):
         for i in range(5):
             acc = acc + s.coeff(i) * power
             power = power * amb3.neg_pa
-        assert eval_fpi(embed_sigma(s)).eq_at(acc, amb3.N_p)
+        assert _eval_fpi(_embed_sigma(s)).eq_at(acc, amb3.N_p)
 
 
 # --- the one-step filtration descent ---
@@ -300,22 +300,22 @@ def test_easylemma_positive_and_witness(amb3):
     rng = random.Random(9)
     for i in range(1, amb3.r):
         for _ in range(30):
-            body = pd_random_calibrated(amb3, rng, 8, 2)
+            body = _pd_random_calibrated(amb3, rng, 8, 2)
             s = PDElement(amb3, [amb3.ring.zero()] * (i + 1) + list(body.coeffs[:8]))
-            assert easylemma_holds(amb3, s, i)
-        g = pd_gamma(amb3, i)
-        assert fil_valuation(n_S(g), amb3.N_p) == i - 1  # hypothesis visibly fails
+            assert _easylemma_holds(amb3, s, i)
+        g = _pd_gamma(amb3, i)
+        assert _fil_valuation(n_S(g), amb3.N_p) == i - 1  # hypothesis visibly fails
 
 
 def test_easylemma_precision_boundary(amb3):
     # s = p^(N_p - 1) gamma_1: the hypothesis holds at N_p, the conclusion
     # only one digit lower; the at-precision form of the statement loses
     # exactly one digit at the boundary.
-    s = pd_gamma(amb3, 1, amb3.w(3 ** (amb3.N_p - 1)))
-    assert fil_valuation(s, amb3.N_p) >= 1
-    assert fil_valuation(n_S(s), amb3.N_p) >= 1
-    assert fil_valuation(s, amb3.N_p) == 1
-    assert fil_valuation(s, amb3.N_p - 1) >= 2
+    s = _pd_gamma(amb3, 1, amb3.w(3 ** (amb3.N_p - 1)))
+    assert _fil_valuation(s, amb3.N_p) >= 1
+    assert _fil_valuation(n_S(s), amb3.N_p) >= 1
+    assert _fil_valuation(s, amb3.N_p) == 1
+    assert _fil_valuation(s, amb3.N_p - 1) >= 2
 
 
 @pytest.mark.parametrize("p, r", [(3, 2), (5, 4)])
@@ -334,7 +334,7 @@ def test_u_divided_of_embedding(amb3):
 
     rng = random.Random(10)
     s = amb3.useries([rng.randrange(3**8) for _ in range(5)])
-    coords = to_u_divided(embed_sigma(s))
+    coords = to_u_divided(_embed_sigma(s))
     for i in range(5):
         assert coords[i].eq_at(s.coeff(i) * amb3.w(math.factorial(i)), amb3.N_p)
     for i in range(5, 9):
@@ -343,31 +343,31 @@ def test_u_divided_of_embedding(amb3):
 
 def test_u_power_ideal_membership(amb3):
     p = amb3.p
-    up = embed_sigma(amb3.useries([0] * p + [1]))
-    assert all_in_u_power_ideal([up], p)
-    assert not all_in_u_power_ideal([pd_one(amb3)], p)
-    assert not all_in_u_power_ideal([embed_sigma(amb3.useries([0] * (p - 1) + [1]))], p)
+    up = _embed_sigma(amb3.useries([0] * p + [1]))
+    assert _all_in_u_power_ideal([up], p)
+    assert not _all_in_u_power_ideal([_pd_one(amb3)], p)
+    assert not _all_in_u_power_ideal([_embed_sigma(amb3.useries([0] * (p - 1) + [1]))], p)
     rng = random.Random(11)
     for _ in range(20):
-        x = pd_random_calibrated(amb3, rng, 6, 1)
-        assert all_in_u_power_ideal([up * x], p)
+        x = _pd_random_calibrated(amb3, rng, 6, 1)
+        assert _all_in_u_power_ideal([up * x], p)
     # u^p = p*(c - sigma(a)) lies in the ideal by construction
-    diff = (amb3.c - pd_from_scalar(amb3, amb3.sigma_a)).mul_p_pow(1)
-    assert all_in_u_power_ideal([diff], p)
+    diff = (amb3.c - _pd_from_scalar(amb3, amb3.sigma_a)).mul_p_pow(1)
+    assert _all_in_u_power_ideal([diff], p)
 
 
 def test_pd_inverse(amb3):
     rng = random.Random(12)
-    one = pd_one(amb3)
+    one = _pd_one(amb3)
     for _ in range(20):
-        x = pd_random_calibrated(amb3, rng, 5, 1) + one
+        x = _pd_random_calibrated(amb3, rng, 5, 1) + one
         if not x.is_unit():
             continue
         assert (x * x.invert()).eq_at(one, x.prec)
 
 
 def test_coeff_out_of_range_is_degree_overflow(amb3):
-    x = pd_gamma(amb3, 1)
+    x = _pd_gamma(amb3, 1)
     N = amb3.N_gamma
     assert x.coeff(-N) == x.coeff(0)
     assert x.coeff(-1).coeffs == (0,)
@@ -381,22 +381,22 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
     for amb in (amb3, amb9):
         N = amb.N_gamma
         for _ in range(20):
-            x = pd_random_calibrated(amb, rng, rng.randrange(N + 1), 3)
+            x = _pd_random_calibrated(amb, rng, rng.randrange(N + 1), 3)
             # a zero coefficient counts as the element's precision
             assert x.valuation() == min(c.valuation() for c in x.coeffs)
             t = rng.randrange(N + 3)
             ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
-            y = pd_shift(x, t)
+            y = _pd_shift(x, t)
             assert y.prec == ref.prec and y.planes == ref.planes
             # flagged exactly when a nonzero coefficient was dropped
             dropped = x.coeffs[max(N - t, 0):]
             assert y.tail_dirty == any(not c.is_zero_at(x.prec) for c in dropped)
         # zero drops nothing at any shift, also past N_gamma
         for t in range(N + 3):
-            y = pd_shift(pd_zero(amb), t)
-            assert y.planes == pd_zero(amb).planes and not y.tail_dirty
+            y = _pd_shift(_pd_zero(amb), t)
+            assert y.planes == _pd_zero(amb).planes and not y.tail_dirty
         with pytest.raises(DegreeOverflow):
-            pd_shift(pd_gamma(amb, 1), -1)
+            _pd_shift(_pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])
         assert low.valuation() == 5
 
@@ -410,10 +410,10 @@ def test_pd_random_calibrated_follows_the_reference_stream(p, r, f):
     for max_val in (0, 2, amb.cap + 1):
         for max_index in (0, 6, amb.N_gamma + 3):
             for _ in range(3):
-                got = pd_random_calibrated(amb, a, max_index, max_val)
+                got = _pd_random_calibrated(amb, a, max_index, max_val)
                 want = ref_pd_random_calibrated(amb, b, max_index, max_val)
                 assert (got.planes, got.prec, got.tail_dirty) == \
                     (want.planes, want.prec, want.tail_dirty)
                 assert a.getstate() == b.getstate()
     with pytest.raises(ValueError):
-        pd_random_calibrated(amb, a, 6, -1)
+        _pd_random_calibrated(amb, a, 6, -1)

@@ -1,10 +1,10 @@
-"""The flat precision contract, written once on ``witt.FlatValue``, checked
+"""The flat precision contract, written once on ``witt._FlatValue``, checked
 on the three kinds of value that inherit it."""
 
 import pytest
 
 from flbreuil.errors import NotDivisible, PrecisionExhausted
-from flbreuil.pd import PDElement, all_in_u_power_ideal, fil_valuation, pd_gamma, pd_zero
+from flbreuil.pd import PDElement, _all_in_u_power_ideal, _fil_valuation, _pd_gamma, _pd_zero
 from flbreuil.series import SigmaSeries
 
 KINDS = {
@@ -63,22 +63,22 @@ def test_precision_contract(request, fixture, kind):
 def test_filtration_tests_at_a_negative_precision_raise(amb3):
     # p in S: zero mod p, so in Fil^N_gamma and in u S at precision 1
     x = PDElement(amb3, [amb3.w(amb3.p)])
-    assert fil_valuation(x, 1) == fil_valuation(x, 0) == amb3.N_gamma
-    assert fil_valuation(x) == 0 and all_in_u_power_ideal([x], 1, at=1)
+    assert _fil_valuation(x, 1) == _fil_valuation(x, 0) == amb3.N_gamma
+    assert _fil_valuation(x) == 0 and _all_in_u_power_ideal([x], 1, at=1)
     for at in (-1, -amb3.cap):
         with pytest.raises(ValueError):
-            fil_valuation(x, at)
+            _fil_valuation(x, at)
         with pytest.raises(ValueError):
-            all_in_u_power_ideal([x], 1, at=at)
+            _all_in_u_power_ideal([x], 1, at=at)
 
 
 def test_pd_eq_at_skips_the_top_coefficient_only_on_a_dirty_difference(amb3):
     N, k = amb3.N_gamma, amb3.cap
-    zero = pd_zero(amb3)
-    top = pd_gamma(amb3, N - 1)
+    zero = _pd_zero(amb3)
+    top = _pd_gamma(amb3, N - 1)
     dirty_top = PDElement(amb3, top.coeffs, tail_dirty=True)
     assert not top.eq_at(zero, k) and not zero.eq_at(top, k)
     assert dirty_top.eq_at(zero, k) and zero.eq_at(dirty_top, k)
     # below the top the dirty flag changes nothing
-    below = PDElement(amb3, pd_gamma(amb3, N - 2).coeffs, tail_dirty=True)
+    below = PDElement(amb3, _pd_gamma(amb3, N - 2).coeffs, tail_dirty=True)
     assert not below.eq_at(zero, k)

@@ -6,9 +6,9 @@ import pytest
 from flbreuil import campaign as CAM
 from flbreuil import functors as FU
 from flbreuil.ambient import AmbientParams
-from flbreuil.breuil import rebase
+from flbreuil.breuil import _rebase
 from flbreuil import serialize as SER
-from flbreuil.cli import build_parser, main
+from flbreuil.cli import _build_parser, main
 from flbreuil.errors import (
     MalformedJumps,
     NotInvertible,
@@ -16,16 +16,16 @@ from flbreuil.errors import (
     PrecisionMismatch,
     SchemaMismatch,
 )
-from flbreuil.fl import FLModule, random_fl
+from flbreuil.fl import FLModule, _random_fl
 from flbreuil.functors import fl_to_breuil, section_compute
 from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from flbreuil.matrix import RingMatrix
 
 
 def test_fl_round_trip(amb3):
-    M = random_fl(amb3, random.Random(0), 2)
+    M = _random_fl(amb3, random.Random(0), 2)
     doc = SER.to_json(M)
-    M2 = SER.from_json(json.loads(json.dumps(doc)))
+    M2 = SER._from_json(json.loads(json.dumps(doc)))
     assert M2.jumps == M.jumps
     assert M2.Ftil.eq_at(M.Ftil, amb3.cap)
     assert SER.dumps(M2) == SER.dumps(M)
@@ -47,53 +47,53 @@ def test_breuil_round_trip_preserves_missing_monodromy(amb3):
     assert B2.Nmat is None
     assert B2.Phi.eq_at(B.Phi, B.Phi.entries[0][0].prec)
 
-    Bn = fl_to_breuil(random_fl(amb3, random.Random(3), 2))
+    Bn = fl_to_breuil(_random_fl(amb3, random.Random(3), 2))
     Bn2 = SER.loads(SER.dumps(Bn))
     assert Bn2.Nmat is not None and Bn2.Nmat.is_zero_at(amb3.cap)
 
 
 def test_unknown_fields_rejected(amb3):
-    doc = SER.to_json(random_fl(amb3, random.Random(4), 1))
+    doc = SER.to_json(_random_fl(amb3, random.Random(4), 1))
     doc["data"]["extra"] = 1
     with pytest.raises(SchemaMismatch):
-        SER.from_json(doc)
+        SER._from_json(doc)
 
 
 def test_missing_field_rejected(amb3):
-    doc = SER.to_json(random_fl(amb3, random.Random(5), 1))
+    doc = SER.to_json(_random_fl(amb3, random.Random(5), 1))
     del doc["data"]["jumps"]
     with pytest.raises(SchemaMismatch):
-        SER.from_json(doc)
+        SER._from_json(doc)
 
 
 def test_schema_tag_required(amb3):
-    doc = SER.to_json(random_fl(amb3, random.Random(6), 1))
+    doc = SER.to_json(_random_fl(amb3, random.Random(6), 1))
     doc["schema"] = "flbreuil/0"
     with pytest.raises(SchemaMismatch):
-        SER.from_json(doc)
+        SER._from_json(doc)
 
 
 def test_p_two_rejected(amb3):
-    doc = SER.to_json(random_fl(amb3, random.Random(7), 1))
+    doc = SER.to_json(_random_fl(amb3, random.Random(7), 1))
     doc["params"]["p"] = 2
     with pytest.raises(SchemaMismatch, match="p > 2"):
-        SER.from_json(doc)
+        SER._from_json(doc)
 
 
 def test_precision_mismatch_rejected(amb3):
-    doc = SER.to_json(random_fl(amb3, random.Random(8), 1))
+    doc = SER.to_json(_random_fl(amb3, random.Random(8), 1))
     doc["data"]["Ftil"]["entries"][0][0]["prec"] = amb3.cap + 5
     with pytest.raises(PrecisionMismatch):
-        SER.from_json(doc)
+        SER._from_json(doc)
 
 
 def test_dumps_deterministic(amb3):
-    M = random_fl(amb3, random.Random(9), 2)
+    M = _random_fl(amb3, random.Random(9), 2)
     assert SER.dumps(M) == SER.dumps(M)
 
 
 def test_round_trip_with_residue_degree_two(amb9):
-    M = random_fl(amb9, random.Random(10), 2)
+    M = _random_fl(amb9, random.Random(10), 2)
     M2 = SER.loads(SER.dumps(M))
     assert M2.amb.ring.m == amb9.ring.m
     # the reconstructed ring must carry the same Frobenius
@@ -101,7 +101,7 @@ def test_round_trip_with_residue_degree_two(amb9):
     t2 = M2.amb.ring.make([0, 1])
     assert t.frobenius().coeffs == t2.frobenius().coeffs
     assert M2.Ftil.eq_at(
-        SER.matrix_from_json(M2.amb, "witt", SER.matrix_to_json(M.Ftil)), amb9.cap
+        SER._matrix_from_json(M2.amb, "witt", SER._matrix_to_json(M.Ftil)), amb9.cap
     )
 
 
@@ -139,7 +139,7 @@ def test_cli_section_and_mfl_take_series_degrees_past_N_gamma(tmp_path):
     assert main(["section", "--in", str(m), "--out", str(s)]) == 0
     assert main(["apply", "mfl", "--adjoin-zero-n", "--in", str(m), "--out", str(out)]) == 0
     sec = json.loads(s.read_text())
-    Bmat = SER.matrix_from_json(SER.params_from_json(sec["params"]), "pd", sec["data"]["Bmat"])
+    Bmat = SER._matrix_from_json(SER._params_from_json(sec["params"]), "pd", sec["data"]["Bmat"])
     assert (Bmat.rows, Bmat.cols) == (3, 3)
     M = SER.load(str(out))
     assert isinstance(M, FLModule) and M.jumps == K.jumps
@@ -181,7 +181,7 @@ def _section_bytes(path) -> str:
     B = SER.load(str(path))
     if isinstance(B, KisinModule):
         B = kisin_to_breuil(B)
-    doc = SER.section_to_json(B.amb, section_compute(B))
+    doc = SER._section_to_json(B.amb, section_compute(B))
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -190,8 +190,8 @@ def test_cli_section_of_a_rebased_module_is_the_full_section(tmp_path):
     # bound of 1, so the verb retries its cut run
     amb = AmbientParams(3, 1)
     rng = random.Random(2)
-    B = fl_to_breuil(random_fl(amb, rng, 2))
-    Bt = rebase(B, CAM.random_congruent_identity(amb, rng, 2))
+    B = fl_to_breuil(_random_fl(amb, rng, 2))
+    Bt = _rebase(B, CAM._random_congruent_identity(amb, rng, 2))
     sec = section_compute(Bt)
     assert sec.iterations > sec.rate_bound
     b, s = tmp_path / "b.json", tmp_path / "s.json"
@@ -225,7 +225,7 @@ def test_cli_section_does_not_ask_for_strong_divisibility(tmp_path, capsys):
     # p Ftil: the image is not strongly divisible, but p^r A_0^(-1) is
     # integral, so the section and its certificate hold; apply mfl refuses
     amb = AmbientParams(3, 1)
-    M = random_fl(amb, random.Random(1), 2)
+    M = _random_fl(amb, random.Random(1), 2)
     B = fl_to_breuil(FLModule(amb, M.jumps, M.Ftil.mul_p_pow(1)))
     b, s, out = tmp_path / "b.json", tmp_path / "s.json", tmp_path / "m.json"
     b.write_text(SER.dumps(B))
@@ -347,12 +347,12 @@ def test_cli_parser_is_built_once_and_keeps_no_arguments(tmp_path):
     runs = [("ring-laws", tmp_path / "a.jsonl"), ("unipotence", tmp_path / "b.jsonl")]
     for suite, out in runs:
         assert main(["verify", "--suite", suite, *args, "--out", str(out)]) == 0
-    assert build_parser() is build_parser()
-    build_parser.cache_clear()
+    assert _build_parser() is _build_parser()
+    _build_parser.cache_clear()
     for suite, out in runs:
         fresh = tmp_path / f"fresh-{suite}.jsonl"
         assert main(["verify", "--suite", suite, *args, "--out", str(fresh)]) == 0
-        build_parser.cache_clear()
+        _build_parser.cache_clear()
         assert out.read_bytes() == fresh.read_bytes()
         assert {json.loads(l)["suite"] for l in out.read_text().splitlines()} == {suite}
 
@@ -584,7 +584,7 @@ def test_ragged_matrix_is_a_schema_error(tmp_path, capsys):
     doc = json.loads(src.read_text())
     doc["data"]["Ftil"]["entries"][1].pop()
     with pytest.raises(SchemaMismatch, match="^matrix rows differ in length$"):
-        SER.from_json(doc)
+        SER._from_json(doc)
     src.write_text(json.dumps(doc))
     assert main(["apply", "mls", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
@@ -598,7 +598,7 @@ def test_cli_series_longer_than_the_truncation_is_a_usage_error(tmp_path, capsys
     out = tmp_path / "out.json"
     assert main(["gen", "kisin-gls", "--d", "2", "--r", "2", "--out", str(src)]) == 0
     doc = json.loads(src.read_text())
-    amb = SER.params_from_json(doc["params"])
+    amb = SER._params_from_json(doc["params"])
     ucoeffs = doc["data"]["A"]["entries"][0][0]["ucoeffs"]
     ucoeffs += [SER._entry_to_json(amb.ring.one())] * (amb.N_u + 3 - len(ucoeffs))
     src.write_text(json.dumps(doc))
@@ -638,7 +638,7 @@ def test_cli_rank_zero_kisin_module_passes_section_and_mfl(tmp_path, kind):
 
 
 def test_fl_module_stores_checked_jumps(amb3):
-    M = random_fl(amb3, random.Random(11), 2, (0, 1))
+    M = _random_fl(amb3, random.Random(11), 2, (0, 1))
     assert FLModule(amb3, [0, 1], M.Ftil).jumps == (0, 1)
 
 
@@ -658,12 +658,12 @@ def test_kisin_module_checks_its_normal_form(amb3):
 
 
 def test_a_longer_than_f_is_rejected(tmp_path, capsys):
-    from flbreuil.ambient import AmbientParams, resolve_params
+    from flbreuil.ambient import AmbientParams, _resolve_params
 
     with pytest.raises(ValueError, match="f = 2"):
         AmbientParams(3, 1, f=2, a=[1, 0, 0, 1])
     # trailing zeros beyond f are still dropped
-    assert resolve_params(3, 1, a=[-1, 0]) == resolve_params(3, 1)
+    assert _resolve_params(3, 1, a=[-1, 0]) == _resolve_params(3, 1)
     m = tmp_path / "m.json"
     out = tmp_path / "b.json"
     assert main(["gen", "fl", "--d", "1", "--out", str(m)]) == 0
@@ -671,7 +671,7 @@ def test_a_longer_than_f_is_rejected(tmp_path, capsys):
     doc["params"]["a"]["coeffs"] += ["1"]
     m.write_text(json.dumps(doc))
     with pytest.raises(SchemaMismatch, match="f = 1"):
-        SER.from_json(doc)
+        SER._from_json(doc)
     assert main(["apply", "mls", "--in", str(m), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [
@@ -698,7 +698,7 @@ def _singular_mod_p(name):
     """A Kisin document edit: row 0 of X (or column 0 of Y) times p, and
     the same row (column) of A with it, so A stays X diag(E^r_i) Y."""
     def edit(doc):
-        amb = SER.params_from_json(doc["params"])
+        amb = SER._params_from_json(doc["params"])
         data = doc["data"]
         for m in (data["gls"][name], data["A"]):
             rows = m["entries"]
@@ -727,3 +727,66 @@ def test_cli_kisin_normal_form_off_gl_d_is_a_usage_error(tmp_path, capsys, verb,
     assert main(verb + ["--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("data", "Ftil", "entries", 1, 0, "prec", 0), "scalar precision must be positive"),
+    (_set("data", "Ftil", "rows", 3), "declared matrix shape does not match entries"),
+    (_set("kind", "Nope"), "unknown kind 'Nope'"),
+], ids=["prec-zero", "rows-mismatch", "kind-unknown"])
+def test_cli_loader_refusal_names_the_fault(tmp_path, capsys, edit, message):
+    m = tmp_path / "m.json"
+    out = tmp_path / "b.json"
+    assert main(["gen", "fl", "--d", "2", "--jumps", "0,1", "--out", str(m)]) == 0
+    doc = json.loads(m.read_text())
+    edit(doc)
+    m.write_text(json.dumps(doc))
+    assert main(["apply", "mls", "--in", str(m), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--r", "3"], "Hodge bound r must lie in [0, 2]"),
+    (["--r", "-1"], "Hodge bound r must lie in [0, 2]"),
+    (["--Np", "0"], "N_p must be positive"),
+    (["--headroom", "-1"], "headroom must be nonnegative"),
+    (["--Ngamma", "5"], "N_gamma = 5 violates N_gamma*(p-2)/(p-1) >= N_p + r (minimum 14)"),
+    (["--jumps", "0"], "expected 2 jumps, got 1"),
+], ids=["r-above", "r-below", "Np-zero", "headroom-negative", "Ngamma-below", "jumps-short"])
+def test_cli_gen_refuses_a_bad_context_or_jump_count(tmp_path, capsys, argv, message):
+    out = tmp_path / "m.json"
+    assert main(["gen", "fl", "--p", "3", "--d", "2", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_gen_writes_the_chosen_N_gamma(tmp_path):
+    m = tmp_path / "m.json"
+    assert main(["gen", "fl", "--p", "3", "--d", "2", "--Ngamma", "40", "--out", str(m)]) == 0
+    assert '"N_gamma":40' in m.read_text()
+    assert SER.load(str(m)).amb.N_gamma == 40
+
+
+def test_cli_without_out_writes_the_file_bytes_to_stdout(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    argv = ["gen", "fl", "--d", "2", "--seed", "4"]
+    assert main([*argv, "--out", str(m)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == m.read_bytes()
+
+
+def test_cli_verify_all_runs_every_suite(tmp_path, capsys):
+    assert main(["verify", "--suite", "all", "--seeds", "1", "--samples", "2"]) == 0
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(CAM.SUITES) == 8
+    assert list(dict.fromkeys(rec["suite"] for rec in records)) == list(CAM.SUITES)
+    assert all(rec["ok"] and rec["seed"] == 1 for rec in records)
+    assert sorted(line.split()[1] for line in err.splitlines()[:-1]) == sorted(CAM.SUITES)
+
+
+def test_run_campaign_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match=r"^unknown suites: \['nope'\]$"):
+        CAM._run_campaign({"p": 3, "r": 1}, ["ring-laws", "nope"], [1], {}, 1)

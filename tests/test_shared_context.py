@@ -15,9 +15,9 @@ import pytest
 
 from flbreuil import ambient
 from flbreuil import campaign as CAM
-from flbreuil.ambient import AmbientParams, resolve_params, shared_params
+from flbreuil.ambient import AmbientParams, _resolve_params, shared_params
 from flbreuil.cli import main
-from flbreuil.serialize import params_from_json, params_to_json
+from flbreuil.serialize import _params_from_json, _params_to_json
 
 
 def test_same_keywords_give_the_same_context():
@@ -46,22 +46,22 @@ def test_one_context_per_parameters_however_they_are_spelled():
                          N_gamma=amb.N_gamma, headroom=amb.headroom,
                          m_coeffs=list(amb.ring.m)) is amb
     # the fields of a serialized module
-    doc = params_to_json(amb)
+    doc = _params_to_json(amb)
     assert shared_params(**{**doc, "a": [int(c) for c in doc["a"]["coeffs"]]}) is amb
 
 
 def test_the_params_document_names_every_parameter_of_a_context():
     # one field per keyword: nothing a context depends on is left out of
     # a file, so every context reloads into itself
-    doc_fields = set(params_to_json(shared_params(p=3, r=2)))
-    assert set(inspect.signature(resolve_params).parameters) == doc_fields
+    doc_fields = set(_params_to_json(shared_params(p=3, r=2)))
+    assert set(inspect.signature(_resolve_params).parameters) == doc_fields
     # a context that differs from the defaults in every field
     amb = shared_params(p=5, r=2, f=2, N_p=4, N_gamma=12, headroom=7, a=[2, 1],
                         m_coeffs=[2, 0, 1])
     defaults = shared_params(p=5, r=3)
-    assert all(params_to_json(amb)[k] != params_to_json(defaults)[k]
+    assert all(_params_to_json(amb)[k] != _params_to_json(defaults)[k]
                for k in doc_fields - {"p"})
-    assert params_from_json(params_to_json(amb)) is amb
+    assert _params_from_json(_params_to_json(amb)) is amb
     assert amb.N_u == amb.p * amb.N_gamma
 
 

@@ -1,20 +1,20 @@
 """Packed products sized by their operands' precision, and the table maps
 of S over many vectors at once.
 
-The matrix kernel (``FlatVector._matmul_planes``) packs every coefficient
+The matrix kernel (``_FlatVector._matmul_planes``) packs every coefficient
 reduced mod p^(K+V), K = min(largest row precision, largest column
 precision), and reads each entry's reach from the supports; the
-triangular solve (``FlatVector._solve_planes``) packs mod p^(k+V), k the
+triangular solve (``_FlatVector._solve_planes``) packs mod p^(k+V), k the
 lowest precision among A and R.  On operands of mixed precision, some
 with a top coefficient that vanishes mod p^K, the products must equal the
 fused dot (``_dot_planes``) entry by entry in planes, precision, reach and
-tail_dirty flag, and the solves the elimination (``scaled_inverse``) in
+tail_dirty flag, and the solves the elimination (``_scaled_inverse``) in
 planes, precision and flag, with the reach of the product A X, at f in
 {1, 2, 3}, with rank-0 matrices too.
 
-``PackedTable.apply`` maps a list of vectors; the matrix
-maps built on it (``functors.phi_matrix``, ``pd.phi_S_all``,
-``pd.embed_sigma_all``, ``pd.all_in_u_power_ideal``) must equal the
+``_PackedTable.apply`` maps a list of vectors; the matrix
+maps built on it (``functors._phi_matrix``, ``pd._phi_S_all``,
+``pd._embed_sigma_all``, ``pd._all_in_u_power_ideal``) must equal the
 entrywise maps on 0 x 0, 1 x 1, constant, zero and dirty entries, and
 series past N_gamma.  The blocks of the packed layout (``witt._join``,
 ``witt._split``) must round-trip, with one block as its own int, a block
@@ -30,18 +30,19 @@ import pytest
 from flbreuil import serialize as SER
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import PrecisionMismatch, SchemaMismatch
-from flbreuil.functors import phi_matrix
-from flbreuil.matrix import RingMatrix, scaled_inverse
+from flbreuil.functors import _phi_matrix
+from flbreuil.matrix import RingMatrix, _scaled_inverse
 from flbreuil.pd import (
     PDElement,
-    all_in_u_power_ideal,
-    embed_sigma,
-    embed_sigma_all,
+    _all_in_u_power_ideal,
+    _embed_sigma,
+    _embed_sigma_all,
+    _phi_S_all,
     phi_S,
-    phi_S_all,
 )
 from flbreuil.series import SigmaSeries
-from flbreuil.witt import FlatVector, _join, _split
+from flbreuil.witt import _FlatVector, _join, _split
+from sampler_reference import drawn
 
 # (p, f, N_gamma): small cuts keep the references quick; v_p((N_gamma-1)!)
 # >= 1, so the products and solves over S scale by gamma_scale
@@ -58,11 +59,11 @@ def _entry(amb, cls, rng, prec, support, deep_top=None, unit=None, dirty=False):
     ``deep_top`` its top coefficient, when that is not a unit constant
     term, is p^deep_top times a unit, so it vanishes mod p^deep_top."""
     ring = amb.ring
-    coeffs = [ring.random(rng, prec) for _ in range(support)]
+    coeffs = [drawn(ring, rng, prec) for _ in range(support)]
     if support and unit is not None:
-        coeffs[0] = ring.random_unit(rng, prec) if unit else coeffs[0].mul_p_pow(1).truncate(prec)
+        coeffs[0] = drawn(ring, rng, prec, True) if unit else coeffs[0].mul_p_pow(1).truncate(prec)
     if support and deep_top is not None and not (unit and support == 1):
-        coeffs[-1] = ring.random_unit(rng, prec).mul_p_pow(deep_top).truncate(prec)
+        coeffs[-1] = drawn(ring, rng, prec, True).mul_p_pow(deep_top).truncate(prec)
     if cls is PDElement:
         return PDElement(amb, coeffs, dirty, prec)
     return SigmaSeries(amb, coeffs, prec)
@@ -110,12 +111,12 @@ def test_mixed_precision_matmul_is_the_entrywise_dot(p, f, n_gamma, cls, monkeyp
         weights, w_max = (amb.comb, amb.comb_max) if cls is PDElement else (None, 1)
         scale = None if cls is SigmaSeries else amb.gamma_scale()
         del widths[:]
-        grid = FlatVector._matmul_planes(rows, cols, cut, scale)
+        grid = _FlatVector._matmul_planes(rows, cols, cut, scale)
         V = scale[0] if scale else 0
         assert set(widths) == {ring.packing(e * cut * f, p ** (K + V))[0]}
         for row, line in zip(rows, grid):
             for col, got in zip(cols, line):
-                assert got == FlatVector._dot_planes(row, col, cut, weights, w_max)
+                assert got == _FlatVector._dot_planes(row, col, cut, weights, w_max)
         # the element products, flags included
         C = RingMatrix(rows) @ RingMatrix([list(r) for r in zip(*cols)])
         for row, line in zip(rows, C.entries):
@@ -154,13 +155,13 @@ def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatc
         X = A.solve(R)
         V = amb.gamma_scale()[0] if cls is PDElement else 0
         assert set(widths) == {ring.packing(cut * d * f, p ** (k + V))[0]}
-        want = (scaled_inverse(A, 0) @ R).truncate(k)
+        want = (_scaled_inverse(A, 0) @ R).truncate(k)
         assert [[(x.planes, x.prec) for x in row] for row in X.entries] == \
             [[(y.planes, k) for y in row] for row in want.entries]
         # the reach is that of the product A X, from the supports
-        inv0 = scaled_inverse(RingMatrix([[x.coeff(0).truncate(k) for x in row]
+        inv0 = _scaled_inverse(RingMatrix([[x.coeff(0).truncate(k) for x in row]
                                           for row in A.entries]), 0)
-        _, k_got, reach = FlatVector._solve_planes(
+        _, k_got, reach = _FlatVector._solve_planes(
             A.entries, inv0.entries, R.entries, cut,
             amb.gamma_scale() if cls is PDElement else None)
         s_a = max(len(x.planes[0]) for row in A.entries for x in row)
@@ -191,11 +192,11 @@ def _map_entries(amb, rng):
     dirty ones, short and full supports, mixed precisions."""
     ring, N = amb.ring, amb.N_gamma
     out = [PDElement(amb, [], False, 3), PDElement(amb, [], True, amb.cap),
-           PDElement(amb, [ring.random_unit(rng, 5)]),
+           PDElement(amb, [drawn(ring, rng, 5, True)]),
            PDElement(amb, [ring.random(rng)], True)]
     for support in (2, N // 2, N, N):
         prec = rng.randrange(1, amb.cap + 1)
-        out.append(PDElement(amb, [ring.random(rng, prec) for _ in range(support)],
+        out.append(PDElement(amb, [drawn(ring, rng, prec) for _ in range(support)],
                              rng.random() < 0.5, prec))
     return out
 
@@ -213,24 +214,24 @@ def test_matrix_maps_are_the_entrywise_maps(name, request):
     shapes = [(0, 0), (1, 1), (2, 4), (len(xs) // 2, 2)]
     for d, e in shapes:
         M = RingMatrix([xs[i * e:(i + 1) * e] for i in range(d)])
-        got, want = phi_matrix(M), M.map_entries(phi_S)
+        got, want = _phi_matrix(M), M.map_entries(phi_S)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert [list(map(_state, r)) for r in got.entries] == \
             [list(map(_state, r)) for r in want.entries]
     # a map of constants only
     consts = [x for x in xs if x.support() <= 1]
-    assert list(map(_state, phi_S_all(consts))) == [_state(phi_S(x)) for x in consts]
-    assert phi_S_all([]) == [] and embed_sigma_all([]) == []
+    assert list(map(_state, _phi_S_all(consts))) == [_state(phi_S(x)) for x in consts]
+    assert _phi_S_all([]) == [] and _embed_sigma_all([]) == []
     # the embedding: zero, constant and short series at mixed precisions,
-    # and series past N_gamma, which embed_sigma splits
+    # and series past N_gamma, which _embed_sigma splits
     ring, N = amb.ring, amb.N_gamma
-    ss = [SigmaSeries(amb, [], 4), SigmaSeries(amb, [ring.random_unit(rng, 3)])]
+    ss = [SigmaSeries(amb, [], 4), SigmaSeries(amb, [drawn(ring, rng, 3, True)])]
     for n in (2, N - 1, N, N + 1, 2 * N + 3):
         prec = rng.randrange(1, amb.cap + 1)
-        ss.append(SigmaSeries(amb, [ring.random(rng, prec) for _ in range(n)], prec))
+        ss.append(SigmaSeries(amb, [drawn(ring, rng, prec) for _ in range(n)], prec))
     rng.shuffle(ss)
     for part in (ss, ss[:1], [s for s in ss if len(s.planes[0]) > N]):
-        assert list(map(_state, embed_sigma_all(part))) == [_state(embed_sigma(s)) for s in part]
+        assert list(map(_state, _embed_sigma_all(part))) == [_state(_embed_sigma(s)) for s in part]
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])
@@ -242,13 +243,13 @@ def test_ideal_test_over_a_list_is_the_single_test(name, request):
     seen = set()
     for n in (0, 1, amb.p):
         for at in (None, 0, 1, amb.N_p):
-            singles = [all_in_u_power_ideal([x], n, at) for x in xs]
+            singles = [_all_in_u_power_ideal([x], n, at) for x in xs]
             seen.update(singles)
             for part in (xs, [x for x, ok in zip(xs, singles) if ok], xs[:1]):
-                assert all_in_u_power_ideal(part, n, at) == \
-                    all(all_in_u_power_ideal([x], n, at) for x in part)
+                assert _all_in_u_power_ideal(part, n, at) == \
+                    all(_all_in_u_power_ideal([x], n, at) for x in part)
     assert seen == {True, False}
-    assert all_in_u_power_ideal([], amb.p)
+    assert _all_in_u_power_ideal([], amb.p)
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb27"])

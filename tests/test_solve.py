@@ -1,15 +1,15 @@
 """The triangular solve over W(k)[[u]] and S against the elimination.
 
 ``RingMatrix.solve`` (and ``invert``, its case R = I, over the series
-ring and S) runs one pass over the grading, ``FlatVector._solve_planes``;
-``scaled_inverse(A, 0)``, the valuation-pivoted elimination that still
-serves W(k) and the p-power pivots of ``breuil_bhat``, is the reference.
+ring and S) runs one pass over the grading, ``_FlatVector._solve_planes``;
+``_scaled_inverse(A, 0)``, the valuation-pivoted elimination that still
+serves W(k) and the p-power pivots of ``_breuil_bhat``, is the reference.
 The inverse at precision k is unique in the truncated rings, so the two
 must agree in planes and precision, and the solve's tail_dirty flag must
 be the elimination's.  Inputs mix precisions, dirty entries, short
 supports and supports past half the cut, at p in {3, 5, 7} and f in
 {1, 2, 3}, with d from 0 to 6.  A right-hand side with other than d
-columns is checked against the product scaled_inverse(A, 0) R and against
+columns is checked against the product _scaled_inverse(A, 0) R and against
 A X = R.  The element inverse, the 1 x 1 case, is checked against
 Newton's iteration (``inverse_reference``).
 """
@@ -20,10 +20,11 @@ import pytest
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, NotInvertible, PrecisionExhausted, SingularMatrix
-from flbreuil.matrix import RingMatrix, scaled_inverse
+from flbreuil.matrix import RingMatrix, _scaled_inverse
 from flbreuil.pd import PDElement
 from flbreuil.series import SigmaSeries
 from flbreuil.witt import WittScalar
+from sampler_reference import drawn
 from inverse_reference import newton_element_inverse
 
 # (p, f, N_gamma): small cuts keep the elimination quick, and
@@ -36,7 +37,7 @@ def _amb(p, f, n_gamma):
 
 
 def _scalar(ring, rng, prec, unit):
-    x = ring.random_unit(rng, prec) if unit else ring.random(rng, prec)
+    x = drawn(ring, rng, prec, True) if unit else drawn(ring, rng, prec)
     if unit is False:
         x = WittScalar(ring, tuple(c * ring.p % ring.pk[prec] for c in x.coeffs), prec)
     return x
@@ -48,7 +49,7 @@ def _element(amb, kind, rng, prec, support, unit):
     chance 0.15."""
     ring = amb.ring
     n = rng.randint(1, support)
-    coeffs = [_scalar(ring, rng, prec, unit)] + [ring.random(rng, prec) for _ in range(n - 1)]
+    coeffs = [_scalar(ring, rng, prec, unit)] + [drawn(ring, rng, prec) for _ in range(n - 1)]
     if kind == "S":
         return PDElement(amb, coeffs, tail_dirty=rng.random() < 0.15)
     return SigmaSeries(amb, coeffs)
@@ -105,7 +106,7 @@ def test_inverse_is_the_elimination_inverse(p, f, n_gamma, kind):
                 j = rng.randrange(d)
                 A = RingMatrix([[x.mul_p_pow(1).truncate(x.prec) if c == j else x
                                  for c, x in enumerate(row)] for row in A.entries])
-            want = _outcome(scaled_inverse, A, 0)
+            want = _outcome(_scaled_inverse, A, 0)
             assert _outcome(RingMatrix.invert, A) == want
             assert _outcome(A.solve, RingMatrix.identity(d, one - one, one)) == want
             singular += want == "singular"
@@ -125,7 +126,7 @@ def test_solve_of_a_rectangular_right_side(p, f, n_gamma, kind):
             X = A.solve(R)
             assert (X.rows, X.cols) == (d, g)
             k = min(x.prec for M in (A, R) for row in M.entries for x in row)
-            want = (scaled_inverse(A, 0) @ R).truncate(k) if g else R
+            want = (_scaled_inverse(A, 0) @ R).truncate(k) if g else R
             assert [[(x.planes, x.prec) for x in row] for row in X.entries] == \
                 [[(y.planes, k) for y in row] for row in want.entries]
             assert (A @ X).eq_at(R, k)

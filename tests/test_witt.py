@@ -8,29 +8,29 @@ from hypothesis import given, settings, strategies as st
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittRing, WittScalar, _fp_is_irreducible, find_irreducible
+from flbreuil.witt import WittScalar, _find_irreducible, _fp_is_irreducible, _WittRing
 from flag_reference import build_redrows
 from inverse_reference import newton_inverse
-from sampler_reference import draw_below, random_tuple, random_unit_tuple
+from sampler_reference import draw_below, drawn, random_tuple, random_unit_tuple
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
 
 
 @pytest.fixture(scope="module")
 def zp():
-    return WittRing(3, 1, cap=8)
+    return _WittRing(3, 1, cap=8)
 
 
 @pytest.fixture(scope="module")
 def w9():
     # W(F_9) with the deterministic modulus T^2 + 1
-    return WittRing(3, 2, cap=8)
+    return _WittRing(3, 2, cap=8)
 
 
 def test_find_irreducible_deterministic():
-    assert find_irreducible(3, 1) == (0, 1)
-    assert find_irreducible(3, 2) == (1, 0, 1)
-    m5 = find_irreducible(5, 2)
+    assert _find_irreducible(3, 1) == (0, 1)
+    assert _find_irreducible(3, 2) == (1, 0, 1)
+    m5 = _find_irreducible(5, 2)
     assert len(m5) == 3 and m5[2] == 1
 
 
@@ -41,10 +41,10 @@ def test_reduction_rows_match_the_reference(p, f, cap):
     # T^(f+i) mod m(T) read off the ring's make is the old recurrence's row,
     # for the default modulus and for one lifted by multiples of p
     rng = random.Random(f"redrows:{p}:{f}:{cap}")
-    m = find_irreducible(p, f)
+    m = _find_irreducible(p, f)
     lifted = [c + p * rng.randrange(p**cap) for c in m[:-1]] + [1]
     for coeffs in (m, lifted):
-        ring = WittRing(p, f, coeffs, cap)
+        ring = _WittRing(p, f, coeffs, cap)
         assert len(ring._redrows) == f - 1
         assert ring._redrows == build_redrows(ring)
 
@@ -94,7 +94,7 @@ def test_invert_p_fails(zp, w9):
 
 def test_invert_random_units(zp, w9):
     rng = random.Random(0)
-    for ring in (zp, w9, WittRing(3, 3, cap=8), WittRing(5, 3, cap=20)):
+    for ring in (zp, w9, _WittRing(3, 3, cap=8), _WittRing(5, 3, cap=20)):
         for _ in range(100):
             x = ring.random_unit(rng)
             assert x.invert() * x == ring.one()
@@ -105,11 +105,11 @@ def test_invert_random_units(zp, w9):
 def test_invert_is_the_newton_inverse(p, f):
     # the inverse by the norm against Newton's iteration, in coefficients
     # and precision at every precision; non-units raise on both
-    ring = WittRing(p, f, cap=20)
+    ring = _WittRing(p, f, cap=20)
     rng = random.Random(f"invert:{p}:{f}")
     for k in range(1, ring.cap + 1):
         for _ in range(8):
-            x = ring.random_unit(rng, k)
+            x = drawn(ring, rng, k, True)
             got, want = x.invert(), newton_inverse(x)
             assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
             # the Frobenius of a scalar is that of its one-entry planes
@@ -123,7 +123,7 @@ def test_invert_is_the_newton_inverse(p, f):
 
 def test_invert_checks_that_the_norm_is_in_Zp():
     # with sigma replaced by the identity, a * sigma(a) = a^2 leaves Z_p
-    ring = WittRing(3, 2, cap=6)
+    ring = _WittRing(3, 2, cap=6)
     ring._spow = ((0, 1),)
     with pytest.raises(ArithmeticError):
         ring.make([1, 1]).invert()
@@ -145,7 +145,7 @@ def test_frobenius_of_generator_is_minus(w9):
 
 @pytest.mark.parametrize("p, f", [(3, 2), (3, 3), (5, 3)], ids=["F9", "F27", "F125"])
 def test_frobenius_order_and_homomorphism(p, f):
-    ring = WittRing(p, f, cap=8)
+    ring = _WittRing(p, f, cap=8)
     rng = random.Random(2)
     for _ in range(200):
         x, y = ring.random(rng), ring.random(rng)
@@ -165,7 +165,7 @@ small = st.integers(min_value=-3**8, max_value=3**8)
 @given(small, small, small)
 @settings(max_examples=60, deadline=None)
 def test_ring_laws_prime_field(a, b, c):
-    ring = WittRing(3, 1, cap=8)
+    ring = _WittRing(3, 1, cap=8)
     x, y, z = ring.from_int(a), ring.from_int(b), ring.from_int(c)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -175,7 +175,7 @@ def test_ring_laws_prime_field(a, b, c):
 @given(small, small, small, small)
 @settings(max_examples=40, deadline=None)
 def test_ring_laws_degree_two(a0, a1, b0, b1):
-    ring = WittRing(3, 2, cap=6)
+    ring = _WittRing(3, 2, cap=6)
     x = ring.make([a0, a1])
     y = ring.make([b0, b1])
     z = ring.make([a1, b0])
@@ -260,26 +260,19 @@ def test_random_scalars_follow_the_reference_stream(p, r, f):
     # same values and same Mersenne Twister state after every call
     R = AmbientParams(p, r, f=f).ring
     a, b = random.Random(f"stream:{p}:{f}"), random.Random(f"stream:{p}:{f}")
-    for prec in (1, R.cap) * 20:
+    for _ in range(20):
         for draw, ref in ((R.random, random_tuple), (R.random_unit, random_unit_tuple)):
-            got = draw(a, prec)
-            assert (got.coeffs, got.prec) == (ref(R, b, prec), prec)
+            got = draw(a)
+            assert (got.coeffs, got.prec) == (ref(R, b, R.cap), R.cap)
             assert a.getstate() == b.getstate()
 
 
 @pytest.mark.parametrize("prec", [0, -1, "cap+1"])
-@pytest.mark.parametrize("draw", ["random", "random_unit"])
-def test_random_checks_the_precision_before_drawing(draw, prec):
-    # prec 0 would give a scalar below the one-digit floor (random) or never
-    # return (random_unit: p^0 leaves only the draw 0), and cap + 1 would
-    # index past the power table; each raises as make does, drawing nothing
-    R = WittRing(3, cap=8)
+def test_make_checks_the_precision(prec):
+    # prec 0 would give a scalar below the one-digit floor, and cap + 1
+    # would index past the power table
+    R = _WittRing(3, cap=8)
     prec = R.cap + 1 if prec == "cap+1" else prec
-    rng = random.Random(0)
-    state = rng.getstate()
-    with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
-        getattr(R, draw)(rng, prec)
-    assert rng.getstate() == state
     with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
         R.make([1], prec)
 
@@ -288,7 +281,7 @@ def test_random_checks_the_precision_before_drawing(draw, prec):
 def test_make_reduces_any_length_mod_m(f):
     # a list longer than a product's 2f - 1 coefficients gives the value of
     # the polynomial at T, by Horner's rule in the ring
-    R = WittRing(3, f, cap=4)
+    R = _WittRing(3, f, cap=4)
     T = R.make([-R.m[0]]) if f == 1 else R.make([0, 1])
     rng = random.Random(f"make:{f}")
     for n in (2 * f, 2 * f + 1, 3 * f + 4):
