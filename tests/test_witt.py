@@ -268,13 +268,23 @@ def test_random_scalars_follow_the_reference_stream(p, r, f):
 
 
 @pytest.mark.parametrize("prec", [0, -1, "cap+1"])
-def test_make_checks_the_precision(prec):
+@pytest.mark.parametrize("draw", ["random", "random_unit"])
+def test_random_checks_the_precision_before_drawing(draw, prec):
+    # a draw stands at the cap, inside [1, cap] before a digit is drawn;
     # prec 0 would give a scalar below the one-digit floor, and cap + 1
-    # would index past the power table
+    # would index past the power table, so make refuses both for the drawn
+    # coefficients, leaving the stream where the draw left it
     R = _WittRing(3, cap=8)
     prec = R.cap + 1 if prec == "cap+1" else prec
+    rng = random.Random(0)
+    x = getattr(R, draw)(rng)
+    assert x.prec == R.cap and R.make(x.coeffs, x.prec) == x
+    state = rng.getstate()
+    with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
+        R.make(x.coeffs, prec)
     with pytest.raises(PrecisionExhausted, match=rf"^precision {prec} outside \[1, 8\]$"):
         R.make([1], prec)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize("f", [1, 2])
