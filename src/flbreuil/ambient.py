@@ -38,8 +38,9 @@ every coefficient, is the f x f integer matrix ``pa_matrix`` on T-planes.
 Two sizing rules matter:
 
   * the stated invariant N_gamma*(p-2)/(p-1) >= N_p + r makes the Frobenius
-    well defined on the truncation (the image of every dropped gamma index
-    lands in p^(N_p + r) S);
+    well defined on the truncation: the image of every gamma index that
+    comparisons do not read (N_gamma - 1 and up, see ``pd``) lands in
+    p^(N_p + r) S;
   * the default N_gamma is chosen strictly larger, because the section
     iteration divides by p^r once per step and truncation-tail effects must
     stay invisible modulo p^N_p through the whole stabilisation window.
@@ -58,6 +59,12 @@ from .series import SigmaSeries, _series_from_ints
 from .witt import WittScalar, _find_irreducible, _is_prime, _PackedTable, _WittRing
 
 
+# the largest residue degree, gamma truncation and cap a context accepts
+_MAX_F = 64
+_MAX_N_GAMMA = 1024
+_MAX_CAP = 8192
+
+
 def _section_rate_bound(p: int, r: int, N_p: int) -> int:
     """Smallest n with p + p^2 + ... + p^(n+1) - r(n+1) >= N_p."""
     n = 0
@@ -69,7 +76,8 @@ def _section_rate_bound(p: int, r: int, N_p: int) -> int:
 
 
 def _min_N_gamma(p: int, r: int, N_p: int) -> int:
-    """The hard lower bound: phi of the dropped tail lies in p^(N_p+r) S."""
+    """The hard lower bound: phi of the indices from N_gamma - 1 on, which
+    comparisons do not read, lies in p^(N_p+r) S (see ``pd``)."""
     return max(p + 1, math.ceil((N_p + r) * (p - 1) / (p - 2)))
 
 
@@ -95,7 +103,14 @@ def _resolve_params(
     (p, r, f, N_p, N_gamma, headroom, a, m_coeffs), with ``a`` and
     ``m_coeffs`` as tuples reduced mod p^cap (``a`` padded to f entries;
     more than f once its trailing zeros are dropped is a ValueError).
-    Keyword arguments that name one context resolve to the same tuple."""
+    Keyword arguments that name one context resolve to the same tuple.
+
+    The context's tables grow with f, N_gamma and the cap N_p + headroom,
+    so each is refused above its bound (``_MAX_F``, ``_MAX_N_GAMMA``,
+    ``_MAX_CAP``) before anything is built; as N_gamma > p, so is a p of
+    ``_MAX_N_GAMMA`` or more."""
+    if p >= _MAX_N_GAMMA:
+        raise ValueError(f"p = {p} needs N_gamma > p, above the bound {_MAX_N_GAMMA}")
     if not _is_prime(p) or p < 3:
         raise ValueError("p must be an odd prime; p = 2 is not supported "
                          "(the diagonal normal form behind the Kisin-side "
@@ -104,14 +119,20 @@ def _resolve_params(
         raise ValueError(f"Hodge bound r must lie in [0, {p - 1}]")
     if f < 1:
         raise ValueError("residue degree f must be at least 1")
+    if f > _MAX_F:
+        raise ValueError(f"residue degree f = {f} exceeds the bound {_MAX_F}")
     if N_p < 1:
         raise ValueError("N_p must be positive")
     if headroom is None:
         headroom = r * (3 * N_p + 2) + p
     if headroom < 0:
         raise ValueError("headroom must be nonnegative")
+    if N_p + headroom > _MAX_CAP:
+        raise ValueError(f"cap N_p + headroom = {N_p + headroom} exceeds the bound {_MAX_CAP}")
     if N_gamma is None:
         N_gamma = _default_N_gamma(p, r, N_p)
+    if N_gamma > _MAX_N_GAMMA:
+        raise ValueError(f"N_gamma = {N_gamma} exceeds the bound {_MAX_N_GAMMA}")
     if N_gamma < _min_N_gamma(p, r, N_p):
         raise ValueError(
             f"N_gamma = {N_gamma} violates N_gamma*(p-2)/(p-1) >= N_p + r "
@@ -220,16 +241,14 @@ class AmbientParams:
         c_cols = []
         for i in range(N_gamma):
             c_i, unit_inv = self.c_pow(i), self.fact_unit_inv(i).coeffs[0]
-            c_cols.append(([[c * unit_inv % mod for c in pl] for pl in c_i.planes],
-                           c_i.tail_dirty))
+            c_cols.append([[c * unit_inv % mod for c in pl] for pl in c_i.planes])
         self.c_table = _PackedTable(self.ring, c_cols)
-        self.u_table = _PackedTable(self.ring, [(self.u_pow(n).planes, False)
-                                                for n in range(N_gamma)])
+        self.u_table = _PackedTable(self.ring, [self.u_pow(n).planes for n in range(N_gamma)])
         pa_div = [self.pa_div_fact(i).coeffs for i in range(N_gamma)]
         self.u_div_table = _PackedTable(self.ring, [
-            (self.ring.to_planes(pa_div[i::-1], self.cap), False) for i in range(N_gamma)])
+            self.ring.to_planes(pa_div[i::-1], self.cap) for i in range(N_gamma)])
         # its row 0, the evaluation at u = 0: gamma_i -> (p*a)^i/i!
-        self.f0_table = _PackedTable(self.ring, [(self.ring.to_planes([c], self.cap), False)
+        self.f0_table = _PackedTable(self.ring, [self.ring.to_planes([c], self.cap)
                                                  for c in pa_div])
 
     # --- caches ---
@@ -297,8 +316,7 @@ class AmbientParams:
         """u^n in S/Fil^{N_gamma} S, for any n >= 0.  Below N_gamma no
         product is truncated, so each power is the exact binomial expansion
         mod p^cap; from N_gamma on, the products drop the part past
-        N_gamma and flag it ``tail_dirty``, as the truncation of S is a
-        ring map (see ``pd``)."""
+        N_gamma, as the truncation of S is a ring map (see ``pd``)."""
         return self._power(self._u_pow, n)
 
     def c_pow(self, i: int) -> pdmod.PDElement:

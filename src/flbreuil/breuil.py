@@ -115,7 +115,7 @@ def _jet_table(amb, M: RingMatrix, jumps) -> tuple:
                 for out, pl in zip(planes, row[j].planes):
                     seg = [w[n] * c % mod for n, c in enumerate(pl[:b - a])]
                     out.extend([0] * a + seg + [0] * (b - a - len(seg)))
-            columns.append((_trimmed(planes), False))
+            columns.append(_trimmed(planes))
     return _PackedTable(ring, columns), [min(x.prec for x in row) for row in M.entries], b
 
 
@@ -314,9 +314,9 @@ def _descent_table(B: BreuilModule) -> tuple:
     P = B.C_inv.map_entries(_eval_fpi).entries
     blank = [(0,) * ring.f] * d
     diagonal = _PackedTable(ring, [
-        (_trimmed(ring.to_planes(blank * t + [row[l].coeffs for row in P], ring.cap)), False)
+        _trimmed(ring.to_planes(blank * t + [row[l].coeffs for row in P], ring.cap))
         for t in range(r) for l in range(d)])
-    columns = [(_trimmed(w), False) for w in diagonal.apply(chains, [ring.cap] * len(chains))]
+    columns = [_trimmed(w) for w in diagonal.apply(chains, [ring.cap] * len(chains))]
     return (_PackedTable(ring, columns), [min(c.prec for c in row) for row in B.Nmat.entries],
             [min(c.prec for c in row) for row in P],
             [[l for l, c in enumerate(row) if any(c.coeffs)] for row in P])

@@ -280,7 +280,7 @@ def _roundtrip_breuil(M, g, rng) -> dict:
     matrix_exact = (g @ Bm).eq_at(FU._embed_w_matrix(amb, FU._f0_matrix(g)), at)
     resid = Bt.Nmat @ Bm + Bm.map_entries(P.n_S)
     # the top gamma coefficient of N on a truncated element is the one
-    # coordinate the dropped tail can reach; eq_at skips it when dirty
+    # coordinate the dropped tail can reach; eq_at does not read it
     n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P._pd_zero(amb)), at)
 
     n_fil = 8

@@ -80,8 +80,6 @@ def _fl_from_frobenius(amb, F: RingMatrix, jumps) -> FLModule:
     divided by p^{r_j}, the inverse of ``_fl_frobenius_matrix``.  Raises
     NotStrong when a column is not divisible by its power of p."""
     d = len(jumps)
-    if F.rows != d or F.cols != d:
-        raise MalformedJumps("Frobenius dimension does not match the jumps")
     try:
         Ftil = RingMatrix([[F.entries[i][j].div_p_exact(jumps[j]) for j in range(d)]
                            for i in range(d)])

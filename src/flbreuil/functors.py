@@ -145,22 +145,10 @@ def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
     them (products, phi_S, sums), so mod p^L they depend only on A and p^r
     A_0^(-1) mod p^L: a cut run holds the full run's values mod p^L, and
     every zero, divisibility and valuation test it makes, at most at p^L,
-    reads the same digits.  What a cut can change is a ``tail_dirty``
-    flag: flags are read off supports (a product's reach past N_gamma, the
-    table columns phi_S meets), and a support only shortens when its top
-    coefficients vanish mod p^L, so a flag set in a cut run is set in the
-    full run, not conversely.  The stop test skips the top gamma
-    coefficient of a flagged difference; a cut run therefore stops only
-    where the full run does, and a failed test that rests on a coefficient
-    below the top fails in both.  Two cases are left where a cut run
-    cannot tell what the full run decides: a step whose test fails only at
-    the top coefficient of unflagged entries, and an unflagged entry of
-    ``Bmat`` when A is not constant (constant entries throughout never
-    reach a flag).  Either one sends the computation to the next run, the
-    last of which has no cut.  So every ``iterations``, ``exact``,
-    ``B0_claim_ok``, ``f0_identity``, ``residual_valuation`` and
-    ``Bmat`` mod p^prec, flags included, is the one computed without
-    ``prec``.
+    reads only those digits.  So a cut run that stabilises is the answer:
+    its ``iterations``, ``exact``, ``B0_claim_ok``, ``f0_identity``,
+    ``residual_valuation`` and ``Bmat`` mod p^prec are the ones computed
+    without ``prec``.
     """
     amb = B.amb
     at = amb.N_p
@@ -186,8 +174,6 @@ def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
             raise ValueError(f"section precision {prec} outside [{at}, {amb.cap}]")
         cuts = sorted({min(rate, max_steps), max_steps})
         runs = [(prec + r * (s + 2), s) for s in cuts if prec + r * (s + 2) < amb.cap] + runs
-    constant = all(len(x.planes[0]) <= 1 and not x.tail_dirty for row in A.entries for x in row)
-    top = amb.N_gamma - 1
 
     # Iterate n is kept as its numerator over p^t, t = (n + 1) r, and each
     # comparison first scales the side with the lower exponent: away from
@@ -208,35 +194,27 @@ def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
 
         f0_ok = _f0_matrix(B0).eq_at(ident_w.mul_p_pow(t), at + t)
         cur = B0
-        stable = undecided = False
         for iterations in range(steps + 1):
             nxt = A_L @ _phi_matrix(cur) @ A0inv_L
             t += r
             f0_ok = f0_ok and _f0_matrix(nxt).eq_at(ident_w.mul_p_pow(t), at + t)
-            prev = cur.mul_p_pow(r)
-            stable = nxt.eq_at(prev, at + t)
-            # a test that fails only at the top coefficient of unflagged
-            # entries may pass in the full run, which skips it when flagged
-            undecided = not stable and L is not None and all(
-                x._head(top).is_zero_at(at + t) for row in (nxt - prev).entries for x in row)
+            stable = nxt.eq_at(cur.mul_p_pow(r), at + t)
             cur = nxt
-            if stable or undecided:
+            if stable:
                 break
-        if not stable:
-            if undecided or steps < max_steps:
-                continue
+        if stable:
+            break
+        if steps == max_steps:
             raise NonConvergent(
                 f"no stabilisation mod p^{at} within {max_steps + 1} steps "
                 f"(rate bound {rate}); expected only away from normal-form bases"
             )
-        try:
-            cur = cur.map_entries(lambda x: x.div_p_exact(t))
-        except NotDivisible as exc:
-            raise NonConvergent(
-                f"stabilised iterate failed to normalise: {exc}"
-            ) from exc
-        if L is None or constant or all(x.tail_dirty for row in cur.entries for x in row):
-            break
+    try:
+        cur = cur.map_entries(lambda x: x.div_p_exact(t))
+    except NotDivisible as exc:
+        raise NonConvergent(
+            f"stabilised iterate failed to normalise: {exc}"
+        ) from exc
 
     residual = cur @ A0_pd - A @ _phi_matrix(cur)
     res_val = min([at] + [x.valuation() for row in residual.entries for x in row])
@@ -297,7 +275,9 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
     reduction is the transport's ``M``.
 
     Requires the crystalline condition (monodromy inside u times the
-    module) and strong divisibility, both read from ``breuil_validate``.
+    module), strong divisibility, Griffiths transversality and the phi/N
+    square, all read from ``breuil_validate``: a module failing one is
+    outside the category, and refused.
     A ``section`` passed in must have been computed for this module's
     ``Phi`` (the same object), else ValueError: its residual stands in for
     the Frobenius in the conjugation check.
@@ -317,6 +297,10 @@ def breuil_to_fl(B: BreuilModule, section: SectionResult | None = None,
         raise NotCris("monodromy does not land in u times the module")
     if not report.strongly_divisible:
         raise NotStrong("input is not strongly divisible")
+    if report.griffiths is False:
+        raise NotStrong("input fails Griffiths transversality: N(Fil^r) is not in Fil^(r-1)")
+    if report.diagram is False:
+        raise NotStrong("input fails the phi/N square: N phi_r != c phi_r N")
 
     sec = section if section is not None else section_compute(B)
     Bm = sec.Bmat

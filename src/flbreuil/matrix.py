@@ -11,7 +11,7 @@ operands.  A product of rows with one vector (``matvec``) is the fused
 W(k) that is ``dot`` per entry, and over W(k)[[u]] and S it is the packed
 kernel ``_FlatVector._matmul_planes`` (in the one packed layout of
 ``witt``, each entry one sum of big-int products), equal to ``dot`` in
-planes, precision and tail_dirty flag.  ``dot`` stays its own path: as
+planes and precision.  ``dot`` stays its own path: as
 the 1 x 1 matrix product it ran slower (the figures are in the layout
 comment of ``witt``).
 

@@ -10,28 +10,28 @@ multiplying by gamma_i * gamma_j = C(i+j, i) * gamma_{i+j}.
 Truncation.  Elements live in S/Fil^{N_gamma} S and keep the indices
 0 .. N_gamma-1.  Fil^{N_gamma} S, the span of the gamma_i with
 i >= N_gamma, is an ideal by the product rule, so the cut is a ring map,
-and every map into S follows one rule: what lies past N_gamma is dropped,
-and an element that lost a nonzero coefficient, or was computed from one
-that did, is flagged ``tail_dirty``.
-Products, ``_pd_shift``, the powers of u and c and ``_embed_sigma`` (every
-series degree below N_u, by the product u^N_gamma * s') all do so.  The
-structure maps act termwise, and none of them sees the dropped tail at the
-public precision N_p:
+and every map into S follows one rule: what lies past N_gamma is dropped
+(products, ``_pd_shift``, the powers of u and c, ``_embed_sigma``).  The
+dropped tail can reach the top coefficient, index N_gamma - 1 (see N
+below), so comparisons in S (``eq_at``) read the indices below it only.
+The structure maps act termwise, and none of them sees the unread indices
+at the public precision N_p:
 
   * Fil^j S is the span of gamma_i with i >= j, so filtration valuation is
     the index of the first coefficient that is nonzero at precision; the
     tests read only the indices below j <= r.
   * phi(gamma_i) = (p^i / i!) * c^i with c = phi(E)/p = (u^p + p*sigma(a))/p.
-    For i >= N_gamma, v_p(p^i/i!) > i(p-2)/(p-1) >= N_p + r
-    (``ambient._min_N_gamma``), so phi of the tail lies in p^(N_p + r) S
-    and the divided Frobenius phi_r = phi / p^r of it (one exact division,
-    ``breuil._phi_r_apply``) in p^N_p S.
+    ``ambient._min_N_gamma`` keeps N_gamma(p-2)/(p-1) >= N_p + r, and
+    v_p(i!) <= (i-1)/(p-1), so for i >= N_gamma - 1 the integer
+    v_p(p^i/i!) is at least (i(p-2) + 1)/(p-1) > N_p + r - 1.  So phi of
+    the unread indices lies in p^(N_p + r) S and the divided Frobenius
+    phi_r = phi / p^r of it (one exact division, ``breuil._phi_r_apply``)
+    in p^N_p S.
   * N(gamma_i) = -i*gamma_i + p*a*gamma_{i-1}, from N(u) = -u and the
     Leibniz rule.  The dropped tail reaches only the top coefficient
-    (index N_gamma - 1) of N, which ``eq_at`` skips on a tail_dirty
-    element.
-  * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!, of valuation at least
-    i(p-2)/(p-1) >= N_p + r for i >= N_gamma (``ambient._min_N_gamma``);
+    (index N_gamma - 1) of N.
+  * f_0 (u -> 0) sends gamma_i to (p*a)^i / i!, of the same valuation
+    i - v_p(i!) >= N_p + r for i >= N_gamma - 1;
     f_pi (u -> pi = -p*a) kills every gamma_i with i >= 1 and reads off
     the gamma_0 coefficient.
 
@@ -92,11 +92,10 @@ class PDElement(_FlatVector):
     of their precisions (and ``prec``, when given); the kernel passes
     ``planes`` and ``prec`` instead."""
 
-    __slots__ = ("tail_dirty",)
+    __slots__ = ()
     _invert_error = "inverse in S needs a unit gamma_0 coefficient"
 
-    def __init__(self, amb, coeffs=(), tail_dirty: bool = False, prec: int | None = None,
-                 planes=None):
+    def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
         if planes is None:
             coeffs = list(coeffs)
@@ -105,11 +104,9 @@ class PDElement(_FlatVector):
             planes, prec = self._from_scalars(amb, coeffs, prec)
         self.planes = _trimmed(planes)
         self.prec = prec
-        self.tail_dirty = tail_dirty
 
-    def _make(self, planes, prec: int, tail_dirty: bool | None = None) -> "PDElement":
-        dirty = self.tail_dirty if tail_dirty is None else tail_dirty
-        return PDElement(self.amb, (), dirty, prec, planes)
+    def _make(self, planes, prec: int) -> "PDElement":
+        return PDElement(self.amb, (), prec, planes)
 
     @staticmethod
     def _grading(amb) -> tuple:
@@ -128,17 +125,16 @@ class PDElement(_FlatVector):
         return tuple(self.coeff(i) for i in range(self.amb.N_gamma))
 
     def _head(self, n: int) -> "PDElement":
-        """This element with the coefficients at index n and beyond dropped;
-        the precision and the tail_dirty flag are kept."""
+        """This element with the coefficients at index n and beyond dropped,
+        at the same precision."""
         if len(self.planes[0]) <= n:
             return self
         return self._make(tuple(pl[:n] for pl in self.planes), self.prec)
 
     def eq_at(self, other: "PDElement", k: int) -> bool:
-        """Equality mod p^k; on a tail_dirty difference the top coefficient,
-        which the dropped tail can reach, is not compared."""
-        diff = self - other
-        return diff._head(self.amb.N_gamma - diff.tail_dirty).is_zero_at(k)
+        """Equality mod p^k below the top coefficient, which the dropped
+        tail can reach."""
+        return (self - other)._head(self.amb.N_gamma - 1).is_zero_at(k)
 
     def support(self) -> int:
         """Index one past the last integer-nonzero coefficient."""
@@ -151,8 +147,7 @@ class PDElement(_FlatVector):
                 c = self.coeff(i)
                 terms.append(f"{c!r}*g{i}" if i else f"{c!r}")
         body = " + ".join(terms) if terms else "0"
-        dirt = ", dirty" if self.tail_dirty else ""
-        return f"PD({body} ~p^{self.prec}{dirt})"
+        return f"PD({body} ~p^{self.prec})"
 
 
 def _pd_zero(amb) -> PDElement:
@@ -178,14 +173,11 @@ def _pd_gamma(amb, i: int, coeff: WittScalar | None = None) -> PDElement:
 def _pd_shift(x: PDElement, t: int) -> PDElement:
     """The element whose gamma_(i+t) coefficient is the gamma_i coefficient
     of x, for t >= 0 (DegreeOverflow otherwise); indices pushed to N_gamma
-    or beyond are dropped, and the result is tail_dirty when x is or when
-    a nonzero coefficient was dropped."""
+    or beyond are dropped."""
     if t < 0:
         raise DegreeOverflow(f"shift by {t} below gamma_0")
     N = x.amb.N_gamma
-    n = x.support()
-    dirty = x.tail_dirty or (n > 0 and n + t > N)
-    return PDElement(x.amb, (), dirty, x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
+    return PDElement(x.amb, (), x.prec, tuple(([0] * t + pl)[:N] for pl in x.planes))
 
 
 def _embed_sigma(s: SigmaSeries) -> PDElement:
@@ -200,14 +192,14 @@ def _embed_sigma_all(ss) -> list:
     are one apply of the context's table of the gamma-coefficients of u^n
     to all of them; a series s of higher degree is s_low + u^N_gamma *
     s_high, with the s_high embedded the same way (at most p levels deep,
-    as degrees stop below N_u) and the product truncated and flagged
-    ``tail_dirty`` like every product."""
+    as degrees stop below N_u) and the product truncated like every
+    product."""
     if not ss:
         return []
     amb = ss[0].amb
     N = amb.N_gamma
     images = amb.u_table.apply([[pl[:N] for pl in s.planes] for s in ss], [s.prec for s in ss])
-    out = [PDElement(amb, (), False, s.prec, planes) for s, planes in zip(ss, images)]
+    out = [PDElement(amb, (), s.prec, planes) for s, planes in zip(ss, images)]
     long = [i for i, s in enumerate(ss) if len(s.planes[0]) > N]
     highs = _embed_sigma_all([ss[i]._make(tuple(pl[N:] for pl in ss[i].planes), ss[i].prec)
                              for i in long])
@@ -232,9 +224,9 @@ def _fil_valuation(x: PDElement, at: int | None = None) -> int:
 def _phi_input(x: PDElement) -> tuple:
     """The input of the table behind ``phi_S``: the planes of the scalars
     s_i = sigma(x_i) * p^(i - v_p(i!)) mod p^k, cut after the last
-    contributing index, and that index (-1 when none is).  An index
-    contributes when its coefficient is nonzero and its exponent is below
-    k; every exponent is nonnegative, as v_p(i!) <= i."""
+    contributing index.  An index contributes when its coefficient is
+    nonzero and its exponent is below k; every exponent is nonnegative, as
+    v_p(i!) <= i."""
     amb = x.amb
     k, ring, vfact = x.prec, amb.ring, amb.vfact
     pk, mod = ring.pk, ring.pk[k]
@@ -242,7 +234,7 @@ def _phi_input(x: PDElement) -> tuple:
                 if i - vfact[i] < k and any(pl[i] for pl in x.planes)), -1)
     scale = [pk[e] if e < k else 0 for e in (i - vfact[i] for i in range(top + 1))]
     return [[c * q % mod for c, q in zip(pl, scale)]
-            for pl in ring.frobenius_planes(x.planes, k)], top
+            for pl in ring.frobenius_planes(x.planes, k)]
 
 
 def phi_S(x: PDElement) -> PDElement:
@@ -257,19 +249,13 @@ def _phi_S_all(xs) -> list:
     Uses phi(gamma_i) = (p^i / i!) c^i: the scalars
     s_i = sigma(x_i) * p^(i - v_p(i!)), reduced mod p^k, are the input of
     the context's table of unit(i!)^-1 * c^i (``AmbientParams.c_table``).
-    An image is tail_dirty when x is or when the column of the last
-    contributing index is: c^i = c^(i-1)*c keeps the flag of its factor,
-    and so does the unit factor, so that column's flag is the flag of
-    every contributing one.  The divided Frobenius phi_r = phi / p^r on
-    Fil^r is this image divided exactly by p^r (``breuil._phi_r_apply``).
+    The divided Frobenius phi_r = phi / p^r on Fil^r is this image divided
+    exactly by p^r (``breuil._phi_r_apply``).
     """
     if not xs:
         return []
-    inputs = [_phi_input(x) for x in xs]
-    table = xs[0].amb.c_table
-    outs = table.apply([planes for planes, _ in inputs], [x.prec for x in xs])
-    return [PDElement(x.amb, (), x.tail_dirty or (top >= 0 and table.dirty[top]), x.prec, out)
-            for x, (_, top), out in zip(xs, inputs, outs)]
+    outs = xs[0].amb.c_table.apply([_phi_input(x) for x in xs], [x.prec for x in xs])
+    return [PDElement(x.amb, (), x.prec, out) for x, out in zip(xs, outs)]
 
 
 def n_S(x: PDElement) -> PDElement:
@@ -279,8 +265,8 @@ def n_S(x: PDElement) -> PDElement:
     precision k of x.  The product by p*a is the context's f x f integer
     matrix on T-planes (``AmbientParams.pa_matrix``): plane s of
     p*a * x_(m+1) is the sum over t of its entry (s, t) times plane t of
-    x_(m+1).  On a tail_dirty input the coefficient at the top index misses
-    the contribution of the dropped gamma_{N_gamma} term.
+    x_(m+1).  The coefficient at the top index misses the contribution of
+    the dropped gamma_{N_gamma} term, so comparisons do not read it.
     """
     amb = x.amb
     mod = amb.ring.pk[x.prec]
@@ -292,7 +278,7 @@ def n_S(x: PDElement) -> PDElement:
             if coef:
                 acc = [a + coef * b for a, b in zip(acc, src)]
         planes.append([a % mod for a in acc])
-    return PDElement(amb, (), x.tail_dirty, x.prec, tuple(planes))
+    return PDElement(amb, (), x.prec, tuple(planes))
 
 
 def _eval_f0(x: PDElement) -> WittScalar:
@@ -394,4 +380,4 @@ def _pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
                 break
             for pl in planes:
                 pl.pop()
-    return PDElement(amb, (), False, cap, planes)
+    return PDElement(amb, (), cap, planes)

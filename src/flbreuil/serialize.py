@@ -69,7 +69,7 @@ def _entry_to_json(x) -> dict:
     coeffs = [_entry_to_json(c) for c in x.coeffs]
     if isinstance(x, SigmaSeries):
         return {"ucoeffs": coeffs}
-    return {"gcoeffs": coeffs, "tail_dirty": x.tail_dirty}
+    return {"gcoeffs": coeffs, "tail_dirty": True}
 
 
 def _scalar_ints(amb: AmbientParams, d: dict) -> tuple:
@@ -108,10 +108,11 @@ def _entry_from_json(amb: AmbientParams, kind: str, d: dict):
     planes = amb.ring.to_planes(cols, k)
     if series:
         return SigmaSeries(amb, (), k, planes)
-    dirty = d["tail_dirty"]
-    if not isinstance(dirty, bool):
-        raise SchemaMismatch(f"tail_dirty must be a boolean, got {type(dirty).__name__}")
-    return PDElement(amb, (), dirty, k, planes)
+    # a vestige key: written true on every entry, read as any boolean
+    vestige = d["tail_dirty"]
+    if not isinstance(vestige, bool):
+        raise SchemaMismatch(f"tail_dirty must be a boolean, got {type(vestige).__name__}")
+    return PDElement(amb, (), k, planes)
 
 
 def _matrix_to_json(M: RingMatrix) -> dict:

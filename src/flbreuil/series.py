@@ -16,7 +16,7 @@ the fused kernel ``_FlatVector._dot_planes`` unweighted, a product of two
 matrices (``matmul``) the packed kernel ``_FlatVector._matmul_planes``
 unscaled, and a solve, and with it every inverse, the triangular kernel
 ``_FlatVector._solve_planes``, one pass over the u-degree.  The cut at N_u is
-this ring's own truncation, so a series is never ``tail_dirty``.
+this ring's own truncation, so comparisons read every degree below it.
 ``WittScalar`` objects are built only at the scalar boundary: ``coeff``,
 ``coeffs``, the constant part that a solve inverts over W(k), ``repr`` and
 the constructor from a list of scalars.
@@ -39,7 +39,6 @@ class SigmaSeries(_FlatVector):
 
     __slots__ = ()
     _invert_error = "series inverse needs a unit constant term"
-    tail_dirty = False
 
     def __init__(self, amb, coeffs=(), prec: int | None = None, planes=None):
         self.amb = amb
@@ -48,7 +47,7 @@ class SigmaSeries(_FlatVector):
         self.planes = _trimmed(planes)
         self.prec = prec
 
-    def _make(self, planes, prec: int, tail_dirty: bool = False) -> "SigmaSeries":
+    def _make(self, planes, prec: int) -> "SigmaSeries":
         return SigmaSeries(self.amb, (), prec, planes)
 
     @staticmethod

@@ -470,24 +470,23 @@ class _WittRing:
 
 class _PackedTable:
     """A W(k)-linear map on coefficient vectors, built whole from its
-    columns: ``columns[i]`` = (planes, tail_dirty) is the image of the i-th
-    basis vector, with entries below p^cap.
+    columns: ``columns[i]``, in planes, is the image of the i-th basis
+    vector, with entries below p^cap.
 
     With n columns, (W, B) = ``ring.packing(n*f)``: cols[i] is column i in
     the layout of ``witt`` (entry m in the block at byte m*B, its T-planes
-    packed at width W), reach[i] the largest support among columns
-    0 .. i and dirty[i] the flag of column i.  The image of a vector s is
-    sum_i s_i cols[i], one sum of packed products per vector: block m sums
-    at most n*f products per T-degree of ints below p^cap."""
+    packed at width W) and reach[i] the largest support among columns
+    0 .. i.  The image of a vector s is sum_i s_i cols[i], one sum of
+    packed products per vector: block m sums at most n*f products per
+    T-degree of ints below p^cap."""
 
-    __slots__ = ("ring", "width", "block", "cols", "reach", "dirty")
+    __slots__ = ("ring", "width", "block", "cols", "reach")
 
     def __init__(self, ring: _WittRing, columns):
         self.ring = ring
         self.width, self.block = ring.packing(len(columns) * ring.f)
-        self.cols = [_join(ring._pack(planes, self.width), self.block) for planes, _ in columns]
-        self.reach = list(accumulate((len(planes[0]) for planes, _ in columns), max))
-        self.dirty = [dirty for _, dirty in columns]
+        self.cols = [_join(ring._pack(planes, self.width), self.block) for planes in columns]
+        self.reach = list(accumulate((len(planes[0]) for planes in columns), max))
 
     def apply(self, vectors, ks) -> list:
         """The planes of the images of the vectors with these planes, each
@@ -717,13 +716,12 @@ class _FlatVector(_FlatValue):
     one precision ``prec``, stored as planes (see ``_WittRing.to_planes``)
     cut after the last nonzero entry.  Sums, products, ``dot``, ``matmul``,
     ``solve`` and ``invert`` are written here once; two kinds do not
-    combine.  A kind builds its results through ``_make(planes, prec,
-    tail_dirty)``, names the failure of ``invert`` in ``_invert_error`` and
-    gives, in ``_grading(amb)``, its cut, the weights of ``_dot_planes``
-    with their bound, and the source of the ``scale`` of the matrix
-    kernels: N_gamma, the binomials and ``gamma_scale`` for S, whose cut
-    flags what it drops (``tail_dirty``, see ``pd``); N_u, None, 1 and None
-    for the series ring, whose cut is its own truncation and flags nothing.
+    combine.  A kind builds its results through ``_make(planes, prec)``,
+    names the failure of ``invert`` in ``_invert_error`` and gives, in
+    ``_grading(amb)``, its cut, the weights of ``_dot_planes`` with their
+    bound, and the source of the ``scale`` of the matrix kernels: N_gamma,
+    the binomials and ``gamma_scale`` for S; N_u, None, 1 and None for the
+    series ring.
     """
 
     __slots__ = ("amb", "planes", "prec")
@@ -751,8 +749,8 @@ class _FlatVector(_FlatValue):
         return self._make(tuple(fn(pl) for pl in self.planes), prec)
 
     def _sum(self, other, sub: bool = False):
-        """self + other (or self - other), at the lower precision, flagged
-        when either is; NotImplemented for two kinds."""
+        """self + other (or self - other), at the lower precision;
+        NotImplemented for two kinds."""
         if type(other) is not type(self):
             return NotImplemented
         k = min(self.prec, other.prec)
@@ -762,7 +760,7 @@ class _FlatVector(_FlatValue):
             planes = tuple([(a - b) % mod for a, b in pr] for pr in pairs)
         else:
             planes = tuple([(a + b) % mod for a, b in pr] for pr in pairs)
-        return self._make(planes, k, self.tail_dirty or other.tail_dirty)
+        return self._make(planes, k)
 
     def __add__(self, other):
         return self._sum(other)
@@ -778,64 +776,48 @@ class _FlatVector(_FlatValue):
     @staticmethod
     def dot(xs, ys):
         """The sum of the products x*y over two equally long rows: the fused
-        kernel ``_dot_planes`` with the kind's weights, cut at its index.
-        Over S it is tail_dirty when a factor is, or when a product index
-        crosses the cut."""
+        kernel ``_dot_planes`` with the kind's weights, cut at its index."""
         x0 = xs[0]
         cut, weights, w_max, _ = x0._grading(x0.amb)
-        planes, k, reach = _FlatVector._dot_planes(xs, ys, cut, weights, w_max)
-        dirty = weights is not None and (
-            reach > cut or any(x.tail_dirty or y.tail_dirty for x, y in zip(xs, ys)))
-        return x0._make(planes, k, dirty)
+        return x0._make(*_FlatVector._dot_planes(xs, ys, cut, weights, w_max))
 
     @staticmethod
     def matmul(rows, cols) -> list:
         """The entries of a matrix product: entry (i, j) equals
-        ``dot(rows[i], cols[j])`` in planes, precision and flag, from the
-        packed kernel ``_matmul_planes``.  When every entry of one factor
-        has support at most 1, each weight is C(m, 0) = 1, so the kernel
-        packs unscaled."""
+        ``dot(rows[i], cols[j])`` in planes and precision, from the packed
+        kernel ``_matmul_planes``.  When every entry of one factor has
+        support at most 1, each weight is C(m, 0) = 1, so the kernel packs
+        unscaled."""
         x0 = rows[0][0]
         cut, weights, _, scale = x0._grading(x0.amb)
-        flags = weights is not None
-        constant = not flags or any(all(len(x.planes[0]) <= 1 for line in m for x in line)
-                                    for m in (rows, cols))
+        constant = weights is None or any(
+            all(len(x.planes[0]) <= 1 for line in m for x in line) for m in (rows, cols))
         grid = _FlatVector._matmul_planes(rows, cols, cut, None if constant else scale())
-        row_dirty = [flags and any(x.tail_dirty for x in row) for row in rows]
-        col_dirty = [flags and any(y.tail_dirty for y in col) for col in cols]
-        return [[x0._make(planes, k, flags and (reach > cut or rd or cd))
-                 for (planes, k, reach), cd in zip(line, col_dirty)]
-                for line, rd in zip(grid, row_dirty)]
+        return [[x0._make(planes, k) for planes, k in line] for line in grid]
 
     @staticmethod
     def solve(rows, inv0, rhs) -> list:
         """The entries of the X with A X = R, for A = ``rows`` (square, with
         ``inv0`` the inverse over W(k) of its degree-0 part) and R =
         ``rhs``: the triangular kernel ``_solve_planes`` with the kind's
-        ``scale``, cut at its index.  Over S every entry is tail_dirty when
-        the product A X would be: when an entry of A or R is, or when the
-        largest supports in A and X reach past the cut together."""
+        ``scale``, cut at its index."""
         x0 = rows[0][0]
         cut, weights, _, scale = x0._grading(x0.amb)
-        flags = weights is not None
-        grid, k, reach = _FlatVector._solve_planes(rows, inv0, rhs, cut,
-                                                   scale() if flags else None)
-        dirty = flags and (
-            reach > cut or any(x.tail_dirty for m in (rows, rhs) for row in m for x in row))
-        return [[x0._make(planes, k, dirty) for planes in line] for line in grid]
+        grid, k = _FlatVector._solve_planes(rows, inv0, rhs, cut,
+                                            None if weights is None else scale())
+        return [[x0._make(planes, k) for planes in line] for line in grid]
 
     @staticmethod
     def _dot_planes(xs, ys, bound: int, weights=None, w_max: int = 1):
         """The fused kernel behind ``dot`` and every product of two elements.
 
         Returns the planes of the sum of the products x*y over two equally
-        long rows, cut at index ``bound``, their precision (the lowest of
-        both rows) and the largest index one product reaches.  Each pair is
-        one integer convolution of its packed planes (weighted, for S, by
-        weights of at most ``w_max``) into one unreduced accumulator
-        (``_WittRing.dot_acc``); one ``_WittRing.unfold`` (the unpack, the
-        fold through m(T) and the reduction mod p^k) then serves the whole
-        sum.  A pair with a zero entry adds nothing.  When one pair is left
+        long rows, cut at index ``bound``, and their precision (the lowest
+        of both rows).  Each pair is one integer convolution of its packed
+        planes (weighted, for S, by weights of at most ``w_max``) into one
+        unreduced accumulator (``_WittRing.dot_acc``); one
+        ``_WittRing.unfold`` (the unpack, the fold through m(T) and the
+        reduction mod p^k) then serves the whole sum.  A pair with a zero entry adds nothing.  When one pair is left
         and one of its factors is the constant one (whose weights C(j, 0)
         are 1), the sum is the other factor: its planes are cut at index
         ``bound`` and reduced mod p^k, and nothing is convolved."""
@@ -848,30 +830,28 @@ class _FlatVector(_FlatValue):
             a, b = pairs[0]
             for one, other in ((a, b), (b, a)):
                 if len(one[0]) == 1 and one[0][0] == 1 and not any(pl[0] for pl in one[1:]):
-                    return ring.truncate_planes([pl[:n] for pl in other], k), k, reach
-        return ring.unfold(*ring.dot_acc(pairs, n, weights, w_max), k), k, reach
+                    return ring.truncate_planes([pl[:n] for pl in other], k), k
+        return ring.unfold(*ring.dot_acc(pairs, n, weights, w_max), k), k
 
     @staticmethod
     def _matmul_planes(rows, cols, n: int, scale=None) -> list:
         """The packed kernel behind the matrix products of series and of S.
 
         Returns, for each row of ``rows`` and each column of ``cols`` (two
-        lists of equally long lists of elements), the triple that
+        lists of equally long lists of elements), the pair that
         ``_dot_planes(row, col, n)`` returns: the planes of the sum of the
-        products cut at index n, their precision (the lowest of both rows)
-        and the largest index one product reaches.  Each entry of both
-        operands is packed once into one int in the layout of ``witt``,
-        with (W, B) = ``packing(e*n*f, p^(K+V))`` for the inner dimension
-        e and K = min(largest row precision, largest column precision), the
-        highest precision an output entry has: every packed coefficient is
-        reduced mod p^(K+V) first, and an output of precision k <= K reads
-        only its digits below p^k.  An output entry is one sum of e big-int
+        products cut at index n and their precision (the lowest of both
+        rows).  Each entry of both operands is packed once into one int in
+        the layout of ``witt``, with (W, B) = ``packing(e*n*f, p^(K+V))``
+        for the inner dimension e and K = min(largest row precision,
+        largest column precision), the highest precision an output entry
+        has: every packed coefficient is reduced mod p^(K+V) first, and an
+        output of precision k <= K reads only its digits below p^k.  An output entry is one sum of e big-int
         products, a packed row against a packed column; the rows are packed
         and summed one at a time, each sum unpacked before the next row is
-        packed.  The reach is read from the supports, as in
-        ``_dot_planes``: the largest s_x + s_y - 1 over the pairs whose
-        entries are both nonzero.  (A top coefficient may vanish mod p^K,
-        so the length of the sum does not give it.)
+        packed.  A sum is read up to its reach, as in ``_dot_planes``: the
+        largest s_x + s_y - 1 over the pairs whose entries are both
+        nonzero.
 
         ``scale`` = (V, pre, post) removes the binomial weights of S
         (``AmbientParams.gamma_scale``): coefficient i of every entry is
@@ -918,7 +898,7 @@ class _FlatVector(_FlatValue):
                 reach = max(max(map(add, rs, cs)) - 1, 0)
                 acc = sum(map(mul, r, c))
                 planes = ring.read(_split(acc, block, min(reach, n)), width, k, post)
-                line.append((planes, k, reach))
+                line.append((planes, k))
             out.append(line)
         return out
 
@@ -930,10 +910,8 @@ class _FlatVector(_FlatValue):
         For a square A (``rows``, d lists of d elements), the inverse over
         W(k) of its degree-0 part A_0 (``inv0``, scalars at precision k)
         and R (``rhs``, d lists of g elements), returns the planes of the X
-        with A X = R, cut at index n (d lists of g planes); their precision
-        k, the lowest among the entries of A and R; and the largest index
-        the product A X reaches, s_A + s_X - 1 for the largest supports in
-        A and X (0 when X is zero).
+        with A X = R, cut at index n (d lists of g planes), and their
+        precision k, the lowest among the entries of A and R.
 
         Degree m of A X is the sum over i <= m of C(m, i) A_i X_(m-i)
         (weights 1 in the series ring).  So with A~_i = A_0^(-1) A_i and
@@ -1017,7 +995,7 @@ class _FlatVector(_FlatValue):
         xs = xs[:last + 1]
         grid = [[tuple([xm[t][b * d + a] for xm in xs] for t in range(f)) for b in range(g)]
                 for a in range(d)]
-        return grid, k, s_a + last if xs else 0
+        return grid, k
 
     def is_unit(self) -> bool:
         p = self.ring.p

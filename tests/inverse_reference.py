@@ -38,7 +38,8 @@ def newton_element_inverse(x):
     z <- z(2 - xz) from the inverse of the constant coefficient, as the
     kernel ran it before it inverted by one triangular pass
     (``_FlatVector._solve_planes``).  It stops at the first step whose xz is
-    1 at x's precision, after at most bit_length(max(cut, prec)) + 2 steps
+    1 at x's precision in every coefficient, the top gamma coefficient
+    included (which ``PDElement.eq_at`` does not read), after at most bit_length(max(cut, prec)) + 2 steps
     (the cut N_gamma over S, N_u over the series ring); NotAUnit for a
     non-unit, NotDivisible when it does not converge."""
     if not x.is_unit():
@@ -51,8 +52,8 @@ def newton_element_inverse(x):
     for _ in range(max(cut, prec).bit_length() + 2):
         xz = x * z
         z = z * (two - xz)
-        if xz.eq_at(one, prec):
+        if (xz - one).is_zero_at(prec):
             break
-    if not (x * z).eq_at(one, prec):
+    if not (x * z - one).is_zero_at(prec):
         raise NotDivisible("Newton's iteration did not converge at precision")
     return z

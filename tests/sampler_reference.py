@@ -60,4 +60,4 @@ def pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
             q = ring.pk[min(draw_below(rng, max_val + 1), cap)]
             for pl, c in zip(planes, random_unit_tuple(ring, rng, cap)):
                 pl.append(c * q % mod)
-    return PDElement(amb, (), False, cap, planes)
+    return PDElement(amb, (), cap, planes)

@@ -154,14 +154,31 @@ def test_validate_on_base_change_images(amb3):
     assert not rep.strongly_divisible
 
 
+def griffiths_failing_module(amb):
+    """N(e_1) = u e_0 on a base-change image with jumps (0, r): e_1 lies in
+    Fil^r, but E N(e_1) = E u e_0 lies in Fil^1 and, for r = 2, not in
+    Fil^2, so N(Fil^r) is not inside Fil^(r-1)."""
+    B0 = fl_to_breuil(_random_fl(amb, random.Random(1), 2, (0, amb.r)))
+    z, u = _pd_zero(amb), amb.u_pow(1)
+    return BreuilModule(amb, B0.Phi, RingMatrix([[z, u], [z, z]]), B0.C, B0.jumps)
+
+
+def square_only_module(p, seed):
+    """Nmat = u diag(1, 0) on a base-change image at r = p - 2: N lands in
+    u times the module (cris), E N(Fil^r) stays in Fil^r (Griffiths) and
+    Phi is untouched (strongly divisible), so only the phi/N square
+    fails."""
+    amb = AmbientParams(p, p - 2)
+    B0 = fl_to_breuil(_random_fl(amb, random.Random(seed), 2))
+    z = _pd_zero(amb)
+    return BreuilModule(amb, B0.Phi, RingMatrix([[amb.u_pow(1), z], [z, z]]), B0.C, B0.jumps)
+
+
 def test_griffiths_fails_when_N_leaves_fil_r_minus_1(amb3):
-    # N(e_1) = u e_0 with jumps (0, 2): e_1 lies in Fil^2, but E N(e_1) =
-    # E u e_0 = (2 gamma_2 - p a gamma_1) e_0 lies in Fil^1 and not in
-    # Fil^2, so N(Fil^r) is not inside Fil^(r-1); a test that reads E N(g)
-    # at step r - 1 instead of r passes this module
-    B0 = fl_to_breuil(_random_fl(amb3, random.Random(1), 2, (0, 2)))
+    # E N(e_1) = E u e_0 = (2 gamma_2 - p a gamma_1) e_0 is not in Fil^2; a
+    # test that reads E N(g) at step r - 1 instead of r passes this module
+    B = griffiths_failing_module(amb3)
     z, u = _pd_zero(amb3), amb3.u_pow(1)
-    B = BreuilModule(amb3, B0.Phi, RingMatrix([[z, u], [z, z]]), B0.C, B0.jumps)
     assert tuple(breuil_validate(B)) == (True, False, False, True)
     assert fil_level(B, (u * _pd_gamma(amb3, 1), z)) == 1
 
@@ -364,12 +381,12 @@ def test_rebase_round_trip(amb3):
 @pytest.mark.parametrize("p, r, f", [(3, 1, 1), (5, 3, 1), (3, 2, 2)])
 def test_identity_adapted_basis_is_its_own_inverse(p, r, f, monkeypatch):
     # both functors seed C^(-1) = C = I without an elimination, and it is
-    # the inverse the elimination gives, in planes, precision and flag
+    # the inverse the elimination gives, in planes and precision
     amb = AmbientParams(p, r, f=f)
     rng = random.Random(f"cinv:{p}:{r}:{f}")
 
     def state(A):
-        return [[(x.planes, x.prec, x.tail_dirty) for x in row] for row in A.entries]
+        return [[(x.planes, x.prec) for x in row] for row in A.entries]
 
     def no_elimination(self):
         raise AssertionError("C_inv inverted the identity")
@@ -393,12 +410,6 @@ def test_lemfil1_compares_the_levels_at_the_sample_precision(p, r, seed):
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_validate_square_fails_alone(p, seed):
-    # Nmat = u diag(1, 0) on a base-change image: N lands in u times the
-    # module (cris), E N(Fil^r) stays in Fil^r (Griffiths) and Phi is
-    # untouched (strongly divisible), so only the phi/N square is left to
-    # fail; a validator that skips the square passes this module
-    amb = AmbientParams(p, p - 2)
-    B0 = fl_to_breuil(_random_fl(amb, random.Random(seed), 2))
-    z = _pd_zero(amb)
-    B = BreuilModule(amb, B0.Phi, RingMatrix([[amb.u_pow(1), z], [z, z]]), B0.C, B0.jumps)
+    # a validator that skips the square passes this module
+    B = square_only_module(p, seed)
     assert tuple(breuil_validate(B)) == (True, True, False, True)

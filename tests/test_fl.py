@@ -154,10 +154,12 @@ def test_fl_from_frobenius_inverts_the_scaling(name, request):
         assert M2.Ftil.eq_at(M.Ftil, amb.N_p)
 
 
-def test_fl_from_frobenius_refuses_a_mis_sized_matrix(amb3):
-    F = RingMatrix.identity(3, amb3.ring.zero(), amb3.ring.one())
-    with pytest.raises(MalformedJumps, match="^Frobenius dimension does not match the jumps$"):
-        _fl_from_frobenius(amb3, F, (0, 1))
+def test_fl_transport_refuses_a_mis_sized_basis(amb3):
+    # a 3 x 3 basis change of a rank-2 module fails in the product g^(-1) F
+    M = _random_fl(amb3, random.Random(7), 2)
+    g = RingMatrix.identity(3, amb3.ring.zero(), amb3.ring.one())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fl_transport(M, g)
 
 
 def test_fl_from_frobenius_rejects_a_column_short_of_its_power(amb3):

@@ -5,6 +5,7 @@ import pytest
 from flbreuil import fl as FL
 from flbreuil import functors
 from flbreuil import serialize as SER
+from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import BreuilModule, _rebase, breuil_unipotent, breuil_validate, fil_lower
 from flbreuil.campaign import _roundtrip_breuil, _roundtrip_fl, run_suite_seed
 from flbreuil.errors import (
@@ -38,7 +39,7 @@ from flbreuil.pd import (
 )
 from sampler_reference import drawn
 from flag_reference import flag_adapt as ref_flag_adapt
-from test_breuil import fil_lower_per_coordinate
+from test_breuil import fil_lower_per_coordinate, griffiths_failing_module, square_only_module
 
 
 def wmat(amb, rows):
@@ -160,6 +161,18 @@ def test_section_step_budget(amb3, monkeypatch):
         section_compute(Bt, prec=amb3.N_p)
 
 
+def test_section_refuses_a_limit_that_is_not_integral():
+    # A = gamma_1 at p = 3, r = 1: A_0 = p a, so p A_0^(-1) is integral,
+    # but the iterates settle on a limit outside the lattice, and the
+    # numerator they carry over p^t is not divisible by it
+    amb = AmbientParams(3, 1)
+    B = BreuilModule(amb, RingMatrix([[_pd_gamma(amb, 1)]]), None,
+                     RingMatrix([[_pd_one(amb)]]), (1,))
+    for prec in (None, amb.N_p):
+        with pytest.raises(NonConvergent, match="failed to normalise"):
+            section_compute(B, prec=prec)
+
+
 def _section_fields(sec, at):
     return (sec.iterations, sec.rate_bound, sec.residual_valuation, sec.exact,
             sec.B0_claim_ok, sec.f0_identity, SER._matrix_to_json(sec.Bmat.truncate(at)))
@@ -169,7 +182,7 @@ def _section_fields(sec, at):
 @pytest.mark.parametrize("f", [1, 2])
 def test_section_at_the_read_precision_is_the_full_section(p, f):
     # Kisin normal forms, FL images and rebased FL images: the verdicts and
-    # Bmat mod p^N_p, tail_dirty flags included, do not depend on prec.
+    # Bmat mod p^N_p do not depend on prec.
     # At p = 3, r = 1 the rebased modules need 2 steps against a rate
     # bound of 1, so the cut run is retried with the full step budget
     from flbreuil.ambient import shared_params
@@ -193,17 +206,35 @@ def test_section_at_the_read_precision_is_the_full_section(p, f):
 
 
 @pytest.mark.parametrize("k", [2, 5])
-def test_section_of_an_unflagged_non_constant_module_is_not_cut(amb3, k):
-    # A = p (1 + p^k gamma_1): the section has support 14 (k = 2) or 5 and
-    # no tail_dirty flag, which a cut run cannot vouch for, so the run
-    # with prec ends without a cut and keeps the full precision
+def test_section_cut_of_a_non_constant_module_is_the_full_section(amb3, k):
+    # A = p (1 + p^k gamma_1): the section has support 14 (k = 2) or 5,
+    # below the top gamma index.  The run with prec stops in a cut run, at
+    # fewer digits, with the fields of the full run at N_p
     a = (_pd_one(amb3) + _pd_gamma(amb3, 1, amb3.w(3 ** k))).mul_p_pow(1)
     B = BreuilModule(amb3, RingMatrix([[a]]), None, RingMatrix([[_pd_one(amb3)]]), (1,))
     full = section_compute(B)
     cut = section_compute(B, prec=amb3.N_p)
-    assert not full.Bmat.entries[0][0].tail_dirty
     assert _section_fields(cut, amb3.N_p) == _section_fields(full, amb3.N_p)
-    assert cut.Bmat.entries[0][0].prec == full.Bmat.entries[0][0].prec
+    assert amb3.N_p <= cut.Bmat.entries[0][0].prec < full.Bmat.entries[0][0].prec
+
+
+def outside_the_category(kind, p, seed):
+    """A module that fails Griffiths transversality (r = 2) or only the
+    phi/N square, and passes the other three checks of
+    ``breuil_validate``."""
+    if kind == "Griffiths":
+        return griffiths_failing_module(AmbientParams(p, 2))
+    return square_only_module(p, seed)
+
+
+OUTSIDE = [("Griffiths", 3, None), ("Griffiths", 5, None),
+           ("square", 3, 1), ("square", 3, 2), ("square", 5, 1), ("square", 5, 2)]
+
+
+@pytest.mark.parametrize("kind, p, seed", OUTSIDE)
+def test_breuil_to_fl_refuses_a_module_outside_the_category(kind, p, seed):
+    with pytest.raises(NotStrong, match=kind):
+        breuil_to_fl(outside_the_category(kind, p, seed))
 
 
 def test_section_precision_outside_its_range_is_refused(amb3):
@@ -359,8 +390,6 @@ def test_roundtrip_fl_swap_module(amb3):
 
 
 def test_roundtrip_fl_random(amb5):
-    from flbreuil.ambient import AmbientParams
-
     amb = AmbientParams(5, 3)
     rng = random.Random(6)
     for _ in range(5):

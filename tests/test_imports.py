@@ -175,6 +175,7 @@ NO_KERNEL_CALLER = {
                     "(ROADMAP items 8 and 18)",
     "to_u_divided": "the benchmark harness names it as a span",
     "SigmaSeries.degree": "the tests read the degree of a series product",
+    "PDElement.support": "perfbench/tracer.py reads it",
     "dumps": "the inverse of loads, and the round-trip tests go through it",
     "SigmaSeries.phi": "the benchmark harness names it as a span, and a Kisin-side Hom "
                        "count needs it (ROADMAP item 8)",

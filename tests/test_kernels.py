@@ -7,7 +7,7 @@ derivation n_S, the Frobenius phi_S (with its own powers of c), the
 u-divided coordinates and the embedding of the series ring.  Inputs
 are drawn by hypothesis at f = 1 (p = 3 and p = 5), f = 2 and f = 3, with
 independent precisions and supports, so that products cross the gamma
-truncation (and mark the result tail_dirty) and mix precisions.
+truncation and mix precisions.
 
 The fused dot products (one accumulator and one unfold, its fold through
 m(T) and reduction, for a whole row; ``unfold`` is checked against the
@@ -21,8 +21,8 @@ coordinates on the same elements against the one width of the context's
 packed tables.
 
 A product of two matrices over S or the series ring runs the packed
-matrix kernel; it must equal the fused dot entry by entry (planes,
-precision and tail_dirty flag) on dense, sparse, square and rectangular
+matrix kernel; it must equal the fused dot entry by entry (planes and
+precision) on dense, sparse, square and rectangular
 matrices with odd and even inner dimension, also at its own slot-width
 bound, and over S its scaling must give the binomial sum itself, at p up
 to 13 with N_gamma past p^2.  A product over S with an all-constant
@@ -72,7 +72,7 @@ def draw_pd(draw, amb):
     prec = draw(st.integers(1, amb.cap))
     n = draw(st.integers(0, amb.N_gamma))
     coeffs = draw_scalars(draw, amb, n, prec)
-    return PDElement(amb, coeffs, draw(st.booleans()))
+    return PDElement(amb, coeffs)
 
 
 def draw_series(draw, amb):
@@ -81,13 +81,13 @@ def draw_series(draw, amb):
     return SigmaSeries(amb, draw_scalars(draw, amb, n, prec))
 
 
-def assert_pd(got, coeffs, prec, dirty):
+def assert_pd(got, coeffs, prec):
     amb = got.amb
     zero = amb.ring.zero(prec)
     full = list(coeffs) + [zero] * (amb.N_gamma - len(coeffs))
     support = max((i + 1 for i, c in enumerate(full) if any(c.coeffs)), default=0)
     assert got.coeffs == tuple(full)
-    assert (got.prec, got.tail_dirty, got.support()) == (prec, dirty, support)
+    assert (got.prec, got.support()) == (prec, support)
 
 
 # --- the schoolbook references ---
@@ -102,7 +102,6 @@ def ref_gamma_multiply(x, y):
     ring = amb.ring
     N = amb.N_gamma
     k = min(x.prec, y.prec)
-    dirty = x.tail_dirty or y.tail_dirty
     xs, ys = x.coeffs, y.coeffs
     xsup, ysup = x.support(), y.support()
     out = [ring.zero(k)] * N
@@ -117,9 +116,7 @@ def ref_gamma_multiply(x, y):
                 w, mod = amb.comb[i][j], ring.pk[k]
                 term = WittScalar(ring, tuple(c * w % mod for c in term.coeffs), k)
                 out[i + j] = out[i + j] + term
-        if ysup > N - i:
-            dirty = True
-    return out, k, dirty
+    return out, k
 
 
 def ref_series_mul(x, y):
@@ -152,22 +149,21 @@ def ref_n_S(x):
         if m + 1 < amb.N_gamma:
             t = t + amb.pa * xs[m + 1]
         out.append(t)
-    return out, k, x.tail_dirty
+    return out, k
 
 
 @functools.cache
 def ref_c_pow(amb, i):
     if i == 0:
         return PDElement(amb, [amb.ring.one()])
-    out, k, dirty = ref_gamma_multiply(ref_c_pow(amb, i - 1), amb.c)
-    return PDElement(amb, out, dirty, k)
+    out, k = ref_gamma_multiply(ref_c_pow(amb, i - 1), amb.c)
+    return PDElement(amb, out, k)
 
 
 def ref_phi_S(x):
     amb = x.amb
     k = x.prec
     out = [amb.ring.zero(k)] * amb.N_gamma
-    dirty = x.tail_dirty
     xs = x.coeffs
     for i in range(x.support()):
         b = xs[i]
@@ -179,8 +175,7 @@ def ref_phi_S(x):
         cp = ref_c_pow(amb, i)
         scal = (b.frobenius() * amb.fact_unit_inv(i)).mul_p_pow(e)
         out = [acc + c * scal for acc, c in zip(out, cp.coeffs)]
-        dirty = dirty or cp.tail_dirty
-    return out, k, dirty
+    return out, k
 
 
 def ref_to_u_divided(x):
@@ -209,21 +204,21 @@ def ref_embed_sigma(s):
 @given(data=st.data())
 def test_gamma_multiply_matches_schoolbook(amb, data):
     x, y = draw_pd(data.draw, amb), draw_pd(data.draw, amb)
-    out, k, dirty = ref_gamma_multiply(x, y)
-    assert_pd(x * y, out, k, dirty)
-    assert_pd(y * x, out, k, dirty)
+    out, k = ref_gamma_multiply(x, y)
+    assert_pd(x * y, out, k)
+    assert_pd(y * x, out, k)
 
 
 def test_gamma_multiply_crossing_the_truncation(amb):
     N = amb.N_gamma
     top = PDElement(amb, [amb.ring.zero()] * (N - 2) + [amb.ring.one(), amb.ring.one()])
     lin = PDElement(amb, [amb.ring.one().truncate(7), amb.ring.one().truncate(7)])
-    out, k, dirty = ref_gamma_multiply(top, lin)
-    assert dirty and k == 7
-    assert_pd(top * lin, out, k, dirty)
-    # a crossing product whose surviving terms vanish is still dirty
+    out, k = ref_gamma_multiply(top, lin)
+    assert k == 7
+    assert_pd(top * lin, out, k)
+    # a crossing product whose terms all lie past the cut is zero
     g = PDElement(amb, [amb.ring.zero()] * (N - 1) + [amb.ring.one()])
-    assert_pd(g * g, [], amb.cap, True)
+    assert_pd(g * g, [], amb.cap)
 
 
 @SETTINGS
@@ -248,7 +243,7 @@ def test_n_S_matches_schoolbook(amb, data):
     assert_pd(n_S(x), *ref_n_S(x))
     w = draw_scalars(data.draw, amb, 1, data.draw(st.integers(1, amb.cap)))[0]
     k = min(x.prec, w.prec)
-    assert_pd(scalar_mul(x, w), [c * w for c in x.coeffs], k, x.tail_dirty)
+    assert_pd(scalar_mul(x, w), [c * w for c in x.coeffs], k)
 
 
 @SETTINGS
@@ -267,15 +262,15 @@ def test_u_divided_and_embedding_match_schoolbook(amb, data):
     assert _eval_f0(x) == coords[0]
     prec = data.draw(st.integers(1, amb.cap))
     s = SigmaSeries(amb, draw_scalars(data.draw, amb, data.draw(st.integers(0, amb.N_gamma)), prec))
-    assert_pd(_embed_sigma(s), ref_embed_sigma(s), s.prec, False)
+    assert_pd(_embed_sigma(s), ref_embed_sigma(s), s.prec)
 
 
 # --- fused dot products against the left fold of products and sums ---
 
 def draw_row(draw, amb, n, elem, zero):
-    """n entries, about a quarter of them zero(prec, dirty) at a drawn
+    """n entries, about a quarter of them zero(prec) at a drawn
     precision."""
-    return [zero(draw(st.integers(1, amb.cap)), draw(st.booleans()))
+    return [zero(draw(st.integers(1, amb.cap)))
             if draw(st.integers(0, 3)) == 0 else elem(draw, amb)
             for _ in range(n)]
 
@@ -283,8 +278,8 @@ def draw_row(draw, amb, n, elem, zero):
 def ref_pd_dot(xs, ys):
     acc = None
     for x, y in zip(xs, ys):
-        out, k, dirty = ref_gamma_multiply(x, y)
-        term = PDElement(x.amb, out, dirty, k)
+        out, k = ref_gamma_multiply(x, y)
+        term = PDElement(x.amb, out, k)
         acc = term if acc is None else acc + term
     return acc
 
@@ -299,14 +294,14 @@ def ref_series_dot(xs, ys):
 
 
 def pd_state(x):
-    return x.planes, x.prec, x.tail_dirty
+    return x.planes, x.prec
 
 
 @SETTINGS
 @given(data=st.data())
 def test_pd_dot_matches_fold_of_products(amb, data):
-    def zero(prec, dirty):
-        return PDElement(amb, [], dirty, prec)
+    def zero(prec):
+        return PDElement(amb, [], prec)
 
     n = data.draw(st.integers(1, 4))
     xs, ys = (draw_row(data.draw, amb, n, draw_pd, zero) for _ in range(2))
@@ -318,7 +313,7 @@ def test_pd_dot_matches_fold_of_products(amb, data):
 @SETTINGS
 @given(data=st.data())
 def test_series_dot_matches_fold_of_products(amb, data):
-    def zero(prec, _dirty):
+    def zero(prec):
         return SigmaSeries(amb, [], prec)
 
     n = data.draw(st.integers(1, 4))
@@ -344,19 +339,16 @@ def test_scalar_dot_matches_fold_of_products(amb, data):
 
 def pd_head_state(x, bound):
     """The state of x with its coefficients at index bound and beyond
-    dropped, and its precision and flag kept."""
-    return pd_state(PDElement(x.amb, (), x.tail_dirty, x.prec,
-                              tuple(pl[:bound] for pl in x.planes)))
+    dropped, and its precision kept."""
+    return pd_state(PDElement(x.amb, (), x.prec, tuple(pl[:bound] for pl in x.planes)))
 
 
 def pd_cut_state(xs, ys, bound):
     """The state of the fused kernel's sum over S cut below ``bound``: its
-    planes and precision, flagged as the full sum is."""
+    planes and precision."""
     amb = xs[0].amb
-    N = amb.N_gamma
-    planes, k, reach = _FlatVector._dot_planes(xs, ys, min(bound, N), amb.comb, amb.comb_max)
-    dirty = reach > N or any(e.tail_dirty for e in (*xs, *ys))
-    return pd_state(PDElement(amb, (), dirty, k, planes))
+    planes, k = _FlatVector._dot_planes(xs, ys, min(bound, amb.N_gamma), amb.comb, amb.comb_max)
+    return pd_state(PDElement(amb, (), k, planes))
 
 
 @SETTINGS
@@ -364,8 +356,8 @@ def pd_cut_state(xs, ys, bound):
 def test_bounded_dot_and_matvec_are_the_full_ones_cut(amb, data):
     # coefficient m of a product reads only the coefficients <= m of its
     # factors, so the kernel cut below a bound is the full sum cut there
-    def zero(prec, dirty):
-        return PDElement(amb, [], dirty, prec)
+    def zero(prec):
+        return PDElement(amb, [], prec)
 
     N = amb.N_gamma
     n = data.draw(st.integers(1, 3))
@@ -383,10 +375,11 @@ def test_bounded_dot_keeps_the_flag_of_a_crossing(amb):
     one = ring.one()
     top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
     lin = PDElement(amb, [one, one], prec=4)
-    # top * lin crosses N_gamma; below index 3 it is zero
+    # top * lin crosses N_gamma; below index 3 it is zero, at the lower
+    # precision
     for bound in (0, 3):
-        planes, k, dirty = pd_cut_state((top,), (lin,), bound)
-        assert (planes[0], k, dirty) == ([], 4, True)
+        planes, k = pd_cut_state((top,), (lin,), bound)
+        assert (planes[0], k) == ([], 4)
     assert pd_cut_state((top,), (lin,), N) == pd_state(top * lin)
 
 
@@ -396,15 +389,15 @@ def test_dot_flags_and_precision_of_edge_rows(amb):
     top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
     lin = PDElement(amb, [one, one])
     low = PDElement(amb, [ring.one().truncate(3)])
-    # only the second pair crosses N_gamma: the sum is dirty
+    # only the second pair crosses N_gamma, and its top term is dropped
     row = PDElement.dot((low, top), (low, lin))
     assert pd_state(row) == pd_state(ref_pd_dot((low, top), (low, lin)))
-    assert row.tail_dirty and row.prec == 3
-    # a row of zeros keeps the lowest precision and any dirty flag
-    zeros = [PDElement(amb, [], False, 5), PDElement(amb, [], True, 2)]
+    assert row.prec == 3 and row.support() == N
+    # a row of zeros keeps the lowest precision
+    zeros = [PDElement(amb, [], 5), PDElement(amb, [], 2)]
     got = PDElement.dot(zeros, [lin, top])
-    assert (got.planes[0], got.prec, got.tail_dirty) == ([], 2, True)
-    # series whose products pass N_u are cut there, without a flag
+    assert (got.planes[0], got.prec) == ([], 2)
+    # series whose products pass N_u are cut there
     big = SigmaSeries(amb, [one] * (amb.N_u // 2 + 3))
     got = SigmaSeries.dot((big, big), (big, SigmaSeries(amb, [], 4)))
     ref = ref_series_dot((big, big), (big, SigmaSeries(amb, [], 4)))
@@ -485,15 +478,15 @@ def test_phi_S_at_the_slot_width_bound(f):
         assert table.width == slot_width(amb, 1, amb.N_gamma, 1)
     top = ring.make([ring.pk[amb.cap] - 1] * f)
     x = PDElement(amb, [top] * amb.N_gamma)
-    out, k, dirty = ref_phi_S(x)
-    assert pd_state(phi_S(x)) == pd_state(PDElement(amb, out, dirty, k))
+    out, k = ref_phi_S(x)
+    assert pd_state(phi_S(x)) == pd_state(PDElement(amb, out, k))
 
 
 @pytest.mark.parametrize("f", [2, 3])
 def test_embed_sigma_at_the_slot_width_bound(f):
     amb = tight_ambient(f)
     s = full_row(amb, SigmaSeries, amb.N_gamma, 1)[0]
-    assert pd_state(_embed_sigma(s)) == pd_state(PDElement(amb, ref_embed_sigma(s), False, s.prec))
+    assert pd_state(_embed_sigma(s)) == pd_state(PDElement(amb, ref_embed_sigma(s), s.prec))
 
 
 @pytest.mark.parametrize("f", [2, 3])
@@ -508,7 +501,7 @@ def test_u_divided_at_the_slot_width_bound(f):
 # --- matrix products: the packed kernel against the fused dot ---
 
 def entry_state(x):
-    return x.planes, x.prec, getattr(x, "tail_dirty", None)
+    return x.planes, x.prec
 
 
 def assert_matmul_is_entrywise_dot(A, B):
@@ -522,14 +515,13 @@ def assert_matmul_is_entrywise_dot(A, B):
 def random_entry(rng, amb, cls):
     """An entry as draw_row makes them, from a seeded generator: a quarter
     are zero, the others have a random support, up to N_gamma over S and
-    past N_u / 2 for series; each has a random precision and, over S, a
-    random tail_dirty flag."""
+    past N_u / 2 for series; each has a random precision."""
     prec = rng.randrange(1, amb.cap + 1)
     n = rng.randrange(amb.N_gamma + 1 if cls is PDElement else amb.N_u // 2 + 9)
     coeffs = [drawn(amb.ring, rng, prec) if rng.randrange(3) else amb.ring.zero(prec)
               for _ in range(n if rng.randrange(4) else 0)]
     if cls is PDElement:
-        return PDElement(amb, coeffs, rng.random() < 0.5, prec)
+        return PDElement(amb, coeffs, prec)
     return SigmaSeries(amb, coeffs, prec)
 
 
@@ -544,17 +536,17 @@ def test_matmul_matches_entrywise_dot(amb, cls, d, e, g, seed):
 
 
 def test_matmul_crossing_the_truncations(amb):
-    # full-length S entries reach past N_gamma (dirty), long series past N_u
-    # (cut); zero rows keep their precision and flags
+    # full-length S entries reach past N_gamma, long series past N_u, and
+    # both are cut there; zero rows keep their precision
     ring, N = amb.ring, amb.N_gamma
     rng = random.Random(5)
     full = [PDElement(amb, [drawn(ring, rng, rng.randrange(1, amb.cap + 1)) for _ in range(N)])
             for _ in range(6)]
-    zero = PDElement(amb, [], True, 3)
+    zero = PDElement(amb, [], 3)
     A = RingMatrix([full[:3], [zero, full[3], zero]])
     B = RingMatrix([[full[4], zero], [full[5], zero], [zero, zero]])
     assert_matmul_is_entrywise_dot(A, B)
-    assert (A @ B)[0, 0].tail_dirty and (A @ B)[1, 1].planes[0] == []
+    assert (A @ B)[0, 0].support() == N and (A @ B)[1, 1].planes[0] == []
     long = [SigmaSeries(amb, [ring.random(rng) for _ in range(amb.N_u // 2 + 3)])
             for _ in range(4)]
     S = RingMatrix([long[:2], [long[2], SigmaSeries(amb, [], 4)]])
@@ -626,25 +618,25 @@ def test_matmul_scaling_is_the_binomial_product(p):
                    for i in range(m + 1)) % ring.pk[k] for m in range(N)]
         while out and not out[-1]:
             out.pop()
-        return (out,), k, True
+        return (out,), k
 
     row = [entry(cap, "top"), entry(cap, "random"), entry(cap - 3, "deep")]
     col = [entry(cap, "top"), entry(cap - 1, "deep"), entry(cap, "random")]
     for r, c in ((row[:2], col[::2]), (row, col)):
         got = (RingMatrix([r]) @ RingMatrix([[y] for y in c]))[0, 0]
-        assert (got.planes, got.prec, got.tail_dirty) == binomial_sum(r, c)
+        assert (got.planes, got.prec) == binomial_sum(r, c)
 
 
 # --- the product by the constant one: a copy of the other factor ---
 
 def convolved(xs, ys, bound, weights=None, w_max=1):
-    """The triple of ``_FlatVector._dot_planes`` from the convolution path
+    """The pair of ``_FlatVector._dot_planes`` from the convolution path
     alone: ``dot_acc`` and ``unfold``, called directly."""
     ring = xs[0].ring
     k = min(min(x.prec for x in xs), min(y.prec for y in ys))
     pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
     reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
-    return ring.unfold(*ring.dot_acc(pairs, min(reach, bound), weights, w_max), k), k, reach
+    return ring.unfold(*ring.dot_acc(pairs, min(reach, bound), weights, w_max), k), k
 
 
 def route_rows(amb, cls):
@@ -653,14 +645,11 @@ def route_rows(amb, cls):
     ring = amb.ring
     rng = random.Random(f"route:{amb.p}:{amb.f}:{cls.__name__}")
 
-    def elem(coeffs, prec=None, dirty=False):
-        if cls is PDElement:
-            return PDElement(amb, coeffs, dirty, prec)
-        return SigmaSeries(amb, coeffs, prec)
+    def elem(coeffs, prec=None):
+        return cls(amb, coeffs, prec)
 
     body = [ring.random(rng) for _ in range(5)] + [ring.random_unit(rng)]
     x, y = elem(body), elem([ring.random(rng) for _ in range(3)])
-    dirty_x = elem(body, dirty=True)
     one, one3, two = elem([ring.one()]), elem([ring.one().truncate(3)]), elem([ring.from_int(2)])
     zero2 = elem([], prec=2)
     rows = [
@@ -669,7 +658,6 @@ def route_rows(amb, cls):
         ((one, zero2), (x, y), True),   # k = 2 < prec of x
         ((zero2, x), (y, one), True),
         ((one3,), (x,), True),          # the one sets k = 3
-        ((one,), (dirty_x,), True),
         ((one,), (one,), True),
         ((one, x), (x, y), False),      # two nonzero pairs
         ((two,), (x,), False),
@@ -701,10 +689,9 @@ def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
             del convolutions[:]
             assert _FlatVector._dot_planes(xs, ys, n, amb.comb, amb.comb_max) == want
             assert bool(convolutions) is not copies
-        planes, k, reach = convolved(xs, ys, N, amb.comb, amb.comb_max)
-        dirty = reach > N or any(e.tail_dirty for e in xs + ys)
+        planes, k = convolved(xs, ys, N, amb.comb, amb.comb_max)
         del convolutions[:]
-        assert pd_state(PDElement.dot(xs, ys)) == pd_state(PDElement(amb, (), dirty, k, planes))
+        assert pd_state(PDElement.dot(xs, ys)) == pd_state(PDElement(amb, (), k, planes))
         assert bool(convolutions) is not copies
 
 
@@ -712,14 +699,13 @@ def test_product_by_one_is_the_convolution(amb, cls, monkeypatch):
 
 def dense_entry(rng, amb, cls, zero_chance=0.0):
     """A full-support entry (N_gamma over S, N_u / 2 for series) at a random
-    precision, over S with a random tail_dirty flag; zero with the chance
-    given, at its own precision."""
+    precision; zero with the chance given, at its own precision."""
     prec = rng.randrange(1, amb.cap + 1)
     n = amb.N_gamma if cls is PDElement else amb.N_u // 2
     coeffs = [] if rng.random() < zero_chance else \
         [drawn(amb.ring, rng, prec) for _ in range(n - 1)] + [drawn(amb.ring, rng, prec, True)]
     if cls is PDElement:
-        return PDElement(amb, coeffs, rng.random() < 0.3, prec)
+        return PDElement(amb, coeffs, prec)
     return SigmaSeries(amb, coeffs, prec)
 
 
@@ -745,10 +731,10 @@ def test_rectangular_sparse_matmul_matches_dot(amb, cls, d, e, g):
 
 def constant_entry(rng, amb):
     """An element of S of support at most one: zero, or a constant at a
-    random precision, some of them tail_dirty."""
+    random precision."""
     prec = rng.randrange(1, amb.cap + 1)
     coeffs = [] if rng.randrange(4) == 0 else [drawn(amb.ring, rng, prec)]
-    return PDElement(amb, coeffs, rng.random() < 0.2, prec)
+    return PDElement(amb, coeffs, prec)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -187,8 +187,8 @@ def test_scaled_inverse_contract_edges():
 
 
 def _outcome(fn, A, s):
-    """The exception class fn raises, or the stored ints, precision and
-    tail_dirty flag of every entry of its result."""
+    """The exception class fn raises, or the stored ints and precision of
+    every entry of its result."""
     try:
         out = fn(A, s)
     except (SingularMatrix, PrecisionExhausted, NotDivisible) as exc:
@@ -352,14 +352,13 @@ def test_invert_series_rank_4_to_6(amb3):
 
 
 def _key(x):
-    """The stored ints, the precision and, over S, the tail_dirty flag."""
+    """The stored ints and the precision."""
     ints = x.coeffs if isinstance(x, WittScalar) else x.planes
-    return ints, x.prec, getattr(x, "tail_dirty", None)
+    return ints, x.prec
 
 
 def _same_entries(X: RingMatrix, Y: RingMatrix) -> bool:
-    """Entrywise equality of the stored ints, the precision and, over S,
-    the tail_dirty flag."""
+    """Entrywise equality of the stored ints and the precision."""
     return [[_key(x) for x in row] for row in X.entries] == \
         [[_key(y) for y in row] for row in Y.entries]
 
@@ -372,8 +371,8 @@ def _berkowitz_inverse(A: RingMatrix) -> RingMatrix:
 
 @pytest.mark.parametrize("kind", ["w", "w-f2", "series", "pd-near-identity", "pd-full"])
 def test_invert_matches_berkowitz(kind, amb3, amb9):
-    # the elimination against adj(A) * det(A)^(-1): the same planes,
-    # precision and tail_dirty flag, d = 1 .. 6
+    # the elimination against adj(A) * det(A)^(-1): the same planes and
+    # precision, d = 1 .. 6
     amb = amb9 if kind == "w-f2" else amb3
     ring = amb.ring
     rng = random.Random(f"gj:{kind}")

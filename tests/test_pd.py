@@ -51,12 +51,13 @@ def test_gamma_product_binomials(amb3):
 
 
 def test_gamma_truncation_flags_dirty(amb3):
+    # gamma_(N_gamma - 1) gamma_2 lies in Fil^(N_gamma + 1): nothing is left
     top = _pd_gamma(amb3, amb3.N_gamma - 1)
     prod = top * _pd_gamma(amb3, 2)
-    assert prod.tail_dirty
-    assert prod.is_zero_at(prod.prec)
-    clean = _pd_gamma(amb3, 1) * _pd_gamma(amb3, 2)
-    assert not clean.tail_dirty
+    assert (prod.planes, prod.prec) == (([],), amb3.cap)
+    # below the cut the product is C(3, 1) gamma_3
+    low = _pd_gamma(amb3, 1) * _pd_gamma(amb3, 2)
+    assert low.planes == PDElement(amb3, [amb3.w(0)] * 3 + [amb3.w(3)]).planes
 
 
 def test_series_and_s_do_not_combine(amb3):
@@ -81,7 +82,7 @@ def test_embed_examples(amb3):
 
 def test_embed_is_ring_map(amb3):
     # the last degree makes the product reach past N_gamma, where both
-    # sides drop the tail and flag it
+    # sides drop the tail
     rng = random.Random(3)
     for n in [5] * 20 + [amb3.N_gamma // 2 + 3] * 5:
         f = amb3.useries([rng.randrange(81) for _ in range(n)])
@@ -89,7 +90,6 @@ def test_embed_is_ring_map(amb3):
         lhs = _embed_sigma(f * g)
         rhs = _embed_sigma(f) * _embed_sigma(g)
         assert lhs.eq_at(rhs, lhs.prec)
-        assert lhs.tail_dirty == rhs.tail_dirty == ((f * g).degree >= amb3.N_gamma)
 
 
 def test_embed_past_the_truncation_drops_and_flags(amb3):
@@ -101,7 +101,7 @@ def test_embed_past_the_truncation_drops_and_flags(amb3):
     for n in (N, N + 1, 2 * N + 3, amb3.N_u - 1):
         coeffs = [rng.randrange(3**8) for _ in range(n)] + [1]
         x, y = _embed_sigma(amb3.useries(coeffs)), _embed_sigma(big.useries(coeffs))
-        assert x.tail_dirty and not y.tail_dirty and x.prec == y.prec
+        assert x.prec == y.prec
         assert x.planes == y._head(N).planes
     with pytest.raises(DegreeOverflow):
         PDElement(amb3, [amb3.ring.one()] * (N + 1))
@@ -117,13 +117,13 @@ def test_u_powers_are_the_binomial_expansion(name, request):
         expect = [amb.ring.from_int(math.comb(n, k) * math.factorial(k)) * amb.neg_pa ** (n - k)
                   for k in range(n + 1)]
         got = amb.u_pow(n)
-        assert got.prec == amb.cap and not got.tail_dirty
+        assert got.prec == amb.cap
         assert all(got.coeff(k) == e for k, e in enumerate(expect))
     # past N_gamma, u^n is the power of a context with 3 N_gamma, cut
     big = AmbientParams(amb.p, amb.r, f=amb.f, N_gamma=3 * amb.N_gamma)
     for n in range(amb.N_gamma, amb.N_u):
         got = amb.u_pow(n)
-        assert got.prec == amb.cap and got.tail_dirty
+        assert got.prec == amb.cap
         assert got.planes == big.u_pow(n)._head(amb.N_gamma).planes
     for power in (amb.u_pow, amb.c_pow):
         with pytest.raises(DegreeOverflow):
@@ -199,24 +199,22 @@ def n_S_by_the_packed_product(x):
                                     len(x.planes[0])), k)
     planes = tuple([(c - m * b) % mod for m, (c, b) in enumerate(zip(cp, pl))]
                    for cp, pl in zip(pax, x.planes))
-    return PDElement(amb, (), x.tail_dirty, k, planes)
+    return PDElement(amb, (), k, planes)
 
 
 @pytest.mark.parametrize("kw", [dict(p=3, r=2), dict(p=5, r=4), dict(p=3, r=2, f=2, a=[2, 1]),
                                 dict(p=3, r=2, f=3, a=[1, 2, 1])])
 def test_n_through_the_pa_matrix_is_the_packed_product(kw):
     # the f x f matrix of p*a on T-planes (with a T-coefficient in a at
-    # f = 2 and 3) gives the planes, precision and flag of the packed product
+    # f = 2 and 3) gives the planes and precision of the packed product
     amb = AmbientParams(**kw)
     rng = random.Random(12)
     for i in range(250):
         x = _pd_random_calibrated(amb, rng, rng.randrange(amb.N_gamma + 1), 2)
         if i % 3 == 1:
             x = x.truncate(rng.randrange(1, amb.cap + 1))
-        if i % 4 == 2:
-            x = PDElement(amb, (), True, x.prec, x.planes)
         got, ref = n_S(x), n_S_by_the_packed_product(x)
-        assert (got.planes, got.prec, got.tail_dirty) == (ref.planes, ref.prec, ref.tail_dirty)
+        assert (got.planes, got.prec) == (ref.planes, ref.prec)
 
 
 def test_n_leibniz(amb3):
@@ -388,13 +386,10 @@ def test_valuation_and_shift_match_the_coefficients(amb3, amb9):
             ref = PDElement(amb, ([amb.ring.zero()] * t + list(x.coeffs))[:N])
             y = _pd_shift(x, t)
             assert y.prec == ref.prec and y.planes == ref.planes
-            # flagged exactly when a nonzero coefficient was dropped
-            dropped = x.coeffs[max(N - t, 0):]
-            assert y.tail_dirty == any(not c.is_zero_at(x.prec) for c in dropped)
-        # zero drops nothing at any shift, also past N_gamma
+        # zero stays zero at any shift, also past N_gamma
         for t in range(N + 3):
             y = _pd_shift(_pd_zero(amb), t)
-            assert y.planes == _pd_zero(amb).planes and not y.tail_dirty
+            assert y.planes == _pd_zero(amb).planes
         with pytest.raises(DegreeOverflow):
             _pd_shift(_pd_gamma(amb, 1), -1)
         low = PDElement(amb, [amb.ring.zero(5)])
@@ -412,8 +407,7 @@ def test_pd_random_calibrated_follows_the_reference_stream(p, r, f):
             for _ in range(3):
                 got = _pd_random_calibrated(amb, a, max_index, max_val)
                 want = ref_pd_random_calibrated(amb, b, max_index, max_val)
-                assert (got.planes, got.prec, got.tail_dirty) == \
-                    (want.planes, want.prec, want.tail_dirty)
+                assert (got.planes, got.prec) == (want.planes, want.prec)
                 assert a.getstate() == b.getstate()
     with pytest.raises(ValueError):
         _pd_random_calibrated(amb, a, 6, -1)

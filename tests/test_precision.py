@@ -3,8 +3,9 @@ on the three kinds of value that inherit it."""
 
 import pytest
 
+from flbreuil.ambient import _min_N_gamma, shared_params
 from flbreuil.errors import NotDivisible, PrecisionExhausted
-from flbreuil.pd import PDElement, _all_in_u_power_ideal, _fil_valuation, _pd_gamma, _pd_zero
+from flbreuil.pd import PDElement, _all_in_u_power_ideal, _fil_valuation, _pd_gamma, _pd_zero, n_S
 from flbreuil.series import SigmaSeries
 
 KINDS = {
@@ -72,13 +73,38 @@ def test_filtration_tests_at_a_negative_precision_raise(amb3):
             _all_in_u_power_ideal([x], 1, at=at)
 
 
-def test_pd_eq_at_skips_the_top_coefficient_only_on_a_dirty_difference(amb3):
+def test_pd_eq_at_skips_the_top_coefficient(amb3):
+    # the dropped tail can reach index N_gamma - 1, so no comparison in S
+    # reads it; every index below it is compared
     N, k = amb3.N_gamma, amb3.cap
     zero = _pd_zero(amb3)
     top = _pd_gamma(amb3, N - 1)
-    dirty_top = PDElement(amb3, top.coeffs, tail_dirty=True)
-    assert not top.eq_at(zero, k) and not zero.eq_at(top, k)
-    assert dirty_top.eq_at(zero, k) and zero.eq_at(dirty_top, k)
-    # below the top the dirty flag changes nothing
-    below = PDElement(amb3, _pd_gamma(amb3, N - 2).coeffs, tail_dirty=True)
-    assert not below.eq_at(zero, k)
+    assert top.eq_at(zero, k) and zero.eq_at(top, k) and not top.is_zero_at(k)
+    for i in range(N - 1):
+        assert not _pd_gamma(amb3, i).eq_at(zero, k)
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (5, 3)])
+def test_n_s_is_a_derivation_below_the_top_coefficient(p, r):
+    # x = gamma_1, y = gamma_(N_gamma - 1): x*y drops gamma_(N_gamma), whose
+    # image under N reaches index N_gamma - 1 of the left side only, so the
+    # two sides of the Leibniz rule differ there and nowhere below
+    amb = shared_params(p=p, r=r)
+    x, y = _pd_gamma(amb, 1), _pd_gamma(amb, amb.N_gamma - 1)
+    lhs, rhs = n_S(x * y), n_S(x) * y + x * n_S(y)
+    assert lhs.eq_at(rhs, amb.cap)
+    assert not (lhs - rhs).is_zero_at(amb.cap)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_the_minimum_N_gamma_bounds_phi_from_the_top_index_on(p):
+    # phi(gamma_i) carries p^(i - v_p(i!)): at the smallest N_gamma a
+    # context accepts, every index from N_gamma - 1 on, which comparisons
+    # do not read, lands in p^(N_p + r)
+    def v_fact(i):
+        return sum(i // p**j for j in range(1, i.bit_length() + 1))
+
+    for r in range(p):
+        for N_p in range(1, 60):
+            N = _min_N_gamma(p, r, N_p)
+            assert all(i - v_fact(i) >= N_p + r for i in range(N - 1, N + p * p))

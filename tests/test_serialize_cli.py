@@ -19,6 +19,7 @@ from flbreuil.errors import (
 from flbreuil.fl import FLModule, _random_fl
 from flbreuil.functors import fl_to_breuil, section_compute
 from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
+from test_functors import OUTSIDE, outside_the_category
 from flbreuil.matrix import RingMatrix
 
 
@@ -733,7 +734,9 @@ def test_cli_kisin_normal_form_off_gl_d_is_a_usage_error(tmp_path, capsys, verb,
     (_set("data", "Ftil", "entries", 1, 0, "prec", 0), "scalar precision must be positive"),
     (_set("data", "Ftil", "rows", 3), "declared matrix shape does not match entries"),
     (_set("kind", "Nope"), "unknown kind 'Nope'"),
-], ids=["prec-zero", "rows-mismatch", "kind-unknown"])
+    (_set("params", "N_gamma", 10**40), f"N_gamma = {10**40} exceeds the bound 1024"),
+    (_set("params", "f", 10**40), f"residue degree f = {10**40} exceeds the bound 64"),
+], ids=["prec-zero", "rows-mismatch", "kind-unknown", "Ngamma-huge", "f-huge"])
 def test_cli_loader_refusal_names_the_fault(tmp_path, capsys, edit, message):
     m = tmp_path / "m.json"
     out = tmp_path / "b.json"
@@ -753,12 +756,27 @@ def test_cli_loader_refusal_names_the_fault(tmp_path, capsys, edit, message):
     (["--headroom", "-1"], "headroom must be nonnegative"),
     (["--Ngamma", "5"], "N_gamma = 5 violates N_gamma*(p-2)/(p-1) >= N_p + r (minimum 14)"),
     (["--jumps", "0"], "expected 2 jumps, got 1"),
-], ids=["r-above", "r-below", "Np-zero", "headroom-negative", "Ngamma-below", "jumps-short"])
+    (["--Ngamma", str(10**41)], f"N_gamma = {10**41} exceeds the bound 1024"),
+    (["--f", str(10**40)], f"residue degree f = {10**40} exceeds the bound 64"),
+    (["--headroom", "9000"], "cap N_p + headroom = 9006 exceeds the bound 8192"),
+    (["--p", "1031"], "p = 1031 needs N_gamma > p, above the bound 1024"),
+], ids=["r-above", "r-below", "Np-zero", "headroom-negative", "Ngamma-below", "jumps-short",
+        "Ngamma-huge", "f-huge", "cap-huge", "p-huge"])
 def test_cli_gen_refuses_a_bad_context_or_jump_count(tmp_path, capsys, argv, message):
     out = tmp_path / "m.json"
     assert main(["gen", "fl", "--p", "3", "--d", "2", *argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("kind, p, seed", OUTSIDE)
+def test_cli_mfl_refuses_a_module_outside_the_category(tmp_path, capsys, kind, p, seed):
+    b, out = tmp_path / "b.json", tmp_path / "m.json"
+    b.write_text(SER.dumps(outside_the_category(kind, p, seed)))
+    assert main(["apply", "mfl", "--in", str(b), "--out", str(out)]) == 2
+    assert not out.exists()
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: input fails") and kind in err
 
 
 def test_cli_gen_writes_the_chosen_N_gamma(tmp_path):

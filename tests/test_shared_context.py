@@ -89,7 +89,7 @@ def test_records_do_not_depend_on_the_tables_filled_before(monkeypatch):
     amb = shared_params(**params)
     # the packed tables are built whole with the context, before any run
     for table in (amb.c_table, amb.u_table, amb.u_div_table, amb.f0_table):
-        assert len(table.cols) == len(table.dirty) == amb.N_gamma
+        assert len(table.cols) == amb.N_gamma
     cold = _report(params, runs)
     _report(params, [("section", 3, {}), ("lemfil1", 1, {"elements": 10})])
     warm = _report(params, runs)

@@ -3,19 +3,18 @@ of S over many vectors at once.
 
 The matrix kernel (``_FlatVector._matmul_planes``) packs every coefficient
 reduced mod p^(K+V), K = min(largest row precision, largest column
-precision), and reads each entry's reach from the supports; the
+precision), and reads each entry up to its reach from the supports; the
 triangular solve (``_FlatVector._solve_planes``) packs mod p^(k+V), k the
 lowest precision among A and R.  On operands of mixed precision, some
 with a top coefficient that vanishes mod p^K, the products must equal the
-fused dot (``_dot_planes``) entry by entry in planes, precision, reach and
-tail_dirty flag, and the solves the elimination (``_scaled_inverse``) in
-planes, precision and flag, with the reach of the product A X, at f in
-{1, 2, 3}, with rank-0 matrices too.
+fused dot (``_dot_planes``) entry by entry in planes and precision, and
+the solves the elimination (``_scaled_inverse``) in planes and
+precision, at f in {1, 2, 3}, with rank-0 matrices too.
 
 ``_PackedTable.apply`` maps a list of vectors; the matrix
 maps built on it (``functors._phi_matrix``, ``pd._phi_S_all``,
 ``pd._embed_sigma_all``, ``pd._all_in_u_power_ideal``) must equal the
-entrywise maps on 0 x 0, 1 x 1, constant, zero and dirty entries, and
+entrywise maps on 0 x 0, 1 x 1, constant and zero entries, and
 series past N_gamma.  The blocks of the packed layout (``witt._join``,
 ``witt._split``) must round-trip, with one block as its own int, a block
 at 2^(8B) - 1 and reads past the blocks present.  The loader of series
@@ -53,7 +52,7 @@ def _amb(p, f, n_gamma):
     return AmbientParams(p, 1, f=f, N_p=2, N_gamma=n_gamma)
 
 
-def _entry(amb, cls, rng, prec, support, deep_top=None, unit=None, dirty=False):
+def _entry(amb, cls, rng, prec, support, deep_top=None, unit=None):
     """An entry of support ``support`` at ``prec``, whose constant term is a
     unit (``unit`` true), a multiple of p (false) or random (None); with
     ``deep_top`` its top coefficient, when that is not a unit constant
@@ -64,9 +63,7 @@ def _entry(amb, cls, rng, prec, support, deep_top=None, unit=None, dirty=False):
         coeffs[0] = drawn(ring, rng, prec, True) if unit else coeffs[0].mul_p_pow(1).truncate(prec)
     if support and deep_top is not None and not (unit and support == 1):
         coeffs[-1] = drawn(ring, rng, prec, True).mul_p_pow(deep_top).truncate(prec)
-    if cls is PDElement:
-        return PDElement(amb, coeffs, dirty, prec)
-    return SigmaSeries(amb, coeffs, prec)
+    return cls(amb, coeffs, prec)
 
 
 def _mixed(amb, cls, rng, e, cut, lows, deep):
@@ -80,8 +77,7 @@ def _mixed(amb, cls, rng, e, cut, lows, deep):
             prec = low if c == 0 else rng.choice([low, amb.cap])
             deep_top = deep if prec > deep else None
             support = rng.choice([1, 2, cut // 2, cut] + [0] * (deep_top is None))
-            line.append(_entry(amb, cls, rng, prec, support, deep_top,
-                               dirty=rng.random() < 0.2))
+            line.append(_entry(amb, cls, rng, prec, support, deep_top))
         rng.shuffle(line)
         lines.append(line)
     return lines
@@ -117,13 +113,12 @@ def test_mixed_precision_matmul_is_the_entrywise_dot(p, f, n_gamma, cls, monkeyp
         for row, line in zip(rows, grid):
             for col, got in zip(cols, line):
                 assert got == _FlatVector._dot_planes(row, col, cut, weights, w_max)
-        # the element products, flags included
+        # the element products
         C = RingMatrix(rows) @ RingMatrix([list(r) for r in zip(*cols)])
         for row, line in zip(rows, C.entries):
             for col, got in zip(cols, line):
                 want = cls.dot(row, col)
-                assert (got.planes, got.prec, getattr(got, "tail_dirty", None)) == \
-                    (want.planes, want.prec, getattr(want, "tail_dirty", None))
+                assert (got.planes, got.prec) == (want.planes, want.prec)
 
 
 @pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
@@ -145,7 +140,7 @@ def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatc
             if prec is None:
                 prec = rng.choice([k, rng.randrange(k, amb.cap + 1), amb.cap])
             return _entry(amb, cls, rng, prec, rng.choice([1, 2, cut // 2, cut]),
-                          k if prec > k else None, unit, rng.random() < 0.15)
+                          k if prec > k else None, unit)
 
         A = RingMatrix([[entry(i == j) for j in range(d)] for i in range(d)])
         R = RingMatrix([[entry(None, k if (i, j) == (0, 0) else None) for j in range(g)]
@@ -158,19 +153,6 @@ def test_mixed_precision_solve_is_the_elimination(p, f, n_gamma, cls, monkeypatc
         want = (_scaled_inverse(A, 0) @ R).truncate(k)
         assert [[(x.planes, x.prec) for x in row] for row in X.entries] == \
             [[(y.planes, k) for y in row] for row in want.entries]
-        # the reach is that of the product A X, from the supports
-        inv0 = _scaled_inverse(RingMatrix([[x.coeff(0).truncate(k) for x in row]
-                                          for row in A.entries]), 0)
-        _, k_got, reach = _FlatVector._solve_planes(
-            A.entries, inv0.entries, R.entries, cut,
-            amb.gamma_scale() if cls is PDElement else None)
-        s_a = max(len(x.planes[0]) for row in A.entries for x in row)
-        s_x = max(len(x.planes[0]) for row in X.entries for x in row)
-        assert (k_got, reach) == (k, s_a + s_x - 1 if s_x else 0)
-        if cls is PDElement:
-            dirty = reach > amb.N_gamma or \
-                any(x.tail_dirty for M in (A, R) for row in M.entries for x in row)
-            assert {x.tail_dirty for row in X.entries for x in row} == {dirty}
 
 
 @pytest.mark.parametrize("cls", [PDElement, SigmaSeries])
@@ -189,20 +171,19 @@ def test_rank_zero_products_and_solves(amb3, cls):
 
 def _map_entries(amb, rng):
     """Entries of S for the maps: zero at several precisions, constants,
-    dirty ones, short and full supports, mixed precisions."""
+    short and full supports, mixed precisions."""
     ring, N = amb.ring, amb.N_gamma
-    out = [PDElement(amb, [], False, 3), PDElement(amb, [], True, amb.cap),
+    out = [PDElement(amb, [], 3), PDElement(amb, [], amb.cap),
            PDElement(amb, [drawn(ring, rng, 5, True)]),
-           PDElement(amb, [ring.random(rng)], True)]
+           PDElement(amb, [ring.random(rng)])]
     for support in (2, N // 2, N, N):
         prec = rng.randrange(1, amb.cap + 1)
-        out.append(PDElement(amb, [drawn(ring, rng, prec) for _ in range(support)],
-                             rng.random() < 0.5, prec))
+        out.append(PDElement(amb, [drawn(ring, rng, prec) for _ in range(support)], prec))
     return out
 
 
 def _state(x):
-    return (x.planes, x.prec, x.tail_dirty) if isinstance(x, PDElement) else x
+    return (x.planes, x.prec) if isinstance(x, PDElement) else x
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb5", "amb9", "amb27"])
@@ -303,10 +284,11 @@ def test_loader_planes_are_the_scalar_constructors(name, request):
         s = SER._entry_from_json(amb, "series", {"ucoeffs": docs})
         want = SigmaSeries(amb, scalars)
         assert (s.planes, s.prec) == (want.planes, want.prec)
-        for dirty in (False, True):
-            x = SER._entry_from_json(amb, "pd", {"gcoeffs": docs, "tail_dirty": dirty})
-            want = PDElement(amb, scalars, dirty)
-            assert (x.planes, x.prec, x.tail_dirty) == (want.planes, want.prec, dirty)
+        # the vestige key is read as any boolean and changes nothing
+        want = PDElement(amb, scalars)
+        for vestige in (False, True):
+            x = SER._entry_from_json(amb, "pd", {"gcoeffs": docs, "tail_dirty": vestige})
+            assert (x.planes, x.prec) == (want.planes, want.prec)
 
 
 def test_loader_errors_keep_their_order(amb3):
