@@ -56,13 +56,26 @@ import math
 from . import pd as pdmod
 from .errors import DegreeOverflow, NotAUnit
 from .series import SigmaSeries, _series_from_ints
-from .witt import WittScalar, _find_irreducible, _is_prime, _PackedTable, _WittRing
+from .witt import WittScalar, _find_irreducible, _PackedTable, _WittRing
 
 
 # the largest residue degree, gamma truncation and cap a context accepts
 _MAX_F = 64
 _MAX_N_GAMMA = 1024
 _MAX_CAP = 8192
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def _section_rate_bound(p: int, r: int, N_p: int) -> int:

@@ -346,7 +346,9 @@ def _pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
     ``rng.random() < 0.3``; else the valuation v in [0, max_val], drawn
     with (max_val+1).bit_length() bits, and then an f-tuple of
     bit_length(p^cap)-bit draws, each redrawn while >= p^cap, the whole
-    tuple redrawn while it holds no unit; the coefficient is p^v times it."""
+    tuple redrawn while it holds no unit; the coefficient is p^v times it.
+    At f = 1 the tuple is one draw, a unit iff it is prime to p, so a
+    redraw is one more word and one flat loop serves the plane."""
     if max_val < 0:
         raise ValueError(f"negative valuation bound {max_val}")
     ring = amb.ring
@@ -355,8 +357,25 @@ def _pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
     bits = mod.bit_length()
     coin, getrandbits = rng.random, rng.getrandbits
     val_bits = (max_val + 1).bit_length()
+    # p^v by v in [0, max_val]: p^v is 0 mod p^cap once v >= cap
+    qs = pk if max_val <= cap else pk + [mod] * (max_val - cap)
+    n = min(max_index, amb.N_gamma)
+    if ring.f == 1:
+        plane = []
+        for _ in range(n):
+            if coin() < 0.3:
+                plane.append(0)
+                continue
+            v = getrandbits(val_bits)
+            while v > max_val:
+                v = getrandbits(val_bits)
+            c = getrandbits(bits)
+            while c >= mod or not c % p:
+                c = getrandbits(bits)
+            plane.append(c * qs[v] % mod)
+        return PDElement(amb, (), cap, (plane,))
     planes = tuple([] for _ in range(ring.f))
-    for _ in range(min(max_index, amb.N_gamma)):
+    for _ in range(n):
         if coin() < 0.3:
             for pl in planes:
                 pl.append(0)
@@ -364,7 +383,7 @@ def _pd_random_calibrated(amb, rng, max_index: int, max_val: int) -> PDElement:
         v = getrandbits(val_bits)
         while v > max_val:
             v = getrandbits(val_bits)
-        q = pk[min(v, cap)]
+        q = qs[v]
         while True:
             # the f-tuple goes straight onto the planes; without a unit it
             # comes off again and is redrawn whole

@@ -43,19 +43,6 @@ from operator import add, mul
 from .errors import NotAUnit, NotDivisible, PrecisionExhausted
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 # --- polynomials over F_p, coefficient lists in ascending degree ---
 
 def _fp_trim(a: list[int]) -> list[int]:
@@ -151,24 +138,32 @@ def _join(ints, B: int) -> int:
 
 def _split(v: int, B: int, n: int) -> list:
     """The first n blocks of B bytes of the nonnegative int v, as ``_join``
-    lays them out; blocks past the top of v read 0.  One block below
-    2^(8B) is v itself."""
-    if n == 1 and not v >> 8 * B:
+    lays them out; blocks past the top of v read 0.  Each block is masked
+    off the bottom of v, which then shifts down by one block.  A shift
+    copies all of v, so past 16 blocks v is cut in halves first, which
+    keeps the cost near-linear in n.  One block below 2^(8B) is v itself."""
+    s = 8 * B
+    if n > 16:
+        h = n // 2
+        return _split(v & ((1 << s * h) - 1), B, h) + _split(v >> s * h, B, n - h)
+    if n == 1 and not v >> s:
         return [v]
-    data = v.to_bytes((v.bit_length() + 7) // 8, "little")
-    return [int.from_bytes(data[i:i + B], "little") for i in range(0, n * B, B)]
+    mask = (1 << s) - 1
+    out = []
+    for _ in range(n):
+        out.append(v & mask)
+        v >>= s
+    return out
 
 
 class _WittRing:
-    """Context for W(F_{p^f}) mod p^cap: modulus tables and the Frobenius."""
+    """Context for W(F_{p^f}) mod p^cap: modulus tables and the Frobenius.
+
+    p, f and cap arrive checked (``ambient._resolve_params``); m is checked
+    here, monic of degree f and irreducible mod p, the one check of the
+    ``m_coeffs`` a file carries."""
 
     def __init__(self, p: int, f: int = 1, m_coeffs=None, cap: int = 8):
-        if not _is_prime(p) or p < 3:
-            raise ValueError("p must be an odd prime (p > 2)")
-        if f < 1:
-            raise ValueError("residue degree f must be >= 1")
-        if cap < 1:
-            raise ValueError("precision cap must be >= 1")
         self.p = p
         self.f = f
         self.cap = cap
@@ -182,6 +177,8 @@ class _WittRing:
         self.m_res = [c % p for c in m_coeffs]
         if not _fp_is_irreducible(list(self.m_res), p):
             raise ValueError("m must be irreducible modulo p")
+        # the planes of the constant one, as a trimmed vector stores them
+        self._one_planes = ([1],) + ([0],) * (f - 1)
         # reduction rows: T^(f+i) expressed in degrees < f, mod p^cap
         self._redrows = tuple(self.make([0] * (f + i) + [1]).coeffs for i in range(f - 1))
         # Frobenius: the coefficients of the image s of T and of its powers
@@ -295,10 +292,14 @@ class _WittRing:
     # terms * top^2 < 2^W, so bits d*W and up of a block hold exactly the
     # T-degree d part, and the 2f - 1 degrees fit in B = ceil((2f-1)W/8)
     # bytes: no carry crosses into the next degree or block.  ``_split``
-    # reads the blocks back, and ``read`` turns sums into planes: the exact
-    # division by q and the product by u of ``AmbientParams.gamma_scale``,
-    # when the binomial weights of S were scaled away, around ``unfold``
-    # (the fold of degrees f .. 2f-2 through m(T) and one reduction).
+    # reads the blocks back by shifts: it masks a block off the bottom and
+    # shifts the int down by 8B bits, and since a shift copies the whole
+    # int, it first cuts an int of more than 16 blocks in halves (so n
+    # blocks cost about n log n block copies, not n^2/2).  ``read`` turns
+    # sums into planes: the exact division by q and the product by u of
+    # ``AmbientParams.gamma_scale``, when the binomial weights of S were
+    # scaled away, around ``unfold`` (the fold of degrees f .. 2f-2 through
+    # m(T) and one reduction); at f = 1 the three are one pass.
     #
     # Four routes use it, each sizing its slots by what it packs: the fused
     # dot (``dot_acc``, from p^cap, weighted by the binomials ``comb``);
@@ -328,6 +329,19 @@ class _WittRing:
     # So each stays.  The one-vector table apply needs no branch of its
     # own: a table packs its columns, not the vectors, so a list of one
     # vector costs one sum of products (``_PackedTable``).
+    #
+    # The read-back by shifts against the one through bytes (``to_bytes``
+    # and one ``from_bytes`` per block), on the same host, min of 7, at
+    # B = 21: 2.29 -> 0.91 us at n = 8 blocks, 7.47 -> 3.75 at 30, 58.1 ->
+    # 41.9 at 256, 233 -> 189 at 1024.  At B = 54 and n = 1024 it is 8%
+    # slower (278 -> 299 us); no workload reads more than 30 blocks.  One
+    # pass of the verify-desk pool reads 32,624 sums and draws 17,564
+    # samples at f = 1, where ``pd._pd_random_calibrated`` is one flat loop
+    # (a redraw while c >= p^cap or not c % p).  With the fused dot's
+    # set-up in one pass over the rows, medians of 10 alternating pairs of
+    # ``perfbench/run.py --workload all --seconds 30``, tasks/s, 243 of 243
+    # digests correct: verify-desk 70.7 -> 78.9 (10 of 10 pairs better),
+    # verify-f2 54.6 -> 56.2, cli-rank 51.4 -> 54.6.
 
     def to_planes(self, cols, k) -> tuple:
         """Planes of a list of coefficient tuples, reduced mod p^k."""
@@ -346,11 +360,14 @@ class _WittRing:
         """The planes, reduced mod p^k, of a list of packed sums at slot
         width W: with ``post``, pairs (q, u) zipped with the sums, each sum
         is divided by q exactly before ``unfold`` and multiplied by u
-        after it (``AmbientParams.gamma_scale``)."""
+        after it (``AmbientParams.gamma_scale``); at f = 1, where
+        ``unfold`` is the reduction, the three run in one pass."""
         if post is None:
             return self.unfold(sums, width, k)
-        planes = self.unfold([v // q for v, (q, _) in zip(sums, post)], width, k)
         mod = self.pk[k]
+        if self.f == 1:
+            return ([v // q * u % mod for v, (q, u) in zip(sums, post)],)
+        planes = self.unfold([v // q for v, (q, _) in zip(sums, post)], width, k)
         return tuple([c * u % mod for c, (_, u) in zip(pl, post)] for pl in planes)
 
     def dot_acc(self, pairs, n: int, weights=None, w_max: int = 1) -> tuple:
@@ -817,20 +834,33 @@ class _FlatVector(_FlatValue):
         planes (weighted, for S, by weights of at most ``w_max``) into one
         unreduced accumulator (``_WittRing.dot_acc``); one
         ``_WittRing.unfold`` (the unpack, the fold through m(T) and the
-        reduction mod p^k) then serves the whole sum.  A pair with a zero entry adds nothing.  When one pair is left
-        and one of its factors is the constant one (whose weights C(j, 0)
-        are 1), the sum is the other factor: its planes are cut at index
-        ``bound`` and reduced mod p^k, and nothing is convolved."""
+        reduction mod p^k) then serves the whole sum.  A pair with a zero
+        entry adds nothing.  When one pair is left and one of its factors
+        is the constant one (planes ``_WittRing._one_planes``, whose weights
+        C(j, 0) are 1), the sum is the other factor: its planes are cut at
+        index ``bound`` and reduced mod p^k, and nothing is convolved.  The
+        precision, the pairs and their reach come from one pass over the
+        rows."""
         ring = xs[0].ring
-        k = min(min(x.prec for x in xs), min(y.prec for y in ys))
-        pairs = [(x.planes, y.planes) for x, y in zip(xs, ys) if x.planes[0] and y.planes[0]]
-        reach = max((len(a[0]) + len(b[0]) - 1 for a, b in pairs), default=0)
-        n = min(reach, bound)
+        k, pairs, reach = ring.cap, [], 0
+        for x, y in zip(xs, ys):
+            if x.prec < k:
+                k = x.prec
+            if y.prec < k:
+                k = y.prec
+            a, b = x.planes, y.planes
+            if a[0] and b[0]:
+                pairs.append((a, b))
+                s = len(a[0]) + len(b[0]) - 1
+                if s > reach:
+                    reach = s
+        n = reach if reach < bound else bound
         if len(pairs) == 1:
             a, b = pairs[0]
-            for one, other in ((a, b), (b, a)):
-                if len(one[0]) == 1 and one[0][0] == 1 and not any(pl[0] for pl in one[1:]):
-                    return ring.truncate_planes([pl[:n] for pl in other], k), k
+            if a == ring._one_planes:
+                a, b = b, a
+            if b == ring._one_planes:
+                return ring.truncate_planes([pl[:n] for pl in a], k), k
         return ring.unfold(*ring.dot_acc(pairs, n, weights, w_max), k), k
 
     @staticmethod

@@ -4,6 +4,7 @@ import pytest
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import _random_fil_member, _random_vector, breuil_validate, fil_lower
+from flbreuil.campaign import run_suite_seed
 from flbreuil.errors import NotInvertible, SingularMatrix
 from flbreuil.functors import breuil_to_fl
 from flbreuil import kisin
@@ -184,6 +185,25 @@ def test_raw_vs_adapted_membership(amb3):
             else:
                 x = _random_vector(B, rng, 5)
             assert fil_lower(B, amb3.r, x) == raw(x) == ref(x)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_kisin_breuil_consistency_counts_the_mismatches(monkeypatch, flip):
+    # negative control: a raw checker that answers the opposite of the real
+    # one disagrees with fil_lower on every element, and the suite's record
+    # must say so; the real checker agrees on the same draws
+    if flip:
+        real = kisin._kisin_raw_fil_checker
+        monkeypatch.setattr(kisin, "_kisin_raw_fil_checker",
+                            lambda K: (lambda x, raw=real(K): not raw(x)))
+    recs = run_suite_seed({"p": 3, "r": 2}, "kisin-breuil-consistency", 1, {"elements": 6})
+    [rec] = [r for r in recs if r["check"] == "kisin-breuil-fil-agreement"]
+    assert rec["elements"] == 6
+    if flip:
+        assert rec["ok"] is False and rec["mismatches"] == 6
+        assert rec["instance"]["kind"] == "KisinModule"
+    else:
+        assert rec["ok"] is True and rec["mismatches"] == 0 and rec["instance"] is None
 
 
 @pytest.mark.parametrize("name", ["amb3", "amb9"])

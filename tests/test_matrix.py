@@ -497,6 +497,18 @@ def test_sum_difference_and_comparison_check_shapes(amb3):
     assert wide.eq_at(wide + wmat(amb3, [[0, 0]]), amb3.N_p)
 
 
+def test_ragged_rows_and_a_mis_sized_vector_are_refused(amb3):
+    one = amb3.w(1)
+    for rows in ([[one, one], [one]], [[one], []], [[], [one]]):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            RingMatrix(rows)
+    m = wmat(amb3, [[1, 5], [2, 3]])
+    for vec in ([], [one], [one] * 3):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            m.matvec(vec)
+    assert m.matvec([one, amb3.w(2)]) == (amb3.w(11), amb3.w(8))
+
+
 def test_matmul_edges_and_the_choice_of_path(amb3, amb9, monkeypatch):
     """W(k) products stay on the entrywise dot; series and S products take
     the packed kernel once per product; both keep the edge behaviour."""

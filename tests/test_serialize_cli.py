@@ -321,6 +321,36 @@ def test_cli_module_verbs_refuse_an_fl_file(tmp_path, capsys, verb):
     assert err == f"error: {' '.join(verb)} expects a BreuilModule (or KisinModule) file\n"
 
 
+def test_cli_mls_refuses_a_kisin_file(tmp_path, capsys):
+    k, out = tmp_path / "k.json", tmp_path / "b.json"
+    assert main(["gen", "kisin-gls", "--d", "2", "--out", str(k)]) == 0
+    capsys.readouterr()
+    assert main(["apply", "mls", "--in", str(k), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: apply mls expects an FLModule file\n"
+
+
+@pytest.mark.parametrize("f, m, message", [
+    (1, [0, 2], "m must be monic of degree f"),
+    (1, [0, 0, 1], "m must be monic of degree f"),
+    (2, [0, 1], "m must be monic of degree f"),
+    (2, [0, 0, 1], "m must be irreducible modulo p"),
+    (2, [5, 3, 1], "m must be irreducible modulo p"),
+], ids=["f1-lead-2", "f1-degree-2", "f2-degree-1", "f2-T-squared", "f2-lifted-reducible"])
+def test_cli_loader_refuses_a_bad_modulus(tmp_path, capsys, f, m, message):
+    # the file's m_coeffs are checked only where the ring is built: monic of
+    # degree f, and irreducible mod p (5 + 3T + T^2 = (T + 1)(T + 2) mod 3)
+    src, out = tmp_path / "m.json", tmp_path / "b.json"
+    assert main(["gen", "fl", "--f", str(f), "--d", "2", "--jumps", "0,1", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    doc["params"]["m_coeffs"] = m
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["apply", "mls", "--in", str(src), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("text", ["", "\n", "\n  \n"])
 def test_cli_report_refuses_a_file_without_records(tmp_path, capsys, text):
     # exit 0 reads as "every check passed", which an empty report cannot say

@@ -250,14 +250,19 @@ def test_table_apply_over_a_list_is_each_apply(name, request):
 def test_join_and_split_round_trip(B):
     rng = random.Random(f"blocks:{B}")
     top = (1 << 8 * B) - 1
-    cases = [[rng.getrandbits(8 * B) for _ in range(n)] for n in (1, 2, 5)]
+    cases = [[rng.getrandbits(8 * B) for _ in range(n)] for n in (1, 2, 5, 16, 17, 33, 100)]
     cases += [[top], [0], [top, 0, top], [0, top], [top, top, 0, 0]]
+    # past 16 blocks _split reads in halves: a top half of zeros, one
+    # nonzero block at either end, and full blocks on both sides of the cut
+    cases += [[top] * 3 + [0] * 30, [0] * 99 + [top], [top] + [0] * 32, [top] * 17]
     for ints in cases:
         v = _join(ints, B)
         assert _split(v, B, len(ints)) == ints
         # n past the blocks present reads zeros; n below them the first n
         assert _split(v, B, len(ints) + 3) == ints + [0, 0, 0]
         assert _split(v, B, 1) == ints[:1] and _split(v, B, 0) == []
+        for n in (16, 17, 33):
+            assert _split(v, B, n) == (ints + [0] * n)[:n]
     # one block is its own int, also at 2^(8B) - 1
     x = rng.getrandbits(8 * B)
     assert _join([x], B) is x and _split(x, B, 1)[0] is x
