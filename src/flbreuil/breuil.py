@@ -214,9 +214,8 @@ def _phi_r_apply(B: BreuilModule, x):
 
 
 def _n_apply(B: BreuilModule, x):
-    """Monodromy on coordinates: Nmat x plus the derivation of the coordinates."""
-    if B.Nmat is None:
-        raise NotCris("module carries no monodromy matrix")
+    """Monodromy on coordinates: Nmat x plus the derivation of the
+    coordinates.  The module carries Nmat (its callers refuse one without)."""
     lin = B.Nmat.matvec(x)
     return tuple(l + n_S(c) for l, c in zip(lin, x))
 
@@ -397,14 +396,10 @@ def hat_fil_level(B: BreuilModule, x, at: int | None = None) -> int:
     return level
 
 
-def _breuil_bhat(B: BreuilModule) -> RingMatrix:
-    """The matrix with Phi * Bhat = p^r I; integrality is asserted."""
-    return _scaled_inverse(B.Phi, B.amb.r)
-
-
 def breuil_unipotent(B: BreuilModule) -> bool:
-    """Whether the twisted product of Bhat vanishes mod p^N_p."""
-    return _converges_to_zero(_breuil_bhat(B), phi_S, B.amb.N_p)
+    """Whether the twisted product of Bhat, the matrix with Phi Bhat = p^r I
+    (integral, else NotDivisible), vanishes mod p^N_p."""
+    return _converges_to_zero(_scaled_inverse(B.Phi, B.amb.r), phi_S, B.amb.N_p)
 
 
 def _rebase(B: BreuilModule, h: RingMatrix) -> BreuilModule:

@@ -26,10 +26,15 @@ from .errors import KernelError, NonConvergent, NotDirectSummand, NotStrong
 from .matrix import RingMatrix
 
 
-def _rec(check, ok, **detail):
+def _rec(check, ok, of=None, **detail):
+    """The record of one check.  With ``of``, the instance checked, it
+    carries ``instance``, last: the instance's document when the check
+    fails, so that it replays alone, and None when it passes."""
     out = {"check": check, "ok": bool(ok)}
     if detail:
         out.update(detail)
+    if of is not None:
+        out["instance"] = None if ok else SER.to_json(of)
     return out
 
 
@@ -148,8 +153,7 @@ def _suite_lemfil1(amb, rng, cfg):
     rep = BR.breuil_validate(B)
     recs.append(_rec("mls-image-validates", rep.all_true(),
                      strongly_divisible=rep.strongly_divisible,
-                     griffiths=rep.griffiths, diagram=rep.diagram, cris=rep.cris,
-                     instance=SER.to_json(M) if not rep.all_true() else None))
+                     griffiths=rep.griffiths, diagram=rep.diagram, cris=rep.cris, of=M))
 
     bad = FL.FLModule(amb, M.jumps, M.Ftil.mul_p_pow(1))
     rep_bad = BR.breuil_validate(FU.fl_to_breuil(bad))
@@ -167,8 +171,7 @@ def _suite_lemfil1(amb, rng, cfg):
         # sample's own precision, as the recursive test loses a digit per N
         at = min(c.prec for c in x)
         mism += abs(BR.fil_level(B, x, at) - BR.hat_fil_level(B, x, at))
-    recs.append(_rec("tensor-vs-hat", mism == 0, elements=n_elems, mismatches=mism,
-                     instance=SER.to_json(M) if mism else None))
+    recs.append(_rec("tensor-vs-hat", mism == 0, elements=n_elems, mismatches=mism, of=M))
     return recs
 
 
@@ -186,8 +189,7 @@ def _suite_section(amb, rng, cfg):
     tele = (sec.iterations == 0 and sec.Bmat.eq_at(ident, prec)
             and sec.exact and sec.f0_identity)
     recs.append(_rec("section-telescopes-on-base-change", tele,
-                     iterations=sec.iterations,
-                     instance=SER.to_json(M) if not tele else None))
+                     iterations=sec.iterations, of=M))
 
     K = KI.random_gls(amb, rng, d)
     B = KI.kisin_to_breuil(K)
@@ -196,16 +198,13 @@ def _suite_section(amb, rng, cfg):
         ok_rate = sec.iterations <= sec.rate_bound
         ok_cert = sec.exact and sec.f0_identity and sec.Bmat.residue_invertible()
         recs.append(_rec("section-rate-bound", ok_rate,
-                         iterations=sec.iterations, bound=sec.rate_bound,
-                         instance=SER.to_json(K) if not ok_rate else None))
+                         iterations=sec.iterations, bound=sec.rate_bound, of=K))
         recs.append(_rec("section-fixed-point-certificate", ok_cert,
-                         residual_valuation=sec.residual_valuation,
-                         instance=SER.to_json(K) if not ok_cert else None))
-        recs.append(_rec("section-first-iterate-claim", sec.B0_claim_ok,
-                         instance=SER.to_json(K) if not sec.B0_claim_ok else None))
+                         residual_valuation=sec.residual_valuation, of=K))
+        recs.append(_rec("section-first-iterate-claim", sec.B0_claim_ok, of=K))
     except KernelError as exc:
         recs.append(_rec("section-rate-bound", False, error=f"{type(exc).__name__}: {exc}",
-                         instance=SER.to_json(K)))
+                         of=K))
     return recs
 
 
@@ -229,7 +228,7 @@ def _roundtrip_fl(M) -> dict:
                 details={"iterations": sec.iterations,
                          "section_is_identity": sec.Bmat.eq_at(ident, sec_prec),
                          "jumps": list(M2.jumps)},
-                instance=SER.to_json(M) if not ok else None)
+                of=M)
 
 
 def _suite_roundtrip_fl(amb, rng, cfg):
@@ -273,7 +272,7 @@ def _roundtrip_breuil(M, g, rng) -> dict:
         sec = FU.section_compute(Bt)
     except NonConvergent as exc:
         return _rec("roundtrip-breuil", True, converged=False, relation="non-convergent",
-                    details={"error": str(exc)}, instance=None)
+                    details={"error": str(exc)}, of=M)
     Bm = sec.Bmat
     # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
     # the closed form costs one product and no second inverse of g
@@ -299,7 +298,7 @@ def _roundtrip_breuil(M, g, rng) -> dict:
             fil_ok &= BR.fil_lower(Bt, amb.r, x, at) == BR.fil_lower(Bs, amb.r, x, at)
     except (NotStrong, NotDirectSummand, NonConvergent) as exc:
         return _rec("roundtrip-breuil", False, converged=True, relation="failed",
-                    details={"error": str(exc)}, instance=SER.to_json(M))
+                    details={"error": str(exc)}, of=M)
 
     exact = matrix_exact and n_ok and fil_ok
     ok = transport.M.jumps == M.jumps and exact
@@ -309,7 +308,7 @@ def _roundtrip_breuil(M, g, rng) -> dict:
                          "section_matches_closed_form": matrix_exact,
                          "n_equivariant": n_ok,
                          "fil_samples": n_fil},
-                instance=SER.to_json(M) if not ok else None)
+                of=M)
 
 
 def _suite_roundtrip_breuil(amb, rng, cfg):
@@ -331,8 +330,7 @@ def _suite_unipotence(amb, rng, cfg):
     d = rng.randrange(1, 4)
     M = FL._random_fl(amb, rng, d)
     agree, flv, brv = _unipotence_agrees(M)
-    recs.append(_rec("unipotence-random", agree, fl=flv, breuil=brv,
-                     instance=SER.to_json(M) if not agree else None))
+    recs.append(_rec("unipotence-random", agree, fl=flv, breuil=brv, of=M))
     ok = True
     for s in range(amb.r + 1):
         M1 = FL.FLModule(amb, (s,), RingMatrix([[amb.ring.one()]]))
@@ -368,9 +366,8 @@ def _suite_kisin_breuil(amb, rng, cfg):
     strongly = BR.breuil_validate(B).strongly_divisible
     return [
         _rec("kisin-breuil-fil-agreement", mism == 0, elements=n_elems,
-             mismatches=mism, instance=SER.to_json(K) if mism else None),
-        _rec("kisin-breuil-strong-divisibility", strongly,
-             instance=SER.to_json(K) if not strongly else None),
+             mismatches=mism, of=K),
+        _rec("kisin-breuil-strong-divisibility", strongly, of=K),
     ]
 
 

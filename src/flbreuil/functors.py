@@ -172,8 +172,9 @@ def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
     if prec is not None:
         if not at <= prec <= amb.cap:
             raise ValueError(f"section precision {prec} outside [{at}, {amb.cap}]")
-        cuts = sorted({min(rate, max_steps), max_steps})
-        runs = [(prec + r * (s + 2), s) for s in cuts if prec + r * (s + 2) < amb.cap] + runs
+        # the rate bound, then the step budget, which always exceeds it
+        runs = [(prec + r * (s + 2), s) for s in (rate, max_steps)
+                if prec + r * (s + 2) < amb.cap] + runs
 
     # Iterate n is kept as its numerator over p^t, t = (n + 1) r, and each
     # comparison first scales the side with the lower exponent: away from

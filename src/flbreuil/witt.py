@@ -15,11 +15,12 @@ coefficients.  ``_FlatValue``, the base of ``WittScalar`` and of
 exact division and multiplication by p^k, negation, the valuation and the
 zero test are written there once.
 
-The irreducibility of m is tested over F_p on coefficient lists
-(``_fp_is_irreducible`` with ``_fp_mod``): m is irreducible when no monic
-polynomial of degree 1 .. f/2 divides it (trial division).  T^p, the
-residue of the Frobenius image of T, is the ring's own product at one
-digit.
+The irreducibility of m is decided where the ring is built, by the ring's
+own products at one digit: m of degree f is irreducible mod p exactly when
+gcd(T^(p^i) - T, m) is a constant over F_p for 1 <= i <= f/2 (M. Ben-Or,
+"Probabilistic algorithms in finite fields", FOCS 1981), the gcd taken on
+coefficient lists (``_fp_gcd`` on ``_fp_mod``).  T^p, the residue of the
+Frobenius image of T, is the same product.
 
 The arithmetic Frobenius sends T to the unique root of m that is congruent
 to T^p mod p; the image is Hensel-lifted once per ring and then applying the
@@ -36,7 +37,7 @@ running inverse of m'(z).
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, count, zip_longest
 from math import gcd
 from operator import add, mul
 
@@ -64,35 +65,28 @@ def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division: no monic polynomial of degree 1 .. f/2 divides m."""
-    f = len(m) - 1
-    if f < 1:
-        return False
-    for d in range(1, f // 2 + 1):
-        for n in range(p**d):
-            g = [n // p**t % p for t in range(d)] + [1]
-            if not _fp_mod(m, g, p):
-                return False
-    return True
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd over F_p of two coefficient lists, not made monic."""
+    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+    while b:
+        a, b = b, _fp_mod(a, b, p)
+    return a
 
 
 def _find_irreducible(p: int, f: int) -> tuple[int, ...]:
-    """Deterministically pick a monic irreducible degree-f lift over F_p.
-
-    Returns ascending coefficients (c_0, ..., c_{f-1}, 1).  For f = 1 the
+    """Deterministically pick a monic irreducible degree-f lift over F_p:
+    the first candidate (c_0, ..., c_{f-1}, 1), in the order of the
+    integer sum c_t p^t, on which ``_WittRing`` builds at one digit.  Every
+    degree has one (Gauss's count), so the search ends.  For f = 1 the
     polynomial is T itself, so the ring degenerates to Z/p^N.
     """
-    for n in range(p**f):
-        low = []
-        k = n
-        for _ in range(f):
-            low.append(k % p)
-            k //= p
-        m = low + [1]
-        if _fp_is_irreducible(m, p):
-            return tuple(m)
-    raise ValueError(f"no irreducible polynomial of degree {f} over F_{p}")
+    for n in count():
+        m = tuple(n // p**t % p for t in range(f)) + (1,)
+        try:
+            _WittRing(p, f, m, 1)
+        except ValueError:
+            continue
+        return m
 
 
 def _trimmed(planes) -> tuple:
@@ -174,13 +168,17 @@ class _WittRing:
         if len(m_coeffs) != f + 1 or m_coeffs[-1] != 1:
             raise ValueError("m must be monic of degree f")
         self.m = m_coeffs
-        self.m_res = [c % p for c in m_coeffs]
-        if not _fp_is_irreducible(list(self.m_res), p):
-            raise ValueError("m must be irreducible modulo p")
         # the planes of the constant one, as a trimmed vector stores them
         self._one_planes = ([1],) + ([0],) * (f - 1)
         # reduction rows: T^(f+i) expressed in degrees < f, mod p^cap
         self._redrows = tuple(self.make([0] * (f + i) + [1]).coeffs for i in range(f - 1))
+        # Ben-Or: x runs through T^(p^i) at one digit, i = 1 .. f/2
+        m_res = [c % p for c in m_coeffs]
+        x = t = self.make([0, 1], 1)
+        for _ in range(f // 2):
+            x = x ** p
+            if len(_fp_gcd((x - t).coeffs, m_res, p)) != 1:
+                raise ValueError("m must be irreducible modulo p")
         # Frobenius: the coefficients of the image s of T and of its powers
         # s^1 .. s^(f-1), lifted once at full cap
         if f == 1:

@@ -6,7 +6,6 @@ from flbreuil import breuil as BR
 from flbreuil.ambient import AmbientParams
 from flbreuil.breuil import (
     BreuilModule,
-    _breuil_bhat,
     _n_apply,
     _phi_r_apply,
     _random_fil_member,
@@ -23,7 +22,7 @@ from flbreuil.errors import NotCris, NotDivisible, NotInFil
 from flbreuil.fl import FLModule, _random_fl
 from flbreuil.functors import _fpi_matrix, fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
-from flbreuil.matrix import RingMatrix
+from flbreuil.matrix import RingMatrix, _scaled_inverse
 from flbreuil.pd import (
     _eval_fpi,
     _fil_valuation,
@@ -329,7 +328,7 @@ def test_classify_examples(amb3):
     # etale (jump r) is not unipotent, and its Bhat is the identity
     B = rank1(amb3, r, amb3.w(3**r))
     assert not breuil_unipotent(B)
-    bh = _breuil_bhat(B)
+    bh = _scaled_inverse(B.Phi, amb3.r)
     assert bh.eq_at(RingMatrix.identity(1, _pd_zero(amb3), _pd_one(amb3)), amb3.N_p)
     B = rank1(amb3, 1, amb3.w(3))
     assert breuil_unipotent(B)
@@ -340,7 +339,7 @@ def test_bhat_certificate(amb3):
     for _ in range(10):
         M = _random_fl(amb3, rng, 2)
         B = fl_to_breuil(M)
-        bh = _breuil_bhat(B)
+        bh = _scaled_inverse(B.Phi, amb3.r)
         expect = RingMatrix.identity(2, _pd_zero(amb3), _pd_one(amb3)).mul_p_pow(amb3.r)
         assert (B.Phi @ bh).eq_at(expect, amb3.N_p)
 
@@ -348,7 +347,7 @@ def test_bhat_certificate(amb3):
 def test_bhat_rejects_malformed(amb3):
     B = rank1(amb3, 0, amb3.w(3 ** (amb3.r + 1)))
     with pytest.raises(NotDivisible):
-        _breuil_bhat(B)
+        _scaled_inverse(B.Phi, amb3.r)
 
 
 def test_rebase_round_trip(amb3):

@@ -404,6 +404,13 @@ def test_roundtrip_fl_enforces_unipotence_at_top(amb3, monkeypatch):
     assert _roundtrip_non_unipotent(M, monkeypatch)["ok"]
 
 
+def test_roundtrip_fl_refuses_a_module_that_is_not_strong(amb3):
+    # Ftil = 0 mod p is not invertible: the round trip has no FL module
+    M = FLModule(amb3, (0, 1), wmat(amb3, [[3, 0], [0, 3]]))
+    with pytest.raises(NotStrong, match="round trip needs a strong module"):
+        _roundtrip_fl(M)
+
+
 def test_kisin_derived_backward(amb3):
     I1 = RingMatrix.identity(1, amb3.useries([]), amb3.useries([1]))
     for s in range(amb3.r + 1):

@@ -370,7 +370,7 @@ def test_bounded_dot_and_matvec_are_the_full_ones_cut(amb, data):
         assert pd_cut_state(row, vec, bound) == pd_head_state(x, bound)
 
 
-def test_bounded_dot_keeps_the_flag_of_a_crossing(amb):
+def test_bounded_dot_across_the_truncation_is_the_product_cut(amb):
     ring, N = amb.ring, amb.N_gamma
     one = ring.one()
     top = PDElement(amb, [ring.zero()] * (N - 1) + [one])
@@ -383,7 +383,7 @@ def test_bounded_dot_keeps_the_flag_of_a_crossing(amb):
     assert pd_cut_state((top,), (lin,), N) == pd_state(top * lin)
 
 
-def test_dot_flags_and_precision_of_edge_rows(amb):
+def test_dot_of_edge_rows_drops_the_crossing_term_at_the_lowest_precision(amb):
     ring, N = amb.ring, amb.N_gamma
     one = ring.one()
     top = PDElement(amb, [ring.zero()] * (N - 1) + [one])

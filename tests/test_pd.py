@@ -50,7 +50,7 @@ def test_gamma_product_binomials(amb3):
     assert (_pd_one(amb3) * x).eq_at(x, x.prec)
 
 
-def test_gamma_truncation_flags_dirty(amb3):
+def test_gamma_product_past_the_truncation_is_zero(amb3):
     # gamma_(N_gamma - 1) gamma_2 lies in Fil^(N_gamma + 1): nothing is left
     top = _pd_gamma(amb3, amb3.N_gamma - 1)
     prod = top * _pd_gamma(amb3, 2)
@@ -92,7 +92,7 @@ def test_embed_is_ring_map(amb3):
         assert lhs.eq_at(rhs, lhs.prec)
 
 
-def test_embed_past_the_truncation_drops_and_flags(amb3):
+def test_embed_past_the_truncation_is_the_wider_embedding_cut(amb3):
     # every degree below N_u embeds as in a context with 3 N_gamma, cut
     # below N_gamma; only a list of N_gamma + 1 gamma-coefficients is refused
     N = amb3.N_gamma

@@ -60,6 +60,11 @@ def test_unknown_fields_rejected(amb3):
         SER._from_json(doc)
 
 
+def test_to_json_refuses_an_object_that_is_not_a_module():
+    with pytest.raises(SchemaMismatch, match="cannot serialize object"):
+        SER.to_json(object())
+
+
 def test_missing_field_rejected(amb3):
     doc = SER.to_json(_random_fl(amb3, random.Random(5), 1))
     del doc["data"]["jumps"]
@@ -450,6 +455,14 @@ def test_cli_bad_context_is_a_usage_error(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("seeds", [",", " , ,"])
+def test_cli_verify_refuses_an_empty_seed_list(tmp_path, capsys, seeds):
+    rep = tmp_path / "rep.jsonl"
+    assert main(["verify", "--suite", "easylemma", "--seeds", seeds, "--out", str(rep)]) == 2
+    assert not rep.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: empty seed list"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "lemfil1", "--samples", "0"],
     ["verify", "--suite", "lemfil1", "--samples", "-3"],
@@ -499,6 +512,10 @@ def test_cli_verify_sorts_the_seeds(tmp_path):
     assert main(args + ["--seeds", "3,1,2", "--out", str(r1)]) == 0
     assert main(args + ["--seeds", "1..3", "--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+ODD_PRIME = ("p must be an odd prime; p = 2 is not supported (the diagonal normal form "
+             "behind the Kisin-side constructions needs p > 2)")
 
 
 def _set(*path):
@@ -766,7 +783,8 @@ def test_cli_kisin_normal_form_off_gl_d_is_a_usage_error(tmp_path, capsys, verb,
     (_set("kind", "Nope"), "unknown kind 'Nope'"),
     (_set("params", "N_gamma", 10**40), f"N_gamma = {10**40} exceeds the bound 1024"),
     (_set("params", "f", 10**40), f"residue degree f = {10**40} exceeds the bound 64"),
-], ids=["prec-zero", "rows-mismatch", "kind-unknown", "Ngamma-huge", "f-huge"])
+    (_set("params", "p", 9), ODD_PRIME),
+], ids=["prec-zero", "rows-mismatch", "kind-unknown", "Ngamma-huge", "f-huge", "p-composite"])
 def test_cli_loader_refusal_names_the_fault(tmp_path, capsys, edit, message):
     m = tmp_path / "m.json"
     out = tmp_path / "b.json"
@@ -790,8 +808,10 @@ def test_cli_loader_refusal_names_the_fault(tmp_path, capsys, edit, message):
     (["--f", str(10**40)], f"residue degree f = {10**40} exceeds the bound 64"),
     (["--headroom", "9000"], "cap N_p + headroom = 9006 exceeds the bound 8192"),
     (["--p", "1031"], "p = 1031 needs N_gamma > p, above the bound 1024"),
+    (["--p", "9"], ODD_PRIME),
+    (["--p", "1"], ODD_PRIME),
 ], ids=["r-above", "r-below", "Np-zero", "headroom-negative", "Ngamma-below", "jumps-short",
-        "Ngamma-huge", "f-huge", "cap-huge", "p-huge"])
+        "Ngamma-huge", "f-huge", "cap-huge", "p-huge", "p-composite", "p-one"])
 def test_cli_gen_refuses_a_bad_context_or_jump_count(tmp_path, capsys, argv, message):
     out = tmp_path / "m.json"
     assert main(["gen", "fl", "--p", "3", "--d", "2", *argv, "--out", str(out)]) == 2
@@ -807,6 +827,14 @@ def test_cli_mfl_refuses_a_module_outside_the_category(tmp_path, capsys, kind, p
     assert not out.exists()
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith("error: input fails") and kind in err
+
+
+def test_cli_gen_at_residue_degree_24_loads_back(tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["gen", "fl", "--p", "3", "--f", "24", "--d", "2", "--out", str(out)]) == 0
+    M = SER.load(str(out))
+    assert (M.amb.f, M.d) == (24, 2) and len(M.amb.ring.m) == 25
+    assert SER.dumps(M) + "\n" == out.read_text()
 
 
 def test_cli_gen_writes_the_chosen_N_gamma(tmp_path):

@@ -3,7 +3,7 @@
 ``RingMatrix.solve`` (and ``invert``, its case R = I, over the series
 ring and S) runs one pass over the grading, ``_FlatVector._solve_planes``;
 ``_scaled_inverse(A, 0)``, the valuation-pivoted elimination that still
-serves W(k) and the p-power pivots of ``_breuil_bhat``, is the reference.
+serves W(k) and the p-power pivots of ``breuil_unipotent``, is the reference.
 The inverse at precision k is unique in the truncated rings, so the two
 must agree in planes and precision.  Inputs mix precisions, short
 supports and supports past half the cut, at p in {3, 5, 7} and f in

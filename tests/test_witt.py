@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flbreuil.ambient import AmbientParams
 from flbreuil.errors import NotAUnit, NotDivisible, PrecisionExhausted
-from flbreuil.witt import WittScalar, _find_irreducible, _fp_is_irreducible, _WittRing
+from flbreuil.witt import WittScalar, _find_irreducible, _WittRing
 from flag_reference import build_redrows
 from inverse_reference import newton_inverse
 from sampler_reference import draw_below, drawn, random_tuple, random_unit_tuple
@@ -68,8 +68,68 @@ def test_irreducible_count_matches_gauss(p, f):
     expected = sum(_mobius(d) * p ** (f // d) for d in range(1, f + 1) if f % d == 0) // f
     count = 0
     for n in range(p**f):
-        count += _fp_is_irreducible([n // p**t % p for t in range(f)] + [1], p)
+        try:
+            _WittRing(p, f, [n // p**t % p for t in range(f)] + [1], 1)
+        except ValueError:
+            continue
+        count += 1
     assert count == expected
+
+
+# the default modulus of each (p, f), computed by trial division by every
+# monic polynomial of degree <= f/2
+DEFAULT_MODULI = {
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 13): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 14): (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 15): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (7, 1): (0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (7, 5): (3, 1, 0, 0, 0, 1),
+    (11, 1): (0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 1): (0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (101, 1): (0, 1),
+    (101, 2): (2, 0, 1),
+    (101, 3): (1, 1, 0, 1),
+    (1021, 1): (0, 1),
+    (1021, 2): (2, 0, 1),
+    (1021, 3): (5, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p, f", sorted(DEFAULT_MODULI))
+def test_default_modulus_is_pinned(p, f):
+    assert _find_irreducible(p, f) == DEFAULT_MODULI[p, f]
+
+
+def test_residue_degree_64_builds():
+    m = _find_irreducible(3, 64)
+    assert len(m) == 65 and m[-1] == 1 and all(0 <= c < 3 for c in m)
+    assert _WittRing(3, 64, m, 1).m == m
 
 
 def test_invert_one(zp):
