@@ -201,12 +201,14 @@ def _phi_module(B: BreuilModule, x):
     return B.Phi.matvec(_phi_S_all(x))
 
 
-def _phi_r_apply(B: BreuilModule, x):
-    """Divided Frobenius phi_r = phi / p^r on Fil^r; division must be exact."""
+def _phi_r_apply(B: BreuilModule, x, cut: BreuilModule | None = None):
+    """Divided Frobenius phi_r = phi / p^r on Fil^r; division must be exact.
+    Membership is tested in B; the image is formed in ``cut``, B with its
+    matrices cut (``breuil_validate``), when one is given."""
     amb = B.amb
     if not fil_lower(B, amb.r, x):
         raise NotInFil("phi_r needs an element of Fil^r")
-    img = _phi_module(B, x)
+    img = _phi_module(cut or B, x)
     try:
         return tuple(c.div_p_exact(amb.r) for c in img)
     except NotDivisible as exc:
@@ -245,12 +247,24 @@ class _ValidationReport(namedtuple("ValidationReport",
 
 def breuil_validate(B: BreuilModule) -> _ValidationReport:
     """Check strong divisibility, transversality, the phi/N square and the
-    crystalline condition; N-dependent checks report None when N is absent."""
+    crystalline condition; N-dependent checks report None when N is absent.
+
+    Every verdict reads N_p digits: strong divisibility the residues of the
+    phi_r images, Griffiths the filtration level of E N(g) at N_p, the
+    square the phi_r images mod p^N_p, and cris f_0(Nmat) mod p^N_p.  An
+    image of phi_r is one exact division by p^r away from a product, and
+    reduction mod p^k commutes with products, phi_S, N_S, f_0 and that
+    division, so the generators and their images under phi_r and N are
+    computed from Phi, Nmat and C cut to N_p + r digits.  The filtration
+    tests read B's own C^(-1) and table, at N_p."""
     amb = B.amb
     at = amb.N_p
-    gens = _fil_generators(B)
+    k = at + amb.r
+    cut = BreuilModule(amb, B.Phi.truncate(k), None if B.Nmat is None else B.Nmat.truncate(k),
+                       B.C.truncate(k), B.jumps)
+    gens = _fil_generators(cut)
     try:
-        images = [_phi_r_apply(B, g) for g in gens]
+        images = [_phi_r_apply(B, g, cut) for g in gens]
         cols = RingMatrix([[images[j][i] for j in range(B.d)] for i in range(B.d)])
         strongly = cols.residue_invertible()
     except (NotDivisible, NotInFil):
@@ -263,7 +277,7 @@ def breuil_validate(B: BreuilModule) -> _ValidationReport:
     diagram = True
     E = _pd_gamma(amb, 1)
     for j, g in enumerate(gens):
-        ENg = tuple(E * c for c in _n_apply(B, g))
+        ENg = tuple(E * c for c in _n_apply(cut, g))
         if not fil_lower(B, amb.r, ENg, at):
             griffiths = False
             diagram = False
@@ -272,15 +286,15 @@ def breuil_validate(B: BreuilModule) -> _ValidationReport:
             diagram = False
             continue
         try:
-            lhs = _phi_r_apply(B, ENg)
+            lhs = _phi_r_apply(B, ENg, cut)
         except (NotDivisible, NotInFil):
             diagram = False
             continue
-        rhs = tuple(amb.c * c for c in _n_apply(B, images[j]))
+        rhs = tuple(amb.c * c for c in _n_apply(cut, images[j]))
         if not all(a.eq_at(b, at) for a, b in zip(lhs, rhs)):
             diagram = False
     cris = all(
-        _eval_f0(B.Nmat.entries[i][j]).is_zero_at(at)
+        _eval_f0(cut.Nmat.entries[i][j]).is_zero_at(at)
         for i in range(B.d) for j in range(B.d)
     )
     return _ValidationReport(strongly, griffiths, diagram, cris)

@@ -194,7 +194,10 @@ def _suite_section(amb, rng, cfg):
     K = KI.random_gls(amb, rng, d)
     B = KI.kisin_to_breuil(K)
     try:
-        sec = FU.section_compute(B)
+        # the records read N_p digits of the section, and a run cut to them
+        # gives the full run's (``section_compute``); the base change above
+        # stays uncut, as its telescoping test reads every digit of Bmat
+        sec = FU.section_compute(B, prec=amb.N_p)
         ok_rate = sec.iterations <= sec.rate_bound
         ok_cert = sec.exact and sec.f0_identity and sec.Bmat.residue_invertible()
         recs.append(_rec("section-rate-bound", ok_rate,
@@ -252,53 +255,56 @@ def _random_congruent_identity(amb, rng, d: int) -> RingMatrix:
     ])
 
 
+def _roundtrip_breuil_checks(Bt, g, transport, xs) -> tuple[bool, bool, bool]:
+    """The relations ``_roundtrip_breuil`` checks on the section Bmat of
+    ``transport`` (``functors.breuil_to_fl`` of Bt, the base change
+    re-presented by g): the closed form g^(-1) f_0(g), the N-equivariance
+    Nmat Bmat + N_S(Bmat) = 0 with Bt's Nmat, and whether ``fil_lower`` at
+    step r agrees on each of xs between Bt and the tensor filtration, the
+    same Phi and N presented with adapted basis Bmat embed(g_w) and the
+    reduction's jumps.  Each is read mod p^N_p, and reduction mod p^N_p
+    commutes with products, inversion, f_0 and N_S, so g, Bmat and Nmat
+    are cut to N_p first."""
+    amb = Bt.amb
+    at = amb.N_p
+    g, Bm, Nmat = (X.truncate(at) for X in (g, transport.section.Bmat, Bt.Nmat))
+    # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
+    # the closed form costs one product and no second inverse of g
+    matrix_exact = (g @ Bm).eq_at(FU._embed_w_matrix(amb, FU._f0_matrix(g)), at)
+    resid = Nmat @ Bm + Bm.map_entries(P.n_S)
+    # the top gamma coefficient of N on a truncated element is the one
+    # coordinate the dropped tail can reach; eq_at does not read it
+    n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P._pd_zero(amb)), at)
+    Bs = BR.BreuilModule(amb, Bt.Phi, Bt.Nmat, Bm @ FU._embed_w_matrix(amb, transport.g_w),
+                         transport.M.jumps)
+    fil_ok = all(BR.fil_lower(Bt, amb.r, x, at) == BR.fil_lower(Bs, amb.r, x, at) for x in xs)
+    return matrix_exact, n_ok, fil_ok
+
+
 def _roundtrip_breuil(M, g, rng) -> dict:
     """The ``roundtrip-breuil`` record of S -> FL -> S on the base change of
-    ``M`` re-presented by ``g`` (congruent to the identity mod p).
-
-    The computed section must equal the closed form g^(-1) f_0(g), the
-    monodromy must be carried along (Nmat Bmat + N_S(Bmat) = 0), and
-    ``fil_lower`` at step r must agree between the twisted presentation
-    and the tensor filtration, the same Phi and N presented with adapted
-    basis Bmat embed(g_w) and the reduction's jumps, on 8 random elements
-    drawn from ``rng``; the reduction must have the jumps of ``M``.  A
-    section that does not converge passes as ``converged`` False; a round
-    trip that fails after it does not.
+    ``M`` re-presented by ``g`` (congruent to the identity mod p): the
+    relations of ``_roundtrip_breuil_checks``, on 8 random elements drawn
+    from ``rng``, must hold, and the reduction must have the jumps of
+    ``M``.  A section that does not converge passes as ``converged``
+    False; a round trip that fails after it does not.
     """
     amb = M.amb
-    at = amb.N_p
     Bt = BR._rebase(FU.fl_to_breuil(M), g)
     try:
         sec = FU.section_compute(Bt)
     except NonConvergent as exc:
         return _rec("roundtrip-breuil", True, converged=False, relation="non-convergent",
                     details={"error": str(exc)}, of=M)
-    Bm = sec.Bmat
-    # Bmat = g^(-1) f_0(g) exactly when g Bmat = f_0(g), g being invertible:
-    # the closed form costs one product and no second inverse of g
-    matrix_exact = (g @ Bm).eq_at(FU._embed_w_matrix(amb, FU._f0_matrix(g)), at)
-    resid = Bt.Nmat @ Bm + Bm.map_entries(P.n_S)
-    # the top gamma coefficient of N on a truncated element is the one
-    # coordinate the dropped tail can reach; eq_at does not read it
-    n_ok = resid.eq_at(RingMatrix.zeros(resid.rows, resid.cols, P._pd_zero(amb)), at)
-
-    n_fil = 8
-    fil_ok = True
     try:
         transport = FU.breuil_to_fl(Bt, section=sec)
-        # the tensor filtration: adapted basis Bmat embed(g_w), the
-        # reduction's jumps
-        Bs = BR.BreuilModule(amb, Bt.Phi, Bt.Nmat, Bm @ FU._embed_w_matrix(amb, transport.g_w),
-                             transport.M.jumps)
-        for _ in range(n_fil):
-            if rng.random() < 0.5:
-                x = BR._random_fil_member(Bt, rng, amb.r)
-            else:
-                x = BR._random_vector(Bt, rng, 6)
-            fil_ok &= BR.fil_lower(Bt, amb.r, x, at) == BR.fil_lower(Bs, amb.r, x, at)
     except (NotStrong, NotDirectSummand, NonConvergent) as exc:
         return _rec("roundtrip-breuil", False, converged=True, relation="failed",
                     details={"error": str(exc)}, of=M)
+    n_fil = 8
+    xs = [BR._random_fil_member(Bt, rng, amb.r) if rng.random() < 0.5
+          else BR._random_vector(Bt, rng, 6) for _ in range(n_fil)]
+    matrix_exact, n_ok, fil_ok = _roundtrip_breuil_checks(Bt, g, transport, xs)
 
     exact = matrix_exact and n_ok and fil_ok
     ok = transport.M.jumps == M.jumps and exact

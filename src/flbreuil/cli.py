@@ -158,7 +158,7 @@ def _cmd_section(args) -> int:
     p^r A_0^(-1) to be integral (else ``A0NotScaledIntegral``, exit 2),
     and its fixed-point certificate holds without it.  So a module that
     ``apply mfl`` refuses as not strongly divisible can still get an
-    exact section here.  ``breuil_validate`` would add 12-27% to a
+    exact section here.  ``breuil_validate`` would add 14-19% to a
     rank-4 to rank-6 section task at p = 3 and 5."""
     B = _load_breuil(args.infile, "section")
     sec = FU.section_compute(B, prec=B.amb.N_p)

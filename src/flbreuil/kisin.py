@@ -91,9 +91,14 @@ def _kisin_raw_fil_checker(K: KisinModule):
     over S (``RingMatrix.invert``) and multiplies out.  The product on
     r-jets is one table (``breuil._jet_table``), built with the callable,
     which keeps it.
+
+    ``_adapted_level`` tests the product at N_p digits, which read only A
+    and Y mod p^N_p (embedding, inversion and products commute with the
+    reduction), so the matrix is built from A and Y cut to N_p.
     """
     amb = K.amb
-    full = _embed_matrix(K.A) @ _embed_matrix(K.Y).invert()
+    A, Y = K.A.truncate(amb.N_p), K.Y.truncate(amb.N_p)
+    full = _embed_matrix(A) @ _embed_matrix(Y).invert()
     zeros = (0,) * K.d
     table = breuil_mod._jet_table(amb, full, zeros)
 

@@ -37,6 +37,7 @@ running inverse of m'(z).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, chain, count, zip_longest
 from math import gcd
 from operator import add, mul
@@ -73,12 +74,15 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+@cache
 def _find_irreducible(p: int, f: int) -> tuple[int, ...]:
     """Deterministically pick a monic irreducible degree-f lift over F_p:
     the first candidate (c_0, ..., c_{f-1}, 1), in the order of the
     integer sum c_t p^t, on which ``_WittRing`` builds at one digit.  Every
     degree has one (Gauss's count), so the search ends.  For f = 1 the
-    polynomial is T itself, so the ring degenerates to Z/p^N.
+    polynomial is T itself, so the ring degenerates to Z/p^N.  The search
+    runs once per (p, f) in a process: every context resolves its default
+    modulus here, a cached lookup of ``ambient.shared_params`` included.
     """
     for n in count():
         m = tuple(n // p**t % p for t in range(f)) + (1,)

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from flbreuil import ambient
+from flbreuil import ambient, witt
 from flbreuil import campaign as CAM
 from flbreuil.ambient import AmbientParams, _resolve_params, shared_params
 from flbreuil.cli import main
@@ -48,6 +48,26 @@ def test_one_context_per_parameters_however_they_are_spelled():
     # the fields of a serialized module
     doc = _params_to_json(amb)
     assert shared_params(**{**doc, "a": [int(c) for c in doc["a"]["coeffs"]]}) is amb
+
+
+def test_the_default_modulus_is_searched_once(monkeypatch):
+    # the search builds one ring at one digit per candidate, T^2 and then
+    # T^2 + 1 at p = 3, f = 2: a new context runs it once, a cached one not
+    built = []
+    ring = witt._WittRing
+
+    def counted(p, f, m, cap):
+        if cap == 1:
+            built.append(m)
+        return ring(p, f, m, cap)
+
+    monkeypatch.setattr(witt, "_WittRing", counted)
+    monkeypatch.setattr(ambient, "_SHARED", {})
+    witt._find_irreducible.cache_clear()
+    amb = shared_params(p=3, r=1, f=2)
+    assert built == [(0, 0, 1), (1, 0, 1)]
+    assert shared_params(p=3, r=1, f=2) is amb
+    assert len(built) == 2
 
 
 def test_the_params_document_names_every_parameter_of_a_context():
