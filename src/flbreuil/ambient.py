@@ -26,7 +26,8 @@ campaign, the CLI and the loader of serialized modules take theirs from
 it.  ``AmbientParams(...)`` still builds a private context.
 
 The fixed W(k)-linear maps of S on gamma-coefficients, the Frobenius
-``phi_S`` (columns unit(i!)^-1 * c^i), the embedding ``_embed_sigma`` of
+``phi_S`` (columns phi(gamma_i) = p^(i - v_p(i!)) * unit(i!)^-1 * c^i,
+zero once the power of p reaches the cap), the embedding ``_embed_sigma`` of
 W(k)[[u]] (columns u^n), the change to the u-divided coordinates (columns
 (p*a)^(i-j)/(i-j)! in rows j <= i) and its row 0, the evaluation f_0
 (columns (p*a)^i/i!), are one ``witt._PackedTable`` each, built whole with
@@ -56,7 +57,7 @@ import math
 from . import pd as pdmod
 from .errors import DegreeOverflow, NotAUnit
 from .series import SigmaSeries, _series_from_ints
-from .witt import WittScalar, _find_irreducible, _PackedTable, _WittRing
+from .witt import WittScalar, _find_irreducible, _PackedTable, _trimmed, _WittRing
 
 
 # the largest residue degree, gamma truncation and cap a context accepts
@@ -247,14 +248,20 @@ class AmbientParams:
         self._u_pow = [one, pdmod.PDElement(self, [self.neg_pa, self.ring.one()])]
         self._c_pow = [one, self.c]
 
-        # the linear maps of S on gamma-coefficients: columns unit(i!)^-1 * c^i
-        # (phi_S; the unit is an integer, so it scales the planes), u^n
-        # (_embed_sigma) and (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
-        mod = self.ring.pk[self.cap]
+        # the linear maps of S on gamma-coefficients: columns phi(gamma_i) =
+        # p^(i - v_p(i!)) * unit(i!)^-1 * c^i (phi_S; an integer scale of the
+        # planes of c^i, zero from p^cap on), u^n (_embed_sigma) and
+        # (p*a)^(i-j)/(i-j)! in row j <= i (u-divided)
+        pk = self.ring.pk
         c_cols = []
         for i in range(N_gamma):
-            c_i, unit_inv = self.c_pow(i), self.fact_unit_inv(i).coeffs[0]
-            c_cols.append([[c * unit_inv % mod for c in pl] for pl in c_i.planes])
+            e = i - self.vfact[i]
+            if e >= self.cap:
+                c_cols.append(tuple([] for _ in range(f)))
+                continue
+            scale = self.fact_unit_inv(i).coeffs[0] * pk[e] % mod
+            c_cols.append(_trimmed([[c * scale % mod for c in pl]
+                                    for pl in self.c_pow(i).planes]))
         self.c_table = _PackedTable(self.ring, c_cols)
         self.u_table = _PackedTable(self.ring, [self.u_pow(n).planes for n in range(N_gamma)])
         pa_div = [self.pa_div_fact(i).coeffs for i in range(N_gamma)]

@@ -75,7 +75,6 @@ def _suite_ring_laws(amb, rng, cfg):
         vx, vy = P._fil_valuation(x, at), P._fil_valuation(y, at)
         ok_filmul &= P._fil_valuation(xy, at) >= min(vx + vy, amb.N_gamma)
         s = amb.useries([rng.randrange(amb.ring.pk[amb.cap]) for _ in range(4)])
-        val = s.coeff(0)
         q = amb.neg_pa
         acc, qp = amb.ring.zero(), amb.ring.one()
         for i in range(4):

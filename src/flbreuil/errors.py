@@ -23,10 +23,6 @@ class DegreeOverflow(KernelError):
     its table, or more gamma-coefficients than N_gamma."""
 
 
-class NotInFil(KernelError):
-    """Argument fails the required filtration membership."""
-
-
 class NotInvertible(KernelError):
     """Matrix is singular over the residue field."""
 

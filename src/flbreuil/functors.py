@@ -105,7 +105,7 @@ SectionResult = namedtuple("SectionResult", [
     "Bmat",                 # section matrix: at least prec digits when
                             # prec is given, else at internal precision
     "iterations",           # first n with B_{n+1} = B_n mod p^N_p in every
-                            # gamma_i, i < N_gamma: depends on N_gamma too
+                            # gamma_i, i < N_gamma - 1: depends on N_gamma too
     "residual_valuation",   # certified valuation of B f0(A) - A phi(B)
     "exact",                # residual vanishes at N_p
     "B0_claim_ok",          # p (B_0 - I) lies in u^p Mat(S)
@@ -125,8 +125,9 @@ def section_compute(B: BreuilModule, prec: int | None = None) -> SectionResult:
     is raised after twice the bound plus ``_STEP_CUSHION`` steps.
 
     The count ``iterations`` is the first n with B_(n+1) = B_n mod p^N_p
-    in every gamma-coefficient below N_gamma, as the stop test compares
-    them all.  It is not a function of the module mod p^N_p alone: a
+    in every gamma-coefficient below N_gamma - 1, as the stop test
+    compares them all (``PDElement.eq_at``, which never reads the top
+    index).  It is not a function of the module mod p^N_p alone: a
     context with a larger N_gamma keeps coefficients that may settle a
     step later, while the section agrees mod p^N_p.
 

@@ -52,7 +52,9 @@ pass over the gamma-index from the inverse of A's gamma_0 part over W(k).
 The fixed W(k)-linear maps, ``phi_S``, ``_embed_sigma``, the change to
 u-divided coordinates (``to_u_divided``, ``_all_in_u_power_ideal``) and its
 row 0, ``_eval_f0``, each read one ``witt._PackedTable`` built with the
-context, in the one packed layout of ``witt``.  A table applies to a list
+context, in the one packed layout of ``witt``; the columns of the table
+of ``phi_S`` are the images phi(gamma_i) themselves, so ``phi_S`` is
+sigma on the coefficients and one apply.  A table applies to a list
 of vectors at once, so ``_phi_S_all``, ``_embed_sigma_all`` and
 ``_all_in_u_power_ideal`` map a whole matrix with one apply; ``phi_S`` and
 ``_embed_sigma`` are their lists of one.  The derivation ``n_S`` multiplies
@@ -221,41 +223,25 @@ def _fil_valuation(x: PDElement, at: int | None = None) -> int:
     return x.amb.N_gamma
 
 
-def _phi_input(x: PDElement) -> tuple:
-    """The input of the table behind ``phi_S``: the planes of the scalars
-    s_i = sigma(x_i) * p^(i - v_p(i!)) mod p^k, cut after the last
-    contributing index.  An index contributes when its coefficient is
-    nonzero and its exponent is below k; every exponent is nonnegative, as
-    v_p(i!) <= i."""
-    amb = x.amb
-    k, ring, vfact = x.prec, amb.ring, amb.vfact
-    pk, mod = ring.pk, ring.pk[k]
-    top = next((i for i in range(len(x.planes[0]) - 1, -1, -1)
-                if i - vfact[i] < k and any(pl[i] for pl in x.planes)), -1)
-    scale = [pk[e] if e < k else 0 for e in (i - vfact[i] for i in range(top + 1))]
-    return [[c * q % mod for c, q in zip(pl, scale)]
-            for pl in ring.frobenius_planes(x.planes, k)]
-
-
 def phi_S(x: PDElement) -> PDElement:
     """Frobenius phi of S: the list of one of ``_phi_S_all``."""
     return _phi_S_all([x])[0]
 
 
 def _phi_S_all(xs) -> list:
-    """Frobenius phi of every element of the list xs, computed termwise by
-    one apply of the context's table to all of them.
-
-    Uses phi(gamma_i) = (p^i / i!) c^i: the scalars
-    s_i = sigma(x_i) * p^(i - v_p(i!)), reduced mod p^k, are the input of
-    the context's table of unit(i!)^-1 * c^i (``AmbientParams.c_table``).
+    """Frobenius phi of every element of the list xs: sigma on the
+    coefficients, then one apply of the context's table of the images
+    phi(gamma_i) = (p^i / i!) c^i (``AmbientParams.c_table``) to all of
+    them, each image reduced mod p^k at the precision k of its element.
     The divided Frobenius phi_r = phi / p^r on Fil^r is this image divided
     exactly by p^r (``breuil._phi_r_apply``).
     """
     if not xs:
         return []
-    outs = xs[0].amb.c_table.apply([_phi_input(x) for x in xs], [x.prec for x in xs])
-    return [PDElement(x.amb, (), x.prec, out) for x, out in zip(xs, outs)]
+    amb = xs[0].amb
+    frob = amb.ring.frobenius_planes
+    outs = amb.c_table.apply([frob(x.planes, x.prec) for x in xs], [x.prec for x in xs])
+    return [PDElement(amb, (), x.prec, out) for x, out in zip(xs, outs)]
 
 
 def n_S(x: PDElement) -> PDElement:

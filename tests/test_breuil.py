@@ -18,7 +18,7 @@ from flbreuil.breuil import (
     hat_fil_level,
 )
 from flbreuil.campaign import _random_congruent_identity, run_suite_seed
-from flbreuil.errors import NotCris, NotDivisible, NotInFil
+from flbreuil.errors import NotCris, NotDivisible
 from flbreuil.fl import FLModule, _random_fl
 from flbreuil.functors import _fpi_matrix, fl_to_breuil
 from flbreuil.kisin import kisin_to_breuil, random_gls
@@ -110,16 +110,18 @@ def test_phi_r_examples(amb3):
     assert out[0].eq_at(expect, amb3.N_p)
 
 
-def test_phi_r_requires_membership(amb3):
+def test_phi_r_tests_no_membership(amb3):
+    # phi_r is one exact division: gamma_0 lies outside Fil^r of a jump-0
+    # module, and phi(gamma_0) = 1 leaves a remainder mod p^r
     B = rank1(amb3, 0, amb3.w(1))
-    with pytest.raises(NotInFil):
+    assert fil_level(B, (_pd_one(amb3),)) == 0
+    with pytest.raises(NotDivisible):
         _phi_r_apply(B, (_pd_one(amb3),))
 
 
 def test_phi_r_semilinearity(amb3):
     # the defining relation phi_r(s x) = c^(-r) phi_r(s) phi_r(E^r x) for
     # s in Fil^r S, which closes to phi_r(s x) = phi_r(s) phi(x)
-    from flbreuil.breuil import _phi_module
     from flbreuil.pd import PDElement, _embed_sigma
 
     rng = random.Random(20)
@@ -134,7 +136,7 @@ def test_phi_r_semilinearity(amb3):
         x = _random_vector(B, rng, 5)
         lhs = _phi_r_apply(B, tuple(s * xi for xi in x))
         phirs = phi_S(s).div_p_exact(r)
-        closed = tuple(phirs * yi for yi in _phi_module(B, x))
+        closed = tuple(phirs * yi for yi in B.Phi.matvec(tuple(phi_S(xi) for xi in x)))
         defining = tuple(c_inv_r * phirs * yi
                          for yi in _phi_r_apply(B, tuple(Er * xi for xi in x)))
         assert all(a.eq_at(b, amb3.N_p)
@@ -191,6 +193,28 @@ def test_validate_skips_without_monodromy(amb3):
     rep = breuil_validate(rank1(amb3, 1, amb3.w(3)))
     assert rep.strongly_divisible
     assert rep.griffiths is None and rep.diagram is None and rep.cris is None
+
+
+def test_validate_tests_filtration_once_per_generator_with_monodromy(amb3, amb9, monkeypatch):
+    # the generators lie in Fil^r by construction, so the one filtration
+    # test per generator is Griffiths', of E N(g); a module without
+    # monodromy gets none, and its C is never inverted
+    calls = []
+    adapted = BR._adapted_level
+    monkeypatch.setattr(BR, "_adapted_level", lambda *a: calls.append(1) or adapted(*a))
+    rng = random.Random(3)
+    for amb in (amb3, amb9):
+        mods = [fl_to_breuil(_random_fl(amb, rng, d)) for d in (1, 2, 3)]
+        for B in mods + [griffiths_failing_module(amb)]:
+            del calls[:]
+            breuil_validate(B)
+            assert len(calls) == B.d
+        for d in (1, 2, 3):
+            K = kisin_to_breuil(random_gls(amb, rng, d))
+            K._C_inv = None
+            del calls[:]
+            assert breuil_validate(K).strongly_divisible
+            assert not calls and K._C_inv is None
 
 
 def test_hat_filtration_rank_one(amb3):

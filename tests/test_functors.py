@@ -571,6 +571,24 @@ def test_breuil_to_fl_refuses_a_section_cut_to_N_p(amb3):
     assert breuil_to_fl(B, section=section_compute(B), adjoin_zero_n=True).M.jumps == (0, 1)
 
 
+def test_breuil_to_fl_refuses_a_residual_that_leaves_phi_non_constant():
+    # the conjugated Frobenius reads the section's residual R: one more
+    # p^(N_p - 1) gamma_1 at entry (0, 0) makes it non-constant mod p^N_p
+    from flbreuil.ambient import shared_params
+    from flbreuil.campaign import _random_congruent_identity
+
+    amb = shared_params(p=5, r=3)
+    rng = random.Random(2)
+    M = _random_fl(amb, rng, 2)
+    B = _rebase(fl_to_breuil(M), _random_congruent_identity(amb, rng, 2))
+    sec = section_compute(B)
+    R = [list(row) for row in sec.residual.entries]
+    R[0][0] = R[0][0] + _pd_gamma(amb, 1, amb.w(amb.p ** (amb.N_p - 1)))
+    with pytest.raises(NonConvergent, match="not constant at precision"):
+        breuil_to_fl(B, section=sec._replace(residual=RingMatrix(R)))
+    assert breuil_to_fl(B, section=sec).M.jumps == M.jumps
+
+
 def test_roundtrip_breuil_identity_twist(amb3):
     rng = random.Random(7)
     M = _random_fl(amb3, rng, 2)

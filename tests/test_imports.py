@@ -343,8 +343,8 @@ PUBLIC = {
     "cli": ["main"],
     "errors": ["A0NotScaledIntegral", "DegreeOverflow", "KernelError", "MalformedJumps",
                "NonConvergent", "NotAUnit", "NotCris", "NotDirectSummand", "NotDivisible",
-               "NotInFil", "NotInvertible", "NotStrong", "PrecisionExhausted",
-               "PrecisionMismatch", "SchemaMismatch", "SingularMatrix"],
+               "NotInvertible", "NotStrong", "PrecisionExhausted", "PrecisionMismatch",
+               "SchemaMismatch", "SingularMatrix"],
     "fl": ["FLModule", "fl_transport", "fl_unipotent", "fl_validate"],
     "functors": ["FLTransport", "SectionResult", "breuil_to_fl", "fl_to_breuil",
                  "section_compute"],

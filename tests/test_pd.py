@@ -170,6 +170,27 @@ def test_phi_c_consistency(amb3):
     assert phi_S(_pd_gamma(amb3, 1)).div_p_exact(1).eq_at(amb3.c, amb3.cap - 1)
 
 
+def test_phi_is_its_table_of_images(amb3, amb9):
+    # phi(x) = sum_i sigma(x_i) phi(gamma_i), with the images
+    # phi(gamma_i) = p^(i - v_p(i!)) unit(i!)^-1 c^i.  The elements sit at
+    # N_p + r digits and carry nonzero coefficients at indices whose power
+    # of p is N_p + r or more, whose terms vanish at that precision
+    rng = random.Random(21)
+    for amb in (amb3, amb9):
+        k = amb.N_p + amb.r
+        high = [i for i in range(amb.N_gamma) if i - amb.vfact[i] >= k]
+        assert high
+        for _ in range(6):
+            x = _pd_random_calibrated(amb, rng, amb.N_gamma, 2).truncate(k)
+            assert any(not x.coeff(i).is_zero_at(k) for i in high)
+            expect = _pd_zero(amb)
+            for i in range(amb.N_gamma):
+                s = (x.coeff(i).frobenius() * amb.fact_unit_inv(i)).mul_p_pow(i - amb.vfact[i])
+                expect = expect + _pd_from_scalar(amb, s) * amb.c_pow(i)
+            y = phi_S(x)
+            assert y.prec == k and (y - expect).is_zero_at(k)
+
+
 def test_phi_multiplicative(amb3):
     rng = random.Random(4)
     for _ in range(60):
@@ -303,6 +324,7 @@ def test_easylemma_positive_and_witness(amb3):
             assert _easylemma_holds(amb3, s, i)
         g = _pd_gamma(amb3, i)
         assert _fil_valuation(n_S(g), amb3.N_p) == i - 1  # hypothesis visibly fails
+        assert _easylemma_holds(amb3, g, i)  # so the lemma holds vacuously
 
 
 def test_easylemma_precision_boundary(amb3):
@@ -372,6 +394,9 @@ def test_coeff_out_of_range_is_degree_overflow(amb3):
     for i in (N, N + 5, -N - 1):
         with pytest.raises(DegreeOverflow):
             x.coeff(i)
+    for i in (N, -1):
+        with pytest.raises(DegreeOverflow):
+            _pd_gamma(amb3, i)
 
 
 def test_valuation_and_shift_match_the_coefficients(amb3, amb9):

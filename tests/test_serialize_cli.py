@@ -6,7 +6,7 @@ import pytest
 from flbreuil import campaign as CAM
 from flbreuil import functors as FU
 from flbreuil.ambient import AmbientParams
-from flbreuil.breuil import _rebase
+from flbreuil.breuil import BreuilModule, _rebase
 from flbreuil import serialize as SER
 from flbreuil.cli import _build_parser, main
 from flbreuil.errors import (
@@ -21,6 +21,7 @@ from flbreuil.functors import fl_to_breuil, section_compute
 from flbreuil.kisin import KisinModule, kisin_to_breuil, random_gls
 from test_functors import OUTSIDE, outside_the_category
 from flbreuil.matrix import RingMatrix
+from flbreuil.pd import _pd_from_scalar, _pd_zero
 
 
 def test_fl_round_trip(amb3):
@@ -239,6 +240,14 @@ def test_cli_section_does_not_ask_for_strong_divisibility(tmp_path, capsys):
     assert json.loads(s.read_text())["data"]["exact"] is True
     capsys.readouterr()
     assert main(["apply", "mfl", "--in", str(b), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == ["error: input is not strongly divisible"]
+    # C = p I, singular mod p, and no monodromy: the generators p gamma_t e_i
+    # have no unit phi_r image, and C is never inverted
+    z, pe = _pd_zero(amb), _pd_from_scalar(amb, amb.w(amb.p))
+    C = RingMatrix([[pe, z], [z, pe]])
+    b.write_text(SER.dumps(BreuilModule(amb, fl_to_breuil(M).Phi, None, C, M.jumps)))
+    assert main(["apply", "mfl", "--adjoin-zero-n", "--in", str(b), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == ["error: input is not strongly divisible"]
 
